@@ -243,61 +243,36 @@ func BenchmarkSolveMHParallel(b *testing.B) {
 	}
 }
 
-// incrementalModes pairs the two candidate-evaluation paths for the
-// Solve benchmarks: the transactional incremental path (the default) and
-// the clone-and-rebuild path it replaced. Identical solutions (pinned by
-// TestIncrementalEquivalence); the sub-benchmark gap is the refactor's
-// payoff in ns/op and — with -benchmem — allocations per solve, which on
-// the memo-miss path is dominated by the per-candidate evaluation cost.
-var incrementalModes = []struct {
-	name string
-	mode core.IncrementalMode
-}{
-	{"incremental", core.IncrementalOn},
-	{"full", core.IncrementalOff},
-}
-
 // BenchmarkSolveMH is one MH solve on the 160-process sweep point with
-// no observer attached, once per evaluation path. The incremental/full
-// pair measures the transactional engine; the incremental sub-benchmark
-// doubles as the plain-Solve baseline for BenchmarkSolveMHObserved — the
-// gap to that is the full cost of the observability layer, which must
-// stay in the noise (the disabled-observer hot path is additionally
-// pinned to zero allocations by a test in internal/core).
+// no observer attached. It doubles as the plain-Solve baseline for
+// BenchmarkSolveMHObserved — the gap to that is the full cost of the
+// observability layer, which must stay in the noise (the
+// disabled-observer hot path is additionally pinned to zero allocations
+// by a test in internal/core).
 func BenchmarkSolveMH(b *testing.B) {
 	p := benchProblem(b, 160)
-	for _, m := range incrementalModes {
-		b.Run(m.name, func(b *testing.B) {
-			opts := core.Options{Strategy: core.MH, Parallelism: 1, Incremental: m.mode}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Solve(context.Background(), p, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	opts := core.Options{Strategy: core.MH, Parallelism: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Solve(context.Background(), p, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkSolveSA is the SA analogue of BenchmarkSolveMH: one
-// reduced-budget annealing solve per op, on both evaluation paths. SA
-// examines far more candidates per solve than MH, so the per-candidate
-// allocation difference between the paths shows up here most clearly.
+// reduced-budget annealing solve per op. SA examines far more candidates
+// per solve than MH, so the per-candidate evaluation cost dominates.
 func BenchmarkSolveSA(b *testing.B) {
 	p := benchProblem(b, 160)
-	strat := core.SAWith(core.SAOptions{Seed: 1, Iterations: 1500})
-	for _, m := range incrementalModes {
-		b.Run(m.name, func(b *testing.B) {
-			opts := core.Options{Strategy: strat, Parallelism: 1, Incremental: m.mode}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Solve(context.Background(), p, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	opts := core.Options{Strategy: core.SAWith(core.SAOptions{Seed: 1, Iterations: 1500}), Parallelism: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Solve(context.Background(), p, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

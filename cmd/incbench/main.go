@@ -15,10 +15,9 @@
 // -sizes control the full sweep (the paper used 50 cases per point —
 // expect that to take hours, exactly like the original SA reference did).
 //
-// -stats-out FILE writes the run's observability snapshot as JSON;
-// -bench-out FILE writes a perf-regression report (wall time, evals/sec
-// and cache hit rate per sweep point, plus peak RSS) that cmd/benchdiff
-// compares against a baseline. Both files are written atomically.
+// -stats-out FILE writes the run's observability snapshot as JSON
+// (atomically). Performance is measured by the benchmark module, not
+// here; see benchmark/README.md.
 package main
 
 import (
@@ -32,7 +31,6 @@ import (
 	"syscall"
 	"time"
 
-	"incdes/internal/bench"
 	"incdes/internal/core"
 	"incdes/internal/eval"
 	"incdes/internal/gen"
@@ -50,8 +48,6 @@ func main() {
 	stratParallel := flag.Int("strategy-parallel", 1, "evaluation workers inside each strategy run (use 1 for trustworthy runtime measurements; <=0 means one per CPU)")
 	verbose := flag.Bool("v", false, "log per-case progress to stderr")
 	statsPath := flag.String("stats-out", "", "write sweep-wide engine/scheduler/bus statistics as JSON to this file")
-	benchPath := flag.String("bench-out", "", "write a machine-readable perf baseline (BENCH_*.json) from the deviation sweep to this file")
-	incremental := flag.Bool("incremental", true, "transactional incremental candidate evaluation (false = full rebuild per candidate)")
 	flag.Parse()
 	start := time.Now()
 
@@ -67,9 +63,6 @@ func main() {
 		BaseSeed:         *seed,
 		Parallel:         *parallel,
 		StrategyParallel: *stratParallel,
-	}
-	if !*incremental {
-		o.Incremental = core.IncrementalOff
 	}
 	if *sizes != "" {
 		for _, s := range strings.Split(*sizes, ",") {
@@ -110,15 +103,6 @@ func main() {
 		var err error
 		devRes, err = eval.RunDeviation(ctx, o)
 		return devRes, err
-	}
-	var mcRes *eval.MulticlusterResult
-	multicluster := func() (*eval.MulticlusterResult, error) {
-		if mcRes != nil {
-			return mcRes, nil
-		}
-		var err error
-		mcRes, err = eval.RunMulticluster(ctx, o)
-		return mcRes, err
 	}
 
 	run := func(name string) error {
@@ -168,7 +152,7 @@ func main() {
 			fmt.Println("portfolio racer vs the best single strategy")
 			fmt.Print(res.Table())
 		case "multicluster":
-			res, err := multicluster()
+			res, err := eval.RunMulticluster(ctx, o)
 			if err != nil {
 				return err
 			}
@@ -185,42 +169,11 @@ func main() {
 	if *fig == "all" {
 		figs = []string{"deviation", "runtime", "futurefit", "ablation", "relaxed", "criteria"}
 	}
-	if *benchPath != "" {
-		switch *fig {
-		case "deviation", "runtime", "all", "multicluster":
-		default:
-			fmt.Fprintf(os.Stderr, "incbench: -bench-out needs a timed sweep; use -fig deviation, runtime, multicluster or all (got %q)\n", *fig)
-			os.Exit(2)
-		}
-	}
 	for _, f := range figs {
 		if err := run(f); err != nil {
 			fmt.Fprintln(os.Stderr, "incbench:", err)
 			os.Exit(1)
 		}
-	}
-	if *benchPath != "" {
-		var rep *bench.Report
-		if *fig == "multicluster" {
-			res, err := multicluster() // cached: the sweep above already ran it
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "incbench:", err)
-				os.Exit(1)
-			}
-			rep = bench.FromSweep(res.DevRows(), "multicluster", time.Since(start), *seed, *quick)
-		} else {
-			res, err := deviation() // cached: the sweep above already ran it
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "incbench:", err)
-				os.Exit(1)
-			}
-			rep = bench.FromDeviation(res, time.Since(start), *seed, *quick)
-		}
-		if err := rep.WriteFile(*benchPath); err != nil {
-			fmt.Fprintln(os.Stderr, "incbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bench report written to %s (%d points)\n", *benchPath, len(rep.Points))
 	}
 	if reg != nil {
 		snap := reg.Snapshot()

@@ -17,7 +17,7 @@
 // thresholds: -max-p99 fails the run when any class's p99 exceeds the
 // bound, -min-hit-rate when the cache hit rate falls below it (CI's
 // load-smoke job uses both). The second form compares two artifacts
-// benchdiff-style and fails on relative regressions.
+// and fails on relative regressions.
 //
 // With -target the profile drives running incmapd daemons over real
 // HTTP instead of an in-process server: solve traffic round-robins

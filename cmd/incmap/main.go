@@ -302,7 +302,6 @@ func cmdMap(args []string) error {
 	tracePath := fs.String("trace", "", "write the strategy's decision-event trace as JSONL to this file")
 	statsPath := fs.String("stats-out", "", "write engine/scheduler/bus statistics as JSON to this file")
 	convergence := fs.Bool("convergence", false, "print the cost-vs-iteration convergence curve")
-	incremental := fs.Bool("incremental", true, "transactional incremental candidate evaluation (false = full rebuild per candidate)")
 	fs.Parse(args)
 
 	// Ctrl-C (or the timeout) cancels the strategy; the best design found
@@ -404,11 +403,7 @@ func cmdMap(args []string) error {
 		}
 	}
 
-	mode := core.IncrementalOn
-	if !*incremental {
-		mode = core.IncrementalOff
-	}
-	sol, err := core.Solve(ctx, p, core.Options{Strategy: strat, Parallelism: *parallel, Incremental: mode, Observer: observer})
+	sol, err := core.Solve(ctx, p, core.Options{Strategy: strat, Parallelism: *parallel, Observer: observer})
 	if err != nil {
 		return err
 	}

@@ -75,7 +75,6 @@ import (
 	"time"
 
 	"incdes/internal/cluster"
-	"incdes/internal/core"
 	"incdes/internal/serve"
 	"incdes/internal/session"
 )
@@ -88,7 +87,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "evaluation workers per solve (0 = one per CPU)")
 	retain := flag.Int("retain", 64, "finished jobs kept queryable")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	incremental := flag.Bool("incremental", true, "transactional incremental candidate evaluation (false = full rebuild per candidate)")
 	sessionDir := flag.String("session-dir", "", "directory for persistent design sessions (empty = in-memory only)")
 	solutionCache := flag.Int("solution-cache", 0, "whole-solution LRU entries; identical requests coalesce and replay (0 = off)")
 	debugRequests := flag.Int("debug-requests", 0, "completed request span trees retained for /v1/debug/requests (0 = default 256, negative = off)")
@@ -104,10 +102,6 @@ func main() {
 		log.Fatal("incmapd: -coordinator and -worker-of are mutually exclusive")
 	}
 
-	mode := core.IncrementalOn
-	if !*incremental {
-		mode = core.IncrementalOff
-	}
 	var store session.Store
 	if *sessionDir != "" {
 		ds, err := session.NewDiskStore(*sessionDir)
@@ -123,7 +117,6 @@ func main() {
 		Parallelism:       *parallel,
 		RetainJobs:        *retain,
 		EnablePprof:       *pprofOn,
-		Incremental:       mode,
 		SessionStore:      store,
 		SolutionCacheSize: *solutionCache,
 		DebugRequests:     *debugRequests,

@@ -1,202 +1,15 @@
-// Package bench defines the machine-readable perf-baseline artifact the
-// regression harness trades in: `incbench -bench-out` writes a Report,
-// CI uploads it, and `benchdiff` compares two of them.
-//
-// A Report records, per sweep point and strategy, the averaged wall
-// time, evaluation count, evaluation throughput and cache-hit rate,
-// plus enough run metadata (go version, GOMAXPROCS, seed, peak RSS) to
-// judge whether two reports are comparable at all. Writes are atomic
-// (temp file + rename), so an interrupted sweep never leaves a
-// truncated baseline behind.
+// Package bench reports the process's peak resident set size, the memory
+// figure the benchmark module (see benchmark/README.md) prints next to
+// its own measurements.
 package bench
 
 import (
 	"bufio"
-	"encoding/json"
-	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
-
-	"incdes/internal/eval"
 )
-
-// SchemaVersion identifies the JSON layout of Report.
-const SchemaVersion = 1
-
-// Point is one (sweep size, strategy) measurement, averaged over the
-// sweep's test cases.
-type Point struct {
-	Fig          string  `json:"fig"`
-	Size         int     `json:"size"`
-	Strategy     string  `json:"strategy"`
-	Cases        int     `json:"cases"`
-	WallMS       float64 `json:"wall_ms"`
-	Evaluations  float64 `json:"evaluations"`
-	EvalsPerSec  float64 `json:"evals_per_sec"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-}
-
-// key identifies a point for cross-report matching.
-func (p Point) key() string {
-	return fmt.Sprintf("%s/%d/%s", p.Fig, p.Size, p.Strategy)
-}
-
-// Report is one bench artifact.
-type Report struct {
-	SchemaVersion int     `json:"schema_version"`
-	Fig           string  `json:"fig"`
-	GoVersion     string  `json:"go_version"`
-	GOMAXPROCS    int     `json:"gomaxprocs"`
-	Seed          int64   `json:"seed"`
-	Quick         bool    `json:"quick,omitempty"`
-	WallMS        float64 `json:"wall_ms"` // whole-sweep wall time
-	PeakRSSBytes  int64   `json:"peak_rss_bytes"`
-	Points        []Point `json:"points"`
-}
-
-// FromDeviation converts a deviation-sweep result into a bench report:
-// one point per (size, strategy). elapsed is the whole sweep's wall
-// time; seed and quick describe how the sweep was configured.
-func FromDeviation(res *eval.DeviationResult, elapsed time.Duration, seed int64, quick bool) *Report {
-	return FromSweep(res.Rows, "deviation", elapsed, seed, quick)
-}
-
-// FromSweep converts any DevRow-shaped sweep into a bench report under
-// the given figure name (the multicluster sweep reuses this with Size
-// carrying the cluster count).
-func FromSweep(rows []eval.DevRow, fig string, elapsed time.Duration, seed int64, quick bool) *Report {
-	r := &Report{
-		SchemaVersion: SchemaVersion,
-		Fig:           fig,
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Seed:          seed,
-		Quick:         quick,
-		WallMS:        float64(elapsed) / float64(time.Millisecond),
-		PeakRSSBytes:  PeakRSS(),
-	}
-	for _, row := range rows {
-		for _, s := range []struct {
-			name  string
-			t     time.Duration
-			evals float64
-			hits  float64
-		}{
-			{"AH", row.AHTime, row.AHEvals, row.AHHits},
-			{"MH", row.MHTime, row.MHEvals, row.MHHits},
-			{"SA", row.SATime, row.SAEvals, row.SAHits},
-		} {
-			p := Point{
-				Fig:         r.Fig,
-				Size:        row.Size,
-				Strategy:    s.name,
-				Cases:       row.Cases,
-				WallMS:      s.t.Seconds() * 1000,
-				Evaluations: s.evals,
-			}
-			if s.t > 0 {
-				p.EvalsPerSec = s.evals / s.t.Seconds()
-			}
-			if s.evals > 0 {
-				p.CacheHitRate = s.hits / s.evals
-			}
-			r.Points = append(r.Points, p)
-		}
-	}
-	return r
-}
-
-// WriteFile writes the report atomically (temp file + rename); errors
-// identify the destination path.
-func (r *Report) WriteFile(path string) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("bench: writing %s: %w", path, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	enc := json.NewEncoder(tmp)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		tmp.Close()
-		return fmt.Errorf("bench: writing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("bench: writing %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("bench: writing %s: %w", path, err)
-	}
-	return nil
-}
-
-// ReadFile parses a bench report.
-func ReadFile(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench: reading %s: %w", path, err)
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("bench: reading %s: %w", path, err)
-	}
-	if r.SchemaVersion > SchemaVersion {
-		return nil, fmt.Errorf("bench: %s has schema version %d, newer than %d (the newest this tool understands): %w — rebuild benchdiff from the branch that wrote the report",
-			path, r.SchemaVersion, SchemaVersion, ErrSchemaTooNew)
-	}
-	if r.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("bench: %s has schema version %d, this tool understands %d",
-			path, r.SchemaVersion, SchemaVersion)
-	}
-	return &r, nil
-}
-
-// ErrSchemaTooNew marks a report written by a newer tool than this
-// binary: comparing it silently would misread fields, so ReadFile
-// refuses with this error wrapped.
-var ErrSchemaTooNew = fmt.Errorf("bench: report schema newer than this tool")
-
-// MedianSpeedup returns the median candidate/baseline evals_per_sec
-// ratio over the points matched by (fig, size, strategy), skipping
-// points without a positive throughput on both sides and points whose
-// wall time on either side is below minWallMS (0 takes Compare's 20ms
-// default) — sub-floor timings are pure noise and would let a
-// microsecond-scale point swing the median. ok is false when no point
-// is comparable.
-func MedianSpeedup(base, cand *Report, minWallMS float64) (ratio float64, ok bool) {
-	if minWallMS == 0 {
-		minWallMS = 20
-	}
-	baseByKey := map[string]Point{}
-	for _, p := range base.Points {
-		baseByKey[p.key()] = p
-	}
-	var ratios []float64
-	for _, np := range cand.Points {
-		bp, found := baseByKey[np.key()]
-		if !found || bp.EvalsPerSec <= 0 || np.EvalsPerSec <= 0 {
-			continue
-		}
-		if bp.WallMS < minWallMS || np.WallMS < minWallMS {
-			continue // too fast to time meaningfully
-		}
-		ratios = append(ratios, np.EvalsPerSec/bp.EvalsPerSec)
-	}
-	if len(ratios) == 0 {
-		return 0, false
-	}
-	sort.Float64s(ratios)
-	mid := len(ratios) / 2
-	if len(ratios)%2 == 1 {
-		return ratios[mid], true
-	}
-	return (ratios[mid-1] + ratios[mid]) / 2, true
-}
 
 // PeakRSS returns the process's peak resident set size in bytes, read
 // from /proc/self/status (VmHWM) on Linux. On platforms without procfs
@@ -234,99 +47,4 @@ func procPeakRSS() (int64, bool) {
 		return kb * 1024, true
 	}
 	return 0, false
-}
-
-// Delta is one regression (or informational drift) found by Compare.
-type Delta struct {
-	Key    string  // fig/size/strategy
-	Metric string  // "wall_ms", "evals_per_sec", ...
-	Old    float64 // baseline value
-	New    float64 // candidate value
-	Rel    float64 // signed relative change, (new-old)/old
-}
-
-func (d Delta) String() string {
-	return fmt.Sprintf("%s %s: %.4g -> %.4g (%+.1f%%)", d.Key, d.Metric, d.Old, d.New, d.Rel*100)
-}
-
-// CompareOptions tune Compare.
-type CompareOptions struct {
-	// Threshold is the relative slowdown tolerated before a point is a
-	// regression (0.25 = 25%). Only changes for the worse regress: wall
-	// time growing, throughput shrinking.
-	Threshold float64
-	// MinWallMS excludes points whose baseline wall time is below this
-	// floor from the wall-time and throughput comparison: sub-floor
-	// timings (the AH baseline runs in microseconds) are pure noise at
-	// any threshold. Default 20ms.
-	MinWallMS float64
-}
-
-// Compare matches the two reports' points by (fig, size, strategy) and
-// returns the regressions beyond opts.Threshold plus informational
-// notes: evaluation-count drift (the work itself changed, so timing
-// comparisons are apples to oranges), points present on only one side,
-// and metadata mismatches.
-func Compare(base, cand *Report, opts CompareOptions) (regressions []Delta, notes []string) {
-	if opts.Threshold <= 0 {
-		opts.Threshold = 0.25
-	}
-	if opts.MinWallMS == 0 {
-		opts.MinWallMS = 20
-	}
-	if base.GoVersion != cand.GoVersion {
-		notes = append(notes, fmt.Sprintf("go version differs: %s vs %s", base.GoVersion, cand.GoVersion))
-	}
-	if base.GOMAXPROCS != cand.GOMAXPROCS {
-		notes = append(notes, fmt.Sprintf("GOMAXPROCS differs: %d vs %d", base.GOMAXPROCS, cand.GOMAXPROCS))
-	}
-	if base.Seed != cand.Seed {
-		notes = append(notes, fmt.Sprintf("seed differs: %d vs %d — sweeps measured different workloads", base.Seed, cand.Seed))
-	}
-	baseByKey := map[string]Point{}
-	for _, p := range base.Points {
-		baseByKey[p.key()] = p
-	}
-	seen := map[string]bool{}
-	for _, np := range cand.Points {
-		key := np.key()
-		seen[key] = true
-		bp, ok := baseByKey[key]
-		if !ok {
-			notes = append(notes, fmt.Sprintf("%s: new point, no baseline", key))
-			continue
-		}
-		if bp.Evaluations != np.Evaluations {
-			notes = append(notes, fmt.Sprintf("%s: evaluations changed %.0f -> %.0f (work differs; timing deltas are not like-for-like)",
-				key, bp.Evaluations, np.Evaluations))
-		}
-		if bp.WallMS < opts.MinWallMS || np.WallMS < opts.MinWallMS {
-			continue // too fast to time meaningfully
-		}
-		if bp.WallMS > 0 {
-			rel := (np.WallMS - bp.WallMS) / bp.WallMS
-			if rel > opts.Threshold {
-				regressions = append(regressions, Delta{Key: key, Metric: "wall_ms", Old: bp.WallMS, New: np.WallMS, Rel: rel})
-			}
-		}
-		if bp.EvalsPerSec > 0 {
-			rel := (np.EvalsPerSec - bp.EvalsPerSec) / bp.EvalsPerSec
-			if rel < -opts.Threshold {
-				regressions = append(regressions, Delta{Key: key, Metric: "evals_per_sec", Old: bp.EvalsPerSec, New: np.EvalsPerSec, Rel: rel})
-			}
-		}
-	}
-	for key := range baseByKey {
-		if !seen[key] {
-			notes = append(notes, fmt.Sprintf("%s: baseline point missing from candidate", key))
-		}
-	}
-	sort.Slice(regressions, func(i, j int) bool {
-		if regressions[i].Key != regressions[j].Key {
-			return regressions[i].Key < regressions[j].Key
-		}
-		return regressions[i].Metric < regressions[j].Metric
-	})
-	sort.Strings(notes)
-	return regressions, notes
 }

@@ -94,16 +94,17 @@ func TestEvaluateHitPathZeroAllocsObserved(t *testing.T) {
 	}
 }
 
-// measureMissAllocs reports the steady-state allocations of a memo-miss
-// evaluation (cache disabled, so every call reschedules and rescores)
-// under the given evaluation path.
-func measureMissAllocs(t *testing.T, mode IncrementalMode) float64 {
-	t.Helper()
+// TestEvaluateMissPathIncrementalAllocs gates the allocation cost of a
+// memo-miss evaluation (cache disabled, so every call applies, rescores
+// and rolls back a transaction): the evaluator's scratch is reused
+// across calls, so the count must stay at the 23 objects/op measured
+// when the gate was set.
+func TestEvaluateMissPathIncrementalAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race")
 	}
 	p := allocTestProblem(t)
-	eng := newEngine(p, Options{Parallelism: 1, CacheSize: -1, Incremental: mode})
+	eng := newEngine(p, Options{Parallelism: 1, CacheSize: -1})
 	mapping, _, err := p.initial(sched.Hints{})
 	if err != nil {
 		t.Fatal(err)
@@ -111,22 +112,11 @@ func measureMissAllocs(t *testing.T, mode IncrementalMode) float64 {
 	if _, ok := eng.Evaluate(mapping, sched.Hints{}); !ok {
 		t.Fatal("warm-up evaluation infeasible")
 	}
-	return testing.AllocsPerRun(200, func() {
+	allocs := testing.AllocsPerRun(200, func() {
 		eng.Evaluate(mapping, sched.Hints{})
 	})
-}
-
-// TestEvaluateMissPathIncrementalAllocs pins the transactional
-// refactor's payoff where it was promised: a memo-miss candidate
-// evaluation on the incremental path allocates at most half of what the
-// clone-and-rebuild path does (in practice far less — the rebuild path
-// pays a fresh metrics evaluation per candidate, the transactional path
-// reuses the evaluator's scratch).
-func TestEvaluateMissPathIncrementalAllocs(t *testing.T) {
-	inc := measureMissAllocs(t, IncrementalOn)
-	full := measureMissAllocs(t, IncrementalOff)
-	t.Logf("miss-path allocations per evaluation: incremental %.1f, rebuild %.1f", inc, full)
-	if inc > full/2 {
-		t.Fatalf("incremental miss path allocates %.1f objects/op vs %.1f rebuilding; want at least a 2x reduction", inc, full)
+	t.Logf("miss-path allocations per evaluation: %.1f", allocs)
+	if allocs > 23 {
+		t.Fatalf("memo-miss Evaluate allocates %.1f objects/op, want at most 23", allocs)
 	}
 }

@@ -55,7 +55,7 @@ func TestClassicExample(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sol, err := core.MappingHeuristic(p, core.MHOptions{})
+	sol, err := solveSerial(p, core.MHWith(core.MHOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"context"
 	"errors"
-	"incdes/internal/core"
 	"reflect"
 	"testing"
+
+	"incdes/internal/core"
 
 	"incdes/internal/future"
 	"incdes/internal/gen"
@@ -35,11 +37,22 @@ func testProblem(t *testing.T, seed int64, existing, current int) *core.Problem 
 
 func allApps(p *core.Problem) []*model.Application { return p.Sys.Apps }
 
+// solveSerial runs Solve with one worker and returns its error, for tests
+// that assert on failures as well as on solutions.
+func solveSerial(p *core.Problem, strat core.Strategy) (*core.Solution, error) {
+	return core.Solve(context.Background(), p, core.Options{Strategy: strat, Parallelism: 1})
+}
+
+// serialSA is a single-chain annealer with the given seed and length.
+func serialSA(seed int64, iterations int) core.Strategy {
+	return core.SAWith(core.SAOptions{Seed: seed, Iterations: iterations, Restarts: 1})
+}
+
 func TestAdHocProducesValidSchedule(t *testing.T) {
 	p := testProblem(t, 1, 50, 25)
-	sol, err := core.AdHoc(p)
+	sol, err := solveSerial(p, core.AH)
 	if err != nil {
-		t.Fatalf("core.AdHoc: %v", err)
+		t.Fatalf("AH: %v", err)
 	}
 	if sol.Strategy != "AH" || sol.Evaluations != 1 {
 		t.Errorf("solution meta = %q/%d", sol.Strategy, sol.Evaluations)
@@ -57,12 +70,12 @@ func TestExistingApplicationsUntouched(t *testing.T) {
 	baseEntries := append([]sched.ProcEntry(nil), p.Base.ProcEntries()...)
 	baseMsgs := append([]sched.MsgEntry(nil), p.Base.MsgEntries()...)
 
-	for name, run := range map[string]func() (*core.Solution, error){
-		"AH": func() (*core.Solution, error) { return core.AdHoc(p) },
-		"MH": func() (*core.Solution, error) { return core.MappingHeuristic(p, core.MHOptions{MaxIterations: 3}) },
-		"SA": func() (*core.Solution, error) { return core.Anneal(p, core.SAOptions{Iterations: 100}) },
+	for name, strat := range map[string]core.Strategy{
+		"AH": core.AH,
+		"MH": core.MHWith(core.MHOptions{MaxIterations: 3}),
+		"SA": serialSA(1, 100),
 	} {
-		sol, err := run()
+		sol, err := solveSerial(p, strat)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -85,11 +98,11 @@ func TestMappingHeuristicImprovesObjective(t *testing.T) {
 	improved := 0
 	for seed := int64(1); seed <= 5; seed++ {
 		p := testProblem(t, seed*100, 60, 30)
-		ah, err := core.AdHoc(p)
+		ah, err := solveSerial(p, core.AH)
 		if err != nil {
 			t.Fatalf("seed %d AH: %v", seed, err)
 		}
-		mh, err := core.MappingHeuristic(p, core.MHOptions{})
+		mh, err := solveSerial(p, core.MHWith(core.MHOptions{}))
 		if err != nil {
 			t.Fatalf("seed %d MH: %v", seed, err)
 		}
@@ -114,13 +127,13 @@ func TestMappingHeuristicImprovesObjective(t *testing.T) {
 
 func TestAnnealImprovesObjective(t *testing.T) {
 	p := testProblem(t, 7, 60, 30)
-	ah, err := core.AdHoc(p)
+	ah, err := solveSerial(p, core.AH)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := core.Anneal(p, core.SAOptions{Iterations: 400, Seed: 3})
+	sa, err := solveSerial(p, serialSA(3, 400))
 	if err != nil {
-		t.Fatalf("core.Anneal: %v", err)
+		t.Fatalf("SA: %v", err)
 	}
 	if sa.Report.Objective > ah.Report.Objective+1e-9 {
 		t.Errorf("SA objective %v worse than its own starting point %v",
@@ -136,11 +149,11 @@ func TestAnnealImprovesObjective(t *testing.T) {
 
 func TestAnnealDeterministicPerSeed(t *testing.T) {
 	p := testProblem(t, 8, 40, 20)
-	a, err := core.Anneal(p, core.SAOptions{Iterations: 150, Seed: 5})
+	a, err := solveSerial(p, serialSA(5, 150))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.Anneal(p, core.SAOptions{Iterations: 150, Seed: 5})
+	b, err := solveSerial(p, serialSA(5, 150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +164,11 @@ func TestAnnealDeterministicPerSeed(t *testing.T) {
 
 func TestMHOptionsAblations(t *testing.T) {
 	p := testProblem(t, 9, 40, 20)
-	noMsg, err := core.MappingHeuristic(p, core.MHOptions{DisableMsgMoves: true, MaxIterations: 5})
+	noMsg, err := solveSerial(p, core.MHWith(core.MHOptions{DisableMsgMoves: true, MaxIterations: 5}))
 	if err != nil {
 		t.Fatalf("MH without message moves: %v", err)
 	}
-	random, err := core.MappingHeuristic(p, core.MHOptions{RandomCandidates: true, MaxIterations: 5})
+	random, err := solveSerial(p, core.MHWith(core.MHOptions{RandomCandidates: true, MaxIterations: 5}))
 	if err != nil {
 		t.Fatalf("MH with random candidates: %v", err)
 	}
@@ -216,13 +229,13 @@ func TestUnschedulableCurrentReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.AdHoc(p); !errors.Is(err, core.ErrUnschedulable) {
-		t.Errorf("core.AdHoc error = %v, want core.ErrUnschedulable", err)
+	if _, err := solveSerial(p, core.AH); !errors.Is(err, core.ErrUnschedulable) {
+		t.Errorf("AH error = %v, want core.ErrUnschedulable", err)
 	}
-	if _, err := core.MappingHeuristic(p, core.MHOptions{}); !errors.Is(err, core.ErrUnschedulable) {
+	if _, err := solveSerial(p, core.MHWith(core.MHOptions{})); !errors.Is(err, core.ErrUnschedulable) {
 		t.Errorf("MH error = %v, want core.ErrUnschedulable", err)
 	}
-	if _, err := core.Anneal(p, core.SAOptions{Iterations: 10}); !errors.Is(err, core.ErrUnschedulable) {
+	if _, err := solveSerial(p, serialSA(1, 10)); !errors.Is(err, core.ErrUnschedulable) {
 		t.Errorf("SA error = %v, want core.ErrUnschedulable", err)
 	}
 }

@@ -19,7 +19,7 @@ import (
 
 // Engine is the shared evaluation machinery behind Solve: a bounded worker
 // pool over cloned scheduler states, an evaluation memo keyed by the
-// design decisions, and the progress/cancellation plumbing. Strategies
+// design decisions, and the cancellation plumbing. Strategies
 // receive one engine per Solve call and perform every candidate
 // evaluation through it, which is what makes them parallel, cancellable,
 // and observable without owning any of that logic themselves.
@@ -31,7 +31,6 @@ import (
 type Engine struct {
 	p           *Problem
 	parallelism int
-	progress    func(Event)
 	cache       *evalCache
 
 	// opts is the resolved Options of the owning Solve call, kept so
@@ -41,20 +40,16 @@ type Engine struct {
 
 	// scratch holds worker-local evaluation contexts reused across
 	// evaluations, keeping the per-evaluation allocation cost near zero.
-	// On the incremental path each context owns a private copy of the
-	// frozen base, made once, that candidates are applied to and rolled
-	// back from as transactions; on the full-rebuild path the context's
-	// state is overwritten per evaluation with CloneInto. keys pools the
-	// memo key buffers for the same reason: the cache-hit path must not
-	// allocate at all.
+	// Each context owns a private copy of the frozen base, made once, that
+	// candidates are applied to and rolled back from as transactions. keys
+	// pools the memo key buffers for the same reason: the cache-hit path
+	// must not allocate at all.
 	scratch sync.Pool
 	keys    sync.Pool
 
-	// incremental selects the transactional evaluation path; baseline
-	// is the shared read-only metric-input cache behind it (nil when
-	// incremental is off).
-	incremental bool
-	baseline    *metrics.Baseline
+	// baseline is the shared read-only metric-input cache behind the
+	// transactional evaluation.
+	baseline *metrics.Baseline
 
 	evals atomic.Int64
 	hits  atomic.Int64
@@ -85,8 +80,6 @@ type Engine struct {
 	// the canonical field order of the evaluation-memo key.
 	procIDs []model.ProcID
 	msgIDs  []model.MsgID
-
-	mu sync.Mutex // serializes Progress callbacks
 }
 
 // keyBuf is a pooled evaluation-memo key buffer. Pooling a pointer (not
@@ -100,17 +93,12 @@ func newEngine(p *Problem, opts Options) *Engine {
 	e := &Engine{
 		p:           p,
 		parallelism: opts.Parallelism,
-		progress:    opts.Progress,
 		opts:        opts,
 		observer:    opts.Observer,
-		incremental: opts.Incremental != IncrementalOff,
+		baseline:    opts.Baseline,
 	}
-	if e.incremental {
-		if opts.Baseline != nil {
-			e.baseline = opts.Baseline
-		} else {
-			e.baseline = metrics.NewBaseline(p.Base, p.Profile, p.Weights)
-		}
+	if e.baseline == nil {
+		e.baseline = metrics.NewBaseline(p.Base, p.Profile, p.Weights)
 	}
 	if e.parallelism <= 0 {
 		e.parallelism = defaultParallelism()
@@ -195,27 +183,11 @@ func (e *Engine) count(n int64) {
 	e.cEvals.Add(n)
 }
 
-// Emit delivers a progress event to the Solve caller's observer, filling
-// in the cumulative counters. Callbacks are serialized; a nil observer
-// makes Emit free.
-func (e *Engine) Emit(ev Event) {
-	if e.progress == nil {
-		return
-	}
-	ev.Evaluations = e.evals.Load()
-	ev.CacheHits = e.hits.Load()
-	e.mu.Lock()
-	e.progress(ev)
-	e.mu.Unlock()
-}
-
 // evalScratch is one worker-local evaluation context. st is the
-// worker's private schedule state; on the incremental path it is a copy
-// of the frozen base made once at context creation (candidates apply and
-// roll back as transactions, so it equals the base between evaluations),
-// and inc is the worker's incremental metrics evaluator. On the
-// full-rebuild path st is overwritten from the base per evaluation and
-// inc stays nil.
+// worker's private schedule state, a copy of the frozen base made once at
+// context creation (candidates apply and roll back as transactions, so it
+// equals the base between evaluations), and inc is the worker's
+// incremental metrics evaluator.
 type evalScratch struct {
 	st  *sched.State
 	inc *metrics.Incremental
@@ -227,12 +199,10 @@ type evalScratch struct {
 // (a) rules it out). Identical (mapping, hints) pairs are served from the
 // memo without rescheduling. Safe for concurrent use.
 //
-// On the default incremental path the candidate is applied to the
-// worker's base copy as an undo-logged transaction, scored from the
-// touched regions only, and rolled back in O(delta) — the full-rebuild
-// path (Options.Incremental == IncrementalOff) clones and rescores the
-// whole state instead. Both produce byte-identical reports (pinned by
-// differential tests).
+// The candidate is applied to the worker's base copy as an undo-logged
+// transaction, scored from the touched regions only, and rolled back in
+// O(delta). Reports are byte-identical to scheduling a clone of the base
+// and scoring it with metrics.Evaluate (pinned by a differential test).
 //
 // The memo-hit path performs zero allocations (pinned by a test): the key
 // is built in a pooled buffer and looked up through Go's non-allocating
@@ -255,12 +225,7 @@ func (e *Engine) Evaluate(mapping model.Mapping, hints sched.Hints) (metrics.Rep
 		}
 		e.cMisses.Inc()
 	}
-	var ent cacheEntry
-	if e.incremental {
-		ent = e.evaluateTxn(mapping, hints)
-	} else {
-		ent = e.evaluateRebuild(mapping, hints)
-	}
+	ent := e.evaluateTxn(mapping, hints)
 	if e.cache != nil {
 		e.cache.put(kb.b, ent)
 		e.keys.Put(kb)
@@ -301,32 +266,6 @@ func (e *Engine) evaluateTxn(mapping model.Mapping, hints sched.Hints) cacheEntr
 	e.cTxnDirty.Add(int64(txn.DirtyIntervals()))
 	txn.Rollback()
 	e.cTxnRollbacks.Inc()
-	e.scratch.Put(scr)
-	return ent
-}
-
-// evaluateRebuild is the pre-transactional evaluation: overwrite the
-// worker state from the base and rebuild schedule and metrics from
-// scratch.
-func (e *Engine) evaluateRebuild(mapping model.Mapping, hints sched.Hints) cacheEntry {
-	scr, _ := e.scratch.Get().(*evalScratch)
-	if scr == nil {
-		scr = &evalScratch{}
-	}
-	scr.st = e.p.Base.CloneInto(scr.st)
-	if e.statsOn {
-		// CloneInto preserves the destination's stats attachment, but a
-		// fresh scratch state (first Get) starts uninstrumented; attaching
-		// every time is two field assignments and keeps the invariant local.
-		scr.st.SetStats(e.schedStats)
-		scr.st.SetBusStats(e.ttpStats)
-	}
-	var ent cacheEntry
-	if err := scr.st.ScheduleApp(e.p.Current, mapping, hints); err == nil {
-		ent = cacheEntry{rep: metrics.Evaluate(scr.st, e.p.Profile, e.p.Weights), ok: true}
-	} else {
-		e.cInfeasible.Inc()
-	}
 	e.scratch.Put(scr)
 	return ent
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"incdes/internal/core"
@@ -11,9 +12,10 @@ import (
 	"incdes/internal/tm"
 )
 
-// ExampleMappingHeuristic maps a two-process application onto a two-node
-// system while protecting periodic slack for a future application.
-func ExampleMappingHeuristic() {
+// ExampleSolve_mappingHeuristic maps a two-process application onto a
+// two-node system while protecting periodic slack for a future
+// application.
+func ExampleSolve_mappingHeuristic() {
 	b := model.NewBuilder()
 	n0 := b.Node("N0")
 	n1 := b.Node("N1")
@@ -34,7 +36,7 @@ func ExampleMappingHeuristic() {
 		fmt.Println("problem:", err)
 		return
 	}
-	sol, err := core.MappingHeuristic(problem, core.MHOptions{})
+	sol, err := core.Solve(context.Background(), problem, core.Options{Strategy: core.MH, Parallelism: 1})
 	if err != nil {
 		fmt.Println("mapping:", err)
 		return
@@ -45,8 +47,9 @@ func ExampleMappingHeuristic() {
 	// sense on N0, act on N0, objective 0
 }
 
-// ExampleAdHoc shows the baseline strategy on the same problem shape.
-func ExampleAdHoc() {
+// ExampleSolve_adHoc shows the baseline strategy on the same problem
+// shape.
+func ExampleSolve_adHoc() {
 	b := model.NewBuilder()
 	n0 := b.Node("N0")
 	b.Bus([]model.NodeID{n0}, []int{8}, 1, 2)
@@ -60,7 +63,7 @@ func ExampleAdHoc() {
 	prof.WCET = []future.Bin{{Size: 10, Prob: 1}}
 
 	problem, _ := core.NewProblem(sys, base, app.Application(), prof, metrics.DefaultWeights(prof))
-	sol, _ := core.AdHoc(problem)
+	sol, _ := core.Solve(context.Background(), problem, core.Options{Strategy: core.AH, Parallelism: 1})
 	e := sol.State.ProcEntries()[0]
 	fmt.Printf("work runs [%v, %v) on N%d\n", e.Start, e.End, e.Node)
 	// Output:

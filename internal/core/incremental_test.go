@@ -2,90 +2,81 @@ package core_test
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"incdes/internal/core"
+	"incdes/internal/metrics"
+	"incdes/internal/model"
 	"incdes/internal/obs"
+	"incdes/internal/sched"
 )
 
-// solveMode runs Solve with an explicit incremental mode and a
-// collecting tracer, so equivalence can be checked on the event stream
-// as well as on the solution.
-func solveMode(t *testing.T, p *core.Problem, strat core.Strategy, par int, mode core.IncrementalMode) (*core.Solution, []obs.TraceEvent) {
-	t.Helper()
-	var col obs.Collector
-	sol, err := core.Solve(context.Background(), p, core.Options{
-		Strategy:    strat,
-		Parallelism: par,
-		Incremental: mode,
-		Observer:    &obs.Observer{Tracer: &col},
-	})
-	if err != nil {
-		t.Fatalf("Solve(%s, incremental=%v): %v", strat.Name(), mode, err)
-	}
-	return sol, col.Events()
-}
-
-// TestIncrementalEquivalence is the refactor's acceptance gate: with the
-// transactional evaluation path on or off, Solve returns byte-identical
-// designs, reports, evaluation counts and decision-event traces — for
-// both iterative strategies, serial and parallel.
-func TestIncrementalEquivalence(t *testing.T) {
-	p := testProblem(t, 21, 50, 25)
-	strategies := []struct {
-		name  string
-		strat core.Strategy
+// TestEvaluateMatchesReference is the differential test of the
+// transactional evaluation: over a random walk of annealing neighbors,
+// Engine.Evaluate (Begin / Apply / EvaluateTxn / Rollback on a worker's
+// base copy, memo disabled) must return exactly what the reference
+// returns — a clone of the base scheduled from scratch and scored by
+// metrics.Evaluate — on a single-bus and a 3-cluster platform, with one
+// worker and with four evaluating concurrently.
+func TestEvaluateMatchesReference(t *testing.T) {
+	const n = 500
+	problems := []struct {
+		name string
+		p    *core.Problem
 	}{
-		{"MH", core.MHWith(core.MHOptions{MaxIterations: 8})},
-		{"SA", core.SAWith(core.SAOptions{Seed: 3, Iterations: 400, Restarts: 3})},
+		{"single-bus", testProblem(t, 21, 50, 25)},
+		{"multicluster", multiclusterProblem(t, 21)},
 	}
-	for _, s := range strategies {
-		t.Run(s.name, func(t *testing.T) {
-			for _, par := range []int{1, 4} {
-				on, evOn := solveMode(t, p, s.strat, par, core.IncrementalOn)
-				off, evOff := solveMode(t, p, s.strat, par, core.IncrementalOff)
-				sameDesign(t, s.name, on, off)
-				if len(evOn) == 0 {
-					t.Fatal("no trace events recorded")
-				}
-				if !reflect.DeepEqual(evOn, evOff) {
-					n := min(len(evOn), len(evOff))
-					for i := 0; i < n; i++ {
-						if !reflect.DeepEqual(evOn[i], evOff[i]) {
-							t.Fatalf("par %d: event %d differs between incremental modes:\n  on  %+v\n  off %+v",
-								par, i, evOn[i], evOff[i])
-						}
-					}
-					t.Fatalf("par %d: event counts differ: %d (on) vs %d (off)", par, len(evOn), len(evOff))
+	for _, pc := range problems {
+		t.Run(pc.name, func(t *testing.T) {
+			p := pc.p
+			ah := runSolve(t, p, core.Options{Strategy: core.AH, Parallelism: 1})
+			rng := rand.New(rand.NewSource(7))
+			mappings := make([]model.Mapping, n)
+			hints := make([]sched.Hints, n)
+			want := make([]metrics.Report, n)
+			wantOK := make([]bool, n)
+			m, h := ah.Mapping, ah.Hints
+			feasible := 0
+			for i := 0; i < n; i++ {
+				mappings[i], hints[i] = core.Neighbor(rng, p, m, h)
+				_, rep, err := core.ReferenceEvaluate(p, mappings[i], hints[i])
+				if err == nil {
+					// Walk on from every feasible candidate so the draw
+					// covers designs far from the initial mapping.
+					want[i], wantOK[i] = rep, true
+					m, h = mappings[i], hints[i]
+					feasible++
 				}
 			}
+			if feasible == 0 {
+				t.Fatal("no feasible candidate drawn")
+			}
+			for _, par := range []int{1, 4} {
+				eng := core.NewEngine(p, core.Options{Parallelism: par, CacheSize: -1})
+				got := make([]metrics.Report, n)
+				gotOK := make([]bool, n)
+				eng.ForEach(context.Background(), n, func(i int) {
+					got[i], gotOK[i] = eng.Evaluate(mappings[i], hints[i])
+				})
+				for i := 0; i < n; i++ {
+					if gotOK[i] != wantOK[i] || !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("par %d: candidate %d: Evaluate = (%+v, %v), reference = (%+v, %v)",
+							par, i, got[i], gotOK[i], want[i], wantOK[i])
+					}
+				}
+			}
+			t.Logf("%d candidates, %d feasible", n, feasible)
 		})
-	}
-}
-
-// TestIncrementalDefaultOn pins that the zero Options value and
-// DefaultOptions both select the transactional path: IncrementalOff is
-// the explicit escape hatch, not the default.
-func TestIncrementalDefaultOn(t *testing.T) {
-	if core.DefaultOptions().Incremental != core.IncrementalOn {
-		t.Errorf("DefaultOptions().Incremental = %v, want IncrementalOn", core.DefaultOptions().Incremental)
-	}
-	p := testProblem(t, 22, 30, 15)
-	reg := obs.NewRegistry()
-	runSolve(t, p, core.Options{
-		Strategy: core.MHWith(core.MHOptions{MaxIterations: 4}),
-		Observer: &obs.Observer{Stats: reg},
-	})
-	if reg.Snapshot().Counters[obs.CtrTxnApplies] == 0 {
-		t.Error("zero-valued Incremental option did not take the transactional path")
 	}
 }
 
 // TestIncrementalCounters checks the core.txn_* instruments: the
 // transactional path accounts every transaction (each one rolled back),
 // splits evaluations into incremental and full-recompute, and records
-// dirty-interval volume; the rebuild path leaves all of them at zero.
+// dirty-interval volume.
 func TestIncrementalCounters(t *testing.T) {
 	// Current app smaller than the node count: candidates routinely leave
 	// timelines clean, so both the incremental and the full-recompute
@@ -95,9 +86,8 @@ func TestIncrementalCounters(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	runSolve(t, p, core.Options{
-		Strategy:    strat,
-		Incremental: core.IncrementalOn,
-		Observer:    &obs.Observer{Stats: reg},
+		Strategy: strat,
+		Observer: &obs.Observer{Stats: reg},
 	})
 	c := reg.Snapshot().Counters
 	if c[obs.CtrTxnApplies] == 0 {
@@ -117,18 +107,5 @@ func TestIncrementalCounters(t *testing.T) {
 	}
 	if c[obs.CtrTxnDirty] == 0 {
 		t.Error("txn_dirty_intervals = 0 despite applied transactions")
-	}
-
-	reg = obs.NewRegistry()
-	runSolve(t, p, core.Options{
-		Strategy:    strat,
-		Incremental: core.IncrementalOff,
-		Observer:    &obs.Observer{Stats: reg},
-	})
-	c = reg.Snapshot().Counters
-	for _, name := range []string{obs.CtrTxnApplies, obs.CtrTxnRollbacks, obs.CtrTxnDirty, obs.CtrTxnIncremental, obs.CtrTxnFull} {
-		if c[name] != 0 {
-			t.Errorf("%s = %d with the transactional path disabled, want 0", name, c[name])
-		}
 	}
 }

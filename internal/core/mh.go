@@ -260,7 +260,6 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 		}
 		cMoves.Inc()
 		eng.Trace(obs.TraceEvent{Kind: "move", Iter: iter + 1, Index: bestIdx, Cost: report.Objective})
-		eng.Emit(Event{Strategy: "MH", Iteration: iter + 1, BestObjective: report.Objective})
 	}
 	eng.Trace(obs.TraceEvent{Kind: "stop", Strategy: "MH", Note: stop})
 	eng.Trace(obs.TraceEvent{Kind: "decision", Strategy: "MH", Cost: report.Objective})
@@ -273,13 +272,6 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 		Report:      report,
 		Interrupted: interrupted,
 	}, nil
-}
-
-// MappingHeuristic runs the MH strategy serially.
-//
-// Deprecated: use Solve(ctx, p, Options{Strategy: MHWith(opts)}).
-func MappingHeuristic(p *Problem, opts MHOptions) (*Solution, error) {
-	return Solve(context.Background(), p, Options{Strategy: MHWith(opts), Parallelism: 1})
 }
 
 // targetNodes selects the processors worth trying for a candidate

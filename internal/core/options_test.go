@@ -9,11 +9,11 @@ import (
 
 func TestMHTargetNodesOption(t *testing.T) {
 	p := testProblem(t, 11, 40, 20)
-	narrow, err := core.MappingHeuristic(p, core.MHOptions{TargetNodes: 1, MaxIterations: 4})
+	narrow, err := solveSerial(p, core.MHWith(core.MHOptions{TargetNodes: 1, MaxIterations: 4}))
 	if err != nil {
 		t.Fatalf("TargetNodes=1: %v", err)
 	}
-	wide, err := core.MappingHeuristic(p, core.MHOptions{TargetNodes: -1, MaxIterations: 4})
+	wide, err := solveSerial(p, core.MHWith(core.MHOptions{TargetNodes: -1, MaxIterations: 4}))
 	if err != nil {
 		t.Fatalf("TargetNodes=-1: %v", err)
 	}
@@ -30,11 +30,11 @@ func TestMHTargetNodesOption(t *testing.T) {
 
 func TestMHMaxIterationsBounds(t *testing.T) {
 	p := testProblem(t, 12, 40, 30)
-	one, err := core.MappingHeuristic(p, core.MHOptions{MaxIterations: 1})
+	one, err := solveSerial(p, core.MHWith(core.MHOptions{MaxIterations: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := core.MappingHeuristic(p, core.MHOptions{MaxIterations: 20})
+	many, err := solveSerial(p, core.MHWith(core.MHOptions{MaxIterations: 20}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +50,15 @@ func TestMHMaxIterationsBounds(t *testing.T) {
 
 func TestSATemperatureOptions(t *testing.T) {
 	p := testProblem(t, 13, 40, 20)
-	sol, err := core.Anneal(p, core.SAOptions{
+	sol, err := solveSerial(p, core.SAWith(core.SAOptions{
 		Iterations:  200,
+		Restarts:    1,
 		InitialTemp: 5,
 		FinalTemp:   0.01,
 		Seed:        9,
-	})
+	}))
 	if err != nil {
-		t.Fatalf("Anneal with custom temperatures: %v", err)
+		t.Fatalf("SA with custom temperatures: %v", err)
 	}
 	if sol.Evaluations != 201 {
 		t.Errorf("evaluations = %d, want 201", sol.Evaluations)
@@ -69,7 +70,7 @@ func TestSATemperatureOptions(t *testing.T) {
 
 func TestSolutionObjectiveAccessor(t *testing.T) {
 	p := testProblem(t, 14, 40, 15)
-	sol, err := core.AdHoc(p)
+	sol, err := solveSerial(p, core.AH)
 	if err != nil {
 		t.Fatal(err)
 	}

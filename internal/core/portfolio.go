@@ -99,11 +99,6 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 	shortcutCancelled := 0
 	var mu sync.Mutex
 
-	// Lane engines are independent, so a caller Progress callback would
-	// otherwise be entered concurrently; re-serialize it across lanes to
-	// keep the Options.Progress contract.
-	var progressMu sync.Mutex
-
 	var wg sync.WaitGroup
 	for i := range lanes {
 		wg.Add(1)
@@ -122,13 +117,6 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 				laneOpts.Observer = &obs.Observer{Stats: eng.observer.Stats, Tracer: nil}
 				if col != nil {
 					laneOpts.Observer.Tracer = col
-				}
-			}
-			if prog := laneOpts.Progress; prog != nil {
-				laneOpts.Progress = func(ev Event) {
-					progressMu.Lock()
-					prog(ev)
-					progressMu.Unlock()
 				}
 			}
 			laneEng := newEngine(eng.p, laneOpts)

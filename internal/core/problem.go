@@ -25,12 +25,9 @@
 //
 // All strategies run through the single entry point Solve, which adds
 // parallel candidate evaluation, an evaluation memo, context
-// cancellation with best-so-far results, and progress reporting:
+// cancellation with best-so-far results, and observability:
 //
 //	sol, err := core.Solve(ctx, p, core.Options{Strategy: core.MH, Parallelism: 4})
-//
-// The pre-redesign entry points AdHoc, MappingHeuristic and Anneal
-// remain as thin deprecated wrappers around Solve.
 package core
 
 import (
@@ -159,7 +156,6 @@ func (ahStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	rep := metrics.Evaluate(st, p.Profile, p.Weights)
 	eng.Trace(obs.TraceEvent{Kind: "init", Strategy: "AH", Cost: rep.Objective})
 	eng.Trace(obs.TraceEvent{Kind: "decision", Strategy: "AH", Cost: rep.Objective})
-	eng.Emit(Event{Strategy: "AH", BestObjective: rep.Objective})
 	return &Solution{
 		Strategy: "AH",
 		Mapping:  mapping,
@@ -167,11 +163,4 @@ func (ahStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 		State:    st,
 		Report:   rep,
 	}, nil
-}
-
-// AdHoc runs the AH baseline.
-//
-// Deprecated: use Solve(ctx, p, Options{Strategy: AH}).
-func AdHoc(p *Problem) (*Solution, error) {
-	return Solve(context.Background(), p, Options{Strategy: AH, Parallelism: 1})
 }

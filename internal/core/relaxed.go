@@ -19,7 +19,7 @@ import (
 // triggers. The design problem becomes: implement the current application
 // so that the total modification cost is minimal (zero when the frozen
 // design suffices), and among designs of equal cost the future-oriented
-// objective C is minimal. SolveRelaxed implements that extension.
+// objective C is minimal. SolveRelaxedContext implements that extension.
 
 // ExistingApp pairs a frozen application with its modification cost.
 type ExistingApp struct {
@@ -63,7 +63,7 @@ type RelaxedSolution struct {
 	Subsets int
 }
 
-// RelaxedOptions tune SolveRelaxed. Zero-valued fields select the
+// RelaxedOptions tune SolveRelaxedContext. Zero-valued fields select the
 // corresponding DefaultRelaxedOptions value.
 type RelaxedOptions struct {
 	// MH tunes the mapping heuristic used for the current application
@@ -76,25 +76,15 @@ type RelaxedOptions struct {
 	// Parallelism is handed to the embedded Solve calls (0 uses one
 	// worker per CPU).
 	Parallelism int
-	// Incremental is handed to the embedded Solve calls (the zero value
-	// enables transactional incremental evaluation, see Options).
-	Incremental IncrementalMode
 	// Observer is handed to the embedded Solve calls; the
 	// core.relaxed.subsets counter additionally records how many
 	// modification subsets were tried. nil disables observability.
 	Observer *obs.Observer
 }
 
-// DefaultRelaxedOptions returns the explicit defaults of SolveRelaxed.
+// DefaultRelaxedOptions returns the explicit defaults of SolveRelaxedContext.
 func DefaultRelaxedOptions() RelaxedOptions {
 	return RelaxedOptions{MH: DefaultMHOptions(), MaxSubsets: 64}
-}
-
-// SolveRelaxed finds a minimum-modification-cost design.
-//
-// Deprecated: use SolveRelaxedContext, which supports cancellation.
-func SolveRelaxed(rp *RelaxedProblem, opts RelaxedOptions) (*RelaxedSolution, error) {
-	return SolveRelaxedContext(context.Background(), rp, opts)
 }
 
 // SolveRelaxedContext finds a minimum-modification-cost design: it
@@ -155,7 +145,6 @@ func (rp *RelaxedProblem) trySubset(ctx context.Context, modify map[model.AppID]
 	sol, err := Solve(ctx, p, Options{
 		Strategy:    MHWith(opts.MH),
 		Parallelism: opts.Parallelism,
-		Incremental: opts.Incremental,
 		Observer:    opts.Observer,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"incdes/internal/core"
@@ -61,9 +62,9 @@ func TestSolveRelaxedPrefersNoModification(t *testing.T) {
 	rp := relaxedFixture(t)
 	rp.Existing[0].App.Graphs[0].Procs[1].WCET[0] = 10 // A2: 50 -> 10
 	rp.Base = mustMapExisting(t, rp.Sys, rp.Sys.Apps[:1])
-	sol, err := core.SolveRelaxed(rp, core.RelaxedOptions{})
+	sol, err := core.SolveRelaxedContext(context.Background(), rp, core.RelaxedOptions{})
 	if err != nil {
-		t.Fatalf("SolveRelaxed: %v", err)
+		t.Fatalf("SolveRelaxedContext: %v", err)
 	}
 	if len(sol.Modified) != 0 || sol.Cost != 0 {
 		t.Errorf("modified %v at cost %v; the frozen design suffices", sol.Modified, sol.Cost)
@@ -97,9 +98,9 @@ func TestSolveRelaxedModifiesWhenForced(t *testing.T) {
 		Profile:  prof,
 		Weights:  metrics.DefaultWeights(prof),
 	}
-	sol, err := core.SolveRelaxed(rp, core.RelaxedOptions{})
+	sol, err := core.SolveRelaxedContext(context.Background(), rp, core.RelaxedOptions{})
 	if err != nil {
-		t.Fatalf("SolveRelaxed: %v", err)
+		t.Fatalf("SolveRelaxedContext: %v", err)
 	}
 	if sol.Cost != 7 || len(sol.Modified) != 1 {
 		t.Errorf("modified %v at cost %v; want the legacy application at cost 7", sol.Modified, sol.Cost)
@@ -121,7 +122,7 @@ func TestSolveRelaxedModifiesWhenForced(t *testing.T) {
 func TestSolveRelaxedInfeasibleReported(t *testing.T) {
 	rp := relaxedFixture(t)
 	// 80 existing + 50 current = 130 > 100: infeasible even modified.
-	if _, err := core.SolveRelaxed(rp, core.RelaxedOptions{}); err == nil {
+	if _, err := core.SolveRelaxedContext(context.Background(), rp, core.RelaxedOptions{}); err == nil {
 		t.Fatal("overfull system accepted")
 	}
 }
@@ -157,9 +158,9 @@ func TestSolveRelaxedCostOrdering(t *testing.T) {
 		Profile: prof,
 		Weights: metrics.DefaultWeights(prof),
 	}
-	sol, err := core.SolveRelaxed(rp, core.RelaxedOptions{})
+	sol, err := core.SolveRelaxedContext(context.Background(), rp, core.RelaxedOptions{})
 	if err != nil {
-		t.Fatalf("SolveRelaxed: %v", err)
+		t.Fatalf("SolveRelaxedContext: %v", err)
 	}
 	// The empty subset fails (no node is free at t=0); {cheap} (cost 3)
 	// is tried before {exp} (cost 50) and succeeds, so the solver must

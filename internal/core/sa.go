@@ -14,10 +14,8 @@ import (
 )
 
 // SAOptions tune the simulated annealing reference strategy. Seed is
-// used exactly as given — 0 is a valid seed (the pre-redesign Anneal
-// entry point silently rewrote 0 to 1 and still does, for
-// compatibility); the remaining zero values select the documented
-// defaults below.
+// used exactly as given — 0 is a valid seed; the remaining zero values
+// select the documented defaults below.
 type SAOptions struct {
 	// Seed drives the annealer's random walk. Restart chain 0 uses Seed
 	// verbatim; chain k derives its independent stream from (Seed, k),
@@ -82,8 +80,8 @@ func (o SAOptions) normalized(nProcs int) SAOptions {
 }
 
 // chainSeed derives the RNG seed of restart chain c. Chain 0 uses the
-// caller's seed verbatim so a single-chain run reproduces the
-// pre-redesign Anneal walk bit for bit; higher chains get independent
+// caller's seed verbatim so a single-chain run is the classic serial
+// annealing walk; higher chains get independent
 // streams through a splitmix64 finalizer.
 func chainSeed(seed int64, c int) int64 {
 	if c == 0 {
@@ -197,7 +195,6 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	}
 	win := chains[best]
 	eng.Trace(obs.TraceEvent{Kind: "decision", Strategy: "SA", Chain: best, Cost: win.report.Objective})
-	eng.Emit(Event{Strategy: "SA", Chain: best, BestObjective: win.report.Objective})
 	return &Solution{
 		Strategy:    "SA",
 		Mapping:     win.mapping,
@@ -268,14 +265,11 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 			rejects++
 			ctr.rejects.Inc()
 		}
-		if (i+1)%1000 == 0 {
-			if tracing {
-				res.events = append(res.events, obs.TraceEvent{
-					Kind: "sa.window", Chain: c, Iter: i + 1,
-					Accepts: accepts, Rejects: rejects,
-				})
-			}
-			eng.Emit(Event{Strategy: "SA", Chain: c, Iteration: i + 1, BestObjective: res.report.Objective})
+		if tracing && (i+1)%1000 == 0 {
+			res.events = append(res.events, obs.TraceEvent{
+				Kind: "sa.window", Chain: c, Iter: i + 1,
+				Accepts: accepts, Rejects: rejects,
+			})
 		}
 	}
 
@@ -295,18 +289,6 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 		})
 	}
 	return res
-}
-
-// Anneal runs a single serial annealing chain.
-//
-// Deprecated: use Solve(ctx, p, Options{Strategy: SAWith(opts)}). Anneal
-// keeps the historical quirk of treating Seed 0 as 1.
-func Anneal(p *Problem, opts SAOptions) (*Solution, error) {
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	opts.Restarts = 1
-	return Solve(context.Background(), p, Options{Strategy: SAWith(opts), Parallelism: 1})
 }
 
 // neighbor produces a random design transformation: remap a process

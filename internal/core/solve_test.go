@@ -79,21 +79,19 @@ func TestSolveCacheNeutral(t *testing.T) {
 
 // TestSolveCancellation: cancelling the context mid-run returns the best
 // design found so far (flagged Interrupted, no error) and leaks no
-// worker goroutines.
+// worker goroutines. The annealer is far too long to finish before the
+// timer fires.
 func TestSolveCancellation(t *testing.T) {
 	p := testProblem(t, 13, 50, 25)
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	events := 0
+	timer := time.AfterFunc(200*time.Millisecond, cancel)
+	defer timer.Stop()
 	sol, err := core.Solve(ctx, p, core.Options{
-		Strategy:    core.SAWith(core.SAOptions{Seed: 7, Iterations: 50_000, Restarts: 4}),
+		Strategy:    core.SAWith(core.SAOptions{Seed: 7, Iterations: 50_000_000, Restarts: 4}),
 		Parallelism: 4,
-		Progress: func(core.Event) {
-			events++
-			cancel()
-		},
 	})
 	if err != nil {
 		t.Fatalf("Solve after cancel: %v", err)
@@ -103,9 +101,6 @@ func TestSolveCancellation(t *testing.T) {
 	}
 	if sol.State == nil || sol.Report.Objective < 0 {
 		t.Errorf("best-so-far solution malformed: %+v", sol.Report)
-	}
-	if events == 0 {
-		t.Error("progress callback never fired")
 	}
 
 	// Workers must not outlive Solve. Allow the runtime a moment to
@@ -168,57 +163,4 @@ func TestDefaultConstructors(t *testing.T) {
 	if o.Strategy == nil || o.Strategy.Name() != "MH" {
 		t.Errorf("DefaultOptions.Strategy = %v", o.Strategy)
 	}
-}
-
-// TestSolveProgressEvents: the progress stream carries the running
-// counters.
-func TestSolveProgressEvents(t *testing.T) {
-	p := testProblem(t, 16, 50, 25)
-	var last core.Event
-	n := 0
-	sol := runSolve(t, p, core.Options{
-		Strategy:    core.MHWith(core.MHOptions{MaxIterations: 5}),
-		Parallelism: 2,
-		Progress: func(ev core.Event) {
-			n++
-			last = ev
-		},
-	})
-	if n == 0 {
-		t.Fatal("no progress events")
-	}
-	if last.Strategy != "MH" {
-		t.Errorf("event strategy = %q", last.Strategy)
-	}
-	if last.Evaluations <= 0 || int(last.Evaluations) > sol.Evaluations {
-		t.Errorf("event evaluations = %d (solution total %d)", last.Evaluations, sol.Evaluations)
-	}
-	if last.BestObjective != sol.Report.Objective {
-		t.Errorf("final event objective %v != solution %v", last.BestObjective, sol.Report.Objective)
-	}
-}
-
-// TestDeprecatedWrappersMatchSolve: the legacy entry points must agree
-// with the Solve calls they forward to.
-func TestDeprecatedWrappersMatchSolve(t *testing.T) {
-	p := testProblem(t, 17, 50, 25)
-
-	legacyMH, err := core.MappingHeuristic(p, core.MHOptions{MaxIterations: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newMH := runSolve(t, p, core.Options{
-		Strategy: core.MHWith(core.MHOptions{MaxIterations: 6}), Parallelism: 4,
-	})
-	sameDesign(t, "MH wrapper", legacyMH, newMH)
-
-	// Anneal's historical quirk: Seed 0 means 1.
-	legacySA, err := core.Anneal(p, core.SAOptions{Iterations: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSA := runSolve(t, p, core.Options{
-		Strategy: core.SAWith(core.SAOptions{Seed: 1, Iterations: 300}), Parallelism: 4,
-	})
-	sameDesign(t, "SA wrapper", legacySA, newSA)
 }

@@ -16,7 +16,7 @@ import (
 // strategies are AH, MH and SA (optionally configured via MHWith and
 // SAWith); custom strategies can be implemented on top of the Engine's
 // Evaluate/Materialize/ForEach primitives and inherit parallel
-// evaluation, caching, cancellation and progress reporting for free.
+// evaluation, caching, cancellation and observability for free.
 type Strategy interface {
 	// Name is the short tag recorded in Solution.Strategy.
 	Name() string
@@ -57,24 +57,6 @@ func SAWith(opts SAOptions) Strategy { return saStrategy{opts: opts} }
 // Options.CacheSize is 0.
 const DefaultCacheSize = 1 << 14
 
-// IncrementalMode selects how the engine evaluates candidate designs.
-type IncrementalMode int
-
-const (
-	// IncrementalAuto (the zero value) currently means IncrementalOn:
-	// transactional in-place evaluation is the default.
-	IncrementalAuto IncrementalMode = iota
-	// IncrementalOn applies each candidate as an undo-logged transaction
-	// on a per-worker copy of the frozen base and rescores only the
-	// touched regions, rolling back in O(delta) afterwards.
-	IncrementalOn
-	// IncrementalOff restores the pre-transactional behavior: every
-	// candidate clones the full base state and recomputes the metrics
-	// from scratch. The escape hatch — results are byte-identical to the
-	// incremental path (pinned by differential tests), only slower.
-	IncrementalOff
-)
-
 // Options configure one Solve call. The zero value of every field except
 // Strategy is meaningful and documented on the field; DefaultOptions
 // returns the fully explicit defaults.
@@ -87,19 +69,9 @@ type Options struct {
 	// restart chains. 0 uses one worker per CPU (GOMAXPROCS); 1 runs
 	// strictly serially. Results are identical at every setting.
 	Parallelism int
-	// Progress, when non-nil, observes strategy progress. Callbacks are
-	// serialized but may originate from worker goroutines; they must be
-	// fast and must not call back into the engine.
-	Progress func(Event)
 	// CacheSize bounds the evaluation memo in entries. 0 selects
 	// DefaultCacheSize; negative disables the memo.
 	CacheSize int
-	// Incremental selects the candidate evaluation machinery. The zero
-	// value (IncrementalAuto) enables transactional incremental
-	// evaluation; IncrementalOff falls back to cloning and rebuilding the
-	// full state per candidate. Solutions are byte-identical either way —
-	// the mode only changes speed.
-	Incremental IncrementalMode
 	// Baseline, when non-nil, is a pre-computed cache of the metric
 	// inputs of the problem's frozen base schedule, exactly as built by
 	// metrics.NewBaseline(p.Base, p.Profile, p.Weights); Solve then skips
@@ -107,8 +79,7 @@ type Options struct {
 	// several commits branch from one version: the slack analysis of the
 	// shared base is paid once. The caller is responsible for the
 	// baseline matching the problem — a stale or mismatched baseline
-	// yields undefined reports. Ignored when Incremental is
-	// IncrementalOff (the full-rebuild path never consults a baseline).
+	// yields undefined reports.
 	Baseline *metrics.Baseline
 	// Observer, when non-nil, attaches the observability layer: its
 	// Stats registry accumulates the engine/scheduler/bus counter catalog
@@ -127,28 +98,10 @@ func DefaultOptions() Options {
 		Strategy:    MH,
 		Parallelism: defaultParallelism(),
 		CacheSize:   DefaultCacheSize,
-		Incremental: IncrementalOn,
 	}
 }
 
 func defaultParallelism() int { return runtime.GOMAXPROCS(0) }
-
-// Event is one progress observation delivered to Options.Progress.
-type Event struct {
-	// Strategy is the tag of the strategy that made progress.
-	Strategy string
-	// Chain is the SA restart chain the event belongs to (0 otherwise).
-	Chain int
-	// Iteration counts strategy iterations: MH improvement steps or
-	// chain-local SA steps.
-	Iteration int
-	// Evaluations and CacheHits are the engine's cumulative counters at
-	// the time of the event.
-	Evaluations int64
-	CacheHits   int64
-	// BestObjective is the emitter's best objective value C so far.
-	BestObjective float64
-}
 
 // Solve runs a strategy on a problem: the single entry point behind
 // which every strategy is parallel, cancellable and observable.

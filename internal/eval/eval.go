@@ -64,11 +64,6 @@ type Options struct {
 	// Parallel; <= 0 uses one worker per CPU). Solutions are identical
 	// at any setting — only runtimes change.
 	StrategyParallel int
-	// Incremental is handed to every embedded core.Solve call: the zero
-	// value enables transactional incremental evaluation,
-	// core.IncrementalOff restores full clone-and-rebuild per candidate.
-	// Solutions (and therefore the figures) are identical either way.
-	Incremental core.IncrementalMode
 	// Observer, when non-nil, is handed to every embedded core.Solve
 	// call, so one registry accumulates engine/scheduler/bus statistics
 	// over the whole sweep (incbench -stats-out exports it). Attach a
@@ -166,7 +161,6 @@ func (o Options) solve(ctx context.Context, p *core.Problem, strat core.Strategy
 	sol, err := core.Solve(ctx, p, core.Options{
 		Strategy:    strat,
 		Parallelism: o.StrategyParallel,
-		Incremental: o.Incremental,
 		Observer:    o.Observer,
 	})
 	if err != nil {
@@ -210,10 +204,44 @@ type DevRow struct {
 	AHTime, MHTime, SATime time.Duration
 	// Average design alternatives examined (hardware-independent cost).
 	AHEvals, MHEvals, SAEvals float64
-	// Average evaluations served from the memo. Informational (workers
-	// race to fill entries), but stable enough to feed the bench report's
-	// cache-hit rate.
-	AHHits, MHHits, SAHits float64
+}
+
+// add accumulates one case's three solutions into the row's sums.
+func (row *DevRow) add(ah, mh, sa *core.Solution) {
+	// SA starts from the IM solution, so it never ends worse than AH; MH
+	// may in principle tie. The reference is the best of the three, so
+	// deviations are non-negative.
+	ref := min3(ah.Objective(), mh.Objective(), sa.Objective())
+	row.Cases++
+	row.AHObj += ah.Objective()
+	row.MHObj += mh.Objective()
+	row.SAObj += sa.Objective()
+	row.AHDev += ah.Objective() - ref
+	row.MHDev += mh.Objective() - ref
+	row.SADev += sa.Objective() - ref
+	row.AHTime += ah.Elapsed
+	row.MHTime += mh.Elapsed
+	row.SATime += sa.Elapsed
+	row.AHEvals += float64(ah.Evaluations)
+	row.MHEvals += float64(mh.Evaluations)
+	row.SAEvals += float64(sa.Evaluations)
+}
+
+// average turns the accumulated sums into per-case averages.
+func (row *DevRow) average() {
+	n := float64(row.Cases)
+	row.AHObj /= n
+	row.MHObj /= n
+	row.SAObj /= n
+	row.AHDev /= n
+	row.MHDev /= n
+	row.SADev /= n
+	row.AHTime = time.Duration(float64(row.AHTime) / n)
+	row.MHTime = time.Duration(float64(row.MHTime) / n)
+	row.SATime = time.Duration(float64(row.SATime) / n)
+	row.AHEvals /= n
+	row.MHEvals /= n
+	row.SAEvals /= n
 }
 
 // DeviationResult is the outcome of RunDeviation.
@@ -260,44 +288,9 @@ func RunDeviation(ctx context.Context, o Options) (*DeviationResult, error) {
 			return nil, err
 		}
 		for _, out := range outs {
-			ah, mh, sa := out.ah, out.mh, out.sa
-			// SA starts from the IM solution, so it never ends worse than
-			// AH; MH may in principle tie. The reference is the best of
-			// the three, so deviations are non-negative.
-			ref := min3(ah.Objective(), mh.Objective(), sa.Objective())
-			row.Cases++
-			row.AHObj += ah.Objective()
-			row.MHObj += mh.Objective()
-			row.SAObj += sa.Objective()
-			row.AHDev += ah.Objective() - ref
-			row.MHDev += mh.Objective() - ref
-			row.SADev += sa.Objective() - ref
-			row.AHTime += ah.Elapsed
-			row.MHTime += mh.Elapsed
-			row.SATime += sa.Elapsed
-			row.AHEvals += float64(ah.Evaluations)
-			row.MHEvals += float64(mh.Evaluations)
-			row.SAEvals += float64(sa.Evaluations)
-			row.AHHits += float64(ah.CacheHits)
-			row.MHHits += float64(mh.CacheHits)
-			row.SAHits += float64(sa.CacheHits)
+			row.add(out.ah, out.mh, out.sa)
 		}
-		n := float64(row.Cases)
-		row.AHObj /= n
-		row.MHObj /= n
-		row.SAObj /= n
-		row.AHDev /= n
-		row.MHDev /= n
-		row.SADev /= n
-		row.AHTime = time.Duration(float64(row.AHTime) / n)
-		row.MHTime = time.Duration(float64(row.MHTime) / n)
-		row.SATime = time.Duration(float64(row.SATime) / n)
-		row.AHEvals /= n
-		row.MHEvals /= n
-		row.SAEvals /= n
-		row.AHHits /= n
-		row.MHHits /= n
-		row.SAHits /= n
+		row.average()
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"incdes/internal/core"
 	"incdes/internal/gen"
@@ -89,43 +88,11 @@ func RunMulticluster(ctx context.Context, o Options) (*MulticlusterResult, error
 			return nil, err
 		}
 		for _, out := range outs {
-			ah, mh, sa := out.ah, out.mh, out.sa
-			ref := min3(ah.Objective(), mh.Objective(), sa.Objective())
-			row.Cases++
-			row.AHObj += ah.Objective()
-			row.MHObj += mh.Objective()
-			row.SAObj += sa.Objective()
-			row.AHDev += ah.Objective() - ref
-			row.MHDev += mh.Objective() - ref
-			row.SADev += sa.Objective() - ref
-			row.AHTime += ah.Elapsed
-			row.MHTime += mh.Elapsed
-			row.SATime += sa.Elapsed
-			row.AHEvals += float64(ah.Evaluations)
-			row.MHEvals += float64(mh.Evaluations)
-			row.SAEvals += float64(sa.Evaluations)
-			row.AHHits += float64(ah.CacheHits)
-			row.MHHits += float64(mh.CacheHits)
-			row.SAHits += float64(sa.CacheHits)
+			row.add(out.ah, out.mh, out.sa)
 			row.GatewayHops += float64(out.hops)
 		}
-		n := float64(row.Cases)
-		row.AHObj /= n
-		row.MHObj /= n
-		row.SAObj /= n
-		row.AHDev /= n
-		row.MHDev /= n
-		row.SADev /= n
-		row.AHTime = time.Duration(float64(row.AHTime) / n)
-		row.MHTime = time.Duration(float64(row.MHTime) / n)
-		row.SATime = time.Duration(float64(row.SATime) / n)
-		row.AHEvals /= n
-		row.MHEvals /= n
-		row.SAEvals /= n
-		row.AHHits /= n
-		row.MHHits /= n
-		row.SAHits /= n
-		row.GatewayHops /= n
+		row.average()
+		row.GatewayHops /= float64(row.Cases)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
@@ -142,16 +109,6 @@ func gatewayHopCount(st *sched.State) int {
 		}
 	}
 	return hops
-}
-
-// DevRows adapts the sweep for the bench report (one point per cluster
-// count and strategy, keyed by Size = clusters).
-func (r *MulticlusterResult) DevRows() []DevRow {
-	rows := make([]DevRow, len(r.Rows))
-	for i, row := range r.Rows {
-		rows[i] = row.DevRow
-	}
-	return rows
 }
 
 // Table renders the numeric results, one column per cluster count.

@@ -145,7 +145,6 @@ func admissionCost(ctx context.Context, o Options, tc *gen.TestCase, sol *core.S
 		MH:          core.MHOptions{MaxIterations: 1},
 		MaxSubsets:  16,
 		Parallelism: o.StrategyParallel,
-		Incremental: o.Incremental,
 	})
 	if err != nil {
 		return 0, false

@@ -4,8 +4,8 @@
 // serve handler at a configurable concurrency and reports per-class
 // latency percentiles plus the solution-cache hit rate as a
 // machine-readable artifact (LOAD_<profile>.json). Compare diffs two
-// such artifacts benchdiff-style, so CI can gate on p99 and hit-rate
-// regressions.
+// such artifacts by relative latency growth and hit-rate drop, so CI can
+// gate on p99 and hit-rate regressions.
 //
 // The workload is synthesized deterministically from the profile seed
 // with model.Builder systems small enough that a single solve takes

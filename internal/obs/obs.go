@@ -55,7 +55,7 @@ const (
 	CtrSolveCacheEvict    = "cache.evictions"      // solutions evicted by the LRU bound
 	GagSolveCacheEntries  = "cache.entries"        // gauge: solutions resident in the cache
 
-	// Transactional evaluation (internal/core, incremental path).
+	// Transactional candidate evaluation (internal/core).
 	CtrTxnApplies     = "core.txn_applies"           // candidate placements applied in place
 	CtrTxnRollbacks   = "core.txn_rollbacks"         // transactions rolled back after scoring
 	CtrTxnDirty       = "core.txn_dirty_intervals"   // touched intervals (busy + bus) across transactions

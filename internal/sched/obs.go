@@ -33,11 +33,8 @@ func StatsFrom(r *obs.Registry) Stats {
 
 // SetStats attaches observability instruments to the state. Stats are
 // sink configuration, not schedule content: Clone propagates them to
-// the copy, while CloneInto leaves the destination's attachment alone,
-// so a reused scratch state keeps its instruments while being
-// overwritten from an uninstrumented base. Bus-side instruments attach
-// separately via BusState().SetStats. Instruments never influence
-// placement decisions.
+// the copy. Bus-side instruments attach separately via SetBusStats.
+// Instruments never influence placement decisions.
 func (s *State) SetStats(st Stats) { s.stats = st }
 
 // SetBusStats attaches bus-side instruments to every TDMA bus ledger of

@@ -104,72 +104,6 @@ func (s *State) Clone() *State {
 	return c
 }
 
-// CloneInto deep-copies s into dst and returns dst, reusing dst's
-// allocations where possible. Passing nil is equivalent to Clone. It
-// exists for evaluation workers that overwrite one scratch state per
-// examined design alternative: reusing the maps, interval sets, and
-// entry slices keeps the per-evaluation allocation cost near zero.
-// dst must not be a state whose internals are shared elsewhere.
-func (s *State) CloneInto(dst *State) *State {
-	if dst == nil {
-		return s.Clone()
-	}
-	dst.sys, dst.horizon = s.sys, s.horizon
-	if dst.busy == nil {
-		dst.busy = make(map[model.NodeID]*tm.Set, len(s.busy))
-	}
-	for n, set := range s.busy {
-		if d, ok := dst.busy[n]; ok {
-			d.CopyFrom(set)
-		} else {
-			dst.busy[n] = set.Clone()
-		}
-	}
-	for n := range dst.busy {
-		if _, ok := s.busy[n]; !ok {
-			delete(dst.busy, n)
-		}
-	}
-	dst.routes = s.routes
-	if len(dst.buses) != len(s.buses) {
-		dst.buses = make([]*ttp.State, len(s.buses))
-	}
-	for i, b := range s.buses {
-		if dst.buses[i] == nil {
-			dst.buses[i] = b.Clone()
-		} else {
-			dst.buses[i].CopyFrom(b)
-		}
-	}
-	dst.procs = append(dst.procs[:0], s.procs...)
-	dst.msgs = append(dst.msgs[:0], s.msgs...)
-	if dst.jobEnd == nil {
-		dst.jobEnd = make(map[Job]tm.Time, len(s.jobEnd))
-	} else {
-		clear(dst.jobEnd)
-	}
-	for j, t := range s.jobEnd {
-		dst.jobEnd[j] = t
-	}
-	if dst.jobNode == nil {
-		dst.jobNode = make(map[Job]model.NodeID, len(s.jobNode))
-	} else {
-		clear(dst.jobNode)
-	}
-	for j, n := range s.jobNode {
-		dst.jobNode[j] = n
-	}
-	if dst.mapping == nil {
-		dst.mapping = make(model.Mapping, len(s.mapping))
-	} else {
-		clear(dst.mapping)
-	}
-	for p, n := range s.mapping {
-		dst.mapping[p] = n
-	}
-	return dst
-}
-
 // System returns the system the schedule belongs to.
 func (s *State) System() *model.System { return s.sys }
 

@@ -146,49 +146,3 @@ func TestTxnMisusePanics(t *testing.T) {
 	expectPanic("Commit on closed txn", func() { txn.Commit() })
 	expectPanic("Apply on closed txn", func() { _ = txn.Apply(sys.Apps[1], mapB, Hints{}) })
 }
-
-// TestCloneIntoDoesNotAlias pins the contract the transactional engine
-// leans on: a clone produced by CloneInto shares no ledger rows or
-// interval slices with its source, so mutating either side never leaks
-// into the other.
-func TestCloneIntoDoesNotAlias(t *testing.T) {
-	src, sys, mapB := txnBase(t)
-	pre := append([]byte(nil), src.Fingerprint()...)
-
-	dst := src.CloneInto(mustState(t, sys))
-	if !bytes.Equal(dst.Fingerprint(), pre) {
-		t.Fatal("CloneInto did not produce an identical state")
-	}
-
-	// Structural distinctness: per-node interval sets and the bus ledger
-	// are separate objects, not shared pointers.
-	for _, n := range sys.Arch.NodeIDs() {
-		if src.busy[n] == dst.busy[n] {
-			t.Fatalf("node %d interval set shared between source and clone", n)
-		}
-	}
-	for bi := range src.buses {
-		if src.buses[bi] == dst.buses[bi] {
-			t.Fatalf("bus %d ledger shared between source and clone", bi)
-		}
-	}
-
-	// Mutating the clone (scheduling another app touches busy sets, the
-	// bus ledger, entry slices, and all bookkeeping maps) must leave the
-	// source byte-identical.
-	if err := dst.ScheduleApp(sys.Apps[1], mapB, Hints{}); err != nil {
-		t.Fatalf("mutating clone: %v", err)
-	}
-	if got := src.Fingerprint(); !bytes.Equal(got, pre) {
-		t.Errorf("mutating the clone changed the source:\npre:\n%s\npost:\n%s", pre, got)
-	}
-
-	// And the reverse: mutating the source must leave the clone alone.
-	post := append([]byte(nil), dst.Fingerprint()...)
-	if err := src.ScheduleApp(sys.Apps[1], mapB, Hints{}); err != nil {
-		t.Fatalf("mutating source: %v", err)
-	}
-	if got := dst.Fingerprint(); !bytes.Equal(got, post) {
-		t.Error("mutating the source changed the clone")
-	}
-}

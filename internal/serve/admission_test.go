@@ -46,7 +46,6 @@ func TestQueueFullEnvelopeAndRetryAfter(t *testing.T) {
 	}{
 		{"solve", "/v1/solve?strategy=mh", body},
 		{"solve detached", "/v1/solve?strategy=mh&detach=1", body},
-		{"legacy solve", "/solve?strategy=mh", body},
 		{"session commit", "/v1/sessions/" + id + "/commits?strategy=mh", apps[0]},
 	} {
 		resp, doc := postError(t, ts, tc.path, tc.body)

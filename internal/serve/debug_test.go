@@ -434,7 +434,7 @@ func TestMetricsHistogramsLintClean(t *testing.T) {
 // summaries of the solve that ran after the 202.
 func TestDetachedJobDocCarriesSpans(t *testing.T) {
 	_, ts := newTestServer(t)
-	req, _ := http.NewRequest("POST", ts.URL+"/solve?strategy=mh&detach=1", bytes.NewReader(fixtureJSON(t)))
+	req, _ := http.NewRequest("POST", ts.URL+"/v1/solve?strategy=mh&detach=1", bytes.NewReader(fixtureJSON(t)))
 	req.Header.Set(requestIDHeader, "detach-1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

@@ -25,7 +25,7 @@ const (
 )
 
 // SolveParams are the per-request knobs of one solve, parsed from the
-// POST /solve query string.
+// POST /v1/solve query string.
 type SolveParams struct {
 	Strategy   string // "ah", "mh", "sa" or "portfolio" (default "mh")
 	App        string // current-application name; "" = the system's last

@@ -19,11 +19,12 @@
 //	GET    /healthz, /readyz      liveness / readiness
 //	GET    /debug/pprof/...       net/http/pprof, when Config.EnablePprof
 //
-// The pre-/v1 solve paths (POST /solve, ...) remain mounted as exact
-// aliases of their /v1 twins for one release; new endpoints (sessions)
-// are /v1-only. Infrastructure endpoints (/metrics, /healthz, /readyz,
-// /debug/pprof) are unversioned by design. Every error response uses one
-// envelope: {"error":{"code","message","retry_after_s"?}}.
+// Infrastructure endpoints are served both unversioned and under /v1
+// (/metrics and /v1/metrics, ...), except /debug/pprof, which is
+// unversioned only. Every error response uses one envelope,
+// {"error":{"code","message","retry_after_s"?}} — including requests no
+// route matches (404, not_found) and wrong-method requests (405,
+// bad_request, with the Allow header).
 //
 // Every job runs with its own obs.Registry and an SSE event buffer as
 // its tracer, reusing the engine's deterministic emission points: the
@@ -51,7 +52,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,7 +70,7 @@ type Config struct {
 	// GOMAXPROCS).
 	MaxConcurrent int
 	// QueueDepth is how many submitted solves may wait for a slot before
-	// POST /solve is rejected with 429 (default 16).
+	// POST /v1/solve is rejected with 429 (default 16).
 	QueueDepth int
 	// JobTimeout caps every job's run time; requests may ask for less
 	// but never more. 0 means no cap.
@@ -79,15 +79,11 @@ type Config struct {
 	// core.Solve when the request does not choose one (0 = one per CPU).
 	Parallelism int
 	// RetainJobs is how many finished jobs stay queryable via
-	// GET /solve/{id} (default 64; running jobs are never evicted).
+	// GET /v1/solve/{id} (default 64; running jobs are never evicted).
 	RetainJobs int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// Incremental is handed to every core.Solve call: the zero value
-	// enables transactional incremental evaluation,
-	// core.IncrementalOff restores full clone-and-rebuild per candidate.
-	Incremental core.IncrementalMode
-	// MaxBodyBytes bounds the POST /solve request body (default 64 MiB).
+	// MaxBodyBytes bounds the POST /v1/solve request body (default 64 MiB).
 	MaxBodyBytes int64
 	// SolutionCacheSize bounds the whole-solution cache (entries). 0
 	// disables solution caching and single-flight dedup entirely (the
@@ -203,13 +199,10 @@ func New(cfg Config) *Server {
 	s.sessions, s.sessErr = session.NewManager(store, s.global)
 
 	s.mux = http.NewServeMux()
-	// Solve endpoints: canonical under /v1, pre-/v1 path kept as an exact
-	// alias for one release (see the package comment).
-	s.handleV1("POST /solve", s.handleSolve)
-	s.handleV1("GET /solve/{id}", s.handleJobStatus)
-	s.handleV1("DELETE /solve/{id}", s.handleJobCancel)
-	s.handleV1("GET /solve/{id}/events", s.handleJobEvents)
-	// Session endpoints are /v1-only: they never existed unversioned.
+	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
+	s.mux.HandleFunc("GET /v1/solve/{id}", s.handleJobStatus)
+	s.mux.HandleFunc("DELETE /v1/solve/{id}", s.handleJobCancel)
+	s.mux.HandleFunc("GET /v1/solve/{id}/events", s.handleJobEvents)
 	s.mux.HandleFunc("POST /v1/sessions", s.handleSessionOpen)
 	s.mux.HandleFunc("GET /v1/sessions", s.handleSessionList)
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionGet)
@@ -218,10 +211,13 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/sessions/{id}/branches", s.handleSessionBranch)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/rollback", s.handleSessionRollback)
 	s.mux.HandleFunc("GET /v1/sessions/{id}/diff", s.handleSessionDiff)
-	s.handleV1("GET /metrics", s.handleMetrics)
-	s.handleV1("GET /healthz", s.handleHealthz)
-	s.handleV1("GET /readyz", s.handleReadyz)
-	// Debug surface: /v1-only, like every endpoint born after versioning.
+	// Infrastructure endpoints answer on both spellings: probes, scrapers
+	// and cluster peers use either.
+	for _, prefix := range []string{"", "/v1"} {
+		s.mux.HandleFunc("GET "+prefix+"/metrics", s.handleMetrics)
+		s.mux.HandleFunc("GET "+prefix+"/healthz", s.handleHealthz)
+		s.mux.HandleFunc("GET "+prefix+"/readyz", s.handleReadyz)
+	}
 	s.mux.HandleFunc("GET /v1/debug/requests", s.handleDebugRequests)
 	s.mux.HandleFunc("GET /v1/debug/requests/{id}", s.handleDebugRequest)
 	if cfg.EnablePprof {
@@ -231,7 +227,7 @@ func New(cfg Config) *Server {
 		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	s.handler = s.instrument(s.mux)
+	s.handler = s.instrument(http.HandlerFunc(s.route))
 	s.ready.Store(true)
 	return s
 }
@@ -254,17 +250,37 @@ func seedCatalog(r *obs.Registry) {
 	}
 }
 
-// handleV1 registers a handler under the /v1 prefix and mirrors it on
-// the legacy unversioned path, so "POST /solve" serves both
-// "POST /v1/solve" and "POST /solve" with one implementation.
-func (s *Server) handleV1(pattern string, h http.HandlerFunc) {
-	method, path, ok := strings.Cut(pattern, " ")
-	if !ok {
-		panic("serve: route pattern without method: " + pattern)
+// route serves a request through the mux and answers what the mux
+// cannot route with the error envelope. The mux still decides between
+// 404 and 405 and computes the Allow header; only its plain-text body
+// is replaced.
+func (s *Server) route(w http.ResponseWriter, r *http.Request) {
+	h, pattern := s.mux.Handler(r)
+	if pattern != "" {
+		s.mux.ServeHTTP(w, r)
+		return
 	}
-	s.mux.HandleFunc(method+" /v1"+path, h)
-	s.mux.HandleFunc(pattern, h)
+	rec := &unroutedRecorder{header: http.Header{}}
+	h.ServeHTTP(rec, r)
+	if rec.status == http.StatusMethodNotAllowed {
+		w.Header().Set("Allow", rec.header.Get("Allow"))
+		writeError(w, http.StatusMethodNotAllowed, ErrCodeBadRequest,
+			"method %s not allowed on %s", r.Method, r.URL.Path)
+		return
+	}
+	writeError(w, http.StatusNotFound, ErrCodeNotFound, "no endpoint %s %s", r.Method, r.URL.Path)
 }
+
+// unroutedRecorder captures the status and headers of the mux's own
+// 404/405 answer and discards its body.
+type unroutedRecorder struct {
+	header http.Header
+	status int
+}
+
+func (u *unroutedRecorder) Header() http.Header         { return u.header }
+func (u *unroutedRecorder) WriteHeader(status int)      { u.status = status }
+func (u *unroutedRecorder) Write(b []byte) (int, error) { return len(b), nil }
 
 // Handler returns the service's HTTP handler: the router wrapped in
 // the request-observability middleware (correlation IDs, span traces,
@@ -278,8 +294,8 @@ func (s *Server) Close() {
 	s.stop()
 }
 
-// JobStatusDoc is the JSON document of GET /solve/{id} and the body of
-// a synchronous POST /solve response.
+// JobStatusDoc is the JSON document of GET /v1/solve/{id} and the body of
+// a synchronous POST /v1/solve response.
 type JobStatusDoc struct {
 	ID       string        `json:"id"`
 	Status   string        `json:"status"`
@@ -386,7 +402,7 @@ func writeSessionError(w http.ResponseWriter, err error) {
 	}
 }
 
-// parseSolveParams decodes the POST /solve query string.
+// parseSolveParams decodes the POST /v1/solve query string.
 func parseSolveParams(r *http.Request) (SolveParams, error) {
 	q := r.URL.Query()
 	p := SolveParams{
@@ -573,7 +589,6 @@ func (s *Server) solveWork(j *job, sys *model.System, p *core.Problem, frozen in
 		sol, err := core.Solve(ctx, p, core.Options{
 			Strategy:    strat,
 			Parallelism: s.parallelism(params),
-			Incremental: s.cfg.Incremental,
 			Observer:    &obs.Observer{Stats: j.reg, Tracer: j.buf},
 		})
 		j.reg.Histogram(obs.HstSolveSeconds).ObserveSince(t0)

@@ -42,14 +42,14 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 // core.Solve call on the same fixture.
 func TestSolveMatchesDirectSolve(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/solve?strategy=mh", "application/json", bytes.NewReader(fixtureJSON(t)))
+	resp, err := http.Post(ts.URL+"/v1/solve?strategy=mh", "application/json", bytes.NewReader(fixtureJSON(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /solve = %d: %s", resp.StatusCode, body)
+		t.Fatalf("POST /v1/solve = %d: %s", resp.StatusCode, body)
 	}
 	var got struct {
 		ID       string          `json:"id"`
@@ -95,7 +95,7 @@ func TestSolveMatchesDirectSolve(t *testing.T) {
 
 func TestSolveRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/solve?strategy=nope", "application/json", bytes.NewReader(fixtureJSON(t)))
+	resp, err := http.Post(ts.URL+"/v1/solve?strategy=nope", "application/json", bytes.NewReader(fixtureJSON(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSolveRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown strategy: status = %d, want 400", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/solve", "application/json", strings.NewReader("{not json"))
+	resp, err = http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSolveRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage body: status = %d, want 400", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/solve/j999")
+	resp, err = http.Get(ts.URL + "/v1/solve/j999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func parseMetrics(t *testing.T, out string) map[string]bool {
 func TestMetricsExposesCatalog(t *testing.T) {
 	_, ts := newTestServer(t)
 	// One completed solve so per-strategy aggregates exist.
-	resp, err := http.Post(ts.URL+"/solve?strategy=mh", "application/json", bytes.NewReader(fixtureJSON(t)))
+	resp, err := http.Post(ts.URL+"/v1/solve?strategy=mh", "application/json", bytes.NewReader(fixtureJSON(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,21 +247,21 @@ func readSSE(t *testing.T, body string) []sseEvent {
 // plus the finished job document.
 func streamJob(t *testing.T, ts *httptest.Server) ([]sseEvent, JobStatusDoc) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/solve?strategy=mh&detach=1", "application/json", bytes.NewReader(fixtureJSON(t)))
+	resp, err := http.Post(ts.URL+"/v1/solve?strategy=mh&detach=1", "application/json", bytes.NewReader(fixtureJSON(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("detached POST /solve = %d: %s", resp.StatusCode, body)
+		t.Fatalf("detached POST /v1/solve = %d: %s", resp.StatusCode, body)
 	}
 	var accepted JobStatusDoc
 	if err := json.Unmarshal(body, &accepted); err != nil {
 		t.Fatal(err)
 	}
 
-	resp, err = http.Get(ts.URL + "/solve/" + accepted.ID + "/events")
+	resp, err = http.Get(ts.URL + "/v1/solve/" + accepted.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func streamJob(t *testing.T, ts *httptest.Server) ([]sseEvent, JobStatusDoc) {
 	resp.Body.Close()
 	events := readSSE(t, string(stream))
 
-	resp, err = http.Get(ts.URL + "/solve/" + accepted.ID)
+	resp, err = http.Get(ts.URL + "/v1/solve/" + accepted.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestClientDisconnectReturnsInterrupted(t *testing.T) {
 	s := New(Config{Parallelism: 1})
 	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	req := httptest.NewRequest("POST", "/solve?strategy=sa&sa-iters=50000000", bytes.NewReader(fixtureJSON(t))).WithContext(ctx)
+	req := httptest.NewRequest("POST", "/v1/solve?strategy=sa&sa-iters=50000000", bytes.NewReader(fixtureJSON(t))).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	go func() {
 		time.Sleep(300 * time.Millisecond) // let the solve get under way
@@ -414,13 +414,13 @@ func TestHealthAndReadiness(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("/readyz after Close = %d, want 503", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/solve", "application/json", bytes.NewReader(fixtureJSON(t)))
+	resp, err = http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(fixtureJSON(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("POST /solve while draining = %d, want 503", resp.StatusCode)
+		t.Errorf("POST /v1/solve while draining = %d, want 503", resp.StatusCode)
 	}
 }
 
@@ -487,7 +487,7 @@ func TestEventBufferFollow(t *testing.T) {
 
 func TestCancelEndpointInterruptsDetachedJob(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/solve?strategy=sa&sa-iters=50000000&detach=1", "application/json", bytes.NewReader(fixtureJSON(t)))
+	resp, err := http.Post(ts.URL+"/v1/solve?strategy=sa&sa-iters=50000000&detach=1", "application/json", bytes.NewReader(fixtureJSON(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,14 +497,14 @@ func TestCancelEndpointInterruptsDetachedJob(t *testing.T) {
 	}
 	resp.Body.Close()
 	time.Sleep(300 * time.Millisecond)
-	req, _ := http.NewRequest("DELETE", ts.URL+"/solve/"+accepted.ID, nil)
+	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/solve/"+accepted.ID, nil)
 	if resp, err = http.DefaultClient.Do(req); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err = http.Get(ts.URL + "/solve/" + accepted.ID)
+		resp, err = http.Get(ts.URL + "/v1/solve/" + accepted.ID)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -189,7 +189,6 @@ func (s *Server) handleSessionCommit(w http.ResponseWriter, r *http.Request) {
 			Branch:      branch,
 			Strategy:    strat,
 			Parallelism: s.parallelism(params),
-			Incremental: s.cfg.Incremental,
 			Observer:    &obs.Observer{Stats: j.reg, Tracer: j.buf},
 		}
 		if s.solutions != nil && !params.NoCache {

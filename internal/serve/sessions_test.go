@@ -408,6 +408,10 @@ func TestErrorEnvelope(t *testing.T) {
 		{"diff missing from", "GET", "/v1/sessions/e1/diff?to=1", nil, 400, ErrCodeBadRequest},
 		{"diff bad to", "GET", "/v1/sessions/e1/diff?from=0&to=abc", nil, 400, ErrCodeBadRequest},
 		{"diff unknown version", "GET", "/v1/sessions/e1/diff?from=0&to=99", nil, 404, ErrCodeNotFound},
+		{"unversioned solve", "POST", "/solve", sysJSON, 404, ErrCodeNotFound},
+		{"unversioned sessions", "POST", "/sessions", sysJSON, 404, ErrCodeNotFound},
+		{"sessions wrong method", "PUT", "/v1/sessions", nil, 405, ErrCodeBadRequest},
+		{"commits wrong method", "GET", "/v1/sessions/e1/commits", nil, 405, ErrCodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -425,6 +429,9 @@ func TestErrorEnvelope(t *testing.T) {
 			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 				t.Errorf("Content-Type = %q", ct)
 			}
+			if tc.wantStatus == http.StatusMethodNotAllowed && resp.Header.Get("Allow") == "" {
+				t.Error("405 without an Allow header")
+			}
 		})
 	}
 
@@ -437,45 +444,5 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 	if jobDoc.Status != StatusFailed || !strings.Contains(jobDoc.Error, "hyperperiod") {
 		t.Fatalf("illegal commit job = %+v", jobDoc)
-	}
-}
-
-// TestV1Aliases pins the versioning policy: every pre-existing endpoint
-// answers identically on its /v1 path and its legacy alias, while the
-// session endpoints are /v1-only.
-func TestV1Aliases(t *testing.T) {
-	sysJSON, _, _ := sessionFixture(t)
-	_, ts := newTestServer(t)
-
-	get := func(path string) (int, string) {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, string(body)
-	}
-	for _, path := range []string{"/healthz", "/readyz"} {
-		ls, lb := get(path)
-		vs, vb := get("/v1" + path)
-		if ls != vs || lb != vb {
-			t.Errorf("%s: legacy (%d, %q) != v1 (%d, %q)", path, ls, lb, vs, vb)
-		}
-	}
-	// Deterministic error bodies must match across the alias too.
-	for _, path := range []string{"/solve?strategy=bogus", "/v1/solve?strategy=bogus"} {
-		var env ErrorDoc
-		resp := do(t, "POST", ts.URL+path, sysJSON, &env)
-		if resp.StatusCode != 400 || env.Error.Code != ErrCodeBadRequest {
-			t.Errorf("POST %s = %d code %q", path, resp.StatusCode, env.Error.Code)
-		}
-	}
-	// Sessions are new API surface: /v1 only, no legacy alias.
-	if resp := do(t, "GET", ts.URL+"/sessions", nil, nil); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("legacy /sessions = %d, want 404", resp.StatusCode)
-	}
-	if resp := do(t, "GET", ts.URL+"/v1/sessions", nil, nil); resp.StatusCode != http.StatusOK {
-		t.Errorf("GET /v1/sessions = %d", resp.StatusCode)
 	}
 }

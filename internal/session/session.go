@@ -429,10 +429,9 @@ type CommitParams struct {
 	Branch string
 	// Strategy is the mapping strategy (required), as for core.Solve.
 	Strategy core.Strategy
-	// Parallelism, Incremental, CacheSize and Observer are handed to
-	// core.Solve unchanged.
+	// Parallelism, CacheSize and Observer are handed to core.Solve
+	// unchanged.
 	Parallelism int
-	Incremental core.IncrementalMode
 	CacheSize   int
 	Observer    *obs.Observer
 	// SolveCache, when non-nil, is a whole-solution cache consulted
@@ -621,7 +620,6 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 		sol, err = core.Solve(ctx, prob, core.Options{
 			Strategy:    p.Strategy,
 			Parallelism: p.Parallelism,
-			Incremental: p.Incremental,
 			CacheSize:   p.CacheSize,
 			Baseline:    bl,
 			Observer:    p.Observer,

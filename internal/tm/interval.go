@@ -64,13 +64,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// CopyFrom makes s an exact copy of src, reusing s's backing storage when
-// it is large enough. It is the allocation-free counterpart of Clone for
-// scratch sets that are overwritten many times (one per evaluation worker).
-func (s *Set) CopyFrom(src *Set) {
-	s.ivs = append(s.ivs[:0], src.ivs...)
-}
-
 // Len returns the number of maximal intervals in the set.
 func (s *Set) Len() int { return len(s.ivs) }
 

@@ -26,10 +26,7 @@ func StatsFrom(r *obs.Registry) Stats {
 }
 
 // SetStats attaches observability instruments to the state. Stats are
-// sink configuration, not schedule content: Clone propagates them, but
-// CopyFrom leaves the destination's stats untouched so a scratch state
-// keeps its instruments while being overwritten from an uninstrumented
-// base.
+// sink configuration, not schedule content: Clone propagates them.
 func (s *State) SetStats(st Stats) { s.stats = st }
 
 // Occupancy summarizes slot usage over the horizon: the TTP-side view

@@ -67,20 +67,6 @@ func (s *State) Clone() *State {
 	return c
 }
 
-// CopyFrom makes s an exact copy of src's schedule content, reusing s's
-// reservation matrix when its shape matches. It is the allocation-free
-// counterpart of Clone for scratch states that are overwritten once per
-// what-if evaluation. s keeps its own stats attachment (see SetStats).
-func (s *State) CopyFrom(src *State) {
-	s.bus, s.horizon, s.rounds = src.bus, src.horizon, src.rounds
-	if len(s.used) != len(src.used) {
-		s.used = make([][]int, len(src.used))
-	}
-	for r, row := range src.used {
-		s.used[r] = append(s.used[r][:0], row...)
-	}
-}
-
 // Used returns the reserved bytes of slot occurrence (round, slot).
 func (s *State) Used(round, slot int) int { return s.used[round][slot] }
 
