@@ -36,10 +36,9 @@ import (
 	"incdes/internal/exec"
 	"incdes/internal/export"
 	"incdes/internal/gen"
-	"incdes/internal/metrics"
 	"incdes/internal/model"
 	"incdes/internal/obs"
-	"incdes/internal/sched"
+	"incdes/internal/serve"
 	"incdes/internal/sim"
 	"incdes/internal/textplot"
 	"incdes/internal/tgff"
@@ -318,54 +317,21 @@ func cmdMap(args []string) error {
 	if err != nil {
 		return err
 	}
-	if len(sys.Apps) == 0 {
-		return fmt.Errorf("system has no applications")
-	}
-	current := sys.Apps[len(sys.Apps)-1]
-
-	// Freeze everything except the last application.
-	base, err := sched.NewState(sys)
+	// Freeze everything except the last application and resolve the
+	// strategy exactly as the service does.
+	p, err := serve.BuildProblem(sys, "")
 	if err != nil {
 		return err
 	}
-	for _, app := range sys.Apps[:len(sys.Apps)-1] {
-		if _, err := base.MapApp(app, sched.Hints{}); err != nil {
-			return fmt.Errorf("scheduling existing application %q: %w", app.Name, err)
-		}
-	}
-
-	prof := gen.ProfileForSystem(gen.Default(), sys)
-	p, err := core.NewProblem(sys, base, current, prof, metrics.DefaultWeights(prof))
+	current, prof := p.Current, p.Profile
+	strat, err := serve.SolveParams{Strategy: *strategy, SAIters: *saIters, SARestarts: *saRestarts}.Resolve()
 	if err != nil {
 		return err
 	}
-
 	runStart := time.Now()
-	var strat core.Strategy
 	var saSeed int64 // recorded in the stats meta; 0 = not seed-driven
-	switch *strategy {
-	case "ah":
-		strat = core.AH
-	case "mh":
-		strat = core.MH
-	case "sa":
-		saOpts := core.DefaultSAOptions()
-		saOpts.Iterations = *saIters
-		saOpts.Restarts = *saRestarts
-		strat = core.SAWith(saOpts)
-		saSeed = saOpts.Seed
-	case "portfolio":
-		// Race AH, MH and SA under the same deadline; the SA lane takes the
-		// command-line SA tuning.
-		saOpts := core.DefaultSAOptions()
-		saOpts.Iterations = *saIters
-		saOpts.Restarts = *saRestarts
-		strat = core.PortfolioWith(core.PortfolioOptions{
-			Lanes: []core.Strategy{core.AH, core.MH, core.SAWith(saOpts)},
-		})
-		saSeed = saOpts.Seed
-	default:
-		return fmt.Errorf("unknown strategy %q (want ah, mh, sa or portfolio)", *strategy)
+	if *strategy == "sa" || *strategy == "portfolio" {
+		saSeed = core.DefaultSAOptions().Seed
 	}
 	// Observability: -stats-out attaches a registry, -trace/-convergence a
 	// trace sink. With none of them set observer stays nil and the solve

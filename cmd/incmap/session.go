@@ -17,8 +17,8 @@ import (
 	"syscall"
 	"time"
 
-	"incdes/internal/core"
 	"incdes/internal/model"
+	"incdes/internal/serve"
 	"incdes/internal/session"
 )
 
@@ -126,7 +126,7 @@ func cmdSessionCommit(args []string) error {
 	sysPath := fs.String("sys", "", "system JSON file to pick the application from")
 	appName := fs.String("app", "", "application name inside -sys")
 	branch := fs.String("branch", "", "branch to advance (default main)")
-	strategy := fs.String("strategy", "mh", "mapping strategy: ah, mh or sa")
+	strategy := fs.String("strategy", "mh", "mapping strategy: ah, mh, sa or portfolio")
 	saIters := fs.Int("sa-iters", 0, "SA iterations (0 = default)")
 	saRestarts := fs.Int("sa-restarts", 0, "independent SA restart chains (0 = 1)")
 	parallel := fs.Int("parallel", 0, "evaluation workers (0 = one per CPU)")
@@ -136,19 +136,9 @@ func cmdSessionCommit(args []string) error {
 		return fmt.Errorf("session commit: -id is required")
 	}
 
-	var strat core.Strategy
-	switch *strategy {
-	case "ah":
-		strat = core.AH
-	case "mh":
-		strat = core.MH
-	case "sa":
-		opts := core.DefaultSAOptions()
-		opts.Iterations = *saIters
-		opts.Restarts = *saRestarts
-		strat = core.SAWith(opts)
-	default:
-		return fmt.Errorf("session commit: unknown strategy %q", *strategy)
+	strat, err := serve.SolveParams{Strategy: *strategy, SAIters: *saIters, SARestarts: *saRestarts}.Resolve()
+	if err != nil {
+		return fmt.Errorf("session commit: %w", err)
 	}
 	app, err := sessionApp(*appFile, *sysPath, *appName)
 	if err != nil {

@@ -1,96 +1,105 @@
 package cluster
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"incdes/internal/core"
 	"incdes/internal/serve"
 )
 
+// wireUnits plans a request the way Dispatch does and maps every unit
+// onto its worker-side /v1/solve parameters.
+func wireUnits(t *testing.T, p serve.SolveParams) []UnitParams {
+	t.Helper()
+	strat, err := p.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []UnitParams
+	for _, u := range core.Plan(strat).Units {
+		out = append(out, unitParams(p, u))
+	}
+	return out
+}
+
+// TestPlanUnits pins the unit → /v1/solve mapping the coordinator owns:
+// whole units name their strategy, SA chain k runs as
+// sa-restarts=1&sa-chain-offset=k. The split itself is core.Plan's.
 func TestPlanUnits(t *testing.T) {
-	t.Run("mh-whole", func(t *testing.T) {
-		units := planUnits(serve.SolveParams{Strategy: "mh", Timeout: 2 * time.Second})
-		if len(units) != 1 || units[0].params.Strategy != "mh" || units[0].params.TimeoutMS != 2000 {
-			t.Fatalf("units = %+v", units)
-		}
-	})
-	t.Run("sa-one-unit-per-chain", func(t *testing.T) {
-		units := planUnits(serve.SolveParams{Strategy: "sa", SARestarts: 3, SAIters: 100, SASeed: 7})
-		if len(units) != 3 {
-			t.Fatalf("len = %d, want 3", len(units))
-		}
-		for c, u := range units {
-			p := u.params
-			if p.Strategy != "sa" || p.SARestarts != 1 || p.SAChainOffset != c || p.SASeed != 7 || p.SAIters != 100 {
-				t.Errorf("chain %d: params = %+v", c, p)
+	chain := func(k int) UnitParams {
+		return UnitParams{Strategy: "sa", SAIters: 100, SARestarts: 1, SASeed: 7, SAChainOffset: k}
+	}
+	cases := []struct {
+		name   string
+		params serve.SolveParams
+		want   []UnitParams
+	}{
+		{"mh-whole", serve.SolveParams{Strategy: "mh", Timeout: 2 * time.Second},
+			[]UnitParams{{Strategy: "mh", TimeoutMS: 2000}}},
+		{"sa-one-unit-per-chain", serve.SolveParams{Strategy: "sa", SARestarts: 3, SAIters: 100, SASeed: 7},
+			[]UnitParams{chain(0), chain(1), chain(2)}},
+		{"sa-default-restarts", serve.SolveParams{Strategy: "sa"},
+			[]UnitParams{{Strategy: "sa", SARestarts: 1}}},
+		{"portfolio-lanes-plus-chains", serve.SolveParams{Strategy: "portfolio", SARestarts: 2, SAIters: 100, SASeed: 7},
+			[]UnitParams{{Strategy: "ah"}, {Strategy: "mh"}, chain(0), chain(1)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := wireUnits(t, tc.params); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("unit params =\n%+v\nwant\n%+v", got, tc.want)
 			}
-			if u.idx != c || u.chain != c || u.tag != "SA" {
-				t.Errorf("chain %d: unit = %+v", c, u)
-			}
-		}
-	})
-	t.Run("sa-default-restarts", func(t *testing.T) {
-		if n := len(planUnits(serve.SolveParams{Strategy: "sa"})); n != 1 {
-			t.Fatalf("len = %d, want 1", n)
-		}
-	})
-	t.Run("portfolio-lanes-plus-chains", func(t *testing.T) {
-		units := planUnits(serve.SolveParams{Strategy: "portfolio", SARestarts: 2})
-		if len(units) != 4 {
-			t.Fatalf("len = %d, want 4", len(units))
-		}
-		if units[0].params.Strategy != "ah" || units[0].lane != 0 ||
-			units[1].params.Strategy != "mh" || units[1].lane != 1 {
-			t.Fatalf("lanes = %+v", units[:2])
-		}
-		for c, u := range units[2:] {
-			if u.lane != 2 || u.chain != c || u.params.SAChainOffset != c || u.idx != 2+c {
-				t.Errorf("sa unit %d = %+v", c, u)
-			}
-		}
-	})
-}
-
-func saOutcome(objective float64, evals int, interrupted bool) outcome {
-	return outcome{res: &ExecuteResult{
-		Status: serve.StatusDone,
-		Doc:    &serve.SolutionDoc{Strategy: "SA", Objective: objective, Evaluations: evals, Interrupted: interrupted},
-	}}
-}
-
-func TestReduceSA(t *testing.T) {
-	t.Run("winner-and-evals", func(t *testing.T) {
-		doc, best := reduceSA([]outcome{
-			saOutcome(10, 101, false),
-			saOutcome(4, 51, false),
-			saOutcome(7, 31, false),
 		})
-		if best != 1 || doc.Objective != 4 {
-			t.Fatalf("best = %d, doc = %+v", best, doc)
+	}
+}
+
+// TestHandleRegister pins worker self-registration: only absolute
+// http(s) URLs are admitted, and every rejection is the JSON error
+// envelope.
+func TestHandleRegister(t *testing.T) {
+	c := NewCoordinator(Options{ProbeInterval: time.Hour})
+	defer c.Close()
+	h := c.Handler(http.NotFoundHandler())
+	cases := []struct {
+		name, body string
+		status     int
+	}{
+		{"empty body", "", http.StatusBadRequest},
+		{"not json", "{", http.StatusBadRequest},
+		{"not a url", `{"url":"not a url"}`, http.StatusBadRequest},
+		{"ftp scheme", `{"url":"ftp://x"}`, http.StatusBadRequest},
+		{"valid", `{"url":"http://127.0.0.1:8181/"}`, http.StatusOK},
+	}
+	for _, tc := range cases {
+		before := c.reg.healthyCount()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, RegisterPath, strings.NewReader(tc.body)))
+		if rec.Code != tc.status {
+			t.Errorf("%s: status = %d, want %d", tc.name, rec.Code, tc.status)
 		}
-		// Grouping-independent total: 1 + (100 + 50 + 30).
-		if doc.Evaluations != 181 {
-			t.Errorf("evaluations = %d, want 181", doc.Evaluations)
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: content type = %q", tc.name, ct)
 		}
-		if doc.Interrupted {
-			t.Error("interrupted = true on clean chains")
+		after := c.reg.healthyCount()
+		if tc.status != http.StatusOK {
+			var env serve.ErrorDoc
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != serve.ErrCodeBadRequest {
+				t.Errorf("%s: body %q is not a bad_request envelope", tc.name, rec.Body)
+			}
+			if after != before {
+				t.Errorf("%s: healthy workers %d -> %d on a rejected registration", tc.name, before, after)
+			}
+		} else if after != before+1 {
+			t.Errorf("%s: healthy workers %d -> %d, want one more", tc.name, before, after)
 		}
-	})
-	t.Run("ties-break-to-lowest-chain", func(t *testing.T) {
-		_, best := reduceSA([]outcome{saOutcome(5, 2, false), saOutcome(5, 2, false)})
-		if best != 0 {
-			t.Errorf("best = %d, want 0", best)
-		}
-	})
-	t.Run("interrupted-ors", func(t *testing.T) {
-		doc, _ := reduceSA([]outcome{saOutcome(5, 2, false), saOutcome(6, 2, true)})
-		if !doc.Interrupted {
-			t.Error("interrupted chain lost in reduce")
-		}
-	})
+	}
 }
 
 func TestRetryable(t *testing.T) {

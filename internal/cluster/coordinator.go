@@ -1,9 +1,9 @@
 package cluster
 
-// Coordinator: the serve.Dispatcher that shards a solve into work units,
-// leases them to workers, reassigns on failure, steals stragglers, and
-// reduces the results deterministically (see the package doc for the
-// full argument).
+// Coordinator: the serve.Dispatcher that executes core's work units of a
+// solve on workers — leasing them, reassigning on failure, stealing
+// stragglers — and folds the results with core.Reduce (see the package
+// doc for the full argument).
 
 import (
 	"bytes"
@@ -12,12 +12,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"incdes/internal/core"
 	"incdes/internal/obs"
 	"incdes/internal/obs/promtext"
 	"incdes/internal/serve"
@@ -111,20 +113,28 @@ func (c *Coordinator) Handler(next http.Handler) http.Handler {
 	return mux
 }
 
+// handleRegister admits a worker by its base URL, which must be an
+// absolute http or https URL; anything else gets the serve error
+// envelope and never enters the registry.
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var p RegisterParams
-	if err := json.NewDecoder(r.Body).Decode(&p); err != nil || p.URL == "" {
-		http.Error(w, `{"error":{"code":"bad_request","message":"body must be {\"url\":...}"}}`, http.StatusBadRequest)
+	if err := json.NewDecoder(r.Body).Decode(&p); err != nil || !validWorkerURL(p.URL) {
+		writeJSON(w, http.StatusBadRequest, serve.ErrorDoc{Error: serve.ErrorBody{
+			Code: serve.ErrCodeBadRequest, Message: `body must be {"url":"http(s)://host[:port]"}`,
+		}})
 		return
 	}
 	name := c.reg.add(strings.TrimRight(p.URL, "/"))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]string{"name": name})
+	writeJSON(w, http.StatusOK, map[string]string{"name": name})
+}
+
+func validWorkerURL(raw string) bool {
+	u, err := url.Parse(raw)
+	return err == nil && (u.Scheme == "http" || u.Scheme == "https") && u.Host != ""
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"workers": c.reg.info()})
+	writeJSON(w, http.StatusOK, map[string]any{"workers": c.reg.info()})
 }
 
 // probeLoop polls every worker's /readyz, feeding the load signal and
@@ -185,64 +195,24 @@ func (c *Coordinator) CanDispatch(p serve.SolveParams) bool {
 	return p.SAChainOffset == 0 && c.reg.healthyCount() > 0
 }
 
-// unit is one shard of a solve.
-type unit struct {
-	idx    int    // global unit index: reduce order and span/trace identity
-	lane   int    // portfolio lane (0 for non-portfolio)
-	chain  int    // SA chain index within the lane
-	tag    string // strategy tag for error wrapping ("AH", "MH", "SA")
-	params UnitParams
-}
-
-// planUnits shards the request: ah/mh run whole, sa fans one unit per
-// restart chain, portfolio fans its ah and mh lanes plus the SA lane's
-// chains.
-func planUnits(p serve.SolveParams) []unit {
-	base := UnitParams{
+// unitParams maps a planned unit onto the worker's /v1/solve
+// parameters: whole units name their strategy, and SA chain k runs as
+// sa-restarts=1&sa-chain-offset=k, which reproduces exactly chain k of
+// the local restart fan.
+func unitParams(p serve.SolveParams, u core.Unit) UnitParams {
+	up := UnitParams{
+		Strategy:  strings.ToLower(u.Name),
 		App:       p.App,
 		TimeoutMS: int64(p.Timeout / time.Millisecond),
 		NoCache:   p.NoCache,
 	}
-	switch p.Strategy {
-	case "sa":
-		return saUnits(p, base, 0, 0)
-	case "portfolio":
-		ah, mh := base, base
-		ah.Strategy, mh.Strategy = "ah", "mh"
-		units := []unit{
-			{idx: 0, lane: 0, tag: "AH", params: ah},
-			{idx: 1, lane: 1, tag: "MH", params: mh},
-		}
-		return append(units, saUnits(p, base, 2, 2)...)
-	default: // "", "ah", "mh": one unit, passed through
-		u := base
-		u.Strategy = p.Strategy
-		tag := "MH"
-		if p.Strategy == "ah" {
-			tag = "AH"
-		}
-		return []unit{{idx: 0, tag: tag, params: u}}
-	}
-}
-
-// saUnits emits one single-chain unit per restart: Restarts=1 with
-// ChainOffset=c reproduces exactly chain c of the local restart fan.
-func saUnits(p serve.SolveParams, base UnitParams, idx0, lane int) []unit {
-	restarts := p.SARestarts
-	if restarts < 1 {
-		restarts = 1
-	}
-	units := make([]unit, 0, restarts)
-	for ch := 0; ch < restarts; ch++ {
-		up := base
-		up.Strategy = "sa"
+	if u.Name == "SA" {
 		up.SAIters = p.SAIters
 		up.SASeed = p.SASeed
 		up.SARestarts = 1
-		up.SAChainOffset = ch
-		units = append(units, unit{idx: idx0 + ch, lane: lane, chain: ch, tag: "SA", params: up})
+		up.SAChainOffset = u.Chain
 	}
-	return units
+	return up
 }
 
 // outcome is one unit's terminal result.
@@ -252,9 +222,16 @@ type outcome struct {
 	err    error
 }
 
-// Dispatch shards, executes and reduces one solve.
+// Dispatch shards, executes and reduces one solve. The units and the
+// reduce are core's: the coordinator plans from the same strategy value
+// a local solve runs and only executes the units remotely.
 func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) (*serve.DispatchResult, error) {
-	units := planUnits(req.Params)
+	strat, err := req.Params.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	plan := core.Plan(strat)
+	units := plan.Units
 	var buf bytes.Buffer
 	if err := req.System.WriteJSON(&buf); err != nil {
 		return nil, fmt.Errorf("cluster: serializing system: %w", err)
@@ -271,10 +248,10 @@ func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) 
 	for i, u := range units {
 		_, spans[i] = obs.StartSpan(dctx, "cluster.unit")
 		if spans[i] != nil {
-			spans[i].SetAttr("unit", strconv.Itoa(u.idx))
-			spans[i].SetAttr("strategy", u.tag)
-			if u.tag == "SA" {
-				spans[i].SetAttr("chain", strconv.Itoa(u.chain))
+			spans[i].SetAttr("unit", strconv.Itoa(i))
+			spans[i].SetAttr("strategy", u.Name)
+			if u.Name == "SA" {
+				spans[i].SetAttr("chain", strconv.Itoa(u.Chain))
 			}
 		}
 	}
@@ -285,7 +262,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, worker, err := c.runUnit(ctx, req.Registry, requestID, units[i], system)
+			res, worker, err := c.runUnit(ctx, req.Registry, requestID, i, unitParams(req.Params, units[i]), system)
 			outs[i] = outcome{res: res, worker: worker, err: err}
 		}(i)
 	}
@@ -312,9 +289,12 @@ func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) 
 		return nil, err
 	}
 
-	doc, winner, err := c.reduce(req, units, outs)
+	doc, winner, err := foldResults(plan, outs)
 	if err != nil {
 		return nil, err
+	}
+	if req.Params.Strategy == "portfolio" {
+		req.Registry.Gauge(obs.GagPortfolioWinner).Set(int64(units[winner].Lane))
 	}
 	c.emitTrace(req.Tracer, units, outs, doc, winner)
 
@@ -339,7 +319,7 @@ type attempt struct {
 // runUnit executes one unit with lease-based retry and work stealing.
 // Duplicated or reassigned attempts are safe: every attempt of one unit
 // computes the identical result, so the first answer wins.
-func (c *Coordinator) runUnit(ctx context.Context, jreg *obs.Registry, requestID string, u unit, system json.RawMessage) (*ExecuteResult, string, error) {
+func (c *Coordinator) runUnit(ctx context.Context, jreg *obs.Registry, requestID string, idx int, up UnitParams, system json.RawMessage) (*ExecuteResult, string, error) {
 	jreg.Counter(obs.CtrClusterUnits).Inc()
 	t0 := time.Now()
 	defer func() { jreg.Histogram(obs.HstClusterUnitSecs).ObserveSince(t0) }()
@@ -355,9 +335,9 @@ func (c *Coordinator) runUnit(ctx context.Context, jreg *obs.Registry, requestID
 		running[ws.name] = true
 		go func() {
 			params := ExecuteParams{
-				RequestID: unitRequestID(requestID, u.idx),
-				Unit:      u.idx,
-				Params:    u.params,
+				RequestID: unitRequestID(requestID, idx),
+				Unit:      idx,
+				Params:    up,
 				System:    system,
 			}
 			res, err := c.rpc.execute(ctx, ws.url, params, func() {
@@ -446,105 +426,50 @@ func unitRequestID(requestID string, idx int) string {
 	return fmt.Sprintf("%s/u%d", requestID, idx)
 }
 
-// reduce folds unit outcomes into the solve's single solution document,
-// reproducing the local strategies' winner selection and error
-// precedence bit for bit. Returns the winning unit index.
-func (c *Coordinator) reduce(req *serve.DispatchRequest, units []unit, outs []outcome) (*serve.SolutionDoc, int, error) {
-	// RPC-level failures first, in unit order (these are coordinator
-	// infrastructure errors, not solve outcomes).
-	for i := range units {
-		if outs[i].err != nil {
-			return nil, 0, outs[i].err
-		}
-		if outs[i].res == nil || (outs[i].res.Status != serve.StatusFailed && outs[i].res.Doc == nil) {
-			return nil, 0, fmt.Errorf("cluster: unit %d returned no document", i)
-		}
-	}
-	switch req.Params.Strategy {
-	case "portfolio":
-		return c.reducePortfolio(req, units, outs)
-	case "sa":
-		// Deterministic solve failure: every unit fails identically, so
-		// the first chain's message is the local run's message.
-		for i := range units {
-			if outs[i].res.Status == serve.StatusFailed {
-				return nil, 0, errors.New(outs[i].res.Error)
-			}
-		}
-		doc, winner := reduceSA(outs)
-		return doc, winner, nil
-	default:
-		if outs[0].res.Status == serve.StatusFailed {
-			return nil, 0, errors.New(outs[0].res.Error)
-		}
-		return outs[0].res.Doc, 0, nil
-	}
-}
-
-// reduceSA picks the best chain — lowest objective, ties to the lowest
-// chain index (the same strict-less scan core's SA uses) — and rewrites
-// the evaluation count to the grouping-independent total: every chain
-// doc counts the shared initial evaluation once, so the fan of n chains
-// evaluated 1 + Σ(evals_i − 1) designs regardless of how the chains
-// were grouped onto workers.
-func reduceSA(outs []outcome) (*serve.SolutionDoc, int) {
-	best := -1
-	evals := 1
-	interrupted := false
+// foldResults folds unit outcomes into the solve's single solution
+// document through core.Reduce, so winner selection and error precedence
+// are the local strategies' own. RPC-level failures come first, in unit order:
+// they are coordinator infrastructure errors, not solve outcomes. The
+// winning unit's document carries the combined evaluation count and
+// interrupted flag. Returns the winning unit index.
+func foldResults(plan core.UnitPlan, outs []outcome) (*serve.SolutionDoc, int, error) {
+	results := make([]core.Outcome, len(outs))
 	for i, o := range outs {
-		evals += o.res.Doc.Evaluations - 1
-		interrupted = interrupted || o.res.Doc.Interrupted
-		if best < 0 || o.res.Doc.Objective < outs[best].res.Doc.Objective {
-			best = i
+		switch {
+		case o.err != nil:
+			return nil, 0, o.err
+		case o.res != nil && o.res.Status == serve.StatusFailed:
+			results[i].Err = errors.New(o.res.Error)
+		case o.res == nil || o.res.Doc == nil:
+			return nil, 0, fmt.Errorf("cluster: unit %d returned no document", i)
+		default:
+			d := o.res.Doc
+			results[i] = core.Outcome{Objective: d.Objective, Evaluations: d.Evaluations, Interrupted: d.Interrupted}
 		}
 	}
-	doc := *outs[best].res.Doc
-	doc.Evaluations = evals
-	doc.Interrupted = interrupted
-	return &doc, best
-}
-
-// reducePortfolio reproduces the local portfolio's error precedence
-// (first failed lane in lane order, wrapped with lane index and tag)
-// and winner selection (lowest objective, ties to the lowest lane).
-func (c *Coordinator) reducePortfolio(req *serve.DispatchRequest, units []unit, outs []outcome) (*serve.SolutionDoc, int, error) {
-	for i := range units {
-		if outs[i].res.Status == serve.StatusFailed {
-			return nil, 0, fmt.Errorf("core: portfolio lane %d (%s): %s", units[i].lane, units[i].tag, outs[i].res.Error)
-		}
+	winner, sum, err := core.Reduce(plan, results)
+	if err != nil {
+		return nil, 0, err
 	}
-	// Lane documents: ah and mh pass through; the SA lane reduces its
-	// chain units exactly like a standalone sa solve.
-	laneDocs := []*serve.SolutionDoc{outs[0].res.Doc, outs[1].res.Doc}
-	saDoc, saBest := reduceSA(outs[2:])
-	laneDocs = append(laneDocs, saDoc)
-	winner := 0
-	for i, d := range laneDocs {
-		if d.Objective < laneDocs[winner].Objective {
-			winner = i
-		}
-	}
-	req.Registry.Gauge(obs.GagPortfolioWinner).Set(int64(winner))
-	winnerUnit := winner
-	if winner == 2 {
-		winnerUnit = 2 + saBest
-	}
-	return laneDocs[winner], winnerUnit, nil
+	doc := *outs[winner].res.Doc
+	doc.Evaluations = sum.Evaluations
+	doc.Interrupted = sum.Interrupted
+	return &doc, winner, nil
 }
 
 // emitTrace records the deterministic cluster events into the job's SSE
 // buffer: one cluster.unit event per unit in index order, then the
 // decision. Worker names never appear here — the stream must not depend
 // on scheduling.
-func (c *Coordinator) emitTrace(t obs.Tracer, units []unit, outs []outcome, doc *serve.SolutionDoc, winner int) {
+func (c *Coordinator) emitTrace(t obs.Tracer, units []core.Unit, outs []outcome, doc *serve.SolutionDoc, winner int) {
 	if t == nil {
 		return
 	}
 	for i, u := range units {
 		ev := obs.TraceEvent{
 			Kind:     "cluster.unit",
-			Strategy: u.tag,
-			Chain:    u.idx,
+			Strategy: u.Name,
+			Chain:    i,
 			Feasible: outs[i].res != nil && outs[i].res.Doc != nil,
 		}
 		if outs[i].res != nil && outs[i].res.Doc != nil {
@@ -579,25 +504,7 @@ func (c *Coordinator) MetricsExtra(col *promtext.Collection) {
 			continue
 		}
 		col.Add(map[string]string{"worker": w.name}, *snap)
-		mergeSnapshot(agg, snap)
+		agg.Merge(*snap)
 	}
 	col.Add(map[string]string{"worker": "all"}, agg.Snapshot())
-}
-
-// mergeSnapshot folds one worker snapshot into the aggregate registry:
-// counters and timers add, gauges last-win, histograms merge bucket-wise.
-func mergeSnapshot(agg *obs.Registry, s *obs.Snapshot) {
-	for name, v := range s.Counters {
-		agg.Counter(name).Add(v)
-	}
-	for name, v := range s.Gauges {
-		agg.Gauge(name).Set(v)
-	}
-	for name, ns := range s.TimersNS {
-		agg.Timer(name).Observe(time.Duration(ns))
-	}
-	for name, hs := range s.Histograms {
-		// Mismatched bounds cannot merge; drop rather than corrupt.
-		_ = agg.Histogram(name).Merge(hs)
-	}
 }

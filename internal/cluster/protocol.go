@@ -23,12 +23,13 @@
 // worker's own serve stack — admission, solution cache, single-flight
 // and metrics all reused — and core.Solve is deterministic, so a unit's
 // result depends only on (system, unit params), never on which worker
-// ran it or how often it was retried or duplicated. The coordinator
-// reduces in unit index order with the same tie-breaks the local
-// strategies use (lowest objective, then lowest chain/lane index), and
-// rewrites the SA winner's evaluation count to the grouping-independent
-// total 1 + Σ(unit_evals − 1). A 1-worker and a 3-worker cluster — or a
-// cluster that lost and reassigned a worker mid-solve — therefore
+// ran it or how often it was retried or duplicated. The units are
+// core.Plan's split of the same strategy value a local solve runs, and
+// the coordinator folds their results with core.Reduce — the rules the
+// local strategies themselves use — so the winner, the error precedence
+// and the grouping-independent evaluation count 1 + Σ(unit_evals − 1)
+// come from core, not from a copy. A 1-worker and a 3-worker cluster —
+// or a cluster that lost and reassigned a worker mid-solve — therefore
 // return byte-identical solution documents.
 package cluster
 

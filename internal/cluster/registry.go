@@ -4,6 +4,7 @@ package cluster
 // the load signal (leases + reported queue depth) unit placement uses.
 
 import (
+	"strconv"
 	"sync"
 )
 
@@ -41,27 +42,13 @@ func (r *registry) add(url string) string {
 		return w.name
 	}
 	w := &workerState{
-		name:    "w" + itoa(len(r.workers)+1),
+		name:    "w" + strconv.Itoa(len(r.workers)+1),
 		url:     url,
 		healthy: true,
 	}
 	r.workers = append(r.workers, w)
 	r.byURL[url] = w
 	return w.name
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // pick leases the least-loaded healthy worker not in exclude (a set of

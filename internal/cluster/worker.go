@@ -68,28 +68,28 @@ func (w *Worker) Handler(next http.Handler) http.Handler {
 func (w *Worker) handleRPC(rw http.ResponseWriter, r *http.Request) {
 	var req rpcRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeRPC(rw, http.StatusBadRequest, rpcResponse{Error: &rpcError{Code: "bad_request", Message: err.Error()}})
+		writeJSON(rw, http.StatusBadRequest, rpcResponse{Error: &rpcError{Code: "bad_request", Message: err.Error()}})
 		return
 	}
 	switch req.Method {
 	case MethodSnapshot:
 		raw, err := json.Marshal(SnapshotResult{Snapshot: w.srv.StatsSnapshot()})
 		if err != nil {
-			writeRPC(rw, http.StatusInternalServerError, rpcResponse{ID: req.ID, Error: &rpcError{Code: "internal", Message: err.Error()}})
+			writeJSON(rw, http.StatusInternalServerError, rpcResponse{ID: req.ID, Error: &rpcError{Code: "internal", Message: err.Error()}})
 			return
 		}
-		writeRPC(rw, http.StatusOK, rpcResponse{ID: req.ID, Result: raw})
+		writeJSON(rw, http.StatusOK, rpcResponse{ID: req.ID, Result: raw})
 	case MethodExecute:
 		w.execute(rw, r, req)
 	default:
-		writeRPC(rw, http.StatusBadRequest, rpcResponse{ID: req.ID, Error: &rpcError{Code: "bad_request", Message: "unknown method " + req.Method}})
+		writeJSON(rw, http.StatusBadRequest, rpcResponse{ID: req.ID, Error: &rpcError{Code: "bad_request", Message: "unknown method " + req.Method}})
 	}
 }
 
-func writeRPC(rw http.ResponseWriter, code int, resp rpcResponse) {
+func writeJSON(rw http.ResponseWriter, code int, v any) {
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(code)
-	json.NewEncoder(rw).Encode(resp)
+	json.NewEncoder(rw).Encode(v)
 }
 
 // solveQuery maps unit params onto the /v1/solve query string.
@@ -155,14 +155,14 @@ func (r *recorder) Write(b []byte) (int, error) {
 func (w *Worker) execute(rw http.ResponseWriter, r *http.Request, req rpcRequest) {
 	var p ExecuteParams
 	if err := json.Unmarshal(req.Params, &p); err != nil {
-		writeRPC(rw, http.StatusBadRequest, rpcResponse{ID: req.ID, Error: &rpcError{Code: "bad_request", Message: err.Error()}})
+		writeJSON(rw, http.StatusBadRequest, rpcResponse{ID: req.ID, Error: &rpcError{Code: "bad_request", Message: err.Error()}})
 		return
 	}
 	flusher, canStream := rw.(http.Flusher)
 
 	hreq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "/v1/solve?"+solveQuery(p.Params), bytes.NewReader(p.System))
 	if err != nil {
-		writeRPC(rw, http.StatusBadRequest, rpcResponse{ID: req.ID, Error: &rpcError{Code: "bad_request", Message: err.Error()}})
+		writeJSON(rw, http.StatusBadRequest, rpcResponse{ID: req.ID, Error: &rpcError{Code: "bad_request", Message: err.Error()}})
 		return
 	}
 	if p.RequestID != "" {
@@ -204,7 +204,7 @@ func (w *Worker) execute(rw http.ResponseWriter, r *http.Request, req rpcRequest
 
 	resp := w.unitResponse(req.ID, p, rec)
 	if !canStream {
-		writeRPC(rw, http.StatusOK, resp)
+		writeJSON(rw, http.StatusOK, resp)
 		return
 	}
 	fmt.Fprint(rw, "event: result\ndata: ")

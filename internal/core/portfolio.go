@@ -18,6 +18,14 @@ type PortfolioOptions struct {
 	Lanes []Strategy
 }
 
+// lanes resolves the nil default.
+func (o PortfolioOptions) lanes() []Strategy {
+	if len(o.Lanes) == 0 {
+		return []Strategy{AH, MH, SA}
+	}
+	return o.Lanes
+}
+
 // PortfolioWith returns a strategy that races opts.Lanes concurrently
 // under the Solve call's context and returns the winner.
 //
@@ -69,10 +77,7 @@ func isCtxErr(err error) bool {
 }
 
 func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
-	lanes := s.opts.Lanes
-	if len(lanes) == 0 {
-		lanes = []Strategy{AH, MH, SA}
-	}
+	lanes := s.opts.lanes()
 	reg := eng.Stats()
 	reg.Counter(obs.CtrPortfolioRaces).Inc()
 
@@ -84,12 +89,14 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 	// their IDs and order are deterministic regardless of how the lane
 	// goroutines interleave; only End (the duration) happens in the lane.
 	laneSpans := make([]*obs.Span, len(lanes))
+	names := make([]string, len(lanes))
 	for i := range lanes {
+		names[i] = lanes[i].Name()
 		laneCtxs[i], cancels[i] = context.WithCancel(raceCtx)
 		defer cancels[i]()
 		_, laneSpans[i] = obs.StartSpan(ctx, "portfolio.lane")
 		laneSpans[i].SetAttr("lane", strconv.Itoa(i))
-		laneSpans[i].SetAttr("strategy", lanes[i].Name())
+		laneSpans[i].SetAttr("strategy", names[i])
 	}
 
 	results := make([]laneResult, len(lanes))
@@ -172,32 +179,19 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 
 	reg.Counter(obs.CtrPortfolioCancelled).Add(int64(shortcutCancelled))
 
-	// Lowest-index deterministic error wins over any solution: lane
-	// errors are pure functions of the problem, so every run of the race
-	// observes the same set of them.
+	// Reduce by the lane rule (see Reduce): the lowest-index
+	// deterministic lane error beats any solution, else the lowest
+	// (objective, lane) wins.
+	outs := make([]Outcome, len(results))
 	for i, r := range results {
-		if r.err != nil && !isCtxErr(r.err) {
-			return nil, fmt.Errorf("core: portfolio lane %d (%s): %w", i, lanes[i].Name(), r.err)
+		outs[i].Err = r.err
+		if r.sol != nil {
+			outs[i].Objective = r.sol.Objective()
 		}
 	}
-
-	winner := -1
-	for i, r := range results {
-		if r.err != nil || r.sol == nil {
-			continue
-		}
-		if winner < 0 || r.sol.Objective() < results[winner].sol.Objective() {
-			winner = i
-		}
-	}
-	if winner < 0 {
-		// Every lane was cancelled before finding a feasible design.
-		for _, r := range results {
-			if r.err != nil {
-				return nil, r.err
-			}
-		}
-		return nil, ctx.Err()
+	winner, err := reduceLanes(names, outs)
+	if err != nil {
+		return nil, err
 	}
 
 	if eng.Tracing() {
@@ -208,7 +202,7 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 			}
 			lane := obs.TraceEvent{
 				Kind:        "portfolio.lane",
-				Strategy:    lanes[i].Name(),
+				Strategy:    names[i],
 				Chain:       i,
 				Evaluations: r.evals,
 				Feasible:    r.err == nil && r.sol != nil,

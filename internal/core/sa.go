@@ -28,7 +28,7 @@ type SAOptions struct {
 	Iterations int
 	// Restarts is the number of independent annealing chains; the best
 	// chain result wins (ties break toward the lowest chain index). The
-	// chains are what Solve fans across workers. 0 means 1.
+	// chains are what Solve fans across workers. Values below 1 mean 1.
 	Restarts int
 	// ChainOffset shifts the global chain index: local chain c derives
 	// its RNG stream from chain index ChainOffset+c. A cluster
@@ -67,7 +67,7 @@ func (o SAOptions) normalized(nProcs int) SAOptions {
 			o.Iterations = 3000
 		}
 	}
-	if o.Restarts == 0 {
+	if o.Restarts < 1 {
 		o.Restarts = 1
 	}
 	if o.InitialTemp == 0 {
@@ -163,27 +163,25 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 		chains[c] = s.runChain(ctx, eng, c, o, ix, procs, msgs, mapping0, report0, st0, ctr)
 	})
 
-	// Reduce: best objective wins, ties break toward the lowest chain
-	// index — a deterministic order however the chains were scheduled.
-	// The chains' buffered trace events flush here, in chain order.
+	// Reduce by the chain rule (see Reduce). The chains' buffered trace
+	// events flush here, in chain order; a chain that never started
+	// reports the context error and is skipped.
 	cChains := reg.Counter(obs.CtrSAChains)
-	best := -1
-	interrupted := ctx.Err() != nil
+	outs := make([]Outcome, len(chains))
 	for c := range chains {
-		if chains[c].err != nil {
-			return nil, chains[c].err
-		}
 		for _, ev := range chains[c].events {
 			eng.Trace(ev)
 		}
 		if !chains[c].ran {
+			outs[c].Err = ctx.Err()
 			continue
 		}
 		cChains.Inc()
-		interrupted = interrupted || chains[c].interrupted
-		if best < 0 || chains[c].report.Objective < chains[best].report.Objective {
-			best = c
-		}
+		outs[c] = Outcome{Objective: chains[c].report.Objective, Interrupted: chains[c].interrupted, Err: chains[c].err}
+	}
+	best, sum := reduceChains(outs)
+	if sum.Err != nil && !isCtxErr(sum.Err) {
+		return nil, sum.Err
 	}
 	if best < 0 {
 		// Cancelled before any chain started: the initial mapping is the
@@ -201,7 +199,7 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 		Hints:       win.hints,
 		State:       win.state,
 		Report:      win.report,
-		Interrupted: interrupted,
+		Interrupted: sum.Interrupted || ctx.Err() != nil,
 	}, nil
 }
 

@@ -15,6 +15,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -143,8 +144,8 @@ func (h *Histogram) Merge(s HistogramSnapshot) error {
 	if h == nil || s.Count == 0 && s.Sum == 0 {
 		return nil
 	}
-	if len(s.Counts) != len(h.counts) {
-		return fmt.Errorf("obs: merging histogram with %d buckets into %d", len(s.Counts), len(h.counts))
+	if len(s.Counts) != len(h.counts) || !slices.Equal(s.Bounds, h.bounds) {
+		return fmt.Errorf("obs: merging histogram with bounds %v into %v", s.Bounds, h.bounds)
 	}
 	for i, n := range s.Counts {
 		h.counts[i].Add(n)

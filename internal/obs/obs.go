@@ -388,6 +388,30 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// Merge folds a snapshot into the registry: counters and timers add,
+// gauges take the snapshot's value, and histograms merge bucket-wise. A
+// histogram whose bounds differ from the registry's is dropped rather
+// than mixed into an incompatible bucket grid. This is how per-job
+// registries fold into the serve aggregates and worker snapshots into a
+// coordinator's fleet view. No-op on a nil registry.
+func (r *Registry) Merge(s Snapshot) {
+	if r == nil {
+		return
+	}
+	for name, v := range s.Counters {
+		r.Counter(name).Add(v)
+	}
+	for name, v := range s.Gauges {
+		r.Gauge(name).Set(v)
+	}
+	for name, ns := range s.TimersNS {
+		r.Timer(name).Observe(time.Duration(ns))
+	}
+	for name, hs := range s.Histograms {
+		_ = r.Histogram(name).Merge(hs)
+	}
+}
+
 // SnapshotSchemaVersion identifies the JSON layout of Snapshot. Bump it
 // when a field changes meaning or shape, so stats files written by
 // different revisions of the tools can be told apart when diffing.

@@ -265,3 +265,49 @@ func TestCatalogCoversDeclaredNames(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryMerge pins the aggregate fold every per-job and per-worker
+// snapshot goes through: counters and timers add, gauges take the last
+// value, histograms merge bucket-wise, and a histogram whose bounds do
+// not match the registry's is dropped.
+func TestRegistryMerge(t *testing.T) {
+	src := NewRegistry()
+	src.Counter(CtrEvaluations).Add(5)
+	src.Gauge(GagWorkers).Set(4)
+	src.Timer(TmrWorkerBusy).Observe(2 * time.Millisecond)
+	src.Histogram(HstSolveSeconds).Observe(0.003)
+	odd := NewHistogram([]float64{1, 2})
+	odd.Observe(1.5)
+	shifted := NewHistogram(LogBounds(1, 1, len(LatencyBounds()))) // same bucket count
+	shifted.Observe(1.5)
+	snap := src.Snapshot()
+	snap.Histograms["odd"] = odd.Snapshot()
+	snap.Histograms["shifted"] = shifted.Snapshot()
+
+	agg := NewRegistry()
+	agg.Gauge(GagWorkers).Set(9)
+	agg.Histogram("odd").Observe(0.5)
+	agg.Merge(snap)
+	agg.Merge(snap)
+
+	if got := agg.Counter(CtrEvaluations).Load(); got != 10 {
+		t.Errorf("counter = %d, want 10", got)
+	}
+	if got := agg.Gauge(GagWorkers).Load(); got != 4 {
+		t.Errorf("gauge = %d, want 4 (last value)", got)
+	}
+	if got := agg.Timer(TmrWorkerBusy).Total(); got != 4*time.Millisecond {
+		t.Errorf("timer = %v, want 4ms", got)
+	}
+	if got := agg.Histogram(HstSolveSeconds).Count(); got != 2 {
+		t.Errorf("histogram count = %d, want 2", got)
+	}
+	if got := agg.Histogram("odd").Snapshot(); got.Count != 1 || got.Sum != 0.5 {
+		t.Errorf("mismatched-bounds histogram merged: %+v", got)
+	}
+	if got := agg.Histogram("shifted").Count(); got != 0 {
+		t.Errorf("histogram with equal bucket count but other bounds merged %d observations", got)
+	}
+	var nilReg *Registry
+	nilReg.Merge(snap) // no-op, must not panic
+}

@@ -42,8 +42,10 @@ type SolveParams struct {
 	NoCache       bool          // cache=off: bypass the solution cache for this request
 }
 
-// strategy resolves the params into a core.Strategy.
-func (p SolveParams) strategy() (core.Strategy, error) {
+// Resolve maps the params onto the core.Strategy a local solve runs. A
+// cluster coordinator plans its work units from the same value, so local
+// and dispatched solves split and reduce identically.
+func (p SolveParams) Resolve() (core.Strategy, error) {
 	switch p.Strategy {
 	case "", "mh":
 		return core.MH, nil

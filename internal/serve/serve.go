@@ -578,7 +578,7 @@ func (s *Server) solveWork(j *job, sys *model.System, p *core.Problem, frozen in
 		}
 	}
 	return func(ctx context.Context) (*SolutionDoc, error) {
-		strat, err := params.strategy() // validated at submit; cannot fail here
+		strat, err := params.Resolve() // validated at submit; cannot fail here
 		if err != nil {
 			return nil, err
 		}
@@ -618,32 +618,13 @@ func (s *Server) finalize(j *job) {
 		agg = obs.NewRegistry()
 		s.perStrat[j.strategy] = agg
 	}
-	mergeSnapshot(agg, snap)
-	mergeSnapshot(s.global, snap)
+	agg.Merge(snap)
+	s.global.Merge(snap)
 	s.solves[[2]string{j.strategy, status}]++
 	s.finished = append(s.finished, j.id)
 	for len(s.finished) > s.cfg.RetainJobs {
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
-	}
-}
-
-// mergeSnapshot accumulates one job's instruments into an aggregate
-// registry: counters and timers add, gauges keep the last job's value.
-func mergeSnapshot(dst *obs.Registry, snap obs.Snapshot) {
-	for name, v := range snap.Counters {
-		dst.Counter(name).Add(v)
-	}
-	for name, v := range snap.Gauges {
-		dst.Gauge(name).Set(v)
-	}
-	for name, ns := range snap.TimersNS {
-		dst.Timer(name).Observe(time.Duration(ns))
-	}
-	for name, hs := range snap.Histograms {
-		// Merge only rejects mismatched bucket layouts, which cannot
-		// happen between registries that both use the catalog bounds.
-		dst.Histogram(name).Merge(hs)
 	}
 }
 
@@ -663,7 +644,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
 		return
 	}
-	strat, err := params.strategy()
+	strat, err := params.Resolve()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
 		return

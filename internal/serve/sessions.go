@@ -160,7 +160,7 @@ func (s *Server) handleSessionCommit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
 		return
 	}
-	strat, err := params.strategy()
+	strat, err := params.Resolve()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
 		return
