@@ -76,8 +76,11 @@ func TestLargestAppMsgBytes(t *testing.T) {
 	p := PaperProfile(100, 40, 16)
 	items := p.LargestAppMsgBytes(200) // 2 windows -> 32 bytes demand
 	var total int64
-	for _, it := range items {
+	for i, it := range items {
 		total += it
+		if i > 0 && items[i-1] < it {
+			t.Error("items not in decreasing order")
+		}
 	}
 	if total < 32 || total >= 32+2 {
 		t.Errorf("message demand total = %d, want [32,34)", total)

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 
 	"incdes/internal/future"
 	"incdes/internal/model"
@@ -15,11 +14,11 @@ import (
 // Baseline caches every metric input that depends only on the frozen
 // base schedule: per-node slack intervals and per-window slack vectors,
 // the per-occurrence and per-window free bus capacity, and the
-// future-application item lists (pre-sorted for the best-fit-decreasing
-// packing). An evaluation of a candidate design that differs from the
-// base by an open sched.Txn then only recomputes the touched node
-// timelines and patches the touched slot occurrences — everything else
-// is read from here.
+// future-application item lists (in decreasing size, the order the
+// best-fit-decreasing packing takes them). An evaluation of a candidate
+// design that differs from the base by an open sched.Txn then only
+// recomputes the touched node timelines and patches the touched slot
+// occurrences — everything else is read from here.
 //
 // A Baseline is immutable after construction and safe to share across
 // evaluation workers; the mutable scratch lives in the per-worker
@@ -33,8 +32,8 @@ type Baseline struct {
 	// it is ascending, which is also slack.AllIntervals's bin order.
 	nodeIDs []model.NodeID
 
-	items  []int64 // LargestAppWCETs, sorted decreasing (C1P objects)
-	mItems []int64 // LargestAppMsgBytes, sorted decreasing (C1m objects)
+	items  []int64 // LargestAppWCETs, decreasing (C1P objects)
+	mItems []int64 // LargestAppMsgBytes, decreasing (C1m objects)
 
 	gapLens  map[model.NodeID][]int64 // slack interval lengths per node
 	winSlack map[model.NodeID][]tm.Time
@@ -56,8 +55,8 @@ func NewBaseline(base *sched.State, prof *future.Profile, w Weights) *Baseline {
 		horizon: horizon,
 		nodeIDs: base.System().Arch.NodeIDs(),
 	}
-	b.items = sortedDecreasing(prof.LargestAppWCETs(horizon))
-	b.mItems = sortedDecreasing(prof.LargestAppMsgBytes(horizon))
+	b.items = prof.LargestAppWCETs(horizon)
+	b.mItems = prof.LargestAppMsgBytes(horizon)
 
 	perNode := slack.Processor(base)
 	b.gapLens = make(map[model.NodeID][]int64, len(b.nodeIDs))
@@ -83,14 +82,6 @@ func NewBaseline(base *sched.State, prof *future.Profile, w Weights) *Baseline {
 		b.busTmin = horizon // BusWindowFree's single-window clipping
 	}
 	return b
-}
-
-// sortedDecreasing returns a copy of items in the order
-// pack.BestFitDecreasing would process them.
-func sortedDecreasing(items []int64) []int64 {
-	out := append([]int64(nil), items...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i] > out[j] })
-	return out
 }
 
 // Evaluator returns a fresh evaluator over the baseline. Each evaluation

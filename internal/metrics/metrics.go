@@ -91,15 +91,18 @@ func Evaluate(st *sched.State, prof *future.Profile, w Weights) Report {
 	perNode := slack.Processor(st)
 
 	// Criterion 1, processes: pack the largest future application into
-	// the slack intervals of all processors.
+	// the slack intervals of all processors. The item lists come in
+	// decreasing size, so best-fit in their order is best-fit-decreasing.
 	items := prof.LargestAppWCETs(horizon)
 	bins := slack.Lengths(slack.AllIntervals(perNode))
-	r.C1P = 100 * pack.BestFitDecreasing(items, bins).UnpackedFraction()
+	frac, scratch := pack.BestFitUnpacked(items, bins, nil)
+	r.C1P = 100 * frac
 
 	// Criterion 1, messages: pack future messages into free slot bytes.
 	mItems := prof.LargestAppMsgBytes(horizon)
 	mBins := slack.BusFreeBytes(st)
-	r.C1m = 100 * pack.BestFitDecreasing(mItems, mBins).UnpackedFraction()
+	frac, _ = pack.BestFitUnpacked(mItems, mBins, scratch)
+	r.C1m = 100 * frac
 
 	// Criterion 2, processes: periodic slack per node, summed; plus the
 	// smooth per-window fill used as a tie-breaker by the heuristics.

@@ -2,13 +2,19 @@
 // design criterion: the processes (or messages) of the largest expected
 // future application are the objects, and the slack intervals (or free
 // slot capacities) of a design alternative are the containers. The paper
-// prescribes the best-fit policy.
+// prescribes the best-fit policy, fed with the items in decreasing size.
+//
+// BestFitUnpacked is the packer the metrics run: an exact best-fit over a
+// sorted multiset of remaining capacities, O(B log B + I log B) for I
+// items and B bins. BestFit is the reference — the plain per-item scan of
+// every bin, which also records which bin each item went to — that the
+// tests hold BestFitUnpacked against.
 //
 // Sizes are plain int64 so the same packer serves time units (process
 // slack) and bytes (bus slack).
 package pack
 
-import "sort"
+import "slices"
 
 // Result reports how a packing attempt went.
 type Result struct {
@@ -32,8 +38,9 @@ func (r Result) UnpackedFraction() float64 {
 
 // BestFit packs items (in the given order) into bins using the best-fit
 // policy: each item goes into the bin with the smallest remaining capacity
-// that still fits it. Items that fit nowhere are left unpacked. The bins
-// slice is not modified.
+// that still fits it, the lowest-index such bin on ties. Items that fit
+// nowhere are left unpacked. The bins slice is not modified. It scans
+// every bin for every item and is kept as the reference implementation.
 func BestFit(items, bins []int64) Result {
 	remaining := append([]int64(nil), bins...)
 	res := Result{Assignment: make([]int, len(items))}
@@ -57,29 +64,44 @@ func BestFit(items, bins []int64) Result {
 	return res
 }
 
-// BestFitUnpacked returns the unpacked fraction of packing items (in
-// the given order) into bins with the best-fit policy, without building
-// an assignment. scratch is reused for the remaining capacities and the
-// (possibly grown) slice is returned for the next call. The placement
-// loop and the fraction arithmetic are exactly BestFit's followed by
-// Result.UnpackedFraction, so the value is bit-identical — this is the
-// allocation-free form the incremental metrics evaluator runs once per
+// BestFitUnpacked returns the unpacked fraction of packing items (in the
+// given order) into bins with the best-fit policy, without building an
+// assignment. scratch is reused for the remaining capacities and the
+// (possibly grown) slice is returned for the next call; bins is not
+// modified. This is the allocation-free form the metrics run once per
 // candidate design.
+//
+// The remaining capacities are kept as a sorted multiset: bins is copied
+// and sorted once, and each item binary-searches the smallest capacity
+// that fits it, which is removed and replaced by the leftover capacity
+// at its sorted position. The leftover is smaller, so that position is at
+// or before the removed one and the update is one copy shift.
+//
+// The value is bit-identical to BestFit(items, bins).UnpackedFraction().
+// Best-fit's whole state is the multiset of remaining capacities: two bins
+// with equal remaining capacity are interchangeable for every later item,
+// so BestFit's lowest-index tie-break may pick a different bin but leaves
+// the same multiset. Every item is therefore packed or left unpacked
+// exactly as BestFit does, the totals accumulate over the same items in
+// the same order, and the fraction is the same expression.
+//
+// Item sizes must be positive (future.Profile.Validate guarantees it for
+// the metrics' items); a negative size would grow a capacity and break
+// the sorted order.
 func BestFitUnpacked(items, bins, scratch []int64) (float64, []int64) {
 	remaining := append(scratch[:0], bins...)
+	slices.Sort(remaining)
 	var packed, unpacked int64
 	for _, size := range items {
-		best := -1
-		for b, free := range remaining {
-			if free >= size && (best == -1 || free < remaining[best]) {
-				best = b
-			}
-		}
-		if best == -1 {
+		i, _ := slices.BinarySearch(remaining, size)
+		if i == len(remaining) {
 			unpacked += size
 			continue
 		}
-		remaining[best] -= size
+		left := remaining[i] - size
+		j, _ := slices.BinarySearch(remaining[:i], left)
+		copy(remaining[j+1:i+1], remaining[j:i])
+		remaining[j] = left
 		packed += size
 	}
 	total := packed + unpacked
@@ -87,55 +109,4 @@ func BestFitUnpacked(items, bins, scratch []int64) (float64, []int64) {
 		return 0, remaining
 	}
 	return float64(unpacked) / float64(total), remaining
-}
-
-// BestFitDecreasing sorts the items in decreasing size before running
-// best-fit. This is the configuration the paper's C1 metric uses: large
-// future processes claim the large contiguous slacks first, so a
-// fragmented design is penalized exactly when fragmentation hurts.
-func BestFitDecreasing(items, bins []int64) Result {
-	order := make([]int, len(items))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return items[order[a]] > items[order[b]] })
-	sorted := make([]int64, len(items))
-	for i, idx := range order {
-		sorted[i] = items[idx]
-	}
-	res := BestFit(sorted, bins)
-	// Translate the assignment back to the caller's item order.
-	assignment := make([]int, len(items))
-	for i, idx := range order {
-		assignment[idx] = res.Assignment[i]
-	}
-	res.Assignment = assignment
-	return res
-}
-
-// FirstFit packs items (in the given order) into the first bin that fits.
-// It exists as a baseline for tests and ablations; the metrics use
-// best-fit per the paper.
-func FirstFit(items, bins []int64) Result {
-	remaining := append([]int64(nil), bins...)
-	res := Result{Assignment: make([]int, len(items))}
-	for i, size := range items {
-		placed := -1
-		for b, free := range remaining {
-			if free >= size {
-				placed = b
-				break
-			}
-		}
-		res.Assignment[i] = placed
-		if placed == -1 {
-			res.UnpackedTotal += size
-			res.UnpackedCount++
-			continue
-		}
-		remaining[placed] -= size
-		res.PackedTotal += size
-		res.PackedCount++
-	}
-	return res
 }
