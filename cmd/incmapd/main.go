@@ -10,8 +10,8 @@
 //	        [-coordinator -workers URL,URL,...]
 //	        [-worker-of URL [-advertise URL]]
 //
-// Endpoints (API under /v1; the old unversioned solve paths remain as
-// aliases for one release):
+// Endpoints (the API lives under /v1 only; /metrics, /healthz and
+// /readyz answer both bare and under /v1):
 //
 //	POST   /v1/solve              submit a system JSON; returns the solution document
 //	POST   /v1/solve?detach=1     submit and return 202 + job id immediately
@@ -33,7 +33,8 @@
 //	GET    /debug/pprof/          profiling (only with -pprof)
 //
 // Query parameters of /v1/solve: strategy=ah|mh|sa|portfolio, app=<name>,
-// sa-iters, sa-restarts, seed, parallel, timeout (Go duration), cache=off.
+// sa-iters, sa-restarts (at most 64), seed, parallel, timeout (Go
+// duration), cache=off.
 // /v1/sessions/{id}/commits accepts the same solve knobs plus branch=.
 //
 // With -solution-cache N the server keeps the last N solve results keyed

@@ -4,14 +4,13 @@
 // coalesces concurrent identical requests onto one solve.
 //
 // The fingerprint is the load-bearing piece. core.Solve is deterministic
-// — for a fixed (problem, strategy tuning) every parallelism level,
-// cache size and evaluation mode yields a byte-identical result — so two
-// requests whose fingerprints collide on purpose (same canonical
-// serialization) are guaranteed to produce the same SolutionDoc, and a
-// cached result can be served in place of a solve without changing any
-// response byte. Fields that cannot change the result (parallelism,
-// memo size, incremental mode, observers) are deliberately excluded
-// from the hash; everything that can is included.
+// — for a fixed (problem, strategy tuning) every parallelism level and
+// memo size yields a byte-identical result — so two requests whose
+// fingerprints collide on purpose (same canonical serialization) are
+// guaranteed to produce the same SolutionDoc, and a cached result can be
+// served in place of a solve without changing any response byte. Fields that cannot change the result (parallelism,
+// memo size, observers) are deliberately excluded from the hash;
+// everything that can is included.
 package cache
 
 import (

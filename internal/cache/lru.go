@@ -7,18 +7,14 @@ import (
 
 // LRU is a size-bounded, thread-safe least-recently-used map from
 // fingerprint to cached value. It is deliberately value-agnostic (the
-// serve layer stores solution entries, sessions store commit results)
-// and tracks its own hit/miss/eviction tallies so callers can mirror
-// them into an obs.Registry without double bookkeeping.
+// serve layer stores solution entries, sessions store commit results).
+// Callers count outcomes in their own instruments: Get reports a hit,
+// Put an eviction.
 type LRU struct {
 	mu    sync.Mutex
 	max   int
 	order *list.List // front = most recent
 	items map[string]*list.Element
-
-	hits      int64
-	misses    int64
-	evictions int64
 }
 
 type lruEntry struct {
@@ -46,10 +42,8 @@ func (c *LRU) Get(key string) (any, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.order.MoveToFront(el)
 	return el.Value.(*lruEntry).val, true
 }
@@ -69,7 +63,6 @@ func (c *LRU) Put(key string, val any) bool {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		delete(c.items, oldest.Value.(*lruEntry).key)
-		c.evictions++
 		evicted = true
 	}
 	c.items[key] = c.order.PushFront(&lruEntry{key: key, val: val})
@@ -81,11 +74,4 @@ func (c *LRU) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// Stats returns cumulative hit, miss and eviction counts.
-func (c *LRU) Stats() (hits, misses, evictions int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
 }

@@ -40,15 +40,26 @@ func TestLRUUpdateInPlace(t *testing.T) {
 	}
 }
 
-func TestLRUStats(t *testing.T) {
-	l := NewLRU(1)
-	l.Get("missing")
-	l.Put("a", 1)
-	l.Get("a")
-	l.Put("b", 2) // evicts a
-	hits, misses, evictions := l.Stats()
-	if hits != 1 || misses != 1 || evictions != 1 {
-		t.Errorf("Stats = %d/%d/%d, want 1/1/1", hits, misses, evictions)
+// TestLRUPutReportsEvictions pins the eviction report callers count
+// in their own instruments: exactly one per displaced entry, none for
+// inserts under capacity or in-place updates.
+func TestLRUPutReportsEvictions(t *testing.T) {
+	l := NewLRU(2)
+	evictions := 0
+	for _, k := range []string{"a", "b", "a", "c", "d", "d", "e"} {
+		if l.Put(k, k) {
+			evictions++
+		}
+	}
+	// a, b fill the cache; a updates in place; c evicts b; d evicts a;
+	// d updates in place; e evicts c.
+	if evictions != 3 {
+		t.Errorf("Put reported %d evictions, want 3", evictions)
+	}
+	for k, want := range map[string]bool{"a": false, "b": false, "c": false, "d": true, "e": true} {
+		if _, ok := l.Get(k); ok != want {
+			t.Errorf("Get(%s) present = %v, want %v", k, ok, want)
+		}
 	}
 }
 

@@ -293,9 +293,6 @@ func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) 
 	if err != nil {
 		return nil, err
 	}
-	if req.Params.Strategy == "portfolio" {
-		req.Registry.Gauge(obs.GagPortfolioWinner).Set(int64(units[winner].Lane))
-	}
 	c.emitTrace(req.Tracer, units, outs, doc, winner)
 
 	var workers []string

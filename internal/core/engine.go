@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"incdes/internal/metrics"
 	"incdes/internal/model"
@@ -65,16 +65,8 @@ type Engine struct {
 	cHits       *obs.Counter
 	cMisses     *obs.Counter
 	cInfeasible *obs.Counter
-	tBusy       *obs.Timer
 	schedStats  sched.Stats
 	ttpStats    ttp.Stats
-
-	// Transactional-evaluation instruments (nil no-ops without observer).
-	cTxnApplies   *obs.Counter
-	cTxnRollbacks *obs.Counter
-	cTxnDirty     *obs.Counter
-	cTxnIncr      *obs.Counter
-	cTxnFull      *obs.Counter
 
 	// procIDs and msgIDs of the current application in sorted order:
 	// the canonical field order of the evaluation-memo key.
@@ -101,7 +93,7 @@ func newEngine(p *Problem, opts Options) *Engine {
 		e.baseline = metrics.NewBaseline(p.Base, p.Profile, p.Weights)
 	}
 	if e.parallelism <= 0 {
-		e.parallelism = defaultParallelism()
+		e.parallelism = runtime.GOMAXPROCS(0)
 	}
 	size := opts.CacheSize
 	if size == 0 {
@@ -120,15 +112,8 @@ func newEngine(p *Problem, opts Options) *Engine {
 		e.cHits = reg.Counter(obs.CtrCacheHits)
 		e.cMisses = reg.Counter(obs.CtrCacheMisses)
 		e.cInfeasible = reg.Counter(obs.CtrInfeasible)
-		e.tBusy = reg.Timer(obs.TmrWorkerBusy)
-		e.cTxnApplies = reg.Counter(obs.CtrTxnApplies)
-		e.cTxnRollbacks = reg.Counter(obs.CtrTxnRollbacks)
-		e.cTxnDirty = reg.Counter(obs.CtrTxnDirty)
-		e.cTxnIncr = reg.Counter(obs.CtrTxnIncremental)
-		e.cTxnFull = reg.Counter(obs.CtrTxnFull)
 		e.schedStats = sched.StatsFrom(reg)
 		e.ttpStats = ttp.StatsFrom(reg)
-		reg.Gauge(obs.GagWorkers).Set(int64(e.parallelism))
 	}
 	for _, g := range p.Current.Graphs {
 		for _, pr := range g.Procs {
@@ -156,11 +141,6 @@ func (e *Engine) Evaluations() int64 { return e.evals.Load() }
 // memo. The count is informational: concurrent workers may race to fill
 // an entry, so it can vary across runs even though results never do.
 func (e *Engine) CacheHits() int64 { return e.hits.Load() }
-
-// Stats returns the registry of the Solve call's observer, nil when the
-// call carries none. Strategies resolve their instruments from it once
-// per run; a nil registry yields nil (no-op) instruments.
-func (e *Engine) Stats() *obs.Registry { return e.observer.Registry() }
 
 // Tracing reports whether a trace sink is attached, so emitters can skip
 // building events entirely when tracing is off.
@@ -250,22 +230,14 @@ func (e *Engine) evaluateTxn(mapping model.Mapping, hints sched.Hints) cacheEntr
 		}
 	}
 	txn := scr.st.Begin()
-	e.cTxnApplies.Inc()
 	var ent cacheEntry
 	if err := txn.Apply(e.p.Current, mapping, hints); err == nil {
-		rep, full := scr.inc.EvaluateTxn(scr.st, txn)
-		if full {
-			e.cTxnFull.Inc()
-		} else {
-			e.cTxnIncr.Inc()
-		}
+		rep, _ := scr.inc.EvaluateTxn(scr.st, txn)
 		ent = cacheEntry{rep: rep, ok: true}
 	} else {
 		e.cInfeasible.Inc()
 	}
-	e.cTxnDirty.Add(int64(txn.DirtyIntervals()))
 	txn.Rollback()
-	e.cTxnRollbacks.Inc()
 	e.scratch.Put(scr)
 	return ent
 }
@@ -277,22 +249,6 @@ func (e *Engine) Materialize(mapping model.Mapping, hints sched.Hints) (*sched.S
 	return e.p.evaluate(mapping, hints)
 }
 
-// busyStart begins a worker busy-time measurement; the zero time means
-// "not measuring" (no observer), so the timer never reads the clock when
-// observability is off.
-func (e *Engine) busyStart() time.Time {
-	if e.tBusy == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (e *Engine) busyEnd(t0 time.Time) {
-	if !t0.IsZero() {
-		e.tBusy.Observe(time.Since(t0))
-	}
-}
-
 // ForEach runs fn(0..n-1) across the engine's worker pool and returns
 // when every started call has finished. Work is handed out dynamically;
 // once ctx is cancelled no further indices are started (in-flight calls
@@ -301,19 +257,16 @@ func (e *Engine) busyEnd(t0 time.Time) {
 //
 // With an observer attached, each worker goroutine runs under pprof
 // labels (incdes.worker=<index>) so CPU profiles attribute evaluation
-// time to the pool, and its busy time accumulates in the
-// core.worker_busy timer.
+// time to the pool.
 func (e *Engine) ForEach(ctx context.Context, n int, fn func(i int)) {
 	workers := e.parallelism
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		t0 := e.busyStart()
 		for i := 0; i < n && ctx.Err() == nil; i++ {
 			fn(i)
 		}
-		e.busyEnd(t0)
 		return
 	}
 	var next atomic.Int64
@@ -323,7 +276,6 @@ func (e *Engine) ForEach(ctx context.Context, n int, fn func(i int)) {
 		go func(w int) {
 			defer wg.Done()
 			work := func(ctx context.Context) {
-				t0 := e.busyStart()
 				for ctx.Err() == nil {
 					i := int(next.Add(1)) - 1
 					if i >= n {
@@ -331,7 +283,6 @@ func (e *Engine) ForEach(ctx context.Context, n int, fn func(i int)) {
 					}
 					fn(i)
 				}
-				e.busyEnd(t0)
 			}
 			if e.observer != nil {
 				pprof.Do(ctx, pprof.Labels("incdes.worker", strconv.Itoa(w)), work)

@@ -9,7 +9,6 @@ import (
 	"incdes/internal/core"
 	"incdes/internal/metrics"
 	"incdes/internal/model"
-	"incdes/internal/obs"
 	"incdes/internal/sched"
 )
 
@@ -70,42 +69,5 @@ func TestEvaluateMatchesReference(t *testing.T) {
 			}
 			t.Logf("%d candidates, %d feasible", n, feasible)
 		})
-	}
-}
-
-// TestIncrementalCounters checks the core.txn_* instruments: the
-// transactional path accounts every transaction (each one rolled back),
-// splits evaluations into incremental and full-recompute, and records
-// dirty-interval volume.
-func TestIncrementalCounters(t *testing.T) {
-	// Current app smaller than the node count: candidates routinely leave
-	// timelines clean, so both the incremental and the full-recompute
-	// classifications occur.
-	p := testProblem(t, 23, 50, 8)
-	strat := core.SAWith(core.SAOptions{Seed: 9, Iterations: 300})
-
-	reg := obs.NewRegistry()
-	runSolve(t, p, core.Options{
-		Strategy: strat,
-		Observer: &obs.Observer{Stats: reg},
-	})
-	c := reg.Snapshot().Counters
-	if c[obs.CtrTxnApplies] == 0 {
-		t.Fatal("txn_applies = 0 on the incremental path")
-	}
-	if c[obs.CtrTxnApplies] != c[obs.CtrTxnRollbacks] {
-		t.Errorf("every transaction is rolled back: applies %d != rollbacks %d",
-			c[obs.CtrTxnApplies], c[obs.CtrTxnRollbacks])
-	}
-	evals := c[obs.CtrTxnIncremental] + c[obs.CtrTxnFull] + c[obs.CtrInfeasible]
-	if evals != c[obs.CtrTxnApplies] {
-		t.Errorf("incremental %d + full %d + infeasible %d != applies %d",
-			c[obs.CtrTxnIncremental], c[obs.CtrTxnFull], c[obs.CtrInfeasible], c[obs.CtrTxnApplies])
-	}
-	if c[obs.CtrTxnIncremental] == 0 {
-		t.Error("no evaluation took the incremental path")
-	}
-	if c[obs.CtrTxnDirty] == 0 {
-		t.Error("txn_dirty_intervals = 0 despite applied transactions")
 	}
 }

@@ -30,16 +30,6 @@ type MHOptions struct {
 	// MsgCandidates is how many messages are examined per iteration
 	// (default 4).
 	MsgCandidates int
-	// MsgTargets is how many alternative slot occurrences are tried per
-	// candidate message (default 2).
-	MsgTargets int
-	// TargetNodes bounds how many processors are tried per candidate
-	// process: its current node plus the TargetNodes allowed nodes with
-	// the most total slack (default 3). Negative scans all allowed nodes.
-	TargetNodes int
-	// MinImprovement is the objective decrease a move must achieve to be
-	// applied (default 1e-9, i.e. any strict improvement).
-	MinImprovement float64
 	// DisableMsgMoves turns off message transformations (ablation).
 	DisableMsgMoves bool
 	// RandomCandidates replaces potential-based candidate selection with
@@ -55,21 +45,27 @@ type MHOptions struct {
 }
 
 // DefaultMHOptions returns the paper-sized mapping-heuristic tuning: 50
-// improvement iterations over 5 process and 4 message candidates, 2
-// slack targets per node, the current node plus the 3 slackest
-// alternatives per process, and any strict objective improvement
-// accepted.
+// improvement iterations over 5 process and 4 message candidates and 2
+// slack targets per node.
 func DefaultMHOptions() MHOptions {
 	return MHOptions{
 		MaxIterations:  50,
 		ProcCandidates: 5,
 		TargetsPerNode: 2,
 		MsgCandidates:  4,
-		MsgTargets:     2,
-		TargetNodes:    3,
-		MinImprovement: 1e-9,
 	}
 }
+
+// Fixed mapping-heuristic tuning: each candidate process is tried on
+// its current node plus the mhTargetNodes allowed nodes with the most
+// total slack, each candidate message in mhMsgTargets alternative slot
+// occurrences, and a move is applied when it lowers the objective by
+// more than mhMinImprovement (any strict improvement).
+const (
+	mhTargetNodes    = 3
+	mhMsgTargets     = 2
+	mhMinImprovement = 1e-9
+)
 
 // normalized resolves the documented zero-value semantics against
 // DefaultMHOptions.
@@ -86,15 +82,6 @@ func (o MHOptions) normalized() MHOptions {
 	}
 	if o.MsgCandidates == 0 {
 		o.MsgCandidates = d.MsgCandidates
-	}
-	if o.MsgTargets == 0 {
-		o.MsgTargets = d.MsgTargets
-	}
-	if o.MinImprovement == 0 {
-		o.MinImprovement = d.MinImprovement
-	}
-	if o.TargetNodes == 0 {
-		o.TargetNodes = d.TargetNodes
 	}
 	return o
 }
@@ -136,7 +123,7 @@ func (s mhStrategy) enumerate(eng *Engine, ix *model.Index, st *sched.State,
 	for _, cand := range cands {
 		proc := ix.Proc[cand]
 		g := ix.GraphOf[cand]
-		for _, node := range targetNodes(st, proc, mapping[cand], o.TargetNodes) {
+		for _, node := range targetNodes(st, proc, mapping[cand], mhTargetNodes) {
 			offs := targetOffsets(st, node, proc.WCET[node], g.Period, p.Profile.Tmin, o.TargetsPerNode)
 			for _, off := range offs {
 				if node == mapping[cand] && hints.ProcStart[cand] == off {
@@ -153,7 +140,7 @@ func (s mhStrategy) enumerate(eng *Engine, ix *model.Index, st *sched.State,
 	if !o.DisableMsgMoves {
 		for _, mc := range msgCandidates(st, p.Current, o.MsgCandidates) {
 			g := ix.MsgGraph[mc.id]
-			for _, off := range msgTargetOffsets(st, mc, g.Period, o.MsgTargets) {
+			for _, off := range msgTargetOffsets(st, mc, g.Period, mhMsgTargets) {
 				if hints.MsgStart[mc.id] == off {
 					continue
 				}
@@ -176,12 +163,6 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	eng.count(1)
 	report := metrics.Evaluate(st, p.Profile, p.Weights)
 	ix := model.NewIndex(p.Current)
-
-	reg := eng.Stats()
-	cIters := reg.Counter(obs.CtrMHIterations)
-	cCands := reg.Counter(obs.CtrMHCandidates)
-	cPruned := reg.Counter(obs.CtrMHPruned)
-	cMoves := reg.Counter(obs.CtrMHMoves)
 	eng.Trace(obs.TraceEvent{Kind: "init", Strategy: "MH", Cost: report.Objective})
 
 	// better reports whether a is a strict improvement over b: lower
@@ -189,10 +170,10 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	// min-based objective is flat — equal objective with a strictly
 	// higher periodic fill.
 	better := func(a, b metrics.Report) bool {
-		if a.Objective < b.Objective-o.MinImprovement {
+		if a.Objective < b.Objective-mhMinImprovement {
 			return true
 		}
-		return a.Objective < b.Objective+o.MinImprovement &&
+		return a.Objective < b.Objective+mhMinImprovement &&
 			a.PeriodicFill > b.PeriodicFill+0.5
 	}
 
@@ -204,8 +185,6 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 			break
 		}
 		cands := s.enumerate(eng, ix, st, mapping, hints, o)
-		cIters.Inc()
-		cCands.Add(int64(len(cands)))
 
 		type outcome struct {
 			report metrics.Report
@@ -229,9 +208,6 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 		bestIdx := -1
 		var bestRep metrics.Report
 		for i, r := range results {
-			if !r.ok {
-				cPruned.Inc()
-			}
 			if eng.Tracing() {
 				eng.Trace(obs.TraceEvent{
 					Kind: "candidate", Iter: iter + 1, Index: i,
@@ -258,7 +234,6 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: internal: winning alternative failed to re-schedule: %w", err)
 		}
-		cMoves.Inc()
 		eng.Trace(obs.TraceEvent{Kind: "move", Iter: iter + 1, Index: bestIdx, Cost: report.Objective})
 	}
 	eng.Trace(obs.TraceEvent{Kind: "stop", Strategy: "MH", Note: stop})
@@ -276,10 +251,10 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 
 // targetNodes selects the processors worth trying for a candidate
 // process: its current node plus the k allowed nodes with the most total
-// slack. k < 0 returns every allowed node.
+// slack.
 func targetNodes(st *sched.State, proc *model.Process, current model.NodeID, k int) []model.NodeID {
 	allowed := proc.AllowedNodes()
-	if k < 0 || len(allowed) <= k+1 {
+	if len(allowed) <= k+1 {
 		return allowed
 	}
 	slackOf := func(n model.NodeID) tm.Time {

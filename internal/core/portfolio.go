@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -53,10 +52,11 @@ func (o PortfolioOptions) lanes() []Strategy {
 // winner's own tag ("AH", "MH", "SA"), and Evaluations/CacheHits count
 // the winner's lane only, so the result is byte-identical to a direct
 // Solve of the winning strategy. Aggregate cross-lane work remains
-// visible in the observer's counters (core.evaluations sums all lanes;
-// core.portfolio.* record the race itself), and with tracing on each
-// lane's full event stream is replayed in lane order followed by a
-// portfolio.lane summary per lane and the final decision event.
+// visible in the observer's counters (core.evaluations sums all lanes),
+// and with tracing on each lane's full event stream is replayed in lane
+// order followed by a portfolio.lane summary per lane (its evaluations,
+// cost and feasibility) and the final decision event, whose chain is the
+// winning lane.
 func PortfolioWith(opts PortfolioOptions) Strategy { return portfolioStrategy{opts: opts} }
 
 type portfolioStrategy struct{ opts PortfolioOptions }
@@ -78,8 +78,6 @@ func isCtxErr(err error) bool {
 
 func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	lanes := s.opts.lanes()
-	reg := eng.Stats()
-	reg.Counter(obs.CtrPortfolioRaces).Inc()
 
 	raceCtx, cancelRace := context.WithCancel(ctx)
 	defer cancelRace()
@@ -103,7 +101,6 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 	// natural marks lanes that ran to completion uninterrupted; the
 	// zero-objective shortcut below needs to know the completed prefix.
 	natural := make([]bool, len(lanes))
-	shortcutCancelled := 0
 	var mu sync.Mutex
 
 	var wg sync.WaitGroup
@@ -155,17 +152,12 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 				cancelRace()
 			case err == nil && sol != nil && !sol.Interrupted:
 				natural[i] = true
-				reg.Counter(obs.CtrPortfolioLaneDone).Inc()
-				reg.Counter(fmt.Sprintf("core.portfolio.lane%d_evals", i)).Add(r.evals)
 				// Zero-objective shortcut: if the leading naturally-completed
 				// prefix contains an objective-0 lane, no later lane can win
 				// the (objective, index) tie-break.
 				for z := 0; z < len(lanes) && natural[z]; z++ {
 					if results[z].sol.Objective() == 0 {
 						for j := z + 1; j < len(lanes); j++ {
-							if results[j].sol == nil && results[j].err == nil {
-								shortcutCancelled++
-							}
 							cancels[j]()
 						}
 						break
@@ -176,8 +168,6 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 		}(i, lanes[i])
 	}
 	wg.Wait()
-
-	reg.Counter(obs.CtrPortfolioCancelled).Add(int64(shortcutCancelled))
 
 	// Reduce by the lane rule (see Reduce): the lowest-index
 	// deterministic lane error beats any solution, else the lowest
@@ -215,7 +205,6 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 	}
 
 	win := results[winner].sol
-	reg.Gauge(obs.GagPortfolioWinner).Set(int64(winner))
 	// The outer Solve reports the engine's counters; make them the
 	// winning lane's so the returned Solution is byte-identical to a
 	// direct solve of the winner (aggregate work stays in the registry).

@@ -138,9 +138,31 @@ func TestPortfolioDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestPortfolioObservability pins the race's instrument and trace
-// surface: per-lane counters, the winner gauge, and a trace stream that
-// replays to the reported objective.
+// laneSummaries returns a trace's portfolio.lane events in order and the
+// winning lane named by the portfolio's decision event (-1 if none).
+func laneSummaries(t *testing.T, events []obs.TraceEvent) ([]obs.TraceEvent, int) {
+	t.Helper()
+	var lanes []obs.TraceEvent
+	winner, decisions := -1, 0
+	for _, ev := range events {
+		switch {
+		case ev.Kind == "portfolio.lane":
+			lanes = append(lanes, ev)
+		case ev.Kind == "decision" && ev.Strategy == "portfolio":
+			winner = ev.Chain
+			decisions++
+		}
+	}
+	if decisions != 1 {
+		t.Errorf("trace has %d portfolio decisions, want 1", decisions)
+	}
+	return lanes, winner
+}
+
+// TestPortfolioObservability pins the race's observable surface: one
+// portfolio.lane summary per lane, a decision naming the winning lane,
+// a registry that sums every lane's evaluations, and a trace stream
+// that replays to the reported objective.
 func TestPortfolioObservability(t *testing.T) {
 	p := hardProblem(t, 13, 30, 15)
 	reg := obs.NewRegistry()
@@ -154,42 +176,33 @@ func TestPortfolioObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counters[obs.CtrPortfolioRaces]; got != 1 {
-		t.Errorf("%s = %d, want 1", obs.CtrPortfolioRaces, got)
-	}
-	if got := snap.Counters[obs.CtrPortfolioLaneDone]; got != 2 {
-		t.Errorf("%s = %d, want 2", obs.CtrPortfolioLaneDone, got)
-	}
 	if got := snap.Counters[obs.CtrSolves]; got != 1 {
 		t.Errorf("%s = %d, want 1 (lanes must not nest Solve)", obs.CtrSolves, got)
 	}
-	// The registry aggregates all lanes; the returned solution counts the
-	// winner's lane alone.
-	if agg := snap.Counters[obs.CtrEvaluations]; agg < int64(sol.Evaluations) {
-		t.Errorf("aggregate evaluations %d < winner's %d", agg, sol.Evaluations)
-	}
-	winnerLane, ok := snap.Gauges[obs.GagPortfolioWinner]
-	if !ok || winnerLane < 0 || winnerLane > 1 {
-		t.Errorf("winner gauge = %d, %v", winnerLane, ok)
-	}
 
 	events := col.Events()
-	var laneSummaries, decisions int
-	for _, ev := range events {
-		switch ev.Kind {
-		case "portfolio.lane":
-			laneSummaries++
-		case "decision":
-			if ev.Strategy == "portfolio" {
-				decisions++
-				if ev.Chain != int(winnerLane) {
-					t.Errorf("decision chain %d != winner gauge %d", ev.Chain, winnerLane)
-				}
-			}
-		}
+	lanes, winner := laneSummaries(t, events)
+	if len(lanes) != 2 {
+		t.Fatalf("trace has %d lane summaries, want 2", len(lanes))
 	}
-	if laneSummaries != 2 || decisions != 1 {
-		t.Errorf("trace has %d lane summaries and %d decisions, want 2 and 1", laneSummaries, decisions)
+	var laneEvals int64
+	for i, ev := range lanes {
+		if ev.Chain != i || !ev.Feasible {
+			t.Errorf("lane summary %d = %+v, want lane %d with a solution", i, ev, i)
+		}
+		laneEvals += ev.Evaluations
+	}
+	// The registry aggregates all lanes; the returned solution counts the
+	// winner's lane alone.
+	if agg := snap.Counters[obs.CtrEvaluations]; agg != laneEvals {
+		t.Errorf("aggregate evaluations %d, lane summaries sum to %d", agg, laneEvals)
+	}
+	if winner < 0 || winner >= len(lanes) {
+		t.Fatalf("decision names lane %d of %d", winner, len(lanes))
+	}
+	if w := lanes[winner]; w.Strategy != sol.Strategy || w.Evaluations != int64(sol.Evaluations) || w.Cost != sol.Report.Objective {
+		t.Errorf("winning lane summary %+v, solution %s with %d evaluations and objective %v",
+			w, sol.Strategy, sol.Evaluations, sol.Report.Objective)
 	}
 	if final, ok := obs.FinalCost(events); !ok || final != sol.Report.Objective {
 		t.Errorf("trace replays to %v, solution reports %v", final, sol.Report.Objective)
@@ -219,24 +232,29 @@ func TestPortfolioLaneErrorIsDeterministic(t *testing.T) {
 }
 
 // TestPortfolioDefaultLanes pins that the zero-value portfolio races
-// AH, MH and SA.
+// AH, MH and SA, in that lane order.
 func TestPortfolioDefaultLanes(t *testing.T) {
 	p := hardProblem(t, 15, 20, 10)
-	reg := obs.NewRegistry()
+	col := &obs.Collector{}
 	sol, err := core.Solve(context.Background(), p, core.Options{
 		Strategy:    core.Portfolio,
 		Parallelism: 1,
-		Observer:    &obs.Observer{Stats: reg},
+		Observer:    &obs.Observer{Tracer: col},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch sol.Strategy {
-	case "AH", "MH", "SA":
-	default:
-		t.Errorf("winner strategy = %q, want one of the default lanes", sol.Strategy)
+	lanes, winner := laneSummaries(t, col.Events())
+	want := []string{"AH", "MH", "SA"}
+	if len(lanes) != len(want) {
+		t.Fatalf("trace has %d lane summaries, want %d", len(lanes), len(want))
 	}
-	if got := reg.Snapshot().Counters[obs.CtrPortfolioLaneDone]; got != 3 {
-		t.Errorf("%s = %d, want 3", obs.CtrPortfolioLaneDone, got)
+	for i, ev := range lanes {
+		if ev.Strategy != want[i] || !ev.Feasible {
+			t.Errorf("lane %d summary = %+v, want %s with a solution", i, ev, want[i])
+		}
+	}
+	if winner < 0 || winner >= len(lanes) || lanes[winner].Strategy != sol.Strategy {
+		t.Errorf("decision names lane %d, solution strategy %q", winner, sol.Strategy)
 	}
 }

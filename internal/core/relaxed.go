@@ -64,7 +64,7 @@ type RelaxedSolution struct {
 }
 
 // RelaxedOptions tune SolveRelaxedContext. Zero-valued fields select the
-// corresponding DefaultRelaxedOptions value.
+// documented defaults.
 type RelaxedOptions struct {
 	// MH tunes the mapping heuristic used for the current application
 	// (zero fields follow the MHOptions zero-value semantics).
@@ -76,15 +76,10 @@ type RelaxedOptions struct {
 	// Parallelism is handed to the embedded Solve calls (0 uses one
 	// worker per CPU).
 	Parallelism int
-	// Observer is handed to the embedded Solve calls; the
-	// core.relaxed.subsets counter additionally records how many
-	// modification subsets were tried. nil disables observability.
+	// Observer is handed to the embedded Solve calls (RelaxedSolution
+	// reports how many modification subsets were tried). nil disables
+	// observability.
 	Observer *obs.Observer
-}
-
-// DefaultRelaxedOptions returns the explicit defaults of SolveRelaxedContext.
-func DefaultRelaxedOptions() RelaxedOptions {
-	return RelaxedOptions{MH: DefaultMHOptions(), MaxSubsets: 64}
 }
 
 // SolveRelaxedContext finds a minimum-modification-cost design: it
@@ -104,7 +99,6 @@ func SolveRelaxedContext(ctx context.Context, rp *RelaxedProblem, opts RelaxedOp
 	}
 
 	subsets := costOrderedSubsets(rp.Existing, opts.MaxSubsets)
-	cSubsets := opts.Observer.Registry().Counter(obs.CtrRelaxedSubsets)
 	tried := 0
 	var lastErr error
 	for _, sub := range subsets {
@@ -112,7 +106,6 @@ func SolveRelaxedContext(ctx context.Context, rp *RelaxedProblem, opts RelaxedOp
 			return nil, err
 		}
 		tried++
-		cSubsets.Inc()
 		sol, err := rp.trySubset(ctx, sub, opts)
 		if err != nil {
 			lastErr = err

@@ -15,7 +15,8 @@ import (
 
 // SAOptions tune the simulated annealing reference strategy. Seed is
 // used exactly as given — 0 is a valid seed; the remaining zero values
-// select the documented defaults below.
+// select the documented defaults below. Every chain cools geometrically
+// from temperature 40 to 0.1, in objective units.
 type SAOptions struct {
 	// Seed drives the annealer's random walk. Restart chain 0 uses Seed
 	// verbatim; chain k derives its independent stream from (Seed, k),
@@ -37,24 +38,25 @@ type SAOptions struct {
 	// k of a local Restarts=n run. ChainOffset does not participate in
 	// iteration auto-sizing or cooling; it only selects RNG streams.
 	ChainOffset int
-	// InitialTemp is the starting temperature in objective units (0
-	// selects 40: early on, moves ~40 objective points uphill are
-	// frequently accepted).
-	InitialTemp float64
-	// FinalTemp ends the geometric cooling (0 selects 0.1).
-	FinalTemp float64
 }
 
+// The annealing temperature schedule in objective units: a chain starts
+// at saInitialTemp (early on, moves ~40 objective points uphill are
+// frequently accepted) and cools geometrically to saFinalTemp over its
+// iterations.
+const (
+	saInitialTemp = 40
+	saFinalTemp   = 0.1
+)
+
 // DefaultSAOptions returns the paper-shaped annealing configuration:
-// seed 1, a single restart chain, auto-sized iterations (the documented
-// meaning of 0), and the 40 → 0.1 geometric cooling schedule.
+// seed 1, a single restart chain and auto-sized iterations (the
+// documented meaning of 0).
 func DefaultSAOptions() SAOptions {
 	return SAOptions{
-		Seed:        1,
-		Iterations:  0, // auto-size: 60 per process, at least 3000
-		Restarts:    1,
-		InitialTemp: 40,
-		FinalTemp:   0.1,
+		Seed:       1,
+		Iterations: 0, // auto-size: 60 per process, at least 3000
+		Restarts:   1,
 	}
 }
 
@@ -69,12 +71,6 @@ func (o SAOptions) normalized(nProcs int) SAOptions {
 	}
 	if o.Restarts < 1 {
 		o.Restarts = 1
-	}
-	if o.InitialTemp == 0 {
-		o.InitialTemp = 40
-	}
-	if o.FinalTemp == 0 {
-		o.FinalTemp = 0.1
 	}
 	return o
 }
@@ -123,13 +119,6 @@ type chainResult struct {
 	events []obs.TraceEvent
 }
 
-// saCounters are the annealing instruments, resolved once per Run and
-// shared by every chain (atomic increments from worker goroutines are
-// safe; the totals are deterministic because each chain's walk is).
-type saCounters struct {
-	accepts, rejects, infeasible *obs.Counter
-}
-
 func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	p := eng.Problem()
 	o := s.opts.normalized(p.Current.NumProcs())
@@ -150,23 +139,16 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 		msgs = append(msgs, g.Msgs...)
 	}
 
-	reg := eng.Stats()
-	ctr := saCounters{
-		accepts:    reg.Counter(obs.CtrSAAccepts),
-		rejects:    reg.Counter(obs.CtrSARejects),
-		infeasible: reg.Counter(obs.CtrSAInfeasible),
-	}
 	eng.Trace(obs.TraceEvent{Kind: "init", Strategy: "SA", Cost: report0.Objective})
 
 	chains := make([]chainResult, o.Restarts)
 	eng.ForEach(ctx, o.Restarts, func(c int) {
-		chains[c] = s.runChain(ctx, eng, c, o, ix, procs, msgs, mapping0, report0, st0, ctr)
+		chains[c] = s.runChain(ctx, eng, c, o, ix, procs, msgs, mapping0, report0, st0)
 	})
 
 	// Reduce by the chain rule (see Reduce). The chains' buffered trace
 	// events flush here, in chain order; a chain that never started
 	// reports the context error and is skipped.
-	cChains := reg.Counter(obs.CtrSAChains)
 	outs := make([]Outcome, len(chains))
 	for c := range chains {
 		for _, ev := range chains[c].events {
@@ -176,7 +158,6 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 			outs[c].Err = ctx.Err()
 			continue
 		}
-		cChains.Inc()
 		outs[c] = Outcome{Objective: chains[c].report.Objective, Interrupted: chains[c].interrupted, Err: chains[c].err}
 	}
 	best, sum := reduceChains(outs)
@@ -209,8 +190,7 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 // evaluated neighbor, and infeasible neighbors consume an iteration.
 func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOptions,
 	ix *model.Index, procs []*model.Process, msgs []*model.Message,
-	mapping0 model.Mapping, report0 metrics.Report, st0 *sched.State,
-	ctr saCounters) chainResult {
+	mapping0 model.Mapping, report0 metrics.Report, st0 *sched.State) chainResult {
 
 	p := eng.Problem()
 	rng := rand.New(rand.NewSource(chainSeed(o.Seed, o.ChainOffset+c)))
@@ -227,8 +207,8 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 	tracing := eng.Tracing()
 
 	cur := report0.Objective
-	temp := o.InitialTemp
-	cooling := math.Pow(o.FinalTemp/o.InitialTemp, 1/float64(o.Iterations))
+	temp := float64(saInitialTemp)
+	cooling := math.Pow(saFinalTemp/saInitialTemp, 1/float64(o.Iterations))
 	var accepts, rejects int64
 
 	for i := 0; i < o.Iterations; i++ {
@@ -240,13 +220,11 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 		rep2, ok := eng.Evaluate(nm, nh)
 		temp *= cooling
 		if !ok {
-			ctr.infeasible.Inc()
 			continue // infeasible neighbor
 		}
 		delta := rep2.Objective - cur
 		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
 			accepts++
-			ctr.accepts.Inc()
 			mapping, hints, cur = nm, nh, rep2.Objective
 			if rep2.Objective < res.report.Objective {
 				res.mapping = nm.Clone()
@@ -261,7 +239,6 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 			}
 		} else {
 			rejects++
-			ctr.rejects.Inc()
 		}
 		if tracing && (i+1)%1000 == 0 {
 			res.events = append(res.events, obs.TraceEvent{

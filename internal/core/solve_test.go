@@ -149,18 +149,10 @@ func TestDefaultConstructors(t *testing.T) {
 		t.Errorf("DefaultMHOptions = %+v", mh)
 	}
 	sa := core.DefaultSAOptions()
-	if sa.Seed != 1 || sa.Restarts != 1 || sa.InitialTemp != 40 || sa.FinalTemp != 0.1 {
+	if sa.Seed != 1 || sa.Restarts != 1 {
 		t.Errorf("DefaultSAOptions = %+v", sa)
 	}
 	if sa.Iterations != 0 {
 		t.Errorf("DefaultSAOptions.Iterations = %d, want 0 (auto-size)", sa.Iterations)
-	}
-	rx := core.DefaultRelaxedOptions()
-	if rx.MaxSubsets != 64 || !reflect.DeepEqual(rx.MH, mh) {
-		t.Errorf("DefaultRelaxedOptions = %+v", rx)
-	}
-	o := core.DefaultOptions()
-	if o.Strategy == nil || o.Strategy.Name() != "MH" {
-		t.Errorf("DefaultOptions.Strategy = %v", o.Strategy)
 	}
 }

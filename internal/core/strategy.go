@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"time"
@@ -58,8 +57,7 @@ func SAWith(opts SAOptions) Strategy { return saStrategy{opts: opts} }
 const DefaultCacheSize = 1 << 14
 
 // Options configure one Solve call. The zero value of every field except
-// Strategy is meaningful and documented on the field; DefaultOptions
-// returns the fully explicit defaults.
+// Strategy is meaningful and documented on the field.
 type Options struct {
 	// Strategy selects the mapping strategy (required). Use AH, MH, SA,
 	// or a configured MHWith/SAWith value.
@@ -82,26 +80,14 @@ type Options struct {
 	// yields undefined reports.
 	Baseline *metrics.Baseline
 	// Observer, when non-nil, attaches the observability layer: its
-	// Stats registry accumulates the engine/scheduler/bus counter catalog
-	// (see package obs) and its Tracer receives the structured decision
-	// event stream. nil disables the layer entirely; the hot path then
-	// performs no observability work and no allocations, and the solution
-	// is byte-identical either way — instruments never feed back into
-	// strategy decisions.
+	// Stats registry accumulates the engine, scheduler and bus counters
+	// of the instrument catalog (see package obs) and its Tracer
+	// receives the structured decision event stream. nil disables the
+	// layer entirely; the hot path then performs no observability work
+	// and no allocations, and the solution is byte-identical either way
+	// — instruments never feed back into strategy decisions.
 	Observer *obs.Observer
 }
-
-// DefaultOptions returns the explicit defaults Solve would resolve the
-// zero-valued fields to (with MH as the strategy).
-func DefaultOptions() Options {
-	return Options{
-		Strategy:    MH,
-		Parallelism: defaultParallelism(),
-		CacheSize:   DefaultCacheSize,
-	}
-}
-
-func defaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
 // Solve runs a strategy on a problem: the single entry point behind
 // which every strategy is parallel, cancellable and observable.
@@ -148,20 +134,6 @@ func Solve(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	sol.Elapsed = time.Since(start)
 	sol.Evaluations = int(eng.Evaluations())
 	sol.CacheHits = int(eng.CacheHits())
-	if reg := opts.Observer.Registry(); reg != nil && sol.State != nil {
-		// Final-design TTP slot occupancy, summed over every bus: how much
-		// bus headroom the chosen design leaves for future applications.
-		var used, capacity, slots int64
-		for i := 0; i < sol.State.NumBuses(); i++ {
-			oc := sol.State.BusStateAt(i).Occupancy()
-			used += int64(oc.UsedBytes)
-			capacity += int64(oc.CapacityBytes)
-			slots += int64(oc.OccupiedSlots)
-		}
-		reg.Gauge(obs.GagTTPUsedBytes).Set(used)
-		reg.Gauge(obs.GagTTPCapBytes).Set(capacity)
-		reg.Gauge(obs.GagTTPUsedSlots).Set(slots)
-	}
 	span.SetAttr("evaluations", strconv.Itoa(sol.Evaluations))
 	span.End()
 	eng.Trace(obs.TraceEvent{

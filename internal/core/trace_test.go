@@ -163,7 +163,7 @@ func TestObserverNeutral(t *testing.T) {
 
 	snap := reg.Snapshot()
 	for _, name := range []string{obs.CtrEvaluations, obs.CtrCacheMisses,
-		obs.CtrMHIterations, obs.CtrSchedCalls, obs.CtrTTPReserve} {
+		obs.CtrSchedCalls, obs.CtrTTPFindSlot} {
 		if snap.Counters[name] == 0 {
 			t.Errorf("counter %s stayed zero over an MH run", name)
 		}
@@ -171,8 +171,5 @@ func TestObserverNeutral(t *testing.T) {
 	if snap.Counters[obs.CtrEvaluations] != int64(observed.Evaluations) {
 		t.Errorf("registry evaluations %d, solution reports %d",
 			snap.Counters[obs.CtrEvaluations], observed.Evaluations)
-	}
-	if snap.Gauges[obs.GagTTPCapBytes] == 0 {
-		t.Error("TTP capacity gauge not set")
 	}
 }

@@ -282,12 +282,3 @@ func (m Mapping) Clone() Mapping {
 	}
 	return c
 }
-
-// MergedWith returns a new mapping containing m overlaid with other.
-func (m Mapping) MergedWith(other Mapping) Mapping {
-	c := m.Clone()
-	for k, v := range other {
-		c[k] = v
-	}
-	return c
-}

@@ -234,10 +234,6 @@ func TestMappingClone(t *testing.T) {
 	if m[1] != 0 {
 		t.Error("Clone aliases original")
 	}
-	merged := m.MergedWith(Mapping{3: 0})
-	if len(merged) != 3 || merged[3] != 0 || merged[1] != 0 {
-		t.Errorf("MergedWith = %v", merged)
-	}
 }
 
 func TestApplicationCounts(t *testing.T) {

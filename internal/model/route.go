@@ -165,15 +165,3 @@ func (rt *RouteTable) Route(src, dst NodeID) []Hop {
 	}
 	return rt.routes[[2]NodeID{src, dst}]
 }
-
-// MaxHops returns the longest route length in the table (1 for any
-// single-bus architecture).
-func (rt *RouteTable) MaxHops() int {
-	max := 0
-	for _, hops := range rt.routes {
-		if len(hops) > max {
-			max = len(hops)
-		}
-	}
-	return max
-}

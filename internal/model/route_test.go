@@ -77,9 +77,6 @@ func TestRouteDirectAndMultiHop(t *testing.T) {
 	if rt.Route(3, 3) != nil {
 		t.Error("Route(n,n) must be nil (same-node communication)")
 	}
-	if rt.MaxHops() != 3 {
-		t.Errorf("MaxHops() = %d, want 3", rt.MaxHops())
-	}
 }
 
 // TestRouteTieBreaks pins the determinism rules: lowest shared bus for

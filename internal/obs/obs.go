@@ -1,6 +1,6 @@
 // Package obs is the engine's zero-dependency observability layer:
-// typed atomic counters, gauges and timers behind a Registry, plus a
-// structured trace sink (see trace.go) that records per-iteration
+// typed atomic counters, gauges and histograms behind a Registry, plus
+// a structured trace sink (see trace.go) that records per-iteration
 // strategy decisions as JSONL.
 //
 // The design rule is "free when off": every instrument is a pointer
@@ -12,8 +12,9 @@
 // pins down.
 //
 // Canonical instrument names are declared here so that every package —
-// core, sched, ttp, the commands — agrees on the counter catalog that
-// Snapshot exports.
+// core, sched, ttp, the commands — agrees on the instrument catalog that
+// Snapshot exports. The catalog is closed: no instrument outside it is
+// created, so every exported name has a declared kind and help text.
 package obs
 
 import (
@@ -23,29 +24,22 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Canonical instrument names: the counter catalog (see DESIGN.md
-// "Observability"). Counters unless noted otherwise.
+// Canonical instrument names: the instrument catalog (see DESIGN.md
+// "Observability"). Counters unless noted otherwise. Strategy anatomy
+// (MH moves, SA accepts, portfolio lanes) is not counted here: the
+// deterministic trace events already record it exactly once.
 const (
 	// Engine (internal/core).
 	CtrEvaluations = "core.evaluations"  // design alternatives examined
 	CtrCacheHits   = "core.cache_hits"   // evaluations served from the memo
 	CtrCacheMisses = "core.cache_misses" // evaluations that ran the scheduler
 	CtrInfeasible  = "core.infeasible"   // evaluations ruled out by requirement (a)
-	TmrWorkerBusy  = "core.worker_busy"  // timer: cumulative worker busy time
-	GagWorkers     = "core.workers"      // gauge: resolved parallelism of the last Solve
 	CtrSolves      = "core.solves"       // core.Solve invocations that ran a strategy
-
-	// Strategy-portfolio racer (internal/core).
-	CtrPortfolioRaces     = "core.portfolio.races"            // portfolio races started
-	CtrPortfolioLaneDone  = "core.portfolio.lane_done"        // lanes that ran to natural completion
-	CtrPortfolioCancelled = "core.portfolio.losers_cancelled" // lanes cancelled by the zero-objective shortcut
-	GagPortfolioWinner    = "core.portfolio.winner_lane"      // gauge: lane index of the last race's winner
 
 	// Whole-solution cache + single-flight dedup (internal/cache via serve).
 	CtrSolveCacheHits     = "cache.hits"           // requests served from the solution cache
@@ -55,43 +49,13 @@ const (
 	CtrSolveCacheEvict    = "cache.evictions"      // solutions evicted by the LRU bound
 	GagSolveCacheEntries  = "cache.entries"        // gauge: solutions resident in the cache
 
-	// Transactional candidate evaluation (internal/core).
-	CtrTxnApplies     = "core.txn_applies"           // candidate placements applied in place
-	CtrTxnRollbacks   = "core.txn_rollbacks"         // transactions rolled back after scoring
-	CtrTxnDirty       = "core.txn_dirty_intervals"   // touched intervals (busy + bus) across transactions
-	CtrTxnIncremental = "core.txn_incremental_evals" // scores computed from dirty regions only
-	CtrTxnFull        = "core.txn_full_evals"        // scores that fell back to a full recompute
-
-	// Mapping heuristic.
-	CtrMHIterations = "core.mh.iterations" // improvement iterations run
-	CtrMHCandidates = "core.mh.candidates" // design transformations examined
-	CtrMHPruned     = "core.mh.pruned"     // candidates pruned as infeasible
-	CtrMHMoves      = "core.mh.moves"      // transformations applied
-
-	// Simulated annealing.
-	CtrSAChains     = "core.sa.chains"     // restart chains run
-	CtrSAAccepts    = "core.sa.accepts"    // neighbors accepted (downhill or Metropolis)
-	CtrSARejects    = "core.sa.rejects"    // feasible neighbors rejected
-	CtrSAInfeasible = "core.sa.infeasible" // infeasible neighbors drawn
-
-	// Relaxed (CODES 2001) solver.
-	CtrRelaxedSubsets = "core.relaxed.subsets" // modification subsets tried
-
 	// Static cyclic scheduler (internal/sched).
-	CtrSchedCalls    = "sched.schedule_calls" // ScheduleApp invocations
-	CtrSchedJobs     = "sched.jobs_placed"    // process occurrences placed
-	CtrSchedMsgs     = "sched.msgs_placed"    // message occurrences placed
-	CtrSchedFailures = "sched.failures"       // ScheduleApp calls that failed
+	CtrSchedCalls = "sched.schedule_calls" // ScheduleApp invocations
+	CtrSchedJobs  = "sched.jobs_placed"    // process occurrences placed
 
 	// TTP bus (internal/ttp).
 	CtrTTPFindSlot = "ttp.findslot_calls" // FindSlot invocations
 	CtrTTPProbes   = "ttp.slot_probes"    // slot occurrences examined by FindSlot
-	CtrTTPReserve  = "ttp.reservations"   // successful slot reservations
-
-	// Final-design TTP slot occupancy (gauges, set once per Solve).
-	GagTTPUsedBytes = "ttp.slot_used_bytes"     // reserved bytes over the horizon
-	GagTTPCapBytes  = "ttp.slot_capacity_bytes" // total slot capacity over the horizon
-	GagTTPUsedSlots = "ttp.slots_occupied"      // slot occurrences carrying >= 1 byte
 
 	// Versioned design sessions (internal/session).
 	CtrSessOpens          = "session.opens"           // sessions opened
@@ -137,7 +101,6 @@ type InstrumentKind string
 const (
 	KindCounter   InstrumentKind = "counter"
 	KindGauge     InstrumentKind = "gauge"
-	KindTimer     InstrumentKind = "timer"
 	KindHistogram InstrumentKind = "histogram"
 )
 
@@ -157,43 +120,17 @@ var catalog = []Instrument{
 	{CtrCacheHits, KindCounter, "evaluations served from the memo"},
 	{CtrCacheMisses, KindCounter, "evaluations that ran the scheduler"},
 	{CtrInfeasible, KindCounter, "evaluations ruled out by requirement (a)"},
-	{TmrWorkerBusy, KindTimer, "cumulative worker busy time"},
-	{GagWorkers, KindGauge, "resolved parallelism of the last Solve"},
 	{CtrSolves, KindCounter, "core.Solve invocations that ran a strategy"},
-	{CtrPortfolioRaces, KindCounter, "strategy-portfolio races started"},
-	{CtrPortfolioLaneDone, KindCounter, "portfolio lanes run to natural completion"},
-	{CtrPortfolioCancelled, KindCounter, "portfolio lanes cancelled by the zero-objective shortcut"},
-	{GagPortfolioWinner, KindGauge, "lane index of the last portfolio winner"},
 	{CtrSolveCacheHits, KindCounter, "requests served from the solution cache"},
 	{CtrSolveCacheMisses, KindCounter, "requests that led a fresh solve"},
 	{CtrSolveCacheInflight, KindCounter, "requests coalesced onto an in-flight solve"},
 	{CtrSolveCacheStores, KindCounter, "solutions stored in the cache"},
 	{CtrSolveCacheEvict, KindCounter, "solutions evicted by the LRU bound"},
 	{GagSolveCacheEntries, KindGauge, "solutions resident in the cache"},
-	{CtrTxnApplies, KindCounter, "candidate placements applied in place"},
-	{CtrTxnRollbacks, KindCounter, "transactions rolled back after scoring"},
-	{CtrTxnDirty, KindCounter, "touched intervals (busy + bus) across transactions"},
-	{CtrTxnIncremental, KindCounter, "scores computed from dirty regions only"},
-	{CtrTxnFull, KindCounter, "scores that fell back to a full recompute"},
-	{CtrMHIterations, KindCounter, "MH improvement iterations run"},
-	{CtrMHCandidates, KindCounter, "MH design transformations examined"},
-	{CtrMHPruned, KindCounter, "MH candidates pruned as infeasible"},
-	{CtrMHMoves, KindCounter, "MH transformations applied"},
-	{CtrSAChains, KindCounter, "SA restart chains run"},
-	{CtrSAAccepts, KindCounter, "SA neighbors accepted"},
-	{CtrSARejects, KindCounter, "SA feasible neighbors rejected"},
-	{CtrSAInfeasible, KindCounter, "SA infeasible neighbors drawn"},
-	{CtrRelaxedSubsets, KindCounter, "relaxed-solver modification subsets tried"},
 	{CtrSchedCalls, KindCounter, "ScheduleApp invocations"},
 	{CtrSchedJobs, KindCounter, "process occurrences placed"},
-	{CtrSchedMsgs, KindCounter, "message occurrences placed"},
-	{CtrSchedFailures, KindCounter, "ScheduleApp calls that failed"},
 	{CtrTTPFindSlot, KindCounter, "FindSlot invocations"},
 	{CtrTTPProbes, KindCounter, "slot occurrences examined by FindSlot"},
-	{CtrTTPReserve, KindCounter, "successful slot reservations"},
-	{GagTTPUsedBytes, KindGauge, "reserved bus bytes over the horizon"},
-	{GagTTPCapBytes, KindGauge, "total slot capacity over the horizon"},
-	{GagTTPUsedSlots, KindGauge, "slot occurrences carrying at least one byte"},
 	{CtrSessOpens, KindCounter, "design sessions opened"},
 	{CtrSessCommits, KindCounter, "session versions committed"},
 	{CtrSessBranches, KindCounter, "session branches created"},
@@ -259,45 +196,12 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Max raises the gauge to v if v is larger. No-op on a nil gauge.
-func (g *Gauge) Max(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Load returns the current value; 0 on a nil gauge.
 func (g *Gauge) Load() int64 {
 	if g == nil {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Timer accumulates elapsed wall-clock time. Nil-safe like Counter.
-// Timers feed statistics only — never strategy decisions, which must
-// stay pure functions of (problem, options).
-type Timer struct{ ns atomic.Int64 }
-
-// Observe adds one measured duration. No-op on a nil timer.
-func (t *Timer) Observe(d time.Duration) {
-	if t != nil {
-		t.ns.Add(int64(d))
-	}
-}
-
-// Total returns the accumulated time; 0 on a nil timer.
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.ns.Load())
 }
 
 // Registry owns named instruments. Lookups create on demand, so the
@@ -309,7 +213,6 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	timers     map[string]*Timer
 	histograms map[string]*Histogram
 }
 
@@ -318,7 +221,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
-		timers:     map[string]*Timer{},
 		histograms: map[string]*Histogram{},
 	}
 }
@@ -355,22 +257,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Timer returns the named timer, creating it if needed. A nil registry
-// returns a nil (no-op) timer.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
-}
-
 // Histogram returns the named histogram, creating it over the default
 // LatencyBounds if needed. A nil registry returns a nil (no-op)
 // histogram.
@@ -388,8 +274,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Merge folds a snapshot into the registry: counters and timers add,
-// gauges take the snapshot's value, and histograms merge bucket-wise. A
+// Merge folds a snapshot into the registry: counters add, gauges take the snapshot's value, and histograms merge bucket-wise. A
 // histogram whose bounds differ from the registry's is dropped rather
 // than mixed into an incompatible bucket grid. This is how per-job
 // registries fold into the serve aggregates and worker snapshots into a
@@ -404,9 +289,6 @@ func (r *Registry) Merge(s Snapshot) {
 	for name, v := range s.Gauges {
 		r.Gauge(name).Set(v)
 	}
-	for name, ns := range s.TimersNS {
-		r.Timer(name).Observe(time.Duration(ns))
-	}
 	for name, hs := range s.Histograms {
 		_ = r.Histogram(name).Merge(hs)
 	}
@@ -415,7 +297,7 @@ func (r *Registry) Merge(s Snapshot) {
 // SnapshotSchemaVersion identifies the JSON layout of Snapshot. Bump it
 // when a field changes meaning or shape, so stats files written by
 // different revisions of the tools can be told apart when diffing.
-const SnapshotSchemaVersion = 1
+const SnapshotSchemaVersion = 2
 
 // RunMeta is the run provenance a snapshot may carry: enough to make a
 // `-stats-out` document self-describing when it is compared against one
@@ -439,14 +321,11 @@ func NewRunMeta(start time.Time, seed int64) *RunMeta {
 }
 
 // Snapshot is a point-in-time export of every instrument in a registry.
-// Timers are exported in nanoseconds so the document stays pure JSON
-// numbers.
 type Snapshot struct {
 	SchemaVersion int                          `json:"schema_version"`
 	Meta          *RunMeta                     `json:"meta,omitempty"`
 	Counters      map[string]int64             `json:"counters"`
 	Gauges        map[string]int64             `json:"gauges,omitempty"`
-	TimersNS      map[string]int64             `json:"timers_ns,omitempty"`
 	Histograms    map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -468,12 +347,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges = make(map[string]int64, len(r.gauges))
 		for name, g := range r.gauges {
 			s.Gauges[name] = g.Load()
-		}
-	}
-	if len(r.timers) > 0 {
-		s.TimersNS = make(map[string]int64, len(r.timers))
-		for name, t := range r.timers {
-			s.TimersNS[name] = int64(t.Total())
 		}
 	}
 	if len(r.histograms) > 0 {
@@ -518,19 +391,8 @@ func (s Snapshot) WriteJSONFile(path string) error {
 	return nil
 }
 
-// Names returns the sorted counter names present in the snapshot;
-// convenient for tests and report code.
-func (s Snapshot) Names() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Observer bundles the two observability sinks a Solve call can carry:
-// a Registry for counters/gauges/timers and a Tracer for the structured
+// a Registry for counters/gauges/histograms and a Tracer for the structured
 // per-iteration event stream. Either field may be nil; a nil *Observer
 // disables the layer entirely.
 type Observer struct {

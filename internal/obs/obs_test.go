@@ -20,17 +20,11 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(7)
-	g.Max(9)
 	if g.Load() != 0 {
 		t.Error("nil gauge loaded non-zero")
 	}
-	var tr *Timer
-	tr.Observe(time.Second)
-	if tr.Total() != 0 {
-		t.Error("nil timer loaded non-zero")
-	}
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Timer("x") != nil {
+	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil {
 		t.Error("nil registry returned a live instrument")
 	}
 	if s := r.Snapshot(); len(s.Counters) != 0 {
@@ -49,7 +43,7 @@ func TestNilInstrumentZeroAlloc(t *testing.T) {
 	var g *Gauge
 	allocs := testing.AllocsPerRun(200, func() {
 		c.Add(1)
-		g.Max(3)
+		g.Set(3)
 	})
 	if allocs != 0 {
 		t.Errorf("nil instruments allocated %.1f times per op", allocs)
@@ -68,7 +62,7 @@ func TestRegistryIdentityAndConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				r.Counter("hits").Inc()
-				r.Gauge("depth").Max(int64(i))
+				r.Gauge("depth").Set(int64(i))
 			}
 		}()
 	}
@@ -77,15 +71,14 @@ func TestRegistryIdentityAndConcurrency(t *testing.T) {
 		t.Errorf("hits = %d, want 8000", got)
 	}
 	if got := r.Gauge("depth").Load(); got != 999 {
-		t.Errorf("depth = %d, want 999", got)
+		t.Errorf("depth = %d, want 999 (every writer's last value)", got)
 	}
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(CtrEvaluations).Add(42)
-	r.Gauge(GagTTPUsedBytes).Set(128)
-	r.Timer(TmrWorkerBusy).Observe(3 * time.Millisecond)
+	r.Gauge(GagSessLive).Set(128)
 
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
@@ -98,14 +91,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if back.Counters[CtrEvaluations] != 42 {
 		t.Errorf("counters = %v", back.Counters)
 	}
-	if back.Gauges[GagTTPUsedBytes] != 128 {
+	if back.Gauges[GagSessLive] != 128 {
 		t.Errorf("gauges = %v", back.Gauges)
-	}
-	if back.TimersNS[TmrWorkerBusy] != int64(3*time.Millisecond) {
-		t.Errorf("timers = %v", back.TimersNS)
-	}
-	if names := back.Names(); len(names) != 1 || names[0] != CtrEvaluations {
-		t.Errorf("names = %v", names)
 	}
 }
 
@@ -245,36 +232,38 @@ func TestCatalogCoversDeclaredNames(t *testing.T) {
 		}
 		byName[ins.Name] = ins
 	}
+	// The engine, scheduler and bus counters the benchmark's per-layer
+	// report reads.
 	for _, name := range []string{
-		CtrEvaluations, CtrCacheHits, CtrCacheMisses, CtrInfeasible,
-		CtrMHIterations, CtrMHCandidates, CtrMHPruned, CtrMHMoves,
-		CtrSAChains, CtrSAAccepts, CtrSARejects, CtrSAInfeasible,
-		CtrRelaxedSubsets, CtrSchedCalls, CtrSchedJobs, CtrSchedMsgs,
-		CtrSchedFailures, CtrTTPFindSlot, CtrTTPProbes, CtrTTPReserve,
+		CtrEvaluations, CtrCacheHits, CtrCacheMisses, CtrInfeasible, CtrSolves,
+		CtrSchedCalls, CtrSchedJobs, CtrTTPFindSlot, CtrTTPProbes,
 	} {
 		if ins, ok := byName[name]; !ok || ins.Kind != KindCounter {
 			t.Errorf("catalog missing counter %q (got %+v)", name, byName[name])
 		}
 	}
-	if ins := byName[TmrWorkerBusy]; ins.Kind != KindTimer {
-		t.Errorf("worker busy kind = %q", ins.Kind)
-	}
-	for _, name := range []string{GagWorkers, GagTTPUsedBytes, GagTTPCapBytes, GagTTPUsedSlots} {
+	for _, name := range []string{GagSolveCacheEntries, GagSessLive, GagClusterWorkers} {
 		if ins := byName[name]; ins.Kind != KindGauge {
 			t.Errorf("%q kind = %q, want gauge", name, ins.Kind)
+		}
+	}
+	for _, ins := range cat {
+		switch ins.Kind {
+		case KindCounter, KindGauge, KindHistogram:
+		default:
+			t.Errorf("catalog entry %q has unknown kind %q", ins.Name, ins.Kind)
 		}
 	}
 }
 
 // TestRegistryMerge pins the aggregate fold every per-job and per-worker
-// snapshot goes through: counters and timers add, gauges take the last
+// snapshot goes through: counters add, gauges take the last
 // value, histograms merge bucket-wise, and a histogram whose bounds do
 // not match the registry's is dropped.
 func TestRegistryMerge(t *testing.T) {
 	src := NewRegistry()
 	src.Counter(CtrEvaluations).Add(5)
-	src.Gauge(GagWorkers).Set(4)
-	src.Timer(TmrWorkerBusy).Observe(2 * time.Millisecond)
+	src.Gauge(GagSessLive).Set(4)
 	src.Histogram(HstSolveSeconds).Observe(0.003)
 	odd := NewHistogram([]float64{1, 2})
 	odd.Observe(1.5)
@@ -285,7 +274,7 @@ func TestRegistryMerge(t *testing.T) {
 	snap.Histograms["shifted"] = shifted.Snapshot()
 
 	agg := NewRegistry()
-	agg.Gauge(GagWorkers).Set(9)
+	agg.Gauge(GagSessLive).Set(9)
 	agg.Histogram("odd").Observe(0.5)
 	agg.Merge(snap)
 	agg.Merge(snap)
@@ -293,11 +282,8 @@ func TestRegistryMerge(t *testing.T) {
 	if got := agg.Counter(CtrEvaluations).Load(); got != 10 {
 		t.Errorf("counter = %d, want 10", got)
 	}
-	if got := agg.Gauge(GagWorkers).Load(); got != 4 {
+	if got := agg.Gauge(GagSessLive).Load(); got != 4 {
 		t.Errorf("gauge = %d, want 4 (last value)", got)
-	}
-	if got := agg.Timer(TmrWorkerBusy).Total(); got != 4*time.Millisecond {
-		t.Errorf("timer = %v, want 4ms", got)
 	}
 	if got := agg.Histogram(HstSolveSeconds).Count(); got != 2 {
 		t.Errorf("histogram count = %d, want 2", got)

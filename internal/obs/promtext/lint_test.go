@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"incdes/internal/obs"
 )
@@ -52,8 +51,6 @@ func TestLintRealRender(t *testing.T) {
 			r.Counter(ins.Name).Inc()
 		case obs.KindGauge:
 			r.Gauge(ins.Name).Set(1)
-		case obs.KindTimer:
-			r.Timer(ins.Name).Observe(time.Millisecond)
 		case obs.KindHistogram:
 			h := r.Histogram(ins.Name)
 			h.Observe(0.0004)

@@ -4,10 +4,9 @@
 // Metric names are derived mechanically from the canonical instrument
 // catalog: the dotted instrument name is namespaced and sanitized
 // (`core.cache_hits` -> `incdes_core_cache_hits_total`), counters gain
-// the `_total` suffix, timers are exported as cumulative seconds
-// (`core.worker_busy` -> `incdes_core_worker_busy_seconds_total`), and
-// gauges keep their bare name. HELP strings come from obs.Catalog when
-// the instrument is declared there.
+// the `_total` suffix, and gauges and histograms keep their bare name.
+// HELP strings come from obs.Catalog when the instrument is declared
+// there.
 //
 // A Collection gathers one or more snapshots, each under its own label
 // set (the serve layer adds {strategy="MH"} per-strategy aggregates),
@@ -31,19 +30,16 @@ const DefaultNamespace = "incdes"
 
 // MetricName converts a dotted instrument name into the exported
 // Prometheus metric name: namespace + sanitized instrument + the kind's
-// conventional suffix (`_total` for counters, `_seconds_total` for
-// timers, none for gauges and histograms — histogram series add their
-// own `_bucket`/`_sum`/`_count` suffixes per sample).
+// conventional suffix (`_total` for counters, none for gauges and
+// histograms — histogram series add their own `_bucket`/`_sum`/`_count`
+// suffixes per sample).
 func MetricName(namespace, instrument string, kind obs.InstrumentKind) string {
 	name := sanitize(instrument)
 	if namespace != "" {
 		name = sanitize(namespace) + "_" + name
 	}
-	switch kind {
-	case obs.KindCounter:
+	if kind == obs.KindCounter {
 		name += "_total"
-	case obs.KindTimer:
-		name += "_seconds_total"
 	}
 	return name
 }
@@ -157,11 +153,7 @@ func (c *Collection) addSample(instrument string, kind obs.InstrumentKind, label
 	if ins, ok := c.help[instrument]; ok {
 		help = ins.Help
 	}
-	typ := "gauge"
-	if kind == obs.KindCounter || kind == obs.KindTimer {
-		typ = "counter"
-	}
-	m := c.metricFor(name, typ, help)
+	m := c.metricFor(name, string(kind), help)
 	l := renderLabels(labels)
 	m.samples = append(m.samples, sample{labels: l, value: v, group: l})
 }
@@ -208,16 +200,13 @@ func (c *Collection) AddHistogram(instrument string, labels map[string]string, h
 }
 
 // Add records every instrument of one snapshot under the given label
-// set (nil for none). Timers are converted to seconds.
+// set (nil for none).
 func (c *Collection) Add(labels map[string]string, s obs.Snapshot) {
 	for name, v := range s.Counters {
 		c.addSample(name, obs.KindCounter, labels, float64(v))
 	}
 	for name, v := range s.Gauges {
 		c.addSample(name, obs.KindGauge, labels, float64(v))
-	}
-	for name, ns := range s.TimersNS {
-		c.addSample(name, obs.KindTimer, labels, float64(ns)/1e9)
 	}
 	for name, hs := range s.Histograms {
 		c.AddHistogram(name, labels, hs)

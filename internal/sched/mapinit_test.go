@@ -163,7 +163,4 @@ func TestPrioritiesChainValue(t *testing.T) {
 	if prio[g.Procs[0].ID] != 64 {
 		t.Errorf("prio(P1) = %v, want 64", prio[g.Procs[0].ID])
 	}
-	if got := CriticalPathLen(g, sys.Arch.Buses[0]); got != 64 {
-		t.Errorf("CriticalPathLen = %v, want 64", got)
-	}
 }

@@ -14,10 +14,6 @@ type Stats struct {
 	ScheduleCalls *obs.Counter
 	// JobsPlaced counts process occurrences inserted into node schedules.
 	JobsPlaced *obs.Counter
-	// MsgsPlaced counts message occurrences reserved on the bus.
-	MsgsPlaced *obs.Counter
-	// Failures counts ScheduleApp calls that found the design infeasible.
-	Failures *obs.Counter
 }
 
 // StatsFrom resolves the canonical scheduler instruments from a
@@ -26,8 +22,6 @@ func StatsFrom(r *obs.Registry) Stats {
 	return Stats{
 		ScheduleCalls: r.Counter(obs.CtrSchedCalls),
 		JobsPlaced:    r.Counter(obs.CtrSchedJobs),
-		MsgsPlaced:    r.Counter(obs.CtrSchedMsgs),
-		Failures:      r.Counter(obs.CtrSchedFailures),
 	}
 }
 

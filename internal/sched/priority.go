@@ -43,13 +43,3 @@ func Priorities(g *model.Graph, bus *model.Bus) map[model.ProcID]tm.Time {
 func CommEstimate(m *model.Message, bus *model.Bus) tm.Time {
 	return tm.Time(m.Bytes)*bus.ByteTime + bus.RoundLen()/2
 }
-
-// CriticalPathLen returns the longest source-to-sink path estimate of the
-// graph (the maximum priority over its processes).
-func CriticalPathLen(g *model.Graph, bus *model.Bus) tm.Time {
-	var best tm.Time
-	for _, v := range Priorities(g, bus) {
-		best = tm.Max(best, v)
-	}
-	return best
-}

@@ -123,9 +123,6 @@ func (s *State) NumBuses() int { return len(s.buses) }
 // BusStateAt returns bus i's reservation state (do not modify).
 func (s *State) BusStateAt(i int) *ttp.State { return s.buses[i] }
 
-// Routes returns the architecture's deterministic route table.
-func (s *State) Routes() *model.RouteTable { return s.routes }
-
 // ProcEntries returns every scheduled process occurrence (do not modify).
 func (s *State) ProcEntries() []ProcEntry { return s.procs }
 
@@ -222,7 +219,6 @@ func (s *State) planMsg(g *model.Graph, m *model.Message, occ int, sender, recei
 		})
 		hopReady = arrive
 	}
-	s.stats.MsgsPlaced.Inc()
 	return out, arrive, nil
 }
 
@@ -307,12 +303,10 @@ func (s *State) ScheduleApp(app *model.Application, mapping model.Mapping, hints
 	s.stats.ScheduleCalls.Inc()
 	jobs, err := s.jobList(app)
 	if err != nil {
-		s.stats.Failures.Inc()
 		return err
 	}
 	for _, jb := range jobs {
 		if err := s.scheduleJob(app, jb.graph, jb.proc, jb.occ, mapping, hints); err != nil {
-			s.stats.Failures.Inc()
 			return err
 		}
 	}

@@ -206,25 +206,9 @@ func (t *Txn) DirtyNodes() []model.NodeID {
 	return out
 }
 
-// BusDeltas returns the recorded slot reservations of the first bus in
-// record order (do not modify): the dirty slot occurrences of a
-// single-bus transaction. Multi-bus consumers use BusDeltasAt per bus.
-func (t *Txn) BusDeltas() []ttp.Delta { return t.bus[0].Deltas() }
-
 // BusDeltasAt returns bus i's recorded slot reservations in record order
 // (do not modify).
 func (t *Txn) BusDeltasAt(i int) []ttp.Delta { return t.bus[i].Deltas() }
-
-// DirtyIntervals returns the total number of touched intervals — busy
-// insertions plus bus reservation deltas over every bus — the size
-// measure the core.txn_dirty_intervals counter accumulates.
-func (t *Txn) DirtyIntervals() int {
-	n := len(t.busy)
-	for i := range t.bus {
-		n += t.bus[i].Len()
-	}
-	return n
-}
 
 // Fingerprint serializes the state's full schedule content — busy
 // timelines, bus ledger, schedule tables, job bookkeeping and mapping —

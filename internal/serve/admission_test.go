@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -110,4 +112,40 @@ func TestDrainingEnvelope(t *testing.T) {
 			t.Errorf("%s: retry_after_s = %v, want 1", tc.name, doc.Error.RetryAfterS)
 		}
 	}
+}
+
+// TestSARestartsBound pins that sa-restarts above maxSARestarts is a 400
+// bad_request on every path that accepts it — sync and detached solves
+// with the solution cache on and off, and sync and detached session
+// commits — instead of a job that allocates one chain per restart, and
+// that the server keeps serving afterwards.
+func TestSARestartsBound(t *testing.T) {
+	_, ts := newCachingServer(t, Config{Parallelism: 1, MaxConcurrent: 2, SolutionCacheSize: 8})
+	sysJSON, appJSON, _ := sessionFixture(t)
+	id := openSession(t, ts, sysJSON, "")
+	for _, restarts := range []int{maxSARestarts + 1, 1 << 50} {
+		for _, path := range []string{
+			"/v1/solve?strategy=sa",
+			"/v1/solve?strategy=sa&detach=1",
+			"/v1/solve?strategy=sa&cache=off",
+			"/v1/solve?strategy=sa&cache=off&detach=1",
+			"/v1/solve?strategy=portfolio",
+			"/v1/sessions/" + id + "/commits?strategy=sa",
+			"/v1/sessions/" + id + "/commits?strategy=sa&detach=1",
+		} {
+			body := fixtureJSON(t)
+			if strings.Contains(path, "/commits") {
+				body = appJSON[0]
+			}
+			url := fmt.Sprintf("%s%s&sa-restarts=%d", ts.URL, path, restarts)
+			var doc ErrorDoc
+			resp := do(t, "POST", url, body, &doc)
+			if resp.StatusCode != http.StatusBadRequest || doc.Error.Code != ErrCodeBadRequest {
+				t.Errorf("POST %s: status %d, code %q; want 400 %s", url, resp.StatusCode, doc.Error.Code, ErrCodeBadRequest)
+			}
+		}
+	}
+	// The bound itself is accepted, and the server still solves and commits.
+	oneShot(t, ts, fixtureJSON(t), fmt.Sprintf("?strategy=sa&sa-iters=20&sa-restarts=%d", maxSARestarts))
+	commitApp(t, ts, id, appJSON[0], "?strategy=ah")
 }

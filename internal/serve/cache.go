@@ -39,15 +39,11 @@ import (
 // cacheHeader annotates cache-eligible solve responses.
 const cacheHeader = "X-Incdes-Cache"
 
-// solutionEntry is one cached one-shot solve: the response document plus
-// the trace events that replay its SSE stream.
+// solutionEntry is one finished one-shot solve, as the cache stores it
+// and as a completed flight hands it to every member: the response
+// document plus the trace events that replay its SSE stream. It is
+// read-only once built.
 type solutionEntry struct {
-	doc    *SolutionDoc
-	events []obs.TraceEvent
-}
-
-// flightResult is what a completed flight hands every member.
-type flightResult struct {
 	doc    *SolutionDoc
 	events []obs.TraceEvent
 }
@@ -101,10 +97,11 @@ func (s *Server) leaderWork(f *cache.Flight, j *job, sys *model.System, p *core.
 			// The solve must run under the flight's context (so it survives
 			// the leader leaving) but record into the leader's trace.
 			doc, err := solve(obs.CopyTrace(f.Context(), fctx))
+			res := &solutionEntry{doc: doc, events: j.buf.snapshot()}
 			if err == nil && doc != nil && !doc.Interrupted {
-				s.storeSolution(key, doc, j.buf.snapshot())
+				s.storeSolution(key, res)
 			}
-			f.Complete(&flightResult{doc: doc, events: j.buf.snapshot()}, err)
+			f.Complete(res, err)
 		}()
 		val, err := s.awaitFlight(ctx, f)
 		fspan.End()
@@ -118,25 +115,11 @@ func (s *Server) leaderWork(f *cache.Flight, j *job, sys *model.System, p *core.
 // runFollower drives a coalesced request: no worker slot, no queue
 // accounting — the job only waits for the leader's flight and then
 // mirrors its outcome, replaying the leader's trace into its own SSE
-// buffer. Mirrors run()'s cancellation and timeout plumbing so DELETE,
-// client disconnect, JobTimeout and shutdown behave identically.
+// buffer. It shares run()'s jobContext, so DELETE, client disconnect,
+// JobTimeout and shutdown behave identically.
 func (s *Server) runFollower(ctx context.Context, j *job, requested time.Duration, f *cache.Flight) {
-	ctx, cancel := context.WithCancel(ctx)
-	j.mu.Lock()
-	j.cancel = cancel
-	j.mu.Unlock()
-	defer cancel()
-	stopWatch := context.AfterFunc(s.baseCtx, cancel)
-	defer stopWatch()
-	timeout := requested
-	if s.cfg.JobTimeout > 0 && (timeout <= 0 || timeout > s.cfg.JobTimeout) {
-		timeout = s.cfg.JobTimeout
-	}
-	if timeout > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, timeout)
-		defer tcancel()
-	}
+	ctx, release := s.jobContext(ctx, j, requested)
+	defer release()
 	j.setStatus(StatusRunning)
 	// The follower's whole wait is one span; on success it links to the
 	// leader's flight span via the ID the leader published.
@@ -163,7 +146,7 @@ func (s *Server) runFollower(ctx context.Context, j *job, requested time.Duratio
 // request's disconnect has always had — so the member still receives the
 // interrupted document. Leaving while others remain abandons the result
 // to them.
-func (s *Server) awaitFlight(ctx context.Context, f *cache.Flight) (*flightResult, error) {
+func (s *Server) awaitFlight(ctx context.Context, f *cache.Flight) (*solutionEntry, error) {
 	select {
 	case <-f.Done():
 		f.Leave()
@@ -179,13 +162,13 @@ func (s *Server) awaitFlight(ctx context.Context, f *cache.Flight) (*flightResul
 	if err != nil {
 		return nil, err
 	}
-	return v.(*flightResult), nil
+	return v.(*solutionEntry), nil
 }
 
 // storeSolution caches a completed solve and keeps the serve-level cache
 // instruments current.
-func (s *Server) storeSolution(key string, doc *SolutionDoc, events []obs.TraceEvent) {
-	if s.solutions.Put(key, &solutionEntry{doc: doc, events: events}) {
+func (s *Server) storeSolution(key string, ent *solutionEntry) {
+	if s.solutions.Put(key, ent) {
 		s.global.Counter(obs.CtrSolveCacheEvict).Inc()
 	}
 	s.global.Counter(obs.CtrSolveCacheStores).Inc()

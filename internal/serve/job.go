@@ -30,7 +30,7 @@ type SolveParams struct {
 	Strategy   string // "ah", "mh", "sa" or "portfolio" (default "mh")
 	App        string // current-application name; "" = the system's last
 	SAIters    int    // SA iterations per chain (0 = auto-size)
-	SARestarts int    // SA restart chains (0 = 1)
+	SARestarts int    // SA restart chains (0 = 1, at most 64)
 	SASeed     int64  // SA seed (0 = strategy default)
 	// SAChainOffset shifts the global SA chain index: a cluster
 	// coordinator sends sa-restarts=1&sa-chain-offset=k to run exactly
@@ -42,10 +42,19 @@ type SolveParams struct {
 	NoCache       bool          // cache=off: bypass the solution cache for this request
 }
 
+// maxSARestarts bounds sa-restarts. Every restart chain is a work unit
+// that holds its best schedule state until the reduce, so the bound caps
+// what one request can make the daemon allocate.
+const maxSARestarts = 64
+
 // Resolve maps the params onto the core.Strategy a local solve runs. A
 // cluster coordinator plans its work units from the same value, so local
-// and dispatched solves split and reduce identically.
+// and dispatched solves split and reduce identically. It rejects
+// sa-restarts above maxSARestarts.
 func (p SolveParams) Resolve() (core.Strategy, error) {
+	if p.SARestarts > maxSARestarts {
+		return nil, fmt.Errorf("sa-restarts=%d exceeds the limit of %d", p.SARestarts, maxSARestarts)
+	}
 	switch p.Strategy {
 	case "", "mh":
 		return core.MH, nil

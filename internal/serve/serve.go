@@ -242,8 +242,6 @@ func seedCatalog(r *obs.Registry) {
 			r.Counter(ins.Name)
 		case obs.KindGauge:
 			r.Gauge(ins.Name)
-		case obs.KindTimer:
-			r.Timer(ins.Name)
 		case obs.KindHistogram:
 			r.Histogram(ins.Name)
 		}
@@ -487,28 +485,38 @@ func (s *Server) registerLocked(strategyTag string, rt *obs.RequestTrace) *job {
 	return j
 }
 
-// run executes one job to completion: waits for a worker slot, invokes
-// the job's work closure (a one-shot solve or a session commit), records
-// the outcome and folds the job's registry into the aggregates. ctx
-// should already be bound to the client (sync) or the server (detached);
-// run adds the timeout and server-shutdown cancellation.
-func (s *Server) run(ctx context.Context, j *job, requested time.Duration, work func(context.Context) (*SolutionDoc, error)) {
+// jobContext derives a job's context from ctx, which should already be
+// bound to the client (sync) or the server (detached), and adds the
+// other ways a job ends: DELETE (through j.cancel), server shutdown, and
+// the requested timeout capped by JobTimeout. The caller must call the
+// returned release when the job is done.
+func (s *Server) jobContext(ctx context.Context, j *job, requested time.Duration) (context.Context, func()) {
 	ctx, cancel := context.WithCancel(ctx)
 	j.mu.Lock()
 	j.cancel = cancel
 	j.mu.Unlock()
-	defer cancel()
 	stopWatch := context.AfterFunc(s.baseCtx, cancel) // shutdown cancels jobs
-	defer stopWatch()
 	timeout := requested
 	if s.cfg.JobTimeout > 0 && (timeout <= 0 || timeout > s.cfg.JobTimeout) {
 		timeout = s.cfg.JobTimeout
 	}
+	tcancel := context.CancelFunc(func() {})
 	if timeout > 0 {
-		var tcancel context.CancelFunc
 		ctx, tcancel = context.WithTimeout(ctx, timeout)
-		defer tcancel()
 	}
+	return ctx, func() {
+		tcancel()
+		stopWatch()
+		cancel()
+	}
+}
+
+// run executes one job to completion: waits for a worker slot, invokes
+// the job's work closure (a one-shot solve or a session commit), records
+// the outcome and folds the job's registry into the aggregates.
+func (s *Server) run(ctx context.Context, j *job, requested time.Duration, work func(context.Context) (*SolutionDoc, error)) {
+	ctx, release := s.jobContext(ctx, j, requested)
+	defer release()
 
 	// Wait for a slot; cancellation while queued fails the job without
 	// burning one. The wait is a span of its own plus the queue-wait
@@ -855,37 +863,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.global.Gauge(obs.GagSolveCacheEntries).Set(int64(s.solutions.Len()))
 	}
 
-	// Engine/scheduler/bus catalog: the cross-strategy aggregate under
+	// The instrument catalog: the cross-strategy aggregate under
 	// {strategy="all"}, plus one label set per strategy that has run.
 	// "all" is the sum of the others; filter by label when aggregating.
-	//
-	// The aggregate is recomputed from the catalog on every scrape:
-	// re-seeding the catalog and unioning in every instrument name seen
-	// per strategy guarantees an instrument registered after the first
-	// scrape (an ad-hoc counter a job created, a catalog entry added by
-	// a newer component) still gets its {strategy="all"} row.
+	// finalize merges every job into both its strategy's aggregate and
+	// "all", and "all" is seeded with the whole catalog, so every
+	// per-strategy series has its {strategy="all"} counterpart.
 	s.mu.Lock()
-	seedCatalog(s.global)
-	perStratSnaps := make(map[string]obs.Snapshot, len(s.perStrat))
-	for tag, reg := range s.perStrat {
-		snap := reg.Snapshot()
-		perStratSnaps[tag] = snap
-		for name := range snap.Counters {
-			s.global.Counter(name)
-		}
-		for name := range snap.Gauges {
-			s.global.Gauge(name)
-		}
-		for name := range snap.TimersNS {
-			s.global.Timer(name)
-		}
-		for name := range snap.Histograms {
-			s.global.Histogram(name)
-		}
-	}
 	c.Add(map[string]string{"strategy": "all"}, s.global.Snapshot())
-	for tag, snap := range perStratSnaps {
-		c.Add(map[string]string{"strategy": tag}, snap)
+	for tag, reg := range s.perStrat {
+		c.Add(map[string]string{"strategy": tag}, reg.Snapshot())
 	}
 	for key, n := range s.solves {
 		c.AddCounter("solves", "completed solve jobs by strategy and status",

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -529,41 +530,67 @@ func TestCancelEndpointInterruptsDetachedJob(t *testing.T) {
 	}
 }
 
-// TestMetricsAggregateRecomputedPerScrape pins the {strategy="all"}
-// contract: an instrument that first appears AFTER the initial catalog
-// seeding — here injected straight into a per-strategy aggregate, as an
-// ad-hoc counter from a newer component would be — still gets its
-// {strategy="all"} row, because the aggregate is recomputed from the
-// catalog and the per-strategy snapshots on every scrape.
-func TestMetricsAggregateRecomputedPerScrape(t *testing.T) {
-	s, ts := newTestServer(t)
-
-	// First scrape fixes the old behavior's seeding point.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+// TestMetricsEverySeriesDeclaredAndAggregated pins two properties of
+// /v1/metrics once every kind of job has run (AH, MH, SA and portfolio
+// solves plus a session commit): every exported instrument is declared
+// in the obs catalog — promtext falls back to the help text
+// "instrument <name>" only for undeclared names — and every
+// per-strategy series of a catalog metric has its {strategy="all"}
+// counterpart with the same remaining labels.
+func TestMetricsEverySeriesDeclaredAndAggregated(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, q := range []string{"ah", "mh", "sa&sa-iters=200", "portfolio&sa-iters=200"} {
+		oneShot(t, ts, fixtureJSON(t), "?strategy="+q)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	sysJSON, appJSON, _ := sessionFixture(t)
+	commitApp(t, ts, openSession(t, ts, sysJSON, ""), appJSON[0], "?strategy=mh")
 
-	// A later component registers an instrument the catalog never knew.
-	reg := obs.NewRegistry()
-	reg.Counter("core.experimental").Add(5)
-	s.mu.Lock()
-	s.perStrat["XX"] = reg
-	s.mu.Unlock()
-
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
-	out := string(body)
-	if !strings.Contains(out, `incdes_core_experimental_total{strategy="XX"} 5`) {
-		t.Errorf("per-strategy row missing:\n%.2000s", out)
+	catalog := map[string]bool{}
+	for _, ins := range obs.Catalog() {
+		name := promtext.MetricName(promtext.DefaultNamespace, ins.Name, ins.Kind)
+		catalog[name] = true
+		if ins.Kind == obs.KindHistogram {
+			for _, sfx := range []string{"_bucket", "_sum", "_count"} {
+				catalog[name+sfx] = true
+			}
+		}
 	}
-	if !strings.Contains(out, `incdes_core_experimental_total{strategy="all"}`) {
-		t.Errorf("late-registered instrument has no {strategy=\"all\"} row")
+	strategyLabel := regexp.MustCompile(`strategy="[^"]*"`)
+	series := map[string]bool{}
+	var perStrategy []string
+	for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
+		if help, ok := strings.CutPrefix(line, "# HELP "); ok {
+			if _, text, _ := strings.Cut(help, " "); strings.HasPrefix(text, "instrument ") {
+				t.Errorf("undeclared instrument exported: %s", line)
+			}
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		key, _, _ := strings.Cut(line, " ")
+		series[key] = true
+		name, _, _ := strings.Cut(key, "{")
+		if label := strategyLabel.FindString(key); catalog[name] && label != "" && label != `strategy="all"` {
+			perStrategy = append(perStrategy, key)
+		}
+	}
+	tags := map[string]bool{}
+	for _, key := range perStrategy {
+		tags[strategyLabel.FindString(key)] = true
+		if all := strategyLabel.ReplaceAllString(key, `strategy="all"`); !series[all] {
+			t.Errorf("series %s has no %s counterpart", key, all)
+		}
+	}
+	for _, tag := range []string{"AH", "MH", "SA", "portfolio"} {
+		if !tags[`strategy="`+tag+`"`] {
+			t.Errorf("no per-strategy series for %s", tag)
+		}
 	}
 }

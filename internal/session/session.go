@@ -410,14 +410,6 @@ func (s *Session) baselineAtLocked(v int) (*metrics.Baseline, bool, error) {
 	return b, false, nil
 }
 
-// BaselineAt returns the cached metric baseline of a version, building
-// it on first use, and whether it was served from the cache.
-func (s *Session) BaselineAt(v int) (*metrics.Baseline, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.baselineAtLocked(v)
-}
-
 // persistLocked writes the document to the store.
 func (s *Session) persistLocked() error {
 	return s.store.Put(s.doc)
@@ -429,10 +421,8 @@ type CommitParams struct {
 	Branch string
 	// Strategy is the mapping strategy (required), as for core.Solve.
 	Strategy core.Strategy
-	// Parallelism, CacheSize and Observer are handed to core.Solve
-	// unchanged.
+	// Parallelism and Observer are handed to core.Solve unchanged.
 	Parallelism int
-	CacheSize   int
 	Observer    *obs.Observer
 	// SolveCache, when non-nil, is a whole-solution cache consulted
 	// before the solve. The key is the commit's problem fingerprint and
@@ -620,7 +610,6 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 		sol, err = core.Solve(ctx, prob, core.Options{
 			Strategy:    p.Strategy,
 			Parallelism: p.Parallelism,
-			CacheSize:   p.CacheSize,
 			Baseline:    bl,
 			Observer:    p.Observer,
 		})

@@ -83,16 +83,6 @@ func WindowSlackInto(dst []tm.Time, idle []tm.Interval, tmin, horizon tm.Time) [
 	return dst
 }
 
-// MinWindowSlack returns the minimum per-window idle time.
-func MinWindowSlack(idle []tm.Interval, tmin, horizon tm.Time) tm.Time {
-	ws := WindowSlack(idle, tmin, horizon)
-	min := ws[0]
-	for _, v := range ws[1:] {
-		min = tm.Min(min, v)
-	}
-	return min
-}
-
 // BusFreeBytes returns the free capacity of every slot occurrence of
 // every bus (the containers for the C1m bin packing): bus 0's
 // occurrences in time order, then bus 1's, and so on. For a single-bus
@@ -135,19 +125,6 @@ func BusWindowFree(st *sched.State, tmin tm.Time) []int64 {
 	return out
 }
 
-// PerBusFreeBytes returns the total free bytes of each bus over the
-// horizon, in bus-ID order: the per-cluster capacity view of a
-// multi-cluster design.
-func PerBusFreeBytes(st *sched.State) []int64 {
-	out := make([]int64, st.NumBuses())
-	for bi := 0; bi < st.NumBuses(); bi++ {
-		for _, o := range st.BusStateAt(bi).Occurrences() {
-			out[bi] += int64(o.FreeBytes)
-		}
-	}
-	return out
-}
-
 // MinBusWindowFree returns the minimum per-window free bus capacity.
 func MinBusWindowFree(st *sched.State, tmin tm.Time) int64 {
 	ws := BusWindowFree(st, tmin)
@@ -158,35 +135,4 @@ func MinBusWindowFree(st *sched.State, tmin tm.Time) int64 {
 		}
 	}
 	return min
-}
-
-// Fragmentation summarizes how broken-up a node's slack is; the mapping
-// heuristic uses it to find the processes with the highest potential to
-// improve the design when moved.
-type Fragmentation struct {
-	Node      model.NodeID
-	Pieces    int     // number of distinct idle intervals
-	Total     tm.Time // total idle time
-	Largest   tm.Time // largest single idle interval
-	MeanPiece tm.Time // Total / Pieces (0 when no slack)
-}
-
-// Fragments computes per-node fragmentation statistics.
-func Fragments(st *sched.State) []Fragmentation {
-	per := Processor(st)
-	nodes := st.System().Arch.NodeIDs()
-	out := make([]Fragmentation, 0, len(nodes))
-	for _, n := range nodes {
-		f := Fragmentation{Node: n}
-		for _, iv := range per[n] {
-			f.Pieces++
-			f.Total += iv.Len()
-			f.Largest = tm.Max(f.Largest, iv.Len())
-		}
-		if f.Pieces > 0 {
-			f.MeanPiece = f.Total / tm.Time(f.Pieces)
-		}
-		out = append(out, f)
-	}
-	return out
 }

@@ -6,7 +6,6 @@ package textplot
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"incdes/internal/model"
@@ -216,32 +215,5 @@ func Convergence(title string, costs []float64, width, height int) string {
 	}
 	fmt.Fprintf(&b, "%s +%s\n", strings.Repeat(" ", labelW), strings.Repeat("-", width))
 	fmt.Fprintf(&b, "%s  0%*s\n", strings.Repeat(" ", labelW), width-1, fmt.Sprintf("%d", len(costs)-1))
-	return b.String()
-}
-
-// SlackMap renders per-node slack intervals sorted by node, one line each;
-// useful when inspecting why a metric scored the way it did.
-func SlackMap(per map[model.NodeID][]tm.Interval) string {
-	var nodes []model.NodeID
-	for n := range per {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	var b strings.Builder
-	for _, n := range nodes {
-		var total tm.Time
-		for _, iv := range per[n] {
-			total += iv.Len()
-		}
-		fmt.Fprintf(&b, "N%-3d total %6v in %2d pieces:", n, total, len(per[n]))
-		for i, iv := range per[n] {
-			if i == 8 {
-				fmt.Fprintf(&b, " …")
-				break
-			}
-			fmt.Fprintf(&b, " %v", iv)
-		}
-		b.WriteByte('\n')
-	}
 	return b.String()
 }

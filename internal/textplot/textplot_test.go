@@ -85,14 +85,3 @@ func TestTable(t *testing.T) {
 		t.Errorf("row for missing value dropped:\n%s", out)
 	}
 }
-
-func TestSlackMap(t *testing.T) {
-	per := map[model.NodeID][]tm.Interval{
-		0: {tm.Iv(0, 10), tm.Iv(50, 60)},
-		1: nil,
-	}
-	out := SlackMap(per)
-	if !strings.Contains(out, "N0") || !strings.Contains(out, "20") {
-		t.Errorf("slack map malformed:\n%s", out)
-	}
-}

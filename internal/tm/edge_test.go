@@ -1,7 +1,6 @@
 package tm
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -17,27 +16,6 @@ func TestSetStringListsIntervals(t *testing.T) {
 	out := s.String()
 	if !strings.Contains(out, "[1,2)") || !strings.Contains(out, "[5,9)") {
 		t.Errorf("Set.String = %q", out)
-	}
-}
-
-func TestNextFitsStopsAtLatestEnd(t *testing.T) {
-	s := NewSet(Iv(10, 20))
-	// Only the first gap [0,10) ends before latestEnd 15.
-	got := s.NextFits(0, 5, 15, 10)
-	if !reflect.DeepEqual(got, []Time{0}) {
-		t.Errorf("NextFits = %v, want [0]", got)
-	}
-	if got := s.NextFits(0, 20, 15, 10); got != nil {
-		t.Errorf("oversized NextFits = %v, want none", got)
-	}
-}
-
-func TestNextFitsEmptySet(t *testing.T) {
-	s := NewSet()
-	got := s.NextFits(5, 10, 100, 3)
-	// One infinite gap: a single candidate at the earliest position.
-	if !reflect.DeepEqual(got, []Time{5}) {
-		t.Errorf("NextFits on empty set = %v, want [5]", got)
 	}
 }
 

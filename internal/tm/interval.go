@@ -228,29 +228,6 @@ func (s *Set) FirstFit(earliest, dur, latestEnd Time) (Time, bool) {
 	return start, true
 }
 
-// NextFits returns up to max candidate starts (earliest position in each
-// successive free gap) where a block of dur fits, beginning at or after
-// earliest and ending by latestEnd. Used by the mapping heuristic to
-// enumerate "different slacks" for a process move.
-func (s *Set) NextFits(earliest, dur, latestEnd Time, max int) []Time {
-	var starts []Time
-	cur := earliest
-	for len(starts) < max {
-		st, ok := s.FirstFit(cur, dur, latestEnd)
-		if !ok {
-			break
-		}
-		starts = append(starts, st)
-		// Jump past the end of the gap that produced st.
-		i := s.search(st + dur)
-		if i >= len(s.ivs) {
-			break
-		}
-		cur = s.ivs[i].End
-	}
-	return starts
-}
-
 func (s *Set) String() string {
 	return fmt.Sprint(s.ivs)
 }

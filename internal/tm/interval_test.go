@@ -177,23 +177,6 @@ func TestSetFirstFit(t *testing.T) {
 	}
 }
 
-func TestSetNextFits(t *testing.T) {
-	s := NewSet(Iv(10, 20), Iv(30, 40), Iv(60, 70))
-	got := s.NextFits(0, 5, 100, 10)
-	want := []Time{0, 20, 40, 70}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("NextFits = %v, want %v", got, want)
-	}
-	got = s.NextFits(0, 15, 100, 10)
-	want = []Time{40, 70} // only the gaps after 40 are >= 15 long... [40,60) and [70,inf)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("NextFits(dur=15) = %v, want %v", got, want)
-	}
-	if got := s.NextFits(0, 5, 100, 2); len(got) != 2 {
-		t.Errorf("NextFits max=2 returned %d starts", len(got))
-	}
-}
-
 func TestSetClone(t *testing.T) {
 	s := NewSet(Iv(0, 10))
 	c := s.Clone()

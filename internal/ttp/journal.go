@@ -23,9 +23,6 @@ func (j *Journal) Record(round, slot, bytes int) {
 	j.deltas = append(j.deltas, Delta{Round: round, Slot: slot, Bytes: bytes})
 }
 
-// Len returns the number of recorded deltas.
-func (j *Journal) Len() int { return len(j.deltas) }
-
 // Deltas returns the recorded deltas in record order (do not modify).
 func (j *Journal) Deltas() []Delta { return j.deltas }
 

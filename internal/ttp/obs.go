@@ -11,8 +11,6 @@ type Stats struct {
 	// SlotProbes counts slot occurrences examined across FindSlot scans:
 	// the bus-side analogue of "design alternatives touched".
 	SlotProbes *obs.Counter
-	// Reservations counts successful slot reservations.
-	Reservations *obs.Counter
 }
 
 // StatsFrom resolves the canonical bus instruments from a registry.
@@ -21,35 +19,9 @@ func StatsFrom(r *obs.Registry) Stats {
 	return Stats{
 		FindSlotCalls: r.Counter(obs.CtrTTPFindSlot),
 		SlotProbes:    r.Counter(obs.CtrTTPProbes),
-		Reservations:  r.Counter(obs.CtrTTPReserve),
 	}
 }
 
 // SetStats attaches observability instruments to the state. Stats are
 // sink configuration, not schedule content: Clone propagates them.
 func (s *State) SetStats(st Stats) { s.stats = st }
-
-// Occupancy summarizes slot usage over the horizon: the TTP-side view
-// of how much bus headroom the final design left for future
-// applications.
-type Occupancy struct {
-	Rounds, Slots int // reservation matrix shape
-	UsedBytes     int // reserved bytes over the horizon
-	CapacityBytes int // total slot capacity over the horizon
-	OccupiedSlots int // slot occurrences carrying at least one byte
-}
-
-// Occupancy computes the current slot-occupancy summary.
-func (s *State) Occupancy() Occupancy {
-	oc := Occupancy{Rounds: s.rounds, Slots: s.bus.NumSlots()}
-	for r := 0; r < s.rounds; r++ {
-		for sl := 0; sl < oc.Slots; sl++ {
-			oc.CapacityBytes += s.bus.SlotBytes[sl]
-			if used := s.used[r][sl]; used > 0 {
-				oc.UsedBytes += used
-				oc.OccupiedSlots++
-			}
-		}
-	}
-	return oc
-}

@@ -89,7 +89,6 @@ func (s *State) Reserve(round, slot, bytes int) error {
 			round, slot, s.Free(round, slot), bytes)
 	}
 	s.used[round][slot] += bytes
-	s.stats.Reservations.Inc()
 	return nil
 }
 
@@ -162,15 +161,4 @@ func (s *State) Occurrences() []SlotOccurrence {
 		}
 	}
 	return out
-}
-
-// TotalFreeBytes sums the free capacity over all slot occurrences.
-func (s *State) TotalFreeBytes() int {
-	total := 0
-	for r := 0; r < s.rounds; r++ {
-		for sl := 0; sl < s.bus.NumSlots(); sl++ {
-			total += s.Free(r, sl)
-		}
-	}
-	return total
 }

@@ -163,17 +163,6 @@ func TestOccurrencesOrdering(t *testing.T) {
 	}
 }
 
-func TestTotalFreeBytes(t *testing.T) {
-	st, _ := NewState(testBus(), 72)
-	if got := st.TotalFreeBytes(); got != 32 {
-		t.Fatalf("TotalFreeBytes = %d, want 32", got)
-	}
-	st.Reserve(1, 1, 5)
-	if got := st.TotalFreeBytes(); got != 27 {
-		t.Errorf("TotalFreeBytes after reserve = %d, want 27", got)
-	}
-}
-
 func TestBuildMEDL(t *testing.T) {
 	bus := testBus()
 	placements := []Placement{
