@@ -11,13 +11,12 @@
 //	        [-target URL,URL,...]
 //	        [-out LOAD_smoke.json] [-max-p99 MS] [-min-hit-rate R]
 //	        [-metrics-lint] [-slow-request-log D]
-//	incload -diff baseline.json candidate.json [-threshold T]
 //
-// The first form runs the profile and optionally gates on absolute
-// thresholds: -max-p99 fails the run when any class's p99 exceeds the
-// bound, -min-hit-rate when the cache hit rate falls below it (CI's
-// load-smoke job uses both). The second form compares two artifacts
-// and fails on relative regressions.
+// It runs the profile and optionally gates on absolute thresholds:
+// -max-p99 fails the run when any class's p99 exceeds the bound,
+// -min-hit-rate when the cache hit rate falls below it (CI's
+// load-smoke job uses both). Comparing runs of two commits is the
+// benchmark's job (benchmark/, `-compare`), not this tool's.
 //
 // With -target the profile drives running incmapd daemons over real
 // HTTP instead of an in-process server: solve traffic round-robins
@@ -28,8 +27,8 @@
 // X-Incdes-Worker attribution — the cluster profile is shaped for
 // exactly that (cache-miss-heavy, so most requests dispatch).
 //
-// Exit status: 0 on success, 1 on a failed gate or regression, 2 on
-// usage or I/O errors.
+// Exit status: 0 on success, 1 on a failed gate, 2 on usage or I/O
+// errors.
 package main
 
 import (
@@ -59,18 +58,13 @@ func main() {
 	out := flag.String("out", "", "write the report JSON to this file (atomic)")
 	maxP99 := flag.Float64("max-p99", 0, "fail when any class p99 exceeds this many ms (0 = no gate)")
 	minHitRate := flag.Float64("min-hit-rate", 0, "fail when the cache hit rate is below this fraction (0 = no gate)")
-	diff := flag.Bool("diff", false, "compare two report files instead of running")
-	threshold := flag.Float64("threshold", 0.5, "diff mode: tolerated relative latency growth (0.5 = 50%)")
 	metricsLint := flag.Bool("metrics-lint", false, "after the run, scrape /v1/metrics and fail on exposition-format problems")
 	slowRequestLog := flag.Duration("slow-request-log", 0, "log a one-line span breakdown of requests at least this slow (0 = off)")
 	target := flag.String("target", "", "comma-separated base URLs of running incmapd daemons (empty = in-process server)")
 	flag.Parse()
 
-	if *diff {
-		os.Exit(runDiff(flag.Args(), *threshold))
-	}
 	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "incload: unexpected arguments (use -diff to compare reports)")
+		fmt.Fprintln(os.Stderr, "incload: unexpected arguments")
 		os.Exit(2)
 	}
 
@@ -277,34 +271,4 @@ func printReport(rep *load.Report) {
 		fmt.Printf("  cache: hit %d, miss %d, inflight %d (hit rate %.1f%%)\n",
 			rep.Cache.Hit, rep.Cache.Miss, rep.Cache.Inflight, rep.Cache.HitRate*100)
 	}
-}
-
-func runDiff(args []string, threshold float64) int {
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: incload -diff [-threshold T] baseline.json candidate.json")
-		return 2
-	}
-	base, err := load.ReadFile(args[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "incload:", err)
-		return 2
-	}
-	cand, err := load.ReadFile(args[1])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "incload:", err)
-		return 2
-	}
-	regs, notes := load.Compare(base, cand, load.CompareOptions{Threshold: threshold})
-	for _, n := range notes {
-		fmt.Println("note:", n)
-	}
-	fmt.Printf("compared %s against %s (threshold %.0f%%)\n", args[1], args[0], threshold*100)
-	if len(regs) == 0 {
-		fmt.Println("no regressions")
-		return 0
-	}
-	for _, r := range regs {
-		fmt.Println("REGRESSION:", r)
-	}
-	return 1
 }

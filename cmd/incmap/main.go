@@ -39,11 +39,9 @@ import (
 	"incdes/internal/model"
 	"incdes/internal/obs"
 	"incdes/internal/serve"
-	"incdes/internal/sim"
 	"incdes/internal/textplot"
 	"incdes/internal/tgff"
 	"incdes/internal/tm"
-	"incdes/internal/ttp"
 )
 
 func main() {
@@ -172,28 +170,37 @@ func cmdVerify(args []string) error {
 	designPath := fs.String("design", "design.json", "design JSON file")
 	fs.Parse(args)
 
-	sys, err := loadSystem(*sysPath)
-	if err != nil {
+	if _, _, err := loadVerified(*sysPath, *designPath); err != nil {
 		return err
 	}
-	f, err := os.Open(*designPath)
+	fmt.Printf("design %s implements %s: all constraints hold\n", *designPath, *sysPath)
+	return nil
+}
+
+// loadVerified reads a system and a design and checks that the design
+// implements the system, printing every violated constraint to stderr.
+func loadVerified(sysPath, designPath string) (*model.System, *export.Design, error) {
+	sys, err := loadSystem(sysPath)
 	if err != nil {
-		return err
+		return nil, nil, err
+	}
+	f, err := os.Open(designPath)
+	if err != nil {
+		return nil, nil, err
 	}
 	defer f.Close()
 	design, err := export.ReadDesign(f)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	errs := export.Check(design, sys, sys.Apps...)
-	if len(errs) == 0 {
-		fmt.Printf("design %s implements %s: all constraints hold\n", *designPath, *sysPath)
-		return nil
-	}
 	for _, e := range errs {
 		fmt.Fprintln(os.Stderr, "violation:", e)
 	}
-	return fmt.Errorf("%d constraint violations", len(errs))
+	if len(errs) != 0 {
+		return nil, nil, fmt.Errorf("%d constraint violations", len(errs))
+	}
+	return sys, design, nil
 }
 
 // cmdConvert imports a TGFF task-graph file (the co-design community's
@@ -251,16 +258,8 @@ func cmdSimulate(args []string) error {
 	overrunFactor := fs.Float64("overrun-factor", 1.5, "WCET multiple of an injected overrun")
 	fs.Parse(args)
 
-	sys, err := loadSystem(*sysPath)
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(*designPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	design, err := export.ReadDesign(f)
+	// The executor assumes a design that implements the system.
+	sys, design, err := loadVerified(*sysPath, *designPath)
 	if err != nil {
 		return err
 	}
@@ -374,8 +373,12 @@ func cmdMap(args []string) error {
 		return err
 	}
 
-	if vs := sim.Check(sol.State, sys.Apps...); len(vs) != 0 {
-		return fmt.Errorf("internal error: schedule fails validation: %v", vs[0])
+	design, err := export.Build(sol.State)
+	if err != nil {
+		return fmt.Errorf("internal error: schedule fails validation: %v", err)
+	}
+	if errs := export.Check(design, sys, sys.Apps...); len(errs) != 0 {
+		return fmt.Errorf("internal error: schedule fails validation: %v", errs[0])
 	}
 
 	if sol.Interrupted {
@@ -439,57 +442,40 @@ func cmdMap(args []string) error {
 		fmt.Println()
 		fmt.Print(rep.String())
 	}
-	if *exportJSON != "" || *exportBin != "" {
-		design, err := export.Build(sol.State)
+	if *exportJSON != "" {
+		f, err := os.Create(*exportJSON)
 		if err != nil {
 			return err
 		}
-		if *exportJSON != "" {
-			f, err := os.Create(*exportJSON)
-			if err != nil {
-				return err
-			}
-			if err := design.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("design written to %s\n", *exportJSON)
+		if err := design.WriteJSON(f); err != nil {
+			f.Close()
+			return err
 		}
-		if *exportBin != "" {
-			f, err := os.Create(*exportBin)
-			if err != nil {
-				return err
-			}
-			if err := design.EncodeBinary(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("binary image written to %s\n", *exportBin)
+		if err := f.Close(); err != nil {
+			return err
 		}
+		fmt.Printf("design written to %s\n", *exportJSON)
+	}
+	if *exportBin != "" {
+		f, err := os.Create(*exportBin)
+		if err != nil {
+			return err
+		}
+		if err := design.EncodeBinary(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Printf("binary image written to %s\n", *exportBin)
 	}
 	if *medl {
-		placements := make([]ttp.Placement, 0, len(sol.State.MsgEntries()))
-		for _, e := range sol.State.MsgEntries() {
-			placements = append(placements, ttp.Placement{
-				Msg: e.Msg, Occ: e.Occ, Round: e.Round, Slot: e.Slot, Bytes: e.Bytes,
-				Bus: e.Bus, Hop: e.Hop,
-			})
-		}
-		entries, err := ttp.BuildMEDLAll(sys.Arch.Buses, placements)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\nMEDL (%d entries):\n", len(entries))
+		fmt.Printf("\nMEDL (%d entries):\n", len(design.MEDL))
 		multi := len(sys.Arch.Buses) > 1
-		for i, e := range entries {
+		for i, e := range design.MEDL {
 			if i == 40 {
-				fmt.Printf("  … %d more\n", len(entries)-40)
+				fmt.Printf("  … %d more\n", len(design.MEDL)-40)
 				break
 			}
 			if multi {

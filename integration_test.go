@@ -2,6 +2,7 @@ package incdes_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -13,10 +14,22 @@ import (
 	"incdes/internal/metrics"
 	"incdes/internal/model"
 	"incdes/internal/sched"
-	"incdes/internal/sim"
 	"incdes/internal/textplot"
 	"incdes/internal/tgff"
 )
+
+// checkSchedule exports st as a deployable design and checks it against
+// sys for the given applications, returning the first problem.
+func checkSchedule(st *sched.State, sys *model.System, apps ...*model.Application) error {
+	d, err := export.Build(st)
+	if err != nil {
+		return err
+	}
+	if errs := export.Check(d, sys, apps...); len(errs) != 0 {
+		return fmt.Errorf("%d violations, first: %s", len(errs), errs[0])
+	}
+	return nil
+}
 
 // TestEndToEndPipeline drives the whole stack the way cmd/incmap does:
 // generate a system, freeze the existing applications, map the current
@@ -52,8 +65,8 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	for name, sol := range solutions {
-		if vs := sim.Check(sol.State, tc.Sys.Apps...); len(vs) != 0 {
-			t.Fatalf("%s schedule invalid: %v", name, vs[0])
+		if err := checkSchedule(sol.State, tc.Sys, tc.Sys.Apps...); err != nil {
+			t.Fatalf("%s schedule invalid: %v", name, err)
 		}
 		gantt := textplot.Gantt(sol.State, 80)
 		if !strings.Contains(gantt, "bus") {
@@ -83,11 +96,13 @@ func TestEndToEndPipeline(t *testing.T) {
 	for name, sol := range solutions {
 		st := sol.State.Clone()
 		if _, err := st.MapApp(fut, sched.Hints{}); err == nil {
-			// Validate the extended schedule too.
+			// Validate the extended schedule too, against the system
+			// the future application joins.
 			apps := append([]*model.Application{}, tc.Sys.Apps...)
 			apps = append(apps, fut)
-			if vs := sim.Check(st, apps...); len(vs) != 0 {
-				t.Fatalf("%s+future schedule invalid: %v", name, vs[0])
+			extended := &model.System{Arch: tc.Sys.Arch, Apps: apps}
+			if err := checkSchedule(st, extended, apps...); err != nil {
+				t.Fatalf("%s+future schedule invalid: %v", name, err)
 			}
 		}
 	}
@@ -121,8 +136,8 @@ func TestJSONRoundTripThroughPipeline(t *testing.T) {
 			t.Fatalf("mapping %q after round trip: %v", app.Name, err)
 		}
 	}
-	if vs := sim.Check(st, sys2.Apps...); len(vs) != 0 {
-		t.Fatalf("round-tripped schedule invalid: %v", vs[0])
+	if err := checkSchedule(st, sys2, sys2.Apps...); err != nil {
+		t.Fatalf("round-tripped schedule invalid: %v", err)
 	}
 }
 
@@ -157,9 +172,6 @@ func TestFixtureSystemLoads(t *testing.T) {
 		core.Options{Strategy: core.MHWith(core.MHOptions{MaxIterations: 5})})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if vs := sim.Check(sol.State, sys.Apps...); len(vs) != 0 {
-		t.Fatalf("fixture schedule invalid: %v", vs[0])
 	}
 	design, err := export.Build(sol.State)
 	if err != nil {

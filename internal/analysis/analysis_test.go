@@ -4,10 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"incdes/internal/export"
 	"incdes/internal/gen"
 	"incdes/internal/model"
 	"incdes/internal/sched"
-	"incdes/internal/sim"
 	"incdes/internal/tm"
 )
 
@@ -127,9 +127,10 @@ func TestAnalyzeGeneratedCase(t *testing.T) {
 	}
 }
 
-// TestAnalyzeAgreesWithSim: on generated cases, a schedule the oracle
-// accepts must show non-negative laxity everywhere, and vice versa — a
-// negative worst laxity would be a deadline miss the oracle reports.
+// TestAnalyzeAgreesWithSim: on generated cases, a schedule the
+// export.Check oracle accepts must show non-negative laxity everywhere,
+// and vice versa — a negative worst laxity would be a deadline miss the
+// oracle reports.
 func TestAnalyzeAgreesWithSim(t *testing.T) {
 	cfg := gen.Default()
 	cfg.Nodes = 4
@@ -145,8 +146,12 @@ func TestAnalyzeAgreesWithSim(t *testing.T) {
 			t.Fatal(err)
 		}
 		apps := append(append([]*model.Application{}, tc.Existing...), tc.Current)
-		if vs := sim.Check(st, apps...); len(vs) != 0 {
-			t.Fatalf("seed %d: oracle rejects schedule: %v", seed, vs[0])
+		d, err := export.Build(st)
+		if err != nil {
+			t.Fatalf("seed %d: schedule does not export: %v", seed, err)
+		}
+		if errs := export.Check(d, tc.Sys, apps...); len(errs) != 0 {
+			t.Fatalf("seed %d: oracle rejects schedule: %v", seed, errs[0])
 		}
 		rep, err := Analyze(st, apps...)
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"incdes/internal/metrics"
 	"incdes/internal/model"
 	"incdes/internal/sched"
-	"incdes/internal/sim"
 	"incdes/internal/tm"
 )
 
@@ -59,8 +58,8 @@ func TestClassicExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := sim.Check(sol.State, sys.Apps...); len(vs) != 0 {
-		t.Fatalf("classic schedule invalid: %v", vs[0])
+	if err := checkSchedule(sol.State, sys.Apps...); err != nil {
+		t.Fatalf("classic schedule invalid: %v", err)
 	}
 
 	wantNode := map[model.ProcID]model.NodeID{p1: n0, p2: n1, p3: n1, p4: n0}

@@ -3,17 +3,18 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"incdes/internal/core"
 
+	"incdes/internal/export"
 	"incdes/internal/future"
 	"incdes/internal/gen"
 	"incdes/internal/metrics"
 	"incdes/internal/model"
 	"incdes/internal/sched"
-	"incdes/internal/sim"
 	"incdes/internal/tm"
 )
 
@@ -37,6 +38,19 @@ func testProblem(t *testing.T, seed int64, existing, current int) *core.Problem 
 
 func allApps(p *core.Problem) []*model.Application { return p.Sys.Apps }
 
+// checkSchedule exports st as a deployable design and checks it against
+// st's system for the given applications, returning the first problem.
+func checkSchedule(st *sched.State, apps ...*model.Application) error {
+	d, err := export.Build(st)
+	if err != nil {
+		return err
+	}
+	if errs := export.Check(d, st.System(), apps...); len(errs) != 0 {
+		return fmt.Errorf("%d violations, first: %s", len(errs), errs[0])
+	}
+	return nil
+}
+
 // solveSerial runs Solve with one worker and returns its error, for tests
 // that assert on failures as well as on solutions.
 func solveSerial(p *core.Problem, strat core.Strategy) (*core.Solution, error) {
@@ -57,8 +71,8 @@ func TestAdHocProducesValidSchedule(t *testing.T) {
 	if sol.Strategy != "AH" || sol.Evaluations != 1 {
 		t.Errorf("solution meta = %q/%d", sol.Strategy, sol.Evaluations)
 	}
-	if vs := sim.Check(sol.State, allApps(p)...); len(vs) != 0 {
-		t.Fatalf("AH schedule invalid: %v", vs[0])
+	if err := checkSchedule(sol.State, allApps(p)...); err != nil {
+		t.Fatalf("AH schedule invalid: %v", err)
 	}
 	if sol.Report.Objective < 0 {
 		t.Errorf("objective = %v", sol.Report.Objective)
@@ -113,8 +127,8 @@ func TestMappingHeuristicImprovesObjective(t *testing.T) {
 		if mh.Report.Objective < ah.Report.Objective-1e-9 {
 			improved++
 		}
-		if vs := sim.Check(mh.State, allApps(p)...); len(vs) != 0 {
-			t.Fatalf("seed %d: MH schedule invalid: %v", seed, vs[0])
+		if err := checkSchedule(mh.State, allApps(p)...); err != nil {
+			t.Fatalf("seed %d: MH schedule invalid: %v", seed, err)
 		}
 		if mh.Evaluations <= 1 {
 			t.Errorf("seed %d: MH examined only %d alternatives", seed, mh.Evaluations)
@@ -139,8 +153,8 @@ func TestAnnealImprovesObjective(t *testing.T) {
 		t.Errorf("SA objective %v worse than its own starting point %v",
 			sa.Report.Objective, ah.Report.Objective)
 	}
-	if vs := sim.Check(sa.State, allApps(p)...); len(vs) != 0 {
-		t.Fatalf("SA schedule invalid: %v", vs[0])
+	if err := checkSchedule(sa.State, allApps(p)...); err != nil {
+		t.Fatalf("SA schedule invalid: %v", err)
 	}
 	if sa.Evaluations != 401 {
 		t.Errorf("SA evaluations = %d, want 401", sa.Evaluations)
@@ -173,8 +187,8 @@ func TestMHOptionsAblations(t *testing.T) {
 		t.Fatalf("MH with random candidates: %v", err)
 	}
 	for _, sol := range []*core.Solution{noMsg, random} {
-		if vs := sim.Check(sol.State, allApps(p)...); len(vs) != 0 {
-			t.Fatalf("ablated MH invalid: %v", vs[0])
+		if err := checkSchedule(sol.State, allApps(p)...); err != nil {
+			t.Fatalf("ablated MH invalid: %v", err)
 		}
 	}
 }

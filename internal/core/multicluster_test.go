@@ -35,7 +35,8 @@ func multiclusterProblem(t *testing.T, seed int64) *core.Problem {
 // determinism guarantee to multi-cluster platforms: with gateway
 // forwarding in the evaluation path, the solution — report included —
 // must still be identical whether candidates are evaluated by one
-// worker or many.
+// worker or many. The reference solution must also be a valid
+// multi-hop schedule.
 func TestSolveDeterministicAcrossParallelismMulticluster(t *testing.T) {
 	p := multiclusterProblem(t, 21)
 	strategies := []struct {
@@ -48,6 +49,9 @@ func TestSolveDeterministicAcrossParallelismMulticluster(t *testing.T) {
 	for _, s := range strategies {
 		t.Run(s.name, func(t *testing.T) {
 			ref := runSolve(t, p, core.Options{Strategy: s.strat, Parallelism: 1})
+			if err := checkSchedule(ref.State, allApps(p)...); err != nil {
+				t.Fatalf("%s schedule invalid: %v", s.name, err)
+			}
 			for _, par := range []int{4} {
 				got := runSolve(t, p, core.Options{Strategy: s.strat, Parallelism: par})
 				sameDesign(t, s.name, ref, got)

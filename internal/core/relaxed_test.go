@@ -9,7 +9,6 @@ import (
 	"incdes/internal/metrics"
 	"incdes/internal/model"
 	"incdes/internal/sched"
-	"incdes/internal/sim"
 	"incdes/internal/tm"
 )
 
@@ -69,8 +68,8 @@ func TestSolveRelaxedPrefersNoModification(t *testing.T) {
 	if len(sol.Modified) != 0 || sol.Cost != 0 {
 		t.Errorf("modified %v at cost %v; the frozen design suffices", sol.Modified, sol.Cost)
 	}
-	if vs := sim.Check(sol.State, rp.Existing[0].App, rp.Current); len(vs) != 0 {
-		t.Fatalf("relaxed schedule invalid: %v", vs[0])
+	if err := checkSchedule(sol.State, rp.Existing[0].App, rp.Current); err != nil {
+		t.Fatalf("relaxed schedule invalid: %v", err)
 	}
 }
 
@@ -108,8 +107,8 @@ func TestSolveRelaxedModifiesWhenForced(t *testing.T) {
 	if sol.Subsets != 2 {
 		t.Errorf("evaluated %d subsets, want 2 (frozen first, then {legacy})", sol.Subsets)
 	}
-	if vs := sim.Check(sol.State, sys.Apps...); len(vs) != 0 {
-		t.Fatalf("relaxed schedule invalid: %v", vs[0])
+	if err := checkSchedule(sol.State, sys.Apps...); err != nil {
+		t.Fatalf("relaxed schedule invalid: %v", err)
 	}
 	// B must now run before its 60 tu deadline.
 	for _, e := range sol.State.ProcEntries() {
@@ -169,7 +168,7 @@ func TestSolveRelaxedCostOrdering(t *testing.T) {
 		t.Errorf("modified %v at cost %v; want the cheap application only", sol.Modified, sol.Cost)
 	}
 	apps := []*model.Application{sys.Apps[0], sys.Apps[1], sys.Apps[2]}
-	if vs := sim.Check(sol.State, apps...); len(vs) != 0 {
-		t.Fatalf("relaxed schedule invalid: %v", vs[0])
+	if err := checkSchedule(sol.State, apps...); err != nil {
+		t.Fatalf("relaxed schedule invalid: %v", err)
 	}
 }

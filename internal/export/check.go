@@ -10,12 +10,19 @@ import (
 // Check validates a deployable design against the system model it claims
 // to implement — the last line of defense before a design image reaches a
 // flashing tool, and deliberately independent of the scheduler that
-// produced it. It verifies:
+// produced it. It is the one schedule oracle: the tests, incmap's map,
+// verify and simulate commands, and the benchmark all rely on it. It
+// verifies:
 //
+//   - the design's horizon is the system's hyperperiod; on a mismatch
+//     that is the only violation reported, since every other check
+//     counts occurrences over the horizon;
 //   - every process occurrence of every application appears exactly once,
 //     on a node its WCET table allows, running for exactly its WCET,
 //     inside its release/deadline window;
-//   - dispatch tables are sorted and non-overlapping;
+//   - dispatch tables are sorted and non-overlapping, and activate only
+//     process occurrences the system defines;
+//   - every MEDL line carries a message occurrence the system defines;
 //   - every inter-node message occurrence appears in the MEDL as a full
 //     hop chain along the architecture's deterministic route — every hop
 //     in a slot owned by its transmitting node on the route's bus,
@@ -27,8 +34,14 @@ import (
 //
 // The route each chain is checked against comes from model.BuildRoutes,
 // recomputed here rather than trusted from the design, so a scheduler
-// that picked a non-canonical route is caught.
+// that picked a non-canonical route is caught. Processes and messages
+// are looked up in all of sys's applications, so a caller may check a
+// subset of them (pass as apps every application the design should
+// fully schedule).
 func Check(d *Design, sys *model.System, apps ...*model.Application) []string {
+	if hp := sys.Hyperperiod(); d.Horizon != hp {
+		return []string{fmt.Sprintf("design horizon %v, system hyperperiod %v", d.Horizon, hp)}
+	}
 	var errs []string
 	report := func(format string, args ...interface{}) {
 		errs = append(errs, fmt.Sprintf(format, args...))
@@ -38,6 +51,7 @@ func Check(d *Design, sys *model.System, apps ...*model.Application) []string {
 	if rerr != nil {
 		report("architecture has no route table: %v", rerr)
 	}
+	ix := model.NewIndex(sys.Apps...)
 
 	type key struct {
 		proc model.ProcID
@@ -57,6 +71,10 @@ func Check(d *Design, sys *model.System, apps ...*model.Application) []string {
 					nt.Node, e.Proc, e.Occ, e.Start, prev.End)
 			}
 			prev = e
+			if g := ix.GraphOf[e.Proc]; g == nil || e.Occ < 0 || e.Occ >= int(d.Horizon/g.Period) {
+				report("node %d activates process %d occ %d, which the system does not define", nt.Node, e.Proc, e.Occ)
+				continue
+			}
 			k := key{e.Proc, e.Occ}
 			if _, dup := entryAt[k]; dup {
 				report("process %d occ %d dispatched more than once", e.Proc, e.Occ)
@@ -72,10 +90,14 @@ func Check(d *Design, sys *model.System, apps ...*model.Application) []string {
 		occ int
 		hop int
 	}
-	medlAt := map[mkey]MEDLIndexEntry{}
+	medlAt := map[mkey]medlIndexEntry{}
 	hopCount := map[[2]int]int{} // (msg, occ) -> number of MEDL hops
 	slotLoad := map[[3]int]int{} // (bus, round, slot) -> bytes
 	for _, e := range d.MEDL {
+		if g := ix.MsgGraph[e.Msg]; g == nil || e.Occ < 0 || e.Occ >= int(d.Horizon/g.Period) {
+			report("MEDL carries message %d occ %d, which the system does not define", e.Msg, e.Occ)
+			continue
+		}
 		if int(e.Bus) < 0 || int(e.Bus) >= len(buses) {
 			report("message %d occ %d hop %d on nonexistent bus %d", e.Msg, e.Occ, e.Hop, e.Bus)
 			continue
@@ -90,7 +112,7 @@ func Check(d *Design, sys *model.System, apps ...*model.Application) []string {
 			report("message %d occ %d in nonexistent slot %d", e.Msg, e.Occ, e.Slot)
 			continue
 		}
-		medlAt[k] = MEDLIndexEntry{
+		medlAt[k] = medlIndexEntry{
 			Bus:    e.Bus,
 			Owner:  bus.SlotOrder[e.Slot],
 			Start:  bus.SlotStart(e.Round, e.Slot),
@@ -128,8 +150,11 @@ func Check(d *Design, sys *model.System, apps ...*model.Application) []string {
 					case e.End-e.Start != w:
 						report("process %d occ %d runs %v, WCET on node %d is %v", p.ID, occ, e.End-e.Start, node, w)
 					}
-					if e.Start < release || e.End > deadline {
-						report("process %d occ %d runs [%v,%v) outside [%v,%v]", p.ID, occ, e.Start, e.End, release, deadline)
+					if e.Start < release {
+						report("process %d occ %d starts %v before its release %v", p.ID, occ, e.Start, release)
+					}
+					if e.End > deadline {
+						report("process %d occ %d ends %v after its deadline %v", p.ID, occ, e.End, deadline)
 					}
 				}
 				for _, m := range g.Msgs {
@@ -145,7 +170,7 @@ func Check(d *Design, sys *model.System, apps ...*model.Application) []string {
 							report("message %d occ %d between co-located processes is in the MEDL", m.ID, occ)
 						}
 						if dst.Start < src.End {
-							report("message %d occ %d: consumer starts %v before producer ends %v",
+							report("message %d occ %d: co-located consumer starts %v before producer ends %v",
 								m.ID, occ, dst.Start, src.End)
 						}
 						continue
@@ -175,8 +200,8 @@ func Check(d *Design, sys *model.System, apps ...*model.Application) []string {
 								m.ID, occ, i, me.Bus, hop.Bus)
 						}
 						if me.Owner != hop.From {
-							report("message %d occ %d in a slot owned by node %d, producer on node %d",
-								m.ID, occ, me.Owner, hop.From)
+							report("message %d occ %d hop %d in a slot owned by node %d, sender is node %d",
+								m.ID, occ, i, me.Owner, hop.From)
 						}
 						if me.Start < prevArrive {
 							if i == 0 {
@@ -201,9 +226,9 @@ func Check(d *Design, sys *model.System, apps ...*model.Application) []string {
 	return errs
 }
 
-// MEDLIndexEntry is the resolved timing of one MEDL line, derived from
+// medlIndexEntry is the resolved timing of one MEDL line, derived from
 // the bus description during Check.
-type MEDLIndexEntry struct {
+type medlIndexEntry struct {
 	Bus    model.BusID
 	Owner  model.NodeID
 	Start  tm.Time

@@ -3,6 +3,15 @@
 // (the process activation times a TTP node's kernel executes verbatim)
 // and the bus MEDL. Designs serialize to JSON, human-readable text, and a
 // compact checksummed binary image suitable for flashing tools.
+//
+// Check verifies a design against the system it claims to implement,
+// independently of the scheduler, and is the repository's one schedule
+// oracle. It first requires the design's horizon to be the system's
+// hyperperiod, then checks every process and message occurrence:
+// completeness, WCET, release and deadline, node exclusivity,
+// precedence, TDMA slot ownership along the canonical route, hop order
+// and slot capacity. Dispatch activations and MEDL lines of process or
+// message occurrences the system does not define are violations too.
 package export
 
 import (

@@ -12,16 +12,21 @@ import (
 	"incdes/internal/tm"
 )
 
-func exportState(t *testing.T) *sched.State {
+// exportState schedules a two-node system with one graph: P1 on N0
+// sends message 0 across the bus to P2 on N1, and P2 sends message 1 to
+// P3 on the same node.
+func exportState(t testing.TB) *sched.State {
 	t.Helper()
 	b := model.NewBuilder()
 	n0 := b.Node("N0")
 	n1 := b.Node("N1")
-	b.Bus([]model.NodeID{n0, n1}, []int{8, 8}, 1, 2)
+	b.Bus([]model.NodeID{n0, n1}, []int{8, 8}, 1, 2) // round 20
 	g := b.App("a").Graph("G", 100, 100)
 	p1 := g.Proc("P1", map[model.NodeID]tm.Time{n0: 10})
 	p2 := g.Proc("P2", map[model.NodeID]tm.Time{n1: 15})
+	p3 := g.Proc("P3", map[model.NodeID]tm.Time{n1: 5})
 	g.Msg(p1, p2, 4)
+	g.Msg(p2, p3, 2)
 	sys, err := b.System()
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +35,7 @@ func exportState(t *testing.T) *sched.State {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ScheduleApp(sys.Apps[0], model.Mapping{p1: n0, p2: n1}, sched.Hints{}); err != nil {
+	if err := st.ScheduleApp(sys.Apps[0], model.Mapping{p1: n0, p2: n1, p3: n1}, sched.Hints{}); err != nil {
 		t.Fatal(err)
 	}
 	return st

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"incdes/internal/tm"
 )
 
 // FuzzDecodeBinary hardens the design-image parser: arbitrary input must
@@ -49,5 +51,34 @@ func FuzzReadDesign(f *testing.F) {
 		if err := d.WriteJSON(&buf); err != nil {
 			t.Fatalf("accepted design failed to serialize: %v", err)
 		}
+	})
+}
+
+// FuzzCheck hardens the schedule oracle against arbitrary design
+// documents: whatever ReadDesign accepts, Check must return on without
+// panicking, however large or inconsistent the horizon, rounds, slots
+// and indices it carries.
+func FuzzCheck(f *testing.F) {
+	st := exportState(f)
+	d, err := Build(st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, horizon := range []tm.Time{d.Horizon, 1 << 40} {
+		d.Horizon = horizon
+		var buf bytes.Buffer
+		if err := d.WriteJSON(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	f.Add(`{"horizon":0,"round_len":20,"mapping":{},"nodes":[],"medl":[]}`)
+	sys := st.System()
+	f.Fuzz(func(t *testing.T, data string) {
+		d, err := ReadDesign(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		Check(d, sys, sys.Apps...)
 	})
 }

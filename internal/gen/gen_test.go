@@ -3,8 +3,8 @@ package gen
 import (
 	"testing"
 
+	"incdes/internal/export"
 	"incdes/internal/model"
-	"incdes/internal/sim"
 	"incdes/internal/tm"
 )
 
@@ -137,8 +137,12 @@ func TestMakeTestCaseSchedulableAndValid(t *testing.T) {
 		t.Errorf("current processes = %d, want 20", tc.Current.NumProcs())
 	}
 	// The base state must hold a valid schedule of the existing apps.
-	if vs := sim.Check(tc.Base, tc.Existing...); len(vs) != 0 {
-		t.Fatalf("base schedule violates constraints: %v", vs[0])
+	d, err := export.Build(tc.Base)
+	if err != nil {
+		t.Fatalf("base schedule does not export: %v", err)
+	}
+	if errs := export.Check(d, tc.Sys, tc.Existing...); len(errs) != 0 {
+		t.Fatalf("base schedule violates constraints: %v", errs[0])
 	}
 	if err := tc.Profile.Validate(); err != nil {
 		t.Errorf("profile invalid: %v", err)

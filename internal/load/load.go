@@ -3,9 +3,7 @@
 // problems, detached jobs and session commits — against an in-process
 // serve handler at a configurable concurrency and reports per-class
 // latency percentiles plus the solution-cache hit rate as a
-// machine-readable artifact (LOAD_<profile>.json). Compare diffs two
-// such artifacts by relative latency growth and hit-rate drop, so CI can
-// gate on p99 and hit-rate regressions.
+// machine-readable artifact (LOAD_<profile>.json).
 //
 // The workload is synthesized deterministically from the profile seed
 // with model.Builder systems small enough that a single solve takes
@@ -19,6 +17,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -30,9 +30,7 @@ import (
 // SchemaVersion identifies the JSON layout of Report. Version 2 added
 // the serialized per-class latency histogram (ClassReport.Histogram);
 // version 3 added the per-worker latency rows (Report.Workers) populated
-// when responses carry the cluster's X-Incdes-Worker attribution. The
-// scalar percentile fields are unchanged, so Compare still diffs against
-// version-1 and -2 baselines.
+// when responses carry the cluster's X-Incdes-Worker attribution.
 const SchemaVersion = 3
 
 // latencyBounds are the per-class histogram buckets, in milliseconds:
@@ -189,6 +187,29 @@ func (r *Report) Errors() int {
 		n += c.Errors
 	}
 	return n
+}
+
+// WriteFile writes the report atomically (temp file + rename).
+func (r *Report) WriteFile(path string) error {
+	dir, base := filepath.Split(path)
+	tmp, err := os.CreateTemp(dir, base+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("load: writing %s: %w", path, err)
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	enc := json.NewEncoder(tmp)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(r); err != nil {
+		tmp.Close()
+		return fmt.Errorf("load: writing %s: %w", path, err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("load: writing %s: %w", path, err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("load: writing %s: %w", path, err)
+	}
+	return nil
 }
 
 // sample is one completed request.

@@ -1,10 +1,11 @@
 package load
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -185,56 +186,6 @@ func TestResubmitSpeedup(t *testing.T) {
 	}
 }
 
-func TestCompareDetectsRegressions(t *testing.T) {
-	base := &Report{
-		SchemaVersion: SchemaVersion,
-		CacheEnabled:  true,
-		Classes: map[string]ClassReport{
-			ClassResubmit: {Requests: 10, P50MS: 2, P95MS: 4, P99MS: 5, MeanMS: 2.5},
-			ClassDistinct: {Requests: 5, P50MS: 8, P95MS: 12, P99MS: 14, MeanMS: 9},
-		},
-		Cache: CacheReport{Hit: 8, Miss: 2, HitRate: 0.8},
-	}
-	cand := &Report{
-		SchemaVersion: SchemaVersion,
-		CacheEnabled:  true,
-		Classes: map[string]ClassReport{
-			ClassResubmit: {Requests: 10, P50MS: 2.1, P95MS: 4.2, P99MS: 20, MeanMS: 4}, // p99 4x
-			ClassDistinct: {Requests: 5, Errors: 2, P50MS: 8, P95MS: 12, P99MS: 14, MeanMS: 9},
-		},
-		Cache: CacheReport{Hit: 5, Miss: 5, HitRate: 0.5}, // -0.3 absolute
-	}
-	regs, _ := Compare(base, cand, CompareOptions{})
-	joined := strings.Join(regs, "\n")
-	for _, want := range []string{"p99", "errors", "hit rate"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("regressions missing %q:\n%s", want, joined)
-		}
-	}
-	if regs, _ := Compare(base, base, CompareOptions{}); len(regs) != 0 {
-		t.Errorf("self-compare found regressions: %v", regs)
-	}
-
-	// Small absolute latencies below the floor never count as regressions.
-	tiny := &Report{SchemaVersion: SchemaVersion, Classes: map[string]ClassReport{
-		ClassResubmit: {Requests: 10, P50MS: 0.01, P95MS: 0.02, P99MS: 0.03},
-	}}
-	tinyWorse := &Report{SchemaVersion: SchemaVersion, Classes: map[string]ClassReport{
-		ClassResubmit: {Requests: 10, P50MS: 0.04, P95MS: 0.08, P99MS: 0.12},
-	}}
-	if regs, _ := Compare(tiny, tinyWorse, CompareOptions{}); len(regs) != 0 {
-		t.Errorf("sub-floor jitter flagged as regression: %v", regs)
-	}
-
-	// A class vanishing from the candidate is a note, not silence.
-	missing := &Report{SchemaVersion: SchemaVersion, CacheEnabled: true,
-		Classes: map[string]ClassReport{ClassResubmit: base.Classes[ClassResubmit]},
-		Cache:   base.Cache}
-	if _, notes := Compare(base, missing, CompareOptions{}); len(notes) == 0 {
-		t.Error("dropped class produced no note")
-	}
-}
-
 func TestReportFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "LOAD_test.json")
@@ -246,20 +197,19 @@ func TestReportFileRoundTrip(t *testing.T) {
 	if err := rep.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Profile.Name != "rt" || got.Classes[ClassResubmit].Requests != 1 {
-		t.Errorf("round-trip mangled the report: %+v", got)
-	}
-
-	future := *rep
-	future.SchemaVersion = SchemaVersion + 1
-	if err := future.WriteFile(path); err != nil {
+	var got Report
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFile(path); err == nil {
-		t.Error("ReadFile accepted a newer schema version")
+	if got.SchemaVersion != SchemaVersion || got.Profile.Name != "rt" || got.Classes[ClassResubmit].Requests != 1 {
+		t.Errorf("round-trip mangled the report: %+v", got)
+	}
+	// The rename leaves no temporary file behind.
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("directory after WriteFile: %v entries (err %v), want only the report", len(entries), err)
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"incdes/internal/export"
 	"incdes/internal/model"
 	"incdes/internal/sched"
-	"incdes/internal/sim"
 )
 
 const sample = `
@@ -171,8 +171,12 @@ func TestTGFFSystemSchedules(t *testing.T) {
 	if _, err := st.MapApp(sys.Apps[0], sched.Hints{}); err != nil {
 		t.Fatalf("MapApp: %v", err)
 	}
-	if vs := sim.Check(st, sys.Apps...); len(vs) != 0 {
-		t.Fatalf("TGFF system schedule invalid: %v", vs[0])
+	d, err := export.Build(st)
+	if err != nil {
+		t.Fatalf("TGFF system schedule does not export: %v", err)
+	}
+	if errs := export.Check(d, sys, sys.Apps...); len(errs) != 0 {
+		t.Fatalf("TGFF system schedule invalid: %v", errs[0])
 	}
 }
 
