@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -152,6 +153,52 @@ func TestRunRelaxed(t *testing.T) {
 	}
 	if tab := res.Table(); !strings.Contains(tab, "mod cost") {
 		t.Errorf("relaxed table malformed:\n%s", tab)
+	}
+}
+
+// TestFutureSweepsReproducible runs the two sweeps that sample future
+// applications twice each: a sampled future application depends only on
+// its seed, so the rows must be equal. The future-fit options are sized
+// so the fit rates sit between 0 and 100%, where a different draw shows.
+func TestFutureSweepsReproducible(t *testing.T) {
+	fit := smallOptions()
+	fit.Existing = 100
+	fit.Sizes = []int{20, 30, 40}
+	fit.FutureProcs = 10
+	fit.FutureSamples = 12
+	relaxed := smallOptions()
+	relaxed.Sizes = []int{20, 30}
+	relaxed.FutureSamples = 4
+	for _, run := range []struct {
+		name string
+		rows func() (any, error)
+	}{
+		{"RunFutureFit", func() (any, error) {
+			res, err := RunFutureFit(context.Background(), fit)
+			if err != nil {
+				return nil, err
+			}
+			return res.Rows, nil
+		}},
+		{"RunRelaxed", func() (any, error) {
+			res, err := RunRelaxed(context.Background(), relaxed)
+			if err != nil {
+				return nil, err
+			}
+			return res.Rows, nil
+		}},
+	} {
+		first, err := run.rows()
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		second, err := run.rows()
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("%s differs between two identical runs:\n%+v\n%+v", run.name, first, second)
+		}
 	}
 }
 

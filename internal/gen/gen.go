@@ -69,13 +69,6 @@ type Config struct {
 	FutureBusFrac float64 // BNeedBytes as a fraction of bus bytes per Tmin
 	FutureTminDen int     // Tmin = base period / FutureTminDen
 
-	// ScatterExisting spreads the processes of existing applications over
-	// their periods (they were placed by earlier design increments that
-	// also protected periodic slack). When false, existing applications
-	// are packed ASAP — an adversarial history used in ablations.
-	// Ignored when History selects an explicit mode.
-	ScatterExisting bool
-
 	// History selects how the existing applications were placed:
 	//
 	//	HistoryMH      — each existing application was once the "current"
@@ -106,25 +99,24 @@ const (
 // 2-8 bytes, graphs of 10-30 processes.
 func Default() Config {
 	return Config{
-		Nodes:           10,
-		SlotBytes:       32,
-		ByteTime:        1,
-		SlotOverhead:    8,
-		GraphMinProcs:   10,
-		GraphMaxProcs:   30,
-		ExtraEdgeProb:   0.25,
-		WCETMin:         20,
-		WCETMax:         150,
-		MsgMin:          2,
-		MsgMax:          8,
-		AllowedFrac:     0.6,
-		HeteroSpread:    0.5,
-		TargetUtil:      0.65,
-		PeriodLevels:    []int{1, 2},
-		FutureUtil:      0.30,
-		FutureBusFrac:   0.15,
-		FutureTminDen:   4,
-		ScatterExisting: true,
+		Nodes:         10,
+		SlotBytes:     32,
+		ByteTime:      1,
+		SlotOverhead:  8,
+		GraphMinProcs: 10,
+		GraphMaxProcs: 30,
+		ExtraEdgeProb: 0.25,
+		WCETMin:       20,
+		WCETMax:       150,
+		MsgMin:        2,
+		MsgMax:        8,
+		AllowedFrac:   0.6,
+		HeteroSpread:  0.5,
+		TargetUtil:    0.65,
+		PeriodLevels:  []int{1, 2},
+		FutureUtil:    0.30,
+		FutureBusFrac: 0.15,
+		FutureTminDen: 4,
 	}
 }
 

@@ -204,6 +204,37 @@ func TestFutureAppFollowsProfile(t *testing.T) {
 	}
 }
 
+// TestFutureAppDeterministic pins that a sampled future application is a
+// function of the generator's seed: two generators from one seed draw
+// identical WCET tables (each node's heterogeneity factor is drawn in
+// node order, never in map order).
+func TestFutureAppDeterministic(t *testing.T) {
+	draw := func() []*model.Application {
+		g := New(smallConfig(), 21)
+		app, lv := g.Application("a", 20)
+		prof := g.Profile(g.AssignPeriods([]*model.Application{app}, [][]int{lv}))
+		var futs []*model.Application
+		for i := 0; i < 4; i++ {
+			futs = append(futs, g.FutureApp("future", prof, 25))
+		}
+		return futs
+	}
+	a, b := draw(), draw()
+	for i := range a {
+		for gi, gr := range a[i].Graphs {
+			for pi, p := range gr.Procs {
+				q := b[i].Graphs[gi].Procs[pi]
+				for _, n := range p.AllowedNodes() {
+					if p.WCET[n] != q.WCET[n] {
+						t.Fatalf("future %d process %d node %d: WCET %v then %v from one seed",
+							i, p.ID, n, p.WCET[n], q.WCET[n])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestProfileScalesWithConfig(t *testing.T) {
 	cfg := smallConfig()
 	g := New(cfg, 2)

@@ -36,7 +36,7 @@ func TestHistoryModesQualityOrdering(t *testing.T) {
 }
 
 func TestHistoryDefaultResolvesToMH(t *testing.T) {
-	cfg := smallConfig() // ScatterExisting=true, History unset
+	cfg := smallConfig() // History unset
 	tc1, err := MakeTestCase(cfg, 33, 40, 10)
 	if err != nil {
 		t.Fatal(err)

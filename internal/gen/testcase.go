@@ -115,10 +115,11 @@ func (g *Generator) FutureApp(name string, prof *future.Profile, nProcs int) *mo
 			gr.Deadline = basePeriod
 		}
 		// Redraw process WCETs from the profile's distribution (keeping
-		// the heterogeneity structure) and message sizes likewise.
+		// the heterogeneity structure) and message sizes likewise. The
+		// per-node factors are drawn in node order so a seed fixes them.
 		for _, p := range gr.Procs {
 			base := tm.Time(g.drawSize(prof.WCET))
-			for n := range p.WCET {
+			for _, n := range p.AllowedNodes() {
 				f := 1 + g.cfg.HeteroSpread*(2*g.rng.Float64()-1)
 				w := tm.Time(math.Round(float64(base) * f))
 				if w < 1 {
@@ -279,7 +280,8 @@ func makeOnce(cfg Config, seed int64, existingProcs, currentProcs int) (*TestCas
 		return nil, err
 	}
 	prof := g.Profile(base)
-	if err := g.placeHistory(sys, st, existing, prof); err != nil {
+	st, err = g.placeHistory(sys, st, existing, prof)
+	if err != nil {
 		return nil, err
 	}
 	// The current application must admit at least one valid design.
@@ -298,28 +300,26 @@ func makeOnce(cfg Config, seed int64, existingProcs, currentProcs int) (*TestCas
 	}, nil
 }
 
-// placeHistory schedules the existing applications into st according to
-// the configured history mode. With HistoryMH each application is mapped
-// by the paper's mapping heuristic in arrival order — the system really
-// is the product of successive design increments. HistoryScatter draws
-// random start offsets instead; HistoryASAP packs everything early.
+// placeHistory schedules the existing applications onto st according to
+// the configured history mode and returns the resulting state. With
+// HistoryMH (the default) each application is mapped by the paper's
+// mapping heuristic in arrival order — the system really is the product
+// of successive design increments — and the state is the solution's.
+// HistoryScatter draws random start offsets instead; HistoryASAP packs
+// everything early.
 func (g *Generator) placeHistory(sys *model.System, st *sched.State,
-	existing []*model.Application, prof *future.Profile) error {
+	existing []*model.Application, prof *future.Profile) (*sched.State, error) {
 
 	mode := g.cfg.History
 	if mode == HistoryDefault {
-		if g.cfg.ScatterExisting {
-			mode = HistoryMH
-		} else {
-			mode = HistoryASAP
-		}
+		mode = HistoryMH
 	}
 	for _, app := range existing {
 		switch mode {
 		case HistoryMH:
 			p, err := core.NewProblem(sys, st, app, prof, metrics.DefaultWeights(prof))
 			if err != nil {
-				return err
+				return nil, err
 			}
 			// A reduced-budget MH seeded with spread-out placements: the
 			// initial mapping alone would pack everything ASAP, which no
@@ -339,20 +339,20 @@ func (g *Generator) placeHistory(sys *model.System, st *sched.State,
 				Parallelism: 1,
 			})
 			if err != nil {
-				return fmt.Errorf("gen: existing application %q unschedulable: %w", app.Name, err)
+				return nil, fmt.Errorf("gen: existing application %q unschedulable: %w", app.Name, err)
 			}
-			*st = *sol.State
+			st = sol.State
 		case HistoryScatter:
 			if _, err := st.MapApp(app, g.scatterHints(app)); err != nil {
-				return fmt.Errorf("gen: existing application %q unschedulable: %w", app.Name, err)
+				return nil, fmt.Errorf("gen: existing application %q unschedulable: %w", app.Name, err)
 			}
 		case HistoryASAP:
 			if _, err := st.MapApp(app, sched.Hints{}); err != nil {
-				return fmt.Errorf("gen: existing application %q unschedulable: %w", app.Name, err)
+				return nil, fmt.Errorf("gen: existing application %q unschedulable: %w", app.Name, err)
 			}
 		default:
-			return fmt.Errorf("gen: unknown history mode %q", mode)
+			return nil, fmt.Errorf("gen: unknown history mode %q", mode)
 		}
 	}
-	return nil
+	return st, nil
 }

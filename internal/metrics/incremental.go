@@ -38,11 +38,10 @@ type Baseline struct {
 	gapLens  map[model.NodeID][]int64 // slack interval lengths per node
 	winSlack map[model.NodeID][]tm.Time
 
-	busFree  []int64 // free bytes per slot occurrence, bus order then time order
-	busWin   []int64 // free bytes per Tmin window, summed over buses
-	numSlots []int   // slots per round, per bus
-	busOff   []int   // busFree offset of each bus's occurrence block
-	busTmin  tm.Time // effective window length of busWin (clipped like BusWindowFree)
+	busFree []int64 // free bytes per slot occurrence, bus order then time order
+	busWin  []int64 // free bytes per Tmin window, summed over buses
+	busOff  []int   // busFree offset of each bus's occurrence block
+	busTmin tm.Time // effective window length of busWin (clipped like BusWindowFree)
 }
 
 // NewBaseline precomputes the metric inputs of the base state. The cost
@@ -68,14 +67,12 @@ func NewBaseline(base *sched.State, prof *future.Profile, w Weights) *Baseline {
 
 	b.busFree = slack.BusFreeBytes(base)
 	b.busWin = slack.BusWindowFree(base, prof.Tmin)
-	b.numSlots = make([]int, base.NumBuses())
 	b.busOff = make([]int, base.NumBuses())
 	off := 0
 	for bi := 0; bi < base.NumBuses(); bi++ {
 		bst := base.BusStateAt(bi)
-		b.numSlots[bi] = bst.Bus().NumSlots()
 		b.busOff[bi] = off
-		off += bst.Rounds() * b.numSlots[bi]
+		off += bst.Rounds() * bst.Bus().NumSlots()
 	}
 	b.busTmin = prof.Tmin
 	if int(horizon/b.busTmin) == 0 {
@@ -147,16 +144,26 @@ func (e *Incremental) EvaluateTxn(st *sched.State, txn *sched.Txn) (rep Report, 
 	frac, e.remA = pack.BestFitUnpacked(b.items, e.bins, e.remA)
 	r.C1P = 100 * frac
 
-	// Criterion 1, messages: patch the touched slot occurrences of the
-	// cached per-occurrence free-bytes vector (each bus's block is
-	// round-major, so bus bi's occurrence (round, slot) sits at
-	// busOff[bi] + round*numSlots[bi] + slot).
+	// Messages, both criteria, in one pass over the bus reservations: a
+	// reservation of d.Bytes removes that many free bytes from its slot
+	// occurrence (C1m; each bus's block of the cached vector is
+	// round-major, so occurrence (round, slot) sits at the block's offset
+	// + round*slots + slot) and from the Tmin window holding the
+	// occurrence's end (C2m). Integer subtractions commute, so the record
+	// order does not matter.
 	e.mBins = append(e.mBins[:0], b.busFree...)
-	for bi := range b.numSlots {
-		for _, d := range txn.BusDeltasAt(bi) {
-			e.mBins[b.busOff[bi]+d.Round*b.numSlots[bi]+d.Slot] -= int64(d.Bytes)
+	e.busWinS = append(e.busWinS[:0], b.busWin...)
+	for _, d := range txn.BusDeltas() {
+		bus := st.BusStateAt(int(d.Bus)).Bus()
+		e.mBins[b.busOff[d.Bus]+d.Round*bus.NumSlots()+d.Slot] -= int64(d.Bytes)
+		w := int((bus.SlotEnd(d.Round, d.Slot) - 1) / b.busTmin)
+		if w >= len(e.busWinS) {
+			w = len(e.busWinS) - 1
 		}
+		e.busWinS[w] -= int64(d.Bytes)
 	}
+
+	// Criterion 1, messages.
 	frac, e.remB = pack.BestFitUnpacked(b.mItems, e.mBins, e.remB)
 	r.C1m = 100 * frac
 
@@ -181,20 +188,7 @@ func (e *Incremental) EvaluateTxn(st *sched.State, txn *sched.Txn) (rep Report, 
 		r.C2P += min
 	}
 
-	// Criterion 2, messages: a reservation of d.Bytes removes exactly
-	// that many free bytes from the window holding the occurrence's end,
-	// on whichever bus the hop was reserved.
-	e.busWinS = append(e.busWinS[:0], b.busWin...)
-	for bi := range b.numSlots {
-		bus := st.BusStateAt(bi).Bus()
-		for _, d := range txn.BusDeltasAt(bi) {
-			w := int((bus.SlotEnd(d.Round, d.Slot) - 1) / b.busTmin)
-			if w >= len(e.busWinS) {
-				w = len(e.busWinS) - 1
-			}
-			e.busWinS[w] -= int64(d.Bytes)
-		}
-	}
+	// Criterion 2, messages: the patched window vector's minimum.
 	r.C2m = e.busWinS[0]
 	for _, v := range e.busWinS[1:] {
 		if v < r.C2m {

@@ -10,198 +10,92 @@ import (
 // MapApp constructs a mapping for app while scheduling it, following the
 // Heterogeneous Critical Path strategy: jobs are visited in decreasing
 // partial-critical-path priority; the first time a process is visited it
-// is bound to the allowed node on which this occurrence would finish
-// earliest (accounting for inter-node messages over the TDMA bus and for
-// the slack left by everything already in the state). Subsequent
-// occurrences reuse the binding — a process is mapped once.
+// is bound to the allowed node on which its first occurrence would
+// finish earliest (accounting for inter-node messages over the TDMA bus
+// and for the slack left by everything already in the state), among the
+// nodes where every one of its occurrences fits. A process is mapped
+// once, so all of its occurrences then run on that node.
 //
-// The greedy binding is made at the first occurrence, which can doom a
-// later occurrence of the same process on a loaded system; when that
-// happens the offending (process, node) pair is banned and mapping
-// restarts, up to a small retry budget.
-//
-// On success the application is fully scheduled into the state and its
-// mapping is returned. On failure the state is left unchanged.
+// MapApp runs inside a transaction on the state. On success the
+// application is fully scheduled into the state, the transaction is
+// committed and the mapping is returned. On failure the transaction is
+// rolled back, so the state is exactly as before. Like Begin, it panics
+// if a transaction is already open.
 func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, error) {
-	const maxAttempts = 8
-	banned := map[model.ProcID]map[model.NodeID]bool{}
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		trial := s.Clone()
-		mapping, failed, err := trial.mapAppOnce(app, hints, banned)
-		if err == nil {
-			*s = *trial
-			return mapping, nil
-		}
-		lastErr = err
-		if failed.proc < 0 {
-			break // structural failure; retrying cannot help
-		}
-		if banned[failed.proc] == nil {
-			banned[failed.proc] = map[model.NodeID]bool{}
-		}
-		banned[failed.proc][failed.node] = true
-	}
-	return nil, lastErr
-}
-
-// failedBinding identifies the (process, node) decision that broke a
-// mapping attempt; proc < 0 means the failure was not binding-related.
-type failedBinding struct {
-	proc model.ProcID
-	node model.NodeID
-}
-
-var noBinding = failedBinding{proc: -1}
-
-// mapAppOnce runs one greedy mapping pass, skipping banned bindings.
-// The job list keeps all occurrences of a process adjacent (all of their
-// predecessors' jobs come first), so the node binding is verified against
-// every occurrence before it is committed, and the whole run is scheduled
-// immediately afterwards. Occurrences of one process live in disjoint
-// deadline windows and disjoint bus rounds, so the per-occurrence
-// verification remains exact when the run is committed.
-func (s *State) mapAppOnce(app *model.Application, hints Hints,
-	banned map[model.ProcID]map[model.NodeID]bool) (model.Mapping, failedBinding, error) {
-
+	t := s.Begin()
 	jobs, err := s.jobList(app)
 	if err != nil {
-		return nil, noBinding, err
+		t.Rollback()
+		return nil, err
 	}
 	mapping := model.Mapping{}
 	for i := 0; i < len(jobs); {
-		// Collect the contiguous run of this process's occurrences.
+		// The job list keeps all occurrences of a process adjacent, after
+		// every job of its predecessors.
 		j := i
 		for j < len(jobs) && jobs[j].proc.ID == jobs[i].proc.ID {
 			j++
 		}
 		run := jobs[i:j]
-		node, ok := s.bestNodeRun(run, hints, banned[run[0].proc.ID])
+		node, ok := t.bestNode(app, run, hints)
 		if !ok {
-			return nil, noBinding, fmt.Errorf("sched: process %d fits on no allowed node (all %d occurrences considered)",
+			t.Rollback()
+			return nil, fmt.Errorf("sched: process %d fits on no allowed node (all %d occurrences considered)",
 				run[0].proc.ID, len(run))
 		}
 		mapping[run[0].proc.ID] = node
+		// Occurrences of one process use disjoint time windows on every
+		// node and bus (model.Validate keeps each deadline within its
+		// period), so placing one cannot change where another fits: a
+		// run whose trials all passed always places.
 		for _, jb := range run {
 			if err := s.scheduleJob(app, jb.graph, jb.proc, jb.occ, mapping, hints); err != nil {
-				return nil, failedBinding{proc: jb.proc.ID, node: node}, err
+				t.Rollback()
+				return nil, fmt.Errorf("sched: internal: process %d occ %d failed on node %d after its trial fit: %w",
+					jb.proc.ID, jb.occ, node, err)
 			}
 		}
 		i = j
 	}
+	t.Commit()
 	for p, n := range mapping {
 		s.mapping[p] = n
 	}
-	return mapping, noBinding, nil
+	return mapping, nil
 }
 
-// bestNodeRun evaluates every allowed, non-banned node against every
-// occurrence of the process and returns the feasible node with the
-// earliest first-occurrence finish time.
-func (s *State) bestNodeRun(run []jobItem, hints Hints, banned map[model.NodeID]bool) (model.NodeID, bool) {
-	var bestNode model.NodeID
+// bestNode tries every allowed node against every occurrence of the
+// process in run and returns the node with the earliest first-occurrence
+// finish among those where every occurrence fits; AllowedNodes is
+// ascending, so ties go to the lowest node ID. Each trial runs the
+// placing half of scheduleJob and undoes it to a savepoint, so every
+// occurrence is tried against the state before the run and nothing is
+// counted as placed.
+func (t *Txn) bestNode(app *model.Application, run []jobItem, hints Hints) (model.NodeID, bool) {
+	s := t.st
+	p := run[0].proc
+	sp := t.mark()
+	var best model.NodeID
 	bestEnd := tm.Infinity
 	found := false
-	// AllowedNodes is ascending, so on ties the lowest node ID wins.
-	for _, node := range run[0].proc.AllowedNodes() {
-		if banned[node] {
-			continue
-		}
-		end, ok := s.tryJobOn(run[0], node, hints)
-		if !ok {
-			continue
-		}
-		feasible := true
-		for _, jb := range run[1:] {
-			if _, ok := s.tryJobOn(jb, node, hints); !ok {
-				feasible = false
+	for _, node := range p.AllowedNodes() {
+		wcet := p.WCET[node]
+		var end tm.Time
+		fits := true
+		for k, jb := range run {
+			start, err := s.placeJob(app, jb.graph, p, jb.occ, node, wcet, hints)
+			t.undo(sp)
+			if err != nil {
+				fits = false
 				break
 			}
-		}
-		if feasible && end < bestEnd {
-			bestEnd = end
-			bestNode = node
-			found = true
-		}
-	}
-	return bestNode, found
-}
-
-// tryJobOn computes the finish time the job would have on the given node
-// without committing anything. Message slot capacity is checked exactly by
-// reserving tentatively and releasing before returning.
-func (s *State) tryJobOn(jb jobItem, node model.NodeID, hints Hints) (tm.Time, bool) {
-	p, g, occ := jb.proc, jb.graph, jb.occ
-	wcet, ok := p.WCET[node]
-	if !ok {
-		return 0, false
-	}
-	release := tm.Time(occ) * g.Period
-	deadline := jobDeadline(g, occ)
-
-	type tempRes struct {
-		bus         model.BusID
-		round, slot int
-		bytes       int
-	}
-	var reserved []tempRes
-	defer func() {
-		for _, r := range reserved {
-			s.buses[r.bus].Release(r.round, r.slot, r.bytes)
-		}
-	}()
-
-	dataReady := release
-	for _, m := range g.InMsgs(p.ID) {
-		pred := Job{Proc: m.Src, Occ: occ}
-		predEnd, ok := s.jobEnd[pred]
-		if !ok {
-			return 0, false // predecessor unscheduled: cannot evaluate
-		}
-		if s.jobNode[pred] == node {
-			dataReady = tm.Max(dataReady, predEnd)
-			continue
-		}
-		earliest := predEnd
-		if off, ok := hints.MsgStart[m.ID]; ok {
-			earliest = tm.Max(earliest, release+off)
-		}
-		route := s.routes.Route(s.jobNode[pred], node)
-		if len(route) == 0 {
-			return 0, false
-		}
-		var found [4]hopSlot
-		slots, ok := s.findRoute(route, m.Bytes, earliest, found[:0])
-		if !ok && earliest > predEnd {
-			slots, ok = s.findRoute(route, m.Bytes, predEnd, found[:0])
-		}
-		if !ok {
-			return 0, false
-		}
-		// Reserve the whole chain tentatively so subsequent in-messages
-		// of this job see the capacity taken, exactly like scheduleJob
-		// would take it.
-		for i, hop := range route {
-			if err := s.buses[hop.Bus].Reserve(slots[i].round, slots[i].slot, m.Bytes); err != nil {
-				return 0, false
+			if k == 0 {
+				end = start + wcet
 			}
-			reserved = append(reserved, tempRes{hop.Bus, slots[i].round, slots[i].slot, m.Bytes})
 		}
-		last := route[len(route)-1]
-		dataReady = tm.Max(dataReady,
-			s.buses[last.Bus].Bus().SlotEnd(slots[len(slots)-1].round, slots[len(slots)-1].slot))
+		if fits && end < bestEnd {
+			best, bestEnd, found = node, end, true
+		}
 	}
-
-	earliest := dataReady
-	if off, ok := hints.ProcStart[p.ID]; ok {
-		earliest = tm.Max(earliest, release+off)
-	}
-	start, ok := s.busy[node].FirstFit(earliest, wcet, deadline)
-	if !ok && earliest > dataReady {
-		start, ok = s.busy[node].FirstFit(dataReady, wcet, deadline)
-	}
-	if !ok {
-		return 0, false
-	}
-	return start + wcet, true
+	return best, found
 }

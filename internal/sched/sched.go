@@ -8,8 +8,9 @@
 // incremental design process: existing applications are scheduled first
 // and become immovable reservations; the current application is then
 // scheduled into the remaining slack. Mapping strategies evaluate design
-// alternatives by cloning a base State and re-scheduling the current
-// application with a different mapping or different placement hints.
+// alternatives in a transaction on a worker's copy of the base State
+// (Begin, Apply with a different mapping or different placement hints,
+// Rollback), and MapApp runs its node trials the same way.
 package sched
 
 import (

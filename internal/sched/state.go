@@ -15,8 +15,10 @@ import (
 // ScheduleApp; everything already in the state is immovable.
 //
 // If ScheduleApp returns an error the state may hold partial reservations
-// of the failed application and must be discarded; strategies always work
-// on clones of a base state, so this costs nothing.
+// of the failed application and must be discarded. Under a transaction
+// (Begin, see txn.go) the same failure is taken back by Rollback, which
+// is how strategies evaluate alternatives without cloning the base for
+// each one.
 type State struct {
 	sys     *model.System
 	horizon tm.Time
@@ -168,17 +170,16 @@ func (s *State) findRoute(route []model.Hop, bytes int, earliest tm.Time, buf []
 
 // planMsg finds (and reserves) slot occurrences for one message
 // occurrence along the deterministic route from sender to receiver,
-// appending one MsgEntry per hop to out and returning the extended slice
-// with the occurrence's final arrival time. release is the occurrence
-// release time k*T; ready is when the producer finishes. The whole route
-// is found before anything is reserved, so a failed chain reserves
-// nothing.
-func (s *State) planMsg(g *model.Graph, m *model.Message, occ int, sender, receiver model.NodeID,
-	ready, release tm.Time, hints Hints, out []MsgEntry) ([]MsgEntry, tm.Time, error) {
+// appending one MsgEntry per hop to the schedule and returning the
+// occurrence's final arrival time. release is the occurrence release
+// time k*T; ready is when the producer finishes. The whole route is
+// found before anything is reserved, so a failed chain reserves nothing.
+func (s *State) planMsg(app model.AppID, g *model.Graph, m *model.Message, occ int, sender, receiver model.NodeID,
+	ready, release tm.Time, hints Hints) (tm.Time, error) {
 
 	route := s.routes.Route(sender, receiver)
 	if len(route) == 0 {
-		return out, 0, fmt.Errorf("sched: no route for message %d occ %d (node %d to node %d)",
+		return 0, fmt.Errorf("sched: no route for message %d occ %d (node %d to node %d)",
 			m.ID, occ, sender, receiver)
 	}
 	earliest := ready
@@ -193,7 +194,7 @@ func (s *State) planMsg(g *model.Graph, m *model.Message, occ int, sender, recei
 		slots, ok = s.findRoute(route, m.Bytes, ready, found[:0])
 	}
 	if !ok {
-		return out, 0, fmt.Errorf("sched: no slot for message %d occ %d (sender node %d, %d bytes, earliest %v)",
+		return 0, fmt.Errorf("sched: no slot for message %d occ %d (sender node %d, %d bytes, earliest %v)",
 			m.ID, occ, sender, m.Bytes, ready)
 	}
 	hopReady := ready
@@ -201,15 +202,15 @@ func (s *State) planMsg(g *model.Graph, m *model.Message, occ int, sender, recei
 	for i, hop := range route {
 		bst := s.buses[hop.Bus]
 		if err := bst.Reserve(slots[i].round, slots[i].slot, m.Bytes); err != nil {
-			return out, 0, err
+			return 0, err
 		}
 		if t := s.tx(); t != nil {
-			t.bus[hop.Bus].Record(slots[i].round, slots[i].slot, m.Bytes)
+			t.recordBus(hop.Bus, slots[i].round, slots[i].slot, m.Bytes)
 		}
 		b := bst.Bus()
 		arrive = b.SlotEnd(slots[i].round, slots[i].slot)
-		out = append(out, MsgEntry{
-			Graph: g.ID, Msg: m.ID, Occ: occ,
+		s.msgs = append(s.msgs, MsgEntry{
+			App: app, Graph: g.ID, Msg: m.ID, Occ: occ,
 			Round: slots[i].round, Slot: slots[i].slot, Bytes: m.Bytes,
 			Sender: hop.From, Receiver: hop.To,
 			Ready:  hopReady,
@@ -219,48 +220,37 @@ func (s *State) planMsg(g *model.Graph, m *model.Message, occ int, sender, recei
 		})
 		hopReady = arrive
 	}
-	return out, arrive, nil
+	return arrive, nil
 }
 
-// scheduleJob places one process occurrence (and the inter-node messages
-// feeding it) onto its mapped node. Messages are scheduled when their
-// consumer is placed, because only then are both endpoints known.
-func (s *State) scheduleJob(app *model.Application, g *model.Graph, p *model.Process,
-	occ int, mapping model.Mapping, hints Hints) error {
+// placeJob is the placing half of scheduleJob: it routes and reserves
+// the inter-node messages feeding occurrence occ of p on node (messages
+// are scheduled when their consumer is placed, because only then are
+// both endpoints known) and returns the start time first-fit finds for
+// the process on node. It writes only the bus ledger and the message
+// entries; MapApp's trials undo those to a savepoint.
+func (s *State) placeJob(app *model.Application, g *model.Graph, p *model.Process, occ int,
+	node model.NodeID, wcet tm.Time, hints Hints) (tm.Time, error) {
 
-	node, ok := mapping[p.ID]
-	if !ok {
-		return fmt.Errorf("sched: process %d has no mapping", p.ID)
-	}
-	wcet, ok := p.WCET[node]
-	if !ok {
-		return fmt.Errorf("sched: process %d cannot run on node %d", p.ID, node)
-	}
 	release := tm.Time(occ) * g.Period
 	deadline := jobDeadline(g, occ)
 
 	dataReady := release
-	var newMsgs []MsgEntry
 	for _, m := range g.InMsgs(p.ID) {
 		pred := Job{Proc: m.Src, Occ: occ}
 		predEnd, ok := s.jobEnd[pred]
 		if !ok {
-			return fmt.Errorf("sched: internal: predecessor %d of %d not yet scheduled", m.Src, p.ID)
+			return 0, fmt.Errorf("sched: internal: predecessor %d of %d not yet scheduled", m.Src, p.ID)
 		}
 		if s.jobNode[pred] == node {
 			dataReady = tm.Max(dataReady, predEnd) // same node: shared memory, no bus
 			continue
 		}
-		var arrive tm.Time
-		var err error
-		newMsgs, arrive, err = s.planMsg(g, m, occ, s.jobNode[pred], node, predEnd, release, hints, newMsgs)
+		arrive, err := s.planMsg(app.ID, g, m, occ, s.jobNode[pred], node, predEnd, release, hints)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		dataReady = tm.Max(dataReady, arrive)
-	}
-	for i := range newMsgs {
-		newMsgs[i].App = app.ID
 	}
 
 	earliest := dataReady
@@ -273,24 +263,46 @@ func (s *State) scheduleJob(app *model.Application, g *model.Graph, p *model.Pro
 		start, ok = s.busy[node].FirstFit(dataReady, wcet, deadline)
 	}
 	if !ok {
-		return fmt.Errorf("sched: process %d occ %d does not fit on node %d before deadline %v",
+		return 0, fmt.Errorf("sched: process %d occ %d does not fit on node %d before deadline %v",
 			p.ID, occ, node, deadline)
 	}
-	if err := s.busy[node].Insert(tm.Iv(start, start+wcet)); err != nil {
+	return start, nil
+}
+
+// scheduleJob places one process occurrence (and the inter-node messages
+// feeding it) onto its mapped node: placeJob finds the position, and the
+// booking half below inserts the process into the node's timeline and
+// the schedule tables.
+func (s *State) scheduleJob(app *model.Application, g *model.Graph, p *model.Process,
+	occ int, mapping model.Mapping, hints Hints) error {
+
+	node, ok := mapping[p.ID]
+	if !ok {
+		return fmt.Errorf("sched: process %d has no mapping", p.ID)
+	}
+	wcet, ok := p.WCET[node]
+	if !ok {
+		return fmt.Errorf("sched: process %d cannot run on node %d", p.ID, node)
+	}
+	start, err := s.placeJob(app, g, p, occ, node, wcet, hints)
+	if err != nil {
+		return err
+	}
+	iv := tm.Iv(start, start+wcet)
+	if err := s.busy[node].Insert(iv); err != nil {
 		return fmt.Errorf("sched: internal: %w", err)
 	}
 	s.stats.JobsPlaced.Inc()
 	s.procs = append(s.procs, ProcEntry{
 		App: app.ID, Graph: g.ID, Proc: p.ID, Occ: occ,
-		Node: node, Start: start, End: start + wcet,
+		Node: node, Start: start, End: iv.End,
 	})
-	s.msgs = append(s.msgs, newMsgs...)
 	j := Job{Proc: p.ID, Occ: occ}
 	if t := s.tx(); t != nil {
-		t.recordBusy(node, tm.Iv(start, start+wcet))
+		t.recordBusy(node, iv)
 		t.recordJob(j)
 	}
-	s.jobEnd[j] = start + wcet
+	s.jobEnd[j] = iv.End
 	s.jobNode[j] = node
 	return nil
 }

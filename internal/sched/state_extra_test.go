@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"testing"
 
 	"incdes/internal/model"
@@ -135,8 +136,9 @@ func TestScheduleAppDeterministic(t *testing.T) {
 
 func TestMapAppBanRetryRecovers(t *testing.T) {
 	// Node 0 looks best for occurrence 0 (empty early on) but an existing
-	// reservation blocks occurrence 1; node 1 works for both. The greedy
-	// binding must recover via all-occurrence verification.
+	// reservation blocks occurrence 1; node 1 works for both. MapApp
+	// tries every occurrence on a node before binding the process, and
+	// that all-occurrence trial is what rejects node 0.
 	var blocker, p model.ProcID
 	sys := buildSys(t, func(b *model.Builder, n0, n1 model.NodeID) {
 		ge := b.App("existing").Graph("E", 200, 200)
@@ -162,25 +164,39 @@ func TestMapAppBanRetryRecovers(t *testing.T) {
 }
 
 func TestMapAppLeavesStateUntouchedOnFailure(t *testing.T) {
-	var pa, pb model.ProcID
+	var pa, pc model.ProcID
 	sys := buildSys(t, func(b *model.Builder, n0, n1 model.NodeID) {
 		ga := b.App("existing").Graph("G1", 100, 100)
 		pa = ga.Proc("A", map[model.NodeID]tm.Time{n0: 90})
 		gb := b.App("current").Graph("G2", 100, 100)
-		pb = gb.Proc("B", map[model.NodeID]tm.Time{n0: 50})
-		_ = pb
+		gb.Proc("B", map[model.NodeID]tm.Time{n0: 50})
+		gc := b.App("other").Graph("G3", 100, 100)
+		pc = gc.Proc("C", map[model.NodeID]tm.Time{n1: 30})
 	})
 	st := mustState(t, sys)
 	if err := st.ScheduleApp(sys.Apps[0], model.Mapping{pa: 0}, Hints{}); err != nil {
 		t.Fatal(err)
 	}
-	before := len(st.ProcEntries())
-	busyBefore := st.Busy(0).Total()
+	before := append([]byte(nil), st.Fingerprint()...)
 	if _, err := st.MapApp(sys.Apps[1], Hints{}); err == nil {
 		t.Fatal("infeasible app mapped")
 	}
-	if len(st.ProcEntries()) != before || st.Busy(0).Total() != busyBefore {
-		t.Error("failed MapApp left partial reservations in the state")
+	if got := st.Fingerprint(); !bytes.Equal(got, before) {
+		t.Errorf("failed MapApp changed the state:\nbefore:\n%s\nafter:\n%s", before, got)
+	}
+
+	// The state stays usable for transactions: a feasible placement
+	// applies and rolls back exactly.
+	txn := st.Begin()
+	if err := txn.Apply(sys.Apps[2], model.Mapping{pc: 1}, Hints{}); err != nil {
+		t.Fatalf("Apply after a failed MapApp: %v", err)
+	}
+	if bytes.Equal(st.Fingerprint(), before) {
+		t.Fatal("Apply left no trace in the state; the test proves nothing")
+	}
+	txn.Rollback()
+	if got := st.Fingerprint(); !bytes.Equal(got, before) {
+		t.Errorf("Begin/Apply/Rollback after a failed MapApp did not restore the state:\nbefore:\n%s\nafter:\n%s", before, got)
 	}
 }
 

@@ -6,22 +6,26 @@ import (
 
 	"incdes/internal/model"
 	"incdes/internal/tm"
-	"incdes/internal/ttp"
 )
 
 // Txn is an in-place, undo-logged modification of a State: the
 // transactional evaluation primitive behind the engine's incremental
-// candidate path. A transaction opens with State.Begin, applies one or
-// more candidate placements with Apply (the undo-logged form of
-// ScheduleApp), and ends with either Commit (keep the placements,
-// discard the log) or Rollback (restore the exact pre-Begin state in
-// O(delta): inserted busy intervals are removed, bus reservations
-// released, appended schedule entries truncated, and overwritten map
-// entries restored from the log).
+// candidate path and behind MapApp. A transaction opens with
+// State.Begin, applies one or more candidate placements with Apply (the
+// undo-logged form of ScheduleApp), and ends with either Commit (keep
+// the placements, discard the log) or Rollback (restore the exact
+// pre-Begin state in O(delta): inserted busy intervals are removed, bus
+// reservations released, appended schedule entries truncated, and
+// overwritten map entries restored from the log).
+//
+// Inside the package a transaction also has savepoints: mark returns a
+// position in the undo log and undo restores the state to it, so one
+// placement can be tried and taken back without closing the
+// transaction. Rollback is undo to the position Begin took.
 //
 // While a transaction is open the state must not be cloned, copied into,
 // or modified outside Apply. A state carries at most one transaction;
-// Begin reuses the previous transaction's storage, so the steady-state
+// Begin reuses a rolled-back transaction's storage, so the steady-state
 // cost of a Begin/Apply/Rollback cycle is allocation-free.
 //
 // The transaction also tracks the delta's footprint — which node
@@ -34,25 +38,46 @@ type Txn struct {
 	st   *State
 	open bool
 
-	// Undo log. procsLen/msgsLen snapshot the append-only entry slices;
-	// everything else records individual reversible writes in order.
-	// bus holds one journal per TDMA bus (index == BusID).
-	procsLen, msgsLen int
-	busy              []busyInsert
-	bus               []ttp.Journal
-	jobs              []jobUndo
-	maps              []mapUndo
+	// begin is the savepoint Begin took; Rollback undoes to it.
+	begin savepoint
+
+	// Undo log: every reversible write, in order. The append-only entry
+	// slices need no log of their own; a savepoint records their lengths.
+	busy []busyInsert
+	bus  []BusDelta
+	jobs []jobUndo
+	maps []mapUndo
 
 	// dirty is the set of nodes whose busy timeline changed.
 	dirty map[model.NodeID]struct{}
 }
 
+// savepoint is a position in a transaction's undo log: the lengths of
+// the log and of the state's entry slices when it was taken.
+type savepoint struct {
+	procs, msgs           int
+	busy, bus, jobs, maps int
+}
+
+// BusDelta is one slot-occurrence reservation made under a transaction:
+// Bytes booked in occurrence (Round, Slot) of bus Bus. Reserve and
+// Release are plain integer bookkeeping on the ledger, so releasing the
+// deltas newest first restores the exact prior ledger.
+type BusDelta struct {
+	Bus         model.BusID
+	Round, Slot int
+	Bytes       int
+}
+
 // busyInsert records one interval inserted into a node's busy set.
 // Insert only ever adds exactly the interval (merging with neighbors),
-// so Remove of the same interval restores the set exactly.
+// so Remove of the same interval restores the set exactly. first marks
+// the insert that made the node dirty: undoing it makes the node clean
+// again, which keeps the dirty set exact at every savepoint.
 type busyInsert struct {
-	node model.NodeID
-	iv   tm.Interval
+	node  model.NodeID
+	iv    tm.Interval
+	first bool
 }
 
 // jobUndo records a jobEnd/jobNode write with the prior values, so a
@@ -73,7 +98,8 @@ type mapUndo struct {
 }
 
 // Begin opens a transaction on the state. The returned transaction is
-// owned by the state and reused across Begin calls; it panics if a
+// owned by the state: after a Rollback the next Begin reuses it (its log
+// is empty again), after a Commit it starts a new one. Begin panics if a
 // transaction is already open.
 func (s *State) Begin() *Txn {
 	if s.txn != nil && s.txn.open {
@@ -84,17 +110,7 @@ func (s *State) Begin() *Txn {
 	}
 	t := s.txn
 	t.open = true
-	t.procsLen, t.msgsLen = len(s.procs), len(s.msgs)
-	t.busy = t.busy[:0]
-	if len(t.bus) != len(s.buses) {
-		t.bus = make([]ttp.Journal, len(s.buses))
-	}
-	for i := range t.bus {
-		t.bus[i].Reset()
-	}
-	t.jobs = t.jobs[:0]
-	t.maps = t.maps[:0]
-	clear(t.dirty)
+	t.begin = t.mark()
 	return t
 }
 
@@ -120,34 +136,59 @@ func (t *Txn) Apply(app *model.Application, mapping model.Mapping, hints Hints) 
 }
 
 // Commit keeps every applied placement and closes the transaction,
-// discarding the undo log.
+// discarding the undo log together with its storage: a committed state
+// is usually kept (a solution, a session version), and its log would
+// only hold memory. The next Begin starts a fresh transaction; Rollback,
+// the evaluation loop's exit, keeps the storage for reuse instead.
 func (t *Txn) Commit() {
 	if !t.open {
 		panic("sched: Commit on a closed transaction")
 	}
 	t.open = false
+	t.st.txn = nil
 }
 
 // Rollback restores the exact pre-Begin state and closes the
 // transaction. The cost is proportional to the applied delta, not to the
-// size of the schedule: each inserted busy interval is removed, each bus
-// reservation released (newest first), the entry slices are truncated,
-// and each overwritten job/mapping entry is restored in reverse order.
+// size of the schedule.
 func (t *Txn) Rollback() {
 	if !t.open {
 		panic("sched: Rollback on a closed transaction")
 	}
+	t.undo(t.begin)
+	t.open = false
+}
+
+// mark returns the current position in the undo log.
+func (t *Txn) mark() savepoint {
+	return savepoint{
+		procs: len(t.st.procs), msgs: len(t.st.msgs),
+		busy: len(t.busy), bus: len(t.bus), jobs: len(t.jobs), maps: len(t.maps),
+	}
+}
+
+// undo restores the state to savepoint sp and truncates the log to it:
+// each busy interval inserted since sp is removed, each bus reservation
+// released (newest first), the entry slices are truncated, and each
+// overwritten job/mapping entry is restored in reverse order.
+func (t *Txn) undo(sp savepoint) {
 	s := t.st
-	for i := len(t.busy) - 1; i >= 0; i-- {
+	for i := len(t.busy) - 1; i >= sp.busy; i-- {
 		u := t.busy[i]
 		s.busy[u.node].Remove(u.iv)
+		if u.first {
+			delete(t.dirty, u.node)
+		}
 	}
-	for i := range t.bus {
-		s.buses[i].Revert(&t.bus[i])
+	t.busy = t.busy[:sp.busy]
+	for i := len(t.bus) - 1; i >= sp.bus; i-- {
+		d := t.bus[i]
+		s.buses[d.Bus].Release(d.Round, d.Slot, d.Bytes)
 	}
-	s.procs = s.procs[:t.procsLen]
-	s.msgs = s.msgs[:t.msgsLen]
-	for i := len(t.jobs) - 1; i >= 0; i-- {
+	t.bus = t.bus[:sp.bus]
+	s.procs = s.procs[:sp.procs]
+	s.msgs = s.msgs[:sp.msgs]
+	for i := len(t.jobs) - 1; i >= sp.jobs; i-- {
 		u := t.jobs[i]
 		if u.had {
 			s.jobEnd[u.job] = u.prevEnd
@@ -157,7 +198,8 @@ func (t *Txn) Rollback() {
 			delete(s.jobNode, u.job)
 		}
 	}
-	for i := len(t.maps) - 1; i >= 0; i-- {
+	t.jobs = t.jobs[:sp.jobs]
+	for i := len(t.maps) - 1; i >= sp.maps; i-- {
 		u := t.maps[i]
 		if u.had {
 			s.mapping[u.proc] = u.prev
@@ -165,13 +207,21 @@ func (t *Txn) Rollback() {
 			delete(s.mapping, u.proc)
 		}
 	}
-	t.open = false
+	t.maps = t.maps[:sp.maps]
 }
 
 // recordBusy logs one inserted busy interval and marks its node dirty.
 func (t *Txn) recordBusy(node model.NodeID, iv tm.Interval) {
-	t.busy = append(t.busy, busyInsert{node: node, iv: iv})
-	t.dirty[node] = struct{}{}
+	_, dirty := t.dirty[node]
+	if !dirty {
+		t.dirty[node] = struct{}{}
+	}
+	t.busy = append(t.busy, busyInsert{node: node, iv: iv, first: !dirty})
+}
+
+// recordBus logs one bus reservation.
+func (t *Txn) recordBus(bus model.BusID, round, slot, bytes int) {
+	t.bus = append(t.bus, BusDelta{Bus: bus, Round: round, Slot: slot, Bytes: bytes})
 }
 
 // recordJob logs the prior jobEnd/jobNode entry of j before it is set.
@@ -206,9 +256,9 @@ func (t *Txn) DirtyNodes() []model.NodeID {
 	return out
 }
 
-// BusDeltasAt returns bus i's recorded slot reservations in record order
-// (do not modify).
-func (t *Txn) BusDeltasAt(i int) []ttp.Delta { return t.bus[i].Deltas() }
+// BusDeltas returns the transaction's bus reservations, over every bus,
+// in record order (do not modify).
+func (t *Txn) BusDeltas() []BusDelta { return t.bus }
 
 // Fingerprint serializes the state's full schedule content — busy
 // timelines, bus ledger, schedule tables, job bookkeeping and mapping —

@@ -30,7 +30,9 @@ func randomMapping(rng *rand.Rand, app *model.Application) model.Mapping {
 // application within one transaction — followed by Rollback restores the
 // exact pre-Begin state. Exactness is checked on the full serialized
 // state (busy timelines, TTP bus ledger, schedule tables, bookkeeping)
-// and on the derived slack metrics report.
+// and on the derived slack metrics report. A feasible Apply must change
+// that serialized state, so a transaction bound to some other state (a
+// by-value copy sharing its transaction) cannot pass vacuously.
 func TestTxnRollbackProperty(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		tc, err := gen.MakeTestCase(gen.Default(), 500+seed*31, 60, 20)
@@ -51,6 +53,11 @@ func TestTxnRollbackProperty(t *testing.T) {
 					failed++
 				} else {
 					applied++
+					// The transaction must write to the state it was begun
+					// on; otherwise the rollback check below is vacuous.
+					if bytes.Equal(st.Fingerprint(), pre) {
+						t.Fatalf("seed %d iter %d: a feasible Apply left the state's fingerprint unchanged", seed, iter)
+					}
 				}
 			}
 			txn.Rollback()

@@ -119,8 +119,8 @@ func TestTxnDirtyTracking(t *testing.T) {
 	if txn.DirtyNodeCount() != 2 {
 		t.Errorf("DirtyNodeCount() = %d, want 2", txn.DirtyNodeCount())
 	}
-	if len(txn.BusDeltasAt(0)) == 0 {
-		t.Error("the applied app sends a message; BusDeltasAt(0) must record its reservation")
+	if d := txn.BusDeltas(); len(d) == 0 || d[0].Bus != 0 || d[0].Bytes != 4 {
+		t.Errorf("the applied app sends one 4-byte message on bus 0; BusDeltas() = %+v", d)
 	}
 }
 

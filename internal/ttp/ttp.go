@@ -55,9 +55,9 @@ func (s *State) Horizon() tm.Time { return s.horizon }
 // Rounds returns the number of TDMA rounds inside the horizon.
 func (s *State) Rounds() int { return s.rounds }
 
-// Clone returns an independent copy of the reservation state. Cloning is
-// cheap by design: the mapping strategies clone the base state for every
-// what-if evaluation.
+// Clone returns an independent copy of the reservation state, one row
+// per round. What-if evaluations do not clone: they reserve under a
+// transaction (package sched) and release on rollback.
 func (s *State) Clone() *State {
 	c := &State{bus: s.bus, horizon: s.horizon, rounds: s.rounds, stats: s.stats}
 	c.used = make([][]int, len(s.used))
