@@ -131,9 +131,6 @@ func newEngine(p *Problem, opts Options) *Engine {
 // Problem returns the problem instance being solved.
 func (e *Engine) Problem() *Problem { return e.p }
 
-// Parallelism returns the resolved worker count.
-func (e *Engine) Parallelism() int { return e.parallelism }
-
 // Evaluations returns the number of design alternatives examined so far.
 func (e *Engine) Evaluations() int64 { return e.evals.Load() }
 
@@ -179,10 +176,11 @@ type evalScratch struct {
 // (a) rules it out). Identical (mapping, hints) pairs are served from the
 // memo without rescheduling. Safe for concurrent use.
 //
-// The candidate is applied to the worker's base copy as an undo-logged
-// transaction, scored from the touched regions only, and rolled back in
-// O(delta). Reports are byte-identical to scheduling a clone of the base
-// and scoring it with metrics.Evaluate (pinned by a differential test).
+// The candidate is applied to the worker's base copy in a transaction,
+// scored from the touched regions only, and rolled back in O(delta) by
+// taking back the schedule-table entries it appended. Reports are
+// byte-identical to scheduling a clone of the base and scoring it with
+// metrics.Evaluate (pinned by a differential test).
 //
 // The memo-hit path performs zero allocations (pinned by a test): the key
 // is built in a pooled buffer and looked up through Go's non-allocating

@@ -75,11 +75,9 @@ func NewProblem(sys *model.System, base *sched.State, current *model.Application
 	if !found {
 		return nil, fmt.Errorf("core: current application %q is not part of the system", current.Name)
 	}
-	for _, g := range current.Graphs {
-		for _, p := range g.Procs {
-			if _, scheduled := base.Mapping()[p.ID]; scheduled {
-				return nil, fmt.Errorf("core: process %d of the current application is already in the base schedule", p.ID)
-			}
+	for _, e := range base.ProcEntries() {
+		if e.App == current.ID {
+			return nil, fmt.Errorf("core: process %d of the current application is already in the base schedule", e.Proc)
 		}
 	}
 	if err := prof.Validate(); err != nil {

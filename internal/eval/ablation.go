@@ -40,27 +40,35 @@ func RunAblation(ctx context.Context, o Options) (*AblationResult, error) {
 		{"MH -potential", withRandomCandidates(o.MHOptions)},
 	}
 	res := &AblationResult{Size: size, Cases: o.Cases}
-	sums := make([]AblationRow, len(variants))
-	for i, v := range variants {
-		sums[i].Variant = v.name
-	}
-	for c := 0; c < o.Cases; c++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	outs := make([][]AblationRow, o.Cases) // [case][variant]
+	err := o.forEachCase(ctx, func(c int) error {
 		p, err := makeProblem(o, size, c)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		outs[c] = make([]AblationRow, len(variants))
 		for i, v := range variants {
 			sol, err := o.solve(ctx, p, core.MHWith(v.opts))
 			if err != nil {
-				return nil, fmt.Errorf("eval: %s on case %d: %w", v.name, c, err)
+				return fmt.Errorf("eval: %s on case %d: %w", v.name, c, err)
 			}
-			sums[i].Obj += sol.Objective()
-			sums[i].Time += sol.Elapsed
-			sums[i].Evals += float64(sol.Evaluations)
+			outs[c][i] = AblationRow{Obj: sol.Objective(), Time: sol.Elapsed, Evals: float64(sol.Evaluations)}
 			o.logf("case %d %s: C=%.1f (%d evals)", c, v.name, sol.Objective(), sol.Evaluations)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Sum in case order, so the float sums are the same whatever the
+	// parallelism.
+	sums := make([]AblationRow, len(variants))
+	for i, v := range variants {
+		sums[i].Variant = v.name
+		for _, rows := range outs {
+			sums[i].Obj += rows[i].Obj
+			sums[i].Time += rows[i].Time
+			sums[i].Evals += rows[i].Evals
 		}
 	}
 	n := float64(o.Cases)

@@ -210,6 +210,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seqAbl, err := RunAblation(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	o.Parallel = 3
 	par, err := RunDeviation(context.Background(), o)
 	if err != nil {
@@ -220,6 +224,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 		seq.Rows[0].MHObj != par.Rows[0].MHObj ||
 		seq.Rows[0].SAObj != par.Rows[0].SAObj {
 		t.Errorf("parallel run changed results: %+v vs %+v", seq.Rows[0], par.Rows[0])
+	}
+	parAbl, err := RunAblation(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range seqAbl.Rows {
+		if p := parAbl.Rows[i]; row.Obj != p.Obj || row.Evals != p.Evals {
+			t.Errorf("parallel ablation changed %q: %+v vs %+v", row.Variant, row, p)
+		}
 	}
 }
 

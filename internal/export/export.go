@@ -60,7 +60,7 @@ func Build(st *sched.State) (*Design, error) {
 	d := &Design{
 		Horizon:  st.Horizon(),
 		RoundLen: arch.Buses[0].RoundLen(),
-		Mapping:  st.Mapping().Clone(),
+		Mapping:  st.Mapping(),
 	}
 	if len(arch.Buses) > 1 {
 		d.RoundLens = make([]tm.Time, len(arch.Buses))

@@ -144,13 +144,13 @@ func (e *Incremental) EvaluateTxn(st *sched.State, txn *sched.Txn) (rep Report, 
 	frac, e.remA = pack.BestFitUnpacked(b.items, e.bins, e.remA)
 	r.C1P = 100 * frac
 
-	// Messages, both criteria, in one pass over the bus reservations: a
-	// reservation of d.Bytes removes that many free bytes from its slot
-	// occurrence (C1m; each bus's block of the cached vector is
-	// round-major, so occurrence (round, slot) sits at the block's offset
-	// + round*slots + slot) and from the Tmin window holding the
-	// occurrence's end (C2m). Integer subtractions commute, so the record
-	// order does not matter.
+	// Messages, both criteria, in one pass over the message hops the
+	// transaction appended: a hop of d.Bytes removes that many free bytes
+	// from its slot occurrence (C1m; each bus's block of the cached
+	// vector is round-major, so occurrence (round, slot) sits at the
+	// block's offset + round*slots + slot) and from the Tmin window
+	// holding the occurrence's end (C2m). Integer subtractions commute,
+	// so the hop order does not matter.
 	e.mBins = append(e.mBins[:0], b.busFree...)
 	e.busWinS = append(e.busWinS[:0], b.busWin...)
 	for _, d := range txn.BusDeltas() {

@@ -1,9 +1,9 @@
 package sched
 
-// Savepoint, Mark and Undo expose the transaction's unexported
-// savepoints to the external tests (FuzzTxnUndo needs a generated case,
-// and package gen imports sched).
+// Savepoint, Mark and Undo expose the state's unexported savepoints to
+// the external tests through the transaction (FuzzTxnUndo needs a
+// generated case, and package gen imports sched).
 type Savepoint = savepoint
 
-func (t *Txn) Mark() Savepoint   { return t.mark() }
-func (t *Txn) Undo(sp Savepoint) { t.undo(sp) }
+func (t *Txn) Mark() Savepoint   { return t.st.mark() }
+func (t *Txn) Undo(sp Savepoint) { t.st.undo(sp) }

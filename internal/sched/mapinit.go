@@ -16,18 +16,15 @@ import (
 // nodes where every one of its occurrences fits. A process is mapped
 // once, so all of its occurrences then run on that node.
 //
-// MapApp runs inside a transaction on the state. On success the
-// application is fully scheduled into the state, the transaction is
-// committed and the mapping is returned. On failure the transaction is
-// rolled back, so the state is exactly as before. Like Begin, it panics
-// if a transaction is already open.
+// On success the application is fully scheduled into the state and the
+// mapping is returned. On failure MapApp undoes its own placements to the
+// savepoint it took on entry, so the state is exactly as before.
 func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, error) {
-	t := s.Begin()
 	jobs, err := s.jobList(app)
 	if err != nil {
-		t.Rollback()
 		return nil, err
 	}
+	sp := s.beginCall()
 	mapping := model.Mapping{}
 	for i := 0; i < len(jobs); {
 		// The job list keeps all occurrences of a process adjacent, after
@@ -37,9 +34,9 @@ func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, erro
 			j++
 		}
 		run := jobs[i:j]
-		node, ok := t.bestNode(app, run, hints)
+		node, ok := s.bestNode(app, run, hints)
 		if !ok {
-			t.Rollback()
+			s.undo(sp)
 			return nil, fmt.Errorf("sched: process %d fits on no allowed node (all %d occurrences considered)",
 				run[0].proc.ID, len(run))
 		}
@@ -50,16 +47,12 @@ func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, erro
 		// run whose trials all passed always places.
 		for _, jb := range run {
 			if err := s.scheduleJob(app, jb.graph, jb.proc, jb.occ, mapping, hints); err != nil {
-				t.Rollback()
+				s.undo(sp)
 				return nil, fmt.Errorf("sched: internal: process %d occ %d failed on node %d after its trial fit: %w",
 					jb.proc.ID, jb.occ, node, err)
 			}
 		}
 		i = j
-	}
-	t.Commit()
-	for p, n := range mapping {
-		s.mapping[p] = n
 	}
 	return mapping, nil
 }
@@ -71,10 +64,9 @@ func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, erro
 // placing half of scheduleJob and undoes it to a savepoint, so every
 // occurrence is tried against the state before the run and nothing is
 // counted as placed.
-func (t *Txn) bestNode(app *model.Application, run []jobItem, hints Hints) (model.NodeID, bool) {
-	s := t.st
+func (s *State) bestNode(app *model.Application, run []jobItem, hints Hints) (model.NodeID, bool) {
 	p := run[0].proc
-	sp := t.mark()
+	sp := s.mark()
 	var best model.NodeID
 	bestEnd := tm.Infinity
 	found := false
@@ -84,7 +76,7 @@ func (t *Txn) bestNode(app *model.Application, run []jobItem, hints Hints) (mode
 		fits := true
 		for k, jb := range run {
 			start, err := s.placeJob(app, jb.graph, p, jb.occ, node, wcet, hints)
-			t.undo(sp)
+			s.undo(sp)
 			if err != nil {
 				fits = false
 				break

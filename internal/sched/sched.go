@@ -10,7 +10,10 @@
 // scheduled into the remaining slack. Mapping strategies evaluate design
 // alternatives in a transaction on a worker's copy of the base State
 // (Begin, Apply with a different mapping or different placement hints,
-// Rollback), and MapApp runs its node trials the same way.
+// Rollback). The schedule tables are the undo log: a placement only
+// appends entries, so a savepoint is the two table lengths, and MapApp's
+// node trials and a failed ScheduleApp undo to one the way Rollback
+// does.
 package sched
 
 import (
@@ -22,12 +25,6 @@ import (
 type Job struct {
 	Proc model.ProcID
 	Occ  int
-}
-
-// MsgOcc identifies one occurrence of a message.
-type MsgOcc struct {
-	Msg model.MsgID
-	Occ int
 }
 
 // ProcEntry is one scheduled process occurrence.

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"testing"
 
 	"incdes/internal/model"
@@ -163,9 +164,39 @@ func TestScheduleDeadlineMiss(t *testing.T) {
 		p2 = g.Proc("P2", map[model.NodeID]tm.Time{n0: 30})
 	})
 	st := mustState(t, sys)
+	before := append([]byte(nil), st.Fingerprint()...)
 	err := st.ScheduleApp(sys.Apps[0], model.Mapping{p1: 0, p2: 0}, Hints{})
 	if err == nil {
 		t.Fatal("deadline miss not detected")
+	}
+	// A failed ScheduleApp undoes its own partial placement (P1).
+	if got := st.Fingerprint(); !bytes.Equal(got, before) {
+		t.Errorf("failed ScheduleApp changed the state:\nbefore:\n%s\nafter:\n%s", before, got)
+	}
+
+	// The same contract when the failure comes after a message hop was
+	// reserved: P (node 0, done at 10) sends to C in N0's round-1 slot
+	// [20,30), and C's 75 tu on node 1 then end at 105, past the
+	// deadline. Both P's interval and the hop must be taken back, and
+	// the frozen application E must stay.
+	var e, p, c model.ProcID
+	sys = buildSys(t, func(b *model.Builder, n0, n1 model.NodeID) {
+		e = b.App("existing").Graph("GE", 100, 100).Proc("E", map[model.NodeID]tm.Time{n1: 20})
+		g := b.App("a").Graph("G", 100, 100)
+		p = g.Proc("P", map[model.NodeID]tm.Time{n0: 10})
+		c = g.Proc("C", map[model.NodeID]tm.Time{n1: 75})
+		g.Msg(p, c, 4)
+	})
+	st = mustState(t, sys)
+	if err := st.ScheduleApp(sys.Apps[0], model.Mapping{e: 1}, Hints{}); err != nil {
+		t.Fatal(err)
+	}
+	before = append([]byte(nil), st.Fingerprint()...)
+	if err := st.ScheduleApp(sys.Apps[1], model.Mapping{p: 0, c: 1}, Hints{}); err == nil {
+		t.Fatal("deadline miss after a reserved message hop not detected")
+	}
+	if got := st.Fingerprint(); !bytes.Equal(got, before) {
+		t.Errorf("failed ScheduleApp left its placements behind:\nbefore:\n%s\nafter:\n%s", before, got)
 	}
 }
 

@@ -14,11 +14,14 @@ import (
 // tables built so far. Applications are added one at a time with
 // ScheduleApp; everything already in the state is immovable.
 //
-// If ScheduleApp returns an error the state may hold partial reservations
-// of the failed application and must be discarded. Under a transaction
-// (Begin, see txn.go) the same failure is taken back by Rollback, which
-// is how strategies evaluate alternatives without cloning the base for
-// each one.
+// The schedule tables are the only record of a placement: every write
+// appends one entry, a process interval to procs or a message hop to
+// msgs, and the busy sets and bus ledgers hold nothing else. So a
+// savepoint is the two table lengths, and undoing to it takes back the
+// entries appended since (see txn.go). ScheduleApp and MapApp undo their
+// own partial placement on failure, and a transaction (Begin) undoes
+// whole candidate placements on Rollback, which is how strategies
+// evaluate alternatives without cloning the base for each one.
 type State struct {
 	sys     *model.System
 	horizon tm.Time
@@ -29,19 +32,21 @@ type State struct {
 	// shared read-only by every clone of the state.
 	routes *model.RouteTable
 
-	procs   []ProcEntry
-	msgs    []MsgEntry
-	jobEnd  map[Job]tm.Time      // finish time of each scheduled job
-	jobNode map[Job]model.NodeID // node of each scheduled job
-	mapping model.Mapping        // accumulated over all scheduled apps
+	procs []ProcEntry
+	msgs  []MsgEntry
+
+	// placed indexes the procs entries of the running ScheduleApp or
+	// MapApp call by job. A job's predecessors are always placed earlier
+	// in the same call, so this is per-call scratch that Clone, Restrict
+	// and undo never touch.
+	placed map[Job]int
 
 	// stats are optional observability sinks (see obs.go). They never
 	// influence placement decisions.
 	stats Stats
 
-	// txn is the state's reusable transaction (see txn.go). While it is
-	// open, every placement write is recorded in its undo log. Clones
-	// never inherit it: a transaction belongs to exactly one state.
+	// txn is the state's reusable transaction (see txn.go). Clones never
+	// inherit it: a transaction belongs to exactly one state.
 	txn *Txn
 }
 
@@ -70,9 +75,6 @@ func NewState(sys *model.System) (*State, error) {
 		busy:    busy,
 		buses:   buses,
 		routes:  routes,
-		jobEnd:  map[Job]tm.Time{},
-		jobNode: map[Job]model.NodeID{},
-		mapping: model.Mapping{},
 	}, nil
 }
 
@@ -86,9 +88,6 @@ func (s *State) Clone() *State {
 		routes:  s.routes,
 		procs:   append([]ProcEntry(nil), s.procs...),
 		msgs:    append([]MsgEntry(nil), s.msgs...),
-		jobEnd:  make(map[Job]tm.Time, len(s.jobEnd)),
-		jobNode: make(map[Job]model.NodeID, len(s.jobNode)),
-		mapping: s.mapping.Clone(),
 		stats:   s.stats,
 	}
 	for i, b := range s.buses {
@@ -96,12 +95,6 @@ func (s *State) Clone() *State {
 	}
 	for n, set := range s.busy {
 		c.busy[n] = set.Clone()
-	}
-	for j, t := range s.jobEnd {
-		c.jobEnd[j] = t
-	}
-	for j, n := range s.jobNode {
-		c.jobNode[j] = n
 	}
 	return c
 }
@@ -131,9 +124,15 @@ func (s *State) ProcEntries() []ProcEntry { return s.procs }
 // MsgEntries returns every scheduled message occurrence (do not modify).
 func (s *State) MsgEntries() []MsgEntry { return s.msgs }
 
-// Mapping returns the accumulated process-to-node assignment of all
-// applications scheduled so far (do not modify).
-func (s *State) Mapping() model.Mapping { return s.mapping }
+// Mapping returns the process-to-node assignment of all applications
+// scheduled so far, read off the process entries, as a fresh map.
+func (s *State) Mapping() model.Mapping {
+	m := model.Mapping{}
+	for _, e := range s.procs {
+		m[e.Proc] = e.Node
+	}
+	return m
+}
 
 // Occurrences returns how many times a graph with the given period repeats
 // inside the hyperperiod.
@@ -204,9 +203,6 @@ func (s *State) planMsg(app model.AppID, g *model.Graph, m *model.Message, occ i
 		if err := bst.Reserve(slots[i].round, slots[i].slot, m.Bytes); err != nil {
 			return 0, err
 		}
-		if t := s.tx(); t != nil {
-			t.recordBus(hop.Bus, slots[i].round, slots[i].slot, m.Bytes)
-		}
 		b := bst.Bus()
 		arrive = b.SlotEnd(slots[i].round, slots[i].slot)
 		s.msgs = append(s.msgs, MsgEntry{
@@ -237,16 +233,16 @@ func (s *State) placeJob(app *model.Application, g *model.Graph, p *model.Proces
 
 	dataReady := release
 	for _, m := range g.InMsgs(p.ID) {
-		pred := Job{Proc: m.Src, Occ: occ}
-		predEnd, ok := s.jobEnd[pred]
+		i, ok := s.placed[Job{Proc: m.Src, Occ: occ}]
 		if !ok {
 			return 0, fmt.Errorf("sched: internal: predecessor %d of %d not yet scheduled", m.Src, p.ID)
 		}
-		if s.jobNode[pred] == node {
-			dataReady = tm.Max(dataReady, predEnd) // same node: shared memory, no bus
+		pred := s.procs[i]
+		if pred.Node == node {
+			dataReady = tm.Max(dataReady, pred.End) // same node: shared memory, no bus
 			continue
 		}
-		arrive, err := s.planMsg(app.ID, g, m, occ, s.jobNode[pred], node, predEnd, release, hints)
+		arrive, err := s.planMsg(app.ID, g, m, occ, pred.Node, node, pred.End, release, hints)
 		if err != nil {
 			return 0, err
 		}
@@ -293,45 +289,47 @@ func (s *State) scheduleJob(app *model.Application, g *model.Graph, p *model.Pro
 		return fmt.Errorf("sched: internal: %w", err)
 	}
 	s.stats.JobsPlaced.Inc()
+	s.placed[Job{Proc: p.ID, Occ: occ}] = len(s.procs)
 	s.procs = append(s.procs, ProcEntry{
 		App: app.ID, Graph: g.ID, Proc: p.ID, Occ: occ,
 		Node: node, Start: start, End: iv.End,
 	})
-	j := Job{Proc: p.ID, Occ: occ}
 	if t := s.tx(); t != nil {
-		t.recordBusy(node, iv)
-		t.recordJob(j)
+		t.dirty[node] = struct{}{}
 	}
-	s.jobEnd[j] = iv.End
-	s.jobNode[j] = node
 	return nil
 }
 
 // ScheduleApp schedules every occurrence of every graph of app into the
 // state using the given mapping, honoring hints. Jobs are processed in
 // decreasing partial-critical-path priority (which respects precedence).
-// On failure the state is partially modified and must be discarded.
+// On failure it undoes its own partial placement, so a failed call
+// leaves the state exactly as it was.
 func (s *State) ScheduleApp(app *model.Application, mapping model.Mapping, hints Hints) error {
 	s.stats.ScheduleCalls.Inc()
 	jobs, err := s.jobList(app)
 	if err != nil {
 		return err
 	}
+	sp := s.beginCall()
 	for _, jb := range jobs {
 		if err := s.scheduleJob(app, jb.graph, jb.proc, jb.occ, mapping, hints); err != nil {
+			s.undo(sp)
 			return err
 		}
 	}
-	t := s.tx()
-	for _, g := range app.Graphs {
-		for _, p := range g.Procs {
-			if t != nil {
-				t.recordMap(p.ID)
-			}
-			s.mapping[p.ID] = mapping[p.ID]
-		}
-	}
 	return nil
+}
+
+// beginCall starts a ScheduleApp or MapApp call: it empties the per-call
+// job index and returns the savepoint a failure undoes to.
+func (s *State) beginCall() savepoint {
+	if s.placed == nil {
+		s.placed = map[Job]int{}
+	} else {
+		clear(s.placed)
+	}
+	return s.mark()
 }
 
 // jobItem is one schedulable unit with its precomputed ordering keys.
@@ -428,10 +426,6 @@ func Restrict(src *State, sys *model.System, keep func(model.AppID) bool) (*Stat
 			return nil, fmt.Errorf("sched: restrict: %w", err)
 		}
 		st.procs = append(st.procs, e)
-		j := Job{Proc: e.Proc, Occ: e.Occ}
-		st.jobEnd[j] = e.End
-		st.jobNode[j] = e.Node
-		st.mapping[e.Proc] = e.Node
 	}
 	for _, m := range src.msgs {
 		if !keep(m.App) {

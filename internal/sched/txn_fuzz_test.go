@@ -36,14 +36,14 @@ func fuzzHints(rng *rand.Rand, app *model.Application) sched.Hints {
 // transaction's footprint.
 type txnView struct {
 	fingerprint []byte
-	deltas      []sched.BusDelta
+	deltas      []sched.MsgEntry
 	dirty       []model.NodeID
 }
 
 func viewOf(st *sched.State, txn *sched.Txn) txnView {
 	return txnView{
 		fingerprint: append([]byte(nil), st.Fingerprint()...),
-		deltas:      append([]sched.BusDelta{}, txn.BusDeltas()...),
+		deltas:      append([]sched.MsgEntry{}, txn.BusDeltas()...),
 		dirty:       txn.DirtyNodes(),
 	}
 }

@@ -574,20 +574,19 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 		})
 		if v, ok := p.SolveCache.Get(key); ok {
 			ent := v.(*commitSolveEntry)
-			// Rematerialize the cached decisions on a clone of the freshly
-			// restricted base; replay is deterministic, so the frozen
-			// version is byte-identical to the one the original solve
-			// produced. A replay failure falls through to a real solve (on
-			// the untouched base) — the cache is advisory, never
-			// authoritative.
+			// Rematerialize the cached decisions on the freshly restricted
+			// base; replay is deterministic, so the frozen version is
+			// byte-identical to the one the original solve produced. A
+			// failed ScheduleApp leaves the base untouched, so a replay
+			// failure falls through to a real solve on it — the cache is
+			// advisory, never authoritative.
 			_, replaySpan := obs.StartSpan(ctx, "commit.replay")
-			st := base.Clone()
-			if err := st.ScheduleApp(app, ent.mapping, ent.hints); err == nil {
+			if err := base.ScheduleApp(app, ent.mapping, ent.hints); err == nil {
 				sol = &core.Solution{
 					Strategy:    ent.strategy,
 					Mapping:     ent.mapping.Clone(),
 					Hints:       ent.hints.Clone(),
-					State:       st,
+					State:       base,
 					Report:      ent.report,
 					Evaluations: ent.evaluations,
 				}
