@@ -69,9 +69,12 @@ func Analyze(st *sched.State, apps ...*model.Application) (*Report, error) {
 	rep.PerBusUtil = make([]float64, st.NumBuses())
 	for bi := 0; bi < st.NumBuses(); bi++ {
 		var busCap, busFree int
-		for _, o := range st.BusStateAt(bi).Occurrences() {
-			busCap += st.System().Arch.Buses[bi].SlotBytes[o.Slot]
-			busFree += o.FreeBytes
+		b := st.BusStateAt(bi)
+		for r := 0; r < b.Rounds(); r++ {
+			for sl := 0; sl < b.Bus().NumSlots(); sl++ {
+				busCap += b.Bus().SlotBytes[sl]
+				busFree += b.Free(r, sl)
+			}
 		}
 		if busCap > 0 {
 			rep.PerBusUtil[bi] = float64(busCap-busFree) / float64(busCap)

@@ -567,15 +567,17 @@ func msgCandidates(st *sched.State, app *model.Application, k int) []msgCandidat
 // of the sender's node on the candidate hop's bus, plus the ASAP position.
 func msgTargetOffsets(st *sched.State, mc msgCandidate, period tm.Time, k int) []tm.Time {
 	bus := st.BusStateAt(int(mc.bus))
-	occs := bus.Occurrences()
+	slots := bus.Bus().SlotsOf(mc.sender)
 	type occ struct {
 		start tm.Time
 		free  int
 	}
 	var cands []occ
-	for _, o := range occs {
-		if o.Owner == mc.sender && o.FreeBytes >= mc.bytes {
-			cands = append(cands, occ{start: o.Start, free: o.FreeBytes})
+	for r := 0; r < bus.Rounds(); r++ {
+		for _, sl := range slots {
+			if free := bus.Free(r, sl); free >= mc.bytes {
+				cands = append(cands, occ{start: bus.Bus().SlotStart(r, sl), free: free})
+			}
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {

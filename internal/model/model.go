@@ -101,8 +101,11 @@ type Graph struct {
 	preds map[ProcID][]*Message
 }
 
-// buildAdj (re)builds the adjacency caches. Callers mutating Procs/Msgs
-// after construction must call Finalize again.
+// buildAdj builds the adjacency caches. A graph is immutable once
+// finalized: Finalize never rebuilds the caches, and the scheduler keeps
+// per-application job orders keyed by pointer (sched.Txn), so a changed
+// graph or application must be built anew. The Builder resets the caches only while
+// it is still adding processes and messages.
 func (g *Graph) buildAdj() {
 	g.succs = make(map[ProcID][]*Message, len(g.Procs))
 	g.preds = make(map[ProcID][]*Message, len(g.Procs))

@@ -18,13 +18,15 @@ import (
 //
 // On success the application is fully scheduled into the state and the
 // mapping is returned. On failure MapApp undoes its own placements to the
-// savepoint it took on entry, so the state is exactly as before.
+// savepoint it took on entry, so the state is exactly as before. Like
+// ScheduleApp, it builds the application's job order on every call.
 func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, error) {
-	jobs, err := s.jobList(app)
+	ord, err := s.orderJobs(app)
 	if err != nil {
 		return nil, err
 	}
-	sp := s.beginCall()
+	jobs := ord.jobs
+	sp := s.mark()
 	mapping := model.Mapping{}
 	for i := 0; i < len(jobs); {
 		// The job list keeps all occurrences of a process adjacent, after
@@ -34,7 +36,7 @@ func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, erro
 			j++
 		}
 		run := jobs[i:j]
-		node, ok := s.bestNode(app, run, hints)
+		node, ok := s.bestNode(app, run, sp.procs, hints)
 		if !ok {
 			s.undo(sp)
 			return nil, fmt.Errorf("sched: process %d fits on no allowed node (all %d occurrences considered)",
@@ -45,11 +47,11 @@ func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, erro
 		// node and bus (model.Validate keeps each deadline within its
 		// period), so placing one cannot change where another fits: a
 		// run whose trials all passed always places.
-		for _, jb := range run {
-			if err := s.scheduleJob(app, jb.graph, jb.proc, jb.occ, mapping, hints); err != nil {
+		for k := range run {
+			if err := s.scheduleJob(app, &run[k], sp.procs, mapping, hints); err != nil {
 				s.undo(sp)
 				return nil, fmt.Errorf("sched: internal: process %d occ %d failed on node %d after its trial fit: %w",
-					jb.proc.ID, jb.occ, node, err)
+					run[k].proc.ID, run[k].occ, node, err)
 			}
 		}
 		i = j
@@ -63,8 +65,8 @@ func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, erro
 // ascending, so ties go to the lowest node ID. Each trial runs the
 // placing half of scheduleJob and undoes it to a savepoint, so every
 // occurrence is tried against the state before the run and nothing is
-// counted as placed.
-func (s *State) bestNode(app *model.Application, run []jobItem, hints Hints) (model.NodeID, bool) {
+// counted as placed. callStart is where MapApp's jobs begin in procs.
+func (s *State) bestNode(app *model.Application, run []jobItem, callStart int, hints Hints) (model.NodeID, bool) {
 	p := run[0].proc
 	sp := s.mark()
 	var best model.NodeID
@@ -74,8 +76,8 @@ func (s *State) bestNode(app *model.Application, run []jobItem, hints Hints) (mo
 		wcet := p.WCET[node]
 		var end tm.Time
 		fits := true
-		for k, jb := range run {
-			start, err := s.placeJob(app, jb.graph, p, jb.occ, node, wcet, hints)
+		for k := range run {
+			start, err := s.placeJob(app, &run[k], callStart, node, wcet, hints)
 			s.undo(sp)
 			if err != nil {
 				fits = false

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"incdes/internal/model"
 	"incdes/internal/tm"
@@ -22,6 +21,11 @@ import (
 // own partial placement on failure, and a transaction (Begin) undoes
 // whole candidate placements on Rollback, which is how strategies
 // evaluate alternatives without cloning the base for each one.
+//
+// A State holds no scheduling scratch: a call finds a job's predecessors
+// by their positions in the application's job order (order.go), and the
+// order itself is built per ScheduleApp or MapApp call or kept by the
+// state's transaction (Txn.Apply), never stored on the state.
 type State struct {
 	sys     *model.System
 	horizon tm.Time
@@ -34,12 +38,6 @@ type State struct {
 
 	procs []ProcEntry
 	msgs  []MsgEntry
-
-	// placed indexes the procs entries of the running ScheduleApp or
-	// MapApp call by job. A job's predecessors are always placed earlier
-	// in the same call, so this is per-call scratch that Clone, Restrict
-	// and undo never touch.
-	placed map[Job]int
 
 	// stats are optional observability sinks (see obs.go). They never
 	// influence placement decisions.
@@ -220,29 +218,28 @@ func (s *State) planMsg(app model.AppID, g *model.Graph, m *model.Message, occ i
 }
 
 // placeJob is the placing half of scheduleJob: it routes and reserves
-// the inter-node messages feeding occurrence occ of p on node (messages
-// are scheduled when their consumer is placed, because only then are
-// both endpoints known) and returns the start time first-fit finds for
-// the process on node. It writes only the bus ledger and the message
-// entries; MapApp's trials undo those to a savepoint.
-func (s *State) placeJob(app *model.Application, g *model.Graph, p *model.Process, occ int,
+// the inter-node messages feeding job jb on node (messages are scheduled
+// when their consumer is placed, because only then are both endpoints
+// known) and returns the start time first-fit finds for the process on
+// node. callStart is the procs length the running call began at: a
+// predecessor at order position k is procs[callStart+k]. It writes only
+// the bus ledger and the message entries; MapApp's trials undo those to
+// a savepoint.
+func (s *State) placeJob(app *model.Application, jb *jobItem, callStart int,
 	node model.NodeID, wcet tm.Time, hints Hints) (tm.Time, error) {
 
+	g, p, occ := jb.graph, jb.proc, jb.occ
 	release := tm.Time(occ) * g.Period
 	deadline := jobDeadline(g, occ)
 
 	dataReady := release
-	for _, m := range g.InMsgs(p.ID) {
-		i, ok := s.placed[Job{Proc: m.Src, Occ: occ}]
-		if !ok {
-			return 0, fmt.Errorf("sched: internal: predecessor %d of %d not yet scheduled", m.Src, p.ID)
-		}
-		pred := s.procs[i]
+	for _, in := range jb.ins {
+		pred := s.procs[callStart+in.pred]
 		if pred.Node == node {
 			dataReady = tm.Max(dataReady, pred.End) // same node: shared memory, no bus
 			continue
 		}
-		arrive, err := s.planMsg(app.ID, g, m, occ, pred.Node, node, pred.End, release, hints)
+		arrive, err := s.planMsg(app.ID, g, in.msg, occ, pred.Node, node, pred.End, release, hints)
 		if err != nil {
 			return 0, err
 		}
@@ -265,13 +262,14 @@ func (s *State) placeJob(app *model.Application, g *model.Graph, p *model.Proces
 	return start, nil
 }
 
-// scheduleJob places one process occurrence (and the inter-node messages
-// feeding it) onto its mapped node: placeJob finds the position, and the
-// booking half below inserts the process into the node's timeline and
-// the schedule tables.
-func (s *State) scheduleJob(app *model.Application, g *model.Graph, p *model.Process,
-	occ int, mapping model.Mapping, hints Hints) error {
+// scheduleJob places one job (and the inter-node messages feeding it)
+// onto its mapped node: placeJob finds the position, and the booking half
+// below inserts the process into the node's timeline and appends its
+// entry to the schedule tables.
+func (s *State) scheduleJob(app *model.Application, jb *jobItem, callStart int,
+	mapping model.Mapping, hints Hints) error {
 
+	p := jb.proc
 	node, ok := mapping[p.ID]
 	if !ok {
 		return fmt.Errorf("sched: process %d has no mapping", p.ID)
@@ -280,7 +278,7 @@ func (s *State) scheduleJob(app *model.Application, g *model.Graph, p *model.Pro
 	if !ok {
 		return fmt.Errorf("sched: process %d cannot run on node %d", p.ID, node)
 	}
-	start, err := s.placeJob(app, g, p, occ, node, wcet, hints)
+	start, err := s.placeJob(app, jb, callStart, node, wcet, hints)
 	if err != nil {
 		return err
 	}
@@ -289,9 +287,8 @@ func (s *State) scheduleJob(app *model.Application, g *model.Graph, p *model.Pro
 		return fmt.Errorf("sched: internal: %w", err)
 	}
 	s.stats.JobsPlaced.Inc()
-	s.placed[Job{Proc: p.ID, Occ: occ}] = len(s.procs)
 	s.procs = append(s.procs, ProcEntry{
-		App: app.ID, Graph: g.ID, Proc: p.ID, Occ: occ,
+		App: app.ID, Graph: jb.graph.ID, Proc: p.ID, Occ: jb.occ,
 		Node: node, Start: start, End: iv.End,
 	})
 	if t := s.tx(); t != nil {
@@ -304,99 +301,31 @@ func (s *State) scheduleJob(app *model.Application, g *model.Graph, p *model.Pro
 // state using the given mapping, honoring hints. Jobs are processed in
 // decreasing partial-critical-path priority (which respects precedence).
 // On failure it undoes its own partial placement, so a failed call
-// leaves the state exactly as it was.
+// leaves the state exactly as it was. It builds the application's job
+// order on every call; Txn.Apply is the same placement with the order
+// kept on the transaction.
 func (s *State) ScheduleApp(app *model.Application, mapping model.Mapping, hints Hints) error {
 	s.stats.ScheduleCalls.Inc()
-	jobs, err := s.jobList(app)
+	ord, err := s.orderJobs(app)
 	if err != nil {
 		return err
 	}
-	sp := s.beginCall()
-	for _, jb := range jobs {
-		if err := s.scheduleJob(app, jb.graph, jb.proc, jb.occ, mapping, hints); err != nil {
+	return s.place(ord, mapping, hints)
+}
+
+// place schedules the jobs of ord in order with the given mapping. Each
+// job appends one process entry, so the call's jobs occupy procs from
+// the savepoint it takes on entry; on failure it undoes to that
+// savepoint.
+func (s *State) place(ord *jobOrder, mapping model.Mapping, hints Hints) error {
+	sp := s.mark()
+	for i := range ord.jobs {
+		if err := s.scheduleJob(ord.app, &ord.jobs[i], sp.procs, mapping, hints); err != nil {
 			s.undo(sp)
 			return err
 		}
 	}
 	return nil
-}
-
-// beginCall starts a ScheduleApp or MapApp call: it empties the per-call
-// job index and returns the savepoint a failure undoes to.
-func (s *State) beginCall() savepoint {
-	if s.placed == nil {
-		s.placed = map[Job]int{}
-	} else {
-		clear(s.placed)
-	}
-	return s.mark()
-}
-
-// jobItem is one schedulable unit with its precomputed ordering keys.
-type jobItem struct {
-	graph *model.Graph
-	proc  *model.Process
-	occ   int
-	prio  tm.Time
-	topo  int
-}
-
-// jobList expands an application into its hyperperiod job set, ordered by
-// decreasing priority. Priority strictly decreases along graph edges, so
-// the order is a valid scheduling order.
-func (s *State) jobList(app *model.Application) ([]jobItem, error) {
-	var jobs []jobItem
-	for _, g := range app.Graphs {
-		if s.horizon%g.Period != 0 {
-			return nil, fmt.Errorf("sched: graph %d period %v does not divide horizon %v",
-				g.ID, g.Period, s.horizon)
-		}
-		prio := Priorities(g, s.sys.Arch.Buses[0])
-		order, err := g.TopoOrder()
-		if err != nil {
-			return nil, err
-		}
-		topoPos := make(map[model.ProcID]int, len(order))
-		for i, p := range order {
-			topoPos[p.ID] = i
-		}
-		occs := s.Occurrences(g.Period)
-		for _, p := range g.Procs {
-			for occ := 0; occ < occs; occ++ {
-				jobs = append(jobs, jobItem{
-					graph: g, proc: p, occ: occ,
-					prio: prio[p.ID], topo: topoPos[p.ID],
-				})
-			}
-		}
-	}
-	sortJobs(jobs)
-	return jobs, nil
-}
-
-// sortJobs orders jobs for the list scheduler: higher partial-critical-
-// path priority first, with every occurrence of a process kept together
-// (ascending). Priority strictly decreases along graph edges, so all jobs
-// of a predecessor precede all jobs of its successors — which both
-// respects precedence and lets the mapper verify every occurrence of a
-// process before committing its node binding.
-func sortJobs(jobs []jobItem) {
-	sort.Slice(jobs, func(i, j int) bool {
-		a, b := jobs[i], jobs[j]
-		if a.prio != b.prio {
-			return a.prio > b.prio
-		}
-		if a.topo != b.topo {
-			return a.topo < b.topo
-		}
-		if a.graph.ID != b.graph.ID {
-			return a.graph.ID < b.graph.ID
-		}
-		if a.proc.ID != b.proc.ID {
-			return a.proc.ID < b.proc.ID
-		}
-		return a.occ < b.occ
-	})
 }
 
 // Restrict returns a new state over sys containing only the applications

@@ -27,7 +27,9 @@ import (
 // While a transaction is open the state must not be cloned, copied into,
 // or modified outside Apply. A state carries at most one transaction and
 // Begin reuses it, so the steady-state cost of a Begin/Apply/Rollback
-// cycle is allocation-free.
+// cycle is allocation-free: the transaction also keeps the job order of
+// the application it applied last, so re-placing that application under
+// another mapping or other hints builds nothing.
 //
 // The transaction also exposes the delta's footprint: which node
 // timelines gained intervals (DirtyNodes) and which TDMA slot
@@ -46,6 +48,15 @@ type Txn struct {
 	// dirty is the set of nodes of the process entries appended since
 	// Begin: the nodes whose busy timeline changed.
 	dirty map[model.NodeID]struct{}
+
+	// order is the job order of the application Apply placed last, kept
+	// across Commit, Rollback and Begin. An application is immutable once
+	// finalized, so the order is reused while Apply gets the same
+	// *model.Application: an engine worker builds it once per solve, not
+	// once per candidate. It lives here and not on the State because a
+	// transaction lives only in a worker's scratch state, while a
+	// session keeps each version's State for the version's life.
+	order *jobOrder
 }
 
 // savepoint is a position in the state's schedule tables.
@@ -105,13 +116,24 @@ func (s *State) tx() *Txn {
 }
 
 // Apply schedules app into the state under the transaction. It is
-// ScheduleApp: on error the state is as it was before the call, and the
-// transaction stays open with everything applied since Begin.
+// ScheduleApp with the job order kept on the transaction: it is built
+// only when app is not the application Apply placed last. On error the
+// state is as it was before the call, and the transaction stays open
+// with everything applied since Begin.
 func (t *Txn) Apply(app *model.Application, mapping model.Mapping, hints Hints) error {
 	if !t.open {
 		panic("sched: Apply on a closed transaction")
 	}
-	return t.st.ScheduleApp(app, mapping, hints)
+	s := t.st
+	s.stats.ScheduleCalls.Inc()
+	if t.order == nil || t.order.app != app {
+		ord, err := s.orderJobs(app)
+		if err != nil {
+			return err
+		}
+		t.order = ord
+	}
+	return s.place(t.order, mapping, hints)
 }
 
 // Commit keeps every applied placement and closes the transaction.

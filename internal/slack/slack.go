@@ -85,17 +85,22 @@ func WindowSlackInto(dst []tm.Time, idle []tm.Interval, tmin, horizon tm.Time) [
 
 // BusFreeBytes returns the free capacity of every slot occurrence of
 // every bus (the containers for the C1m bin packing): bus 0's
-// occurrences in time order, then bus 1's, and so on. For a single-bus
-// architecture this is exactly the bus's occurrence list in time order.
+// occurrences in time order (round, then slot), then bus 1's, and so on.
+// For a single-bus architecture this is exactly the bus's occurrence list
+// in time order.
 func BusFreeBytes(st *sched.State) []int64 {
-	var out []int64
+	n := 0
 	for bi := 0; bi < st.NumBuses(); bi++ {
-		occs := st.BusStateAt(bi).Occurrences()
-		if out == nil {
-			out = make([]int64, 0, len(occs)*st.NumBuses())
-		}
-		for _, o := range occs {
-			out = append(out, int64(o.FreeBytes))
+		b := st.BusStateAt(bi)
+		n += b.Rounds() * b.Bus().NumSlots()
+	}
+	out := make([]int64, 0, n)
+	for bi := 0; bi < st.NumBuses(); bi++ {
+		b := st.BusStateAt(bi)
+		for r := 0; r < b.Rounds(); r++ {
+			for sl := 0; sl < b.Bus().NumSlots(); sl++ {
+				out = append(out, int64(b.Free(r, sl)))
+			}
 		}
 	}
 	return out
@@ -114,12 +119,15 @@ func BusWindowFree(st *sched.State, tmin tm.Time) []int64 {
 	}
 	out := make([]int64, n)
 	for bi := 0; bi < st.NumBuses(); bi++ {
-		for _, o := range st.BusStateAt(bi).Occurrences() {
-			w := int((o.End - 1) / tmin)
-			if w >= n {
-				w = n - 1
+		b := st.BusStateAt(bi)
+		for r := 0; r < b.Rounds(); r++ {
+			for sl := 0; sl < b.Bus().NumSlots(); sl++ {
+				w := int((b.Bus().SlotEnd(r, sl) - 1) / tmin)
+				if w >= n {
+					w = n - 1
+				}
+				out[w] += int64(b.Free(r, sl))
 			}
-			out[w] += int64(o.FreeBytes)
 		}
 	}
 	return out

@@ -101,7 +101,10 @@ func (s *Set) OverlapsAny(iv Interval) bool {
 }
 
 // Add inserts iv into the set, merging with any overlapping or adjacent
-// intervals. Empty intervals are ignored.
+// intervals. Empty intervals are ignored. It works in place: a merge
+// overwrites the first merged interval and closes the gap behind it, and
+// a lone interval shifts the tail right by one, so Add allocates only
+// when the set grows past its backing array's capacity.
 func (s *Set) Add(iv Interval) {
 	if iv.Empty() {
 		return
@@ -114,7 +117,14 @@ func (s *Set) Add(iv Interval) {
 		iv.End = Max(iv.End, s.ivs[hi].End)
 		hi++
 	}
-	s.ivs = append(s.ivs[:lo], append([]Interval{iv}, s.ivs[hi:]...)...)
+	if hi > lo {
+		s.ivs[lo] = iv
+		s.ivs = append(s.ivs[:lo+1], s.ivs[hi:]...)
+		return
+	}
+	s.ivs = append(s.ivs, Interval{})
+	copy(s.ivs[lo+1:], s.ivs[lo:])
+	s.ivs[lo] = iv
 }
 
 // Insert adds iv and reports an error if it overlaps existing content.

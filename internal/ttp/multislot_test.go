@@ -70,13 +70,15 @@ func TestOccurrencesMultiSlotTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	occs := st.Occurrences()
-	if len(occs) != 6 {
-		t.Fatalf("%d occurrences, want 6", len(occs))
+	bus := st.Bus()
+	if n := st.Rounds() * bus.NumSlots(); n != 6 {
+		t.Fatalf("%d occurrences, want 6", n)
 	}
-	// Round 1 slot 1 starts at 34 + 6 = 40, ends at 50.
-	o := occs[4]
-	if o.Round != 1 || o.Slot != 1 || o.Start != 40 || o.End != 50 {
-		t.Errorf("occurrence = %+v, want round 1 slot 1 [40,50)", o)
+	// The fifth occurrence in time order is round 1 slot 1: it starts at
+	// 34 + 6 = 40 and ends at 50.
+	r, sl := 4/bus.NumSlots(), 4%bus.NumSlots()
+	if r != 1 || sl != 1 || bus.SlotStart(r, sl) != 40 || bus.SlotEnd(r, sl) != 50 {
+		t.Errorf("occurrence 4 = round %d slot %d [%v,%v), want round 1 slot 1 [40,50)",
+			r, sl, bus.SlotStart(r, sl), bus.SlotEnd(r, sl))
 	}
 }

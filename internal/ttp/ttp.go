@@ -136,29 +136,3 @@ func (s *State) FindSlot(node model.NodeID, earliest tm.Time, bytes, fromRound i
 	s.stats.SlotProbes.Add(probes)
 	return 0, 0, false
 }
-
-// SlotOccurrence describes one (round, slot) occurrence with its timing
-// and remaining capacity; the slack analyzer enumerates these.
-type SlotOccurrence struct {
-	Round, Slot int
-	Owner       model.NodeID
-	Start, End  tm.Time
-	FreeBytes   int
-}
-
-// Occurrences lists every slot occurrence in the horizon in time order.
-func (s *State) Occurrences() []SlotOccurrence {
-	out := make([]SlotOccurrence, 0, s.rounds*s.bus.NumSlots())
-	for r := 0; r < s.rounds; r++ {
-		for sl := 0; sl < s.bus.NumSlots(); sl++ {
-			out = append(out, SlotOccurrence{
-				Round: r, Slot: sl,
-				Owner:     s.bus.SlotOrder[sl],
-				Start:     s.bus.SlotStart(r, sl),
-				End:       s.bus.SlotEnd(r, sl),
-				FreeBytes: s.Free(r, sl),
-			})
-		}
-	}
-	return out
-}

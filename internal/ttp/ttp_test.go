@@ -144,22 +144,28 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestOccurrencesOrdering(t *testing.T) {
 	st, _ := NewState(testBus(), 72)
-	occs := st.Occurrences()
-	if len(occs) != 4 {
-		t.Fatalf("len(Occurrences) = %d, want 4", len(occs))
+	bus := st.Bus()
+	if n := st.Rounds() * bus.NumSlots(); n != 4 {
+		t.Fatalf("%d slot occurrences, want 4", n)
 	}
 	var prev tm.Time = -1
-	for _, o := range occs {
-		if o.Start < prev {
-			t.Errorf("occurrences not in time order: %v", occs)
-		}
-		prev = o.Start
-		if o.End-o.Start != 18 {
-			t.Errorf("slot duration = %v, want 18", o.End-o.Start)
+	for r := 0; r < st.Rounds(); r++ {
+		for sl := 0; sl < bus.NumSlots(); sl++ {
+			start, end := bus.SlotStart(r, sl), bus.SlotEnd(r, sl)
+			if start < prev {
+				t.Errorf("occurrence (%d,%d) starts at %v, before the previous one at %v", r, sl, start, prev)
+			}
+			prev = start
+			if end-start != 18 {
+				t.Errorf("slot duration = %v, want 18", end-start)
+			}
+			if st.Free(r, sl) != bus.SlotBytes[sl] {
+				t.Errorf("occurrence (%d,%d) has %d free bytes, want %d", r, sl, st.Free(r, sl), bus.SlotBytes[sl])
+			}
 		}
 	}
-	if occs[0].Owner != 1 || occs[1].Owner != 0 {
-		t.Errorf("slot owners wrong: %v, %v", occs[0].Owner, occs[1].Owner)
+	if bus.SlotOrder[0] != 1 || bus.SlotOrder[1] != 0 {
+		t.Errorf("slot owners wrong: %v, %v", bus.SlotOrder[0], bus.SlotOrder[1])
 	}
 }
 
