@@ -43,9 +43,12 @@
 // coalesce onto one solve (single-flight; followers get
 // X-Incdes-Cache: inflight). cache=off opts a request out.
 //
-// With -session-dir sessions persist as JSON documents in that directory
-// and survive restarts (schedules are rematerialized by deterministic
-// replay); without it sessions are held in memory only.
+// With -session-dir sessions persist in that directory and survive
+// restarts: <id>.json holds a session's document and <id>.journal one
+// JSON line per commit, branch and rollback since, folded into the
+// document when the session is next loaded (schedules are
+// rematerialized by deterministic replay). Without it sessions are held
+// in memory only.
 //
 // Cluster mode. With -coordinator the daemon shards solves across the
 // worker daemons listed in -workers (and any that self-register at POST

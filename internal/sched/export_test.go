@@ -7,3 +7,6 @@ type Savepoint = savepoint
 
 func (t *Txn) Mark() Savepoint   { return t.st.mark() }
 func (t *Txn) Undo(sp Savepoint) { t.st.undo(sp) }
+
+// FingerprintFmt is the fmt reference renderer of State.Fingerprint.
+func FingerprintFmt(s *State) []byte { return fingerprintFmt(s) }

@@ -1,8 +1,11 @@
 package sched
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"incdes/internal/model"
 	"incdes/internal/tm"
@@ -188,11 +191,24 @@ func (t *Txn) BusDeltas() []MsgEntry { return t.st.msgs[t.begin.msgs:] }
 // (scheduling, slack analysis, metrics); the transaction tests compare
 // fingerprints around a Begin/Apply/Rollback cycle to pin exact
 // restoration.
+//
+// The bytes are a persisted contract: session documents store their
+// SHA-256 and verify every replay against it, so the layout never
+// changes. It is the historical fmt rendering (%v and %+v, where a
+// tm.Time prints with its "tu" unit), written with strconv; that fmt
+// renderer is kept in the package's tests as the reference.
 func (s *State) Fingerprint() []byte {
-	var b []byte
-	b = fmt.Appendf(b, "horizon=%d\n", s.horizon)
+	b := make([]byte, 0, 160*(len(s.procs)+len(s.msgs))+256)
+	b = appendInts(b, "horizon=%\n", int64(s.horizon))
 	for _, n := range s.sys.Arch.NodeIDs() {
-		b = fmt.Appendf(b, "busy[%d]=%v\n", n, s.busy[n].Intervals())
+		b = appendInts(b, "busy[%]=[", int64(n))
+		for i, iv := range s.busy[n].Intervals() {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = appendInts(b, "[%,%)", int64(iv.Start), int64(iv.End))
+		}
+		b = append(b, "]\n"...)
 	}
 	for bi, bst := range s.buses {
 		for r := 0; r < bst.Rounds(); r++ {
@@ -201,56 +217,73 @@ func (s *State) Fingerprint() []byte {
 					// Bus 0 keeps the historical single-bus key so every
 					// pre-multi-cluster fingerprint stays byte-identical.
 					if bi == 0 {
-						b = fmt.Appendf(b, "bus[%d,%d]=%d\n", r, sl, u)
+						b = appendInts(b, "bus[%,%]=%\n", int64(r), int64(sl), int64(u))
 					} else {
-						b = fmt.Appendf(b, "bus%d[%d,%d]=%d\n", bi, r, sl, u)
+						b = appendInts(b, "bus%[%,%]=%\n", int64(bi), int64(r), int64(sl), int64(u))
 					}
 				}
 			}
 		}
 	}
 	for _, e := range s.procs {
-		b = fmt.Appendf(b, "proc=%+v\n", e)
+		b = appendInts(b, "proc={App:% Graph:% Proc:% Occ:% Node:% Start:%tu End:%tu}\n",
+			int64(e.App), int64(e.Graph), int64(e.Proc), int64(e.Occ), int64(e.Node), int64(e.Start), int64(e.End))
 	}
 	for _, m := range s.msgs {
-		// The explicit layout reproduces the historical %+v rendering of
-		// the pre-multi-cluster MsgEntry; Bus/Hop are appended only when
-		// set, so single-bus fingerprints keep their exact bytes.
-		b = fmt.Appendf(b, "msg={App:%d Graph:%d Msg:%d Occ:%d Round:%d Slot:%d Bytes:%d Sender:%d Receiver:%d Ready:%v Start:%v Arrive:%v}",
-			m.App, m.Graph, m.Msg, m.Occ, m.Round, m.Slot, m.Bytes, m.Sender, m.Receiver, m.Ready, m.Start, m.Arrive)
+		// Bus/Hop are appended only when set, so single-bus fingerprints
+		// keep the bytes of the pre-multi-cluster MsgEntry.
+		b = appendInts(b, "msg={App:% Graph:% Msg:% Occ:% Round:% Slot:% Bytes:% Sender:% Receiver:% Ready:%tu Start:%tu Arrive:%tu}",
+			int64(m.App), int64(m.Graph), int64(m.Msg), int64(m.Occ), int64(m.Round), int64(m.Slot), int64(m.Bytes),
+			int64(m.Sender), int64(m.Receiver), int64(m.Ready), int64(m.Start), int64(m.Arrive))
 		if m.Bus != 0 || m.Hop != 0 {
-			b = fmt.Appendf(b, " bus=%d hop=%d", m.Bus, m.Hop)
+			b = appendInts(b, " bus=% hop=%", int64(m.Bus), int64(m.Hop))
 		}
 		b = append(b, '\n')
 	}
 	// The job and mapping lines are views of the process entries, sorted
 	// by job and by process; a later entry of the same job or process
-	// wins.
-	last := make(map[Job]ProcEntry, len(s.procs))
-	for _, e := range s.procs {
-		last[Job{Proc: e.Proc, Occ: e.Occ}] = e
+	// wins. Entry positions sorted by (process, occurrence, position) put
+	// every job's entries, and every process's, next to each other.
+	pos := make([]int, len(s.procs))
+	for i := range pos {
+		pos[i] = i
 	}
-	jobs := make([]Job, 0, len(last))
-	for j := range last {
-		jobs = append(jobs, j)
-	}
-	sort.Slice(jobs, func(i, j int) bool {
-		if jobs[i].Proc != jobs[j].Proc {
-			return jobs[i].Proc < jobs[j].Proc
+	slices.SortFunc(pos, func(i, j int) int {
+		a, c := &s.procs[i], &s.procs[j]
+		if a.Proc != c.Proc {
+			return cmp.Compare(a.Proc, c.Proc)
 		}
-		return jobs[i].Occ < jobs[j].Occ
+		if a.Occ != c.Occ {
+			return cmp.Compare(a.Occ, c.Occ)
+		}
+		return cmp.Compare(i, j)
 	})
-	for _, j := range jobs {
-		b = fmt.Appendf(b, "job=%+v end=%d node=%d\n", j, last[j].End, last[j].Node)
+	for k, i := range pos {
+		e := &s.procs[i]
+		if k+1 < len(pos) {
+			if next := &s.procs[pos[k+1]]; next.Proc == e.Proc && next.Occ == e.Occ {
+				continue // a later entry of the same job follows
+			}
+		}
+		b = appendInts(b, "job={Proc:% Occ:%} end=% node=%\n", int64(e.Proc), int64(e.Occ), int64(e.End), int64(e.Node))
 	}
-	mapping := s.Mapping()
-	procs := make([]model.ProcID, 0, len(mapping))
-	for p := range mapping {
-		procs = append(procs, p)
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
-	for _, p := range procs {
-		b = fmt.Appendf(b, "map[%d]=%d\n", p, mapping[p])
+	for k := 0; k < len(pos); {
+		p, latest := s.procs[pos[k]].Proc, pos[k]
+		for ; k < len(pos) && s.procs[pos[k]].Proc == p; k++ {
+			latest = max(latest, pos[k])
+		}
+		b = appendInts(b, "map[%]=%\n", int64(p), int64(s.procs[latest].Node))
 	}
 	return b
+}
+
+// appendInts appends layout to b with each '%' replaced by the next of
+// vs in decimal: the one formatting step of Fingerprint.
+func appendInts(b []byte, layout string, vs ...int64) []byte {
+	for _, v := range vs {
+		i := strings.IndexByte(layout, '%')
+		b = strconv.AppendInt(append(b, layout[:i]...), v, 10)
+		layout = layout[i+1:]
+	}
+	return append(b, layout...)
 }

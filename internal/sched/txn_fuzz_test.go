@@ -40,9 +40,9 @@ type txnView struct {
 	dirty       []model.NodeID
 }
 
-func viewOf(st *sched.State, txn *sched.Txn) txnView {
+func viewOf(t testing.TB, st *sched.State, txn *sched.Txn) txnView {
 	return txnView{
-		fingerprint: append([]byte(nil), st.Fingerprint()...),
+		fingerprint: append([]byte(nil), checkedFingerprint(t, st)...),
 		deltas:      append([]sched.MsgEntry{}, txn.BusDeltas()...),
 		dirty:       txn.DirtyNodes(),
 	}
@@ -53,7 +53,8 @@ func viewOf(st *sched.State, txn *sched.Txn) txnView {
 // application, feasible or not), savepoints, undo to a savepoint, and
 // Rollback. Undo must restore the state's fingerprint, the bus deltas
 // and the dirty nodes exactly as they were when the savepoint was
-// taken; Rollback must restore the pre-Begin fingerprint.
+// taken; Rollback must restore the pre-Begin fingerprint. Every
+// fingerprint taken must also equal the fmt reference renderer's bytes.
 //
 // Op codes, one byte each (the next byte is the op's argument):
 //
@@ -66,7 +67,7 @@ func FuzzTxnUndo(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	pre := append([]byte(nil), tc.Base.Fingerprint()...)
+	pre := append([]byte(nil), checkedFingerprint(f, tc.Base)...)
 
 	f.Add([]byte{1, 0, 0, 1, 2, 0})
 	f.Add([]byte{0, 1, 1, 0, 0, 2, 0, 2, 1, 1, 0})
@@ -92,14 +93,14 @@ func FuzzTxnUndo(f *testing.F) {
 				rng := rand.New(rand.NewSource(int64(arg)))
 				_ = txn.Apply(tc.Current, randomMapping(rng, tc.Current), fuzzHints(rng, tc.Current))
 			case 1:
-				marks = append(marks, mark{txn.Mark(), viewOf(st, txn)})
+				marks = append(marks, mark{txn.Mark(), viewOf(t, st, txn)})
 			case 2:
 				if len(marks) == 0 {
 					continue
 				}
 				k := int(arg) % len(marks)
 				txn.Undo(marks[k].sp)
-				got, want := viewOf(st, txn), marks[k].view
+				got, want := viewOf(t, st, txn), marks[k].view
 				if !bytes.Equal(got.fingerprint, want.fingerprint) {
 					t.Fatalf("op %d: undo to savepoint %d did not restore the state", i/2, k)
 				}
@@ -113,7 +114,7 @@ func FuzzTxnUndo(f *testing.F) {
 				marks = marks[:k+1]
 			case 3:
 				txn.Rollback()
-				if !bytes.Equal(st.Fingerprint(), pre) {
+				if !bytes.Equal(checkedFingerprint(t, st), pre) {
 					t.Fatalf("op %d: rollback did not restore the pre-Begin state", i/2)
 				}
 				marks = marks[:0]
@@ -121,7 +122,7 @@ func FuzzTxnUndo(f *testing.F) {
 			}
 		}
 		txn.Rollback()
-		if !bytes.Equal(st.Fingerprint(), pre) {
+		if !bytes.Equal(checkedFingerprint(t, st), pre) {
 			t.Fatal("final rollback did not restore the pre-Begin state")
 		}
 	})

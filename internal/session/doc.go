@@ -99,19 +99,15 @@ func EncodeDoc(w io.Writer, d *Doc) error {
 	return nil
 }
 
-// DecodeDoc parses and validates a session document. Unknown fields are
-// rejected so schema drift surfaces as an error, not silent data loss.
+// DecodeDoc parses and validates a session document: DecodeJournal with
+// an empty journal. Unknown fields are rejected so schema drift surfaces
+// as an error, not silent data loss.
 func DecodeDoc(r io.Reader) (*Doc, error) {
-	var d Doc
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&d); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("session: decode doc: %w", err)
 	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return &d, nil
+	return DecodeJournal(data, nil)
 }
 
 // Validate checks the document's structural invariants. It is the full

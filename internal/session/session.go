@@ -17,11 +17,13 @@
 // prior version's schedule is preserved verbatim, entry for entry.
 //
 // Sessions persist behind the pluggable Store interface (memory and
-// atomic on-disk JSON implementations) as pure replay logs: a version
-// stores its application, mapping, start-offset hints and a fingerprint
-// of the composite schedule, so a fresh process rematerializes any
-// version deterministically and verifies it against the stored
-// fingerprint.
+// on-disk implementations) as pure replay logs: a version stores its
+// application, mapping, start-offset hints and a fingerprint of the
+// composite schedule, so a fresh process rematerializes any version
+// deterministically and verifies it against the stored fingerprint. A
+// commit, a branch and a rollback each append one journal Entry to the
+// stored document, so persisting one costs the change, not the history;
+// loading a session folds its journal into a rewritten document.
 package session
 
 import (
@@ -191,24 +193,23 @@ func (m *Manager) Open(sys *model.System, prof *future.Profile, id string) (*Ses
 }
 
 // Get returns the live session, loading and revalidating it from the
-// store when this process has not touched it yet. Schedule states are
-// rematerialized lazily by replay on first use.
+// store when this process has not touched it yet. Loading compacts the
+// session: the document with its journal applied is written back whole
+// (Store.Put), under the manager's lock and before the session goes live,
+// so no append can interleave with it. Schedule states are rematerialized
+// lazily by replay on first use.
 func (m *Manager) Get(id string) (*Session, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if s, ok := m.live[id]; ok {
-		m.mu.Unlock()
 		return s, nil
 	}
-	m.mu.Unlock()
-
-	doc, err := m.store.Get(id) // outside the lock: disk + replay are slow
+	doc, err := m.store.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.live[id]; ok { // lost the race; keep the first load
-		return s, nil
+	if err := m.store.Put(doc); err != nil {
+		return nil, err
 	}
 	s := newSession(doc, m.store, m.reg)
 	m.live[id] = s
@@ -226,12 +227,14 @@ func (m *Manager) List() ([]string, error) {
 	return ids, nil
 }
 
-// Delete removes a session from the store and from memory.
+// Delete removes a session from the store and from memory. A handle to
+// it that is still held fails every later commit, branch and rollback
+// with ErrNotFound: the store refuses to append to a deleted session.
 func (m *Manager) Delete(id string) error {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	delete(m.live, id)
 	m.setLiveGauge()
-	m.mu.Unlock()
 	return m.store.Delete(id)
 }
 
@@ -408,11 +411,6 @@ func (s *Session) baselineAtLocked(v int) (*metrics.Baseline, bool, error) {
 	s.baselines[v] = b
 	s.count(obs.CtrSessBaselineBuilds)
 	return b, false, nil
-}
-
-// persistLocked writes the document to the store.
-func (s *Session) persistLocked() error {
-	return s.store.Put(s.doc)
 }
 
 // CommitParams configure one commit's solve.
@@ -639,7 +637,7 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 		return nil, ErrConflict
 	}
 	id := len(s.doc.Versions)
-	s.doc.Versions = append(s.doc.Versions, &VersionDoc{
+	vd := &VersionDoc{
 		ID:          id,
 		Parent:      head,
 		App:         app,
@@ -649,13 +647,13 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 		Evaluations: sol.Evaluations,
 		Report:      sol.Report,
 		Fingerprint: fingerprint(sol.State),
-	})
-	s.doc.Branches[branch] = id
-	if err := s.persistLocked(); err != nil {
-		s.doc.Versions = s.doc.Versions[:id]
-		s.doc.Branches[branch] = head
+	}
+	// Persist first: a failed append leaves the document as it was.
+	if err := s.store.Append(s.doc.ID, &Entry{Version: vd, Branch: branch, Head: id}); err != nil {
 		return nil, err
 	}
+	s.doc.Versions = append(s.doc.Versions, vd)
+	s.doc.Branches[branch] = id
 	s.systems[id] = newSys
 	s.states[id] = sol.State
 	s.count(obs.CtrSessCommits)
@@ -676,11 +674,10 @@ func (s *Session) Branch(name string, from int) error {
 	if from < 0 || from >= len(s.doc.Versions) {
 		return fmt.Errorf("%w: %d", ErrUnknownVersion, from)
 	}
-	s.doc.Branches[name] = from
-	if err := s.persistLocked(); err != nil {
-		delete(s.doc.Branches, name)
+	if err := s.store.Append(s.doc.ID, &Entry{Branch: name, Head: from}); err != nil {
 		return err
 	}
+	s.doc.Branches[name] = from
 	s.count(obs.CtrSessBranches)
 	return nil
 }
@@ -708,11 +705,10 @@ func (s *Session) Rollback(branch string, to int) error {
 	if cur != to {
 		return fmt.Errorf("%w: version %d from head %d of %q", ErrNotAncestor, to, head, branch)
 	}
-	s.doc.Branches[branch] = to
-	if err := s.persistLocked(); err != nil {
-		s.doc.Branches[branch] = head
+	if err := s.store.Append(s.doc.ID, &Entry{Branch: branch, Head: to}); err != nil {
 		return err
 	}
+	s.doc.Branches[branch] = to
 	s.count(obs.CtrSessRollbacks)
 	return nil
 }
@@ -760,7 +756,8 @@ func (s *Session) Verify() error {
 // discardStore backs Verify's scratch session: it never persists.
 type discardStore struct{}
 
-func (discardStore) Put(*Doc) error           { return nil }
-func (discardStore) Get(string) (*Doc, error) { return nil, ErrNotFound }
-func (discardStore) Delete(string) error      { return nil }
-func (discardStore) List() ([]string, error)  { return nil, nil }
+func (discardStore) Put(*Doc) error              { return nil }
+func (discardStore) Append(string, *Entry) error { return nil }
+func (discardStore) Get(string) (*Doc, error)    { return nil, ErrNotFound }
+func (discardStore) Delete(string) error         { return nil }
+func (discardStore) List() ([]string, error)     { return nil, nil }
