@@ -148,26 +148,3 @@ func (r *Report) String() string {
 	}
 	return b.String()
 }
-
-// MaxUtil returns the utilization of the most loaded node.
-func (r *Report) MaxUtil() float64 {
-	max := 0.0
-	for _, u := range r.NodeUtil {
-		if u > max {
-			max = u
-		}
-	}
-	return max
-}
-
-// MinLaxity returns the smallest laxity over all graphs of all reported
-// applications: the schedule's global distance to a deadline miss.
-func (r *Report) MinLaxity() tm.Time {
-	min := tm.Infinity
-	for _, ar := range r.Apps {
-		for _, gt := range ar.Graphs {
-			min = tm.Min(min, gt.WorstLaxity)
-		}
-	}
-	return min
-}

@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -98,6 +101,80 @@ func TestHandleRegister(t *testing.T) {
 			}
 		} else if after != before+1 {
 			t.Errorf("%s: healthy workers %d -> %d, want one more", tc.name, before, after)
+		}
+	}
+}
+
+// unclosedString is a request body that opens a JSON string after
+// prefix and never closes it, so a decoder keeps reading until the body
+// or its bound ends. The bytes are generated as they are read; n counts
+// them.
+type unclosedString struct {
+	prefix  string
+	size, n int64
+}
+
+var filler = bytes.Repeat([]byte{'a'}, 32<<10)
+
+func (b *unclosedString) Read(p []byte) (int, error) {
+	if b.n >= b.size {
+		return 0, io.EOF
+	}
+	p = p[:min(int64(len(p)), b.size-b.n)]
+	k := 0
+	if b.n < int64(len(b.prefix)) {
+		k = copy(p, b.prefix[b.n:])
+	}
+	for k < len(p) {
+		k += copy(p[k:], filler)
+	}
+	b.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestEndpointBodiesAreBounded streams a body past the bound of each
+// cluster endpoint: the endpoint must stop reading at its bound and
+// answer 400 in its own error shape. The decoder buffers up to the bound;
+// collecting often keeps the peak near 250 MB (near 700 MB under -race).
+func TestEndpointBodiesAreBounded(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	c := NewCoordinator(Options{ProbeInterval: time.Hour})
+	defer c.Close()
+	s := serve.New(serve.Config{Parallelism: 1, MaxConcurrent: 1})
+	defer s.Close()
+	w := NewWorker(s, WorkerOptions{})
+	cases := []struct {
+		name, path, prefix string
+		h                  http.Handler
+		bound              int64
+		rejected           func(body []byte) bool
+	}{
+		{
+			name: "register", path: RegisterPath, prefix: `{"url":"http://`,
+			h: c.Handler(http.NotFoundHandler()), bound: serve.MaxBodyBytes,
+			rejected: func(body []byte) bool {
+				var env serve.ErrorDoc
+				return json.Unmarshal(body, &env) == nil && env.Error.Code == serve.ErrCodeBadRequest
+			},
+		},
+		{
+			name: "rpc", path: RPCPath, prefix: `{"method":"cluster.execute","id":1,"params":{"system":"`,
+			h: w.Handler(http.NotFoundHandler()), bound: serve.MaxBodyBytes + rpcEnvelopeBytes,
+			rejected: func(body []byte) bool {
+				var resp rpcResponse
+				return json.Unmarshal(body, &resp) == nil && resp.Error != nil && resp.Error.Code == "bad_request"
+			},
+		},
+	}
+	for _, tc := range cases {
+		body := &unclosedString{prefix: tc.prefix, size: tc.bound + 1<<20}
+		rec := httptest.NewRecorder()
+		tc.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, body))
+		if rec.Code != http.StatusBadRequest || !tc.rejected(rec.Body.Bytes()) {
+			t.Errorf("%s: status %d, body %.200q; want a 400 error envelope", tc.name, rec.Code, rec.Body)
+		}
+		if body.n > tc.bound+4<<10 {
+			t.Errorf("%s: read %d bytes of a %d-byte body, bound %d", tc.name, body.n, body.size, tc.bound)
 		}
 	}
 }

@@ -36,14 +36,11 @@ type Options struct {
 	LeaseTimeout time.Duration
 	// ProbeInterval is the /readyz health-probe cadence (default 1s).
 	ProbeInterval time.Duration
-	// ProbeFailLimit ejects a worker after this many consecutive failed
-	// probes (default 3). The prober readmits it on the next success.
-	ProbeFailLimit int
-	// HTTPClient carries all coordinator→worker traffic (default: a
-	// client without a global timeout — execute streams are long-lived;
-	// probes and snapshots bound themselves with context deadlines).
-	HTTPClient *http.Client
 }
+
+// probeFailLimit ejects a worker after this many consecutive failed
+// probes. The prober readmits it on the next success.
+const probeFailLimit = 3
 
 func (o Options) withDefaults() Options {
 	if o.LeaseTimeout <= 0 {
@@ -52,12 +49,6 @@ func (o Options) withDefaults() Options {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
 	}
-	if o.ProbeFailLimit <= 0 {
-		o.ProbeFailLimit = 3
-	}
-	if o.HTTPClient == nil {
-		o.HTTPClient = &http.Client{}
-	}
 	return o
 }
 
@@ -65,7 +56,10 @@ func (o Options) withDefaults() Options {
 type Coordinator struct {
 	opts Options
 	reg  *registry
-	rpc  *client
+	// rpc carries all coordinator→worker traffic, probes included. Its
+	// HTTP client has no global timeout: execute streams are long-lived,
+	// and probes and snapshots bound themselves with context deadlines.
+	rpc *client
 	// own holds the coordinator's fleet-management instruments (probes,
 	// ejections, healthy-worker gauge) — exported on /v1/metrics under
 	// {worker="coordinator"}. Unit-lifecycle counters go to the job
@@ -83,7 +77,7 @@ func NewCoordinator(opts Options) *Coordinator {
 	c := &Coordinator{
 		opts:      opts,
 		reg:       newRegistry(),
-		rpc:       &client{http: opts.HTTPClient},
+		rpc:       &client{http: &http.Client{}},
 		own:       obs.NewRegistry(),
 		probeDone: make(chan struct{}),
 	}
@@ -114,11 +108,13 @@ func (c *Coordinator) Handler(next http.Handler) http.Handler {
 }
 
 // handleRegister admits a worker by its base URL, which must be an
-// absolute http or https URL; anything else gets the serve error
-// envelope and never enters the registry.
+// absolute http or https URL; anything else, including a body over
+// serve.MaxBodyBytes, gets the serve error envelope and never enters the
+// registry.
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var p RegisterParams
-	if err := json.NewDecoder(r.Body).Decode(&p); err != nil || !validWorkerURL(p.URL) {
+	body := http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes)
+	if err := json.NewDecoder(body).Decode(&p); err != nil || !validWorkerURL(p.URL) {
 		writeJSON(w, http.StatusBadRequest, serve.ErrorDoc{Error: serve.ErrorBody{
 			Code: serve.ErrCodeBadRequest, Message: `body must be {"url":"http(s)://host[:port]"}`,
 		}})
@@ -167,7 +163,7 @@ func (c *Coordinator) probe(ctx context.Context, w *workerState) {
 		c.probeFailed(w)
 		return
 	}
-	resp, err := c.opts.HTTPClient.Do(req)
+	resp, err := c.rpc.http.Do(req)
 	if err != nil {
 		c.probeFailed(w)
 		return
@@ -182,7 +178,7 @@ func (c *Coordinator) probe(ctx context.Context, w *workerState) {
 }
 
 func (c *Coordinator) probeFailed(w *workerState) {
-	if c.reg.probeFail(w, c.opts.ProbeFailLimit) {
+	if c.reg.probeFail(w, probeFailLimit) {
 		c.own.Counter(obs.CtrClusterEjections).Inc()
 	}
 }

@@ -24,26 +24,26 @@ type WorkerOptions struct {
 	// Heartbeat is the progress-event cadence of cluster.execute streams
 	// (default 250ms) — the coordinator's lease liveness signal.
 	Heartbeat time.Duration
-	// RegisterInterval is how often RegisterLoop re-posts the
-	// registration (default 2s).
-	RegisterInterval time.Duration
-	// HTTPClient performs self-registration posts (default
-	// http.DefaultClient).
-	HTTPClient *http.Client
 }
 
 func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = 250 * time.Millisecond
 	}
-	if o.RegisterInterval <= 0 {
-		o.RegisterInterval = 2 * time.Second
-	}
-	if o.HTTPClient == nil {
-		o.HTTPClient = http.DefaultClient
-	}
 	return o
 }
+
+// registerInterval is how often RegisterLoop re-posts the registration.
+const registerInterval = 2 * time.Second
+
+// rpcEnvelopeBytes is how much an RPC body may hold besides the system
+// it carries: the method, the IDs and the unit's parameters. The worker
+// hands a unit's system verbatim to its own solve endpoint, which takes
+// at most serve.MaxBodyBytes of it, so the RPC bound turns away no unit
+// that endpoint would accept. The request ID and the app name come from
+// the client's request line and headers, which net/http caps at 1 MiB by
+// default; JSON escaping at most sextuples them.
+const rpcEnvelopeBytes = 8 << 20
 
 // Worker serves the cluster RPC protocol over a serve.Server.
 type Worker struct {
@@ -67,7 +67,8 @@ func (w *Worker) Handler(next http.Handler) http.Handler {
 
 func (w *Worker) handleRPC(rw http.ResponseWriter, r *http.Request) {
 	var req rpcRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(rw, r.Body, serve.MaxBodyBytes+rpcEnvelopeBytes)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeJSON(rw, http.StatusBadRequest, rpcResponse{Error: &rpcError{Code: "bad_request", Message: err.Error()}})
 		return
 	}
@@ -260,14 +261,14 @@ func (w *Worker) RegisterLoop(ctx context.Context, coordinatorURL, selfURL strin
 			return
 		}
 		req.Header.Set("Content-Type", "application/json")
-		resp, err := w.opts.HTTPClient.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			return
 		}
 		resp.Body.Close()
 	}
 	post()
-	tick := time.NewTicker(w.opts.RegisterInterval)
+	tick := time.NewTicker(registerInterval)
 	defer tick.Stop()
 	for {
 		select {

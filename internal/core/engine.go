@@ -242,9 +242,15 @@ func (e *Engine) evaluateTxn(mapping model.Mapping, hints sched.Hints) cacheEntr
 
 // Materialize rebuilds the full schedule state of a design alternative
 // that Evaluate found feasible. Strategies call it once per accepted
-// move, so the fan-out path never has to retain candidate states.
-func (e *Engine) Materialize(mapping model.Mapping, hints sched.Hints) (*sched.State, metrics.Report, error) {
-	return e.p.evaluate(mapping, hints)
+// move, so the fan-out path never has to retain candidate states. It
+// does not score the state: Evaluate's report for the alternative is
+// its score.
+func (e *Engine) Materialize(mapping model.Mapping, hints sched.Hints) (*sched.State, error) {
+	st := e.p.Base.Clone()
+	if err := st.ScheduleApp(e.p.Current, mapping, hints); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // ForEach runs fn(0..n-1) across the engine's worker pool and returns

@@ -16,10 +16,14 @@ import (
 // Engine.Evaluate directly.
 func NewEngine(p *Problem, opts Options) *Engine { return newEngine(p, opts) }
 
-// ReferenceEvaluate exposes the reference evaluation: schedule a clone
-// of the base from scratch and score it with metrics.Evaluate.
+// ReferenceEvaluate is the reference evaluation: schedule a clone of the
+// base from scratch and score it with metrics.Evaluate.
 func ReferenceEvaluate(p *Problem, mapping model.Mapping, hints sched.Hints) (*sched.State, metrics.Report, error) {
-	return p.evaluate(mapping, hints)
+	st := p.Base.Clone()
+	if err := st.ScheduleApp(p.Current, mapping, hints); err != nil {
+		return nil, metrics.Report{}, err
+	}
+	return st, metrics.Evaluate(st, p.Profile, p.Weights), nil
 }
 
 // Neighbor draws one annealing move from (mapping, hints).

@@ -229,8 +229,8 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 			stop = "local-optimum" // no examined transformation improves C
 			break
 		}
-		mapping, hints = cands[bestIdx].mapping, cands[bestIdx].hints
-		st, report, err = eng.Materialize(mapping, hints)
+		mapping, hints, report = cands[bestIdx].mapping, cands[bestIdx].hints, bestRep
+		st, err = eng.Materialize(mapping, hints)
 		if err != nil {
 			return nil, fmt.Errorf("core: internal: winning alternative failed to re-schedule: %w", err)
 		}

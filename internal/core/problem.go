@@ -112,17 +112,6 @@ type Solution struct {
 // Objective returns the solution's objective value C.
 func (s *Solution) Objective() float64 { return s.Report.Objective }
 
-// evaluate schedules the current application on a clone of the base with
-// the given design decisions and scores the result. It is the single
-// evaluation primitive every strategy shares.
-func (p *Problem) evaluate(mapping model.Mapping, hints sched.Hints) (*sched.State, metrics.Report, error) {
-	st := p.Base.Clone()
-	if err := st.ScheduleApp(p.Current, mapping, hints); err != nil {
-		return nil, metrics.Report{}, err
-	}
-	return st, metrics.Evaluate(st, p.Profile, p.Weights), nil
-}
-
 // initial runs the Heterogeneous Critical Path initial mapping (IM) and
 // returns the resulting design decisions and state.
 func (p *Problem) initial(hints sched.Hints) (model.Mapping, *sched.State, error) {

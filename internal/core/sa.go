@@ -251,12 +251,12 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 	if !improved {
 		res.state = st0
 	} else {
-		st, rep, err := eng.Materialize(res.mapping, res.hints)
+		st, err := eng.Materialize(res.mapping, res.hints)
 		if err != nil {
 			res.err = fmt.Errorf("core: internal: chain %d best failed to re-schedule: %w", c, err)
 			return res
 		}
-		res.state, res.report = st, rep
+		res.state = st
 	}
 	if tracing {
 		res.events = append(res.events, obs.TraceEvent{

@@ -2,7 +2,8 @@
 // time-triggered deployment consumes: one static dispatch table per node
 // (the process activation times a TTP node's kernel executes verbatim)
 // and the bus MEDL. Designs serialize to JSON, human-readable text, and a
-// compact checksummed binary image suitable for flashing tools.
+// compact checksummed binary image suitable for flashing tools. The image
+// is write-only here: designs are read back from JSON.
 //
 // Check verifies a design against the system it claims to implement,
 // independently of the scheduler, and is the repository's one schedule

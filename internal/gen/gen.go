@@ -2,8 +2,8 @@
 // experiments: random layered process graphs with heterogeneous WCETs,
 // applications assembled from them, TTP platforms, and complete
 // incremental-design test cases (an existing workload of ~400 processes
-// already mapped and scheduled, a current application to place, and a
-// future-application profile).
+// already mapped and scheduled by the mapping heuristic, a current
+// application to place, and a future-application profile).
 //
 // Two platform families are supported. Config.Clusters <= 1 reproduces
 // the paper's evaluation setup exactly: one TDMA bus with one uniform
@@ -29,6 +29,8 @@ import (
 )
 
 // Config controls the generator. Default() mirrors the paper's setup.
+// A test case's existing applications are always placed by the mapping
+// heuristic, one increment at a time (see MakeTestCase).
 type Config struct {
 	// Architecture. Nodes is the node count per cluster; with Clusters
 	// at most 1 it is the total node count, exactly as in the paper.
@@ -68,31 +70,7 @@ type Config struct {
 	FutureUtil    float64 // TNeed as a fraction of N * Tmin
 	FutureBusFrac float64 // BNeedBytes as a fraction of bus bytes per Tmin
 	FutureTminDen int     // Tmin = base period / FutureTminDen
-
-	// History selects how the existing applications were placed:
-	//
-	//	HistoryMH      — each existing application was once the "current"
-	//	                 application of an earlier increment and was
-	//	                 placed by the mapping heuristic (the default:
-	//	                 this is exactly the incremental design process
-	//	                 the paper advocates);
-	//	HistoryScatter — start offsets drawn at random, a cheap stand-in
-	//	                 for a slack-conscious history;
-	//	HistoryASAP    — everything packed as early as possible, the
-	//	                 adversarial history (ablations).
-	History HistoryMode
 }
-
-// HistoryMode enumerates how a test case's existing applications were
-// placed; see Config.History.
-type HistoryMode string
-
-const (
-	HistoryDefault HistoryMode = "" // resolves to HistoryMH
-	HistoryMH      HistoryMode = "mh"
-	HistoryScatter HistoryMode = "scatter"
-	HistoryASAP    HistoryMode = "asap"
-)
 
 // Default returns the configuration used throughout the experiments:
 // 10 nodes as in the paper's evaluation, WCETs in [20,150], messages of

@@ -201,10 +201,11 @@ type TestCase struct {
 
 // MakeTestCase generates a schedulable test case: existingProcs processes
 // of existing applications (split into chunks of ~100 processes per
-// application) already mapped and scheduled by the initial-mapping
-// algorithm, plus a current application of currentProcs processes that is
-// verified to admit at least one valid mapping. Unschedulable draws are
-// retried with derived seeds; after maxTries the last error is returned.
+// application) already mapped and scheduled by the mapping heuristic, one
+// application per earlier design increment (see placeHistory), plus a
+// current application of currentProcs processes that is verified to admit
+// at least one valid mapping. Unschedulable draws are retried with
+// derived seeds; after maxTries the last error is returned.
 func MakeTestCase(cfg Config, seed int64, existingProcs, currentProcs int) (*TestCase, error) {
 	const maxTries = 25
 	var lastErr error
@@ -220,11 +221,12 @@ func MakeTestCase(cfg Config, seed int64, existingProcs, currentProcs int) (*Tes
 }
 
 // scatterHints draws start-offset hints that spread an application's
-// processes over their periods instead of packing them ASAP. Existing
-// applications are placed this way: they were themselves the "current"
-// application of an earlier design increment, so their slack is
-// distributed in time rather than bunched at the period end (an ASAP-
-// packed history would leave no strategy any periodic slack to protect).
+// processes over their periods instead of packing them ASAP. They seed
+// the mapping heuristic that places each existing application: it was
+// itself the "current" application of an earlier design increment, so
+// its slack is distributed in time rather than bunched at the period end
+// (an ASAP-packed history would leave no strategy any periodic slack to
+// protect).
 // The offset of each process is bounded by its remaining partial critical
 // path, so downstream chains still meet the deadline.
 func (g *Generator) scatterHints(app *model.Application) sched.Hints {
@@ -300,59 +302,39 @@ func makeOnce(cfg Config, seed int64, existingProcs, currentProcs int) (*TestCas
 	}, nil
 }
 
-// placeHistory schedules the existing applications onto st according to
-// the configured history mode and returns the resulting state. With
-// HistoryMH (the default) each application is mapped by the paper's
-// mapping heuristic in arrival order — the system really is the product
-// of successive design increments — and the state is the solution's.
-// HistoryScatter draws random start offsets instead; HistoryASAP packs
-// everything early.
+// placeHistory schedules the existing applications onto st and returns
+// the resulting state. Each application is mapped by the paper's mapping
+// heuristic in arrival order — the system really is the product of
+// successive design increments — and the state is the solution's.
 func (g *Generator) placeHistory(sys *model.System, st *sched.State,
 	existing []*model.Application, prof *future.Profile) (*sched.State, error) {
 
-	mode := g.cfg.History
-	if mode == HistoryDefault {
-		mode = HistoryMH
-	}
 	for _, app := range existing {
-		switch mode {
-		case HistoryMH:
-			p, err := core.NewProblem(sys, st, app, prof, metrics.DefaultWeights(prof))
-			if err != nil {
-				return nil, err
-			}
-			// A reduced-budget MH seeded with spread-out placements: the
-			// initial mapping alone would pack everything ASAP, which no
-			// slack-conscious designer would have shipped; the seed hints
-			// start from a distributed layout and the heuristic polishes
-			// the periodic-slack structure from there. The history only
-			// has to be plausible, not optimal, and test-case generation
-			// must stay fast.
-			sol, err := core.Solve(context.Background(), p, core.Options{
-				Strategy: core.MHWith(core.MHOptions{
-					MaxIterations:  8,
-					ProcCandidates: 3,
-					TargetsPerNode: 1,
-					MsgCandidates:  2,
-					SeedHints:      g.scatterHints(app),
-				}),
-				Parallelism: 1,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("gen: existing application %q unschedulable: %w", app.Name, err)
-			}
-			st = sol.State
-		case HistoryScatter:
-			if _, err := st.MapApp(app, g.scatterHints(app)); err != nil {
-				return nil, fmt.Errorf("gen: existing application %q unschedulable: %w", app.Name, err)
-			}
-		case HistoryASAP:
-			if _, err := st.MapApp(app, sched.Hints{}); err != nil {
-				return nil, fmt.Errorf("gen: existing application %q unschedulable: %w", app.Name, err)
-			}
-		default:
-			return nil, fmt.Errorf("gen: unknown history mode %q", mode)
+		p, err := core.NewProblem(sys, st, app, prof, metrics.DefaultWeights(prof))
+		if err != nil {
+			return nil, err
 		}
+		// A reduced-budget MH seeded with spread-out placements: the
+		// initial mapping alone would pack everything ASAP, which no
+		// slack-conscious designer would have shipped; the seed hints
+		// start from a distributed layout and the heuristic polishes
+		// the periodic-slack structure from there. The history only
+		// has to be plausible, not optimal, and test-case generation
+		// must stay fast.
+		sol, err := core.Solve(context.Background(), p, core.Options{
+			Strategy: core.MHWith(core.MHOptions{
+				MaxIterations:  8,
+				ProcCandidates: 3,
+				TargetsPerNode: 1,
+				MsgCandidates:  2,
+				SeedHints:      g.scatterHints(app),
+			}),
+			Parallelism: 1,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("gen: existing application %q unschedulable: %w", app.Name, err)
+		}
+		st = sol.State
 	}
 	return st, nil
 }

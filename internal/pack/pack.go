@@ -6,63 +6,15 @@
 //
 // BestFitUnpacked is the packer the metrics run: an exact best-fit over a
 // sorted multiset of remaining capacities, O(B log B + I log B) for I
-// items and B bins. BestFit is the reference — the plain per-item scan of
-// every bin, which also records which bin each item went to — that the
-// tests hold BestFitUnpacked against.
+// items and B bins. The tests hold it against a reference kept with them:
+// the plain per-item scan of every bin, which also records which bin each
+// item went to.
 //
 // Sizes are plain int64 so the same packer serves time units (process
 // slack) and bytes (bus slack).
 package pack
 
 import "slices"
-
-// Result reports how a packing attempt went.
-type Result struct {
-	PackedTotal   int64
-	UnpackedTotal int64
-	PackedCount   int
-	UnpackedCount int
-	// Assignment[i] is the bin index item i was placed into, or -1.
-	Assignment []int
-}
-
-// UnpackedFraction returns the fraction (0..1) of total item size that
-// could not be packed. An empty item set packs trivially (fraction 0).
-func (r Result) UnpackedFraction() float64 {
-	total := r.PackedTotal + r.UnpackedTotal
-	if total == 0 {
-		return 0
-	}
-	return float64(r.UnpackedTotal) / float64(total)
-}
-
-// BestFit packs items (in the given order) into bins using the best-fit
-// policy: each item goes into the bin with the smallest remaining capacity
-// that still fits it, the lowest-index such bin on ties. Items that fit
-// nowhere are left unpacked. The bins slice is not modified. It scans
-// every bin for every item and is kept as the reference implementation.
-func BestFit(items, bins []int64) Result {
-	remaining := append([]int64(nil), bins...)
-	res := Result{Assignment: make([]int, len(items))}
-	for i, size := range items {
-		best := -1
-		for b, free := range remaining {
-			if free >= size && (best == -1 || free < remaining[best]) {
-				best = b
-			}
-		}
-		res.Assignment[i] = best
-		if best == -1 {
-			res.UnpackedTotal += size
-			res.UnpackedCount++
-			continue
-		}
-		remaining[best] -= size
-		res.PackedTotal += size
-		res.PackedCount++
-	}
-	return res
-}
 
 // BestFitUnpacked returns the unpacked fraction of packing items (in the
 // given order) into bins with the best-fit policy, without building an
@@ -77,13 +29,14 @@ func BestFit(items, bins []int64) Result {
 // at its sorted position. The leftover is smaller, so that position is at
 // or before the removed one and the update is one copy shift.
 //
-// The value is bit-identical to BestFit(items, bins).UnpackedFraction().
-// Best-fit's whole state is the multiset of remaining capacities: two bins
-// with equal remaining capacity are interchangeable for every later item,
-// so BestFit's lowest-index tie-break may pick a different bin but leaves
-// the same multiset. Every item is therefore packed or left unpacked
-// exactly as BestFit does, the totals accumulate over the same items in
-// the same order, and the fraction is the same expression.
+// The value is bit-identical to the per-bin scan's, which puts each item
+// into the lowest-index bin among those with the smallest remaining
+// capacity that fits. Best-fit's whole state is the multiset of remaining
+// capacities: two bins with equal remaining capacity are interchangeable
+// for every later item, so the scan's tie-break may pick a different bin
+// but leaves the same multiset. Every item is therefore packed or left
+// unpacked exactly as the scan does, the totals accumulate over the same
+// items in the same order, and the fraction is the same expression.
 //
 // Item sizes must be positive (future.Profile.Validate guarantees it for
 // the metrics' items); a negative size would grow a capacity and break

@@ -64,6 +64,11 @@ import (
 	"incdes/internal/session"
 )
 
+// MaxBodyBytes bounds every request body the service reads: the system
+// of a solve or a new session, a commit's application, and the bodies of
+// the cluster endpoints (package cluster).
+const MaxBodyBytes = 64 << 20
+
 // Config tunes a Server. Zero values select the documented defaults.
 type Config struct {
 	// MaxConcurrent is the number of solves running at once (default
@@ -83,8 +88,6 @@ type Config struct {
 	RetainJobs int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// MaxBodyBytes bounds the POST /v1/solve request body (default 64 MiB).
-	MaxBodyBytes int64
 	// SolutionCacheSize bounds the whole-solution cache (entries). 0
 	// disables solution caching and single-flight dedup entirely (the
 	// default); see cache.go for the semantics when enabled.
@@ -121,9 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetainJobs <= 0 {
 		c.RetainJobs = 64
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
 	}
 	if c.DebugRequests == 0 {
 		c.DebugRequests = 256
@@ -657,7 +657,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
 		return
 	}
-	sys, err := model.ReadSystem(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	sys, err := model.ReadSystem(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "reading system: %v", err)
 		return

@@ -81,7 +81,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, ErrCodeInternal, "session store unavailable: %v", s.sessErr)
 		return
 	}
-	sys, err := model.ReadSystem(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	sys, err := model.ReadSystem(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "reading system: %v", err)
 		return
@@ -174,7 +174,7 @@ func (s *Server) handleSessionCommit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	app, err := model.ReadApplication(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	app, err := model.ReadApplication(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "reading application: %v", err)
 		return

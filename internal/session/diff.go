@@ -112,16 +112,6 @@ func (s *Session) Diff(from, to int) (*Diff, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
-	fromSys, err := s.systemAtLocked(from)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	toSys, err := s.systemAtLocked(to)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
 	fromRep := s.doc.Versions[from].Report
 	toRep := s.doc.Versions[to].Report
 	s.mu.Unlock()
@@ -133,6 +123,7 @@ func (s *Session) Diff(from, to int) (*Diff, error) {
 		ObjectiveDelta: toRep.Objective - fromRep.Objective,
 	}
 
+	fromSys, toSys := fromSt.System(), toSt.System()
 	fromApps := map[string]bool{}
 	for _, a := range fromSys.Apps {
 		fromApps[a.Name] = true

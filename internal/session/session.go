@@ -182,7 +182,6 @@ func (m *Manager) Open(sys *model.System, prof *future.Profile, id string) (*Ses
 	}
 	s := newSession(doc, m.store, m.reg)
 	s.states[RootVersion] = st
-	s.systems[RootVersion] = sys
 	if err := m.store.Put(doc); err != nil {
 		return nil, err
 	}
@@ -256,10 +255,10 @@ type Session struct {
 	prof     *future.Profile
 	weights  metrics.Weights
 
-	// Per-version materialization caches, lazily filled by replay:
-	// the composite system, its frozen schedule state, and the metric
-	// baseline commits from this version reuse.
-	systems   map[int]*model.System
+	// Per-version materialization caches, lazily filled by replay: the
+	// frozen composite schedule state (its System() is the version's
+	// composite system) and the metric baseline commits from this
+	// version reuse.
 	states    map[int]*sched.State
 	baselines map[int]*metrics.Baseline
 }
@@ -271,7 +270,6 @@ func newSession(doc *Doc, store Store, reg *obs.Registry) *Session {
 		doc:       doc,
 		prof:      doc.Profile,
 		weights:   metrics.DefaultWeights(doc.Profile),
-		systems:   map[int]*model.System{},
 		states:    map[int]*sched.State{},
 		baselines: map[int]*metrics.Baseline{},
 	}
@@ -324,12 +322,16 @@ func (s *Session) chainLocked(v int) ([]int, error) {
 	return rev, nil
 }
 
-// systemAtLocked assembles (and caches) the composite system of a
-// version: the base system's applications plus every application
-// committed along the chain, in commit order.
-func (s *Session) systemAtLocked(v int) (*model.System, error) {
-	if sys := s.systems[v]; sys != nil {
-		return sys, nil
+// stateAtLocked returns (materializing and caching if needed) the frozen
+// composite schedule of a version. Its system is the composite: the base
+// system's applications plus every application committed along the
+// chain, in commit order. Replay reschedules the base applications with
+// the initial-mapping algorithm and then re-applies every commit's stored
+// mapping and hints; the result must reproduce the stored fingerprint or
+// the session is reported corrupt.
+func (s *Session) stateAtLocked(v int) (*sched.State, error) {
+	if st := s.states[v]; st != nil {
+		return st, nil
 	}
 	chain, err := s.chainLocked(v)
 	if err != nil {
@@ -341,25 +343,7 @@ func (s *Session) systemAtLocked(v int) (*model.System, error) {
 			apps = append(apps, vd.App)
 		}
 	}
-	sys := &model.System{Arch: s.doc.System.Arch, Apps: apps}
-	s.systems[v] = sys
-	return sys, nil
-}
-
-// stateAtLocked returns (materializing and caching if needed) the frozen
-// composite schedule of a version. Replay reschedules the base
-// applications with the initial-mapping algorithm and then re-applies
-// every commit's stored mapping and hints; the result must reproduce the
-// stored fingerprint or the session is reported corrupt.
-func (s *Session) stateAtLocked(v int) (*sched.State, error) {
-	if st := s.states[v]; st != nil {
-		return st, nil
-	}
-	sys, err := s.systemAtLocked(v)
-	if err != nil {
-		return nil, err
-	}
-	st, err := sched.NewState(sys)
+	st, err := sched.NewState(&model.System{Arch: s.doc.System.Arch, Apps: apps})
 	if err != nil {
 		return nil, err
 	}
@@ -367,10 +351,6 @@ func (s *Session) stateAtLocked(v int) (*sched.State, error) {
 		if _, err := st.MapApp(app, sched.Hints{}); err != nil {
 			return nil, fmt.Errorf("session: replay of version %d: base application %q: %w", v, app.Name, err)
 		}
-	}
-	chain, err := s.chainLocked(v)
-	if err != nil {
-		return nil, err
 	}
 	for _, id := range chain {
 		vd := s.doc.Versions[id]
@@ -517,10 +497,7 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 		if err != nil {
 			return err
 		}
-		parentSys, err = s.systemAtLocked(head)
-		if err != nil {
-			return err
-		}
+		parentSys = src.System()
 		newSys = &model.System{
 			Arch: s.doc.System.Arch,
 			Apps: append(append([]*model.Application(nil), parentSys.Apps...), app),
@@ -654,7 +631,6 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 	}
 	s.doc.Versions = append(s.doc.Versions, vd)
 	s.doc.Branches[branch] = id
-	s.systems[id] = newSys
 	s.states[id] = sol.State
 	s.count(obs.CtrSessCommits)
 	res.Version = id

@@ -3,12 +3,13 @@
 // a static TDMA round of node-owned slots repeating over the schedule
 // horizon, per-slot byte capacities, and reservation bookkeeping for the
 // messages packed into each slot occurrence. It also exports the static
-// MEDL (message descriptor list) and a concrete frame layout so a design
-// can be emitted in a form a TTP controller configuration would take.
+// MEDL (message descriptor list), the form a TTP controller configuration
+// would take.
 package ttp
 
 import (
 	"fmt"
+	"slices"
 
 	"incdes/internal/model"
 	"incdes/internal/tm"
@@ -22,7 +23,9 @@ type State struct {
 	bus     *model.Bus
 	horizon tm.Time
 	rounds  int
-	used    [][]int // used[round][slot] = reserved bytes
+	// used holds the reserved bytes of every slot occurrence, round by
+	// round: occurrence (round, slot) is used[round*NumSlots()+slot].
+	used []int
 
 	// stats are optional observability sinks (see obs.go). They never
 	// influence reservation decisions.
@@ -39,11 +42,7 @@ func NewState(bus *model.Bus, horizon tm.Time) (*State, error) {
 		return nil, fmt.Errorf("ttp: horizon %v is not a multiple of the TDMA round %v", horizon, rl)
 	}
 	rounds := int(horizon / rl)
-	used := make([][]int, rounds)
-	for r := range used {
-		used[r] = make([]int, bus.NumSlots())
-	}
-	return &State{bus: bus, horizon: horizon, rounds: rounds, used: used}, nil
+	return &State{bus: bus, horizon: horizon, rounds: rounds, used: make([]int, rounds*bus.NumSlots())}, nil
 }
 
 // Bus returns the underlying bus description.
@@ -55,24 +54,29 @@ func (s *State) Horizon() tm.Time { return s.horizon }
 // Rounds returns the number of TDMA rounds inside the horizon.
 func (s *State) Rounds() int { return s.rounds }
 
-// Clone returns an independent copy of the reservation state, one row
-// per round. What-if evaluations do not clone: they reserve under a
-// transaction (package sched) and release on rollback.
+// Clone returns an independent copy of the reservation state: one
+// allocation and one copy. What-if evaluations do not clone: they reserve
+// under a transaction (package sched) and release on rollback.
 func (s *State) Clone() *State {
-	c := &State{bus: s.bus, horizon: s.horizon, rounds: s.rounds, stats: s.stats}
-	c.used = make([][]int, len(s.used))
-	for r, row := range s.used {
-		c.used[r] = append([]int(nil), row...)
-	}
-	return c
+	c := *s
+	c.used = slices.Clone(s.used)
+	return &c
+}
+
+// row returns the ledger of one round's slots. Indexing it with a slot
+// outside the round panics, as does a round outside the horizon, rather
+// than reaching a neighboring round's entry.
+func (s *State) row(r int) []int {
+	n := s.bus.NumSlots()
+	return s.used[r*n : (r+1)*n : (r+1)*n]
 }
 
 // Used returns the reserved bytes of slot occurrence (round, slot).
-func (s *State) Used(round, slot int) int { return s.used[round][slot] }
+func (s *State) Used(round, slot int) int { return s.row(round)[slot] }
 
 // Free returns the free bytes of slot occurrence (round, slot).
 func (s *State) Free(round, slot int) int {
-	return s.bus.SlotBytes[slot] - s.used[round][slot]
+	return s.bus.SlotBytes[slot] - s.row(round)[slot]
 }
 
 // Reserve books bytes in slot occurrence (round, slot). It fails if the
@@ -88,18 +92,19 @@ func (s *State) Reserve(round, slot, bytes int) error {
 		return fmt.Errorf("ttp: slot occurrence (%d,%d) has %d free bytes, need %d",
 			round, slot, s.Free(round, slot), bytes)
 	}
-	s.used[round][slot] += bytes
+	s.row(round)[slot] += bytes
 	return nil
 }
 
 // Release returns previously reserved bytes. Releasing more than is
 // reserved is a bookkeeping bug and panics.
 func (s *State) Release(round, slot, bytes int) {
-	if s.used[round][slot] < bytes {
+	row := s.row(round)
+	if row[slot] < bytes {
 		panic(fmt.Sprintf("ttp: release of %d bytes from occurrence (%d,%d) holding %d",
-			bytes, round, slot, s.used[round][slot]))
+			bytes, round, slot, row[slot]))
 	}
-	s.used[round][slot] -= bytes
+	row[slot] -= bytes
 }
 
 // FindSlot returns the earliest slot occurrence owned by node that starts

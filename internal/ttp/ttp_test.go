@@ -1,9 +1,7 @@
 package ttp
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"incdes/internal/model"
 	"incdes/internal/tm"
@@ -200,65 +198,49 @@ func TestBuildMEDL(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	msgs := []FrameMessage{
-		{Msg: 1, Payload: []byte{0xAA, 0xBB}},
-		{Msg: 70000, Payload: nil},
-		{Msg: 3, Payload: []byte{1, 2, 3, 4, 5}},
-	}
-	buf, err := EncodeFrame(msgs)
-	if err != nil {
-		t.Fatalf("EncodeFrame: %v", err)
-	}
-	got, err := DecodeFrame(buf)
-	if err != nil {
-		t.Fatalf("DecodeFrame: %v", err)
-	}
-	if len(got) != 3 || got[0].Msg != 1 || got[1].Msg != 70000 {
-		t.Errorf("round trip = %+v", got)
-	}
-	if string(got[2].Payload) != string([]byte{1, 2, 3, 4, 5}) {
-		t.Errorf("payload corrupted: %v", got[2].Payload)
-	}
-}
-
-func TestFrameCRCDetectsCorruption(t *testing.T) {
-	buf, _ := EncodeFrame([]FrameMessage{{Msg: 9, Payload: []byte{7}}})
-	buf[2] ^= 0xFF
-	if _, err := DecodeFrame(buf); err == nil {
-		t.Error("corrupted frame decoded without error")
-	}
-	if _, err := DecodeFrame(buf[:3]); err == nil {
-		t.Error("truncated frame decoded without error")
-	}
-}
-
-func TestFrameQuickRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(6)
-		msgs := make([]FrameMessage, n)
-		for i := range msgs {
-			p := make([]byte, rng.Intn(10))
-			rng.Read(p)
-			msgs[i] = FrameMessage{Msg: model.MsgID(rng.Intn(1 << 20)), Payload: p}
-		}
-		buf, err := EncodeFrame(msgs)
-		if err != nil {
-			return false
-		}
-		got, err := DecodeFrame(buf)
-		if err != nil || len(got) != len(msgs) {
-			return false
-		}
-		for i := range msgs {
-			if got[i].Msg != msgs[i].Msg || string(got[i].Payload) != string(msgs[i].Payload) {
-				return false
+// TestOutOfRangeOccurrencePanics pins that reading or releasing an
+// occurrence outside the ledger panics instead of reaching a neighboring
+// round's entry. Every occurrence is full, so a release that landed on a
+// neighbor would succeed silently.
+func TestOutOfRangeOccurrencePanics(t *testing.T) {
+	st, _ := NewState(testBus(), 360)
+	n := st.Bus().NumSlots()
+	for r := 0; r < st.Rounds(); r++ {
+		for sl := 0; sl < n; sl++ {
+			if err := st.Reserve(r, sl, 8); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+	for _, occ := range [][2]int{{1, n}, {1, -1}, {st.Rounds(), 0}} {
+		r, sl := occ[0], occ[1]
+		for _, op := range []struct {
+			name string
+			f    func()
+		}{
+			{"Used", func() { st.Used(r, sl) }},
+			{"Free", func() { st.Free(r, sl) }},
+			{"Release", func() { st.Release(r, sl, 1) }},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d, %d) did not panic", op.name, r, sl)
+					}
+				}()
+				op.f()
+			}()
+		}
+	}
+}
+
+var cloneSink *State
+
+// TestCloneAllocs pins that cloning costs one ledger allocation however
+// many rounds the horizon holds, plus the State itself.
+func TestCloneAllocs(t *testing.T) {
+	st, _ := NewState(testBus(), 36*1000) // 1000 rounds
+	if n := testing.AllocsPerRun(50, func() { cloneSink = st.Clone() }); n > 2 {
+		t.Errorf("Clone of a %d-round state allocates %v times, want at most 2", st.Rounds(), n)
 	}
 }
