@@ -1,26 +1,15 @@
-// Benchmarks regenerating the paper's evaluation figures.
+// Benchmarks of the strategies and of the substrates they run on, on
+// full-scale problems: the paper's 10-node platform, 400 existing
+// processes and its sweep of current-application sizes. The
+// per-strategy benchmarks (BenchmarkStrategy*, BenchmarkSolve*) time
+// whole solves; the micro-benchmarks (BenchmarkScheduleApp,
+// BenchmarkEvaluate, BenchmarkStateClone) time the substrate operations
+// behind every examined design alternative. Run them with:
 //
-// The paper's evaluation has three figures; each maps to a benchmark
-// family here (plus ablations and micro-benchmarks of the substrates):
+//	go test -run '^$' -bench=. -benchmem
 //
-//	Fig "deviation" (E1): BenchmarkFigDeviation/* — one op runs AH, MH
-//	    and SA on one generated test case and reports the deviation of
-//	    AH and MH from the best solution in objective points.
-//	Fig "runtime" (E2): BenchmarkStrategy{AH,MH,SA}/* — ns/op per sweep
-//	    size IS the figure (the paper's y-axis, on today's hardware).
-//	Fig "future fit" (E3): BenchmarkFigFutureFit/* — one op places the
-//	    current application with AH and MH and tries future samples on
-//	    both; reported metrics are the fit percentages.
-//	Ablations: BenchmarkMHAblation/* — MH with message moves or
-//	    potential-based candidate selection disabled.
-//
-// Run everything with:
-//
-//	go test -bench=. -benchmem
-//
-// SA uses its full default iteration budget only in BenchmarkStrategySA;
-// the composite figures use a reduced budget so a complete -bench=. run
-// finishes in minutes. cmd/incbench runs the full-strength sweeps.
+// They regenerate no figure: cmd/incbench regenerates the paper's
+// figures.
 package incdes_test
 
 import (
@@ -70,46 +59,7 @@ func benchProblem(b *testing.B, size int) *core.Problem {
 	return p
 }
 
-// reducedSA keeps composite benchmarks bounded; BenchmarkStrategySA runs
-// the full default budget.
-var reducedSA = core.SAOptions{Seed: 1, Iterations: 3000, Restarts: 1}
-
-// BenchmarkFigDeviation regenerates the paper's first figure: per sweep
-// size, one op solves one test case with all three strategies and reports
-// AH's and MH's deviation from the best objective.
-func BenchmarkFigDeviation(b *testing.B) {
-	for _, size := range benchSizes {
-		b.Run(fmt.Sprintf("procs=%d", size), func(b *testing.B) {
-			p := benchProblem(b, size)
-			var ahDev, mhDev float64
-			for i := 0; i < b.N; i++ {
-				ah, err := core.Solve(context.Background(), p, core.Options{Strategy: core.AH, Parallelism: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				mh, err := core.Solve(context.Background(), p, core.Options{Strategy: core.MH, Parallelism: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sa, err := core.Solve(context.Background(), p, core.Options{Strategy: core.SAWith(reducedSA), Parallelism: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ref := sa.Objective()
-				if mh.Objective() < ref {
-					ref = mh.Objective()
-				}
-				ahDev += ah.Objective() - ref
-				mhDev += mh.Objective() - ref
-			}
-			b.ReportMetric(ahDev/float64(b.N), "AH-dev")
-			b.ReportMetric(mhDev/float64(b.N), "MH-dev")
-		})
-	}
-}
-
-// BenchmarkStrategyAH regenerates the AH series of the paper's second
-// figure: ns/op is the strategy runtime per sweep size.
+// BenchmarkStrategyAH measures one AH solve per sweep size.
 func BenchmarkStrategyAH(b *testing.B) {
 	for _, size := range benchSizes {
 		b.Run(fmt.Sprintf("procs=%d", size), func(b *testing.B) {
@@ -124,7 +74,7 @@ func BenchmarkStrategyAH(b *testing.B) {
 	}
 }
 
-// BenchmarkStrategyMH regenerates the MH series of the second figure.
+// BenchmarkStrategyMH measures one MH solve per sweep size.
 func BenchmarkStrategyMH(b *testing.B) {
 	for _, size := range benchSizes {
 		b.Run(fmt.Sprintf("procs=%d", size), func(b *testing.B) {
@@ -139,9 +89,9 @@ func BenchmarkStrategyMH(b *testing.B) {
 	}
 }
 
-// BenchmarkStrategySA regenerates the SA series of the second figure with
-// the full default annealing budget (the near-optimal configuration).
-// This is by far the slowest benchmark, as it was in the paper.
+// BenchmarkStrategySA measures one SA solve per sweep size with the
+// full default annealing budget (the near-optimal configuration). This
+// is by far the slowest benchmark.
 func BenchmarkStrategySA(b *testing.B) {
 	for _, size := range benchSizes {
 		b.Run(fmt.Sprintf("procs=%d", size), func(b *testing.B) {
@@ -152,73 +102,6 @@ func BenchmarkStrategySA(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkFigFutureFit regenerates the paper's third figure: one op maps
-// the current application with AH and MH and tries future applications of
-// 80 processes on both residual systems; the reported metrics are the
-// percentage that fit.
-func BenchmarkFigFutureFit(b *testing.B) {
-	const futureProcs = 80
-	const samples = 3
-	for _, size := range []int{40, 80, 160, 240} {
-		b.Run(fmt.Sprintf("procs=%d", size), func(b *testing.B) {
-			p := benchProblem(b, size)
-			ah, err := core.Solve(context.Background(), p, core.Options{Strategy: core.AH, Parallelism: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			mh, err := core.Solve(context.Background(), p, core.Options{Strategy: core.MH, Parallelism: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var ahFit, mhFit, tried float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				futGen := gen.New(gen.Default(), int64(1000+i))
-				futGen.StartIDsAt(1 << 20)
-				for s := 0; s < samples; s++ {
-					fut := futGen.FutureApp("future", p.Profile, futureProcs)
-					tried++
-					if _, err := ah.State.Clone().MapApp(fut, sched.Hints{}); err == nil {
-						ahFit++
-					}
-					if _, err := mh.State.Clone().MapApp(fut, sched.Hints{}); err == nil {
-						mhFit++
-					}
-				}
-			}
-			b.ReportMetric(100*ahFit/tried, "AH-fit%")
-			b.ReportMetric(100*mhFit/tried, "MH-fit%")
-		})
-	}
-}
-
-// BenchmarkMHAblation quantifies MH's design choices at one sweep size.
-func BenchmarkMHAblation(b *testing.B) {
-	variants := []struct {
-		name string
-		opts core.MHOptions
-	}{
-		{"full", core.MHOptions{}},
-		{"no-msg-moves", core.MHOptions{DisableMsgMoves: true}},
-		{"no-potential", core.MHOptions{RandomCandidates: true}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			p := benchProblem(b, 160)
-			var obj float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sol, err := core.Solve(context.Background(), p, core.Options{Strategy: core.MHWith(v.opts), Parallelism: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				obj += sol.Objective()
-			}
-			b.ReportMetric(obj/float64(b.N), "C")
 		})
 	}
 }

@@ -2,14 +2,16 @@
 //
 // Usage:
 //
-//	incbench -fig deviation  # avg deviation from near-optimal (paper Fig 1)
-//	incbench -fig runtime    # avg execution time (paper Fig 2)
-//	incbench -fig futurefit  # % of future applications mapped (paper Fig 3)
-//	incbench -fig ablation   # extra: MH design-choice ablation
-//	incbench -fig relaxed    # extra: modification cost of the next increment
-//	incbench -fig portfolio  # extra: strategy-portfolio racer vs best single
+//	incbench -fig deviation    # avg deviation from near-optimal (paper Fig 1)
+//	incbench -fig runtime      # avg execution time (paper Fig 2)
+//	incbench -fig futurefit    # % of future applications mapped (paper Fig 3)
+//	incbench -fig ablation     # extra: MH design-choice ablation
+//	incbench -fig relaxed      # extra: modification cost of the next increment
+//	incbench -fig criteria     # extra: MH guided by C1 only or C2 only
+//	incbench -fig portfolio    # extra: strategy-portfolio racer vs best single
 //	incbench -fig multicluster # extra: deviation sweep over 1..3 TDMA clusters
-//	incbench -fig all
+//	incbench -fig all          # deviation, runtime, futurefit, ablation,
+//	                           # relaxed and criteria
 //
 // The -quick flag shrinks the sweep for a fast smoke run; -cases and
 // -sizes control the full sweep (the paper used 50 cases per point —
@@ -44,8 +46,8 @@ func main() {
 	sizes := flag.String("sizes", "", "comma-separated current-application sizes (default paper sweep)")
 	seed := flag.Int64("seed", 1, "base seed")
 	quick := flag.Bool("quick", false, "small fast sweep (overrides -sizes/-cases/-existing)")
-	parallel := flag.Int("parallel", 1, "concurrent test cases (use 1 for trustworthy runtime measurements; <=0 means one per CPU)")
-	stratParallel := flag.Int("strategy-parallel", 1, "evaluation workers inside each strategy run (use 1 for trustworthy runtime measurements; <=0 means one per CPU)")
+	parallel := flag.Int("parallel", 1, "concurrent test cases (use 1 for trustworthy runtime measurements; <0 means one per CPU)")
+	stratParallel := flag.Int("strategy-parallel", 1, "evaluation workers inside each strategy run (use 1 for trustworthy runtime measurements; <0 means one per CPU)")
 	verbose := flag.Bool("v", false, "log per-case progress to stderr")
 	statsPath := flag.String("stats-out", "", "write sweep-wide engine/scheduler/bus statistics as JSON to this file")
 	flag.Parse()

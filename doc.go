@@ -10,6 +10,6 @@
 // scheduler, internal/ttp for the TDMA bus model, internal/metrics for the
 // design criteria, and internal/eval for the experiment harness. The
 // executables cmd/incmap and cmd/incbench and the programs under examples/
-// are the entry points; bench_test.go regenerates the paper's figures as
-// Go benchmarks.
+// are the entry points; cmd/incbench regenerates the paper's figures, and
+// bench_test.go times the strategies and their substrates.
 package incdes

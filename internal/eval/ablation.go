@@ -30,65 +30,40 @@ type AblationResult struct {
 // Cancelling ctx aborts the sweep with the context's error.
 func RunAblation(ctx context.Context, o Options) (*AblationResult, error) {
 	o = o.withDefaults()
+	noMsgMoves, randomCandidates := o.MHOptions, o.MHOptions
+	noMsgMoves.DisableMsgMoves = true
+	randomCandidates.RandomCandidates = true
+	names := []string{"MH (full)", "MH -msg moves", "MH -potential"}
+	variants := []core.Strategy{core.MHWith(o.MHOptions), core.MHWith(noMsgMoves), core.MHWith(randomCandidates)}
 	size := o.Sizes[0]
-	variants := []struct {
-		name string
-		opts core.MHOptions
-	}{
-		{"MH (full)", o.MHOptions},
-		{"MH -msg moves", withMsgMovesDisabled(o.MHOptions)},
-		{"MH -potential", withRandomCandidates(o.MHOptions)},
-	}
-	res := &AblationResult{Size: size, Cases: o.Cases}
-	outs := make([][]AblationRow, o.Cases) // [case][variant]
-	err := o.forEachCase(ctx, func(c int) error {
-		p, err := makeProblem(o, size, c)
+	cases, err := sweep(ctx, o, o.sizePoint(size), func(ctx context.Context, sc *sweepCase) ([]*core.Solution, error) {
+		sols, err := o.solve(ctx, sc, sc.p, variants...)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		outs[c] = make([]AblationRow, len(variants))
-		for i, v := range variants {
-			sol, err := o.solve(ctx, p, core.MHWith(v.opts))
-			if err != nil {
-				return fmt.Errorf("eval: %s on case %d: %w", v.name, c, err)
-			}
-			outs[c][i] = AblationRow{Obj: sol.Objective(), Time: sol.Elapsed, Evals: float64(sol.Evaluations)}
-			o.logf("case %d %s: C=%.1f (%d evals)", c, v.name, sol.Objective(), sol.Evaluations)
+		for i, sol := range sols {
+			o.logf("%s %s: C=%.1f (%d evals)", sc.name, names[i], sol.Objective(), sol.Evaluations)
 		}
-		return nil
+		return sols, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Sum in case order, so the float sums are the same whatever the
-	// parallelism.
-	sums := make([]AblationRow, len(variants))
-	for i, v := range variants {
-		sums[i].Variant = v.name
-		for _, rows := range outs {
-			sums[i].Obj += rows[i].Obj
-			sums[i].Time += rows[i].Time
-			sums[i].Evals += rows[i].Evals
-		}
-	}
+	res := &AblationResult{Size: size, Cases: o.Cases}
 	n := float64(o.Cases)
-	for i := range sums {
-		sums[i].Obj /= n
-		sums[i].Time = time.Duration(float64(sums[i].Time) / n)
-		sums[i].Evals /= n
+	for i, name := range names {
+		row := AblationRow{Variant: name}
+		for _, sols := range cases {
+			row.Obj += sols[i].Objective()
+			row.Time += sols[i].Elapsed
+			row.Evals += float64(sols[i].Evaluations)
+		}
+		row.Obj /= n
+		row.Time = time.Duration(float64(row.Time) / n)
+		row.Evals /= n
+		res.Rows = append(res.Rows, row)
 	}
-	res.Rows = sums
 	return res, nil
-}
-
-func withMsgMovesDisabled(o core.MHOptions) core.MHOptions {
-	o.DisableMsgMoves = true
-	return o
-}
-
-func withRandomCandidates(o core.MHOptions) core.MHOptions {
-	o.RandomCandidates = true
-	return o
 }
 
 // Table renders the ablation results.

@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"incdes/internal/core"
-	"incdes/internal/gen"
 	"incdes/internal/metrics"
-	"incdes/internal/sched"
 	"incdes/internal/textplot"
 )
 
@@ -40,14 +38,10 @@ type CriterionResult struct {
 // with the context's error.
 func RunCriterionAblation(ctx context.Context, o Options) (*CriterionResult, error) {
 	o = o.withDefaults()
-	size := o.Sizes[0]
-	res := &CriterionResult{Size: size, Cases: o.Cases}
-
-	type variant struct {
+	variants := []struct {
 		name    string
 		weights func(full metrics.Weights) metrics.Weights
-	}
-	variants := []variant{
+	}{
 		{"C1+C2 (paper)", func(w metrics.Weights) metrics.Weights { return w }},
 		{"C1 only", func(w metrics.Weights) metrics.Weights {
 			w.W2P, w.W2m = 0, 0
@@ -58,65 +52,56 @@ func RunCriterionAblation(ctx context.Context, o Options) (*CriterionResult, err
 			return w
 		}},
 	}
-
-	type caseOut struct {
-		fit   []int // per variant
-		tried int
-		obj   []float64
+	// variantOut is one case's result for one variant.
+	type variantOut struct {
+		fit int     // future applications that fit
+		obj float64 // full objective of the design
 	}
-	outs := make([]caseOut, o.Cases)
-	err := o.forEachCase(ctx, func(c int) error {
-		outs[c].fit = make([]int, len(variants))
-		outs[c].obj = make([]float64, len(variants))
-		tc, err := gen.MakeTestCase(o.Config, o.caseSeed(size, c), o.Existing, size)
-		if err != nil {
-			return fmt.Errorf("eval: generating size %d case %d: %w", size, c, err)
-		}
-		full := metrics.DefaultWeights(tc.Profile)
+	size := o.Sizes[0]
+	cases, err := sweep(ctx, o, o.sizePoint(size), func(ctx context.Context, sc *sweepCase) ([]variantOut, error) {
+		full := sc.p.Weights
+		outs := make([]variantOut, len(variants))
 		sols := make([]*core.Solution, len(variants))
 		for i, v := range variants {
-			p, err := core.NewProblem(tc.Sys, tc.Base, tc.Current, tc.Profile, v.weights(full))
+			p, err := core.NewProblem(sc.tc.Sys, sc.tc.Base, sc.tc.Current, sc.tc.Profile, v.weights(full))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			sol, err := o.solve(ctx, p, core.MHWith(o.MHOptions))
+			s, err := o.solve(ctx, sc, p, core.MHWith(o.MHOptions))
 			if err != nil {
-				return fmt.Errorf("eval: %s on case %d: %w", v.name, c, err)
+				return nil, err
 			}
-			sols[i] = sol
+			sols[i] = s[0]
 			// Judge by the full objective whatever guided the search.
-			outs[c].obj[i] = metrics.Evaluate(sol.State, tc.Profile, full).Objective
+			outs[i].obj = metrics.Evaluate(sols[i].State, sc.tc.Profile, full).Objective
 		}
-		futGen := gen.New(o.Config, o.caseSeed(size, c)+377)
-		futGen.StartIDsAt(1 << 20)
-		for s := 0; s < o.FutureSamples; s++ {
-			fut := futGen.FutureApp(fmt.Sprintf("future%d", s), tc.Profile, o.FutureProcs)
-			outs[c].tried++
+		futs, err := o.futureApps(sc, sc.seed+377)
+		if err != nil {
+			return nil, err
+		}
+		for _, fut := range futs {
 			for i, sol := range sols {
-				st := sol.State.Clone()
-				if _, err := st.MapApp(fut, sched.Hints{}); err == nil {
-					outs[c].fit[i]++
+				if fits(sol.State, fut) {
+					outs[i].fit++
 				}
 			}
 		}
-		o.logf("size %d case %d: criterion ablation done", size, c)
-		return nil
+		o.logf("%s: criterion ablation done", sc.name)
+		return outs, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
+	res := &CriterionResult{Size: size, Cases: o.Cases}
 	for i, v := range variants {
 		row := CriterionRow{Variant: v.name}
-		var fit, tried int
-		for _, out := range outs {
-			fit += out.fit[i]
-			tried += out.tried
-			row.FullObjective += out.obj[i]
+		var fit int
+		for _, outs := range cases {
+			fit += outs[i].fit
+			row.FullObjective += outs[i].obj
 		}
-		if tried > 0 {
-			row.Fit = 100 * float64(fit) / float64(tried)
-		}
+		row.Fit = percent(fit, o.Cases*o.FutureSamples)
 		row.FullObjective /= float64(o.Cases)
 		res.Rows = append(res.Rows, row)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"incdes/internal/core"
 	"incdes/internal/gen"
+	"incdes/internal/obs"
 )
 
 // smallOptions keeps experiment unit tests fast: a 5-node platform, a
@@ -132,14 +133,22 @@ func TestProgressLogging(t *testing.T) {
 	}
 }
 
+// TestRunRelaxed also checks that the sweep's observer reaches the
+// solves inside each admission, not only the AH and MH solves of the
+// current application.
 func TestRunRelaxed(t *testing.T) {
 	o := smallOptions()
 	o.Sizes = []int{20}
 	o.FutureSamples = 2
 	o.FutureProcs = 15
+	reg := obs.NewRegistry()
+	o.Observer = &obs.Observer{Stats: reg}
 	res, err := RunRelaxed(context.Background(), o)
 	if err != nil {
 		t.Fatalf("RunRelaxed: %v", err)
+	}
+	if got, placements := reg.Snapshot().Counters[obs.CtrSolves], int64(2*o.Cases); got <= placements {
+		t.Errorf("%s = %d, want more than the %d AH and MH placements", obs.CtrSolves, got, placements)
 	}
 	if len(res.Rows) != 1 {
 		t.Fatalf("%d rows", len(res.Rows))

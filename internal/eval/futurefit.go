@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"incdes/internal/core"
-	"incdes/internal/gen"
-	"incdes/internal/metrics"
 	"incdes/internal/model"
 	"incdes/internal/sched"
 	"incdes/internal/textplot"
@@ -36,66 +34,44 @@ func RunFutureFit(ctx context.Context, o Options) (*FutureFitResult, error) {
 	o = o.withDefaults()
 	res := &FutureFitResult{}
 	for _, size := range o.Sizes {
-		row := FitRow{Size: size, Samples: o.FutureSamples}
-		type caseOut struct{ ahOK, mhOK, tried int }
-		outs := make([]caseOut, o.Cases)
-		size := size
-		err := o.forEachCase(ctx, func(c int) error {
-			tc, err := gen.MakeTestCase(o.Config, o.caseSeed(size, c), o.Existing, size)
-			if err != nil {
-				return fmt.Errorf("eval: generating size %d case %d: %w", size, c, err)
-			}
-			p, err := core.NewProblem(tc.Sys, tc.Base, tc.Current, tc.Profile,
-				metrics.DefaultWeights(tc.Profile))
-			if err != nil {
-				return err
-			}
-			ah, err := o.solve(ctx, p, core.AH)
-			if err != nil {
-				return fmt.Errorf("eval: AH on size %d case %d: %w", size, c, err)
-			}
-			mh, err := o.solve(ctx, p, core.MHWith(o.MHOptions))
-			if err != nil {
-				return fmt.Errorf("eval: MH on size %d case %d: %w", size, c, err)
-			}
-			// Sample future applications from the same generator family,
-			// with IDs displaced away from the test case's own objects.
-			futGen := gen.New(o.Config, o.caseSeed(size, c)+77)
-			futGen.StartIDsAt(1 << 20)
-			for s := 0; s < o.FutureSamples; s++ {
-				fut := futGen.FutureApp(fmt.Sprintf("future%d", s), tc.Profile, o.FutureProcs)
-				if err := fut.Validate(tc.Sys.Arch); err != nil {
-					return fmt.Errorf("eval: sampled future application invalid: %w", err)
-				}
-				outs[c].tried++
-				if fits(ah.State, fut) {
-					outs[c].ahOK++
-				}
-				if fits(mh.State, fut) {
-					outs[c].mhOK++
-				}
-			}
-			o.logf("size %d case %d: future fit AH %d/%d MH %d/%d",
-				size, c, outs[c].ahOK, outs[c].tried, outs[c].mhOK, outs[c].tried)
-			return nil
-		})
+		cases, err := sweep(ctx, o, o.sizePoint(size), o.futureFitCase)
 		if err != nil {
 			return nil, err
 		}
-		var ahOK, mhOK, tried int
-		for _, out := range outs {
-			ahOK += out.ahOK
-			mhOK += out.mhOK
-			tried += out.tried
+		var fit [2]int
+		for _, ok := range cases {
+			fit[0] += ok[0]
+			fit[1] += ok[1]
 		}
-		row.Cases = o.Cases
-		if tried > 0 {
-			row.AHFit = 100 * float64(ahOK) / float64(tried)
-			row.MHFit = 100 * float64(mhOK) / float64(tried)
-		}
-		res.Rows = append(res.Rows, row)
+		tried := o.Cases * o.FutureSamples
+		res.Rows = append(res.Rows, FitRow{Size: size, Cases: o.Cases, Samples: o.FutureSamples,
+			AHFit: percent(fit[0], tried), MHFit: percent(fit[1], tried)})
 	}
 	return res, nil
+}
+
+// futureFitCase places the case's current application with AH and with
+// MH, and counts for each how many sampled future applications still
+// fit.
+func (o Options) futureFitCase(ctx context.Context, sc *sweepCase) ([2]int, error) {
+	var ok [2]int
+	sols, err := o.solve(ctx, sc, sc.p, core.AH, core.MHWith(o.MHOptions))
+	if err != nil {
+		return ok, err
+	}
+	futs, err := o.futureApps(sc, sc.seed+77)
+	if err != nil {
+		return ok, err
+	}
+	for _, fut := range futs {
+		for i, sol := range sols {
+			if fits(sol.State, fut) {
+				ok[i]++
+			}
+		}
+	}
+	o.logf("%s: future fit AH %d/%d MH %d/%d", sc.name, ok[0], len(futs), ok[1], len(futs))
+	return ok, nil
 }
 
 // fits reports whether the future application can be mapped and scheduled

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"incdes/internal/core"
-	"incdes/internal/gen"
-	"incdes/internal/metrics"
 	"incdes/internal/sched"
 	"incdes/internal/textplot"
 )
@@ -39,59 +36,23 @@ type MulticlusterResult struct {
 // the sweep doubles as a regression anchor for the classic family.
 func RunMulticluster(ctx context.Context, o Options) (*MulticlusterResult, error) {
 	o = o.withDefaults()
-	clusters := []int{1, 2, 3}
-	size := o.Sizes[0]
 	res := &MulticlusterResult{}
-	for _, k := range clusters {
+	for _, k := range []int{1, 2, 3} {
 		cfg := o.Config
 		if k > 1 {
 			cfg.Clusters = k
 			cfg.GatewaysPerLink = 1
 			cfg.InterClusterFrac = 0.2
 		}
-		row := MCRow{DevRow: DevRow{Size: k}, Clusters: k}
-		type caseOut struct {
-			ah, mh, sa *core.Solution
-			hops       int
-		}
-		outs := make([]caseOut, o.Cases)
-		k := k
-		err := o.forEachCase(ctx, func(c int) error {
-			tc, err := gen.MakeTestCase(cfg, o.caseSeed(1000+k, c), o.Existing, size)
-			if err != nil {
-				return fmt.Errorf("eval: generating %d-cluster case %d: %w", k, c, err)
-			}
-			p, err := core.NewProblem(tc.Sys, tc.Base, tc.Current, tc.Profile,
-				metrics.DefaultWeights(tc.Profile))
-			if err != nil {
-				return err
-			}
-			ah, err := o.solve(ctx, p, core.AH)
-			if err != nil {
-				return fmt.Errorf("eval: AH on %d clusters case %d: %w", k, c, err)
-			}
-			mh, err := o.solve(ctx, p, core.MHWith(o.MHOptions))
-			if err != nil {
-				return fmt.Errorf("eval: MH on %d clusters case %d: %w", k, c, err)
-			}
-			sa, err := o.solve(ctx, p, core.SAWith(o.SAOptions))
-			if err != nil {
-				return fmt.Errorf("eval: SA on %d clusters case %d: %w", k, c, err)
-			}
-			hops := gatewayHopCount(mh.State)
-			outs[c] = caseOut{ah: ah, mh: mh, sa: sa, hops: hops}
-			o.logf("%d clusters case %d: AH %.1f MH %.1f SA %.1f (%d gateway hops)",
-				k, c, ah.Objective(), mh.Objective(), sa.Objective(), hops)
-			return nil
-		})
+		pt := point{fmt.Sprintf("%d clusters", k), cfg, 1000 + k, o.Sizes[0]}
+		cases, err := sweep(ctx, o, pt, o.deviationCase)
 		if err != nil {
 			return nil, err
 		}
-		for _, out := range outs {
-			row.add(out.ah, out.mh, out.sa)
-			row.GatewayHops += float64(out.hops)
+		row := MCRow{DevRow: devRow(k, cases), Clusters: k}
+		for _, sols := range cases {
+			row.GatewayHops += float64(gatewayHopCount(sols[1].State))
 		}
-		row.average()
 		row.GatewayHops /= float64(row.Cases)
 		res.Rows = append(res.Rows, row)
 	}

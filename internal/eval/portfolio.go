@@ -40,59 +40,43 @@ type PortfolioResult struct {
 // Cancelling ctx aborts the sweep with the context's error.
 func RunPortfolio(ctx context.Context, o Options) (*PortfolioResult, error) {
 	o = o.withDefaults()
-	res := &PortfolioResult{}
 	lanes := []core.Strategy{core.AH, core.MHWith(o.MHOptions), core.SAWith(o.SAOptions)}
-	portfolio := core.PortfolioWith(core.PortfolioOptions{Lanes: lanes})
-	for _, size := range o.Sizes {
-		row := PortfolioRow{Size: size}
-		type caseOut struct {
-			port    *core.Solution
-			singles [3]*core.Solution
-		}
-		outs := make([]caseOut, o.Cases)
-		size := size
-		err := o.forEachCase(ctx, func(c int) error {
-			p, err := makeProblem(o, size, c)
-			if err != nil {
-				return err
-			}
-			var out caseOut
-			out.port, err = o.solve(ctx, p, portfolio)
-			if err != nil {
-				return fmt.Errorf("eval: portfolio on size %d case %d: %w", size, c, err)
-			}
-			for i, lane := range lanes {
-				out.singles[i], err = o.solve(ctx, p, lane)
-				if err != nil {
-					return fmt.Errorf("eval: %s on size %d case %d: %w", lane.Name(), size, c, err)
-				}
-			}
-			outs[c] = out
-			o.logf("size %d case %d: portfolio %.1f (%s) in %v",
-				size, c, out.port.Objective(), out.port.Strategy,
-				out.port.Elapsed.Round(time.Millisecond))
-			return nil
-		})
+	strats := append([]core.Strategy{core.PortfolioWith(core.PortfolioOptions{Lanes: lanes})}, lanes...)
+	// Each case yields the portfolio's solution and the best single
+	// lane's.
+	portfolioCase := func(ctx context.Context, sc *sweepCase) ([]*core.Solution, error) {
+		sols, err := o.solve(ctx, sc, sc.p, strats...)
 		if err != nil {
 			return nil, err
 		}
-		for _, out := range outs {
-			best := out.singles[0]
-			for _, s := range out.singles[1:] {
-				if s.Objective() < best.Objective() {
-					best = s
-				}
+		port, best := sols[0], sols[1]
+		for _, s := range sols[2:] {
+			if s.Objective() < best.Objective() {
+				best = s
 			}
-			if out.port.Objective() > best.Objective() {
-				return nil, fmt.Errorf("eval: portfolio objective %.6f worse than best single %.6f on size %d",
-					out.port.Objective(), best.Objective(), size)
-			}
-			row.Cases++
-			row.PortObj += out.port.Objective()
+		}
+		if port.Objective() > best.Objective() {
+			return nil, fmt.Errorf("eval: portfolio objective %.6f worse than best single %.6f on %s",
+				port.Objective(), best.Objective(), sc.name)
+		}
+		o.logf("%s: portfolio %.1f (%s) in %v",
+			sc.name, port.Objective(), port.Strategy, port.Elapsed.Round(time.Millisecond))
+		return []*core.Solution{port, best}, nil
+	}
+	res := &PortfolioResult{}
+	for _, size := range o.Sizes {
+		cases, err := sweep(ctx, o, o.sizePoint(size), portfolioCase)
+		if err != nil {
+			return nil, err
+		}
+		row := PortfolioRow{Size: size, Cases: len(cases)}
+		for _, c := range cases {
+			port, best := c[0], c[1]
+			row.PortObj += port.Objective()
 			row.BestObj += best.Objective()
-			row.PortTime += out.port.Elapsed
+			row.PortTime += port.Elapsed
 			row.BestTime += best.Elapsed
-			switch out.port.Strategy {
+			switch port.Strategy {
 			case "AH":
 				row.AHWins++
 			case "SA":

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"incdes/internal/core"
-	"incdes/internal/gen"
-	"incdes/internal/metrics"
 	"incdes/internal/model"
 	"incdes/internal/textplot"
 )
@@ -32,6 +30,13 @@ type RelaxedResult struct {
 	Rows []RelaxedRow
 }
 
+// admissions records how one case's sampled future applications were
+// admitted on top of one design.
+type admissions struct {
+	cost float64 // summed modification cost of the admitted applications
+	fail int     // applications that could not be admitted
+}
+
 // RunRelaxed measures the engineering-change cost the two design
 // histories incur when the future arrives: each sampled future
 // application is admitted with core.SolveRelaxedContext, where modifying
@@ -41,84 +46,59 @@ func RunRelaxed(ctx context.Context, o Options) (*RelaxedResult, error) {
 	o = o.withDefaults()
 	res := &RelaxedResult{}
 	for _, size := range o.Sizes {
-		row := RelaxedRow{Size: size, Cases: o.Cases}
-		type caseOut struct {
-			ahCost, mhCost float64
-			ahFail, mhFail int
-			tried          int
-		}
-		outs := make([]caseOut, o.Cases)
-		size := size
-		err := o.forEachCase(ctx, func(c int) error {
-			tc, err := gen.MakeTestCase(o.Config, o.caseSeed(size, c), o.Existing, size)
-			if err != nil {
-				return fmt.Errorf("eval: generating size %d case %d: %w", size, c, err)
-			}
-			p, err := core.NewProblem(tc.Sys, tc.Base, tc.Current, tc.Profile,
-				metrics.DefaultWeights(tc.Profile))
-			if err != nil {
-				return err
-			}
-			ah, err := o.solve(ctx, p, core.AH)
-			if err != nil {
-				return err
-			}
-			mh, err := o.solve(ctx, p, core.MHWith(o.MHOptions))
-			if err != nil {
-				return err
-			}
-			futGen := gen.New(o.Config, o.caseSeed(size, c)+177)
-			futGen.StartIDsAt(1 << 20)
-			for s := 0; s < o.FutureSamples; s++ {
-				fut := futGen.FutureApp(fmt.Sprintf("future%d", s), tc.Profile, o.FutureProcs)
-				outs[c].tried++
-				for _, variant := range []struct {
-					sol  *core.Solution
-					cost *float64
-					fail *int
-				}{
-					{ah, &outs[c].ahCost, &outs[c].ahFail},
-					{mh, &outs[c].mhCost, &outs[c].mhFail},
-				} {
-					cost, ok := admissionCost(ctx, o, tc, variant.sol, fut)
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					if !ok {
-						*variant.fail++
-						continue
-					}
-					*variant.cost += cost
-				}
-			}
-			o.logf("size %d case %d: relaxed AH cost %.0f fail %d | MH cost %.0f fail %d",
-				size, c, outs[c].ahCost, outs[c].ahFail, outs[c].mhCost, outs[c].mhFail)
-			return nil
-		})
+		cases, err := sweep(ctx, o, o.sizePoint(size), o.relaxedCase)
 		if err != nil {
 			return nil, err
 		}
-		var tried, ahFail, mhFail int
-		for _, out := range outs {
-			tried += out.tried
-			ahFail += out.ahFail
-			mhFail += out.mhFail
-			row.AHCost += out.ahCost
-			row.MHCost += out.mhCost
+		row := RelaxedRow{Size: size, Cases: o.Cases}
+		var fail [2]int
+		for _, out := range cases {
+			row.AHCost += out[0].cost
+			row.MHCost += out[1].cost
+			fail[0] += out[0].fail
+			fail[1] += out[1].fail
 		}
-		if ok := tried - ahFail; ok > 0 {
+		tried := o.Cases * o.FutureSamples
+		if ok := tried - fail[0]; ok > 0 {
 			row.AHCost /= float64(ok)
 		}
-		if ok := tried - mhFail; ok > 0 {
+		if ok := tried - fail[1]; ok > 0 {
 			row.MHCost /= float64(ok)
 		}
-		if tried > 0 {
-			row.AHFail = 100 * float64(ahFail) / float64(tried)
-			row.MHFail = 100 * float64(mhFail) / float64(tried)
-		}
+		row.AHFail, row.MHFail = percent(fail[0], tried), percent(fail[1], tried)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// relaxedCase places the case's current application with AH and with MH,
+// and admits every sampled future application on top of each design.
+func (o Options) relaxedCase(ctx context.Context, sc *sweepCase) ([2]admissions, error) {
+	var out [2]admissions
+	sols, err := o.solve(ctx, sc, sc.p, core.AH, core.MHWith(o.MHOptions))
+	if err != nil {
+		return out, err
+	}
+	futs, err := o.futureApps(sc, sc.seed+177)
+	if err != nil {
+		return out, err
+	}
+	for _, fut := range futs {
+		for i, sol := range sols {
+			cost, ok := o.admissionCost(ctx, sc, sol, fut)
+			if err := ctx.Err(); err != nil {
+				return out, err
+			}
+			if ok {
+				out[i].cost += cost
+			} else {
+				out[i].fail++
+			}
+		}
+	}
+	o.logf("%s: relaxed AH cost %.0f fail %d | MH cost %.0f fail %d",
+		sc.name, out[0].cost, out[0].fail, out[1].cost, out[1].fail)
+	return out, nil
 }
 
 // admissionCost admits the future application on top of the given
@@ -126,9 +106,9 @@ func RunRelaxed(ctx context.Context, o Options) (*RelaxedResult, error) {
 // its process count), and returns the minimum modification cost found.
 // ok is false when no subset admits it (or when ctx was cancelled; the
 // caller distinguishes the two by checking ctx itself).
-func admissionCost(ctx context.Context, o Options, tc *gen.TestCase, sol *core.Solution, fut *model.Application) (float64, bool) {
-	apps := append(append([]*model.Application{}, tc.Existing...), tc.Current)
-	sys := &model.System{Arch: tc.Sys.Arch, Apps: append(append([]*model.Application{}, apps...), fut)}
+func (o Options) admissionCost(ctx context.Context, sc *sweepCase, sol *core.Solution, fut *model.Application) (float64, bool) {
+	apps := append(append([]*model.Application{}, sc.tc.Existing...), sc.tc.Current)
+	sys := &model.System{Arch: sc.tc.Sys.Arch, Apps: append(append([]*model.Application{}, apps...), fut)}
 	existing := make([]core.ExistingApp, len(apps))
 	for i, a := range apps {
 		existing[i] = core.ExistingApp{App: a, Cost: float64(a.NumProcs())}
@@ -138,13 +118,14 @@ func admissionCost(ctx context.Context, o Options, tc *gen.TestCase, sol *core.S
 		Base:     sol.State,
 		Existing: existing,
 		Current:  fut,
-		Profile:  tc.Profile,
-		Weights:  metrics.DefaultWeights(tc.Profile),
+		Profile:  sc.tc.Profile,
+		Weights:  sc.p.Weights,
 	}
 	rsol, err := core.SolveRelaxedContext(ctx, rp, core.RelaxedOptions{
 		MH:          core.MHOptions{MaxIterations: 1},
 		MaxSubsets:  16,
 		Parallelism: o.StrategyParallel,
+		Observer:    o.Observer,
 	})
 	if err != nil {
 		return 0, false

@@ -113,14 +113,10 @@ type Incremental struct {
 // recompute: every node timeline was touched, so no cached slack vector
 // could be reused and each one was rederived from the state (still
 // through the evaluator's reusable scratch — the classification is
-// observability, not a different code path). A nil transaction means
-// the delta is unknown; that is the one genuine fallback to Evaluate.
-// The Report is byte-identical to Evaluate's in every case.
+// observability, not a different code path). The Report is
+// byte-identical to Evaluate's in every case.
 func (e *Incremental) EvaluateTxn(st *sched.State, txn *sched.Txn) (rep Report, full bool) {
 	b := e.b
-	if txn == nil {
-		return Evaluate(st, b.prof, b.w), true
-	}
 	full = txn.DirtyNodeCount() >= len(b.nodeIDs)
 
 	var r Report

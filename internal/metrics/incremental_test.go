@@ -104,25 +104,6 @@ func TestEvaluateTxnFullFallback(t *testing.T) {
 	}
 }
 
-// TestEvaluateTxnNilTxn pins the genuine fallback: without a transaction
-// the delta is unknown, so the evaluator must hand the state to Evaluate
-// and report a full recompute.
-func TestEvaluateTxnNilTxn(t *testing.T) {
-	tc, err := gen.MakeTestCase(gen.Default(), 123, 40, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := metrics.DefaultWeights(tc.Profile)
-	ev := metrics.NewBaseline(tc.Base, tc.Profile, w).Evaluator()
-	got, full := ev.EvaluateTxn(tc.Base, nil)
-	if !full {
-		t.Error("nil transaction must report a full recompute")
-	}
-	if want := metrics.Evaluate(tc.Base, tc.Profile, w); got != want {
-		t.Errorf("nil-txn evaluation = %+v, want %+v", got, want)
-	}
-}
-
 // TestBaselineSurvivesRollbacks pins that the baseline caches really are
 // immutable: after many Apply/EvaluateTxn/Rollback cycles the same
 // evaluator still reproduces Evaluate's numbers for the untouched base.
