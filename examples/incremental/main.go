@@ -47,7 +47,10 @@ func main() {
 		apps = append(apps, app)
 		levels = append(levels, lv)
 	}
-	base := g.AssignPeriods(apps, levels)
+	base, err := g.AssignPeriods(apps, levels)
+	if err != nil {
+		log.Fatal(err)
+	}
 	sys := &model.System{Arch: g.Architecture(), Apps: apps}
 	if err := sys.Validate(); err != nil {
 		log.Fatal(err)

@@ -53,70 +53,41 @@ func allocTestProblem(t *testing.T) *Problem {
 	return p
 }
 
-// measureEvaluateAllocs warms the memo with one design and reports the
-// steady-state allocations of re-evaluating it (the strategy inner loop
-// re-visits designs constantly, so the memo-hit path is the hot path).
-func measureEvaluateAllocs(t *testing.T, observer *obs.Observer) float64 {
-	t.Helper()
+// TestEvaluateZeroAllocs gates the allocation cost of the one evaluation
+// path: every Evaluate applies, rescores and rolls back a transaction on
+// a worker's base copy. The transaction keeps the job order, the busy
+// sets insert in place and the evaluator's scratch is reused across
+// calls, so a warm evaluation allocates nothing. With a stats registry
+// attached it still allocates nothing, because instruments are resolved
+// once at engine construction and counter bumps are plain atomics —
+// observability is free on the hot path.
+func TestEvaluateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race")
 	}
-	p := allocTestProblem(t)
-	eng := newEngine(p, Options{Parallelism: 1, Observer: observer})
-	mapping, _, err := p.initial(sched.Hints{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := eng.Evaluate(mapping, sched.Hints{}); !ok {
-		t.Fatal("warm-up evaluation infeasible")
-	}
-	return testing.AllocsPerRun(100, func() {
-		eng.Evaluate(mapping, sched.Hints{})
-	})
-}
-
-// TestEvaluateHitPathZeroAllocs pins the "free when off" contract: with
-// no observer attached, a memo-hit evaluation allocates nothing.
-func TestEvaluateHitPathZeroAllocs(t *testing.T) {
-	if allocs := measureEvaluateAllocs(t, nil); allocs != 0 {
-		t.Fatalf("memo-hit Evaluate allocates %.1f objects/op without observer, want 0", allocs)
-	}
-}
-
-// TestEvaluateHitPathZeroAllocsObserved goes further than the contract
-// requires: even with a stats registry attached, the hit path stays
-// allocation-free, because instruments are resolved once at engine
-// construction and counter bumps are plain atomics.
-func TestEvaluateHitPathZeroAllocsObserved(t *testing.T) {
-	observer := &obs.Observer{Stats: obs.NewRegistry()}
-	if allocs := measureEvaluateAllocs(t, observer); allocs != 0 {
-		t.Fatalf("memo-hit Evaluate allocates %.1f objects/op with stats registry, want 0", allocs)
-	}
-}
-
-// TestEvaluateMissPathIncrementalAllocs gates the allocation cost of a
-// memo-miss evaluation (cache disabled, so every call applies, rescores
-// and rolls back a transaction): the transaction keeps the job order,
-// the busy sets insert in place and the evaluator's scratch is reused
-// across calls, so a warm miss allocates nothing.
-func TestEvaluateMissPathIncrementalAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; run without -race")
-	}
-	p := allocTestProblem(t)
-	eng := newEngine(p, Options{Parallelism: 1, CacheSize: -1})
-	mapping, _, err := p.initial(sched.Hints{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := eng.Evaluate(mapping, sched.Hints{}); !ok {
-		t.Fatal("warm-up evaluation infeasible")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		eng.Evaluate(mapping, sched.Hints{})
-	})
-	t.Logf("miss-path allocations per evaluation: %.1f", allocs)
-	if allocs != 0 {
-		t.Fatalf("memo-miss Evaluate allocates %.1f objects/op, want 0", allocs)
+	for _, tc := range []struct {
+		name     string
+		observer *obs.Observer
+	}{
+		{"unobserved", nil},
+		{"observed", &obs.Observer{Stats: obs.NewRegistry()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := allocTestProblem(t)
+			eng := newEngine(p, Options{Parallelism: 1, Observer: tc.observer})
+			mapping, _, err := p.initial(sched.Hints{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := eng.Evaluate(mapping, sched.Hints{}); !ok {
+				t.Fatal("warm-up evaluation infeasible")
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				eng.Evaluate(mapping, sched.Hints{})
+			})
+			if allocs != 0 {
+				t.Fatalf("warm Evaluate allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }

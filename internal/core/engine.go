@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -18,20 +16,19 @@ import (
 )
 
 // Engine is the shared evaluation machinery behind Solve: a bounded worker
-// pool over cloned scheduler states, an evaluation memo keyed by the
-// design decisions, and the cancellation plumbing. Strategies
-// receive one engine per Solve call and perform every candidate
-// evaluation through it, which is what makes them parallel, cancellable,
-// and observable without owning any of that logic themselves.
+// pool over cloned scheduler states and the cancellation plumbing.
+// Strategies receive one engine per Solve call and perform every
+// candidate evaluation through it, which is what makes them parallel,
+// cancellable, and observable without owning any of that logic
+// themselves.
 //
 // An Engine is safe for concurrent use by the workers it spawns. Results
 // are deterministic by construction: evaluation is a pure function of
-// (problem, mapping, hints), so neither the worker count nor the cache
-// state can change what a strategy computes — only how fast.
+// (problem, mapping, hints), so the worker count cannot change what a
+// strategy computes — only how fast.
 type Engine struct {
 	p           *Problem
 	parallelism int
-	cache       *evalCache
 
 	// opts is the resolved Options of the owning Solve call, kept so
 	// composite strategies (the portfolio racer) can derive per-lane
@@ -39,20 +36,16 @@ type Engine struct {
 	opts Options
 
 	// scratch holds worker-local evaluation contexts reused across
-	// evaluations, keeping the per-evaluation allocation cost near zero.
-	// Each context owns a private copy of the frozen base, made once, that
-	// candidates are applied to and rolled back from as transactions. keys
-	// pools the memo key buffers for the same reason: the cache-hit path
-	// must not allocate at all.
+	// evaluations, so a warm evaluation allocates nothing. Each context
+	// owns a private copy of the frozen base, made once, that candidates
+	// are applied to and rolled back from as transactions.
 	scratch sync.Pool
-	keys    sync.Pool
 
 	// baseline is the shared read-only metric-input cache behind the
 	// transactional evaluation.
 	baseline *metrics.Baseline
 
 	evals atomic.Int64
-	hits  atomic.Int64
 
 	// Observability (see package obs). The instruments are resolved once
 	// here and called unconditionally on the hot path; with no observer
@@ -62,25 +55,15 @@ type Engine struct {
 	tracer      obs.Tracer
 	statsOn     bool
 	cEvals      *obs.Counter
-	cHits       *obs.Counter
 	cMisses     *obs.Counter
 	cInfeasible *obs.Counter
 	schedStats  sched.Stats
 	ttpStats    ttp.Stats
-
-	// procIDs and msgIDs of the current application in sorted order:
-	// the canonical field order of the evaluation-memo key.
-	procIDs []model.ProcID
-	msgIDs  []model.MsgID
 }
 
-// keyBuf is a pooled evaluation-memo key buffer. Pooling a pointer (not
-// the slice itself) keeps the sync.Pool round-trip allocation-free.
-type keyBuf struct{ b []byte }
-
 // newEngine assembles the engine for one Solve call. opts must already be
-// resolved (non-nil strategy; parallelism and cache size may still carry
-// their documented zero values, which are resolved here).
+// resolved (non-nil strategy; parallelism may still carry its documented
+// zero value, which is resolved here).
 func newEngine(p *Problem, opts Options) *Engine {
 	e := &Engine{
 		p:           p,
@@ -95,13 +78,6 @@ func newEngine(p *Problem, opts Options) *Engine {
 	if e.parallelism <= 0 {
 		e.parallelism = runtime.GOMAXPROCS(0)
 	}
-	size := opts.CacheSize
-	if size == 0 {
-		size = DefaultCacheSize
-	}
-	if size > 0 {
-		e.cache = &evalCache{max: size, m: make(map[string]cacheEntry)}
-	}
 	reg := opts.Observer.Registry()
 	if opts.Observer != nil {
 		e.tracer = opts.Observer.Tracer
@@ -109,22 +85,11 @@ func newEngine(p *Problem, opts Options) *Engine {
 	if reg != nil {
 		e.statsOn = true
 		e.cEvals = reg.Counter(obs.CtrEvaluations)
-		e.cHits = reg.Counter(obs.CtrCacheHits)
 		e.cMisses = reg.Counter(obs.CtrCacheMisses)
 		e.cInfeasible = reg.Counter(obs.CtrInfeasible)
 		e.schedStats = sched.StatsFrom(reg)
 		e.ttpStats = ttp.StatsFrom(reg)
 	}
-	for _, g := range p.Current.Graphs {
-		for _, pr := range g.Procs {
-			e.procIDs = append(e.procIDs, pr.ID)
-		}
-		for _, m := range g.Msgs {
-			e.msgIDs = append(e.msgIDs, m.ID)
-		}
-	}
-	sort.Slice(e.procIDs, func(i, j int) bool { return e.procIDs[i] < e.procIDs[j] })
-	sort.Slice(e.msgIDs, func(i, j int) bool { return e.msgIDs[i] < e.msgIDs[j] })
 	return e
 }
 
@@ -133,11 +98,6 @@ func (e *Engine) Problem() *Problem { return e.p }
 
 // Evaluations returns the number of design alternatives examined so far.
 func (e *Engine) Evaluations() int64 { return e.evals.Load() }
-
-// CacheHits returns how many of those evaluations were served from the
-// memo. The count is informational: concurrent workers may race to fill
-// an entry, so it can vary across runs even though results never do.
-func (e *Engine) CacheHits() int64 { return e.hits.Load() }
 
 // Tracing reports whether a trace sink is attached, so emitters can skip
 // building events entirely when tracing is off.
@@ -154,7 +114,8 @@ func (e *Engine) Trace(ev obs.TraceEvent) {
 }
 
 // count records n examined design alternatives that did not pass through
-// Evaluate (the initial mapping, chiefly).
+// Evaluate: the initial mapping, and SA draws that reproduce the chain's
+// current design.
 func (e *Engine) count(n int64) {
 	e.evals.Add(n)
 	e.cEvals.Add(n)
@@ -173,47 +134,18 @@ type evalScratch struct {
 // Evaluate schedules the current application with the given design
 // decisions on a worker-local copy of the frozen base and scores the
 // result. It reports ok=false when the design is infeasible (requirement
-// (a) rules it out). Identical (mapping, hints) pairs are served from the
-// memo without rescheduling. Safe for concurrent use.
+// (a) rules it out). Safe for concurrent use.
 //
 // The candidate is applied to the worker's base copy in a transaction,
 // scored from the touched regions only, and rolled back in O(delta) by
 // taking back the schedule-table entries it appended. Reports are
 // byte-identical to scheduling a clone of the base and scoring it with
-// metrics.Evaluate (pinned by a differential test).
-//
-// The memo-hit path performs zero allocations (pinned by a test): the key
-// is built in a pooled buffer and looked up through Go's non-allocating
-// map[string(bytes)] form.
-func (e *Engine) Evaluate(mapping model.Mapping, hints sched.Hints) (metrics.Report, bool) {
+// metrics.Evaluate (pinned by a differential test). A warm evaluation
+// allocates nothing, with or without a stats registry (pinned by a test).
+func (e *Engine) Evaluate(mapping model.Mapping, hints sched.Hints) (rep metrics.Report, ok bool) {
 	e.evals.Add(1)
 	e.cEvals.Inc()
-	var kb *keyBuf
-	if e.cache != nil {
-		kb, _ = e.keys.Get().(*keyBuf)
-		if kb == nil {
-			kb = &keyBuf{}
-		}
-		kb.b = e.appendKey(kb.b[:0], mapping, hints)
-		if ent, ok := e.cache.get(kb.b); ok {
-			e.hits.Add(1)
-			e.cHits.Inc()
-			e.keys.Put(kb)
-			return ent.rep, ent.ok
-		}
-		e.cMisses.Inc()
-	}
-	ent := e.evaluateTxn(mapping, hints)
-	if e.cache != nil {
-		e.cache.put(kb.b, ent)
-		e.keys.Put(kb)
-	}
-	return ent.rep, ent.ok
-}
-
-// evaluateTxn is the transactional evaluation: Begin / Apply / score
-// from dirty regions / Rollback on the worker's standing base copy.
-func (e *Engine) evaluateTxn(mapping model.Mapping, hints sched.Hints) cacheEntry {
+	e.cMisses.Inc()
 	scr, _ := e.scratch.Get().(*evalScratch)
 	if scr == nil {
 		scr = &evalScratch{st: e.p.Base.Clone(), inc: e.baseline.Evaluator()}
@@ -228,16 +160,15 @@ func (e *Engine) evaluateTxn(mapping model.Mapping, hints sched.Hints) cacheEntr
 		}
 	}
 	txn := scr.st.Begin()
-	var ent cacheEntry
 	if err := txn.Apply(e.p.Current, mapping, hints); err == nil {
-		rep, _ := scr.inc.EvaluateTxn(scr.st, txn)
-		ent = cacheEntry{rep: rep, ok: true}
+		rep, _ = scr.inc.EvaluateTxn(scr.st, txn)
+		ok = true
 	} else {
 		e.cInfeasible.Inc()
 	}
 	txn.Rollback()
 	e.scratch.Put(scr)
-	return ent
+	return rep, ok
 }
 
 // Materialize rebuilds the full schedule state of a design alternative
@@ -296,70 +227,4 @@ func (e *Engine) ForEach(ctx context.Context, n int, fn func(i int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// appendKey encodes (mapping, hints) into the canonical memo key,
-// appending to buf: for every process of the current application
-// (ascending ID) its node and start hint, then for every message its
-// start hint. Absent hints encode as -1. The key is exact — no hashing —
-// so a memo hit can never return the report of a different design.
-func (e *Engine) appendKey(buf []byte, mapping model.Mapping, hints sched.Hints) []byte {
-	for _, id := range e.procIDs {
-		buf = appendI64(buf, int64(mapping[id]))
-		if off, ok := hints.ProcStart[id]; ok {
-			buf = appendI64(buf, int64(off))
-		} else {
-			buf = appendI64(buf, -1)
-		}
-	}
-	for _, id := range e.msgIDs {
-		if off, ok := hints.MsgStart[id]; ok {
-			buf = appendI64(buf, int64(off))
-		} else {
-			buf = appendI64(buf, -1)
-		}
-	}
-	return buf
-}
-
-func appendI64(buf []byte, v int64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	return append(buf, b[:]...)
-}
-
-// cacheEntry is one memoized evaluation outcome.
-type cacheEntry struct {
-	rep metrics.Report
-	ok  bool
-}
-
-// evalCache memoizes evaluation outcomes up to a fixed entry count.
-// Insertion simply stops at capacity: strategies revisit recent designs
-// (SA late in cooling, MH undo-moves), so keeping the earliest entries is
-// close enough to LRU at a fraction of the bookkeeping.
-type evalCache struct {
-	mu  sync.RWMutex
-	max int
-	m   map[string]cacheEntry
-}
-
-// get looks key up without copying it: the map[string(bytes)] form is
-// recognized by the compiler and does not allocate, which keeps the
-// engine's memo-hit path allocation-free.
-func (c *evalCache) get(key []byte) (cacheEntry, bool) {
-	c.mu.RLock()
-	ent, ok := c.m[string(key)]
-	c.mu.RUnlock()
-	return ent, ok
-}
-
-// put stores the outcome under a copy of key (insertion is the miss
-// path, where one small allocation is immaterial next to a re-schedule).
-func (c *evalCache) put(key []byte, ent cacheEntry) {
-	c.mu.Lock()
-	if len(c.m) < c.max {
-		c.m[string(key)] = ent
-	}
-	c.mu.Unlock()
 }

@@ -26,8 +26,9 @@ func ReferenceEvaluate(p *Problem, mapping model.Mapping, hints sched.Hints) (*s
 	return st, metrics.Evaluate(st, p.Profile, p.Weights), nil
 }
 
-// Neighbor draws one annealing move from (mapping, hints).
-func Neighbor(rng *rand.Rand, p *Problem, mapping model.Mapping, hints sched.Hints) (model.Mapping, sched.Hints) {
+// Neighbor draws one annealing move from (mapping, hints) and reports
+// whether it changes the design.
+func Neighbor(rng *rand.Rand, p *Problem, mapping model.Mapping, hints sched.Hints) (model.Mapping, sched.Hints, bool) {
 	var procs []*model.Process
 	var msgs []*model.Message
 	for _, g := range p.Current.Graphs {

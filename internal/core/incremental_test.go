@@ -15,7 +15,7 @@ import (
 // TestEvaluateMatchesReference is the differential test of the
 // transactional evaluation: over a random walk of annealing neighbors,
 // Engine.Evaluate (Begin / Apply / EvaluateTxn / Rollback on a worker's
-// base copy, memo disabled) must return exactly what the reference
+// base copy) must return exactly what the reference
 // returns — a clone of the base scheduled from scratch and scored by
 // metrics.Evaluate — on a single-bus and a 3-cluster platform, with one
 // worker and with four evaluating concurrently.
@@ -40,7 +40,7 @@ func TestEvaluateMatchesReference(t *testing.T) {
 			m, h := ah.Mapping, ah.Hints
 			feasible := 0
 			for i := 0; i < n; i++ {
-				mappings[i], hints[i] = core.Neighbor(rng, p, m, h)
+				mappings[i], hints[i], _ = core.Neighbor(rng, p, m, h)
 				_, rep, err := core.ReferenceEvaluate(p, mappings[i], hints[i])
 				if err == nil {
 					// Walk on from every feasible candidate so the draw
@@ -54,7 +54,7 @@ func TestEvaluateMatchesReference(t *testing.T) {
 				t.Fatal("no feasible candidate drawn")
 			}
 			for _, par := range []int{1, 4} {
-				eng := core.NewEngine(p, core.Options{Parallelism: par, CacheSize: -1})
+				eng := core.NewEngine(p, core.Options{Parallelism: par})
 				got := make([]metrics.Report, n)
 				gotOK := make([]bool, n)
 				eng.ForEach(context.Background(), n, func(i int) {

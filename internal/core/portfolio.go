@@ -49,8 +49,8 @@ func (o PortfolioOptions) lanes() []Strategy {
 //     wins.
 //
 // The winning lane's Solution is returned as-is: Strategy carries the
-// winner's own tag ("AH", "MH", "SA"), and Evaluations/CacheHits count
-// the winner's lane only, so the result is byte-identical to a direct
+// winner's own tag ("AH", "MH", "SA"), and Evaluations counts the
+// winner's lane only, so the result is byte-identical to a direct
 // Solve of the winning strategy. Aggregate cross-lane work remains
 // visible in the observer's counters (core.evaluations sums all lanes),
 // and with tracing on each lane's full event stream is replayed in lane
@@ -68,7 +68,6 @@ type laneResult struct {
 	sol    *Solution
 	err    error
 	evals  int64
-	hits   int64
 	events []obs.TraceEvent
 }
 
@@ -134,11 +133,10 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 			}
 			laneSpans[i].End()
 			if sol != nil {
-				// Lanes bypass Solve, so fill the counters Solve would have.
+				// Lanes bypass Solve, so fill the counter Solve would have.
 				sol.Evaluations = int(laneEng.Evaluations())
-				sol.CacheHits = int(laneEng.CacheHits())
 			}
-			r := laneResult{sol: sol, err: err, evals: laneEng.Evaluations(), hits: laneEng.CacheHits()}
+			r := laneResult{sol: sol, err: err, evals: laneEng.Evaluations()}
 			if col != nil {
 				r.events = col.Events()
 			}
@@ -205,11 +203,10 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 	}
 
 	win := results[winner].sol
-	// The outer Solve reports the engine's counters; make them the
-	// winning lane's so the returned Solution is byte-identical to a
-	// direct solve of the winner (aggregate work stays in the registry).
+	// The outer Solve reports the engine's counter; make it the winning
+	// lane's so the returned Solution is byte-identical to a direct solve
+	// of the winner (aggregate work stays in the registry).
 	eng.evals.Store(results[winner].evals)
-	eng.hits.Store(results[winner].hits)
 	eng.Trace(obs.TraceEvent{
 		Kind:     "decision",
 		Strategy: "portfolio",

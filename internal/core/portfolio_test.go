@@ -55,7 +55,6 @@ func stateFP(t *testing.T, sol *core.Solution) string {
 type solutionIdentity struct {
 	Strategy    string
 	Evaluations int
-	CacheHits   int
 	Interrupted bool
 	Objective   float64
 	StateFP     string
@@ -66,7 +65,6 @@ func identity(t *testing.T, sol *core.Solution) solutionIdentity {
 	return solutionIdentity{
 		Strategy:    sol.Strategy,
 		Evaluations: sol.Evaluations,
-		CacheHits:   sol.CacheHits,
 		Interrupted: sol.Interrupted,
 		Objective:   sol.Report.Objective,
 		StateFP:     stateFP(t, sol),

@@ -24,8 +24,8 @@
 //     serve as the near-optimal reference.
 //
 // All strategies run through the single entry point Solve, which adds
-// parallel candidate evaluation, an evaluation memo, context
-// cancellation with best-so-far results, and observability:
+// parallel candidate evaluation, context cancellation with best-so-far
+// results, and observability:
 //
 //	sol, err := core.Solve(ctx, p, core.Options{Strategy: core.MH, Parallelism: 4})
 package core
@@ -94,15 +94,12 @@ type Solution struct {
 	State    *sched.State // base + current, scheduled
 	Report   metrics.Report
 	Elapsed  time.Duration
-	// Evaluations counts the design alternatives examined (each one is a
-	// full re-schedule of the current application plus a metric
-	// evaluation, unless served from the evaluation memo); it is the
-	// strategy's cost measure alongside Elapsed.
+	// Evaluations counts the design alternatives examined; it is the
+	// strategy's cost measure alongside Elapsed. Each one is a
+	// re-schedule of the current application plus a metric evaluation,
+	// except an SA draw that reproduces its chain's current design: that
+	// design's score is known, so the draw is counted, not evaluated.
 	Evaluations int
-	// CacheHits is how many of those evaluations the memo served without
-	// rescheduling. Informational: it may vary between runs (workers race
-	// to fill entries) even though the solution never does.
-	CacheHits int
 	// Interrupted reports that the Solve context was cancelled and the
 	// solution is the best design found up to that point rather than the
 	// strategy's natural result.

@@ -187,7 +187,9 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 // runChain executes one annealing chain. The walk reproduces the
 // pre-redesign serial annealer exactly: one RNG drives both neighbor
 // generation and acceptance, the temperature cools geometrically per
-// evaluated neighbor, and infeasible neighbors consume an iteration.
+// drawn neighbor, and infeasible neighbors consume an iteration. A draw
+// that leaves the design unchanged scores the current objective, so it
+// is counted and accepted with delta 0 without being evaluated.
 func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOptions,
 	ix *model.Index, procs []*model.Process, msgs []*model.Message,
 	mapping0 model.Mapping, report0 metrics.Report, st0 *sched.State) chainResult {
@@ -216,14 +218,14 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 			res.interrupted = true
 			break
 		}
-		nm, nh := neighbor(rng, p, ix, procs, msgs, mapping, hints)
-		rep2, ok := eng.Evaluate(nm, nh)
+		nm, nh, changed := neighbor(rng, p, ix, procs, msgs, mapping, hints)
 		temp *= cooling
-		if !ok {
+		if !changed {
+			eng.count(1) // the current design: delta 0, accepted
+			accepts++
+		} else if rep2, ok := eng.Evaluate(nm, nh); !ok {
 			continue // infeasible neighbor
-		}
-		delta := rep2.Objective - cur
-		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
+		} else if delta := rep2.Objective - cur; delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
 			accepts++
 			mapping, hints, cur = nm, nh, rep2.Objective
 			if rep2.Objective < res.report.Objective {
@@ -269,9 +271,11 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 // neighbor produces a random design transformation: remap a process
 // (40%), move a process to a random slack position (40%), or move a
 // message to a random slot occurrence (20%, when there are messages).
+// changed reports whether the draw differs from (mapping, hints), an
+// absent hint counting as 0; an unchanged draw returns them as given.
 func neighbor(rng *rand.Rand, p *Problem, ix *model.Index,
 	procs []*model.Process, msgs []*model.Message,
-	mapping model.Mapping, hints sched.Hints) (model.Mapping, sched.Hints) {
+	mapping model.Mapping, hints sched.Hints) (nm model.Mapping, nh sched.Hints, changed bool) {
 
 	kind := rng.Float64()
 	if kind < 0.4 || (kind >= 0.8 && len(msgs) == 0) {
@@ -279,9 +283,13 @@ func neighbor(rng *rand.Rand, p *Problem, ix *model.Index,
 		// position hint so the scheduler packs it ASAP on the new node.
 		proc := procs[rng.Intn(len(procs))]
 		nodes := proc.AllowedNodes()
-		nm := mapping.Clone()
-		nm[proc.ID] = nodes[rng.Intn(len(nodes))]
-		return nm, hints.SetProcStart(proc.ID, 0)
+		node := nodes[rng.Intn(len(nodes))]
+		if node == mapping[proc.ID] && hints.ProcStart[proc.ID] == 0 {
+			return mapping, hints, false
+		}
+		nm = mapping.Clone()
+		nm[proc.ID] = node
+		return nm, hints.SetProcStart(proc.ID, 0), true
 	}
 	if kind < 0.8 {
 		// Move a random process to a random start offset in its period.
@@ -290,14 +298,20 @@ func neighbor(rng *rand.Rand, p *Problem, ix *model.Index,
 		wcet := proc.WCET[mapping[proc.ID]]
 		span := g.Period - wcet
 		if span <= 0 {
-			return mapping, hints
+			return mapping, hints, false
 		}
 		off := tm.Time(rng.Int63n(int64(span)))
-		return mapping, hints.SetProcStart(proc.ID, off)
+		if off == hints.ProcStart[proc.ID] {
+			return mapping, hints, false
+		}
+		return mapping, hints.SetProcStart(proc.ID, off), true
 	}
 	// Move a random message to a random slot-start offset in its period.
 	m := msgs[rng.Intn(len(msgs))]
 	g := ix.MsgGraph[m.ID]
 	off := tm.Time(rng.Int63n(int64(g.Period)))
-	return mapping, hints.SetMsgStart(m.ID, off)
+	if off == hints.MsgStart[m.ID] {
+		return mapping, hints, false
+	}
+	return mapping, hints.SetMsgStart(m.ID, off), true
 }

@@ -15,7 +15,7 @@ import (
 // strategies are AH, MH and SA (optionally configured via MHWith and
 // SAWith); custom strategies can be implemented on top of the Engine's
 // Evaluate/Materialize/ForEach primitives and inherit parallel
-// evaluation, caching, cancellation and observability for free.
+// evaluation, cancellation and observability for free.
 type Strategy interface {
 	// Name is the short tag recorded in Solution.Strategy.
 	Name() string
@@ -52,10 +52,6 @@ func MHWith(opts MHOptions) Strategy { return mhStrategy{opts: opts} }
 // select the documented defaults (see the SAOptions field docs).
 func SAWith(opts SAOptions) Strategy { return saStrategy{opts: opts} }
 
-// DefaultCacheSize is the evaluation-memo capacity Solve uses when
-// Options.CacheSize is 0.
-const DefaultCacheSize = 1 << 14
-
 // Options configure one Solve call. The zero value of every field except
 // Strategy is meaningful and documented on the field.
 type Options struct {
@@ -67,9 +63,6 @@ type Options struct {
 	// restart chains. 0 uses one worker per CPU (GOMAXPROCS); 1 runs
 	// strictly serially. Results are identical at every setting.
 	Parallelism int
-	// CacheSize bounds the evaluation memo in entries. 0 selects
-	// DefaultCacheSize; negative disables the memo.
-	CacheSize int
 	// Baseline, when non-nil, is a pre-computed cache of the metric
 	// inputs of the problem's frozen base schedule, exactly as built by
 	// metrics.NewBaseline(p.Base, p.Profile, p.Weights); Solve then skips
@@ -96,8 +89,8 @@ type Options struct {
 // Solve returns the best solution found so far with Solution.Interrupted
 // set and a nil error; only cancellation before any feasible design was
 // evaluated returns the context's error. Solutions are deterministic:
-// for a fixed problem and options, every parallelism level and cache
-// size yields a byte-identical Report (cancellation timing excepted).
+// for a fixed problem and options, every parallelism level yields a
+// byte-identical Report (cancellation timing excepted).
 func Solve(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	if opts.Strategy == nil {
 		return nil, errors.New("core: Options.Strategy is nil")
@@ -133,7 +126,6 @@ func Solve(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	}
 	sol.Elapsed = time.Since(start)
 	sol.Evaluations = int(eng.Evaluations())
-	sol.CacheHits = int(eng.CacheHits())
 	span.SetAttr("evaluations", strconv.Itoa(sol.Evaluations))
 	span.End()
 	eng.Trace(obs.TraceEvent{

@@ -172,4 +172,12 @@ func TestObserverNeutral(t *testing.T) {
 		t.Errorf("registry evaluations %d, solution reports %d",
 			snap.Counters[obs.CtrEvaluations], observed.Evaluations)
 	}
+	// Every MH evaluation but the initial mapping's runs the scheduler
+	// through Engine.Evaluate, and nothing is served without it.
+	if got := snap.Counters[obs.CtrCacheHits]; got != 0 {
+		t.Errorf("%s = %d, want 0", obs.CtrCacheHits, got)
+	}
+	if got, want := snap.Counters[obs.CtrCacheMisses], snap.Counters[obs.CtrEvaluations]-1; got != want {
+		t.Errorf("%s = %d, want %s - 1 = %d", obs.CtrCacheMisses, got, obs.CtrEvaluations, want)
+	}
 }

@@ -39,7 +39,7 @@ import (
 // subset of them (pass as apps every application the design should
 // fully schedule).
 func Check(d *Design, sys *model.System, apps ...*model.Application) []string {
-	if hp := sys.Hyperperiod(); d.Horizon != hp {
+	if hp := sys.Hyperperiod(); hp <= 0 || d.Horizon != hp {
 		return []string{fmt.Sprintf("design horizon %v, system hyperperiod %v", d.Horizon, hp)}
 	}
 	var errs []string

@@ -104,7 +104,10 @@ func TestAssignPeriods(t *testing.T) {
 	cfg := smallConfig()
 	g := New(cfg, 5)
 	app, lv := g.Application("a", 30)
-	base := g.AssignPeriods([]*model.Application{app}, [][]int{lv})
+	base, err := g.AssignPeriods([]*model.Application{app}, [][]int{lv})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if base <= 0 {
 		t.Fatalf("base period = %v", base)
 	}
@@ -171,7 +174,10 @@ func TestFutureAppFollowsProfile(t *testing.T) {
 	cfg := smallConfig()
 	g := New(cfg, 21)
 	app, lv := g.Application("a", 20)
-	base := g.AssignPeriods([]*model.Application{app}, [][]int{lv})
+	base, err := g.AssignPeriods([]*model.Application{app}, [][]int{lv})
+	if err != nil {
+		t.Fatal(err)
+	}
 	prof := g.Profile(base)
 	fut := g.FutureApp("future", prof, 25)
 	if fut.NumProcs() != 25 {
@@ -212,7 +218,11 @@ func TestFutureAppDeterministic(t *testing.T) {
 	draw := func() []*model.Application {
 		g := New(smallConfig(), 21)
 		app, lv := g.Application("a", 20)
-		prof := g.Profile(g.AssignPeriods([]*model.Application{app}, [][]int{lv}))
+		base, err := g.AssignPeriods([]*model.Application{app}, [][]int{lv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := g.Profile(base)
 		var futs []*model.Application
 		for i := 0; i < 4; i++ {
 			futs = append(futs, g.FutureApp("future", prof, 25))
@@ -268,7 +278,10 @@ func TestFutureAppDistributionStatistics(t *testing.T) {
 	cfg.HeteroSpread = 0 // draw the base values exactly
 	g := New(cfg, 4)
 	app, lv := g.Application("a", 20)
-	base := g.AssignPeriods([]*model.Application{app}, [][]int{lv})
+	base, err := g.AssignPeriods([]*model.Application{app}, [][]int{lv})
+	if err != nil {
+		t.Fatal(err)
+	}
 	prof := g.Profile(base)
 
 	counts := map[int64]int{}

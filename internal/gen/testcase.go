@@ -16,8 +16,9 @@ import (
 // AssignPeriods derives the base period from the target utilization and
 // stamps every graph with period = level * base and deadline = period.
 // It returns the base period, which is always a multiple of the TDMA
-// round and large enough for the largest WCET.
-func (g *Generator) AssignPeriods(apps []*model.Application, levels [][]int) tm.Time {
+// round and large enough for the largest WCET, or an error when the
+// buses' rounds have no common multiple within tm.Infinity.
+func (g *Generator) AssignPeriods(apps []*model.Application, levels [][]int) (tm.Time, error) {
 	// Utilization at base period P: sum over graphs of avg work / (level*P*N).
 	var workPerBase float64
 	var maxWCET tm.Time
@@ -38,7 +39,10 @@ func (g *Generator) AssignPeriods(apps []*model.Application, levels [][]int) tm.
 	// on each bus; with one bus this is the bus's round, as before.
 	rl := g.arch.Buses[0].RoundLen()
 	for _, b := range g.arch.Buses[1:] {
-		rl = tm.LCM(rl, b.RoundLen())
+		var err error
+		if rl, err = tm.LCM(rl, b.RoundLen()); err != nil {
+			return 0, fmt.Errorf("gen: bus rounds: %w", err)
+		}
 	}
 	base = tm.Max(base, 2*rl)
 	// The base period must be a whole number of TDMA rounds, and a whole
@@ -57,7 +61,7 @@ func (g *Generator) AssignPeriods(apps []*model.Application, levels [][]int) tm.
 			gr.Deadline = gr.Period
 		}
 	}
-	return base
+	return base, nil
 }
 
 // drawSize draws one size from a discrete distribution.
@@ -271,7 +275,10 @@ func makeOnce(cfg Config, seed int64, existingProcs, currentProcs int) (*TestCas
 	apps = append(apps, current)
 	levels = append(levels, lv)
 
-	base := g.AssignPeriods(apps, levels)
+	base, err := g.AssignPeriods(apps, levels)
+	if err != nil {
+		return nil, err
+	}
 	sys := &model.System{Arch: g.Architecture(), Apps: apps}
 	if err := sys.Validate(); err != nil {
 		return nil, err

@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzReadSystem hardens the system loader: arbitrary JSON must never
-// panic, and every accepted system must validate, re-serialize, and
-// re-parse to an equally valid system.
+// panic, and every accepted system must validate, have a hyperperiod,
+// re-serialize, and re-parse to an equally valid system.
 func FuzzReadSystem(f *testing.F) {
 	b := NewBuilder()
 	n0 := b.Node("N0")
@@ -23,6 +23,8 @@ func FuzzReadSystem(f *testing.F) {
 	f.Add(buf.String())
 	f.Add(`{"arch":null,"apps":[]}`)
 	f.Add(`{`)
+	f.Add(overflowingHyperperiodJSON)
+	f.Add(negativeRoundJSON)
 	f.Fuzz(func(t *testing.T, src string) {
 		got, err := ReadSystem(strings.NewReader(src))
 		if err != nil {
@@ -32,6 +34,9 @@ func FuzzReadSystem(f *testing.F) {
 		// not fail.
 		if err := got.Validate(); err != nil {
 			t.Fatalf("accepted system fails validation: %v", err)
+		}
+		if hp := got.Hyperperiod(); hp <= 0 {
+			t.Fatalf("accepted system has hyperperiod %v", hp)
 		}
 		var out bytes.Buffer
 		if err := got.WriteJSON(&out); err != nil {

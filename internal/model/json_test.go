@@ -38,7 +38,24 @@ func TestReadSystemRejectsInvalid(t *testing.T) {
 	if _, err := ReadSystem(strings.NewReader(`{"unknown_field": 1}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
+	if _, err := ReadSystem(strings.NewReader(overflowingHyperperiodJSON)); err == nil {
+		t.Error("hyperperiod beyond tm.Infinity accepted")
+	}
+	if _, err := ReadSystem(strings.NewReader(negativeRoundJSON)); err == nil {
+		t.Error("negative bus round accepted")
+	}
 }
+
+// overflowingHyperperiodJSON is a system whose hyperperiod does not fit
+// tm.Time: a base application of period 1000 beside one of period
+// 4,611,686,018,427,391, coprime to it, so their LCM exceeds tm.Infinity.
+const overflowingHyperperiodJSON = `{"arch":{"nodes":[{"id":0}],"bus":{"slot_order":[0],"slot_bytes":[8],"byte_time":1,"slot_overhead":2}},` +
+	`"apps":[{"id":0,"graphs":[{"id":0,"period":1000,"deadline":1000,"procs":[{"id":0,"wcet":{"0":10}}],"msgs":[]}]},` +
+	`{"id":1,"graphs":[{"id":1,"period":4611686018427391,"deadline":4611686018427391,"procs":[{"id":1,"wcet":{"0":10}}],"msgs":[]}]}]}`
+
+// negativeRoundJSON is a system whose one slot's bytes × byte time
+// overflows, so the bus round length is negative.
+const negativeRoundJSON = `{"arch":{"nodes":[{"id":0}],"bus":{"slot_order":[0],"slot_bytes":[4611686018427387904],"byte_time":2,"slot_overhead":0}},"apps":[]}`
 
 func TestApplicationJSONRoundTrip(t *testing.T) {
 	sys, _ := twoNodeSystem(t)

@@ -225,7 +225,15 @@ type System struct {
 // Hyperperiod returns the static cyclic schedule horizon: the least common
 // multiple of every graph period and of every bus's TDMA round length (each
 // TTP cluster cycle must divide the schedule for it to wrap consistently).
+// It returns 0 when the system has no such horizon — a period or round
+// that is not positive, or a multiple beyond tm.Infinity. Validate rejects
+// such a system and says why.
 func (s *System) Hyperperiod() tm.Time {
+	hp, _ := s.hyperperiod()
+	return hp
+}
+
+func (s *System) hyperperiod() (tm.Time, error) {
 	ts := make([]tm.Time, 0, len(s.Arch.Buses)+4)
 	for _, b := range s.Arch.Buses {
 		ts = append(ts, b.RoundLen())

@@ -70,8 +70,9 @@ func (a *Application) Validate(arch *Architecture) error {
 }
 
 // Validate checks the complete system: architecture, every application,
-// global ID uniqueness, and that every message fits into at least one slot
-// of its possible sender nodes.
+// global ID uniqueness, that every message fits into at least one slot
+// of its possible sender nodes, and that the hyperperiod is a positive
+// tm.Time.
 func (s *System) Validate() error {
 	if s.Arch == nil {
 		return fmt.Errorf("model: system has no architecture")
@@ -112,6 +113,9 @@ func (s *System) Validate() error {
 				}
 			}
 		}
+	}
+	if _, err := s.hyperperiod(); err != nil {
+		return fmt.Errorf("model: system has no hyperperiod: %w", err)
 	}
 	return nil
 }

@@ -9,8 +9,8 @@ import (
 // reports into. The zero value (all nil) disables instrumentation; see
 // package obs for the "free when off" contract.
 type Stats struct {
-	// ScheduleCalls counts ScheduleApp invocations — one per examined
-	// design alternative that was not served from the evaluation memo.
+	// ScheduleCalls counts ScheduleApp invocations and transactional
+	// applies — one per design alternative the engine evaluates.
 	ScheduleCalls *obs.Counter
 	// JobsPlaced counts process occurrences inserted into node schedules.
 	JobsPlaced *obs.Counter

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 
 	"incdes/internal/model"
@@ -51,6 +52,9 @@ type State struct {
 // NewState returns an empty schedule over the system hyperperiod.
 func NewState(sys *model.System) (*State, error) {
 	horizon := sys.Hyperperiod()
+	if horizon <= 0 {
+		return nil, errors.New("sched: the system has no hyperperiod (System.Validate says why)")
+	}
 	buses := make([]*ttp.State, len(sys.Arch.Buses))
 	for i, b := range sys.Arch.Buses {
 		st, err := ttp.NewState(b, horizon)

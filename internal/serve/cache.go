@@ -4,8 +4,7 @@ package serve
 //
 // With Config.SolutionCacheSize > 0 every solve request is fingerprinted
 // (internal/cache: canonical SHA-256 over the posted system, problem
-// parameters and strategy tuning — the engine's exact memo key
-// generalized to whole problems). The response is annotated with
+// parameters and strategy tuning). The response is annotated with
 // X-Incdes-Cache:
 //
 //	hit       served from the LRU; no job queued, no engine work

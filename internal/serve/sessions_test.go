@@ -368,6 +368,7 @@ func TestSessionSurvivesRestart(t *testing.T) {
 // for transport-level errors.)
 func TestErrorEnvelope(t *testing.T) {
 	sysJSON, apps, _ := sessionFixture(t)
+	_, _, overflowJSON := overflowFixture(t)
 	_, ts := newTestServer(t)
 	id := openSession(t, ts, sysJSON, "e1")
 	commitApp(t, ts, id, apps[0], "?strategy=ah") // v1 on main
@@ -386,10 +387,12 @@ func TestErrorEnvelope(t *testing.T) {
 	}{
 		{"solve bad strategy", "POST", "/v1/solve?strategy=bogus", sysJSON, 400, ErrCodeBadRequest},
 		{"solve bad body", "POST", "/v1/solve", []byte("{"), 400, ErrCodeBadRequest},
+		{"solve overflowing hyperperiod", "POST", "/v1/solve", overflowJSON, 400, ErrCodeBadRequest},
 		{"solve unknown job", "GET", "/v1/solve/zzz", nil, 404, ErrCodeNotFound},
 		{"cancel unknown job", "DELETE", "/v1/solve/zzz", nil, 404, ErrCodeNotFound},
 		{"events unknown job", "GET", "/v1/solve/zzz/events", nil, 404, ErrCodeNotFound},
 		{"session open bad body", "POST", "/v1/sessions", []byte("{"), 400, ErrCodeBadRequest},
+		{"session open overflowing hyperperiod", "POST", "/v1/sessions", overflowJSON, 400, ErrCodeBadRequest},
 		{"session open duplicate id", "POST", "/v1/sessions?id=e1", sysJSON, 409, ErrCodeConflict},
 		{"session unknown", "GET", "/v1/sessions/zzz", nil, 404, ErrCodeNotFound},
 		{"session delete unknown", "DELETE", "/v1/sessions/zzz", nil, 404, ErrCodeNotFound},
@@ -444,5 +447,79 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 	if jobDoc.Status != StatusFailed || !strings.Contains(jobDoc.Error, "hyperperiod") {
 		t.Fatalf("illegal commit job = %+v", jobDoc)
+	}
+}
+
+// overflowFixture returns a base system of period 1000, an application
+// of period 4,611,686,018,427,391 (coprime to 1000, so composed with the
+// base the hyperperiod exceeds tm.Infinity), and their composed system.
+func overflowFixture(t *testing.T) (baseJSON, appJSON, composedJSON []byte) {
+	t.Helper()
+	b := model.NewBuilder()
+	b.Node("N0")
+	b.Node("N1")
+	b.UniformBus(8, 1, 2)
+	b.App("base").Graph("base-g", 1000, 1000).UniformProc("base-p", 3)
+	base := b.MustSystem()
+	const period = tm.Time(4611686018427391)
+	app := &model.Application{ID: 1, Name: "huge", Graphs: []*model.Graph{{
+		ID: 1, Name: "huge-g", Period: period, Deadline: period,
+		Procs: []*model.Process{{ID: 1, Name: "huge-p", WCET: map[model.NodeID]tm.Time{0: 3, 1: 3}}},
+	}}}
+	enc := func(v interface{ WriteJSON(io.Writer) error }) []byte {
+		var buf bytes.Buffer
+		if err := v.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	composed := &model.System{Arch: base.Arch, Apps: append(base.Apps, app)}
+	return enc(base), enc(app), enc(composed)
+}
+
+// TestOverflowingHyperperiodCommitFails: committing an application that
+// takes the session's hyperperiod beyond tm.Infinity fails its legality
+// check, with 422 when synchronous and a failed job when detached, and
+// the server keeps answering afterwards.
+func TestOverflowingHyperperiodCommitFails(t *testing.T) {
+	baseJSON, appJSON, _ := overflowFixture(t)
+	_, ts := newTestServer(t)
+	id := openSession(t, ts, baseJSON, "")
+	commits := ts.URL + "/v1/sessions/" + id + "/commits?strategy=ah"
+	var queued JobStatusDoc
+	resp := do(t, "POST", commits+"&detach=1", appJSON, &queued)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("detached commit = %d", resp.StatusCode)
+	}
+	loc := resp.Header.Get("Location")
+	deadline := time.Now().Add(5 * time.Second)
+	var final JobStatusDoc
+	for {
+		if do(t, "GET", ts.URL+loc, nil, &final); final.Status == StatusFailed {
+			break
+		}
+		if final.Status == StatusDone || time.Now().After(deadline) {
+			t.Fatalf("detached commit job = %+v, want failed", final)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !strings.Contains(final.Error, session.ErrIllegalCommit.Error()) {
+		t.Errorf("detached commit error = %q, want an illegal commit", final.Error)
+	}
+
+	var sync JobStatusDoc
+	resp = do(t, "POST", commits, appJSON, &sync)
+	if resp.StatusCode != http.StatusUnprocessableEntity || sync.Status != StatusFailed ||
+		!strings.Contains(sync.Error, session.ErrIllegalCommit.Error()) {
+		t.Fatalf("synchronous commit = %d %+v, want 422 and a failed illegal commit", resp.StatusCode, sync)
+	}
+
+	// The server still answers, and the session is still at its root.
+	var doc SessionDoc
+	if resp := do(t, "GET", ts.URL+"/v1/sessions/"+id, nil, &doc); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET session after the failed commits = %d", resp.StatusCode)
+	}
+	if len(doc.Versions) != 1 {
+		t.Errorf("session has %d versions after two failed commits, want 1", len(doc.Versions))
 	}
 }

@@ -70,17 +70,18 @@ func TestAddEmptyIntervalIgnored(t *testing.T) {
 }
 
 func TestGCDNegativeSafeUse(t *testing.T) {
-	// GCD is documented for non-negative inputs; LCMAll guards zero.
+	// GCD is documented for non-negative inputs; LCM rejects zero.
 	if got := GCD(0, 0); got != 0 {
 		t.Errorf("GCD(0,0) = %v", got)
 	}
 }
 
+// An LCM beyond Infinity is an error, not a panic.
 func TestLCMOverflowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LCM overflow did not panic")
-		}
-	}()
-	LCM(Infinity-1, Infinity-2)
+	if got, err := LCM(Infinity-1, Infinity-2); err == nil {
+		t.Fatalf("LCM overflow = %d, want an error", got)
+	}
+	if got, err := LCM(Infinity, 1); err != nil || got != Infinity {
+		t.Errorf("LCM(Infinity, 1) = %d, %v; want Infinity", got, err)
+	}
 }

@@ -7,7 +7,10 @@
 // microsecond without changing any result.
 package tm
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Time is a point in time or a duration, in integer time units.
 // Using a single integer base keeps static cyclic schedules exact:
@@ -43,30 +46,34 @@ func GCD(a, b Time) Time {
 	return a
 }
 
-// LCM returns the least common multiple of a and b.
-// It panics if either argument is non-positive or the result overflows;
-// hyperperiods are validated long before they can get that large.
-func LCM(a, b Time) Time {
+// LCM returns the least common multiple of a and b. It reports an error
+// if either argument is not positive or the result exceeds Infinity.
+func LCM(a, b Time) (Time, error) {
 	if a <= 0 || b <= 0 {
-		panic(fmt.Sprintf("tm.LCM: non-positive argument (%d, %d)", a, b))
+		return 0, fmt.Errorf("tm: LCM of a non-positive value (%d, %d)", a, b)
 	}
-	g := GCD(a, b)
-	q := a / g
+	q := a / GCD(a, b)
 	if q > Infinity/b {
-		panic(fmt.Sprintf("tm.LCM: overflow (%d, %d)", a, b))
+		return 0, fmt.Errorf("tm: LCM of %d and %d exceeds %d", a, b, Infinity)
 	}
-	return q * b
+	return q * b, nil
 }
 
-// LCMAll returns the least common multiple of all values.
-// It panics on an empty slice.
-func LCMAll(vs []Time) Time {
+// errNoValues is LCMAll's error for an empty slice.
+var errNoValues = errors.New("tm: LCM of no values")
+
+// LCMAll returns the least common multiple of all values, with LCM's
+// errors. An empty slice is an error too.
+func LCMAll(vs []Time) (Time, error) {
 	if len(vs) == 0 {
-		panic("tm.LCMAll: empty slice")
+		return 0, errNoValues
 	}
-	l := vs[0]
-	for _, v := range vs[1:] {
-		l = LCM(l, v)
+	l := Time(1)
+	for _, v := range vs {
+		var err error
+		if l, err = LCM(l, v); err != nil {
+			return 0, err
+		}
 	}
-	return l
+	return l, nil
 }

@@ -41,37 +41,41 @@ func TestLCM(t *testing.T) {
 		{40, 40, 40},
 	}
 	for _, tc := range tests {
-		if got := LCM(tc.a, tc.b); got != tc.want {
-			t.Errorf("LCM(%d,%d) = %d, want %d", tc.a, tc.b, got, tc.want)
+		if got, err := LCM(tc.a, tc.b); err != nil || got != tc.want {
+			t.Errorf("LCM(%d,%d) = %d, %v; want %d", tc.a, tc.b, got, err, tc.want)
 		}
 	}
 }
 
+// A non-positive argument is an error, not a panic.
 func TestLCMPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LCM(0, 3) did not panic")
+	for _, args := range [][2]Time{{0, 3}, {3, 0}, {-4, 6}} {
+		if got, err := LCM(args[0], args[1]); err == nil {
+			t.Errorf("LCM(%d, %d) = %d, want an error", args[0], args[1], got)
 		}
-	}()
-	LCM(0, 3)
+	}
 }
 
 func TestLCMAll(t *testing.T) {
-	if got := LCMAll([]Time{4, 6, 10}); got != 60 {
-		t.Errorf("LCMAll = %d, want 60", got)
+	if got, err := LCMAll([]Time{4, 6, 10}); err != nil || got != 60 {
+		t.Errorf("LCMAll = %d, %v; want 60", got, err)
 	}
-	if got := LCMAll([]Time{7}); got != 7 {
-		t.Errorf("LCMAll single = %d, want 7", got)
+	if got, err := LCMAll([]Time{7}); err != nil || got != 7 {
+		t.Errorf("LCMAll single = %d, %v; want 7", got, err)
+	}
+	if got, err := LCMAll([]Time{-7}); err == nil {
+		t.Errorf("LCMAll of a single negative value = %d, want an error", got)
+	}
+	if got, err := LCMAll([]Time{1000, 4611686018427391}); err == nil {
+		t.Errorf("LCMAll beyond Infinity = %d, want an error", got)
 	}
 }
 
+// An empty slice is an error, not a panic.
 func TestLCMAllPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LCMAll(nil) did not panic")
-		}
-	}()
-	LCMAll(nil)
+	if got, err := LCMAll(nil); err == nil {
+		t.Errorf("LCMAll(nil) = %d, want an error", got)
+	}
 }
 
 func TestTimeString(t *testing.T) {
