@@ -180,7 +180,7 @@ func main() {
 	if reg != nil {
 		snap := reg.Snapshot()
 		snap.Meta = obs.NewRunMeta(start, *seed)
-		if err := snap.WriteJSONFile(*statsPath); err != nil {
+		if err := obs.WriteJSONFile(*statsPath, snap); err != nil {
 			fmt.Fprintln(os.Stderr, "incbench:", err)
 			os.Exit(1)
 		}

@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 
 	"incdes/internal/load"
+	"incdes/internal/obs"
 	"incdes/internal/obs/promtext"
 	"incdes/internal/serve"
 )
@@ -116,7 +117,7 @@ func main() {
 	}
 	printReport(rep)
 	if *out != "" {
-		if err := rep.WriteFile(*out); err != nil {
+		if err := obs.WriteJSONFile(*out, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "incload:", err)
 			os.Exit(2)
 		}

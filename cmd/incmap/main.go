@@ -419,7 +419,7 @@ func cmdMap(args []string) error {
 	if reg != nil {
 		snap := reg.Snapshot()
 		snap.Meta = obs.NewRunMeta(runStart, saSeed)
-		if err := snap.WriteJSONFile(*statsPath); err != nil {
+		if err := obs.WriteJSONFile(*statsPath, snap); err != nil {
 			return err
 		}
 		fmt.Printf("statistics written to %s\n", *statsPath)

@@ -15,13 +15,13 @@ import (
 	"log"
 
 	"incdes/internal/core"
+	"incdes/internal/export"
 	"incdes/internal/future"
 	"incdes/internal/metrics"
 	"incdes/internal/model"
 	"incdes/internal/sched"
 	"incdes/internal/textplot"
 	"incdes/internal/tm"
-	"incdes/internal/ttp"
 )
 
 func main() {
@@ -89,18 +89,12 @@ func main() {
 	fmt.Printf("\ndesign metrics: %v\n", sol.Report)
 
 	// Export the bus side of the design as a TTP message descriptor list.
-	var placements []ttp.Placement
-	for _, e := range sol.State.MsgEntries() {
-		placements = append(placements, ttp.Placement{
-			Msg: e.Msg, Occ: e.Occ, Round: e.Round, Slot: e.Slot, Bytes: e.Bytes,
-		})
-	}
-	medl, err := ttp.BuildMEDL(sys.Arch.Buses[0], placements)
+	design, err := export.Build(sol.State)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nMEDL:")
-	for _, e := range medl {
+	for _, e := range design.MEDL {
 		fmt.Printf("  round %2d slot %d offset %dB: m%d (%dB), on air [%v, %v)\n",
 			e.Round, e.Slot, e.Offset, e.Msg+1, e.Bytes, e.Start, e.End)
 	}

@@ -20,13 +20,13 @@ import (
 
 // wireUnits plans a request the way Dispatch does and maps every unit
 // onto its worker-side /v1/solve parameters.
-func wireUnits(t *testing.T, p serve.SolveParams) []UnitParams {
+func wireUnits(t *testing.T, p serve.SolveParams) []serve.SolveParams {
 	t.Helper()
 	strat, err := p.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []UnitParams
+	var out []serve.SolveParams
 	for _, u := range core.Plan(strat).Units {
 		out = append(out, unitParams(p, u))
 	}
@@ -37,22 +37,22 @@ func wireUnits(t *testing.T, p serve.SolveParams) []UnitParams {
 // whole units name their strategy, SA chain k runs as
 // sa-restarts=1&sa-chain-offset=k. The split itself is core.Plan's.
 func TestPlanUnits(t *testing.T) {
-	chain := func(k int) UnitParams {
-		return UnitParams{Strategy: "sa", SAIters: 100, SARestarts: 1, SASeed: 7, SAChainOffset: k}
+	chain := func(k int) serve.SolveParams {
+		return serve.SolveParams{Strategy: "sa", SAIters: 100, SARestarts: 1, SASeed: 7, SAChainOffset: k}
 	}
 	cases := []struct {
 		name   string
 		params serve.SolveParams
-		want   []UnitParams
+		want   []serve.SolveParams
 	}{
 		{"mh-whole", serve.SolveParams{Strategy: "mh", Timeout: 2 * time.Second},
-			[]UnitParams{{Strategy: "mh", TimeoutMS: 2000}}},
+			[]serve.SolveParams{{Strategy: "mh", Timeout: 2 * time.Second}}},
 		{"sa-one-unit-per-chain", serve.SolveParams{Strategy: "sa", SARestarts: 3, SAIters: 100, SASeed: 7},
-			[]UnitParams{chain(0), chain(1), chain(2)}},
+			[]serve.SolveParams{chain(0), chain(1), chain(2)}},
 		{"sa-default-restarts", serve.SolveParams{Strategy: "sa"},
-			[]UnitParams{{Strategy: "sa", SARestarts: 1}}},
+			[]serve.SolveParams{{Strategy: "sa", SARestarts: 1}}},
 		{"portfolio-lanes-plus-chains", serve.SolveParams{Strategy: "portfolio", SARestarts: 2, SAIters: 100, SASeed: 7},
-			[]UnitParams{{Strategy: "ah"}, {Strategy: "mh"}, chain(0), chain(1)}},
+			[]serve.SolveParams{{Strategy: "ah"}, {Strategy: "mh"}, chain(0), chain(1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

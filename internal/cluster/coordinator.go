@@ -195,12 +195,12 @@ func (c *Coordinator) CanDispatch(p serve.SolveParams) bool {
 // parameters: whole units name their strategy, and SA chain k runs as
 // sa-restarts=1&sa-chain-offset=k, which reproduces exactly chain k of
 // the local restart fan.
-func unitParams(p serve.SolveParams, u core.Unit) UnitParams {
-	up := UnitParams{
-		Strategy:  strings.ToLower(u.Name),
-		App:       p.App,
-		TimeoutMS: int64(p.Timeout / time.Millisecond),
-		NoCache:   p.NoCache,
+func unitParams(p serve.SolveParams, u core.Unit) serve.SolveParams {
+	up := serve.SolveParams{
+		Strategy: strings.ToLower(u.Name),
+		App:      p.App,
+		Timeout:  p.Timeout,
+		NoCache:  p.NoCache,
 	}
 	if u.Name == "SA" {
 		up.SAIters = p.SAIters
@@ -221,11 +221,33 @@ type outcome struct {
 // Dispatch shards, executes and reduces one solve. The units and the
 // reduce are core's: the coordinator plans from the same strategy value
 // a local solve runs and only executes the units remotely.
+//
+// A job deadline ends a dispatched solve the way it ends a local one,
+// with the best design found so far: every unit gets the time left as
+// its own timeout, and the unit RPCs outlive the job deadline by one
+// lease timeout to carry the workers' interrupted answers back. Only an
+// explicit cancellation (DELETE, client disconnect, shutdown) stops the
+// RPCs at once and fails the dispatch.
 func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) (*serve.DispatchResult, error) {
 	strat, err := req.Params.Resolve()
 	if err != nil {
 		return nil, err
 	}
+	params := req.Params
+	rpcCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	defer cancel()
+	if dl, ok := ctx.Deadline(); ok {
+		params.Timeout = time.Until(dl)
+		var cancelAfter context.CancelFunc
+		rpcCtx, cancelAfter = context.WithDeadline(rpcCtx, dl.Add(c.opts.LeaseTimeout))
+		defer cancelAfter()
+	}
+	stop := context.AfterFunc(ctx, func() {
+		if errors.Is(ctx.Err(), context.Canceled) {
+			cancel()
+		}
+	})
+	defer stop()
 	plan := core.Plan(strat)
 	units := plan.Units
 	var buf bytes.Buffer
@@ -258,7 +280,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, worker, err := c.runUnit(ctx, req.Registry, requestID, i, unitParams(req.Params, units[i]), system)
+			res, worker, err := c.runUnit(rpcCtx, req.Registry, requestID, i, unitParams(params, units[i]).Query(), system)
 			outs[i] = outcome{res: res, worker: worker, err: err}
 		}(i)
 	}
@@ -281,7 +303,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) 
 	if dspan != nil {
 		dspan.End()
 	}
-	if err := ctx.Err(); err != nil {
+	if err := ctx.Err(); errors.Is(err, context.Canceled) {
 		return nil, err
 	}
 
@@ -312,7 +334,7 @@ type attempt struct {
 // runUnit executes one unit with lease-based retry and work stealing.
 // Duplicated or reassigned attempts are safe: every attempt of one unit
 // computes the identical result, so the first answer wins.
-func (c *Coordinator) runUnit(ctx context.Context, jreg *obs.Registry, requestID string, idx int, up UnitParams, system json.RawMessage) (*ExecuteResult, string, error) {
+func (c *Coordinator) runUnit(ctx context.Context, jreg *obs.Registry, requestID string, idx int, query string, system json.RawMessage) (*ExecuteResult, string, error) {
 	jreg.Counter(obs.CtrClusterUnits).Inc()
 	t0 := time.Now()
 	defer func() { jreg.Histogram(obs.HstClusterUnitSecs).ObserveSince(t0) }()
@@ -330,7 +352,7 @@ func (c *Coordinator) runUnit(ctx context.Context, jreg *obs.Registry, requestID
 			params := ExecuteParams{
 				RequestID: unitRequestID(requestID, idx),
 				Unit:      idx,
-				Params:    up,
+				Query:     query,
 				System:    system,
 			}
 			res, err := c.rpc.execute(ctx, ws.url, params, func() {

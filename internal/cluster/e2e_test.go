@@ -151,6 +151,30 @@ func TestE2EByteIdenticalAcrossClusterSizes(t *testing.T) {
 	}
 }
 
+// TestE2EDeadlineReturnsBestDesign pins that a dispatched solve reaching
+// its deadline answers as a local one does: 200, interrupted, with the
+// best design found so far, for one SA chain and for a chain per worker.
+func TestE2EDeadlineReturnsBestDesign(t *testing.T) {
+	system := fixtureJSON(t)
+	const budget = "&sa-iters=4000000&seed=3&timeout=300ms&cache=off"
+	c1 := newCluster(t, Options{Workers: []string{newWorker(t).URL}})
+	c3 := newCluster(t, Options{Workers: []string{newWorker(t).URL, newWorker(t).URL, newWorker(t).URL}})
+	for _, tc := range []struct {
+		name, base, query string
+	}{
+		{"1-worker", c1.URL, "strategy=sa" + budget},
+		{"3-worker", c3.URL, "strategy=sa&sa-restarts=3" + budget},
+	} {
+		got, resp := postSolve(t, tc.base, tc.query, system, nil)
+		if resp.StatusCode != http.StatusOK || got.Status != serve.StatusInterrupted {
+			t.Errorf("%s %s: status %d / %q (error %q), want 200 / %q", tc.name, tc.query, resp.StatusCode, got.Status, got.Error, serve.StatusInterrupted)
+		}
+		if len(got.Solution) == 0 || string(got.Solution) == "null" {
+			t.Errorf("%s %s: no solution", tc.name, tc.query)
+		}
+	}
+}
+
 // flakyWorker answers cluster.execute with one heartbeat and then kills
 // the connection — a worker dying mid-chain, deterministically.
 func flakyWorker(t testing.TB) *httptest.Server {

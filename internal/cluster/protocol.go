@@ -22,15 +22,16 @@
 // Determinism argument. Every unit is a plain solve request against the
 // worker's own serve stack — admission, solution cache, single-flight
 // and metrics all reused — and core.Solve is deterministic, so a unit's
-// result depends only on (system, unit params), never on which worker
-// ran it or how often it was retried or duplicated. The units are
-// core.Plan's split of the same strategy value a local solve runs, and
-// the coordinator folds their results with core.Reduce — the rules the
-// local strategies themselves use — so the winner, the error precedence
-// and the grouping-independent evaluation count 1 + Σ(unit_evals − 1)
-// come from core, not from a copy. A 1-worker and a 3-worker cluster —
-// or a cluster that lost and reassigned a worker mid-solve — therefore
-// return byte-identical solution documents.
+// completed result depends only on the system and the unit's /v1/solve
+// query, never on which worker ran it or how often it was retried or
+// duplicated. The units are core.Plan's split of the same strategy value
+// a local solve runs, and the coordinator folds their results with
+// core.Reduce — the rules the local strategies themselves use — so the
+// winner, the error precedence and the grouping-independent evaluation
+// count 1 + Σ(unit_evals − 1) come from core, not from a copy. A
+// 1-worker and a 3-worker cluster — or a cluster that lost and
+// reassigned a worker mid-solve — therefore return byte-identical
+// solution documents.
 package cluster
 
 import (
@@ -96,19 +97,6 @@ func retryable(err error) bool {
 	return true // transport-level: connection refused, reset, EOF, ...
 }
 
-// UnitParams are the solve parameters of one work unit, mapped 1:1 onto
-// the worker's /v1/solve query string.
-type UnitParams struct {
-	Strategy      string `json:"strategy"`
-	App           string `json:"app,omitempty"`
-	SAIters       int    `json:"sa_iters,omitempty"`
-	SARestarts    int    `json:"sa_restarts,omitempty"`
-	SASeed        int64  `json:"sa_seed,omitempty"`
-	SAChainOffset int    `json:"sa_chain_offset,omitempty"`
-	TimeoutMS     int64  `json:"timeout_ms,omitempty"`
-	NoCache       bool   `json:"no_cache,omitempty"`
-}
-
 // ExecuteParams is the cluster.execute payload: one work unit.
 type ExecuteParams struct {
 	// RequestID is the coordinator's correlation ID suffixed with the
@@ -118,8 +106,9 @@ type ExecuteParams struct {
 	RequestID string `json:"request_id,omitempty"`
 	// Unit is the global unit index, echoed in progress events.
 	Unit int `json:"unit"`
-	// Params select what the unit solves.
-	Params UnitParams `json:"params"`
+	// Query is the unit's POST /v1/solve query string, which the worker
+	// posts verbatim: it selects what the unit solves.
+	Query string `json:"query"`
 	// System is the problem input, verbatim canonical JSON.
 	System json.RawMessage `json:"system"`
 }

@@ -12,8 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
-	"strconv"
 	"time"
 
 	"incdes/internal/serve"
@@ -93,36 +91,6 @@ func writeJSON(rw http.ResponseWriter, code int, v any) {
 	json.NewEncoder(rw).Encode(v)
 }
 
-// solveQuery maps unit params onto the /v1/solve query string.
-func solveQuery(p UnitParams) string {
-	q := url.Values{}
-	if p.Strategy != "" {
-		q.Set("strategy", p.Strategy)
-	}
-	if p.App != "" {
-		q.Set("app", p.App)
-	}
-	if p.SAIters != 0 {
-		q.Set("sa-iters", strconv.Itoa(p.SAIters))
-	}
-	if p.SARestarts != 0 {
-		q.Set("sa-restarts", strconv.Itoa(p.SARestarts))
-	}
-	if p.SASeed != 0 {
-		q.Set("seed", strconv.FormatInt(p.SASeed, 10))
-	}
-	if p.SAChainOffset != 0 {
-		q.Set("sa-chain-offset", strconv.Itoa(p.SAChainOffset))
-	}
-	if p.TimeoutMS > 0 {
-		q.Set("timeout", (time.Duration(p.TimeoutMS) * time.Millisecond).String())
-	}
-	if p.NoCache {
-		q.Set("cache", "off")
-	}
-	return q.Encode()
-}
-
 // recorder is the minimal ResponseWriter the in-process round-trip
 // needs. It deliberately does not implement http.Flusher: the solve
 // endpoint never streams, and the serve middleware only upgrades
@@ -161,7 +129,7 @@ func (w *Worker) execute(rw http.ResponseWriter, r *http.Request, req rpcRequest
 	}
 	flusher, canStream := rw.(http.Flusher)
 
-	hreq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "/v1/solve?"+solveQuery(p.Params), bytes.NewReader(p.System))
+	hreq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "/v1/solve?"+p.Query, bytes.NewReader(p.System))
 	if err != nil {
 		writeJSON(rw, http.StatusBadRequest, rpcResponse{ID: req.ID, Error: &rpcError{Code: "bad_request", Message: err.Error()}})
 		return

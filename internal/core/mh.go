@@ -10,6 +10,7 @@ import (
 	"incdes/internal/model"
 	"incdes/internal/obs"
 	"incdes/internal/sched"
+	"incdes/internal/slack"
 	"incdes/internal/tm"
 )
 
@@ -360,11 +361,9 @@ func windowCandidates(st *sched.State, app *model.Application, tmin tm.Time, per
 		return nil
 	}
 	horizon := st.Horizon()
-	nWin := int(horizon / tmin)
-	if nWin == 0 {
-		nWin = 1
-		tmin = horizon
-	}
+	// A horizon shorter than Tmin is one clipped window, as
+	// slack.WindowSlack counts it.
+	tmin = min(tmin, horizon)
 	if perNode > 2 {
 		perNode = 2
 	}
@@ -380,21 +379,13 @@ func windowCandidates(st *sched.State, app *model.Application, tmin tm.Time, per
 	var ids []model.ProcID
 	seen := map[model.ProcID]bool{}
 	for _, n := range st.System().Arch.NodeIDs() {
-		gaps := st.Busy(n).Gaps(tm.Iv(0, horizon))
-		// Find this node's minimum-slack window.
-		minW, minSlack := -1, tm.Infinity
-		for w := 0; w < nWin; w++ {
-			win := tm.Iv(tm.Time(w)*tmin, tm.Time(w+1)*tmin)
-			var s tm.Time
-			for _, g := range gaps {
-				s += g.Intersect(win).Len()
+		// This node's first minimum-slack window.
+		ws := slack.WindowSlack(st.Busy(n).Gaps(tm.Iv(0, horizon)), tmin, horizon)
+		minW := 0
+		for w := range ws {
+			if ws[w] < ws[minW] {
+				minW = w
 			}
-			if s < minSlack {
-				minSlack, minW = s, w
-			}
-		}
-		if minW < 0 {
-			continue
 		}
 		win := tm.Iv(tm.Time(minW)*tmin, tm.Time(minW+1)*tmin)
 		// Current-application processes overlapping the bottleneck window,

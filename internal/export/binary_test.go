@@ -9,7 +9,6 @@ import (
 
 	"incdes/internal/model"
 	"incdes/internal/tm"
-	"incdes/internal/ttp"
 )
 
 type crcReader struct {
@@ -93,7 +92,7 @@ func DecodeBinary(r io.Reader) (*Design, error) {
 		if err := get(&round, &slot, &offset, &msg, &occ, &bytes); err != nil {
 			return nil, fmt.Errorf("export: reading MEDL entry: %w", err)
 		}
-		d.MEDL = append(d.MEDL, ttp.MEDLEntry{
+		d.MEDL = append(d.MEDL, MEDLEntry{
 			Round: int(round), Slot: int(slot), Offset: int(offset),
 			Msg: model.MsgID(msg), Occ: int(occ), Bytes: int(bytes),
 		})

@@ -9,7 +9,6 @@ import (
 	"incdes/internal/model"
 	"incdes/internal/sched"
 	"incdes/internal/tm"
-	"incdes/internal/ttp"
 )
 
 // TestCheckAcceptsValidSchedule requires the design of the hand-built
@@ -118,7 +117,7 @@ func (m tamper) act(p model.ProcID) (*DispatchEntry, *NodeTable, int) {
 
 // line returns the MEDL line of hop h of msg's occurrence 0 and its
 // position in the MEDL.
-func (m tamper) line(msg model.MsgID, h int) (*ttp.MEDLEntry, int) {
+func (m tamper) line(msg model.MsgID, h int) (*MEDLEntry, int) {
 	for i := range m.d.MEDL {
 		if e := &m.d.MEDL[i]; e.Msg == msg && e.Occ == 0 && e.Hop == h {
 			return e, i
@@ -129,7 +128,7 @@ func (m tamper) line(msg model.MsgID, h int) (*ttp.MEDLEntry, int) {
 }
 
 // foreignSlot returns a slot of e's bus owned by another node than e's slot.
-func (m tamper) foreignSlot(e *ttp.MEDLEntry) int {
+func (m tamper) foreignSlot(e *MEDLEntry) int {
 	order := m.sys.Arch.Buses[e.Bus].SlotOrder
 	for s, owner := range order {
 		if owner != order[e.Slot] {

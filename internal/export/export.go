@@ -1,9 +1,11 @@
 // Package export turns a finished schedule into the artifacts a
 // time-triggered deployment consumes: one static dispatch table per node
 // (the process activation times a TTP node's kernel executes verbatim)
-// and the bus MEDL. Designs serialize to JSON, human-readable text, and a
-// compact checksummed binary image suitable for flashing tools. The image
-// is write-only here: designs are read back from JSON.
+// and the bus MEDL (message descriptor list, the slot table a TTP
+// controller is configured from), both laid out by Build. Designs
+// serialize to JSON, human-readable text, and a compact checksummed
+// binary image suitable for flashing tools. The image is write-only
+// here: designs are read back from JSON.
 //
 // Check verifies a design against the system it claims to implement,
 // independently of the scheduler, and is the repository's one schedule
@@ -19,12 +21,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"incdes/internal/model"
 	"incdes/internal/sched"
 	"incdes/internal/tm"
-	"incdes/internal/ttp"
 )
 
 // DispatchEntry is one activation in a node's static dispatch table.
@@ -52,7 +54,26 @@ type Design struct {
 	RoundLens []tm.Time                     `json:"round_lens,omitempty"`
 	Mapping   map[model.ProcID]model.NodeID `json:"mapping"`
 	Nodes     []NodeTable                   `json:"nodes"`
-	MEDL      []ttp.MEDLEntry               `json:"medl"`
+	MEDL      []MEDLEntry                   `json:"medl"`
+}
+
+// MEDLEntry is one line of the message descriptor list: inside slot
+// occurrence (Round, Slot) of bus Bus, the message occupies
+// [Offset, Offset+Bytes). TTP controllers are configured from exactly
+// this static table, one per bus; the bus and hop fields are omitted for
+// single-bus designs so their serialized form is unchanged.
+type MEDLEntry struct {
+	Round  int          `json:"round"`
+	Slot   int          `json:"slot"`
+	Offset int          `json:"offset"`
+	Msg    model.MsgID  `json:"msg"`
+	Occ    int          `json:"occ"`
+	Bytes  int          `json:"bytes"`
+	Owner  model.NodeID `json:"owner"`
+	Start  tm.Time      `json:"start"`
+	End    tm.Time      `json:"end"`
+	Bus    model.BusID  `json:"bus,omitempty"`
+	Hop    int          `json:"hop,omitempty"`
 }
 
 // Build extracts the deployable design from a schedule state.
@@ -85,19 +106,57 @@ func Build(st *sched.State) (*Design, error) {
 		}
 		d.Nodes = append(d.Nodes, NodeTable{Node: n, Entries: entries})
 	}
-	placements := make([]ttp.Placement, 0, len(st.MsgEntries()))
-	for _, e := range st.MsgEntries() {
-		placements = append(placements, ttp.Placement{
-			Msg: e.Msg, Occ: e.Occ, Round: e.Round, Slot: e.Slot, Bytes: e.Bytes,
-			Bus: e.Bus, Hop: e.Hop,
-		})
-	}
-	medl, err := ttp.BuildMEDLAll(arch.Buses, placements)
+	medl, err := buildMEDL(arch.Buses, st.MsgEntries())
 	if err != nil {
 		return nil, err
 	}
 	d.MEDL = medl
 	return d, nil
+}
+
+// buildMEDL lays every scheduled bus hop out inside its slot occurrence
+// and returns the descriptor list sorted by (Start, Bus, Offset). On one
+// bus a slot occurrence is identified by its start (slots have positive
+// durations), so sorting the hops by (Start, Bus, message, occurrence)
+// puts each occurrence's hops next to each other in the order their byte
+// offsets are assigned, and one pass lays them out. An overflowing slot
+// occurrence is an error; the scheduler reserves capacity before it
+// places a hop, so it would indicate a scheduler bug.
+func buildMEDL(buses []*model.Bus, hops []sched.MsgEntry) ([]MEDLEntry, error) {
+	hops = slices.Clone(hops)
+	sort.Slice(hops, func(i, j int) bool {
+		a, b := hops[i], hops[j]
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		if a.Bus != b.Bus {
+			return a.Bus < b.Bus
+		}
+		if a.Msg != b.Msg {
+			return a.Msg < b.Msg
+		}
+		return a.Occ < b.Occ
+	})
+	var medl []MEDLEntry
+	offset := 0
+	for i, h := range hops {
+		if i > 0 && (h.Start != hops[i-1].Start || h.Bus != hops[i-1].Bus) {
+			offset = 0
+		}
+		bus := buses[h.Bus]
+		if offset+h.Bytes > bus.SlotBytes[h.Slot] {
+			return nil, fmt.Errorf("export: bus %d slot occurrence (%d,%d) overflows: offset %d + %d bytes > capacity %d",
+				h.Bus, h.Round, h.Slot, offset, h.Bytes, bus.SlotBytes[h.Slot])
+		}
+		medl = append(medl, MEDLEntry{
+			Round: h.Round, Slot: h.Slot, Offset: offset,
+			Msg: h.Msg, Occ: h.Occ, Bytes: h.Bytes,
+			Owner: bus.SlotOrder[h.Slot], Start: h.Start, End: h.Arrive,
+			Bus: h.Bus, Hop: h.Hop,
+		})
+		offset += h.Bytes
+	}
+	return medl, nil
 }
 
 // WriteJSON serializes the design as indented JSON.

@@ -195,3 +195,64 @@ func TestBuildOnGeneratedCase(t *testing.T) {
 		t.Errorf("%d dispatch entries for %d schedule entries", total, len(tc.Base.ProcEntries()))
 	}
 }
+
+// TestBuildMEDL pins the MEDL layout: byte offsets inside a slot
+// occurrence follow (message, occurrence) order, every bus lays out its
+// own occurrences, the list is sorted by (Start, Bus, Offset), and an
+// overflowing occurrence is an error.
+func TestBuildMEDL(t *testing.T) {
+	// Bus 0: slots of 18 (round 36); bus 1: slots of 9 (round 18).
+	buses := []*model.Bus{
+		{SlotOrder: []model.NodeID{1, 0}, SlotBytes: []int{8, 8}, ByteTime: 2, SlotOverhead: 2},
+		{ID: 1, SlotOrder: []model.NodeID{2, 1}, SlotBytes: []int{4, 4}, ByteTime: 1, SlotOverhead: 5},
+	}
+	// Hops carry their slot occurrence's start and end, as sched sets
+	// them.
+	oneBus := []sched.MsgEntry{
+		{Msg: 2, Occ: 0, Round: 0, Slot: 0, Bytes: 3, Start: 0, Arrive: 18},
+		{Msg: 1, Occ: 0, Round: 0, Slot: 0, Bytes: 4, Start: 0, Arrive: 18},
+		{Msg: 3, Occ: 1, Round: 1, Slot: 1, Bytes: 8, Start: 54, Arrive: 72},
+	}
+	medl, err := buildMEDL(buses[:1], oneBus)
+	if err != nil {
+		t.Fatalf("buildMEDL: %v", err)
+	}
+	want := []MEDLEntry{
+		{Round: 0, Slot: 0, Offset: 0, Msg: 1, Occ: 0, Bytes: 4, Owner: 1, Start: 0, End: 18},
+		{Round: 0, Slot: 0, Offset: 4, Msg: 2, Occ: 0, Bytes: 3, Owner: 1, Start: 0, End: 18},
+		{Round: 1, Slot: 1, Offset: 0, Msg: 3, Occ: 1, Bytes: 8, Owner: 0, Start: 54, End: 72},
+	}
+	if !reflect.DeepEqual(medl, want) {
+		t.Errorf("one-bus MEDL =\n%+v\nwant\n%+v", medl, want)
+	}
+	if oneBus[0].Msg != 2 {
+		t.Error("buildMEDL reordered the schedule's hops")
+	}
+
+	// Bus 1's slot occurrences start at 0 and 54 too: offsets restart
+	// per bus, and equal starts order by bus.
+	twoBus := append(append([]sched.MsgEntry(nil), oneBus...),
+		sched.MsgEntry{Msg: 3, Occ: 1, Round: 3, Slot: 0, Bytes: 4, Start: 54, Arrive: 63, Bus: 1, Hop: 1},
+		sched.MsgEntry{Msg: 5, Occ: 0, Round: 0, Slot: 0, Bytes: 2, Start: 0, Arrive: 9, Bus: 1},
+		sched.MsgEntry{Msg: 4, Occ: 0, Round: 0, Slot: 0, Bytes: 2, Start: 0, Arrive: 9, Bus: 1},
+	)
+	medl, err = buildMEDL(buses, twoBus)
+	if err != nil {
+		t.Fatalf("buildMEDL: %v", err)
+	}
+	want = []MEDLEntry{
+		want[0], want[1],
+		{Round: 0, Slot: 0, Offset: 0, Msg: 4, Occ: 0, Bytes: 2, Owner: 2, Start: 0, End: 9, Bus: 1},
+		{Round: 0, Slot: 0, Offset: 2, Msg: 5, Occ: 0, Bytes: 2, Owner: 2, Start: 0, End: 9, Bus: 1},
+		want[2],
+		{Round: 3, Slot: 0, Offset: 0, Msg: 3, Occ: 1, Bytes: 4, Owner: 2, Start: 54, End: 63, Bus: 1, Hop: 1},
+	}
+	if !reflect.DeepEqual(medl, want) {
+		t.Errorf("two-bus MEDL =\n%+v\nwant\n%+v", medl, want)
+	}
+
+	over := append(oneBus, sched.MsgEntry{Msg: 4, Occ: 0, Round: 0, Slot: 0, Bytes: 5, Start: 0, Arrive: 18})
+	if _, err := buildMEDL(buses[:1], over); err == nil {
+		t.Error("overflowing MEDL accepted")
+	}
+}

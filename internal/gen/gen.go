@@ -135,53 +135,18 @@ func New(cfg Config, seed int64) *Generator {
 	return &Generator{cfg: cfg, rng: rand.New(rand.NewSource(seed)), arch: buildArch(cfg)}
 }
 
+// buildArch is the model's cluster chain over cfg.Clusters clusters of
+// cfg.Nodes nodes, with GatewaysPerLink clamped to [1, Nodes] and nodes
+// named N<id>.
 func buildArch(cfg Config) *model.Architecture {
-	if cfg.Clusters <= 1 {
-		arch := &model.Architecture{Buses: []*model.Bus{{
-			ByteTime:     cfg.ByteTime,
-			SlotOverhead: cfg.SlotOverhead,
-		}}}
-		bus := arch.Buses[0]
-		for i := 0; i < cfg.Nodes; i++ {
-			id := model.NodeID(i)
-			arch.Nodes = append(arch.Nodes, &model.Node{ID: id, Name: fmt.Sprintf("N%d", i)})
-			bus.SlotOrder = append(bus.SlotOrder, id)
-			bus.SlotBytes = append(bus.SlotBytes, cfg.SlotBytes)
-		}
-		return arch
+	sizes := make([]int, max(cfg.Clusters, 1))
+	for c := range sizes {
+		sizes[c] = cfg.Nodes
 	}
-	gpl := cfg.GatewaysPerLink
-	if gpl < 1 {
-		gpl = 1
-	}
-	if gpl > cfg.Nodes {
-		gpl = cfg.Nodes
-	}
-	arch := &model.Architecture{}
-	for c := 0; c < cfg.Clusters; c++ {
-		bus := &model.Bus{
-			ID:           model.BusID(c),
-			Name:         fmt.Sprintf("bus%d", c),
-			ByteTime:     cfg.ByteTime,
-			SlotOverhead: cfg.SlotOverhead,
-		}
-		for i := 0; i < cfg.Nodes; i++ {
-			id := model.NodeID(c*cfg.Nodes + i)
-			arch.Nodes = append(arch.Nodes, &model.Node{ID: id, Name: fmt.Sprintf("N%d", id)})
-			bus.SlotOrder = append(bus.SlotOrder, id)
-			bus.SlotBytes = append(bus.SlotBytes, cfg.SlotBytes)
-		}
-		// Chain topology: the last gpl nodes of the previous cluster also
-		// own a slot here, making them the gateways between bus c-1 and
-		// bus c.
-		if c > 0 {
-			for j := 0; j < gpl; j++ {
-				gw := model.NodeID(c*cfg.Nodes - gpl + j)
-				bus.SlotOrder = append(bus.SlotOrder, gw)
-				bus.SlotBytes = append(bus.SlotBytes, cfg.SlotBytes)
-			}
-		}
-		arch.Buses = append(arch.Buses, bus)
+	gpl := min(max(cfg.GatewaysPerLink, 1), cfg.Nodes)
+	arch := model.ClusterChain(sizes, gpl, cfg.SlotBytes, cfg.ByteTime, cfg.SlotOverhead)
+	for _, n := range arch.Nodes {
+		n.Name = fmt.Sprintf("N%d", n.ID)
 	}
 	return arch
 }

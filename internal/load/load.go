@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -187,29 +185,6 @@ func (r *Report) Errors() int {
 		n += c.Errors
 	}
 	return n
-}
-
-// WriteFile writes the report atomically (temp file + rename).
-func (r *Report) WriteFile(path string) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("load: writing %s: %w", path, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	enc := json.NewEncoder(tmp)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		tmp.Close()
-		return fmt.Errorf("load: writing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("load: writing %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("load: writing %s: %w", path, err)
-	}
-	return nil
 }
 
 // sample is one completed request.

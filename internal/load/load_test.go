@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"incdes/internal/obs"
 	"incdes/internal/serve"
 )
 
@@ -196,7 +197,7 @@ func TestReportFileRoundTrip(t *testing.T) {
 		Profile:       Profile{Name: "rt", Requests: 1, Concurrency: 1, Mix: Mix{Resubmit: 1}},
 		Classes:       map[string]ClassReport{ClassResubmit: {Requests: 1, P50MS: 1}},
 	}
-	if err := rep.WriteFile(path); err != nil {
+	if err := obs.WriteJSONFile(path, rep); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -212,6 +213,6 @@ func TestReportFileRoundTrip(t *testing.T) {
 	}
 	// The rename leaves no temporary file behind.
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
-		t.Errorf("directory after WriteFile: %v entries (err %v), want only the report", len(entries), err)
+		t.Errorf("directory after WriteJSONFile: %v entries (err %v), want only the report", len(entries), err)
 	}
 }

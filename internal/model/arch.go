@@ -117,6 +117,39 @@ type Architecture struct {
 	Buses []*Bus  `json:"buses"`
 }
 
+// ClusterChain builds a chain of TDMA clusters over consecutive node IDs:
+// cluster c holds the sizes[c] nodes after those of cluster c-1. Bus c has
+// one slot per node of cluster c, then, for c > 0, one slot per gateway:
+// the last gateways nodes of cluster c-1, which join bus c-1 to bus c.
+// Every slot carries slotBytes. A single cluster is one bus with no ID or
+// name; the buses of a longer chain are named "bus<c>". Nodes are left
+// unnamed, and gateways must not exceed any cluster's size.
+func ClusterChain(sizes []int, gateways, slotBytes int, byteTime, slotOverhead tm.Time) *Architecture {
+	arch := &Architecture{}
+	first := NodeID(0) // ID of cluster c's first node
+	for c, size := range sizes {
+		bus := &Bus{ByteTime: byteTime, SlotOverhead: slotOverhead}
+		if len(sizes) > 1 {
+			bus.ID, bus.Name = BusID(c), fmt.Sprintf("bus%d", c)
+		}
+		for id := first; id < first+NodeID(size); id++ {
+			arch.Nodes = append(arch.Nodes, &Node{ID: id})
+			bus.SlotOrder = append(bus.SlotOrder, id)
+		}
+		if c > 0 {
+			for id := first - NodeID(gateways); id < first; id++ {
+				bus.SlotOrder = append(bus.SlotOrder, id)
+			}
+		}
+		for range bus.SlotOrder {
+			bus.SlotBytes = append(bus.SlotBytes, slotBytes)
+		}
+		arch.Buses = append(arch.Buses, bus)
+		first += NodeID(size)
+	}
+	return arch
+}
+
 // archJSON is the wire shape of Architecture. The legacy singular "bus"
 // key is accepted on input and emitted for single-bus architectures, so
 // every pre-multi-cluster system file round-trips byte-identically.

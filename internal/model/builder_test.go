@@ -1,6 +1,7 @@
 package model
 
 import (
+	"reflect"
 	"testing"
 
 	"incdes/internal/tm"
@@ -55,6 +56,73 @@ func TestUniformBusCoversAllNodes(t *testing.T) {
 	p := sys.Apps[0].Graphs[0].Procs[0]
 	if len(p.WCET) != 3 {
 		t.Errorf("uniform process allowed on %d nodes, want 3", len(p.WCET))
+	}
+}
+
+// TestClusterChain pins the chain-of-clusters topology the generators
+// share: consecutive node IDs per cluster, and bus c carrying cluster c's
+// nodes and then the last gateways nodes of cluster c-1.
+func TestClusterChain(t *testing.T) {
+	type bus struct {
+		id    BusID
+		name  string
+		order []NodeID
+	}
+	cases := []struct {
+		name     string
+		sizes    []int
+		gateways int
+		want     []bus
+	}{
+		{"one cluster", []int{3}, 1, []bus{{0, "", []NodeID{0, 1, 2}}}},
+		{"three clusters, one gateway", []int{2, 3, 2}, 1, []bus{
+			{0, "bus0", []NodeID{0, 1}},
+			{1, "bus1", []NodeID{2, 3, 4, 1}},
+			{2, "bus2", []NodeID{5, 6, 4}},
+		}},
+		{"three clusters, two gateways", []int{2, 3, 2}, 2, []bus{
+			{0, "bus0", []NodeID{0, 1}},
+			{1, "bus1", []NodeID{2, 3, 4, 0, 1}},
+			{2, "bus2", []NodeID{5, 6, 3, 4}},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			arch := ClusterChain(tc.sizes, tc.gateways, 8, 2, 3)
+			if err := arch.Validate(); err != nil {
+				t.Fatalf("Validate: %v", err)
+			}
+			total := 0
+			for _, n := range tc.sizes {
+				total += n
+			}
+			for i, n := range arch.Nodes {
+				if n.ID != NodeID(i) || n.Name != "" {
+					t.Errorf("node %d = %+v, want ID %d and no name", i, *n, i)
+				}
+			}
+			if len(arch.Nodes) != total {
+				t.Errorf("%d nodes, want %d", len(arch.Nodes), total)
+			}
+			if len(arch.Buses) != len(tc.want) {
+				t.Fatalf("%d buses, want %d", len(arch.Buses), len(tc.want))
+			}
+			for c, w := range tc.want {
+				b := arch.Buses[c]
+				if b.ID != w.id || b.Name != w.name || !reflect.DeepEqual(b.SlotOrder, w.order) {
+					t.Errorf("bus %d = {ID %d, Name %q, SlotOrder %v}, want {ID %d, Name %q, SlotOrder %v}",
+						c, b.ID, b.Name, b.SlotOrder, w.id, w.name, w.order)
+				}
+				if b.ByteTime != 2 || b.SlotOverhead != 3 || len(b.SlotBytes) != len(w.order) {
+					t.Errorf("bus %d timing = %v/%v with %d slot sizes, want 2/3 with %d", c, b.ByteTime, b.SlotOverhead, len(b.SlotBytes), len(w.order))
+				}
+				for i, sb := range b.SlotBytes {
+					if sb != 8 {
+						t.Errorf("bus %d slot %d carries %d bytes, want 8", c, i, sb)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -20,7 +20,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -361,35 +360,30 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// WriteJSON writes the snapshot as indented JSON. Go's encoder emits
-// map keys in sorted order, so the document is deterministic for a
-// given set of values.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// WriteJSONFile writes the snapshot to path atomically: the document is
-// assembled in a temporary file in the same directory and renamed over
-// path only after a successful write, so an interrupted run never leaves
-// a truncated JSON behind. Errors identify the destination path.
-func (s Snapshot) WriteJSONFile(path string) error {
+// WriteJSONFile writes v to path as indented JSON, atomically: the
+// document is assembled in a temporary file in the same directory and
+// renamed over path only after a successful write, so an interrupted run
+// never leaves a truncated document behind. Errors name the destination
+// path. Go's encoder emits map keys in sorted order, so a snapshot's file
+// is deterministic for a given set of values.
+func WriteJSONFile(path string, v any) error {
 	dir, base := filepath.Split(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("obs: writing stats to %s: %w", path, err)
+		return fmt.Errorf("obs: writing %s: %w", path, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := s.WriteJSON(tmp); err != nil {
+	enc := json.NewEncoder(tmp)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
 		tmp.Close()
-		return fmt.Errorf("obs: writing stats to %s: %w", path, err)
+		return fmt.Errorf("obs: writing %s: %w", path, err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("obs: writing stats to %s: %w", path, err)
+		return fmt.Errorf("obs: writing %s: %w", path, err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("obs: writing stats to %s: %w", path, err)
+		return fmt.Errorf("obs: writing %s: %w", path, err)
 	}
 	return nil
 }

@@ -80,12 +80,12 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Counter(CtrEvaluations).Add(42)
 	r.Gauge(GagSessLive).Set(128)
 
-	var buf bytes.Buffer
-	if err := r.Snapshot().WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(r.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v", err)
 	}
 	if back.Counters[CtrEvaluations] != 42 {
@@ -165,12 +165,12 @@ func TestSnapshotSchemaAndMeta(t *testing.T) {
 	if s.Meta.Seed != 42 {
 		t.Errorf("Seed = %d", s.Meta.Seed)
 	}
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(s)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.SchemaVersion != SnapshotSchemaVersion || back.Meta == nil || back.Meta.Seed != 42 {
@@ -183,7 +183,7 @@ func TestWriteJSONFileAtomic(t *testing.T) {
 	path := filepath.Join(dir, "stats.json")
 	r := NewRegistry()
 	r.Counter(CtrEvaluations).Add(3)
-	if err := r.Snapshot().WriteJSONFile(path); err != nil {
+	if err := WriteJSONFile(path, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -208,7 +208,7 @@ func TestWriteJSONFileAtomic(t *testing.T) {
 
 	// A failed write must name the path and leave the old file intact.
 	bad := filepath.Join(dir, "no-such-dir", "stats.json")
-	err = r.Snapshot().WriteJSONFile(bad)
+	err = WriteJSONFile(bad, r.Snapshot())
 	if err == nil {
 		t.Fatal("write into missing directory succeeded")
 	}

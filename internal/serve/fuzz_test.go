@@ -10,7 +10,8 @@ import (
 
 // FuzzSolveQuery drives arbitrary POST /v1/solve query strings through
 // the request path up to planning: parseSolveParams, Resolve, the cache
-// spec and core.Plan. None of them may panic, and an accepted request
+// spec and core.Plan. None of them may panic, every accepted query's
+// params re-encode through Query to themselves, and an accepted request
 // plans at most maxSARestarts+2 units (a portfolio's AH and MH lanes
 // plus its SA chains).
 func FuzzSolveQuery(f *testing.F) {
@@ -25,6 +26,7 @@ func FuzzSolveQuery(f *testing.F) {
 		"strategy=ah&parallel=4&timeout=2s&detach=1&cache=off",
 		"strategy=nope&cache=maybe",
 		"timeout=-1s&seed=x&sa-iters=%zz",
+		"app=a%26b%3Dc&timeout=1.5us&detach=true&cache=0",
 	} {
 		f.Add(q)
 	}
@@ -32,6 +34,10 @@ func FuzzSolveQuery(f *testing.F) {
 		params, err := parseSolveParams(&http.Request{URL: &url.URL{RawQuery: query}})
 		if err != nil {
 			return
+		}
+		back, err := parseSolveParams(&http.Request{URL: &url.URL{RawQuery: params.Query()}})
+		if err != nil || back != params {
+			t.Fatalf("query %q: params %+v re-encode as %q, which parses to %+v (err %v)", query, params, params.Query(), back, err)
 		}
 		strat, err := params.Resolve()
 		if err != nil {

@@ -50,6 +50,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -450,6 +451,36 @@ func parseSolveParams(r *http.Request) (SolveParams, error) {
 	return p, nil
 }
 
+// Query encodes p as the POST /v1/solve query string, the exact inverse
+// of parseSolveParams. A cluster coordinator posts each work unit to its
+// worker with it.
+func (p SolveParams) Query() string {
+	q := url.Values{}
+	for name, v := range map[string]string{"strategy": p.Strategy, "app": p.App} {
+		if v != "" {
+			q.Set(name, v)
+		}
+	}
+	for name, v := range map[string]int64{
+		"sa-iters": int64(p.SAIters), "sa-restarts": int64(p.SARestarts), "seed": p.SASeed,
+		"sa-chain-offset": int64(p.SAChainOffset), "parallel": int64(p.Parallel),
+	} {
+		if v != 0 {
+			q.Set(name, strconv.FormatInt(v, 10))
+		}
+	}
+	if p.Timeout > 0 {
+		q.Set("timeout", p.Timeout.String())
+	}
+	if p.Detach {
+		q.Set("detach", "1")
+	}
+	if p.NoCache {
+		q.Set("cache", "off")
+	}
+	return q.Encode()
+}
+
 // submit registers a new job if the queue has room, bound to the
 // submitting request's span trace (nil is fine).
 func (s *Server) submit(strategyTag string, rt *obs.RequestTrace) (*job, error) {
@@ -709,21 +740,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			s.queued.Add(-1)
 			w.Header().Set(cacheHeader, "inflight")
 			s.global.Counter(obs.CtrSolveCacheInflight).Inc()
-			if params.Detach {
-				// CopyTrace: the detached job runs under the server's
-				// lifetime but keeps recording into the request's trace.
-				go s.runFollower(obs.CopyTrace(s.baseCtx, r.Context()), j, params.Timeout, f)
-				w.Header().Set("Location", "/v1/solve/"+j.id)
-				writeJSON(w, http.StatusAccepted, &JobStatusDoc{ID: j.id, Status: StatusQueued, Strategy: j.strategy})
-				return
-			}
-			s.runFollower(r.Context(), j, params.Timeout, f)
-			doc := s.statusDoc(j)
-			if doc.Status == StatusFailed {
-				writeJSON(w, http.StatusUnprocessableEntity, doc)
-				return
-			}
-			writeJSON(w, http.StatusOK, doc)
+			s.answer(w, r, j, params.Detach, func(ctx context.Context) { s.runFollower(ctx, j, params.Timeout, f) })
 			return
 		}
 		w.Header().Set(cacheHeader, "miss")
@@ -732,29 +749,41 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	} else {
 		work = s.solveWork(j, sys, p, len(sys.Apps)-1, params)
 	}
-	if params.Detach {
-		// Detached jobs belong to the server, not the request: the job
-		// outlives the connection and is cancelled only by DELETE,
-		// timeout, or shutdown. CopyTrace keeps the request's span trace
-		// (but not its cancellation) attached to the job.
-		go s.run(obs.CopyTrace(s.baseCtx, r.Context()), j, params.Timeout, work)
+	s.answer(w, r, j, params.Detach, func(ctx context.Context) { s.run(ctx, j, params.Timeout, work) })
+}
+
+// answer runs job j through run and answers the request for it.
+//
+// A detached job belongs to the server, not the request: it outlives the
+// connection and is cancelled only by DELETE, timeout or shutdown.
+// CopyTrace keeps the request's span trace (but not its cancellation)
+// attached to it, and the answer is 202 with the job's Location at once.
+//
+// A synchronous job is bound to the connection: a client disconnect
+// cancels it, and the engine reports the best design found so far, marked
+// interrupted. The answer is the job's status document, 422 when the job
+// failed, with the worker(s) of a dispatched solve and a commit's cache
+// hit in the headers.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, j *job, detach bool, run func(context.Context)) {
+	if detach {
+		go run(obs.CopyTrace(s.baseCtx, r.Context()))
 		w.Header().Set("Location", "/v1/solve/"+j.id)
 		writeJSON(w, http.StatusAccepted, &JobStatusDoc{ID: j.id, Status: StatusQueued, Strategy: j.strategy})
 		return
 	}
-	// Synchronous: the job is bound to the connection. A client
-	// disconnect cancels the solve and the engine reports the best
-	// design found so far, marked interrupted.
-	s.run(r.Context(), j, params.Timeout, work)
+	run(r.Context())
 	if wt := j.workerTag(); wt != "" {
 		w.Header().Set(workerHeader, wt)
 	}
-	doc := s.statusDoc(j)
-	if doc.Status == StatusFailed {
-		writeJSON(w, http.StatusUnprocessableEntity, doc)
-		return
+	if ci := j.commitInfo(); ci != nil && ci.CacheHit {
+		w.Header().Set(cacheHeader, "hit")
 	}
-	writeJSON(w, http.StatusOK, doc)
+	doc := s.statusDoc(j)
+	code := http.StatusOK
+	if doc.Status == StatusFailed {
+		code = http.StatusUnprocessableEntity
+	}
+	writeJSON(w, code, doc)
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {

@@ -135,12 +135,8 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	if _, err := s.sessions.Get(id); err != nil {
-		writeSessionError(w, err)
-		return
-	}
 	if err := s.sessions.Delete(id); err != nil {
-		writeError(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		writeSessionError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": "deleted"})
@@ -213,22 +209,7 @@ func (s *Server) handleSessionCommit(w http.ResponseWriter, r *http.Request) {
 		})
 		return NewSolutionDoc(res.Solution)
 	}
-	if params.Detach {
-		go s.run(obs.CopyTrace(s.baseCtx, r.Context()), j, params.Timeout, work)
-		w.Header().Set("Location", "/v1/solve/"+j.id)
-		writeJSON(w, http.StatusAccepted, &JobStatusDoc{ID: j.id, Status: StatusQueued, Strategy: j.strategy})
-		return
-	}
-	s.run(r.Context(), j, params.Timeout, work)
-	doc := s.statusDoc(j)
-	if ci := j.commitInfo(); ci != nil && ci.CacheHit {
-		w.Header().Set(cacheHeader, "hit")
-	}
-	if doc.Status == StatusFailed {
-		writeJSON(w, http.StatusUnprocessableEntity, doc)
-		return
-	}
-	writeJSON(w, http.StatusOK, doc)
+	s.answer(w, r, j, params.Detach, func(ctx context.Context) { s.run(ctx, j, params.Timeout, work) })
 }
 
 func (s *Server) handleSessionBranch(w http.ResponseWriter, r *http.Request) {

@@ -3,10 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -358,6 +362,41 @@ func TestSessionSurvivesRestart(t *testing.T) {
 	}
 	if want.Commit.Version != 1 {
 		t.Fatalf("pre-restart commit = %+v", want.Commit)
+	}
+}
+
+// TestSessionDeleteUndecodable pins that DELETE removes a stored session
+// without loading it, so a document that no longer decodes can still be
+// deleted: the file is gone, the listing drops it, and a second DELETE
+// is 404.
+func TestSessionDeleteUndecodable(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "s9.json")
+	if err := os.WriteFile(path, []byte(`{"schema_version": 99, "id": "s9"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := session.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Parallelism: 1, MaxConcurrent: 1, SessionStore: store})
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
+
+	if resp := do(t, "DELETE", ts.URL+"/v1/sessions/s9", nil, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE of an undecodable session = %d, want 200", resp.StatusCode)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("stored document after DELETE: %v, want it gone", err)
+	}
+	var listing map[string][]string
+	do(t, "GET", ts.URL+"/v1/sessions", nil, &listing)
+	if len(listing["sessions"]) != 0 {
+		t.Errorf("sessions after DELETE = %v, want none", listing["sessions"])
+	}
+	var env ErrorDoc
+	if resp := do(t, "DELETE", ts.URL+"/v1/sessions/s9", nil, &env); resp.StatusCode != http.StatusNotFound || env.Error.Code != ErrCodeNotFound {
+		t.Errorf("second DELETE = %d %+v, want 404 %s", resp.StatusCode, env.Error, ErrCodeNotFound)
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -226,12 +227,24 @@ func (m *Manager) List() ([]string, error) {
 	return ids, nil
 }
 
-// Delete removes a session from the store and from memory. A handle to
-// it that is still held fails every later commit, branch and rollback
-// with ErrNotFound: the store refuses to append to a deleted session.
+// Delete removes a session from the store and from memory. It never
+// loads the session, so a stored document that no longer decodes can
+// still be deleted; an ID that is neither live nor stored is ErrNotFound.
+// A handle to the session that is still held fails every later commit,
+// branch and rollback with ErrNotFound: the store refuses to append to a
+// deleted session.
 func (m *Manager) Delete(id string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if _, ok := m.live[id]; !ok {
+		ids, err := m.store.List()
+		if err != nil {
+			return err
+		}
+		if !slices.Contains(ids, id) {
+			return ErrNotFound
+		}
+	}
 	delete(m.live, id)
 	m.setLiveGauge()
 	return m.store.Delete(id)
@@ -505,18 +518,11 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 		if err := newSys.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrIllegalCommit, err)
 		}
+		// The hyperperiod is the LCM of every bus round and period, so an
+		// unchanged one also keeps every TDMA round dividing the horizon.
 		if hp := newSys.Hyperperiod(); hp != src.Horizon() {
 			return fmt.Errorf("%w: application %q changes the hyperperiod from %v to %v",
 				ErrIllegalCommit, app.Name, src.Horizon(), hp)
-		}
-		// Every bus's TDMA round must keep dividing the (unchanged)
-		// horizon, or the frozen composite's wrapped slot reservations
-		// would no longer line up with the cluster cycles.
-		for bi, b := range newSys.Arch.Buses {
-			if rl := b.RoundLen(); rl <= 0 || src.Horizon()%rl != 0 {
-				return fmt.Errorf("%w: bus %d round %v does not divide the horizon %v",
-					ErrIllegalCommit, bi, rl, src.Horizon())
-			}
 		}
 		base, err = sched.Restrict(src, newSys, func(model.AppID) bool { return true })
 		if err != nil {

@@ -242,49 +242,22 @@ type BusConfig struct {
 // buildArch realizes the bus configuration over the file's PEs: one bus
 // carrying every PE, or bus.Clusters buses chained by gateway PEs.
 func buildArch(f *File, bus BusConfig) (*model.Architecture, error) {
-	arch := &model.Architecture{}
-	for i := range f.PEs {
-		arch.Nodes = append(arch.Nodes, &model.Node{ID: model.NodeID(i), Name: fmt.Sprintf("PE%d", f.PEs[i].ID)})
-	}
-	k := bus.Clusters
-	if k <= 1 {
-		b := &model.Bus{ByteTime: bus.ByteTime, SlotOverhead: bus.SlotOverhead}
-		for i := range f.PEs {
-			b.SlotOrder = append(b.SlotOrder, model.NodeID(i))
-			b.SlotBytes = append(b.SlotBytes, bus.SlotBytes)
-		}
-		arch.Buses = []*model.Bus{b}
-		return arch, nil
-	}
+	k := max(bus.Clusters, 1)
 	if k > len(f.PEs) {
 		return nil, fmt.Errorf("tgff: %d clusters but only %d PEs", k, len(f.PEs))
 	}
 	// Contiguous blocks in file order, the first n%k clusters one PE
 	// larger; each cluster's last PE is the gateway onto the next bus.
-	size, rem := len(f.PEs)/k, len(f.PEs)%k
-	lo := 0
-	for c := 0; c < k; c++ {
-		hi := lo + size
-		if c < rem {
-			hi++
+	sizes := make([]int, k)
+	for c := range sizes {
+		sizes[c] = len(f.PEs) / k
+		if c < len(f.PEs)%k {
+			sizes[c]++
 		}
-		b := &model.Bus{
-			ID:           model.BusID(c),
-			Name:         fmt.Sprintf("bus%d", c),
-			ByteTime:     bus.ByteTime,
-			SlotOverhead: bus.SlotOverhead,
-		}
-		for i := lo; i < hi; i++ {
-			b.SlotOrder = append(b.SlotOrder, model.NodeID(i))
-			b.SlotBytes = append(b.SlotBytes, bus.SlotBytes)
-		}
-		if c > 0 {
-			// The previous cluster's last PE owns a slot here too.
-			b.SlotOrder = append(b.SlotOrder, model.NodeID(lo-1))
-			b.SlotBytes = append(b.SlotBytes, bus.SlotBytes)
-		}
-		arch.Buses = append(arch.Buses, b)
-		lo = hi
+	}
+	arch := model.ClusterChain(sizes, 1, bus.SlotBytes, bus.ByteTime, bus.SlotOverhead)
+	for i, n := range arch.Nodes {
+		n.Name = fmt.Sprintf("PE%d", f.PEs[i].ID)
 	}
 	return arch, nil
 }

@@ -2,9 +2,9 @@
 // IEEE Computer 1994) at the level of detail the paper's scheduler needs:
 // a static TDMA round of node-owned slots repeating over the schedule
 // horizon, per-slot byte capacities, and reservation bookkeeping for the
-// messages packed into each slot occurrence. It also exports the static
-// MEDL (message descriptor list), the form a TTP controller configuration
-// would take.
+// messages packed into each slot occurrence. The static MEDL (message
+// descriptor list) a TTP controller is configured from is laid out by
+// package export.
 package ttp
 
 import (

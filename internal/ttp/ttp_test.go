@@ -167,37 +167,6 @@ func TestOccurrencesOrdering(t *testing.T) {
 	}
 }
 
-func TestBuildMEDL(t *testing.T) {
-	bus := testBus()
-	placements := []Placement{
-		{Msg: 2, Occ: 0, Round: 0, Slot: 0, Bytes: 3},
-		{Msg: 1, Occ: 0, Round: 0, Slot: 0, Bytes: 4},
-		{Msg: 3, Occ: 1, Round: 1, Slot: 1, Bytes: 8},
-	}
-	medl, err := BuildMEDL(bus, placements)
-	if err != nil {
-		t.Fatalf("BuildMEDL: %v", err)
-	}
-	if len(medl) != 3 {
-		t.Fatalf("len(medl) = %d", len(medl))
-	}
-	// Slot (0,0): msg 1 at offset 0, msg 2 at offset 4.
-	if medl[0].Msg != 1 || medl[0].Offset != 0 {
-		t.Errorf("first entry = %+v", medl[0])
-	}
-	if medl[1].Msg != 2 || medl[1].Offset != 4 {
-		t.Errorf("second entry = %+v", medl[1])
-	}
-	if medl[2].Msg != 3 || medl[2].Round != 1 {
-		t.Errorf("third entry = %+v", medl[2])
-	}
-	// Overflow detection.
-	placements = append(placements, Placement{Msg: 4, Occ: 0, Round: 0, Slot: 0, Bytes: 5})
-	if _, err := BuildMEDL(bus, placements); err == nil {
-		t.Error("overflowing MEDL accepted")
-	}
-}
-
 // TestOutOfRangeOccurrencePanics pins that reading or releasing an
 // occurrence outside the ledger panics instead of reaching a neighboring
 // round's entry. Every occurrence is full, so a release that landed on a
