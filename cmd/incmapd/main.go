@@ -26,6 +26,7 @@
 //	POST   /v1/sessions/{id}/branches  create a what-if branch from a version
 //	POST   /v1/sessions/{id}/rollback  move a branch head back to an ancestor
 //	GET    /v1/sessions/{id}/diff      placement + metric delta between versions
+//	GET    /v1/stats              the aggregate instrument snapshot as JSON
 //	GET    /v1/debug/requests       recent request span trees (filters: status=, min-duration=, n=)
 //	GET    /v1/debug/requests/{id}  one request's span tree by correlation ID
 //	GET    /metrics               Prometheus text exposition format
@@ -53,12 +54,12 @@
 // Cluster mode. With -coordinator the daemon shards solves across the
 // worker daemons listed in -workers (and any that self-register at POST
 // /v1/cluster/workers): SA restart chains, portfolio lanes and whole
-// jobs run remotely and reduce deterministically, so the answer is
-// byte-identical at any cluster size. /v1/metrics then merges each
-// worker's instruments under per-worker labels. With -worker-of URL the
-// daemon serves the cluster RPC endpoint and keeps itself registered
-// with the coordinator at URL, advertising -advertise (default
-// http://localhost<addr>).
+// jobs run remotely, each as a POST /v1/solve to its worker, and reduce
+// deterministically, so the answer is byte-identical at any cluster
+// size. /v1/metrics then merges each worker's /v1/stats under
+// per-worker labels. Any incmapd can be a worker; with -worker-of URL
+// the daemon also keeps itself registered with the coordinator at URL,
+// advertising -advertise (default http://localhost<addr>).
 //
 // SIGINT/SIGTERM drain the server: readiness flips to 503, in-flight
 // solves are cancelled (returning best-so-far designs) and the listener
@@ -97,8 +98,7 @@ func main() {
 	slowRequestLog := flag.Duration("slow-request-log", 0, "log a one-line span breakdown of requests at least this slow (0 = off)")
 	coordinator := flag.Bool("coordinator", false, "shard solves across the cluster workers in -workers")
 	workers := flag.String("workers", "", "comma-separated worker base URLs for -coordinator")
-	leaseTimeout := flag.Duration("lease-timeout", 0, "coordinator: heartbeat silence before a unit is duplicated elsewhere (0 = 3s)")
-	workerOf := flag.String("worker-of", "", "coordinator base URL to serve as a cluster worker of")
+	workerOf := flag.String("worker-of", "", "coordinator base URL to keep this daemon registered with as a cluster worker")
 	advertise := flag.String("advertise", "", "base URL this worker registers with its coordinator (default http://localhost<addr>)")
 	flag.Parse()
 
@@ -135,7 +135,7 @@ func main() {
 				urls = append(urls, u)
 			}
 		}
-		coord = cluster.NewCoordinator(cluster.Options{Workers: urls, LeaseTimeout: *leaseTimeout})
+		coord = cluster.NewCoordinator(cluster.Options{Workers: urls})
 		cfg.Dispatcher = coord
 		cfg.MetricsExtra = coord.MetricsExtra
 	}
@@ -145,22 +145,17 @@ func main() {
 	if coord != nil {
 		handler = coord.Handler(handler)
 	}
-	var worker *cluster.Worker
-	if *workerOf != "" {
-		worker = cluster.NewWorker(srv, cluster.WorkerOptions{})
-		handler = worker.Handler(handler)
-	}
 
 	hs := &http.Server{Addr: *addr, Handler: handler}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if worker != nil {
+	if *workerOf != "" {
 		self := *advertise
 		if self == "" {
 			self = "http://localhost" + *addr
 		}
-		go worker.RegisterLoop(ctx, strings.TrimRight(*workerOf, "/"), strings.TrimRight(self, "/"))
+		go cluster.RegisterLoop(ctx, strings.TrimRight(*workerOf, "/"), strings.TrimRight(self, "/"))
 	}
 
 	errc := make(chan error, 1)
@@ -168,7 +163,7 @@ func main() {
 	switch {
 	case coord != nil:
 		log.Printf("incmapd listening on %s (coordinator, %d static workers, job timeout %v)", *addr, len(strings.FieldsFunc(*workers, func(r rune) bool { return r == ',' })), *jobTimeout)
-	case worker != nil:
+	case *workerOf != "":
 		log.Printf("incmapd listening on %s (worker of %s, job timeout %v)", *addr, *workerOf, *jobTimeout)
 	default:
 		log.Printf("incmapd listening on %s (pprof %v, job timeout %v)", *addr, *pprofOn, *jobTimeout)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -132,49 +133,63 @@ func (b *unclosedString) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestEndpointBodiesAreBounded streams a body past the bound of each
-// cluster endpoint: the endpoint must stop reading at its bound and
-// answer 400 in its own error shape. The decoder buffers up to the bound;
-// collecting often keeps the peak near 250 MB (near 700 MB under -race).
+// TestEndpointBodiesAreBounded streams a body past the bound of the
+// registration endpoint: it must stop reading at serve.MaxBodyBytes and
+// answer 400 with the error envelope. The decoder buffers up to the
+// bound; collecting often keeps the peak near 250 MB (near 700 MB under
+// -race).
 func TestEndpointBodiesAreBounded(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(10))
 	c := NewCoordinator(Options{ProbeInterval: time.Hour})
 	defer c.Close()
-	s := serve.New(serve.Config{Parallelism: 1, MaxConcurrent: 1})
-	defer s.Close()
-	w := NewWorker(s, WorkerOptions{})
+	body := &unclosedString{prefix: `{"url":"http://`, size: serve.MaxBodyBytes + 1<<20}
+	rec := httptest.NewRecorder()
+	c.Handler(http.NotFoundHandler()).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, RegisterPath, body))
+	var env serve.ErrorDoc
+	if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error.Code != serve.ErrCodeBadRequest {
+		t.Errorf("status %d, body %.200q; want a 400 error envelope", rec.Code, rec.Body)
+	}
+	if body.n > serve.MaxBodyBytes+4<<10 {
+		t.Errorf("read %d bytes of a %d-byte body, bound %d", body.n, body.size, serve.MaxBodyBytes)
+	}
+}
+
+// TestSolveAnswers pins how a unit attempt reads its worker's answer:
+// a job document is the unit's outcome, an error envelope is a refusal
+// that only queue_full and draining make retryable, and an answer that
+// does not parse is a retryable failure.
+func TestSolveAnswers(t *testing.T) {
+	c := NewCoordinator(Options{ProbeInterval: time.Hour})
+	defer c.Close()
 	cases := []struct {
-		name, path, prefix string
-		h                  http.Handler
-		bound              int64
-		rejected           func(body []byte) bool
+		name, body string
+		code       int
+		status     string // the job document's status; "" when an error is expected
+		retry      bool
 	}{
-		{
-			name: "register", path: RegisterPath, prefix: `{"url":"http://`,
-			h: c.Handler(http.NotFoundHandler()), bound: serve.MaxBodyBytes,
-			rejected: func(body []byte) bool {
-				var env serve.ErrorDoc
-				return json.Unmarshal(body, &env) == nil && env.Error.Code == serve.ErrCodeBadRequest
-			},
-		},
-		{
-			name: "rpc", path: RPCPath, prefix: `{"method":"cluster.execute","id":1,"params":{"system":"`,
-			h: w.Handler(http.NotFoundHandler()), bound: serve.MaxBodyBytes + rpcEnvelopeBytes,
-			rejected: func(body []byte) bool {
-				var resp rpcResponse
-				return json.Unmarshal(body, &resp) == nil && resp.Error != nil && resp.Error.Code == "bad_request"
-			},
-		},
+		{"done", `{"id":"j1","status":"done","solution":{"objective":1}}`, http.StatusOK, serve.StatusDone, false},
+		{"failed", `{"id":"j1","status":"failed","error":"unschedulable"}`, http.StatusUnprocessableEntity, serve.StatusFailed, false},
+		{"queue full", `{"error":{"code":"queue_full","message":"busy"}}`, http.StatusTooManyRequests, "", true},
+		{"draining", `{"error":{"code":"draining","message":"bye"}}`, http.StatusServiceUnavailable, "", true},
+		{"invalid input", `{"error":{"code":"invalid_input","message":"no apps"}}`, http.StatusUnprocessableEntity, "", false},
+		{"not json", `<html>`, http.StatusOK, "", true},
+		{"no document", `{}`, http.StatusBadGateway, "", true},
 	}
 	for _, tc := range cases {
-		body := &unclosedString{prefix: tc.prefix, size: tc.bound + 1<<20}
-		rec := httptest.NewRecorder()
-		tc.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, body))
-		if rec.Code != http.StatusBadRequest || !tc.rejected(rec.Body.Bytes()) {
-			t.Errorf("%s: status %d, body %.200q; want a 400 error envelope", tc.name, rec.Code, rec.Body)
-		}
-		if body.n > tc.bound+4<<10 {
-			t.Errorf("%s: read %d bytes of a %d-byte body, bound %d", tc.name, body.n, body.size, tc.bound)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodPost || r.URL.Path != "/v1/solve" || r.URL.RawQuery != "strategy=mh" || r.Header.Get("X-Incdes-Request-Id") != "req-1/u0" {
+				t.Errorf("%s: worker got %s %s with request ID %q", tc.name, r.Method, r.URL, r.Header.Get("X-Incdes-Request-Id"))
+			}
+			w.WriteHeader(tc.code)
+			io.WriteString(w, tc.body)
+		}))
+		doc, err := c.solve(context.Background(), ts.URL, "req-1/u0", "strategy=mh", []byte(`{}`))
+		ts.Close()
+		switch {
+		case tc.status != "" && (err != nil || doc.Status != tc.status):
+			t.Errorf("%s: doc %+v, err %v; want a %s job document", tc.name, doc, err, tc.status)
+		case tc.status == "" && (err == nil || retryable(err) != tc.retry):
+			t.Errorf("%s: err %v; want an error with retryable = %v", tc.name, err, tc.retry)
 		}
 	}
 }
@@ -184,13 +199,13 @@ func TestRetryable(t *testing.T) {
 		err  error
 		want bool
 	}{
-		{&rpcFailure{code: serve.ErrCodeQueueFull}, true},
-		{&rpcFailure{code: serve.ErrCodeDraining}, true},
-		{&rpcFailure{code: "unavailable"}, true},
-		{&rpcFailure{code: "bad_request"}, false},
-		{&rpcFailure{code: "internal"}, false},
+		{&refusal{code: serve.ErrCodeQueueFull}, true},
+		{&refusal{code: serve.ErrCodeDraining}, true},
+		{&refusal{code: serve.ErrCodeBadRequest}, false},
+		{&refusal{code: serve.ErrCodeInvalidInput}, false},
+		{&refusal{code: serve.ErrCodeInternal}, false},
 		{errors.New("connection refused"), true},
-		{fmt.Errorf("wrapped: %w", &rpcFailure{code: "bad_request"}), false},
+		{fmt.Errorf("wrapped: %w", &refusal{code: serve.ErrCodeBadRequest}), false},
 	}
 	for _, tc := range cases {
 		if got := retryable(tc.err); got != tc.want {
@@ -248,41 +263,5 @@ func TestRegistry(t *testing.T) {
 	// The reported queue depth feeds placement.
 	if got := r.list()[0].queueDepth; got != 5 {
 		t.Fatalf("queueDepth = %d, want 5", got)
-	}
-}
-
-func TestReadStream(t *testing.T) {
-	beats := 0
-	stream := "event: progress\ndata: {\"unit\":1}\n\n" +
-		"event: progress\ndata: {\"unit\":1}\n\n" +
-		"event: result\ndata: {\"id\":7,\"result\":{\"status\":\"done\"}}\n\n"
-	raw, err := readStream(strings.NewReader(stream), func() { beats++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if beats != 2 {
-		t.Errorf("heartbeats = %d, want 2", beats)
-	}
-	var res ExecuteResult
-	if err := decodeResponse(raw, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != "done" {
-		t.Errorf("status = %q", res.Status)
-	}
-
-	if _, err := readStream(strings.NewReader("event: progress\ndata: {}\n\n"), nil); err == nil {
-		t.Error("truncated stream did not error")
-	}
-}
-
-func TestDecodeResponseError(t *testing.T) {
-	err := decodeResponse([]byte(`{"id":1,"error":{"code":"queue_full","message":"busy"}}`), &ExecuteResult{})
-	if err == nil || !retryable(err) {
-		t.Fatalf("err = %v, want retryable rpc failure", err)
-	}
-	var rf *rpcFailure
-	if !errors.As(err, &rf) || rf.code != serve.ErrCodeQueueFull {
-		t.Fatalf("err = %v", err)
 	}
 }

@@ -1,9 +1,9 @@
 package cluster
 
 // Coordinator: the serve.Dispatcher that executes core's work units of a
-// solve on workers — leasing them, reassigning on failure, stealing
-// stragglers — and folds the results with core.Reduce (see the package
-// doc for the full argument).
+// solve on workers — placing them, reassigning on failure, duplicating
+// units stuck on ejected workers — and folds the results with
+// core.Reduce (see the package doc for the full argument).
 
 import (
 	"bytes"
@@ -11,12 +11,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"incdes/internal/core"
@@ -31,10 +31,9 @@ type Options struct {
 	// before the first dispatch). Workers may also self-register at
 	// runtime via POST RegisterPath.
 	Workers []string
-	// LeaseTimeout is how long a unit may go without a heartbeat before
-	// a duplicate attempt is launched on another worker (default 3s).
-	LeaseTimeout time.Duration
-	// ProbeInterval is the /readyz health-probe cadence (default 1s).
+	// ProbeInterval is the /readyz health-probe cadence (default 1s),
+	// and how often a unit whose attempts all run on ejected workers is
+	// duplicated on a healthy one.
 	ProbeInterval time.Duration
 }
 
@@ -42,10 +41,18 @@ type Options struct {
 // probes. The prober readmits it on the next success.
 const probeFailLimit = 3
 
+// unitGrace is how long unit requests outlive the job deadline: long
+// enough for the workers' interrupted answers to come back.
+const unitGrace = 3 * time.Second
+
+// maxAnswerBytes bounds the answer read from a worker.
+const maxAnswerBytes = 16 << 20
+
+// statsTimeout bounds each worker's stats fetch during a /v1/metrics
+// scrape, so the exposition does not block on a dead node.
+const statsTimeout = 2 * time.Second
+
 func (o Options) withDefaults() Options {
-	if o.LeaseTimeout <= 0 {
-		o.LeaseTimeout = 3 * time.Second
-	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
 	}
@@ -56,10 +63,10 @@ func (o Options) withDefaults() Options {
 type Coordinator struct {
 	opts Options
 	reg  *registry
-	// rpc carries all coordinator→worker traffic, probes included. Its
-	// HTTP client has no global timeout: execute streams are long-lived,
-	// and probes and snapshots bound themselves with context deadlines.
-	rpc *client
+	// client carries all coordinator→worker traffic. It has no global
+	// timeout: unit requests last as long as their solves, and probes
+	// and stats fetches bound themselves with context deadlines.
+	client *http.Client
 	// own holds the coordinator's fleet-management instruments (probes,
 	// ejections, healthy-worker gauge) — exported on /v1/metrics under
 	// {worker="coordinator"}. Unit-lifecycle counters go to the job
@@ -77,7 +84,7 @@ func NewCoordinator(opts Options) *Coordinator {
 	c := &Coordinator{
 		opts:      opts,
 		reg:       newRegistry(),
-		rpc:       &client{http: &http.Client{}},
+		client:    &http.Client{},
 		own:       obs.NewRegistry(),
 		probeDone: make(chan struct{}),
 	}
@@ -163,7 +170,7 @@ func (c *Coordinator) probe(ctx context.Context, w *workerState) {
 		c.probeFailed(w)
 		return
 	}
-	resp, err := c.rpc.http.Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		c.probeFailed(w)
 		return
@@ -213,7 +220,7 @@ func unitParams(p serve.SolveParams, u core.Unit) serve.SolveParams {
 
 // outcome is one unit's terminal result.
 type outcome struct {
-	res    *ExecuteResult
+	doc    *serve.JobStatusDoc
 	worker string
 	err    error
 }
@@ -224,22 +231,22 @@ type outcome struct {
 //
 // A job deadline ends a dispatched solve the way it ends a local one,
 // with the best design found so far: every unit gets the time left as
-// its own timeout, and the unit RPCs outlive the job deadline by one
-// lease timeout to carry the workers' interrupted answers back. Only an
+// its own timeout, and the unit requests outlive the job deadline by 3s
+// (unitGrace) to carry the workers' interrupted answers back. Only an
 // explicit cancellation (DELETE, client disconnect, shutdown) stops the
-// RPCs at once and fails the dispatch.
+// unit requests at once and fails the dispatch.
 func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) (*serve.DispatchResult, error) {
 	strat, err := req.Params.Resolve()
 	if err != nil {
 		return nil, err
 	}
 	params := req.Params
-	rpcCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	unitCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	defer cancel()
 	if dl, ok := ctx.Deadline(); ok {
 		params.Timeout = time.Until(dl)
 		var cancelAfter context.CancelFunc
-		rpcCtx, cancelAfter = context.WithDeadline(rpcCtx, dl.Add(c.opts.LeaseTimeout))
+		unitCtx, cancelAfter = context.WithDeadline(unitCtx, dl.Add(unitGrace))
 		defer cancelAfter()
 	}
 	stop := context.AfterFunc(ctx, func() {
@@ -254,7 +261,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) 
 	if err := req.System.WriteJSON(&buf); err != nil {
 		return nil, fmt.Errorf("cluster: serializing system: %w", err)
 	}
-	system := json.RawMessage(buf.Bytes())
+	system := buf.Bytes()
 
 	rt := obs.TraceFrom(ctx)
 	requestID := ""
@@ -280,8 +287,8 @@ func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, worker, err := c.runUnit(rpcCtx, req.Registry, requestID, i, unitParams(params, units[i]).Query(), system)
-			outs[i] = outcome{res: res, worker: worker, err: err}
+			doc, worker, err := c.runUnit(unitCtx, req.Registry, unitRequestID(requestID, i), unitParams(params, units[i]).Query(), system)
+			outs[i] = outcome{doc: doc, worker: worker, err: err}
 		}(i)
 	}
 	wg.Wait()
@@ -296,8 +303,8 @@ func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) 
 			spans[i].SetAttr("worker", outs[i].worker)
 		}
 		spans[i].End()
-		if rt != nil && outs[i].res != nil && len(outs[i].res.Spans) > 0 {
-			rt.AttachRemote(spans[i], outs[i].res.Spans, map[string]string{"worker": outs[i].worker})
+		if outs[i].doc != nil {
+			rt.AttachRemote(spans[i], outs[i].doc.Spans, map[string]string{"worker": outs[i].worker})
 		}
 	}
 	if dspan != nil {
@@ -326,40 +333,31 @@ func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) 
 
 // attempt is one worker's answer for a unit.
 type attempt struct {
-	res *ExecuteResult
+	doc *serve.JobStatusDoc
 	err error
 	ws  *workerState
 }
 
-// runUnit executes one unit with lease-based retry and work stealing.
-// Duplicated or reassigned attempts are safe: every attempt of one unit
-// computes the identical result, so the first answer wins.
-func (c *Coordinator) runUnit(ctx context.Context, jreg *obs.Registry, requestID string, idx int, query string, system json.RawMessage) (*ExecuteResult, string, error) {
+// runUnit executes one unit with retries and work stealing. Duplicated
+// or reassigned attempts are safe: every attempt of one unit computes
+// the identical result, so the first answer wins.
+func (c *Coordinator) runUnit(ctx context.Context, jreg *obs.Registry, requestID, query string, system []byte) (*serve.JobStatusDoc, string, error) {
 	jreg.Counter(obs.CtrClusterUnits).Inc()
 	t0 := time.Now()
 	defer func() { jreg.Histogram(obs.HstClusterUnitSecs).ObserveSince(t0) }()
 
-	var lastBeat atomic.Int64
-	lastBeat.Store(time.Now().UnixNano())
-	results := make(chan attempt, 8)
+	// At most two attempts run at once (one and its single duplicate),
+	// so every attempt still running when runUnit returns can send its
+	// answer without blocking.
+	results := make(chan attempt, 2)
 	running := map[string]bool{}
-	inflight := 0
 
 	start := func(ws *workerState) {
-		inflight++
 		running[ws.name] = true
 		go func() {
-			params := ExecuteParams{
-				RequestID: unitRequestID(requestID, idx),
-				Unit:      idx,
-				Query:     query,
-				System:    system,
-			}
-			res, err := c.rpc.execute(ctx, ws.url, params, func() {
-				lastBeat.Store(time.Now().UnixNano())
-			})
+			doc, err := c.solve(ctx, ws.url, requestID, query, system)
 			c.reg.release(ws)
-			results <- attempt{res: res, err: err, ws: ws}
+			results <- attempt{doc: doc, err: err, ws: ws}
 		}()
 	}
 
@@ -369,48 +367,44 @@ func (c *Coordinator) runUnit(ctx context.Context, jreg *obs.Registry, requestID
 	}
 	start(ws)
 
-	leaseTick := time.NewTicker(c.opts.LeaseTimeout / 4)
-	defer leaseTick.Stop()
+	tick := time.NewTicker(c.opts.ProbeInterval)
+	defer tick.Stop()
 	stolen := false
 	for {
 		select {
 		case <-ctx.Done():
 			return nil, "", ctx.Err()
 		case a := <-results:
-			inflight--
 			delete(running, a.ws.name)
 			if a.err == nil {
-				return a.res, a.ws.name, nil
+				return a.doc, a.ws.name, nil
 			}
 			jreg.Counter(obs.CtrClusterRPCErrors).Inc()
 			if !retryable(a.err) {
 				return nil, "", a.err
 			}
-			// Transport-level loss: eject the worker now (the prober
-			// readmits it when /readyz answers again) and reassign if
-			// this was the unit's only live attempt.
+			// Eject the worker now (the prober readmits it when /readyz
+			// answers again) and reassign if this was the unit's only
+			// running attempt.
 			if c.reg.markDown(a.ws) {
 				c.own.Counter(obs.CtrClusterEjections).Inc()
 				c.own.Gauge(obs.GagClusterWorkers).Set(int64(c.reg.healthyCount()))
 			}
-			if inflight == 0 {
+			if len(running) == 0 {
 				jreg.Counter(obs.CtrClusterReassigned).Inc()
 				ws, err := c.lease(ctx, running)
 				if err != nil {
 					return nil, "", err
 				}
-				lastBeat.Store(time.Now().UnixNano())
 				start(ws)
 			}
-		case <-leaseTick.C:
-			if stolen || inflight == 0 {
+		case <-tick.C:
+			// Straggler: every running attempt sits on an ejected worker.
+			// Duplicate the unit on a healthy one, at most once per unit;
+			// the first answer wins.
+			if stolen || c.reg.anyHealthy(running) {
 				continue
 			}
-			if time.Duration(time.Now().UnixNano()-lastBeat.Load()) < c.opts.LeaseTimeout {
-				continue
-			}
-			// Straggler: duplicate the unit on another worker (at most
-			// once per unit); first answer wins.
 			if ws := c.reg.pick(running); ws != nil {
 				stolen = true
 				jreg.Counter(obs.CtrClusterSteals).Inc()
@@ -418,6 +412,40 @@ func (c *Coordinator) runUnit(ctx context.Context, jreg *obs.Registry, requestID
 			}
 		}
 	}
+}
+
+// solve posts one unit attempt to the worker at baseURL and returns the
+// job document it answers with: done, interrupted or failed. A worker's
+// error envelope is returned as a *refusal; any other error is a
+// transport failure or an answer that does not parse.
+func (c *Coordinator) solve(ctx context.Context, baseURL, requestID, query string, system []byte) (*serve.JobStatusDoc, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/solve?"+query, bytes.NewReader(system))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if requestID != "" {
+		req.Header.Set("X-Incdes-Request-Id", requestID)
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswerBytes))
+	if err != nil {
+		return nil, err
+	}
+	var env serve.ErrorDoc
+	if json.Unmarshal(raw, &env) == nil && env.Error.Code != "" {
+		return nil, &refusal{code: env.Error.Code, msg: env.Error.Message}
+	}
+	var doc serve.JobStatusDoc
+	if (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusUnprocessableEntity) &&
+		json.Unmarshal(raw, &doc) == nil && doc.Status != "" {
+		return &doc, nil
+	}
+	return nil, fmt.Errorf("cluster: worker answered %d without a job document", resp.StatusCode)
 }
 
 // lease blocks until a schedulable worker outside exclude is available.
@@ -443,9 +471,9 @@ func unitRequestID(requestID string, idx int) string {
 
 // foldResults folds unit outcomes into the solve's single solution
 // document through core.Reduce, so winner selection and error precedence
-// are the local strategies' own. RPC-level failures come first, in unit order:
-// they are coordinator infrastructure errors, not solve outcomes. The
-// winning unit's document carries the combined evaluation count and
+// are the local strategies' own. Attempt failures come first, in unit
+// order: they are coordinator infrastructure errors, not solve outcomes.
+// The winning unit's document carries the combined evaluation count and
 // interrupted flag. Returns the winning unit index.
 func foldResults(plan core.UnitPlan, outs []outcome) (*serve.SolutionDoc, int, error) {
 	results := make([]core.Outcome, len(outs))
@@ -453,12 +481,12 @@ func foldResults(plan core.UnitPlan, outs []outcome) (*serve.SolutionDoc, int, e
 		switch {
 		case o.err != nil:
 			return nil, 0, o.err
-		case o.res != nil && o.res.Status == serve.StatusFailed:
-			results[i].Err = errors.New(o.res.Error)
-		case o.res == nil || o.res.Doc == nil:
+		case o.doc.Status == serve.StatusFailed:
+			results[i].Err = errors.New(o.doc.Error)
+		case o.doc.Solution == nil:
 			return nil, 0, fmt.Errorf("cluster: unit %d returned no document", i)
 		default:
-			d := o.res.Doc
+			d := o.doc.Solution
 			results[i] = core.Outcome{Objective: d.Objective, Evaluations: d.Evaluations, Interrupted: d.Interrupted}
 		}
 	}
@@ -466,7 +494,7 @@ func foldResults(plan core.UnitPlan, outs []outcome) (*serve.SolutionDoc, int, e
 	if err != nil {
 		return nil, 0, err
 	}
-	doc := *outs[winner].res.Doc
+	doc := *outs[winner].doc.Solution
 	doc.Evaluations = sum.Evaluations
 	doc.Interrupted = sum.Interrupted
 	return &doc, winner, nil
@@ -481,15 +509,16 @@ func (c *Coordinator) emitTrace(t obs.Tracer, units []core.Unit, outs []outcome,
 		return
 	}
 	for i, u := range units {
+		sol := outs[i].doc.Solution
 		ev := obs.TraceEvent{
 			Kind:     "cluster.unit",
 			Strategy: u.Name,
 			Chain:    i,
-			Feasible: outs[i].res != nil && outs[i].res.Doc != nil,
+			Feasible: sol != nil,
 		}
-		if outs[i].res != nil && outs[i].res.Doc != nil {
-			ev.Cost = outs[i].res.Doc.Objective
-			ev.Evaluations = int64(outs[i].res.Doc.Evaluations)
+		if sol != nil {
+			ev.Cost = sol.Objective
+			ev.Evaluations = int64(sol.Evaluations)
 		}
 		t.Trace(ev)
 	}
@@ -504,22 +533,67 @@ func (c *Coordinator) emitTrace(t obs.Tracer, units []core.Unit, outs []outcome,
 
 // MetricsExtra merges the fleet's metrics into the coordinator's
 // /v1/metrics exposition: the coordinator's own fleet instruments under
-// {worker="coordinator"}, each worker's aggregate snapshot under
-// {worker="wN"}, and the cross-fleet merge under {worker="all"}.
-// Unreachable workers are skipped — the exposition must not block on a
-// dead node.
+// {worker="coordinator"}, each worker's GET /v1/stats snapshot under
+// {worker="wN"}, and the fleet total under {worker="all"}, where
+// counters and histograms merge and each gauge is the sum over the
+// workers. The workers are asked concurrently, each for at most 2s
+// (statsTimeout); a worker that does not answer in time is skipped.
 func (c *Coordinator) MetricsExtra(col *promtext.Collection) {
 	col.Add(map[string]string{"worker": "coordinator"}, c.own.Snapshot())
+	workers := c.reg.list()
+	snaps := make([]*obs.Snapshot, len(workers))
+	var wg sync.WaitGroup
+	for i, w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), statsTimeout)
+			defer cancel()
+			snaps[i], _ = c.stats(ctx, w.url) // an unreachable worker has no row
+		}()
+	}
+	wg.Wait()
 	agg := obs.NewRegistry()
-	for _, w := range c.reg.list() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		snap, err := c.rpc.snapshot(ctx, w.url)
-		cancel()
-		if err != nil {
+	gauges := map[string]int64{}
+	for i, snap := range snaps {
+		if snap == nil {
 			continue
 		}
-		col.Add(map[string]string{"worker": w.name}, *snap)
+		col.Add(map[string]string{"worker": workers[i].name}, *snap)
 		agg.Merge(*snap)
+		for name, v := range snap.Gauges {
+			gauges[name] += v
+		}
+	}
+	for name, v := range gauges {
+		agg.Gauge(name).Set(v)
 	}
 	col.Add(map[string]string{"worker": "all"}, agg.Snapshot())
+}
+
+// stats fetches the worker's aggregate obs snapshot.
+func (c *Coordinator) stats(ctx context.Context, baseURL string) (*obs.Snapshot, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/stats", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("cluster: GET /v1/stats answered %d", resp.StatusCode)
+	}
+	var snap obs.Snapshot
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxAnswerBytes)).Decode(&snap); err != nil {
+		return nil, err
+	}
+	return &snap, nil
+}
+
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(v)
 }

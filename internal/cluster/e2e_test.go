@@ -1,10 +1,10 @@
 package cluster
 
 // End-to-end cluster tests over real localhost HTTP: coordinator and
-// workers are separate http servers, so every RPC crosses a TCP
-// connection exactly as in a multi-process deployment. The tests pin
-// the acceptance contract: a 1-worker and a 3-worker cluster — and a
-// cluster that loses a worker mid-solve — return solution documents
+// workers are separate http servers, so every unit request crosses a
+// TCP connection exactly as in a multi-process deployment. The tests
+// pin the acceptance contract: a 1-worker and a 3-worker cluster — and
+// a cluster that loses a worker mid-solve — return solution documents
 // byte-identical to a local, dispatcher-less incmapd.
 
 import (
@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,13 +36,12 @@ func fixtureJSON(t testing.TB) []byte {
 	return data
 }
 
-// newWorker starts one worker daemon: a plain serve server with the
-// cluster RPC endpoint mounted in front, listening on localhost TCP.
+// newWorker starts one worker daemon: a stock serve server with a
+// solution cache, listening on localhost TCP.
 func newWorker(t testing.TB) *httptest.Server {
 	t.Helper()
 	s := serve.New(serve.Config{Parallelism: 1, MaxConcurrent: 2, SolutionCacheSize: 32})
-	w := NewWorker(s, WorkerOptions{Heartbeat: 50 * time.Millisecond})
-	ts := httptest.NewServer(w.Handler(s.Handler()))
+	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return ts
 }
@@ -175,23 +175,96 @@ func TestE2EDeadlineReturnsBestDesign(t *testing.T) {
 	}
 }
 
-// flakyWorker answers cluster.execute with one heartbeat and then kills
-// the connection — a worker dying mid-chain, deterministically.
+// flakyWorker answers a unit's POST /v1/solve with a 200 header and then
+// kills the connection — a worker dying mid-chain, deterministically.
 func flakyWorker(t testing.TB) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != RPCPath {
+		if r.URL.Path != "/v1/solve" {
 			http.NotFound(w, r)
 			return
 		}
-		w.Header().Set("Content-Type", "text/event-stream")
 		w.WriteHeader(http.StatusOK)
-		fmt.Fprint(w, "event: progress\ndata: {\"unit\":0}\n\n")
 		w.(http.Flusher).Flush()
 		panic(http.ErrAbortHandler)
 	}))
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// TestE2EStaticStockWorker lists a stock daemon, one that never
+// registered itself, as the coordinator's only worker: it serves the
+// units of an SA solve, and the answer is the local bytes.
+func TestE2EStaticStockWorker(t *testing.T) {
+	system := fixtureJSON(t)
+	const q = "strategy=sa&sa-restarts=2&sa-iters=200&seed=5"
+	want, wresp := postSolve(t, newLocal(t).URL, q, system, nil)
+	mustDone(t, want, wresp, "local")
+
+	cl := newCluster(t, Options{Workers: []string{newLocal(t).URL}})
+	got, resp := postSolve(t, cl.URL, q, system, nil)
+	mustDone(t, got, resp, "cluster over a stock worker")
+	if !bytes.Equal(got.Solution, want.Solution) {
+		t.Errorf("solution differs from local\ncluster: %.200s\nlocal:   %.200s", got.Solution, want.Solution)
+	}
+	if got.Worker != "w1" {
+		t.Errorf("worker = %q, want w1", got.Worker)
+	}
+}
+
+// hungWorker is a node that freezes on its first unit: it answers
+// /readyz as a healthy worker until a POST /v1/solve arrives, and every
+// other request, and every probe after that, hangs until the client
+// gives up. The body is read first: the server notices a client that
+// gives up only once the request body is consumed.
+func hungWorker(t testing.TB) *httptest.Server {
+	t.Helper()
+	var frozen atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" && !frozen.Load() {
+			json.NewEncoder(w).Encode(serve.ReadyDoc{Status: "ready"})
+			return
+		}
+		if r.URL.Path == "/v1/solve" {
+			frozen.Store(true)
+		}
+		io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestE2EStealFromEjectedWorker hangs the worker holding the only unit:
+// once the prober ejects it, the unit is duplicated on the healthy
+// worker, whose answer wins.
+func TestE2EStealFromEjectedWorker(t *testing.T) {
+	system := fixtureJSON(t)
+	// The timeout fails the solve instead of hanging the test when no
+	// duplicate is started.
+	const q = "strategy=sa&sa-iters=200&seed=11&timeout=30s"
+	want, wresp := postSolve(t, newLocal(t).URL, q, system, nil)
+	mustDone(t, want, wresp, "local")
+
+	// Both workers report an empty queue, so the unit goes to w1 first.
+	cl := newCluster(t, Options{
+		Workers:       []string{hungWorker(t).URL, newWorker(t).URL},
+		ProbeInterval: 20 * time.Millisecond,
+	})
+	got, resp := postSolve(t, cl.URL, q, system, nil)
+	mustDone(t, got, resp, "cluster with a hung worker")
+	if !bytes.Equal(got.Solution, want.Solution) {
+		t.Errorf("solution after the steal differs from local\ncluster: %.200s\nlocal:   %.200s", got.Solution, want.Solution)
+	}
+	if got.Stats == nil {
+		t.Fatal("no request stats")
+	}
+	if n := got.Stats.Counters[obs.CtrClusterSteals]; n != 1 {
+		t.Errorf("cluster.steals = %d, want 1", n)
+	}
+	if got.Worker != "w2" {
+		t.Errorf("worker = %q, want w2 (the healthy one)", got.Worker)
+	}
 }
 
 // TestE2EWorkerLossReassigns kills a worker mid-chain and checks the
@@ -416,9 +489,9 @@ func TestE2EReadyzBody(t *testing.T) {
 	}
 }
 
-// TestE2ESpanGrafting checks the request-ID propagates across the RPC
-// hop and the worker-side span tree is grafted into the coordinator's
-// trace with a worker attribute.
+// TestE2ESpanGrafting checks the request-ID propagates to the unit
+// requests and the worker-side span tree is grafted into the
+// coordinator's trace with a worker attribute.
 func TestE2ESpanGrafting(t *testing.T) {
 	system := fixtureJSON(t)
 	cl := newCluster(t, Options{Workers: []string{newWorker(t).URL}})
@@ -446,5 +519,68 @@ func TestE2ESpanGrafting(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("coordinator trace missing %q\n%.600s", want, text)
 		}
+	}
+}
+
+// scrape returns the coordinator's /v1/metrics exposition.
+func scrape(t testing.TB, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/metrics = %d: %v", resp.StatusCode, err)
+	}
+	return string(body)
+}
+
+// sampleValue returns the value of one series in an exposition, "" when
+// the series is absent.
+func sampleValue(text, series string) string {
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			return v
+		}
+	}
+	return ""
+}
+
+// TestE2EFleetGaugeRows pins the coordinator's per-worker gauge rows to
+// the workers' current values and the fleet row to their sum: w1 holds
+// two cached solutions, w2 one.
+func TestE2EFleetGaugeRows(t *testing.T) {
+	system := fixtureJSON(t)
+	w1, w2 := newWorker(t), newWorker(t)
+	for _, post := range []struct{ base, query string }{
+		{w1.URL, "strategy=ah"}, {w1.URL, "strategy=mh"}, {w2.URL, "strategy=ah"},
+	} {
+		doc, resp := postSolve(t, post.base, post.query, system, nil)
+		mustDone(t, doc, resp, post.query)
+	}
+	cl := newCluster(t, Options{Workers: []string{w1.URL, w2.URL}, ProbeInterval: time.Hour})
+	text := scrape(t, cl.URL)
+	for worker, want := range map[string]string{"w1": "2", "w2": "1", "all": "3"} {
+		series := `incdes_cache_entries{worker="` + worker + `"}`
+		if got := sampleValue(text, series); got != want {
+			t.Errorf("%s = %q, want %s", series, got, want)
+		}
+	}
+}
+
+// TestE2EMetricsHungWorkers scrapes a coordinator whose two workers
+// never answer: their stats are fetched concurrently, so the scrape
+// waits one stats timeout, not one per worker, and shows neither.
+func TestE2EMetricsHungWorkers(t *testing.T) {
+	cl := newCluster(t, Options{Workers: []string{hungWorker(t).URL, hungWorker(t).URL}, ProbeInterval: time.Hour})
+	start := time.Now()
+	text := scrape(t, cl.URL)
+	if d := time.Since(start); d >= 3*time.Second {
+		t.Errorf("scrape took %v with two hung workers, want under 3s", d)
+	}
+	if !strings.Contains(text, `worker="coordinator"`) || strings.Contains(text, `worker="w1"`) {
+		t.Errorf("want the coordinator's rows and no row of a hung worker")
 	}
 }

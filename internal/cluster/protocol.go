@@ -1,23 +1,22 @@
 // Package cluster turns a set of incmapd daemons into one solve
 // cluster: a coordinator shards work units — SA restart chains,
-// portfolio lanes, whole ah/mh jobs — across worker daemons over a
-// small JSON-RPC-over-HTTP protocol and reduces the results in unit
-// index order, so cluster size and scheduling can change only the wall
-// clock, never the answer.
+// portfolio lanes, whole ah/mh jobs — across worker daemons and reduces
+// the results in unit index order, so cluster size and scheduling can
+// change only the wall clock, never the answer.
 //
-// Protocol. Workers mount POST /v1/cluster/rpc; the request body is a
-// JSON-RPC-shaped envelope {method, id, params}:
+// Protocol. A worker is any incmapd; the coordinator uses only its
+// public API:
 //
-//	cluster.execute   run one work unit; the response is an SSE stream
-//	                  of heartbeat "progress" events (the coordinator's
-//	                  lease liveness signal) terminated by one "result"
-//	                  event carrying the {id, result|error} envelope
-//	cluster.snapshot  plain JSON response: the worker's aggregate obs
-//	                  snapshot, merged into the coordinator's /v1/metrics
+//	POST /v1/solve?<unit query>  run one work unit: the body is the
+//	                             system, the answer the job document
+//	GET  /v1/stats               the worker's aggregate obs snapshot,
+//	                             merged into the coordinator's /v1/metrics
+//	GET  /readyz                 health and load, polled by the prober
 //
 // Coordinators mount POST /v1/cluster/workers for worker
 // self-registration (incmapd -worker-of re-posts it periodically, so a
-// restarted coordinator re-learns its fleet).
+// restarted coordinator re-learns its fleet); workers may also be
+// listed statically.
 //
 // Determinism argument. Every unit is a plain solve request against the
 // worker's own serve stack — admission, solution cache, single-flight
@@ -35,109 +34,38 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
-	"incdes/internal/obs"
 	"incdes/internal/serve"
 )
 
-// Protocol paths and method names.
-const (
-	RPCPath      = "/v1/cluster/rpc"     // worker: JSON-RPC endpoint
-	RegisterPath = "/v1/cluster/workers" // coordinator: self-registration
-
-	MethodExecute  = "cluster.execute"
-	MethodSnapshot = "cluster.snapshot"
-)
-
-// rpcRequest is the JSON-RPC-shaped request envelope.
-type rpcRequest struct {
-	Method string          `json:"method"`
-	ID     int64           `json:"id"`
-	Params json.RawMessage `json:"params,omitempty"`
-}
-
-// rpcError is a protocol-level failure. Code classifies it for the
-// coordinator's retry policy; see retryable.
-type rpcError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-// rpcResponse is the response envelope (the "result" SSE event's data
-// for cluster.execute, the whole body otherwise).
-type rpcResponse struct {
-	ID     int64           `json:"id"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  *rpcError       `json:"error,omitempty"`
-}
-
-// rpcFailure is an rpcError surfaced as a Go error on the coordinator.
-type rpcFailure struct {
-	code string
-	msg  string
-}
-
-func (e *rpcFailure) Error() string { return fmt.Sprintf("cluster: rpc %s: %s", e.code, e.msg) }
-
-// retryable reports whether a unit attempt that failed with err may
-// succeed on another worker: transport errors and capacity rejections
-// yes, deterministic request failures no.
-func retryable(err error) bool {
-	var rf *rpcFailure
-	if errors.As(err, &rf) {
-		switch rf.code {
-		case serve.ErrCodeQueueFull, serve.ErrCodeDraining, "unavailable":
-			return true
-		}
-		return false
-	}
-	return true // transport-level: connection refused, reset, EOF, ...
-}
-
-// ExecuteParams is the cluster.execute payload: one work unit.
-type ExecuteParams struct {
-	// RequestID is the coordinator's correlation ID suffixed with the
-	// unit index ("req-000007/u2"), propagated as X-Incdes-Request-Id so
-	// worker-side spans are unique per unit and graftable into the
-	// coordinator's trace.
-	RequestID string `json:"request_id,omitempty"`
-	// Unit is the global unit index, echoed in progress events.
-	Unit int `json:"unit"`
-	// Query is the unit's POST /v1/solve query string, which the worker
-	// posts verbatim: it selects what the unit solves.
-	Query string `json:"query"`
-	// System is the problem input, verbatim canonical JSON.
-	System json.RawMessage `json:"system"`
-}
-
-// ExecuteResult is a terminal unit outcome. Status and Error mirror the
-// worker-side job document; Doc is nil exactly when the solve failed.
-type ExecuteResult struct {
-	Status string             `json:"status"`
-	Error  string             `json:"error,omitempty"`
-	Doc    *serve.SolutionDoc `json:"doc,omitempty"`
-	// Cache is the worker-side X-Incdes-Cache annotation (hit/miss/
-	// inflight) — informational; hits still return the identical bytes.
-	Cache string `json:"cache,omitempty"`
-	// Spans are the worker-side span snapshots of the unit's request,
-	// grafted into the coordinator's trace with a worker attribute.
-	Spans []obs.SpanSnapshot `json:"spans,omitempty"`
-}
-
-// SnapshotResult is the cluster.snapshot payload.
-type SnapshotResult struct {
-	Snapshot obs.Snapshot `json:"snapshot"`
-}
+// RegisterPath is the coordinator's self-registration endpoint.
+const RegisterPath = "/v1/cluster/workers"
 
 // RegisterParams is the worker self-registration payload.
 type RegisterParams struct {
 	URL string `json:"url"`
 }
 
-// progressEvent is the data of one SSE heartbeat.
-type progressEvent struct {
-	Unit int `json:"unit"`
+// refusal is a worker's error envelope answering a unit attempt. Its
+// code classifies it for the retry policy; see retryable.
+type refusal struct {
+	code string
+	msg  string
+}
+
+func (e *refusal) Error() string {
+	return fmt.Sprintf("cluster: worker refused unit: %s: %s", e.code, e.msg)
+}
+
+// retryable reports whether a unit attempt that failed with err may
+// succeed on another worker: transport errors, unparsable answers and
+// capacity refusals yes, deterministic request failures no.
+func retryable(err error) bool {
+	var r *refusal
+	if errors.As(err, &r) {
+		return r.code == serve.ErrCodeQueueFull || r.code == serve.ErrCodeDraining
+	}
+	return true
 }

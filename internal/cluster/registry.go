@@ -111,9 +111,9 @@ func (r *registry) probeFail(w *workerState, limit int) bool {
 	return false
 }
 
-// markDown ejects a worker immediately (e.g. on a transport-level RPC
-// failure); the prober readmits it when /readyz answers again. Returns
-// true on the healthy→unhealthy transition.
+// markDown ejects a worker immediately (on a failed unit attempt that
+// may succeed elsewhere); the prober readmits it when /readyz answers
+// again. Returns true on the healthy→unhealthy transition.
 func (r *registry) markDown(w *workerState) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -123,6 +123,18 @@ func (r *registry) markDown(w *workerState) bool {
 	w.healthy = false
 	w.fails++
 	return true
+}
+
+// anyHealthy reports whether any worker named in names is schedulable.
+func (r *registry) anyHealthy(names map[string]bool) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, w := range r.workers {
+		if names[w.name] && w.healthy {
+			return true
+		}
+	}
+	return false
 }
 
 // list returns a stable-order snapshot of the fleet.

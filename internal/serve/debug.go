@@ -61,12 +61,12 @@ func (w flushWriter) Flush() {
 }
 
 // trackRequest reports whether a path's trace belongs in the debug
-// ring: API traffic yes, infrastructure endpoints (metrics scrapes,
-// probes, pprof and the debug surface itself) no.
+// ring: API traffic yes, infrastructure endpoints (metrics and stats
+// scrapes, probes, pprof and the debug surface itself) no.
 func trackRequest(path string) bool {
 	p := strings.TrimPrefix(path, "/v1")
 	switch {
-	case p == "/metrics", p == "/healthz", p == "/readyz":
+	case p == "/metrics", p == "/stats", p == "/healthz", p == "/readyz":
 		return false
 	case strings.HasPrefix(p, "/debug/"):
 		return false
@@ -195,27 +195,4 @@ func (s *Server) handleDebugRequest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, rec.Doc())
-}
-
-// spanSummary is the per-span digest attached to detached-job status
-// documents: enough to see where the job's time goes without fetching
-// the full debug tree.
-type spanSummary struct {
-	Name       string `json:"name"`
-	ID         string `json:"id"`
-	DurationNS int64  `json:"duration_ns"`
-}
-
-// spanSummaries flattens a job's trace in start order; nil when the job
-// ran without a trace.
-func spanSummaries(rt *obs.RequestTrace) []spanSummary {
-	spans := rt.Snapshot()
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make([]spanSummary, len(spans))
-	for i, ss := range spans {
-		out[i] = spanSummary{Name: ss.Name, ID: ss.ID, DurationNS: ss.DurationNS}
-	}
-	return out
 }

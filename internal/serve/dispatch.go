@@ -72,23 +72,11 @@ type ReadyDoc struct {
 }
 
 // RequestSpans returns the recorded span snapshots of one request
-// correlation ID (nil when unknown or untracked). The cluster worker
-// RPC ships these to the coordinator, which grafts them into its own
-// trace via obs.RequestTrace.AttachRemote.
+// correlation ID (nil when unknown or untracked).
 func (s *Server) RequestSpans(id string) []obs.SpanSnapshot {
 	rec, ok := s.recorder.Get(id)
 	if !ok {
 		return nil
 	}
 	return rec.Spans()
-}
-
-// StatsSnapshot exports the cross-strategy aggregate registry. The
-// cluster worker RPC serves this so a coordinator can merge worker
-// metrics into its own /v1/metrics exposition under per-worker labels.
-func (s *Server) StatsSnapshot() obs.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seedCatalog(s.global)
-	return s.global.Snapshot()
 }

@@ -16,6 +16,7 @@
 //	GET    /v1/sessions/{id}/diff          placement + metric delta between two versions
 //
 //	GET    /metrics               Prometheus text exposition (catalog + process gauges)
+//	GET    /v1/stats              the cross-strategy aggregate as an obs.Snapshot (JSON)
 //	GET    /healthz, /readyz      liveness / readiness
 //	GET    /debug/pprof/...       net/http/pprof, when Config.EnablePprof
 //
@@ -66,8 +67,8 @@ import (
 )
 
 // MaxBodyBytes bounds every request body the service reads: the system
-// of a solve or a new session, a commit's application, and the bodies of
-// the cluster endpoints (package cluster).
+// of a solve or a new session, a commit's application, and a cluster
+// worker's registration (package cluster).
 const MaxBodyBytes = 64 << 20
 
 // Config tunes a Server. Zero values select the documented defaults.
@@ -219,6 +220,7 @@ func New(cfg Config) *Server {
 		s.mux.HandleFunc("GET "+prefix+"/healthz", s.handleHealthz)
 		s.mux.HandleFunc("GET "+prefix+"/readyz", s.handleReadyz)
 	}
+	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/debug/requests", s.handleDebugRequests)
 	s.mux.HandleFunc("GET /v1/debug/requests/{id}", s.handleDebugRequest)
 	if cfg.EnablePprof {
@@ -307,10 +309,11 @@ type JobStatusDoc struct {
 	// solve, comma-joined in unit order; empty for local solves.
 	Worker string `json:"worker,omitempty"`
 	// RequestID and Spans tie a (typically detached) job back to the
-	// request trace that submitted it: the correlation ID plus a flat
-	// per-span duration digest once the job is terminal.
-	RequestID string        `json:"request_id,omitempty"`
-	Spans     []spanSummary `json:"spans,omitempty"`
+	// request trace that submitted it: the correlation ID plus the
+	// trace's spans in start order once the job is terminal. A cluster
+	// coordinator grafts a unit's spans into its own trace.
+	RequestID string             `json:"request_id,omitempty"`
+	Spans     []obs.SpanSnapshot `json:"spans,omitempty"`
 }
 
 func (s *Server) statusDoc(j *job) *JobStatusDoc {
@@ -323,7 +326,7 @@ func (s *Server) statusDoc(j *job) *JobStatusDoc {
 	if status == StatusDone || status == StatusInterrupted {
 		snap := j.reg.Snapshot()
 		out.Stats = &snap
-		out.Spans = spanSummaries(j.trace)
+		out.Spans = j.trace.Snapshot()
 	}
 	return out
 }
@@ -883,14 +886,30 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	c := promtext.NewCollection(promtext.DefaultNamespace)
-
-	// Refresh the cache-occupancy gauge: entries come and go through
-	// both the solve and session-commit paths, so read the LRU directly.
+// statsLocked refreshes the cache-occupancy gauge and snapshots the
+// cross-strategy aggregate: the {strategy="all"} rows of /metrics and
+// the body of /v1/stats. Cache entries come and go through both the
+// solve and session-commit paths, so the gauge reads the LRU directly.
+// The caller holds s.mu, so the snapshot agrees with the per-strategy
+// aggregates that finalize folds under the same lock.
+func (s *Server) statsLocked() obs.Snapshot {
 	if s.solutions != nil {
 		s.global.Gauge(obs.GagSolveCacheEntries).Set(int64(s.solutions.Len()))
 	}
+	return s.global.Snapshot()
+}
+
+// handleStats serves GET /v1/stats, which a cluster coordinator merges
+// into its own /v1/metrics under the worker's label.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	snap := s.statsLocked()
+	s.mu.Unlock()
+	writeJSON(w, http.StatusOK, snap)
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	c := promtext.NewCollection(promtext.DefaultNamespace)
 
 	// The instrument catalog: the cross-strategy aggregate under
 	// {strategy="all"}, plus one label set per strategy that has run.
@@ -899,7 +918,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// "all", and "all" is seeded with the whole catalog, so every
 	// per-strategy series has its {strategy="all"} counterpart.
 	s.mu.Lock()
-	c.Add(map[string]string{"strategy": "all"}, s.global.Snapshot())
+	c.Add(map[string]string{"strategy": "all"}, s.statsLocked())
 	for tag, reg := range s.perStrat {
 		c.Add(map[string]string{"strategy": tag}, reg.Snapshot())
 	}
