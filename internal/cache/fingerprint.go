@@ -1,7 +1,8 @@
 // Package cache memoizes whole solve requests: a canonical SHA-256
-// problem fingerprint, a size-bounded LRU of solved results, and a
-// single-flight group that coalesces concurrent identical requests onto
-// one solve.
+// problem fingerprint, and one table of flights keyed by it. A key's
+// flight is either in flight, so concurrent identical requests coalesce
+// onto one solve, or landed and kept, so a later identical request
+// joins the result; at most a fixed number are kept.
 //
 // The fingerprint is the load-bearing piece. core.Solve is deterministic
 // — for a fixed (problem, strategy tuning) every parallelism level

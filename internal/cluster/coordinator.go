@@ -141,7 +141,9 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 }
 
 // probeLoop polls every worker's /readyz, feeding the load signal and
-// health state the placement logic uses.
+// health state the placement logic uses. A round probes the workers
+// concurrently, each for at most one interval, so hung workers delay
+// neither the healthy ones nor their own ejection.
 func (c *Coordinator) probeLoop(ctx context.Context) {
 	defer close(c.probeDone)
 	tick := time.NewTicker(c.opts.ProbeInterval)
@@ -151,9 +153,15 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
+			var wg sync.WaitGroup
 			for _, w := range c.reg.list() {
-				c.probe(ctx, w)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c.probe(ctx, w)
+				}()
 			}
+			wg.Wait()
 			c.own.Gauge(obs.GagClusterWorkers).Set(int64(c.reg.healthyCount()))
 		}
 	}

@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -582,5 +583,62 @@ func TestE2EMetricsHungWorkers(t *testing.T) {
 	}
 	if !strings.Contains(text, `worker="coordinator"`) || strings.Contains(text, `worker="w1"`) {
 		t.Errorf("want the coordinator's rows and no row of a hung worker")
+	}
+}
+
+// TestE2EProbesHungWorkersConcurrently runs the prober over three hung
+// workers and one healthy one. A round probes every worker at once, so
+// the healthy worker is probed about once per interval and the hung
+// ones are ejected within a few intervals; probed one after another, a
+// round took one interval per hung worker.
+func TestE2EProbesHungWorkersConcurrently(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	var probes atomic.Int64
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		probes.Add(1)
+		json.NewEncoder(w).Encode(serve.ReadyDoc{Status: "ready"})
+	}))
+	t.Cleanup(healthy.Close)
+	// A hung worker freezes on its first POST /v1/solve, which then hangs
+	// until the client gives up.
+	hung := []string{hungWorker(t).URL, hungWorker(t).URL, hungWorker(t).URL}
+	for _, u := range hung {
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u+"/v1/solve", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := http.DefaultClient.Do(req); err == nil {
+			t.Fatalf("hung worker %s answered its first unit", u)
+		}
+		cancel()
+	}
+
+	c := NewCoordinator(Options{Workers: append(hung, healthy.URL), ProbeInterval: interval})
+	t.Cleanup(c.Close)
+	start := time.Now()
+	for {
+		ejected := 0
+		for _, w := range c.reg.info() {
+			if !w.Healthy {
+				ejected++
+			}
+		}
+		if ejected == len(hung) {
+			break
+		}
+		if time.Since(start) > 7*interval {
+			t.Fatalf("%d of %d hung workers ejected after %v, want all within 7 intervals", ejected, len(hung), time.Since(start))
+		}
+		time.Sleep(interval / 10)
+	}
+	time.Sleep(15*interval - time.Since(start))
+	if n := probes.Load(); n < 10 {
+		t.Errorf("the healthy worker was probed %d times in 15 intervals, want about one per interval", n)
+	}
+	for _, w := range c.reg.info() {
+		if w.URL == healthy.URL && !w.Healthy {
+			t.Error("the healthy worker was ejected")
+		}
 	}
 }

@@ -69,16 +69,20 @@ func (a *Application) Validate(arch *Architecture) error {
 	return nil
 }
 
-// Validate checks the complete system: architecture, every application,
-// global ID uniqueness, that every message fits into at least one slot
-// of its possible sender nodes, and that the hyperperiod is a positive
-// tm.Time.
+// Validate checks the complete system: architecture, at least one
+// application (the future profile's base period is the smallest of
+// their periods), every application, global ID uniqueness, that every
+// message fits into at least one slot of its possible sender nodes, and
+// that the hyperperiod is a positive tm.Time.
 func (s *System) Validate() error {
 	if s.Arch == nil {
 		return fmt.Errorf("model: system has no architecture")
 	}
 	if err := s.Arch.Validate(); err != nil {
 		return err
+	}
+	if len(s.Apps) == 0 {
+		return fmt.Errorf("model: system has no applications")
 	}
 	seenApp := map[AppID]bool{}
 	seenGraph := map[GraphID]bool{}

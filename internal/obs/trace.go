@@ -153,15 +153,24 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 	}
 }
 
+// OnCostCurve reports whether an event of this kind records a design the
+// search committed to or improved on (init, move, sa.best, decision):
+// one point of the cost curve.
+func OnCostCurve(kind string) bool {
+	switch kind {
+	case "init", "move", "sa.best", "decision":
+		return true
+	}
+	return false
+}
+
 // CostCurve extracts the cost trajectory of a trace: the Cost of every
-// event that records a design the search committed to or improved on
-// (init, move, sa.best, decision). Feed it to textplot.Convergence to
-// render the cost-vs-iteration curve.
+// event on the cost curve (OnCostCurve). Feed it to textplot.Convergence
+// to render the cost-vs-iteration curve.
 func CostCurve(events []TraceEvent) []float64 {
 	var costs []float64
 	for _, ev := range events {
-		switch ev.Kind {
-		case "init", "move", "sa.best", "decision":
+		if OnCostCurve(ev.Kind) {
 			costs = append(costs, ev.Cost)
 		}
 	}

@@ -3,34 +3,34 @@ package serve
 // Whole-solution caching and single-flight dedup for POST /v1/solve.
 //
 // With Config.SolutionCacheSize > 0 every solve request is fingerprinted
-// (internal/cache: canonical SHA-256 over the posted system, problem
-// parameters and strategy tuning). The response is annotated with
-// X-Incdes-Cache:
+// (internal/cache: canonical SHA-256 over the posted system, the
+// objective it is scored against and strategy tuning) and joins that
+// key's flight in the server's cache.Table. The response is annotated
+// with X-Incdes-Cache:
 //
-//	hit       served from the LRU; no job queued, no engine work
-//	miss      this request ran the solve (the single-flight leader)
-//	inflight  coalesced onto an identical in-flight solve (follower)
+//	hit       the flight had landed: its kept result answers the request
+//	miss      this request leads the flight and runs the solve
+//	inflight  coalesced onto an identical in-flight solve
 //
 // Requests opt out per-request with cache=off (no header is set).
 // core.Solve is deterministic, so a cached or coalesced response is
 // byte-identical to the solve the request would have run — including the
-// SSE trace stream, which followers and hits replay from the leader's
-// buffered events.
+// SSE trace stream, which hits and followers replay from the leader's
+// buffered events. Only the leader takes a queue position and builds the
+// problem; a hit or follower schedules nothing.
 //
 // Single-flight semantics: the leader's solve runs under the flight's
 // context (derived from the server, not the leader's connection), so a
 // leader disconnect while followers wait does not kill their solve; the
-// solve is cancelled only when the last member leaves. Interrupted and
-// failed solves are never stored.
+// solve is cancelled only when the last member leaves. Only a complete
+// solve is kept; an interrupted or failed one releases its key.
 
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"time"
 
 	"incdes/internal/cache"
-	"incdes/internal/core"
 	"incdes/internal/model"
 	"incdes/internal/obs"
 )
@@ -38,13 +38,15 @@ import (
 // cacheHeader annotates cache-eligible solve responses.
 const cacheHeader = "X-Incdes-Cache"
 
-// solutionEntry is one finished one-shot solve, as the cache stores it
-// and as a completed flight hands it to every member: the response
-// document plus the trace events that replay its SSE stream. It is
-// read-only once built.
+// solutionEntry is one finished one-shot solve, as a landed flight hands
+// it to every member: the response document, the trace events that
+// replay its SSE stream, and the ID of the leader's cache.flight span,
+// which every member's cache.follow span links to. It is read-only once
+// built.
 type solutionEntry struct {
 	doc    *SolutionDoc
 	events []obs.TraceEvent
+	flight string
 }
 
 // cacheSpec is the canonical strategy identity of the request, hashed
@@ -59,48 +61,63 @@ func (p SolveParams) cacheSpec() cache.Spec {
 	}
 }
 
-// serveHit answers a request from the solution cache: a job is
-// registered (bypassing the queue — a hit does no solver work) so the
-// status and SSE endpoints behave exactly as for a solved job, the
-// leader's trace is replayed into it, and it completes immediately.
-func (s *Server) serveHit(w http.ResponseWriter, r *http.Request, ent *solutionEntry, params SolveParams, tag string) {
-	w.Header().Set(cacheHeader, "hit")
-	s.global.Counter(obs.CtrSolveCacheHits).Inc()
-	j := s.register(tag, obs.TraceFrom(r.Context()))
-	for _, ev := range ent.events {
-		j.buf.Trace(ev)
+// lookup fingerprints the request — the posted system and current
+// application, the objective BuildProblem scores against and the
+// strategy identity, so nothing is scheduled — and joins its key's
+// flight, under the cache.lookup span and histogram; fingerprinting
+// dominates both. The outcome is "miss" when the caller leads the
+// flight, "hit" when the flight has landed and "inflight" otherwise; the
+// last two are counted here, a miss once its leader is admitted.
+func (s *Server) lookup(ctx context.Context, sys *model.System, params SolveParams) (*cache.Flight, string) {
+	start := time.Now()
+	_, span := obs.StartSpan(ctx, "cache.lookup")
+	prof, w := objective(sys)
+	f, leader := s.solutions.Join(s.baseCtx, cache.Fingerprint(cache.Request{
+		System:   sys,
+		App:      params.App,
+		Profile:  prof,
+		Weights:  w,
+		Strategy: params.cacheSpec(),
+	}))
+	outcome := "miss"
+	if !leader {
+		outcome = "inflight"
+		counter := obs.CtrSolveCacheInflight
+		select {
+		case <-f.Done():
+			outcome, counter = "hit", obs.CtrSolveCacheHits
+		default:
+		}
+		s.global.Counter(counter).Inc()
 	}
-	j.finish(ent.doc, nil)
-	s.finalize(j)
-	if params.Detach {
-		w.Header().Set("Location", "/v1/solve/"+j.id)
-		writeJSON(w, http.StatusAccepted, s.statusDoc(j))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.statusDoc(j))
+	span.SetAttr("outcome", outcome)
+	span.End()
+	s.global.Histogram(obs.HstCacheLookupSeconds).ObserveSince(start)
+	return f, outcome
 }
 
-// leaderWork is the single-flight leader's work closure: it launches the
-// real solve under the flight's context, stores the result on success,
-// and waits for completion under the leader's own (request-bound)
+// leaderWork wraps the flight leader's solve: it runs the solve under
+// the flight's context, lands the flight with the result (kept when
+// complete), and waits for it under the leader's own (request-bound)
 // context.
-func (s *Server) leaderWork(f *cache.Flight, j *job, sys *model.System, p *core.Problem, frozen int, params SolveParams, key string) func(context.Context) (*SolutionDoc, error) {
+func (s *Server) leaderWork(f *cache.Flight, j *job, solve func(context.Context) (*SolutionDoc, error)) func(context.Context) (*SolutionDoc, error) {
 	return func(ctx context.Context) (*SolutionDoc, error) {
 		// The flight span brackets the coalesced solve in the leader's
-		// trace; its ID is published on the flight so follower spans can
-		// reference the leader's flight (single-flight linkage).
+		// trace; the result carries its ID so member spans can reference
+		// the leader's flight (single-flight linkage).
 		fctx, fspan := obs.StartSpan(ctx, "cache.flight")
-		f.SetNote(fspan.ID())
-		solve := s.solveWork(j, sys, p, frozen, params)
 		go func() {
 			// The solve must run under the flight's context (so it survives
 			// the leader leaving) but record into the leader's trace.
 			doc, err := solve(obs.CopyTrace(f.Context(), fctx))
-			res := &solutionEntry{doc: doc, events: j.buf.snapshot()}
-			if err == nil && doc != nil && !doc.Interrupted {
-				s.storeSolution(key, res)
+			ent := &solutionEntry{doc: doc, events: j.buf.snapshot(), flight: fspan.ID()}
+			kept, evicted := f.Complete(ent, err, err == nil && !doc.Interrupted)
+			if kept {
+				s.global.Counter(obs.CtrSolveCacheStores).Inc()
 			}
-			f.Complete(res, err)
+			if evicted {
+				s.global.Counter(obs.CtrSolveCacheEvict).Inc()
+			}
 		}()
 		val, err := s.awaitFlight(ctx, f)
 		fspan.End()
@@ -111,17 +128,18 @@ func (s *Server) leaderWork(f *cache.Flight, j *job, sys *model.System, p *core.
 	}
 }
 
-// runFollower drives a coalesced request: no worker slot, no queue
-// accounting — the job only waits for the leader's flight and then
-// mirrors its outcome, replaying the leader's trace into its own SSE
-// buffer. It shares run()'s jobContext, so DELETE, client disconnect,
-// JobTimeout and shutdown behave identically.
+// runFollower drives a request that joined a flight it does not lead,
+// landed (a hit) or not: no worker slot, no queue accounting — the job
+// only waits for the flight and then mirrors its outcome, replaying the
+// leader's trace into its own SSE buffer. It shares run()'s jobContext,
+// so DELETE, client disconnect, JobTimeout and shutdown behave
+// identically.
 func (s *Server) runFollower(ctx context.Context, j *job, requested time.Duration, f *cache.Flight) {
 	ctx, release := s.jobContext(ctx, j, requested)
 	defer release()
 	j.setStatus(StatusRunning)
 	// The follower's whole wait is one span; on success it links to the
-	// leader's flight span via the ID the leader published.
+	// leader's flight span.
 	_, fspan := obs.StartSpan(ctx, "cache.follow")
 	val, err := s.awaitFlight(ctx, f)
 	if err != nil {
@@ -130,7 +148,7 @@ func (s *Server) runFollower(ctx context.Context, j *job, requested time.Duratio
 		s.finalize(j)
 		return
 	}
-	fspan.SetAttr("leader_span", f.Note())
+	fspan.SetAttr("leader_span", val.flight)
 	fspan.End()
 	for _, ev := range val.events {
 		j.buf.Trace(ev)
@@ -162,13 +180,4 @@ func (s *Server) awaitFlight(ctx context.Context, f *cache.Flight) (*solutionEnt
 		return nil, err
 	}
 	return v.(*solutionEntry), nil
-}
-
-// storeSolution caches a completed solve and keeps the serve-level cache
-// instruments current.
-func (s *Server) storeSolution(key string, ent *solutionEntry) {
-	if s.solutions.Put(key, ent) {
-		s.global.Counter(obs.CtrSolveCacheEvict).Inc()
-	}
-	s.global.Counter(obs.CtrSolveCacheStores).Inc()
 }

@@ -358,3 +358,89 @@ func TestSessionCommitSolveCache(t *testing.T) {
 		t.Errorf("session solve-cache hits = %v, want still 1", got)
 	}
 }
+
+// TestQueueFullStillCoalesces: with the one queue position taken, a
+// request identical to the running solve still joins its flight — a
+// follower takes no queue position — while a new leader is refused.
+func TestQueueFullStillCoalesces(t *testing.T) {
+	_, ts := newCachingServer(t, Config{Parallelism: 1, MaxConcurrent: 1, QueueDepth: 1, SolutionCacheSize: 8})
+	body := fixtureJSON(t)
+	const endless = "/v1/solve?strategy=sa&sa-iters=50000000&detach=1"
+
+	var blocker, queued, follower JobStatusDoc
+	if resp := do(t, "POST", ts.URL+endless, body, &blocker); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("blocker = %d", resp.StatusCode)
+	}
+	pollStatus(t, ts, blocker.ID, StatusRunning)
+	if resp := do(t, "POST", ts.URL+"/v1/solve?strategy=mh&detach=1", body, &queued); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("queued job = %d", resp.StatusCode)
+	}
+	if resp, doc := postError(t, ts, "/v1/solve?strategy=ah", body); resp.StatusCode != http.StatusTooManyRequests || doc.Error.Code != ErrCodeQueueFull {
+		t.Errorf("new leader with the queue full = %d %q, want 429 %s", resp.StatusCode, doc.Error.Code, ErrCodeQueueFull)
+	}
+	resp := do(t, "POST", ts.URL+endless, body, &follower)
+	if resp.StatusCode != http.StatusAccepted || resp.Header.Get(cacheHeader) != "inflight" {
+		t.Fatalf("identical request with the queue full = %d, %s = %q; want 202 inflight", resp.StatusCode, cacheHeader, resp.Header.Get(cacheHeader))
+	}
+
+	for _, id := range []string{follower.ID, blocker.ID, queued.ID} {
+		do(t, "DELETE", ts.URL+"/v1/solve/"+id, nil, nil)
+	}
+	for _, id := range []string{follower.ID, blocker.ID, queued.ID} {
+		pollStatus(t, ts, id, StatusInterrupted, StatusFailed, StatusDone)
+	}
+}
+
+// TestCommitEvictionCounted: solves and session commits keep their
+// results in one table, and an eviction counts in cache.evictions
+// whichever of them keeps the result that causes it.
+func TestCommitEvictionCounted(t *testing.T) {
+	_, ts := newCachingServer(t, Config{Parallelism: 1, MaxConcurrent: 1, SolutionCacheSize: 1})
+	sysJSON, apps, _ := sessionFixture(t)
+	if resp := do(t, "POST", ts.URL+"/v1/solve?strategy=ah", fixtureJSON(t), nil); resp.Header.Get(cacheHeader) != "miss" {
+		t.Fatalf("solve %s = %q, want miss", cacheHeader, resp.Header.Get(cacheHeader))
+	}
+	id := openSession(t, ts, sysJSON, "")
+	if commit := commitApp(t, ts, id, apps[0], "?strategy=ah"); commit.Commit.CacheHit {
+		t.Fatal("first commit reported a cache hit")
+	}
+	if got := metricValue(t, ts, "incdes_cache_evictions_total", "all"); got != 1 {
+		t.Errorf("cache evictions = %v, want 1 (the commit's result evicted the solve's)", got)
+	}
+	if got := metricValue(t, ts, "incdes_cache_entries", "all"); got != 1 {
+		t.Errorf("cache entries = %v, want 1", got)
+	}
+	if resp := do(t, "POST", ts.URL+"/v1/solve?strategy=ah", fixtureJSON(t), nil); resp.Header.Get(cacheHeader) != "miss" {
+		t.Errorf("evicted solve %s = %q, want miss", cacheHeader, resp.Header.Get(cacheHeader))
+	}
+}
+
+// TestLeaderCancelledWhileQueuedLandsFlight: a leader cancelled before
+// its solve starts lands its flight with that error, so its follower
+// fails at once instead of waiting on a solve nobody runs, and the next
+// identical request leads afresh.
+func TestLeaderCancelledWhileQueuedLandsFlight(t *testing.T) {
+	_, ts := newCachingServer(t, Config{Parallelism: 1, MaxConcurrent: 1, QueueDepth: 8, SolutionCacheSize: 8})
+	body := fixtureJSON(t)
+	var blocker, leader, follower, again JobStatusDoc
+	do(t, "POST", ts.URL+"/v1/solve?strategy=sa&sa-iters=50000000&detach=1", body, &blocker)
+	pollStatus(t, ts, blocker.ID, StatusRunning)
+	const query = "/v1/solve?strategy=mh&detach=1"
+	do(t, "POST", ts.URL+query, body, &leader)
+	if resp := do(t, "POST", ts.URL+query, body, &follower); resp.Header.Get(cacheHeader) != "inflight" {
+		t.Fatalf("follower %s = %q, want inflight", cacheHeader, resp.Header.Get(cacheHeader))
+	}
+
+	do(t, "DELETE", ts.URL+"/v1/solve/"+leader.ID, nil, nil)
+	lfin := pollStatus(t, ts, leader.ID, StatusFailed)
+	if ffin := pollStatus(t, ts, follower.ID, StatusFailed); ffin.Error != lfin.Error {
+		t.Errorf("follower error = %q, want the leader's %q", ffin.Error, lfin.Error)
+	}
+	if resp := do(t, "POST", ts.URL+query, body, &again); resp.Header.Get(cacheHeader) != "miss" {
+		t.Errorf("next identical request %s = %q, want miss", cacheHeader, resp.Header.Get(cacheHeader))
+	}
+
+	do(t, "DELETE", ts.URL+"/v1/solve/"+blocker.ID, nil, nil)
+	pollStatus(t, ts, blocker.ID, StatusInterrupted, StatusFailed)
+	pollStatus(t, ts, again.ID, StatusDone)
+}

@@ -278,19 +278,25 @@ func TestSpanTreeGoldenAcrossParallelism(t *testing.T) {
 }
 
 // TestFollowerLeaderSpanLinkage pins the single-flight trace linkage:
-// the follower's cache.follow span carries a leader_span attribute
-// naming the leader's cache.flight span.
+// every member of a flight — a follower that joins it in flight (or
+// already landed) and a hit that joins its kept result — has a
+// cache.follow span whose leader_span attribute names the leader's
+// cache.flight span.
 func TestFollowerLeaderSpanLinkage(t *testing.T) {
 	s, ts := newCachingServer(t, Config{Parallelism: 1, MaxConcurrent: 1, QueueDepth: 8, SolutionCacheSize: 8})
 	body := fixtureJSON(t)
 	const query = "/v1/solve?strategy=sa&sa-iters=4000&seed=7"
 
-	req, _ := http.NewRequest("POST", ts.URL+query+"&detach=1", bytes.NewReader(body))
-	req.Header.Set(requestIDHeader, "flight-leader")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	post := func(id, query string) *http.Response {
+		req, _ := http.NewRequest("POST", ts.URL+query, bytes.NewReader(body))
+		req.Header.Set(requestIDHeader, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
+	resp := post("flight-leader", query+"&detach=1")
 	var leader JobStatusDoc
 	if err := json.NewDecoder(resp.Body).Decode(&leader); err != nil {
 		t.Fatal(err)
@@ -300,17 +306,17 @@ func TestFollowerLeaderSpanLinkage(t *testing.T) {
 		t.Fatalf("leader = %d %s=%q", resp.StatusCode, cacheHeader, resp.Header.Get(cacheHeader))
 	}
 	pollStatus(t, ts, leader.ID, StatusRunning, StatusDone)
-
-	req, _ = http.NewRequest("POST", ts.URL+query, bytes.NewReader(body))
-	req.Header.Set(requestIDHeader, "flight-follower")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	members := map[string]string{}
+	for _, id := range []string{"flight-follower", "flight-hit"} {
+		resp := post(id, query)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		members[id] = resp.Header.Get(cacheHeader)
+		pollStatus(t, ts, leader.ID, StatusDone)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	followerMode := resp.Header.Get(cacheHeader)
-	pollStatus(t, ts, leader.ID, StatusDone)
+	if members["flight-hit"] != "hit" {
+		t.Errorf("request after the flight landed = %q, want hit", members["flight-hit"])
+	}
 
 	findSpan := func(doc obs.RequestDoc, name string) *obs.SpanNode {
 		var found *obs.SpanNode
@@ -333,19 +339,15 @@ func TestFollowerLeaderSpanLinkage(t *testing.T) {
 	if flight == nil {
 		t.Fatal("leader trace has no cache.flight span")
 	}
-	if followerMode != "inflight" {
-		// The leader finished before the follower joined; it was a plain
-		// hit and there is no follow span to link. The linkage contract is
-		// vacuous — don't fail on scheduling luck, the flight span was
-		// still verified above.
-		t.Skipf("follower was %q, not inflight; linkage not exercised", followerMode)
-	}
-	follow := findSpan(debugTree(t, s.Handler(), "flight-follower"), "cache.follow")
-	if follow == nil {
-		t.Fatal("follower trace has no cache.follow span")
-	}
-	if got := follow.Attrs["leader_span"]; got != flight.ID {
-		t.Errorf("follower leader_span = %q, want leader flight span %q", got, flight.ID)
+	for id, mode := range members {
+		follow := findSpan(debugTree(t, s.Handler(), id), "cache.follow")
+		if follow == nil {
+			t.Errorf("%s (%s) trace has no cache.follow span", id, mode)
+			continue
+		}
+		if got := follow.Attrs["leader_span"]; got != flight.ID {
+			t.Errorf("%s (%s) leader_span = %q, want leader flight span %q", id, mode, got, flight.ID)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"incdes/internal/core"
 	"incdes/internal/export"
+	"incdes/internal/future"
 	"incdes/internal/gen"
 	"incdes/internal/metrics"
 	"incdes/internal/model"
@@ -116,8 +117,16 @@ func BuildProblem(sys *model.System, appName string) (*core.Problem, error) {
 			return nil, fmt.Errorf("scheduling existing application %q: %w", app.Name, err)
 		}
 	}
+	prof, w := objective(sys)
+	return core.NewProblem(sys, base, current, prof, w)
+}
+
+// objective is the future profile and the weights a one-shot solve of
+// sys is scored against. It schedules nothing, so the solution cache
+// fingerprints a request with it before any problem is built.
+func objective(sys *model.System) (*future.Profile, metrics.Weights) {
 	prof := gen.ProfileForSystem(gen.Default(), sys)
-	return core.NewProblem(sys, base, current, prof, metrics.DefaultWeights(prof))
+	return prof, metrics.DefaultWeights(prof)
 }
 
 // SolutionDoc is the deterministic JSON rendering of a solve outcome:

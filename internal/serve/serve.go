@@ -40,7 +40,10 @@
 // at most QueueDepth wait behind them (beyond that POST /v1/solve returns
 // 429), each job is capped by JobTimeout, and a client disconnect
 // cancels its synchronous solve — the engine then returns the best
-// design found so far, marked Interrupted.
+// design found so far, marked Interrupted. A solve builds its problem
+// inside its job. With the solution cache on, a request that joins a
+// kept result or an identical solve in flight takes no queue position
+// and schedules nothing (cache.go).
 package serve
 
 import (
@@ -90,9 +93,9 @@ type Config struct {
 	RetainJobs int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// SolutionCacheSize bounds the whole-solution cache (entries). 0
-	// disables solution caching and single-flight dedup entirely (the
-	// default); see cache.go for the semantics when enabled.
+	// SolutionCacheSize bounds the solve results the solution table
+	// keeps. 0 disables solution caching and single-flight dedup entirely
+	// (the default); see cache.go for the semantics when enabled.
 	SolutionCacheSize int
 	// SessionStore persists versioned design sessions. nil selects an
 	// in-memory store (sessions die with the process); cmd/incmapd wires
@@ -154,8 +157,7 @@ type Server struct {
 	recorder *obs.SpanRecorder
 
 	// Whole-solution cache + single-flight dedup (nil when disabled).
-	solutions *cache.LRU
-	flights   *cache.Group
+	solutions *cache.Table
 
 	sessions *session.Manager
 	sessErr  error // deferred session-manager init failure
@@ -187,8 +189,7 @@ func New(cfg Config) *Server {
 		solves:   map[[2]string]int64{},
 	}
 	if cfg.SolutionCacheSize > 0 {
-		s.solutions = cache.NewLRU(cfg.SolutionCacheSize)
-		s.flights = cache.NewGroup()
+		s.solutions = cache.NewTable(cfg.SolutionCacheSize)
 	}
 	s.recorder = obs.NewSpanRecorder(cfg.DebugRequests)
 	seedCatalog(s.global)
@@ -343,7 +344,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 const (
 	ErrCodeBadRequest    = "bad_request"    // malformed query, body or parameter
 	ErrCodeNotFound      = "not_found"      // unknown job, session, branch or version
-	ErrCodeInvalidInput  = "invalid_input"  // well-formed but unusable problem input
+	ErrCodeInvalidInput  = "invalid_input"  // a session base whose applications do not fit
 	ErrCodeQueueFull     = "queue_full"     // solve queue at capacity; retry later
 	ErrCodeDraining      = "draining"       // server is shutting down
 	ErrCodeIllegalCommit = "illegal_commit" // commit violates the session legality rule
@@ -393,6 +394,8 @@ func writeSessionError(w http.ResponseWriter, err error) {
 		errors.Is(err, session.ErrNotAncestor),
 		errors.Is(err, core.ErrUnschedulable):
 		writeError(w, http.StatusUnprocessableEntity, ErrCodeIllegalCommit, "%v", err)
+	case errors.Is(err, session.ErrBaseDoesNotFit):
+		writeError(w, http.StatusUnprocessableEntity, ErrCodeInvalidInput, "%v", err)
 	case errors.Is(err, session.ErrBranchExists),
 		errors.Is(err, session.ErrConflict),
 		errors.Is(err, session.ErrExists):
@@ -496,8 +499,8 @@ func (s *Server) submit(strategyTag string, rt *obs.RequestTrace) (*job, error) 
 	return s.registerLocked(strategyTag, rt), nil
 }
 
-// register creates a job outside the queue accounting: cache hits do no
-// solver work, so they bypass admission control entirely.
+// register creates a job outside the queue accounting: cache hits and
+// followers do no solver work, so they bypass admission control entirely.
 func (s *Server) register(strategyTag string, rt *obs.RequestTrace) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -547,8 +550,10 @@ func (s *Server) jobContext(ctx context.Context, j *job, requested time.Duration
 
 // run executes one job to completion: waits for a worker slot, invokes
 // the job's work closure (a one-shot solve or a session commit), records
-// the outcome and folds the job's registry into the aggregates.
-func (s *Server) run(ctx context.Context, j *job, requested time.Duration, work func(context.Context) (*SolutionDoc, error)) {
+// the outcome and folds the job's registry into the aggregates. It
+// returns the error that failed the job before its work started
+// (cancellation while queued), and nil once the work ran.
+func (s *Server) run(ctx context.Context, j *job, requested time.Duration, work func(context.Context) (*SolutionDoc, error)) error {
 	ctx, release := s.jobContext(ctx, j, requested)
 	defer release()
 
@@ -563,9 +568,10 @@ func (s *Server) run(ctx context.Context, j *job, requested time.Duration, work 
 		qspan.End()
 		j.reg.Histogram(obs.HstQueueWaitSeconds).ObserveSince(qstart)
 		s.queued.Add(-1)
-		j.finish(nil, fmt.Errorf("cancelled while queued: %w", ctx.Err()))
+		err := fmt.Errorf("cancelled while queued: %w", ctx.Err())
+		j.finish(nil, err)
 		s.finalize(j)
-		return
+		return err
 	}
 	qspan.End()
 	j.reg.Histogram(obs.HstQueueWaitSeconds).ObserveSince(qstart)
@@ -576,34 +582,26 @@ func (s *Server) run(ctx context.Context, j *job, requested time.Duration, work 
 		<-s.sem
 	}()
 	j.setStatus(StatusRunning)
-
-	doc, err := work(ctx)
-	if err != nil {
-		j.finish(nil, err)
-		s.finalize(j)
-		return
-	}
-	j.finish(doc, nil)
+	j.finish(work(ctx))
 	s.finalize(j)
+	return nil
 }
 
-// solveWork builds a one-shot solve's work closure. Building the problem
-// already scheduled every frozen application once (BuildProblem walks
-// them in arrival order), so each counts as one examined design
-// alternative — the per-request base-reconstruction cost that versioned
-// sessions amortize across commits.
+// solveWork builds a one-shot solve's work closure. A local solve builds
+// the problem inside the job: building it schedules every frozen
+// application once (BuildProblem walks them in arrival order), so each
+// counts as one examined design alternative — the per-request
+// base-reconstruction cost that versioned sessions amortize across
+// commits. A problem whose frozen applications do not fit fails the job.
 //
 // When a cluster dispatcher claims the request, the closure forwards the
-// posted system instead of solving locally; core.Solve determinism plus
+// posted system without building anything; core.Solve determinism plus
 // the dispatcher's index-ordered reduce make the returned document
 // byte-identical either way, so caching and single-flight wrap both
 // paths without distinction.
-func (s *Server) solveWork(j *job, sys *model.System, p *core.Problem, frozen int, params SolveParams) func(context.Context) (*SolutionDoc, error) {
+func (s *Server) solveWork(j *job, sys *model.System, params SolveParams) func(context.Context) (*SolutionDoc, error) {
 	if d := s.cfg.Dispatcher; d != nil && d.CanDispatch(params) {
 		return func(ctx context.Context) (*SolutionDoc, error) {
-			if frozen > 0 {
-				j.reg.Counter(obs.CtrEvaluations).Add(int64(frozen))
-			}
 			t0 := time.Now()
 			res, err := d.Dispatch(ctx, &DispatchRequest{
 				System:   sys,
@@ -624,9 +622,11 @@ func (s *Server) solveWork(j *job, sys *model.System, p *core.Problem, frozen in
 		if err != nil {
 			return nil, err
 		}
-		if frozen > 0 {
-			j.reg.Counter(obs.CtrEvaluations).Add(int64(frozen))
+		p, err := BuildProblem(sys, params.App)
+		if err != nil {
+			return nil, fmt.Errorf("building problem: %w", err)
 		}
+		j.reg.Counter(obs.CtrEvaluations).Add(int64(len(sys.Apps) - 1))
 		t0 := time.Now()
 		sol, err := core.Solve(ctx, p, core.Options{
 			Strategy:    strat,
@@ -696,63 +696,41 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "reading system: %v", err)
 		return
 	}
-	p, err := BuildProblem(sys, params.App)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, ErrCodeInvalidInput, "building problem: %v", err)
-		return
-	}
-	useCache := s.solutions != nil && !params.NoCache
-	var key string
-	if useCache {
-		// The lookup is a leaf span plus the cache-lookup histogram:
-		// fingerprinting dominates it, and a hit is the whole request.
-		lstart := time.Now()
-		_, lspan := obs.StartSpan(r.Context(), "cache.lookup")
-		key = cache.Fingerprint(cache.Request{
-			System:   sys,
-			App:      params.App,
-			Profile:  p.Profile,
-			Weights:  p.Weights,
-			Strategy: params.cacheSpec(),
-		})
-		v, ok := s.solutions.Get(key)
-		if ok {
-			lspan.SetAttr("outcome", "hit")
-		} else {
-			lspan.SetAttr("outcome", "miss")
-		}
-		lspan.End()
-		s.global.Histogram(obs.HstCacheLookupSeconds).ObserveSince(lstart)
-		if ok {
-			s.serveHit(w, r, v.(*solutionEntry), params, strat.Name())
+	// A cached request joins its key's flight first. A member of a landed
+	// flight (a hit) or of one still in flight only waits for its result,
+	// outside admission; only a leader, or an uncached request, queues.
+	var f *cache.Flight
+	if s.solutions != nil && !params.NoCache {
+		var outcome string
+		if f, outcome = s.lookup(r.Context(), sys, params); outcome != "miss" {
+			w.Header().Set(cacheHeader, outcome)
+			j := s.register(strat.Name(), obs.TraceFrom(r.Context()))
+			s.answer(w, r, j, params.Detach, func(ctx context.Context) { s.runFollower(ctx, j, params.Timeout, f) })
 			return
+		}
+	}
+	// A leader refused or cancelled before its solve starts lands its
+	// flight with that error, which the members that joined meanwhile
+	// share.
+	abandon := func(err error) {
+		if f != nil && err != nil {
+			f.Complete(nil, err, false)
+			f.Leave()
 		}
 	}
 	j, err := s.submit(strat.Name(), obs.TraceFrom(r.Context()))
 	if err != nil {
+		abandon(err)
 		writeRetryError(w, http.StatusTooManyRequests, ErrCodeQueueFull, time.Second, "%v", err)
 		return
 	}
-	var work func(context.Context) (*SolutionDoc, error)
-	if useCache {
-		f, leader := s.flights.Join(s.baseCtx, key)
-		if !leader {
-			// Coalesce onto the in-flight identical solve: the follower
-			// holds neither a queue position nor a worker slot, so give the
-			// admission count back.
-			s.queued.Add(-1)
-			w.Header().Set(cacheHeader, "inflight")
-			s.global.Counter(obs.CtrSolveCacheInflight).Inc()
-			s.answer(w, r, j, params.Detach, func(ctx context.Context) { s.runFollower(ctx, j, params.Timeout, f) })
-			return
-		}
+	work := s.solveWork(j, sys, params)
+	if f != nil {
 		w.Header().Set(cacheHeader, "miss")
 		s.global.Counter(obs.CtrSolveCacheMisses).Inc()
-		work = s.leaderWork(f, j, sys, p, len(sys.Apps)-1, params, key)
-	} else {
-		work = s.solveWork(j, sys, p, len(sys.Apps)-1, params)
+		work = s.leaderWork(f, j, work)
 	}
-	s.answer(w, r, j, params.Detach, func(ctx context.Context) { s.run(ctx, j, params.Timeout, work) })
+	s.answer(w, r, j, params.Detach, func(ctx context.Context) { abandon(s.run(ctx, j, params.Timeout, work)) })
 }
 
 // answer runs job j through run and answers the request for it.
@@ -846,10 +824,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "event: trace\nid: %d\ndata: ", ev.Seq)
 			enc.Encode(ev) // one line + '\n'
 			fmt.Fprint(w, "\n")
-			// Mirror obs.CostCurve: every committed/improved design is
-			// also streamed as a cost-curve point.
-			switch ev.Kind {
-			case "init", "move", "sa.best", "decision":
+			if obs.OnCostCurve(ev.Kind) {
 				curve++
 				fmt.Fprint(w, "event: cost\ndata: ")
 				enc.Encode(ssePayload{N: curve, Kind: ev.Kind, Cost: ev.Cost})
@@ -889,7 +864,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // statsLocked refreshes the cache-occupancy gauge and snapshots the
 // cross-strategy aggregate: the {strategy="all"} rows of /metrics and
 // the body of /v1/stats. Cache entries come and go through both the
-// solve and session-commit paths, so the gauge reads the LRU directly.
+// solve and session-commit paths, so the gauge reads the table directly.
 // The caller holds s.mu, so the snapshot agrees with the per-strategy
 // aggregates that finalize folds under the same lock.
 func (s *Server) statsLocked() obs.Snapshot {

@@ -408,6 +408,7 @@ func TestSessionDeleteUndecodable(t *testing.T) {
 func TestErrorEnvelope(t *testing.T) {
 	sysJSON, apps, _ := sessionFixture(t)
 	_, _, overflowJSON := overflowFixture(t)
+	unfitJSON, noAppsJSON := unfitFixture(t)
 	_, ts := newTestServer(t)
 	id := openSession(t, ts, sysJSON, "e1")
 	commitApp(t, ts, id, apps[0], "?strategy=ah") // v1 on main
@@ -427,11 +428,14 @@ func TestErrorEnvelope(t *testing.T) {
 		{"solve bad strategy", "POST", "/v1/solve?strategy=bogus", sysJSON, 400, ErrCodeBadRequest},
 		{"solve bad body", "POST", "/v1/solve", []byte("{"), 400, ErrCodeBadRequest},
 		{"solve overflowing hyperperiod", "POST", "/v1/solve", overflowJSON, 400, ErrCodeBadRequest},
+		{"solve no applications", "POST", "/v1/solve", noAppsJSON, 400, ErrCodeBadRequest},
 		{"solve unknown job", "GET", "/v1/solve/zzz", nil, 404, ErrCodeNotFound},
 		{"cancel unknown job", "DELETE", "/v1/solve/zzz", nil, 404, ErrCodeNotFound},
 		{"events unknown job", "GET", "/v1/solve/zzz/events", nil, 404, ErrCodeNotFound},
 		{"session open bad body", "POST", "/v1/sessions", []byte("{"), 400, ErrCodeBadRequest},
 		{"session open overflowing hyperperiod", "POST", "/v1/sessions", overflowJSON, 400, ErrCodeBadRequest},
+		{"session open no applications", "POST", "/v1/sessions", noAppsJSON, 400, ErrCodeBadRequest},
+		{"session open base does not fit", "POST", "/v1/sessions", unfitJSON, 422, ErrCodeInvalidInput},
 		{"session open duplicate id", "POST", "/v1/sessions?id=e1", sysJSON, 409, ErrCodeConflict},
 		{"session unknown", "GET", "/v1/sessions/zzz", nil, 404, ErrCodeNotFound},
 		{"session delete unknown", "DELETE", "/v1/sessions/zzz", nil, 404, ErrCodeNotFound},
@@ -486,6 +490,56 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 	if jobDoc.Status != StatusFailed || !strings.Contains(jobDoc.Error, "hyperperiod") {
 		t.Fatalf("illegal commit job = %+v", jobDoc)
+	}
+}
+
+// unfitFixture returns a system whose first application (three
+// processes of WCET 80, period and deadline 100, on two nodes) cannot be
+// scheduled, followed by a small current application; and the same
+// architecture with no application at all.
+func unfitFixture(t *testing.T) (unfitJSON, noAppsJSON []byte) {
+	t.Helper()
+	b := model.NewBuilder()
+	b.Node("N0")
+	b.Node("N1")
+	b.UniformBus(8, 1, 2)
+	g := b.App("unfit").Graph("unfit-g", 100, 100)
+	for _, name := range []string{"p1", "p2", "p3"} {
+		g.UniformProc(name, 80)
+	}
+	b.App("current").Graph("current-g", 100, 100).UniformProc("current-p", 3)
+	sys := b.MustSystem()
+	enc := func(s *model.System) []byte {
+		var buf bytes.Buffer
+		if err := s.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	return enc(sys), enc(&model.System{Arch: sys.Arch})
+}
+
+// TestSolveUnfitFrozenAppsFails: a solve whose frozen applications do
+// not fit builds its problem inside the job, so it is a failed job (422
+// with the job document when synchronous), with the solution cache off
+// and on; a failed solve keeps nothing, so the next identical request
+// leads a new flight.
+func TestSolveUnfitFrozenAppsFails(t *testing.T) {
+	unfitJSON, _ := unfitFixture(t)
+	_, ts := newCachingServer(t, Config{Parallelism: 1, MaxConcurrent: 1, SolutionCacheSize: 8})
+	for _, tc := range []struct{ query, cache string }{
+		{"?strategy=mh&cache=off", ""},
+		{"?strategy=mh", "miss"},
+		{"?strategy=mh", "miss"},
+	} {
+		var doc JobStatusDoc
+		resp := do(t, "POST", ts.URL+"/v1/solve"+tc.query, unfitJSON, &doc)
+		if resp.StatusCode != http.StatusUnprocessableEntity || doc.Status != StatusFailed || !strings.Contains(doc.Error, "building problem") {
+			t.Errorf("POST %s = %d %+v, want 422 and a failed job", tc.query, resp.StatusCode, doc)
+		}
+		if got := resp.Header.Get(cacheHeader); got != tc.cache {
+			t.Errorf("POST %s %s = %q, want %q", tc.query, cacheHeader, got, tc.cache)
+		}
 	}
 }
 

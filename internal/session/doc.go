@@ -129,9 +129,6 @@ func (d *Doc) Validate() error {
 	if err := d.System.Validate(); err != nil {
 		return fmt.Errorf("session: doc %s: %w", d.ID, err)
 	}
-	if len(d.System.Apps) == 0 {
-		return fmt.Errorf("session: doc %s: base system has no applications", d.ID)
-	}
 	if d.Profile == nil {
 		return fmt.Errorf("session: doc %s has no future profile", d.ID)
 	}

@@ -72,6 +72,9 @@ var (
 	ErrCorrupt = errors.New("session: replay does not reproduce the stored fingerprint")
 	// ErrExists rejects opening a session under an ID already in use.
 	ErrExists = errors.New("session: id already exists")
+	// ErrBaseDoesNotFit rejects opening a session over a base system
+	// whose applications cannot all be scheduled together.
+	ErrBaseDoesNotFit = errors.New("session: open: the base applications do not fit")
 )
 
 // Manager owns the live sessions of one process: it hands out Session
@@ -121,16 +124,14 @@ func (m *Manager) setLiveGauge() {
 // version 0. prof pins the future-application characterization for the
 // whole session; nil derives it from sys exactly as the one-shot solve
 // path does (gen.ProfileForSystem with the default configuration). id
-// names the session; "" assigns the next free sN.
+// names the session; "" assigns the next free sN. A base whose
+// applications do not fit is ErrBaseDoesNotFit.
 func (m *Manager) Open(sys *model.System, prof *future.Profile, id string) (*Session, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("session: open: no system")
 	}
 	if err := sys.Validate(); err != nil {
 		return nil, err
-	}
-	if len(sys.Apps) == 0 {
-		return nil, fmt.Errorf("session: open: base system has no applications (the future profile is derived from them)")
 	}
 	if prof == nil {
 		prof = gen.ProfileForSystem(gen.Default(), sys)
@@ -145,7 +146,7 @@ func (m *Manager) Open(sys *model.System, prof *future.Profile, id string) (*Ses
 	}
 	for _, app := range sys.Apps {
 		if _, err := st.MapApp(app, sched.Hints{}); err != nil {
-			return nil, fmt.Errorf("session: open: scheduling application %q: %w", app.Name, err)
+			return nil, fmt.Errorf("%w: application %q: %w", ErrBaseDoesNotFit, app.Name, err)
 		}
 	}
 	w := metrics.DefaultWeights(prof)
@@ -415,14 +416,16 @@ type CommitParams struct {
 	// Parallelism and Observer are handed to core.Solve unchanged.
 	Parallelism int
 	Observer    *obs.Observer
-	// SolveCache, when non-nil, is a whole-solution cache consulted
-	// before the solve. The key is the commit's problem fingerprint and
-	// includes the parent version's composite-schedule fingerprint, so a
-	// hit is only possible when the exact frozen base, committed
-	// application, objective and strategy all match — and then the cached
-	// decisions rematerialize byte-identically (deterministic replay).
-	// Only complete (uninterrupted) solves are stored.
-	SolveCache *cache.LRU
+	// SolveCache, when non-nil, is the whole-solution table the commit
+	// joins before the solve. The key is the commit's problem fingerprint
+	// and includes the parent version's composite-schedule fingerprint, so
+	// a hit is only possible when the exact frozen base, committed
+	// application, objective and strategy all match — and then the kept
+	// decisions rematerialize byte-identically (deterministic replay). A
+	// commit that leads its key's flight lands it, kept only when its
+	// solve is complete; one that finds the key in flight solves on its
+	// own and keeps nothing.
+	SolveCache *cache.Table
 	// CacheSpec is the canonical strategy identity hashed into the cache
 	// key; ignored when SolveCache is nil.
 	CacheSpec cache.Spec
@@ -454,8 +457,8 @@ type CommitResult struct {
 	// BaselineReused reports whether the parent version's metric
 	// baseline was served from the session cache.
 	BaselineReused bool
-	// CacheHit reports whether the whole solve was served from
-	// CommitParams.SolveCache (the engine never ran).
+	// CacheHit reports whether the whole solve was replayed from a result
+	// kept in CommitParams.SolveCache (the engine never ran).
 	CacheHit bool
 }
 
@@ -541,26 +544,35 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 		return nil, err
 	}
 
-	var key string
 	var sol *core.Solution
-	cacheHit := false
+	var lead *cache.Flight // the flight this commit leads
 	if p.SolveCache != nil {
-		key = cache.Fingerprint(cache.Request{
+		f, leader := p.SolveCache.Join(ctx, cache.Fingerprint(cache.Request{
 			Parent:   parentFP,
 			System:   parentSys,
 			Commit:   app,
 			Profile:  s.prof,
 			Weights:  s.weights,
 			Strategy: p.CacheSpec,
-		})
-		if v, ok := p.SolveCache.Get(key); ok {
-			ent := v.(*commitSolveEntry)
-			// Rematerialize the cached decisions on the freshly restricted
+		}))
+		if leader {
+			// The solve below lands the flight when it completes; every
+			// other path releases the key.
+			defer f.Leave()
+			defer f.Complete(nil, nil, false)
+			lead = f
+		} else {
+			f.Leave()
+		}
+		// A landed flight holds its kept result; one in the air holds none.
+		if v, _ := f.Result(); v != nil {
+			// Rematerialize the kept decisions on the freshly restricted
 			// base; replay is deterministic, so the frozen version is
 			// byte-identical to the one the original solve produced. A
 			// failed ScheduleApp leaves the base untouched, so a replay
 			// failure falls through to a real solve on it — the cache is
 			// advisory, never authoritative.
+			ent := v.(*commitSolveEntry)
 			_, replaySpan := obs.StartSpan(ctx, "commit.replay")
 			if err := base.ScheduleApp(app, ent.mapping, ent.hints); err == nil {
 				sol = &core.Solution{
@@ -571,10 +583,7 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 					Report:      ent.report,
 					Evaluations: ent.evaluations,
 				}
-				cacheHit = true
 				s.count(obs.CtrSessSolveCacheHits)
-			}
-			if cacheHit {
 				replaySpan.SetAttr("outcome", "replayed")
 			} else {
 				replaySpan.SetAttr("outcome", "replay_failed")
@@ -582,6 +591,7 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 			replaySpan.End()
 		}
 	}
+	cacheHit := sol != nil
 	if sol == nil {
 		prob, err := core.NewProblem(newSys, base, app, s.prof, s.weights)
 		if err != nil {
@@ -596,15 +606,20 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 		if err != nil {
 			return nil, err
 		}
-		if p.SolveCache != nil && !sol.Interrupted {
-			p.SolveCache.Put(key, &commitSolveEntry{
+		if lead != nil && !sol.Interrupted {
+			kept, evicted := lead.Complete(&commitSolveEntry{
 				strategy:    sol.Strategy,
 				mapping:     sol.Mapping.Clone(),
 				hints:       sol.Hints.Clone(),
 				report:      sol.Report,
 				evaluations: sol.Evaluations,
-			})
-			s.count(obs.CtrSessSolveCacheStores)
+			}, nil, true)
+			if kept {
+				s.count(obs.CtrSessSolveCacheStores)
+			}
+			if evicted {
+				s.count(obs.CtrSolveCacheEvict)
+			}
 		}
 	}
 	res := &CommitResult{Version: -1, Parent: head, Branch: branch, Solution: sol, BaselineReused: reused, CacheHit: cacheHit}
