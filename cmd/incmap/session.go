@@ -77,7 +77,7 @@ func cmdSessionInit(args []string) error {
 	if err != nil {
 		return err
 	}
-	sess, err := m.Open(sys, nil, *id)
+	sess, err := m.Open(sys, *id)
 	if err != nil {
 		return err
 	}

@@ -38,13 +38,14 @@
 // duration), cache=off.
 // /v1/sessions/{id}/commits accepts the same solve knobs plus branch=.
 //
-// With -solution-cache N the server keeps up to N solve results keyed by
-// a canonical problem fingerprint, in one table with the solves in
-// flight: an identical resubmission joins the kept result
+// With -solution-cache N the server keeps up to N one-shot solve results
+// keyed by a canonical problem fingerprint, in one table with the solves
+// in flight: an identical resubmission joins the kept result
 // (X-Incdes-Cache: hit) and identical concurrent requests coalesce onto
 // one solve (single-flight; followers get X-Incdes-Cache: inflight).
 // Only the request that leads a solve takes a queue position. cache=off
-// opts a request out.
+// opts a request out. Session commits always solve; on a commit,
+// cache=off changes nothing.
 //
 // With -session-dir sessions persist in that directory and survive
 // restarts: <id>.json holds a session's document and <id>.journal one
@@ -95,7 +96,7 @@ func main() {
 	retain := flag.Int("retain", 64, "finished jobs kept queryable")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	sessionDir := flag.String("session-dir", "", "directory for persistent design sessions (empty = in-memory only)")
-	solutionCache := flag.Int("solution-cache", 0, "solve results kept, least recently joined evicted first; identical requests coalesce and replay (0 = off)")
+	solutionCache := flag.Int("solution-cache", 0, "one-shot solve results kept, least recently joined evicted first; identical requests coalesce and replay (0 = off)")
 	debugRequests := flag.Int("debug-requests", 0, "completed request span trees retained for /v1/debug/requests (0 = default 256, negative = off)")
 	slowRequestLog := flag.Duration("slow-request-log", 0, "log a one-line span breakdown of requests at least this slow (0 = off)")
 	coordinator := flag.Bool("coordinator", false, "shard solves across the cluster workers in -workers")

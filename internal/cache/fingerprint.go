@@ -1,4 +1,4 @@
-// Package cache memoizes whole solve requests: a canonical SHA-256
+// Package cache memoizes one-shot solve requests: a canonical SHA-256
 // problem fingerprint, and one table of flights keyed by it. A key's
 // flight is either in flight, so concurrent identical requests coalesce
 // onto one solve, or landed and kept, so a later identical request
@@ -11,7 +11,11 @@
 // produce the same SolutionDoc, and a cached result can be served in
 // place of a solve without changing any response byte. Fields that
 // cannot change the result (parallelism, observers) are deliberately
-// excluded from the hash; everything that can is included.
+// excluded from the hash; everything that can is included. The
+// objective is not hashed: a one-shot solve's future profile and weights
+// are functions of its system (serve.BuildProblem derives them with
+// gen.ProfileForSystem and metrics.DefaultWeights), so the system covers
+// them.
 package cache
 
 import (
@@ -19,11 +23,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"math"
 	"sort"
 
-	"incdes/internal/future"
-	"incdes/internal/metrics"
 	"incdes/internal/model"
 )
 
@@ -33,8 +34,9 @@ import (
 // request. Version 3 extended the architecture encoding to multi-cluster
 // platforms (bus count, per-bus identity and slot tables — which also
 // cover bus attachment and gateway placement, since both are derived
-// from slot ownership).
-const FingerprintSchemaVersion = 3
+// from slot ownership). Version 4 dropped the session-commit shape
+// (parent fingerprint, committed application) and the objective.
+const FingerprintSchemaVersion = 4
 
 // Spec is the canonical strategy identity of a request: the strategy
 // name plus every tuning knob the HTTP and CLI surfaces expose that can
@@ -67,71 +69,35 @@ func (s Spec) normalized() Spec {
 	return s
 }
 
-// Request is one solve request in canonical form. Exactly one of the
-// two shapes is used:
-//
-//   - one-shot solve: System + App name the problem the serve layer
-//     builds with BuildProblem (every other application frozen);
-//   - session commit: Parent carries the parent version's composite
-//     schedule fingerprint, System the parent's composite system, and
-//     Commit the application being committed.
-//
-// Profile and Weights pin the objective; Strategy the solver identity.
+// Request is one one-shot solve request in canonical form: System and
+// App name the problem BuildProblem builds (every other application
+// frozen), Strategy the solver identity.
 type Request struct {
-	// Parent is the parent version's stored schedule fingerprint for
-	// session commits ("" for one-shot solves). Including it makes a
-	// commit's key specific to the exact frozen composite it extends.
-	Parent string
 	// System is the full problem input (architecture + applications in
 	// arrival order).
 	System *model.System
-	// App names the current application of a one-shot solve ("" = the
-	// system's last, exactly as BuildProblem resolves it).
+	// App names the current application ("" = the system's last, exactly
+	// as BuildProblem resolves it).
 	App string
-	// Commit is the application a session commit adds (nil for one-shot
-	// solves).
-	Commit *model.Application
-	// Profile is the future-application characterization.
-	Profile *future.Profile
-	// Weights are the objective weights.
-	Weights metrics.Weights
 	// Strategy identifies the solver and its result-relevant tuning.
 	Strategy Spec
 }
 
 // Fingerprint returns the hex SHA-256 of the request's canonical
 // serialization. The encoding is exact except where the model itself is
-// order-insensitive: WCET tables and hint maps are emitted in sorted key
-// order (Go maps carry no order), and the profile's histogram bins are
-// emitted sorted by (size desc, prob desc) because expand() sorts them
-// before use — permuting bins does not change any metric. Everything
-// else, slice order included, is semantically significant and hashed in
-// declaration order.
+// order-insensitive: WCET tables are emitted in sorted node order (Go
+// maps carry no order). Everything else, slice order included, is
+// semantically significant and hashed in declaration order.
 func Fingerprint(r Request) string {
 	h := newHasher()
 	h.tag('V')
 	h.i64(FingerprintSchemaVersion)
-	h.tag('P')
-	h.str(r.Parent)
 	if r.System != nil {
 		h.tag('S')
 		h.system(r.System)
 	}
 	h.tag('a')
 	h.str(r.App)
-	if r.Commit != nil {
-		h.tag('C')
-		h.app(r.Commit)
-	}
-	if r.Profile != nil {
-		h.tag('F')
-		h.profile(r.Profile)
-	}
-	h.tag('W')
-	h.f64(r.Weights.W1P)
-	h.f64(r.Weights.W1m)
-	h.f64(r.Weights.W2P)
-	h.f64(r.Weights.W2m)
 	spec := r.Strategy.normalized()
 	h.tag('T')
 	h.str(spec.Name)
@@ -158,8 +124,6 @@ func (h *hasher) i64(v int64) {
 	binary.LittleEndian.PutUint64(h.buf[:], uint64(v))
 	h.h.Write(h.buf[:])
 }
-
-func (h *hasher) f64(v float64) { h.i64(int64(math.Float64bits(v))) }
 
 func (h *hasher) str(s string) {
 	h.i64(int64(len(s)))
@@ -227,31 +191,5 @@ func (h *hasher) app(a *model.Application) {
 			h.i64(int64(m.Dst))
 			h.i64(int64(m.Bytes))
 		}
-	}
-}
-
-func (h *hasher) profile(p *future.Profile) {
-	h.i64(int64(p.Tmin))
-	h.i64(int64(p.TNeed))
-	h.i64(p.BNeedBytes)
-	h.bins(p.WCET)
-	h.bins(p.MsgBytes)
-}
-
-// bins canonicalizes a histogram: future.expand sorts bins by size
-// before use, so bin order is semantically irrelevant and is normalized
-// away here (size desc, then prob desc for duplicate sizes).
-func (h *hasher) bins(bins []future.Bin) {
-	sorted := append([]future.Bin(nil), bins...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Size != sorted[j].Size {
-			return sorted[i].Size > sorted[j].Size
-		}
-		return sorted[i].Prob > sorted[j].Prob
-	})
-	h.i64(int64(len(sorted)))
-	for _, b := range sorted {
-		h.i64(b.Size)
-		h.f64(b.Prob)
 	}
 }

@@ -3,8 +3,6 @@ package cache
 import (
 	"testing"
 
-	"incdes/internal/future"
-	"incdes/internal/metrics"
 	"incdes/internal/model"
 	"incdes/internal/tm"
 )
@@ -84,19 +82,9 @@ func buildClusteredSystem(t testing.TB, bus0, bus1 []model.NodeID) *model.System
 	return sys
 }
 
-func baseProfile() *future.Profile {
-	return &future.Profile{
-		Tmin: 30, TNeed: 10, BNeedBytes: 16,
-		WCET:     []future.Bin{{Size: 4, Prob: 0.5}, {Size: 2, Prob: 0.5}},
-		MsgBytes: []future.Bin{{Size: 8, Prob: 1}},
-	}
-}
-
 func baseRequest(t testing.TB) Request {
 	return Request{
 		System:   buildSystem(t, defaultSysParams()),
-		Profile:  baseProfile(),
-		Weights:  metrics.Weights{W1P: 1, W1m: 2, W2P: 3, W2m: 4},
 		Strategy: Spec{Name: "sa", SAIters: 100, SARestarts: 2, SASeed: 7},
 	}
 }
@@ -111,18 +99,6 @@ func TestFingerprintDeterministic(t *testing.T) {
 	}
 	if len(a) != 64 {
 		t.Fatalf("fingerprint %q is not hex SHA-256", a)
-	}
-}
-
-// TestFingerprintBinOrderInsensitive pins the one deliberate
-// order-insensitivity: the profile's histogram bins are sorted before
-// use by future.expand, so permuting them must not change the hash.
-func TestFingerprintBinOrderInsensitive(t *testing.T) {
-	a := baseRequest(t)
-	b := baseRequest(t)
-	b.Profile.WCET = []future.Bin{{Size: 2, Prob: 0.5}, {Size: 4, Prob: 0.5}}
-	if Fingerprint(a) != Fingerprint(b) {
-		t.Error("permuting profile bins changed the fingerprint")
 	}
 }
 
@@ -163,19 +139,9 @@ func TestSpecNormalization(t *testing.T) {
 // to be pairwise distinct.
 func TestFingerprintSensitivity(t *testing.T) {
 	mutations := map[string]func(t *testing.T) Request{
-		"parent": func(t *testing.T) Request {
-			r := baseRequest(t)
-			r.Parent = "abc123"
-			return r
-		},
 		"app-name-param": func(t *testing.T) Request {
 			r := baseRequest(t)
 			r.App = "app"
-			return r
-		},
-		"commit-app": func(t *testing.T) Request {
-			r := baseRequest(t)
-			r.Commit = r.System.Apps[0]
 			return r
 		},
 		"strategy-name": func(t *testing.T) Request {
@@ -201,36 +167,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"sa-chain-offset": func(t *testing.T) Request {
 			r := baseRequest(t)
 			r.Strategy.SAChainOffset = 2
-			return r
-		},
-		"weight-w1p": func(t *testing.T) Request {
-			r := baseRequest(t)
-			r.Weights.W1P = 1.5
-			return r
-		},
-		"weight-w2m": func(t *testing.T) Request {
-			r := baseRequest(t)
-			r.Weights.W2m = 5
-			return r
-		},
-		"profile-tmin": func(t *testing.T) Request {
-			r := baseRequest(t)
-			r.Profile.Tmin = 31
-			return r
-		},
-		"profile-bneed": func(t *testing.T) Request {
-			r := baseRequest(t)
-			r.Profile.BNeedBytes = 17
-			return r
-		},
-		"profile-bin-prob": func(t *testing.T) Request {
-			r := baseRequest(t)
-			r.Profile.WCET[0].Prob = 0.6
-			return r
-		},
-		"profile-no-bins": func(t *testing.T) Request {
-			r := baseRequest(t)
-			r.Profile.WCET = nil
 			return r
 		},
 		"sys-extra-node": func(t *testing.T) Request {
@@ -335,8 +271,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 }
 
 // FuzzFingerprint fuzzes the canonicalization: for any generated system
-// the fingerprint must be stable across rebuilds, insensitive to bin
-// permutation, and sensitive to a WCET bump.
+// the fingerprint must be stable across rebuilds and sensitive to a
+// WCET bump.
 func FuzzFingerprint(f *testing.F) {
 	f.Add(2, 3, 3, 4, 60, "app")
 	f.Add(1, 1, 1, 1, 30, "x")
@@ -351,7 +287,7 @@ func FuzzFingerprint(f *testing.F) {
 			appName:   name,
 			slotBytes: 8,
 		}
-		req := func(p sysParams, bins []future.Bin) Request {
+		req := func(p sysParams) Request {
 			b := model.NewBuilder()
 			for i := 0; i < p.nodes; i++ {
 				b.Node("N" + string(rune('0'+i)))
@@ -370,24 +306,15 @@ func FuzzFingerprint(f *testing.F) {
 			if err != nil {
 				t.Skip("unbuildable parameter combination")
 			}
-			return Request{
-				System:  sys,
-				Profile: &future.Profile{Tmin: p.period / 2, TNeed: 5, WCET: bins},
-				Weights: metrics.Weights{W1P: 1, W1m: 1, W2P: 1, W2m: 1},
-			}
+			return Request{System: sys}
 		}
-		bins := []future.Bin{{Size: 4, Prob: 0.25}, {Size: 2, Prob: 0.75}}
-		flipped := []future.Bin{{Size: 2, Prob: 0.75}, {Size: 4, Prob: 0.25}}
-		a := Fingerprint(req(p, bins))
-		if b := Fingerprint(req(p, bins)); a != b {
+		a := Fingerprint(req(p))
+		if b := Fingerprint(req(p)); a != b {
 			t.Fatalf("rebuild changed fingerprint: %s vs %s", a, b)
-		}
-		if b := Fingerprint(req(p, flipped)); a != b {
-			t.Fatalf("bin permutation changed fingerprint: %s vs %s", a, b)
 		}
 		bumped := p
 		bumped.wcet++
-		if b := Fingerprint(req(bumped, bins)); a == b {
+		if b := Fingerprint(req(bumped)); a == b {
 			t.Fatal("WCET bump did not change fingerprint")
 		}
 	})

@@ -18,8 +18,8 @@ import (
 // cancellable context: its work is cancelled only when the *last*
 // member leaves, so a leader whose client disconnects does not kill the
 // work its followers are still waiting on. The table is value-agnostic
-// (the serve layer keeps solution entries, sessions commit results);
-// callers count outcomes in their own instruments.
+// (the serve layer keeps its solution entries in it); callers count
+// outcomes in their own instruments.
 type Table struct {
 	// All Flight state is guarded by the owning table's mutex; flights
 	// are few and short-lived, so one lock is simpler and plenty.

@@ -387,7 +387,7 @@ func (c *Coordinator) runUnit(ctx context.Context, jreg *obs.Registry, requestID
 			if a.err == nil {
 				return a.doc, a.ws.name, nil
 			}
-			jreg.Counter(obs.CtrClusterRPCErrors).Inc()
+			jreg.Counter(obs.CtrClusterUnitErrors).Inc()
 			if !retryable(a.err) {
 				return nil, "", a.err
 			}

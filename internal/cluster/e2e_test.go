@@ -299,8 +299,8 @@ func TestE2EWorkerLossReassigns(t *testing.T) {
 	if n := got.Stats.Counters[obs.CtrClusterReassigned]; n < 1 {
 		t.Errorf("cluster.reassigned = %d, want >= 1", n)
 	}
-	if n := got.Stats.Counters[obs.CtrClusterRPCErrors]; n < 1 {
-		t.Errorf("cluster.rpc_errors = %d, want >= 1", n)
+	if n := got.Stats.Counters[obs.CtrClusterUnitErrors]; n < 1 {
+		t.Errorf("cluster.unit_errors = %d, want >= 1", n)
 	}
 	if got.Worker != "w2" {
 		t.Errorf("worker = %q, want w2 (the survivor)", got.Worker)

@@ -154,8 +154,8 @@ type ClassReport struct {
 
 // CacheReport tallies the X-Incdes-Cache headers observed across the
 // run. Hits and inflight-coalesced responses both avoided a solve, so
-// HitRate counts them together. Session commits only carry the header
-// on a hit, so commit misses do not enter the denominator.
+// HitRate counts them together. Session commits always solve and carry
+// no header, so they do not enter the tally.
 type CacheReport struct {
 	Hit      int     `json:"hit"`
 	Miss     int     `json:"miss"`

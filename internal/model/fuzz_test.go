@@ -25,6 +25,7 @@ func FuzzReadSystem(f *testing.F) {
 	f.Add(`{`)
 	f.Add(overflowingHyperperiodJSON)
 	f.Add(negativeRoundJSON)
+	f.Add(primePeriodsJSON)
 	f.Fuzz(func(t *testing.T, src string) {
 		got, err := ReadSystem(strings.NewReader(src))
 		if err != nil {

@@ -53,6 +53,13 @@ const overflowingHyperperiodJSON = `{"arch":{"nodes":[{"id":0}],"bus":{"slot_ord
 	`"apps":[{"id":0,"graphs":[{"id":0,"period":1000,"deadline":1000,"procs":[{"id":0,"wcet":{"0":10}}],"msgs":[]}]},` +
 	`{"id":1,"graphs":[{"id":1,"period":4611686018427391,"deadline":4611686018427391,"procs":[{"id":1,"wcet":{"0":10}}],"msgs":[]}]}]}`
 
+// primePeriodsJSON is a system whose hyperperiod fits tm.Time but spans
+// 2·10^12 TDMA slot occurrences: two nodes on a 20-unit round and two
+// one-process applications with the prime periods 999,983 and 1,000,003.
+const primePeriodsJSON = `{"arch":{"nodes":[{"id":0},{"id":1}],"bus":{"slot_order":[0,1],"slot_bytes":[8,8],"byte_time":1,"slot_overhead":2}},` +
+	`"apps":[{"id":0,"graphs":[{"id":0,"period":999983,"deadline":999983,"procs":[{"id":0,"wcet":{"0":3,"1":3}}],"msgs":[]}]},` +
+	`{"id":1,"graphs":[{"id":1,"period":1000003,"deadline":1000003,"procs":[{"id":1,"wcet":{"0":3,"1":3}}],"msgs":[]}]}]}`
+
 // negativeRoundJSON is a system whose one slot's bytes × byte time
 // overflows, so the bus round length is negative.
 const negativeRoundJSON = `{"arch":{"nodes":[{"id":0}],"bus":{"slot_order":[0],"slot_bytes":[4611686018427387904],"byte_time":2,"slot_overhead":0}},"apps":[]}`

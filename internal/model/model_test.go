@@ -1,7 +1,9 @@
 package model
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"incdes/internal/tm"
@@ -189,6 +191,51 @@ func TestValidateRejectsBadInputs(t *testing.T) {
 				t.Errorf("%s: Validate accepted invalid system", tc.name)
 			}
 		})
+	}
+}
+
+// TestValidateBoundsOccurrences: a hyperperiod that fits tm.Time can
+// still span more slot or process and message occurrences than a
+// schedule should allocate, and Validate rejects such a system before
+// anything is scheduled. Each system has two nodes on a 20-unit round and
+// one application per period, a chain of procs processes.
+func TestValidateBoundsOccurrences(t *testing.T) {
+	system := func(procs int, periods ...tm.Time) *System {
+		b := NewBuilder()
+		b.Node("N0")
+		b.Node("N1")
+		b.UniformBus(8, 1, 2)
+		for i, period := range periods {
+			g := b.App(fmt.Sprintf("a%d", i)).Graph(fmt.Sprintf("g%d", i), period, period)
+			var prev ProcID
+			for k := 0; k < procs; k++ {
+				p := g.UniformProc(fmt.Sprintf("a%d-p%d", i, k), 3)
+				if k > 0 {
+					g.Msg(prev, p, 4)
+				}
+				prev = p
+			}
+		}
+		return &System{Arch: &b.arch, Apps: b.apps}
+	}
+	// A hyperperiod of maxSlotOccurrences/2 rounds of two slots each.
+	long := tm.Time(20 * maxSlotOccurrences / 2)
+	for _, tc := range []struct {
+		name string
+		sys  *System
+		want string // a fragment of the error; "" means valid
+	}{
+		{"prime periods", system(1, 999983, 1000003), "slot occurrences"},
+		{"at the slot bound", system(1, 20, long), ""},
+		{"over the job bound", system(2, 20, long), "process and message occurrences"},
+	} {
+		err := tc.sys.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one about %s", tc.name, err, tc.want)
+		}
 	}
 }
 

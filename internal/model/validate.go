@@ -69,11 +69,24 @@ func (a *Application) Validate(arch *Architecture) error {
 	return nil
 }
 
+// Bounds on what scheduling a system allocates over its hyperperiod: the
+// TDMA slot occurrences of every bus (ttp.NewState keeps one ledger entry
+// each) and the process and message occurrences of every graph (the jobs
+// a schedule places). A hyperperiod that fits in tm.Time can still ask
+// for terabytes: two one-process applications with prime periods near
+// 10^6 on a 20-unit round need 2·10^12 slot occurrences. Every generated
+// family measured needs under 2,300 of either.
+const (
+	maxSlotOccurrences = 1 << 16
+	maxJobOccurrences  = 1 << 16
+)
+
 // Validate checks the complete system: architecture, at least one
 // application (the future profile's base period is the smallest of
 // their periods), every application, global ID uniqueness, that every
-// message fits into at least one slot of its possible sender nodes, and
-// that the hyperperiod is a positive tm.Time.
+// message fits into at least one slot of its possible sender nodes, that
+// the hyperperiod is a positive tm.Time, and that the slot and job
+// occurrences over it stay within their bounds.
 func (s *System) Validate() error {
 	if s.Arch == nil {
 		return fmt.Errorf("model: system has no architecture")
@@ -118,8 +131,29 @@ func (s *System) Validate() error {
 			}
 		}
 	}
-	if _, err := s.hyperperiod(); err != nil {
+	hp, err := s.hyperperiod()
+	if err != nil {
 		return fmt.Errorf("model: system has no hyperperiod: %w", err)
+	}
+	// A hyperperiod makes every round and period positive, and every bus
+	// and graph has a slot and a process, so no divisor below is 0.
+	var occ int64
+	for _, b := range s.Arch.Buses {
+		n, k := int64(hp/b.RoundLen()), int64(b.NumSlots())
+		if n > (maxSlotOccurrences-occ)/k {
+			return fmt.Errorf("model: the buses have more than %d slot occurrences over the hyperperiod %v", maxSlotOccurrences, hp)
+		}
+		occ += n * k
+	}
+	occ = 0
+	for _, a := range s.Apps {
+		for _, g := range a.Graphs {
+			n, k := int64(hp/g.Period), int64(len(g.Procs)+len(g.Msgs))
+			if n > (maxJobOccurrences-occ)/k {
+				return fmt.Errorf("model: the graphs have more than %d process and message occurrences over the hyperperiod %v", maxJobOccurrences, hp)
+			}
+			occ += n * k
+		}
 	}
 	return nil
 }

@@ -70,10 +70,6 @@ const (
 	CtrSessBaselineReuses = "session.baseline_reuses" // commits served from a cached baseline
 	GagSessLive           = "session.live"            // gauge: sessions resident in memory
 
-	// Session-commit solution cache (internal/session).
-	CtrSessSolveCacheHits   = "session.solve_cache_hits"   // commits served from the solution cache
-	CtrSessSolveCacheStores = "session.solve_cache_stores" // commit solutions stored in the cache
-
 	// Serving-stack latency histograms (internal/serve). All observe
 	// seconds over the LatencyBounds bucket grid.
 	HstRequestSeconds     = "serve.request_seconds"      // histogram: full HTTP request latency
@@ -89,7 +85,7 @@ const (
 	CtrClusterUnits      = "cluster.units"           // work units dispatched to workers
 	CtrClusterReassigned = "cluster.reassigned"      // units reassigned after a worker failure
 	CtrClusterSteals     = "cluster.steals"          // straggler units duplicated onto another worker
-	CtrClusterRPCErrors  = "cluster.rpc_errors"      // worker RPC attempts that failed
+	CtrClusterUnitErrors = "cluster.unit_errors"     // unit attempts that failed
 	CtrClusterEjections  = "cluster.ejections"       // workers ejected by the health prober
 	CtrClusterProbes     = "cluster.probes"          // worker health probes performed
 	GagClusterWorkers    = "cluster.workers_healthy" // gauge: workers currently accepting units
@@ -142,8 +138,6 @@ var catalog = []Instrument{
 	{CtrSessBaselineBuilds, KindCounter, "session metric baselines computed"},
 	{CtrSessBaselineReuses, KindCounter, "session commits served from a cached baseline"},
 	{GagSessLive, KindGauge, "design sessions resident in memory"},
-	{CtrSessSolveCacheHits, KindCounter, "session commits served from the solution cache"},
-	{CtrSessSolveCacheStores, KindCounter, "session commit solutions stored in the cache"},
 	{HstRequestSeconds, KindHistogram, "full HTTP request latency in seconds"},
 	{HstSolveSeconds, KindHistogram, "core solve latency in seconds"},
 	{HstQueueWaitSeconds, KindHistogram, "admission-queue wait in seconds"},
@@ -152,7 +146,7 @@ var catalog = []Instrument{
 	{CtrClusterUnits, KindCounter, "cluster work units dispatched to workers"},
 	{CtrClusterReassigned, KindCounter, "cluster units reassigned after a worker failure"},
 	{CtrClusterSteals, KindCounter, "cluster straggler units duplicated onto another worker"},
-	{CtrClusterRPCErrors, KindCounter, "cluster worker RPC attempts that failed"},
+	{CtrClusterUnitErrors, KindCounter, "cluster unit attempts that failed"},
 	{CtrClusterEjections, KindCounter, "cluster workers ejected by the health prober"},
 	{CtrClusterProbes, KindCounter, "cluster worker health probes performed"},
 	{GagClusterWorkers, KindGauge, "cluster workers currently accepting units"},

@@ -427,8 +427,8 @@ type RequestDoc struct {
 }
 
 // Spans snapshots the record's trace flat, in seq order: the form a
-// cluster worker ships over RPC for the coordinator to graft with
-// AttachRemote.
+// cluster worker's job document carries for the coordinator to graft
+// with AttachRemote.
 func (r RequestRecord) Spans() []SpanSnapshot { return r.rt.Snapshot() }
 
 // Doc snapshots the record's trace into its JSON form.
@@ -449,9 +449,9 @@ func (r RequestRecord) Doc() RequestDoc {
 // Safe for concurrent use.
 type SpanRecorder struct {
 	mu   sync.Mutex
-	cap  int
-	recs []RequestRecord // oldest first
-	byID map[string]int  // request ID -> index in recs
+	recs []RequestRecord // the ring: grows to its capacity, then slots are overwritten
+	next int             // slot the next new record takes; once full, the oldest
+	byID map[string]int  // request ID -> slot in recs
 }
 
 // NewSpanRecorder returns a recorder keeping the last capacity
@@ -460,10 +460,10 @@ func NewSpanRecorder(capacity int) *SpanRecorder {
 	if capacity <= 0 {
 		return nil
 	}
-	return &SpanRecorder{cap: capacity, byID: map[string]int{}}
+	return &SpanRecorder{recs: make([]RequestRecord, 0, capacity), byID: map[string]int{}}
 }
 
-// Record appends one finished request, evicting the oldest past
+// Record adds one finished request, overwriting the oldest past
 // capacity. Re-recording an ID replaces the earlier record in place.
 // No-op on a nil recorder or a record without a trace.
 func (sr *SpanRecorder) Record(rec RequestRecord) {
@@ -476,16 +476,14 @@ func (sr *SpanRecorder) Record(rec RequestRecord) {
 		sr.recs[i] = rec
 		return
 	}
-	if len(sr.recs) >= sr.cap {
-		delete(sr.byID, sr.recs[0].rt.ID())
-		copy(sr.recs, sr.recs[1:])
-		sr.recs = sr.recs[:len(sr.recs)-1]
-		for id, i := range sr.byID {
-			sr.byID[id] = i - 1
-		}
+	if len(sr.recs) < cap(sr.recs) {
+		sr.recs = append(sr.recs, rec)
+	} else {
+		delete(sr.byID, sr.recs[sr.next].rt.ID())
+		sr.recs[sr.next] = rec
 	}
-	sr.byID[rec.rt.ID()] = len(sr.recs)
-	sr.recs = append(sr.recs, rec)
+	sr.byID[rec.rt.ID()] = sr.next
+	sr.next = (sr.next + 1) % cap(sr.recs)
 }
 
 // NewRecord builds a RequestRecord for the given trace; exported so the
@@ -515,9 +513,10 @@ func (sr *SpanRecorder) List() []RequestRecord {
 	}
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	out := make([]RequestRecord, len(sr.recs))
-	for i, rec := range sr.recs {
-		out[len(out)-1-i] = rec
+	n := len(sr.recs)
+	out := make([]RequestRecord, n)
+	for i := range out {
+		out[i] = sr.recs[(sr.next-1-i+n)%n]
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -201,6 +203,40 @@ func TestSpanRecorderRing(t *testing.T) {
 	nilSR.Record(rec("x"))
 	if nilSR.List() != nil {
 		t.Error("nil recorder retained a record")
+	}
+}
+
+// TestSpanRecorderRingWraps: past capacity the ring overwrites its
+// oldest slot, so after ten records into three slots the last three
+// remain, a re-record replaces in place, and List stays newest first.
+func TestSpanRecorderRingWraps(t *testing.T) {
+	sr := NewSpanRecorder(3)
+	rec := func(id string, status int) RequestRecord {
+		return NewRecord(NewRequestTrace(id), "GET", "/x", status, time.Now(), time.Millisecond)
+	}
+	for i := 0; i < 10; i++ {
+		sr.Record(rec(fmt.Sprintf("r%d", i), 200))
+	}
+	sr.Record(rec("r8", 500))
+	for i := 0; i < 10; i++ {
+		got, ok := sr.Get(fmt.Sprintf("r%d", i))
+		if ok != (i >= 7) {
+			t.Errorf("Get(r%d) found = %v, want %v", i, ok, i >= 7)
+		}
+		want := 200
+		if i == 8 {
+			want = 500
+		}
+		if ok && got.Status != want {
+			t.Errorf("Get(r%d).Status = %d, want %d", i, got.Status, want)
+		}
+	}
+	var ids []string
+	for _, r := range sr.List() {
+		ids = append(ids, r.rt.ID())
+	}
+	if want := []string{"r9", "r8", "r7"}; !slices.Equal(ids, want) {
+		t.Errorf("List = %v, want %v", ids, want)
 	}
 }
 

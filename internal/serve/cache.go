@@ -3,16 +3,16 @@ package serve
 // Whole-solution caching and single-flight dedup for POST /v1/solve.
 //
 // With Config.SolutionCacheSize > 0 every solve request is fingerprinted
-// (internal/cache: canonical SHA-256 over the posted system, the
-// objective it is scored against and strategy tuning) and joins that
-// key's flight in the server's cache.Table. The response is annotated
-// with X-Incdes-Cache:
+// (internal/cache: canonical SHA-256 over the posted system, the current
+// application and strategy tuning) and joins that key's flight in the
+// server's cache.Table. The response is annotated with X-Incdes-Cache:
 //
 //	hit       the flight had landed: its kept result answers the request
 //	miss      this request leads the flight and runs the solve
 //	inflight  coalesced onto an identical in-flight solve
 //
 // Requests opt out per-request with cache=off (no header is set).
+// Session commits never use the table: a commit always solves.
 // core.Solve is deterministic, so a cached or coalesced response is
 // byte-identical to the solve the request would have run — including the
 // SSE trace stream, which hits and followers replay from the leader's
@@ -61,22 +61,19 @@ func (p SolveParams) cacheSpec() cache.Spec {
 	}
 }
 
-// lookup fingerprints the request — the posted system and current
-// application, the objective BuildProblem scores against and the
-// strategy identity, so nothing is scheduled — and joins its key's
-// flight, under the cache.lookup span and histogram; fingerprinting
-// dominates both. The outcome is "miss" when the caller leads the
-// flight, "hit" when the flight has landed and "inflight" otherwise; the
-// last two are counted here, a miss once its leader is admitted.
+// lookup fingerprints the request — the posted system, current
+// application and strategy identity, so nothing is scheduled — and
+// joins its key's flight, under the cache.lookup span and histogram;
+// fingerprinting dominates both. The outcome is "miss" when the caller
+// leads the flight, "hit" when the flight has landed and "inflight"
+// otherwise; the last two are counted here, a miss once its leader is
+// admitted.
 func (s *Server) lookup(ctx context.Context, sys *model.System, params SolveParams) (*cache.Flight, string) {
 	start := time.Now()
 	_, span := obs.StartSpan(ctx, "cache.lookup")
-	prof, w := objective(sys)
 	f, leader := s.solutions.Join(s.baseCtx, cache.Fingerprint(cache.Request{
 		System:   sys,
 		App:      params.App,
-		Profile:  prof,
-		Weights:  w,
 		Strategy: params.cacheSpec(),
 	}))
 	outcome := "miss"

@@ -8,7 +8,6 @@ import (
 
 	"incdes/internal/core"
 	"incdes/internal/export"
-	"incdes/internal/future"
 	"incdes/internal/gen"
 	"incdes/internal/metrics"
 	"incdes/internal/model"
@@ -87,7 +86,10 @@ func (p SolveParams) saOptions() core.SAOptions {
 // BuildProblem freezes every application of sys except the current one
 // (appName, or the last application when "") in arrival order and
 // assembles the incremental mapping problem — the same preparation
-// cmd/incmap performs before Solve.
+// cmd/incmap performs before Solve. The objective, the future profile
+// gen.ProfileForSystem derives under the default configuration and its
+// default weights, is a function of sys, so the solution cache's
+// fingerprint of sys covers it.
 func BuildProblem(sys *model.System, appName string) (*core.Problem, error) {
 	if len(sys.Apps) == 0 {
 		return nil, fmt.Errorf("system has no applications")
@@ -117,16 +119,8 @@ func BuildProblem(sys *model.System, appName string) (*core.Problem, error) {
 			return nil, fmt.Errorf("scheduling existing application %q: %w", app.Name, err)
 		}
 	}
-	prof, w := objective(sys)
-	return core.NewProblem(sys, base, current, prof, w)
-}
-
-// objective is the future profile and the weights a one-shot solve of
-// sys is scored against. It schedules nothing, so the solution cache
-// fingerprints a request with it before any problem is built.
-func objective(sys *model.System) (*future.Profile, metrics.Weights) {
 	prof := gen.ProfileForSystem(gen.Default(), sys)
-	return prof, metrics.DefaultWeights(prof)
+	return core.NewProblem(sys, base, current, prof, metrics.DefaultWeights(prof))
 }
 
 // SolutionDoc is the deterministic JSON rendering of a solve outcome:
@@ -235,7 +229,6 @@ type CommitInfo struct {
 	Version        int    `json:"version"`
 	Parent         int    `json:"parent"`
 	BaselineReused bool   `json:"baseline_reused,omitempty"`
-	CacheHit       bool   `json:"cache_hit,omitempty"`
 }
 
 // job is one solve request moving through the bounded manager.

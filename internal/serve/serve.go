@@ -41,9 +41,10 @@
 // 429), each job is capped by JobTimeout, and a client disconnect
 // cancels its synchronous solve — the engine then returns the best
 // design found so far, marked Interrupted. A solve builds its problem
-// inside its job. With the solution cache on, a request that joins a
-// kept result or an identical solve in flight takes no queue position
-// and schedules nothing (cache.go).
+// inside its job. With the solution cache on, a one-shot solve that
+// joins a kept result or an identical solve in flight takes no queue
+// position and schedules nothing (cache.go); a session commit always
+// solves.
 package serve
 
 import (
@@ -743,8 +744,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // A synchronous job is bound to the connection: a client disconnect
 // cancels it, and the engine reports the best design found so far, marked
 // interrupted. The answer is the job's status document, 422 when the job
-// failed, with the worker(s) of a dispatched solve and a commit's cache
-// hit in the headers.
+// failed, with the worker(s) of a dispatched solve in a header.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, j *job, detach bool, run func(context.Context)) {
 	if detach {
 		go run(obs.CopyTrace(s.baseCtx, r.Context()))
@@ -755,9 +755,6 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, j *job, detach b
 	run(r.Context())
 	if wt := j.workerTag(); wt != "" {
 		w.Header().Set(workerHeader, wt)
-	}
-	if ci := j.commitInfo(); ci != nil && ci.CacheHit {
-		w.Header().Set(cacheHeader, "hit")
 	}
 	doc := s.statusDoc(j)
 	code := http.StatusOK
@@ -863,10 +860,10 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 // statsLocked refreshes the cache-occupancy gauge and snapshots the
 // cross-strategy aggregate: the {strategy="all"} rows of /metrics and
-// the body of /v1/stats. Cache entries come and go through both the
-// solve and session-commit paths, so the gauge reads the table directly.
-// The caller holds s.mu, so the snapshot agrees with the per-strategy
-// aggregates that finalize folds under the same lock.
+// the body of /v1/stats. The gauge reads the table directly, so it is
+// current at every scrape. The caller holds s.mu, so the snapshot agrees
+// with the per-strategy aggregates that finalize folds under the same
+// lock.
 func (s *Server) statsLocked() obs.Snapshot {
 	if s.solutions != nil {
 		s.global.Gauge(obs.GagSolveCacheEntries).Set(int64(s.solutions.Len()))

@@ -6,7 +6,9 @@ package serve
 // streaming (GET /v1/solve/{id}/events) and /metrics aggregation apply
 // unchanged. What differs is the work closure: instead of rebuilding a
 // frozen base from the posted system, a commit schedules one new
-// application against the session's cached composite and baseline.
+// application against the session's cached composite and baseline. A
+// commit always solves: the solution table keeps one-shot solves only,
+// so cache=off, which a commit still accepts, changes nothing.
 
 import (
 	"context"
@@ -86,7 +88,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "reading system: %v", err)
 		return
 	}
-	sess, err := s.sessions.Open(sys, nil, r.URL.Query().Get("id"))
+	sess, err := s.sessions.Open(sys, r.URL.Query().Get("id"))
 	if err != nil {
 		writeSessionError(w, err)
 		return
@@ -181,19 +183,14 @@ func (s *Server) handleSessionCommit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	work := func(ctx context.Context) (*SolutionDoc, error) {
-		cp := session.CommitParams{
+		cctx, cspan := obs.StartSpan(ctx, "session.commit")
+		t0 := time.Now()
+		res, err := sess.Commit(cctx, app, session.CommitParams{
 			Branch:      branch,
 			Strategy:    strat,
 			Parallelism: s.parallelism(params),
 			Observer:    &obs.Observer{Stats: j.reg, Tracer: j.buf},
-		}
-		if s.solutions != nil && !params.NoCache {
-			cp.SolveCache = s.solutions
-			cp.CacheSpec = params.cacheSpec()
-		}
-		cctx, cspan := obs.StartSpan(ctx, "session.commit")
-		t0 := time.Now()
-		res, err := sess.Commit(cctx, app, cp)
+		})
 		cspan.End()
 		j.reg.Histogram(obs.HstCommitSeconds).ObserveSince(t0)
 		if err != nil {
@@ -205,7 +202,6 @@ func (s *Server) handleSessionCommit(w http.ResponseWriter, r *http.Request) {
 			Version:        res.Version,
 			Parent:         res.Parent,
 			BaselineReused: res.BaselineReused,
-			CacheHit:       res.CacheHit,
 		})
 		return NewSolutionDoc(res.Solution)
 	}

@@ -429,12 +429,14 @@ func TestErrorEnvelope(t *testing.T) {
 		{"solve bad body", "POST", "/v1/solve", []byte("{"), 400, ErrCodeBadRequest},
 		{"solve overflowing hyperperiod", "POST", "/v1/solve", overflowJSON, 400, ErrCodeBadRequest},
 		{"solve no applications", "POST", "/v1/solve", noAppsJSON, 400, ErrCodeBadRequest},
+		{"solve too many slot occurrences", "POST", "/v1/solve", []byte(primePeriodsJSON), 400, ErrCodeBadRequest},
 		{"solve unknown job", "GET", "/v1/solve/zzz", nil, 404, ErrCodeNotFound},
 		{"cancel unknown job", "DELETE", "/v1/solve/zzz", nil, 404, ErrCodeNotFound},
 		{"events unknown job", "GET", "/v1/solve/zzz/events", nil, 404, ErrCodeNotFound},
 		{"session open bad body", "POST", "/v1/sessions", []byte("{"), 400, ErrCodeBadRequest},
 		{"session open overflowing hyperperiod", "POST", "/v1/sessions", overflowJSON, 400, ErrCodeBadRequest},
 		{"session open no applications", "POST", "/v1/sessions", noAppsJSON, 400, ErrCodeBadRequest},
+		{"session open too many slot occurrences", "POST", "/v1/sessions", []byte(primePeriodsJSON), 400, ErrCodeBadRequest},
 		{"session open base does not fit", "POST", "/v1/sessions", unfitJSON, 422, ErrCodeInvalidInput},
 		{"session open duplicate id", "POST", "/v1/sessions?id=e1", sysJSON, 409, ErrCodeConflict},
 		{"session unknown", "GET", "/v1/sessions/zzz", nil, 404, ErrCodeNotFound},
@@ -490,6 +492,48 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 	if jobDoc.Status != StatusFailed || !strings.Contains(jobDoc.Error, "hyperperiod") {
 		t.Fatalf("illegal commit job = %+v", jobDoc)
+	}
+}
+
+// primePeriodsJSON is a system whose hyperperiod fits tm.Time but spans
+// 2·10^12 TDMA slot occurrences: two nodes on a 20-unit round and two
+// one-process applications with the prime periods 999,983 and 1,000,003.
+const primePeriodsJSON = `{"arch":{"nodes":[{"id":0},{"id":1}],"bus":{"slot_order":[0,1],"slot_bytes":[8,8],"byte_time":1,"slot_overhead":2}},` +
+	`"apps":[{"id":0,"graphs":[{"id":0,"period":999983,"deadline":999983,"procs":[{"id":0,"wcet":{"0":3,"1":3}}],"msgs":[]}]},` +
+	`{"id":1,"graphs":[{"id":1,"period":1000003,"deadline":1000003,"procs":[{"id":1,"wcet":{"0":3,"1":3}}],"msgs":[]}]}]}`
+
+// TestOccurrenceBoundCommitFails: a commit that keeps the hyperperiod but
+// takes the composite past the bound on process and message occurrences
+// fails its legality check. The base is one process of period 655,360 on
+// a 20-unit round; the application is a two-process chain of period 20,
+// 32,768 occurrences of three jobs.
+func TestOccurrenceBoundCommitFails(t *testing.T) {
+	b := model.NewBuilder()
+	b.Node("N0")
+	b.Node("N1")
+	b.UniformBus(8, 1, 2)
+	b.App("base").Graph("base-g", 655360, 655360).UniformProc("base-p", 3)
+	var base bytes.Buffer
+	if err := b.MustSystem().WriteJSON(&base); err != nil {
+		t.Fatal(err)
+	}
+	wcet := map[model.NodeID]tm.Time{0: 3, 1: 3}
+	app := &model.Application{ID: 1, Name: "fast", Graphs: []*model.Graph{{
+		ID: 1, Name: "fast-g", Period: 20, Deadline: 20,
+		Procs: []*model.Process{{ID: 1, Name: "fast-p1", WCET: wcet}, {ID: 2, Name: "fast-p2", WCET: wcet}},
+		Msgs:  []*model.Message{{ID: 0, Name: "fast-m", Src: 1, Dst: 2, Bytes: 4}},
+	}}}
+	var appJSON bytes.Buffer
+	if err := app.WriteJSON(&appJSON); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t)
+	id := openSession(t, ts, base.Bytes(), "")
+	var doc JobStatusDoc
+	resp := do(t, "POST", ts.URL+"/v1/sessions/"+id+"/commits?strategy=ah", appJSON.Bytes(), &doc)
+	if resp.StatusCode != http.StatusUnprocessableEntity || doc.Status != StatusFailed ||
+		!strings.Contains(doc.Error, "illegal commit") || !strings.Contains(doc.Error, "occurrences") {
+		t.Fatalf("commit past the occurrence bound = %d %q %q", resp.StatusCode, doc.Status, doc.Error)
 	}
 }
 

@@ -63,7 +63,7 @@ func TestReplayMatchesPinnedDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := m.Open(&model.System{Arch: tc.Sys.Arch, Apps: tc.Existing[:1]}, tc.Profile, "")
+		sess, err := m.Open(&model.System{Arch: tc.Sys.Arch, Apps: tc.Existing[:1]}, "")
 		if err != nil {
 			t.Fatalf("%s: Open: %v", c.name, err)
 		}

@@ -23,7 +23,7 @@ func FuzzDecodeDoc(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sess, err := m.Open(sys, nil, "")
+	sess, err := m.Open(sys, "")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func FuzzDecodeJournal(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sess, err := m.Open(sys, nil, "s1")
+	sess, err := m.Open(sys, "s1")
 	if err != nil {
 		f.Fatal(err)
 	}

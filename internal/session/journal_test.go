@@ -223,7 +223,7 @@ func TestCommitAppendsOnlyTheChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := m.Open(sys, nil, "")
+	sess, err := m.Open(sys, "")
 	if err != nil {
 		t.Fatal(err)
 	}

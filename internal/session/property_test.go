@@ -41,7 +41,7 @@ func replayProperty(t *testing.T, store session.Store, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := m.Open(sys, nil, "")
+	sess, err := m.Open(sys, "")
 	if err != nil {
 		t.Fatal(err)
 	}

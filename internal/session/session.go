@@ -4,7 +4,8 @@
 // then grows one committed application at a time. Each commit maps and
 // schedules the new application against the frozen composite of its
 // parent version through core.Solve, reusing the version's cached
-// metrics.Baseline, and freezes the result as a new version. Branches
+// metrics.Baseline, and freezes the result as a new version; every
+// commit solves, nothing replays an earlier commit's result. Branches
 // name what-if lines of development from any version, rollback moves a
 // branch head back along its ancestry, and any two versions can be
 // diffed (placement delta plus metric delta).
@@ -38,7 +39,6 @@ import (
 	"strings"
 	"sync"
 
-	"incdes/internal/cache"
 	"incdes/internal/core"
 	"incdes/internal/future"
 	"incdes/internal/gen"
@@ -121,21 +121,19 @@ func (m *Manager) setLiveGauge() {
 
 // Open creates a session over sys: every application of sys is scheduled
 // in arrival order with the initial-mapping algorithm and frozen as
-// version 0. prof pins the future-application characterization for the
-// whole session; nil derives it from sys exactly as the one-shot solve
-// path does (gen.ProfileForSystem with the default configuration). id
-// names the session; "" assigns the next free sN. A base whose
-// applications do not fit is ErrBaseDoesNotFit.
-func (m *Manager) Open(sys *model.System, prof *future.Profile, id string) (*Session, error) {
+// version 0. The session's future-application characterization is
+// derived from sys exactly as the one-shot solve path does
+// (gen.ProfileForSystem with the default configuration) and pinned for
+// the whole session. id names the session; "" assigns the next free sN.
+// A base whose applications do not fit is ErrBaseDoesNotFit.
+func (m *Manager) Open(sys *model.System, id string) (*Session, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("session: open: no system")
 	}
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	if prof == nil {
-		prof = gen.ProfileForSystem(gen.Default(), sys)
-	}
+	prof := gen.ProfileForSystem(gen.Default(), sys)
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
@@ -416,30 +414,6 @@ type CommitParams struct {
 	// Parallelism and Observer are handed to core.Solve unchanged.
 	Parallelism int
 	Observer    *obs.Observer
-	// SolveCache, when non-nil, is the whole-solution table the commit
-	// joins before the solve. The key is the commit's problem fingerprint
-	// and includes the parent version's composite-schedule fingerprint, so
-	// a hit is only possible when the exact frozen base, committed
-	// application, objective and strategy all match — and then the kept
-	// decisions rematerialize byte-identically (deterministic replay). A
-	// commit that leads its key's flight lands it, kept only when its
-	// solve is complete; one that finds the key in flight solves on its
-	// own and keeps nothing.
-	SolveCache *cache.Table
-	// CacheSpec is the canonical strategy identity hashed into the cache
-	// key; ignored when SolveCache is nil.
-	CacheSpec cache.Spec
-}
-
-// commitSolveEntry is one cached commit solve: the decisions plus the
-// result fields needed to freeze an identical version without running
-// the engine. Mapping and hints are stored as private clones.
-type commitSolveEntry struct {
-	strategy    string
-	mapping     model.Mapping
-	hints       sched.Hints
-	report      metrics.Report
-	evaluations int
 }
 
 // CommitResult reports one commit.
@@ -457,9 +431,6 @@ type CommitResult struct {
 	// BaselineReused reports whether the parent version's metric
 	// baseline was served from the session cache.
 	BaselineReused bool
-	// CacheHit reports whether the whole solve was replayed from a result
-	// kept in CommitParams.SolveCache (the engine never ran).
-	CacheHit bool
 }
 
 // Commit maps and schedules app against the frozen composite of the
@@ -492,13 +463,11 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 	// the composed system (hyperperiod rule), restrict the frozen
 	// composite and fetch the metric baseline.
 	var (
-		head      int
-		parentSys *model.System
-		newSys    *model.System
-		base      *sched.State
-		bl        *metrics.Baseline
-		reused    bool
-		parentFP  string
+		head   int
+		newSys *model.System
+		base   *sched.State
+		bl     *metrics.Baseline
+		reused bool
 	)
 	_, legalitySpan := obs.StartSpan(ctx, "commit.legality")
 	err := func() error {
@@ -513,10 +482,9 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 		if err != nil {
 			return err
 		}
-		parentSys = src.System()
 		newSys = &model.System{
 			Arch: s.doc.System.Arch,
-			Apps: append(append([]*model.Application(nil), parentSys.Apps...), app),
+			Apps: append(append([]*model.Application(nil), src.System().Apps...), app),
 		}
 		if err := newSys.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrIllegalCommit, err)
@@ -532,11 +500,7 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 			return fmt.Errorf("%w: %v", ErrIllegalCommit, err)
 		}
 		bl, reused, err = s.baselineAtLocked(head)
-		if err != nil {
-			return err
-		}
-		parentFP = s.doc.Versions[head].Fingerprint
-		return nil
+		return err
 	}()
 	legalitySpan.SetAttr("branch", branch)
 	legalitySpan.End()
@@ -544,85 +508,20 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 		return nil, err
 	}
 
-	var sol *core.Solution
-	var lead *cache.Flight // the flight this commit leads
-	if p.SolveCache != nil {
-		f, leader := p.SolveCache.Join(ctx, cache.Fingerprint(cache.Request{
-			Parent:   parentFP,
-			System:   parentSys,
-			Commit:   app,
-			Profile:  s.prof,
-			Weights:  s.weights,
-			Strategy: p.CacheSpec,
-		}))
-		if leader {
-			// The solve below lands the flight when it completes; every
-			// other path releases the key.
-			defer f.Leave()
-			defer f.Complete(nil, nil, false)
-			lead = f
-		} else {
-			f.Leave()
-		}
-		// A landed flight holds its kept result; one in the air holds none.
-		if v, _ := f.Result(); v != nil {
-			// Rematerialize the kept decisions on the freshly restricted
-			// base; replay is deterministic, so the frozen version is
-			// byte-identical to the one the original solve produced. A
-			// failed ScheduleApp leaves the base untouched, so a replay
-			// failure falls through to a real solve on it — the cache is
-			// advisory, never authoritative.
-			ent := v.(*commitSolveEntry)
-			_, replaySpan := obs.StartSpan(ctx, "commit.replay")
-			if err := base.ScheduleApp(app, ent.mapping, ent.hints); err == nil {
-				sol = &core.Solution{
-					Strategy:    ent.strategy,
-					Mapping:     ent.mapping.Clone(),
-					Hints:       ent.hints.Clone(),
-					State:       base,
-					Report:      ent.report,
-					Evaluations: ent.evaluations,
-				}
-				s.count(obs.CtrSessSolveCacheHits)
-				replaySpan.SetAttr("outcome", "replayed")
-			} else {
-				replaySpan.SetAttr("outcome", "replay_failed")
-			}
-			replaySpan.End()
-		}
+	prob, err := core.NewProblem(newSys, base, app, s.prof, s.weights)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrIllegalCommit, err)
 	}
-	cacheHit := sol != nil
-	if sol == nil {
-		prob, err := core.NewProblem(newSys, base, app, s.prof, s.weights)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrIllegalCommit, err)
-		}
-		sol, err = core.Solve(ctx, prob, core.Options{
-			Strategy:    p.Strategy,
-			Parallelism: p.Parallelism,
-			Baseline:    bl,
-			Observer:    p.Observer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if lead != nil && !sol.Interrupted {
-			kept, evicted := lead.Complete(&commitSolveEntry{
-				strategy:    sol.Strategy,
-				mapping:     sol.Mapping.Clone(),
-				hints:       sol.Hints.Clone(),
-				report:      sol.Report,
-				evaluations: sol.Evaluations,
-			}, nil, true)
-			if kept {
-				s.count(obs.CtrSessSolveCacheStores)
-			}
-			if evicted {
-				s.count(obs.CtrSolveCacheEvict)
-			}
-		}
+	sol, err := core.Solve(ctx, prob, core.Options{
+		Strategy:    p.Strategy,
+		Parallelism: p.Parallelism,
+		Baseline:    bl,
+		Observer:    p.Observer,
+	})
+	if err != nil {
+		return nil, err
 	}
-	res := &CommitResult{Version: -1, Parent: head, Branch: branch, Solution: sol, BaselineReused: reused, CacheHit: cacheHit}
+	res := &CommitResult{Version: -1, Parent: head, Branch: branch, Solution: sol, BaselineReused: reused}
 	if sol.Interrupted {
 		return res, nil
 	}

@@ -61,7 +61,7 @@ func open(t *testing.T, store session.Store) (*session.Manager, *session.Session
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	sess, err := m.Open(sys, nil, "")
+	sess, err := m.Open(sys, "")
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -348,7 +348,7 @@ func TestReplayAcrossManagers(t *testing.T) {
 	}
 	// The reloaded manager's ID generator must not collide.
 	sys2, _, _ := fixture(t)
-	other, err := m2.Open(sys2, nil, "")
+	other, err := m2.Open(sys2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,11 +371,11 @@ func TestOpenRejectsDuplicateID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Open(sys, nil, "mine"); err != nil {
+	if _, err := m.Open(sys, "mine"); err != nil {
 		t.Fatal(err)
 	}
 	sys2, _, _ := fixture(t)
-	if _, err := m.Open(sys2, nil, "mine"); !errors.Is(err, session.ErrExists) {
+	if _, err := m.Open(sys2, "mine"); !errors.Is(err, session.ErrExists) {
 		t.Errorf("duplicate id: err = %v, want ErrExists", err)
 	}
 }
