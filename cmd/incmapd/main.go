@@ -39,13 +39,14 @@
 // /v1/sessions/{id}/commits accepts the same solve knobs plus branch=.
 //
 // With -solution-cache N the server keeps up to N one-shot solve results
-// keyed by a canonical problem fingerprint, in one table with the solves
-// in flight: an identical resubmission joins the kept result
-// (X-Incdes-Cache: hit) and identical concurrent requests coalesce onto
-// one solve (single-flight; followers get X-Incdes-Cache: inflight).
-// Only the request that leads a solve takes a queue position. cache=off
-// opts a request out. Session commits always solve; on a commit,
-// cache=off changes nothing.
+// keyed by the posted bytes, app= and strategy tuning, in one table with
+// the solves in flight: a byte-identical resubmission joins the kept
+// result without decoding its body (X-Incdes-Cache: hit) and identical
+// concurrent requests coalesce onto one solve (single-flight; followers
+// get X-Incdes-Cache: inflight). A body encoding the same system
+// differently misses. Only the request that leads a solve takes a queue
+// position. cache=off opts a request out. Session commits always solve;
+// on a commit, cache=off changes nothing.
 //
 // With -session-dir sessions persist in that directory and survive
 // restarts: <id>.json holds a session's document and <id>.journal one
@@ -131,8 +132,8 @@ func main() {
 	}
 
 	var coord *cluster.Coordinator
+	var urls []string
 	if *coordinator {
-		var urls []string
 		for _, u := range strings.Split(*workers, ",") {
 			if u = strings.TrimSpace(strings.TrimRight(u, "/")); u != "" {
 				urls = append(urls, u)
@@ -165,7 +166,7 @@ func main() {
 	go func() { errc <- hs.ListenAndServe() }()
 	switch {
 	case coord != nil:
-		log.Printf("incmapd listening on %s (coordinator, %d static workers, job timeout %v)", *addr, len(strings.FieldsFunc(*workers, func(r rune) bool { return r == ',' })), *jobTimeout)
+		log.Printf("incmapd listening on %s (coordinator, %d static workers, job timeout %v)", *addr, len(urls), *jobTimeout)
 	case *workerOf != "":
 		log.Printf("incmapd listening on %s (worker of %s, job timeout %v)", *addr, *workerOf, *jobTimeout)
 	default:

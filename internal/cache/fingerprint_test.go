@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"testing"
 
 	"incdes/internal/model"
@@ -82,9 +83,20 @@ func buildClusteredSystem(t testing.TB, bus0, bus1 []model.NodeID) *model.System
 	return sys
 }
 
+// body is the system as System.WriteJSON writes it: the bytes a client
+// posts.
+func body(t testing.TB, sys *model.System) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sys.WriteJSON(&buf); err != nil {
+		t.Fatalf("writing system: %v", err)
+	}
+	return buf.Bytes()
+}
+
 func baseRequest(t testing.TB) Request {
 	return Request{
-		System:   buildSystem(t, defaultSysParams()),
+		Body:     body(t, buildSystem(t, defaultSysParams())),
 		Strategy: Spec{Name: "sa", SAIters: 100, SARestarts: 2, SASeed: 7},
 	}
 }
@@ -173,60 +185,64 @@ func TestFingerprintSensitivity(t *testing.T) {
 			r := baseRequest(t)
 			p := defaultSysParams()
 			p.nodes = 4
-			r.System = buildSystem(t, p)
+			r.Body = body(t, buildSystem(t, p))
 			return r
 		},
 		"sys-extra-proc": func(t *testing.T) Request {
 			r := baseRequest(t)
 			p := defaultSysParams()
 			p.procs = 5
-			r.System = buildSystem(t, p)
+			r.Body = body(t, buildSystem(t, p))
 			return r
 		},
 		"sys-wcet": func(t *testing.T) Request {
 			r := baseRequest(t)
 			p := defaultSysParams()
 			p.wcet = 4
-			r.System = buildSystem(t, p)
+			r.Body = body(t, buildSystem(t, p))
 			return r
 		},
 		"sys-msg-bytes": func(t *testing.T) Request {
 			r := baseRequest(t)
 			p := defaultSysParams()
 			p.msgBytes = 5
-			r.System = buildSystem(t, p)
+			r.Body = body(t, buildSystem(t, p))
 			return r
 		},
 		"sys-period": func(t *testing.T) Request {
 			r := baseRequest(t)
 			p := defaultSysParams()
 			p.period = 120
-			r.System = buildSystem(t, p)
+			r.Body = body(t, buildSystem(t, p))
 			return r
 		},
 		"sys-app-name": func(t *testing.T) Request {
 			r := baseRequest(t)
 			p := defaultSysParams()
 			p.appName = "other"
-			r.System = buildSystem(t, p)
+			r.Body = body(t, buildSystem(t, p))
 			return r
 		},
 		"sys-slot-bytes": func(t *testing.T) Request {
 			r := baseRequest(t)
 			p := defaultSysParams()
 			p.slotBytes = 16
-			r.System = buildSystem(t, p)
+			r.Body = body(t, buildSystem(t, p))
 			return r
 		},
 		"sys-byte-time": func(t *testing.T) Request {
 			r := baseRequest(t)
-			r.System.Arch.Buses[0].ByteTime = 2
+			sys := buildSystem(t, defaultSysParams())
+			sys.Arch.Buses[0].ByteTime = 2
+			r.Body = body(t, sys)
 			return r
 		},
 		"sys-slot-order": func(t *testing.T) Request {
 			r := baseRequest(t)
-			so := r.System.Arch.Buses[0].SlotOrder
+			sys := buildSystem(t, defaultSysParams())
+			so := sys.Arch.Buses[0].SlotOrder
 			so[0], so[1] = so[1], so[0]
+			r.Body = body(t, sys)
 			return r
 		},
 		// Multi-cluster topology: adding a second bus, moving the gateway,
@@ -235,26 +251,26 @@ func TestFingerprintSensitivity(t *testing.T) {
 		// attachment and gateway placement, so each reshape moves the hash.
 		"sys-second-bus": func(t *testing.T) Request {
 			r := baseRequest(t)
-			r.System = buildClusteredSystem(t,
-				[]model.NodeID{0, 1, 2}, []model.NodeID{2, 3})
+			r.Body = body(t, buildClusteredSystem(t,
+				[]model.NodeID{0, 1, 2}, []model.NodeID{2, 3}))
 			return r
 		},
 		"sys-gateway-moved": func(t *testing.T) Request {
 			r := baseRequest(t)
-			r.System = buildClusteredSystem(t,
-				[]model.NodeID{0, 1, 2}, []model.NodeID{1, 3})
+			r.Body = body(t, buildClusteredSystem(t,
+				[]model.NodeID{0, 1, 2}, []model.NodeID{1, 3}))
 			return r
 		},
 		"sys-bus-attachment": func(t *testing.T) Request {
 			r := baseRequest(t)
-			r.System = buildClusteredSystem(t,
-				[]model.NodeID{0, 2}, []model.NodeID{1, 2, 3})
+			r.Body = body(t, buildClusteredSystem(t,
+				[]model.NodeID{0, 2}, []model.NodeID{1, 2, 3}))
 			return r
 		},
 		"sys-bus-swapped": func(t *testing.T) Request {
 			r := baseRequest(t)
-			r.System = buildClusteredSystem(t,
-				[]model.NodeID{2, 3}, []model.NodeID{0, 1, 2})
+			r.Body = body(t, buildClusteredSystem(t,
+				[]model.NodeID{2, 3}, []model.NodeID{0, 1, 2}))
 			return r
 		},
 	}
@@ -270,9 +286,9 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-// FuzzFingerprint fuzzes the canonicalization: for any generated system
-// the fingerprint must be stable across rebuilds and sensitive to a
-// WCET bump.
+// FuzzFingerprint fuzzes the fingerprint of posted bodies: for any
+// generated system, the body System.WriteJSON writes must hash stably
+// across rebuilds and be sensitive to a WCET bump.
 func FuzzFingerprint(f *testing.F) {
 	f.Add(2, 3, 3, 4, 60, "app")
 	f.Add(1, 1, 1, 1, 30, "x")
@@ -306,7 +322,7 @@ func FuzzFingerprint(f *testing.F) {
 			if err != nil {
 				t.Skip("unbuildable parameter combination")
 			}
-			return Request{System: sys}
+			return Request{Body: body(t, sys)}
 		}
 		a := Fingerprint(req(p))
 		if b := Fingerprint(req(p)); a != b {

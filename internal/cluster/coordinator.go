@@ -265,11 +265,6 @@ func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) 
 	defer stop()
 	plan := core.Plan(strat)
 	units := plan.Units
-	var buf bytes.Buffer
-	if err := req.System.WriteJSON(&buf); err != nil {
-		return nil, fmt.Errorf("cluster: serializing system: %w", err)
-	}
-	system := buf.Bytes()
 
 	rt := obs.TraceFrom(ctx)
 	requestID := ""
@@ -295,7 +290,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, req *serve.DispatchRequest) 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			doc, worker, err := c.runUnit(unitCtx, req.Registry, unitRequestID(requestID, i), unitParams(params, units[i]).Query(), system)
+			doc, worker, err := c.runUnit(unitCtx, req.Registry, unitRequestID(requestID, i), unitParams(params, units[i]).Query(), req.Body)
 			outs[i] = outcome{doc: doc, worker: worker, err: err}
 		}(i)
 	}

@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -210,6 +211,47 @@ func TestE2EStaticStockWorker(t *testing.T) {
 	}
 	if got.Worker != "w1" {
 		t.Errorf("worker = %q, want w1", got.Worker)
+	}
+}
+
+// TestE2ECoordinatorForwardsPostedBytes: every unit request carries the
+// bytes the client posted, not a re-serialization of the decoded system.
+// The worker records each POST /v1/solve body before serving it.
+func TestE2ECoordinatorForwardsPostedBytes(t *testing.T) {
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, fixtureJSON(t)); err != nil {
+		t.Fatal(err)
+	}
+	s := serve.New(serve.Config{Parallelism: 1, MaxConcurrent: 2, SolutionCacheSize: 32})
+	var mu sync.Mutex
+	var bodies [][]byte
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/solve" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Errorf("reading a unit body: %v", err)
+			}
+			mu.Lock()
+			bodies = append(bodies, body)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { worker.Close(); s.Close() })
+
+	cl := newCluster(t, Options{Workers: []string{worker.URL}})
+	got, resp := postSolve(t, cl.URL, "strategy=sa&sa-restarts=2&sa-iters=200&cache=off", compact.Bytes(), nil)
+	mustDone(t, got, resp, "cluster")
+	mu.Lock()
+	defer mu.Unlock()
+	if len(bodies) != 2 {
+		t.Fatalf("the worker got %d unit requests, want one per SA chain (2)", len(bodies))
+	}
+	for i, b := range bodies {
+		if !bytes.Equal(b, compact.Bytes()) {
+			t.Errorf("unit request %d carries %d bytes that differ from the client's %d:\n%.200s", i, len(b), compact.Len(), b)
+		}
 	}
 }
 

@@ -178,7 +178,7 @@ func TestCriterion2Messages(t *testing.T) {
 	st := pinnedState(t, nil)
 	// Fill every slot occurrence of the first 50-tu window.
 	for round := 0; round < 5; round++ {
-		if err := st.BusState().Reserve(round, 0, 8); err != nil {
+		if err := st.BusStateAt(0).Reserve(round, 0, 8); err != nil {
 			t.Fatal(err)
 		}
 	}

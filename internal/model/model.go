@@ -202,19 +202,6 @@ func (a *Application) NumMsgs() int {
 	return n
 }
 
-// Periods returns the distinct graph periods of the application.
-func (a *Application) Periods() []tm.Time {
-	seen := map[tm.Time]bool{}
-	var out []tm.Time
-	for _, g := range a.Graphs {
-		if !seen[g.Period] {
-			seen[g.Period] = true
-			out = append(out, g.Period)
-		}
-	}
-	return out
-}
-
 // System is the complete design-space input: the architecture and the
 // applications placed on it, in arrival order.
 type System struct {

@@ -289,7 +289,4 @@ func TestApplicationCounts(t *testing.T) {
 	if app.NumProcs() != 4 || app.NumMsgs() != 4 {
 		t.Errorf("counts = %d procs, %d msgs", app.NumProcs(), app.NumMsgs())
 	}
-	if got := app.Periods(); !reflect.DeepEqual(got, []tm.Time{200}) {
-		t.Errorf("Periods = %v", got)
-	}
 }

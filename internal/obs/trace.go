@@ -119,13 +119,6 @@ func (c *Collector) Events() []TraceEvent {
 	return append([]TraceEvent(nil), c.events...)
 }
 
-// Reset drops all collected events.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.events = c.events[:0]
-	c.mu.Unlock()
-}
-
 // MultiTracer fans each event out to several sinks.
 func MultiTracer(sinks ...Tracer) Tracer { return multiTracer(sinks) }
 

@@ -32,8 +32,7 @@ func StatsFrom(r *obs.Registry) Stats {
 func (s *State) SetStats(st Stats) { s.stats = st }
 
 // SetBusStats attaches bus-side instruments to every TDMA bus ledger of
-// the state; the single-bus form of BusState().SetStats generalized to
-// multi-cluster architectures.
+// the state.
 func (s *State) SetBusStats(st ttp.Stats) {
 	for _, b := range s.buses {
 		b.SetStats(st)

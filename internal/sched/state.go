@@ -110,10 +110,6 @@ func (s *State) Horizon() tm.Time { return s.horizon }
 // Busy returns the busy interval set of a node (do not modify).
 func (s *State) Busy(n model.NodeID) *tm.Set { return s.busy[n] }
 
-// BusState returns the first bus's reservation state (do not modify):
-// the whole bus state of a single-bus architecture.
-func (s *State) BusState() *ttp.State { return s.buses[0] }
-
 // NumBuses returns the number of TDMA buses of the architecture.
 func (s *State) NumBuses() int { return len(s.buses) }
 

@@ -260,7 +260,7 @@ func TestRestrictCopiesBusReservations(t *testing.T) {
 		t.Fatalf("%d msg entries kept", len(kept.MsgEntries()))
 	}
 	m := kept.MsgEntries()[0]
-	if got := kept.BusState().Used(m.Round, m.Slot); got != 4 {
+	if got := kept.BusStateAt(0).Used(m.Round, m.Slot); got != 4 {
 		t.Errorf("bus reservation not copied: used = %d", got)
 	}
 }

@@ -3,9 +3,10 @@ package serve
 // Whole-solution caching and single-flight dedup for POST /v1/solve.
 //
 // With Config.SolutionCacheSize > 0 every solve request is fingerprinted
-// (internal/cache: canonical SHA-256 over the posted system, the current
+// (internal/cache: SHA-256 over the posted bytes, the current
 // application and strategy tuning) and joins that key's flight in the
-// server's cache.Table. The response is annotated with X-Incdes-Cache:
+// server's cache.Table before its body is decoded. The response is
+// annotated with X-Incdes-Cache:
 //
 //	hit       the flight had landed: its kept result answers the request
 //	miss      this request leads the flight and runs the solve
@@ -19,6 +20,12 @@ package serve
 // buffered events. Only the leader takes a queue position and builds the
 // problem; a hit or follower schedules nothing.
 //
+// A hit does not decode its body: the flight's leader decoded, validated
+// and solved the same bytes. A leader and an in-flight follower decode
+// and validate after they join; bytes that fail answer 400, and a leader
+// posting them lands its flight with that error. Hits and followers are
+// counted only when they answer from the flight.
+//
 // Single-flight semantics: the leader's solve runs under the flight's
 // context (derived from the server, not the leader's connection), so a
 // leader disconnect while followers wait does not kill their solve; the
@@ -31,7 +38,6 @@ import (
 	"time"
 
 	"incdes/internal/cache"
-	"incdes/internal/model"
 	"incdes/internal/obs"
 )
 
@@ -50,7 +56,7 @@ type solutionEntry struct {
 }
 
 // cacheSpec is the canonical strategy identity of the request, hashed
-// into the problem fingerprint.
+// into the request fingerprint.
 func (p SolveParams) cacheSpec() cache.Spec {
 	return cache.Spec{
 		Name:          p.Strategy,
@@ -61,31 +67,32 @@ func (p SolveParams) cacheSpec() cache.Spec {
 	}
 }
 
-// lookup fingerprints the request — the posted system, current
-// application and strategy identity, so nothing is scheduled — and
-// joins its key's flight, under the cache.lookup span and histogram;
-// fingerprinting dominates both. The outcome is "miss" when the caller
-// leads the flight, "hit" when the flight has landed and "inflight"
-// otherwise; the last two are counted here, a miss once its leader is
-// admitted.
-func (s *Server) lookup(ctx context.Context, sys *model.System, params SolveParams) (*cache.Flight, string) {
+// lookup fingerprints the request — the posted bytes, current
+// application and strategy identity, so nothing is decoded or scheduled
+// — and joins its key's flight, under the cache.lookup span and
+// histogram; fingerprinting dominates both. The outcome is "miss" when
+// the caller leads the flight, "hit" when the flight has landed with a
+// result, whose leader decoded, validated and solved these bytes, and
+// "inflight" otherwise. The caller counts a member once it answers from
+// the flight, and a miss once its leader is admitted.
+func (s *Server) lookup(ctx context.Context, body []byte, params SolveParams) (*cache.Flight, string) {
 	start := time.Now()
 	_, span := obs.StartSpan(ctx, "cache.lookup")
 	f, leader := s.solutions.Join(s.baseCtx, cache.Fingerprint(cache.Request{
-		System:   sys,
+		Body:     body,
 		App:      params.App,
 		Strategy: params.cacheSpec(),
 	}))
 	outcome := "miss"
 	if !leader {
 		outcome = "inflight"
-		counter := obs.CtrSolveCacheInflight
 		select {
 		case <-f.Done():
-			outcome, counter = "hit", obs.CtrSolveCacheHits
+			if _, err := f.Result(); err == nil {
+				outcome = "hit"
+			}
 		default:
 		}
-		s.global.Counter(counter).Inc()
 	}
 	span.SetAttr("outcome", outcome)
 	span.End()

@@ -406,3 +406,92 @@ func TestLeaderCancelledWhileQueuedLandsFlight(t *testing.T) {
 	pollStatus(t, ts, blocker.ID, StatusInterrupted, StatusFailed)
 	pollStatus(t, ts, again.ID, StatusDone)
 }
+
+// TestSolveCacheKeysPostedBytes: the solution table keys on the bytes a
+// request posted. One system posted as System.WriteJSON writes it and
+// then compacted misses both times, with byte-identical solutions, and
+// the compact bytes posted again hit.
+func TestSolveCacheKeysPostedBytes(t *testing.T) {
+	_, ts := newCachingServer(t, Config{Parallelism: 1, MaxConcurrent: 2, SolutionCacheSize: 8})
+	sys, err := model.ReadSystem(bytes.NewReader(fixtureJSON(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented, compact bytes.Buffer
+	if err := sys.WriteJSON(&indented); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&compact, indented.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for i, post := range []struct {
+		body []byte
+		want string
+	}{{indented.Bytes(), "miss"}, {compact.Bytes(), "miss"}, {compact.Bytes(), "hit"}} {
+		var doc rawJobDoc
+		resp := do(t, "POST", ts.URL+"/v1/solve?strategy=mh", post.body, &doc)
+		if resp.StatusCode != http.StatusOK || doc.Status != StatusDone {
+			t.Fatalf("post %d = %d %q", i, resp.StatusCode, doc.Status)
+		}
+		if got := resp.Header.Get(cacheHeader); got != post.want {
+			t.Errorf("post %d %s = %q, want %q", i, cacheHeader, got, post.want)
+		}
+		if first == nil {
+			first = doc.Solution
+		} else if !bytes.Equal(doc.Solution, first) {
+			t.Errorf("post %d solution differs from the first", i)
+		}
+	}
+}
+
+// TestSolveMalformedBodiesWithCacheOn: concurrent identical bodies that
+// fail to decode or validate each answer 400 bad_request without a
+// cache annotation — a leader lands its flight with the error and a
+// follower decodes before it is counted — so the table keeps nothing and
+// counts no hit or coalesced request; a valid body then leads and hits.
+func TestSolveMalformedBodiesWithCacheOn(t *testing.T) {
+	_, ts := newCachingServer(t, Config{Parallelism: 1, MaxConcurrent: 2, SolutionCacheSize: 8})
+	valid := fixtureJSON(t)
+	sys, err := model.ReadSystem(bytes.NewReader(valid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var noApps bytes.Buffer
+	if err := (&model.System{Arch: sys.Arch}).WriteJSON(&noApps); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{"no applications": noApps.Bytes(), "truncated": valid[:len(valid)/2]} {
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/v1/solve?strategy=mh", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("%s: post %d: %v", name, i, err)
+					return
+				}
+				defer resp.Body.Close()
+				var doc ErrorDoc
+				if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || resp.StatusCode != http.StatusBadRequest || doc.Error.Code != ErrCodeBadRequest {
+					t.Errorf("%s: post %d = %d %q (%v), want 400 %s", name, i, resp.StatusCode, doc.Error.Code, err, ErrCodeBadRequest)
+				}
+				if h := resp.Header.Get(cacheHeader); h != "" {
+					t.Errorf("%s: post %d %s = %q, want no header", name, i, cacheHeader, h)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for _, metric := range []string{"incdes_cache_entries", "incdes_cache_hits_total", "incdes_cache_inflight_dedup_total"} {
+		if got := metricValue(t, ts, metric, "all"); got != 0 {
+			t.Errorf("%s = %v after malformed bodies, want 0", metric, got)
+		}
+	}
+	for _, want := range []string{"miss", "hit"} {
+		if resp := do(t, "POST", ts.URL+"/v1/solve?strategy=mh", valid, nil); resp.StatusCode != http.StatusOK || resp.Header.Get(cacheHeader) != want {
+			t.Errorf("valid body = %d %s %q, want 200 %s", resp.StatusCode, cacheHeader, resp.Header.Get(cacheHeader), want)
+		}
+	}
+}

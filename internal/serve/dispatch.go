@@ -3,7 +3,7 @@ package serve
 // Cluster dispatch hook. A coordinator incmapd shards solve work across
 // worker daemons; the serve layer stays transport-agnostic by accepting
 // any Dispatcher through Config.Dispatcher. When the dispatcher claims a
-// request, solveWork hands it the posted system and parameters instead
+// request, solveWork hands it the posted bytes and parameters instead
 // of calling core.Solve locally — so admission control, the solution
 // cache, single-flight dedup and job lifecycle all wrap remote solves
 // exactly as they wrap local ones. internal/cluster implements the
@@ -13,7 +13,6 @@ package serve
 import (
 	"context"
 
-	"incdes/internal/model"
 	"incdes/internal/obs"
 )
 
@@ -24,8 +23,9 @@ const workerHeader = "X-Incdes-Worker"
 
 // DispatchRequest is one solve handed to the cluster dispatcher.
 type DispatchRequest struct {
-	// System is the posted problem input, re-serialized for forwarding.
-	System *model.System
+	// Body is the posted system document, forwarded to every unit byte
+	// for byte.
+	Body []byte
 	// Params are the request's solve parameters (strategy, tuning,
 	// timeout). The dispatcher shards from these.
 	Params SolveParams

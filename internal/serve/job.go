@@ -89,7 +89,7 @@ func (p SolveParams) saOptions() core.SAOptions {
 // cmd/incmap performs before Solve. The objective, the future profile
 // gen.ProfileForSystem derives under the default configuration and its
 // default weights, is a function of sys, so the solution cache's
-// fingerprint of sys covers it.
+// fingerprint of the posted bytes covers it.
 func BuildProblem(sys *model.System, appName string) (*core.Problem, error) {
 	if len(sys.Apps) == 0 {
 		return nil, fmt.Errorf("system has no applications")
@@ -238,7 +238,10 @@ type job struct {
 	reg      *obs.Registry
 	buf      *eventBuffer
 	trace    *obs.RequestTrace // submitting request's span trace (may be nil)
-	cancel   context.CancelFunc
+	// deleted is cancelled by DELETE, which may arrive before the job's
+	// goroutine has derived its context; jobContext watches it.
+	deleted     context.Context
+	markDeleted context.CancelFunc
 
 	mu     sync.Mutex
 	status string

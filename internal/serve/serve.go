@@ -43,15 +43,18 @@
 // design found so far, marked Interrupted. A solve builds its problem
 // inside its job. With the solution cache on, a one-shot solve that
 // joins a kept result or an identical solve in flight takes no queue
-// position and schedules nothing (cache.go); a session commit always
-// solves.
+// position and schedules nothing, and one that joins a kept result does
+// not decode its body: the table is keyed by the posted bytes
+// (cache.go). A session commit always solves.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -510,14 +513,17 @@ func (s *Server) register(strategyTag string, rt *obs.RequestTrace) *job {
 
 func (s *Server) registerLocked(strategyTag string, rt *obs.RequestTrace) *job {
 	s.nextID++
+	deleted, markDeleted := context.WithCancel(context.Background())
 	j := &job{
-		id:       "j" + strconv.FormatInt(s.nextID, 10),
-		strategy: strategyTag,
-		reg:      obs.NewRegistry(),
-		buf:      &eventBuffer{},
-		trace:    rt,
-		status:   StatusQueued,
-		done:     make(chan struct{}),
+		id:          "j" + strconv.FormatInt(s.nextID, 10),
+		strategy:    strategyTag,
+		reg:         obs.NewRegistry(),
+		buf:         &eventBuffer{},
+		trace:       rt,
+		deleted:     deleted,
+		markDeleted: markDeleted,
+		status:      StatusQueued,
+		done:        make(chan struct{}),
 	}
 	s.jobs[j.id] = j
 	return j
@@ -525,14 +531,13 @@ func (s *Server) registerLocked(strategyTag string, rt *obs.RequestTrace) *job {
 
 // jobContext derives a job's context from ctx, which should already be
 // bound to the client (sync) or the server (detached), and adds the
-// other ways a job ends: DELETE (through j.cancel), server shutdown, and
-// the requested timeout capped by JobTimeout. The caller must call the
-// returned release when the job is done.
+// other ways a job ends: DELETE (through j.deleted, also when it came
+// first), server shutdown, and the requested timeout capped by
+// JobTimeout. The caller must call the returned release when the job is
+// done.
 func (s *Server) jobContext(ctx context.Context, j *job, requested time.Duration) (context.Context, func()) {
 	ctx, cancel := context.WithCancel(ctx)
-	j.mu.Lock()
-	j.cancel = cancel
-	j.mu.Unlock()
+	stopDelete := context.AfterFunc(j.deleted, cancel)
 	stopWatch := context.AfterFunc(s.baseCtx, cancel) // shutdown cancels jobs
 	timeout := requested
 	if s.cfg.JobTimeout > 0 && (timeout <= 0 || timeout > s.cfg.JobTimeout) {
@@ -545,6 +550,7 @@ func (s *Server) jobContext(ctx context.Context, j *job, requested time.Duration
 	return ctx, func() {
 		tcancel()
 		stopWatch()
+		stopDelete()
 		cancel()
 	}
 }
@@ -596,16 +602,16 @@ func (s *Server) run(ctx context.Context, j *job, requested time.Duration, work 
 // commits. A problem whose frozen applications do not fit fails the job.
 //
 // When a cluster dispatcher claims the request, the closure forwards the
-// posted system without building anything; core.Solve determinism plus
-// the dispatcher's index-ordered reduce make the returned document
-// byte-identical either way, so caching and single-flight wrap both
-// paths without distinction.
-func (s *Server) solveWork(j *job, sys *model.System, params SolveParams) func(context.Context) (*SolutionDoc, error) {
+// posted bytes as they came, without building anything; core.Solve
+// determinism plus the dispatcher's index-ordered reduce make the
+// returned document byte-identical either way, so caching and
+// single-flight wrap both paths without distinction.
+func (s *Server) solveWork(j *job, sys *model.System, body []byte, params SolveParams) func(context.Context) (*SolutionDoc, error) {
 	if d := s.cfg.Dispatcher; d != nil && d.CanDispatch(params) {
 		return func(ctx context.Context) (*SolutionDoc, error) {
 			t0 := time.Now()
 			res, err := d.Dispatch(ctx, &DispatchRequest{
-				System:   sys,
+				Body:     body,
 				Params:   params,
 				Registry: j.reg,
 				Tracer:   j.buf,
@@ -692,32 +698,53 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
 		return
 	}
-	sys, err := model.ReadSystem(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "reading system: %v", err)
 		return
 	}
-	// A cached request joins its key's flight first. A member of a landed
-	// flight (a hit) or of one still in flight only waits for its result,
-	// outside admission; only a leader, or an uncached request, queues.
+	// A cached request joins its key's flight before it decodes. A hit
+	// answers from the landed flight without decoding: its leader
+	// decoded, validated and solved these bytes. Every other request
+	// decodes them.
 	var f *cache.Flight
+	outcome := ""
 	if s.solutions != nil && !params.NoCache {
-		var outcome string
-		if f, outcome = s.lookup(r.Context(), sys, params); outcome != "miss" {
-			w.Header().Set(cacheHeader, outcome)
-			j := s.register(strat.Name(), obs.TraceFrom(r.Context()))
-			s.answer(w, r, j, params.Detach, func(ctx context.Context) { s.runFollower(ctx, j, params.Timeout, f) })
-			return
-		}
+		f, outcome = s.lookup(r.Context(), body, params)
 	}
-	// A leader refused or cancelled before its solve starts lands its
-	// flight with that error, which the members that joined meanwhile
-	// share.
+	// A leader refused, cancelled before its solve starts or posting
+	// bytes that fail lands its flight with that error, which the
+	// members that joined meanwhile share.
 	abandon := func(err error) {
-		if f != nil && err != nil {
+		if outcome == "miss" && err != nil {
 			f.Complete(nil, err, false)
 			f.Leave()
 		}
+	}
+	var sys *model.System
+	if outcome != "hit" {
+		if sys, err = model.ReadSystem(bytes.NewReader(body)); err != nil {
+			abandon(err)
+			if outcome == "inflight" {
+				f.Leave()
+			}
+			writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "reading system: %v", err)
+			return
+		}
+	}
+	// A member of a landed flight (a hit) or of one still in flight only
+	// waits for its result, outside admission; only a leader, or an
+	// uncached request, queues.
+	if outcome == "hit" || outcome == "inflight" {
+		counter := obs.CtrSolveCacheInflight
+		if outcome == "hit" {
+			counter = obs.CtrSolveCacheHits
+		}
+		s.global.Counter(counter).Inc()
+		w.Header().Set(cacheHeader, outcome)
+		j := s.register(strat.Name(), obs.TraceFrom(r.Context()))
+		s.answer(w, r, j, params.Detach, func(ctx context.Context) { s.runFollower(ctx, j, params.Timeout, f) })
+		return
 	}
 	j, err := s.submit(strat.Name(), obs.TraceFrom(r.Context()))
 	if err != nil {
@@ -725,7 +752,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeRetryError(w, http.StatusTooManyRequests, ErrCodeQueueFull, time.Second, "%v", err)
 		return
 	}
-	work := s.solveWork(j, sys, params)
+	work := s.solveWork(j, sys, body, params)
 	if f != nil {
 		w.Header().Set(cacheHeader, "miss")
 		s.global.Counter(obs.CtrSolveCacheMisses).Inc()
@@ -779,12 +806,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, ErrCodeNotFound, "no such job")
 		return
 	}
-	j.mu.Lock()
-	cancel := j.cancel
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
+	j.markDeleted()
 	writeJSON(w, http.StatusOK, map[string]string{"id": j.id, "status": "cancelling"})
 }
 

@@ -486,6 +486,27 @@ func TestEventBufferFollow(t *testing.T) {
 	}
 }
 
+// TestDeleteBeforeJobStarts: a DELETE that arrives before a detached
+// job's goroutine has derived its context still cancels the job. Before,
+// the DELETE found no cancel function and was lost, so a follower whose
+// DELETE came first kept waiting on its flight.
+func TestDeleteBeforeJobStarts(t *testing.T) {
+	s, _ := newTestServer(t)
+	j := s.register("mh", nil)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("DELETE", "/v1/solve/"+j.id, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("DELETE = %d", rec.Code)
+	}
+	ctx, release := s.jobContext(context.Background(), j, 0)
+	defer release()
+	select {
+	case <-ctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the job's context outlived its DELETE")
+	}
+}
+
 func TestCancelEndpointInterruptsDetachedJob(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Post(ts.URL+"/v1/solve?strategy=sa&sa-iters=50000000&detach=1", "application/json", bytes.NewReader(fixtureJSON(t)))

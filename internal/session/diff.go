@@ -2,6 +2,7 @@ package session
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"incdes/internal/metrics"
@@ -51,7 +52,8 @@ type Diff struct {
 	Procs []ProcDelta `json:"procs,omitempty"`
 
 	// Message-schedule summary: bus slot occurrences present in only one
-	// version, and messages present in both but in a different round/slot.
+	// version, and messages present in both whose first occurrence uses a
+	// different bus, round or slot on any hop.
 	MsgsAdded   int `json:"msgs_added"`
 	MsgsRemoved int `json:"msgs_removed"`
 	MsgsRetimed int `json:"msgs_retimed"`
@@ -74,12 +76,20 @@ func procOcc0(st *sched.State) map[model.ProcID]sched.ProcEntry {
 	return out
 }
 
-// msgOcc0 indexes a state's first message occurrences by message ID.
-func msgOcc0(st *sched.State) map[model.MsgID]sched.MsgEntry {
-	out := map[model.MsgID]sched.MsgEntry{}
+// hop is where one hop of a message occurrence is transmitted.
+type hop struct {
+	bus         model.BusID
+	round, slot int
+}
+
+// msgOcc0 indexes a state's first message occurrences by message ID:
+// every hop of the occurrence, in route order (the order the scheduler
+// appends them).
+func msgOcc0(st *sched.State) map[model.MsgID][]hop {
+	out := map[model.MsgID][]hop{}
 	for _, e := range st.MsgEntries() {
 		if e.Occ == 0 {
-			out[e.Msg] = e
+			out[e.Msg] = append(out[e.Msg], hop{e.Bus, e.Round, e.Slot})
 		}
 	}
 	return out
@@ -188,7 +198,7 @@ func (s *Session) Diff(from, to int) (*Diff, error) {
 		switch {
 		case !ok:
 			d.MsgsRemoved++
-		case te.Round != fe.Round || te.Slot != fe.Slot:
+		case !slices.Equal(te, fe):
 			d.MsgsRetimed++
 		}
 	}

@@ -3,6 +3,8 @@ package session_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -402,5 +404,106 @@ func TestDiffAlongChain(t *testing.T) {
 	}
 	if d.MsgsRemoved != 0 || d.MsgsRetimed != 0 {
 		t.Fatalf("commit disturbed frozen messages: -%d ~%d", d.MsgsRemoved, d.MsgsRetimed)
+	}
+}
+
+// TestDiffComparesEveryHop: on a multi-cluster platform a message
+// occurrence is a chain of hops, and moving its first hop is a retiming
+// even when its last hop stays put. N0 sends to N2 through the gateway
+// N1: hop 0 on bus 0, hop 1 on bus 1. Two branches from version 0
+// commit the same application, one without hints and one whose message
+// may not start before 30. That moves hop 0 from bus-0 round 1 to
+// round 2 while hop 1 stays in bus-1 round 0, slot 1.
+func TestDiffComparesEveryHop(t *testing.T) {
+	b := model.NewBuilder()
+	n0, n1, n2 := b.Node("N0"), b.Node("N1"), b.Node("N2")
+	b.Bus([]model.NodeID{n0, n1}, []int{8, 8}, 1, 2)
+	b.AddBus([]model.NodeID{n2, n1}, []int{100, 8}, 1, 2)
+	b.App("base").Graph("base-g", 560, 560).Proc("b0", map[model.NodeID]tm.Time{n1: 5})
+	ab := b.App("app")
+	g := ab.Graph("app-g", 560, 560)
+	p0 := g.Proc("p0", map[model.NodeID]tm.Time{n0: 5})
+	p1 := g.Proc("p1", map[model.NodeID]tm.Time{n2: 5})
+	m := g.Msg(p0, p1, 4)
+	full := b.MustSystem()
+	base, app := &model.System{Arch: full.Arch, Apps: full.Apps[:1]}, ab.Application()
+	mapping := model.Mapping{p0: n0, p1: n2}
+
+	store := session.NewMemStore()
+	mgr, err := session.NewManager(store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := mgr.Open(base, "hops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := sess.Doc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each version's fingerprint is what replay reproduces: the base
+	// mapped as opened, then the commit's mapping and hints verbatim.
+	version := func(id int, hints sched.Hints) *session.VersionDoc {
+		st, err := sched.NewState(&model.System{Arch: full.Arch, Apps: full.Apps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.MapApp(base.Apps[0], sched.Hints{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.ScheduleApp(app, mapping, hints); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(st.Fingerprint())
+		return &session.VersionDoc{
+			ID: id, Parent: session.RootVersion, App: app, Mapping: mapping,
+			Hints: session.NewHintsDoc(hints), Strategy: "AH",
+			Fingerprint: hex.EncodeToString(sum[:]),
+		}
+	}
+	doc.Versions = append(doc.Versions,
+		version(1, sched.Hints{}),
+		version(2, sched.Hints{MsgStart: map[model.MsgID]tm.Time{m: 30}}))
+	doc.Branches = map[string]int{session.MainBranch: 1, "late": 2}
+	if err := store.Put(doc); err != nil {
+		t.Fatal(err)
+	}
+	mgr, err = session.NewManager(store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess, err = mgr.Get("hops"); err != nil {
+		t.Fatal(err)
+	}
+	// The premise: only hop 0 moves.
+	hops := func(v int) []string {
+		st, err := sess.StateAt(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range st.MsgEntries() {
+			if e.Msg == m && e.Occ == 0 {
+				out = append(out, fmt.Sprintf("hop %d: bus %d round %d slot %d", e.Hop, e.Bus, e.Round, e.Slot))
+			}
+		}
+		return out
+	}
+	want := map[int][]string{
+		1: {"hop 0: bus 0 round 1 slot 0", "hop 1: bus 1 round 0 slot 1"},
+		2: {"hop 0: bus 0 round 2 slot 0", "hop 1: bus 1 round 0 slot 1"},
+	}
+	for v, w := range want {
+		if got := hops(v); !reflect.DeepEqual(got, w) {
+			t.Fatalf("version %d schedules %v, want %v", v, got, w)
+		}
+	}
+	d, err := sess.Diff(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.MsgsRetimed != 1 || d.MsgsAdded != 0 || d.MsgsRemoved != 0 {
+		t.Errorf("msgs +%d/-%d/~%d, want +0/-0/~1", d.MsgsAdded, d.MsgsRemoved, d.MsgsRetimed)
 	}
 }

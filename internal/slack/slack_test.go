@@ -97,7 +97,7 @@ func TestBusFreeBytes(t *testing.T) {
 func TestBusWindowFree(t *testing.T) {
 	st := occupiedState(t)
 	// Reserve 3 bytes in the very first slot occurrence.
-	if err := st.BusState().Reserve(0, 0, 3); err != nil {
+	if err := st.BusStateAt(0).Reserve(0, 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	ws := BusWindowFree(st, 50)
