@@ -15,7 +15,6 @@ package incdes_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 
@@ -161,7 +160,7 @@ func BenchmarkSolveSA(b *testing.B) {
 
 // BenchmarkSolveMHObserved is the same solve with the full observability
 // layer on: a stats registry collecting every counter/timer/gauge and a
-// JSONL tracer streaming events into a discarded writer.
+// collector retaining every trace event, as a served job's does.
 func BenchmarkSolveMHObserved(b *testing.B) {
 	p := benchProblem(b, 160)
 	b.ResetTimer()
@@ -171,7 +170,7 @@ func BenchmarkSolveMHObserved(b *testing.B) {
 			Parallelism: 1,
 			Observer: &obs.Observer{
 				Stats:  obs.NewRegistry(),
-				Tracer: obs.NewJSONLWriter(io.Discard),
+				Tracer: &obs.Collector{},
 			},
 		}
 		if _, err := core.Solve(context.Background(), p, opts); err != nil {

@@ -332,40 +332,30 @@ func cmdMap(args []string) error {
 	if *strategy == "sa" || *strategy == "portfolio" {
 		saSeed = core.DefaultSAOptions().Seed
 	}
-	// Observability: -stats-out attaches a registry, -trace/-convergence a
-	// trace sink. With none of them set observer stays nil and the solve
-	// path runs exactly as uninstrumented.
+	// Observability: -stats-out attaches a registry, -trace/-convergence
+	// one trace collector. With none of them set observer stays nil and
+	// the solve path runs exactly as uninstrumented.
 	var observer *obs.Observer
 	var reg *obs.Registry
 	var traceFile *os.File
-	var traceWriter *obs.JSONLWriter
 	var collector *obs.Collector
 	if *statsPath != "" {
 		reg = obs.NewRegistry()
 	}
-	var sinks []obs.Tracer
 	if *tracePath != "" {
+		// Created now so a bad path fails before the solve; the events
+		// are written once it returns.
 		traceFile, err = os.Create(*tracePath)
 		if err != nil {
 			return err
 		}
 		defer traceFile.Close()
-		traceWriter = obs.NewJSONLWriter(traceFile)
-		sinks = append(sinks, traceWriter)
 	}
-	if *convergence {
+	if *tracePath != "" || *convergence {
 		collector = &obs.Collector{}
-		sinks = append(sinks, collector)
 	}
-	if reg != nil || len(sinks) > 0 {
-		observer = &obs.Observer{Stats: reg}
-		switch len(sinks) {
-		case 0:
-		case 1:
-			observer.Tracer = sinks[0]
-		default:
-			observer.Tracer = obs.MultiTracer(sinks...)
-		}
+	if reg != nil || collector != nil {
+		observer = &obs.Observer{Stats: reg, Tracer: collector}
 	}
 
 	sol, err := core.Solve(ctx, p, core.Options{Strategy: strat, Parallelism: *parallel, Observer: observer})
@@ -388,8 +378,11 @@ func cmdMap(args []string) error {
 		sol.Strategy, current.Name, sol.Elapsed.Round(time.Millisecond), sol.Evaluations)
 	fmt.Printf("metrics: %v\n", sol.Report)
 	fmt.Printf("future profile: Tmin=%v tneed=%v bneed=%dB\n", prof.Tmin, prof.TNeed, prof.BNeedBytes)
-	if traceWriter != nil {
-		if err := traceWriter.Flush(); err != nil {
+	if traceFile != nil {
+		if err := obs.WriteJSONL(traceFile, collector.Events()); err != nil {
+			return fmt.Errorf("writing trace: %w", err)
+		}
+		if err := traceFile.Close(); err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
 		// Replay check: the trace must stand on its own, so its recorded
@@ -410,7 +403,7 @@ func cmdMap(args []string) error {
 		fmt.Printf("trace written to %s (%d events; replayed final cost matches %.2f)\n",
 			*tracePath, len(events), final)
 	}
-	if collector != nil {
+	if *convergence {
 		fmt.Println()
 		fmt.Print(textplot.Convergence(
 			fmt.Sprintf("objective C vs committed design (%s)", sol.Strategy),

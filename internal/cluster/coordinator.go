@@ -504,13 +504,10 @@ func foldResults(plan core.UnitPlan, outs []outcome) (*serve.SolutionDoc, int, e
 }
 
 // emitTrace records the deterministic cluster events into the job's SSE
-// buffer: one cluster.unit event per unit in index order, then the
+// collector: one cluster.unit event per unit in index order, then the
 // decision. Worker names never appear here — the stream must not depend
 // on scheduling.
-func (c *Coordinator) emitTrace(t obs.Tracer, units []core.Unit, outs []outcome, doc *serve.SolutionDoc, winner int) {
-	if t == nil {
-		return
-	}
+func (c *Coordinator) emitTrace(t *obs.Collector, units []core.Unit, outs []outcome, doc *serve.SolutionDoc, winner int) {
 	for i, u := range units {
 		sol := outs[i].doc.Solution
 		ev := obs.TraceEvent{

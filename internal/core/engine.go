@@ -49,10 +49,13 @@ type Engine struct {
 
 	// Observability (see package obs). The instruments are resolved once
 	// here and called unconditionally on the hot path; with no observer
-	// attached every one of them is a nil no-op and tracer is nil, so the
-	// layer costs one nil check per event — "free when off".
+	// attached every one of them, tracer included, is a nil no-op, so the
+	// layer costs one nil check per event — "free when off". Strategies
+	// trace only from deterministic serialization points, never
+	// concurrently from workers, so the event stream is identical at
+	// every parallelism level.
 	observer    *obs.Observer
-	tracer      obs.Tracer
+	tracer      *obs.Collector
 	statsOn     bool
 	cEvals      *obs.Counter
 	cMisses     *obs.Counter
@@ -102,16 +105,6 @@ func (e *Engine) Evaluations() int64 { return e.evals.Load() }
 // Tracing reports whether a trace sink is attached, so emitters can skip
 // building events entirely when tracing is off.
 func (e *Engine) Tracing() bool { return e.tracer != nil }
-
-// Trace delivers one structured event to the Solve call's trace sink.
-// Free (a nil check) when no tracer is attached. Strategies must call it
-// only from deterministic serialization points — never concurrently from
-// workers — so the event stream is identical at every parallelism level.
-func (e *Engine) Trace(ev obs.TraceEvent) {
-	if e.tracer != nil {
-		e.tracer.Trace(ev)
-	}
-}
 
 // count records n examined design alternatives that did not pass through
 // Evaluate: the initial mapping, and SA draws that reproduce the chain's

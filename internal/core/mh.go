@@ -164,7 +164,7 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	eng.count(1)
 	report := metrics.Evaluate(st, p.Profile, p.Weights)
 	ix := model.NewIndex(p.Current)
-	eng.Trace(obs.TraceEvent{Kind: "init", Strategy: "MH", Cost: report.Objective})
+	eng.tracer.Trace(obs.TraceEvent{Kind: "init", Strategy: "MH", Cost: report.Objective})
 
 	// better reports whether a is a strict improvement over b: lower
 	// objective, or — when several bottleneck windows tie and the
@@ -210,7 +210,7 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 		var bestRep metrics.Report
 		for i, r := range results {
 			if eng.Tracing() {
-				eng.Trace(obs.TraceEvent{
+				eng.tracer.Trace(obs.TraceEvent{
 					Kind: "candidate", Iter: iter + 1, Index: i,
 					Cost: r.report.Objective, Feasible: r.ok,
 				})
@@ -235,10 +235,10 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: internal: winning alternative failed to re-schedule: %w", err)
 		}
-		eng.Trace(obs.TraceEvent{Kind: "move", Iter: iter + 1, Index: bestIdx, Cost: report.Objective})
+		eng.tracer.Trace(obs.TraceEvent{Kind: "move", Iter: iter + 1, Index: bestIdx, Cost: report.Objective})
 	}
-	eng.Trace(obs.TraceEvent{Kind: "stop", Strategy: "MH", Note: stop})
-	eng.Trace(obs.TraceEvent{Kind: "decision", Strategy: "MH", Cost: report.Objective})
+	eng.tracer.Trace(obs.TraceEvent{Kind: "stop", Strategy: "MH", Note: stop})
+	eng.tracer.Trace(obs.TraceEvent{Kind: "decision", Strategy: "MH", Cost: report.Objective})
 
 	return &Solution{
 		Strategy:    "MH",

@@ -117,10 +117,7 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 				if eng.Tracing() {
 					col = &obs.Collector{}
 				}
-				laneOpts.Observer = &obs.Observer{Stats: eng.observer.Stats, Tracer: nil}
-				if col != nil {
-					laneOpts.Observer.Tracer = col
-				}
+				laneOpts.Observer = &obs.Observer{Stats: eng.observer.Stats, Tracer: col}
 			}
 			laneEng := newEngine(eng.p, laneOpts)
 			var sol *Solution
@@ -185,8 +182,7 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 	if eng.Tracing() {
 		for i, r := range results {
 			for _, ev := range r.events {
-				ev.Seq = 0 // the outer sink reassigns arrival order
-				eng.Trace(ev)
+				eng.tracer.Trace(ev)
 			}
 			lane := obs.TraceEvent{
 				Kind:        "portfolio.lane",
@@ -198,7 +194,7 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 			if r.sol != nil {
 				lane.Cost = r.sol.Objective()
 			}
-			eng.Trace(lane)
+			eng.tracer.Trace(lane)
 		}
 	}
 
@@ -207,7 +203,7 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 	// lane's so the returned Solution is byte-identical to a direct solve
 	// of the winner (aggregate work stays in the registry).
 	eng.evals.Store(results[winner].evals)
-	eng.Trace(obs.TraceEvent{
+	eng.tracer.Trace(obs.TraceEvent{
 		Kind:     "decision",
 		Strategy: "portfolio",
 		Chain:    winner,

@@ -138,8 +138,8 @@ func (ahStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	}
 	eng.count(1)
 	rep := metrics.Evaluate(st, p.Profile, p.Weights)
-	eng.Trace(obs.TraceEvent{Kind: "init", Strategy: "AH", Cost: rep.Objective})
-	eng.Trace(obs.TraceEvent{Kind: "decision", Strategy: "AH", Cost: rep.Objective})
+	eng.tracer.Trace(obs.TraceEvent{Kind: "init", Strategy: "AH", Cost: rep.Objective})
+	eng.tracer.Trace(obs.TraceEvent{Kind: "decision", Strategy: "AH", Cost: rep.Objective})
 	return &Solution{
 		Strategy: "AH",
 		Mapping:  mapping,

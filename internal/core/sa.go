@@ -139,7 +139,7 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 		msgs = append(msgs, g.Msgs...)
 	}
 
-	eng.Trace(obs.TraceEvent{Kind: "init", Strategy: "SA", Cost: report0.Objective})
+	eng.tracer.Trace(obs.TraceEvent{Kind: "init", Strategy: "SA", Cost: report0.Objective})
 
 	chains := make([]chainResult, o.Restarts)
 	eng.ForEach(ctx, o.Restarts, func(c int) {
@@ -152,7 +152,7 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	outs := make([]Outcome, len(chains))
 	for c := range chains {
 		for _, ev := range chains[c].events {
-			eng.Trace(ev)
+			eng.tracer.Trace(ev)
 		}
 		if !chains[c].ran {
 			outs[c].Err = ctx.Err()
@@ -173,7 +173,7 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 		}, nil
 	}
 	win := chains[best]
-	eng.Trace(obs.TraceEvent{Kind: "decision", Strategy: "SA", Chain: best, Cost: win.report.Objective})
+	eng.tracer.Trace(obs.TraceEvent{Kind: "decision", Strategy: "SA", Chain: best, Cost: win.report.Objective})
 	return &Solution{
 		Strategy:    "SA",
 		Mapping:     win.mapping,

@@ -75,10 +75,11 @@ type Options struct {
 	// Observer, when non-nil, attaches the observability layer: its
 	// Stats registry accumulates the engine, scheduler and bus counters
 	// of the instrument catalog (see package obs) and its Tracer
-	// receives the structured decision event stream. nil disables the
-	// layer entirely; the hot path then performs no observability work
-	// and no allocations, and the solution is byte-identical either way
-	// — instruments never feed back into strategy decisions.
+	// collector receives the structured decision event stream, numbered
+	// in emission order. nil disables the layer entirely; the hot path
+	// then performs no observability work and no allocations, and the
+	// solution is byte-identical either way — instruments never feed
+	// back into strategy decisions.
 	Observer *obs.Observer
 }
 
@@ -103,7 +104,7 @@ func Solve(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	if reg := opts.Observer.Registry(); reg != nil {
 		reg.Counter(obs.CtrSolves).Inc()
 	}
-	eng.Trace(obs.TraceEvent{Kind: "solve.start", Strategy: opts.Strategy.Name()})
+	eng.tracer.Trace(obs.TraceEvent{Kind: "solve.start", Strategy: opts.Strategy.Name()})
 	// The request-scoped "core.solve" span (free when the context carries
 	// no trace) plus pprof labels so CPU profiles segment by request and
 	// strategy; worker goroutines inherit the labels through ForEach.
@@ -128,7 +129,7 @@ func Solve(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	sol.Evaluations = int(eng.Evaluations())
 	span.SetAttr("evaluations", strconv.Itoa(sol.Evaluations))
 	span.End()
-	eng.Trace(obs.TraceEvent{
+	eng.tracer.Trace(obs.TraceEvent{
 		Kind:        "solve.done",
 		Strategy:    sol.Strategy,
 		Cost:        sol.Report.Objective,

@@ -99,17 +99,17 @@ func TestTraceReplaysFinalCost(t *testing.T) {
 // TestGoldenTrace -update-golden
 func TestGoldenTrace(t *testing.T) {
 	p := testProblem(t, 7, 30, 12)
-	var buf bytes.Buffer
-	w := obs.NewJSONLWriter(&buf)
+	var col obs.Collector
 	sol, err := core.Solve(context.Background(), p, core.Options{
 		Strategy:    core.MHWith(core.MHOptions{MaxIterations: 6}),
 		Parallelism: 2,
-		Observer:    &obs.Observer{Tracer: w},
+		Observer:    &obs.Observer{Tracer: &col},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	var buf bytes.Buffer
+	if err := obs.WriteJSONL(&buf, col.Events()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,7 +1,7 @@
 // Package obs is the engine's zero-dependency observability layer:
 // typed atomic counters, gauges and histograms behind a Registry, plus
-// a structured trace sink (see trace.go) that records per-iteration
-// strategy decisions as JSONL.
+// a structured trace sink, the Collector (see trace.go), that records
+// per-iteration strategy decisions in memory and renders them as JSONL.
 //
 // The design rule is "free when off": every instrument is a pointer
 // whose methods are nil-safe no-ops, so instrumented code resolves its
@@ -383,12 +383,12 @@ func WriteJSONFile(path string, v any) error {
 }
 
 // Observer bundles the two observability sinks a Solve call can carry:
-// a Registry for counters/gauges/histograms and a Tracer for the structured
-// per-iteration event stream. Either field may be nil; a nil *Observer
-// disables the layer entirely.
+// a Registry for counters/gauges/histograms and a Collector for the
+// structured per-iteration event stream. Either field may be nil; a nil
+// *Observer disables the layer entirely.
 type Observer struct {
 	Stats  *Registry
-	Tracer Tracer
+	Tracer *Collector
 }
 
 // Registry returns the observer's registry, nil when o is nil: the

@@ -96,13 +96,13 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJSONLWriterRoundTrip(t *testing.T) {
+func TestWriteJSONLRoundTrip(t *testing.T) {
+	var c Collector
+	c.Trace(TraceEvent{Kind: "solve.start", Strategy: "MH"})
+	c.Trace(TraceEvent{Kind: "move", Iter: 1, Index: 3, Cost: 12.5})
+	c.Trace(TraceEvent{Kind: "solve.done", Strategy: "MH", Cost: 12.5, Evaluations: 9})
 	var buf bytes.Buffer
-	w := NewJSONLWriter(&buf)
-	w.Trace(TraceEvent{Kind: "solve.start", Strategy: "MH"})
-	w.Trace(TraceEvent{Kind: "move", Iter: 1, Index: 3, Cost: 12.5})
-	w.Trace(TraceEvent{Kind: "solve.done", Strategy: "MH", Cost: 12.5, Evaluations: 9})
-	if err := w.Flush(); err != nil {
+	if err := WriteJSONL(&buf, c.Events()); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != 3 {
@@ -134,13 +134,79 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestMultiTracerFansOut(t *testing.T) {
-	var a, b Collector
-	m := MultiTracer(&a, &b)
-	m.Trace(TraceEvent{Kind: "init", Cost: 1})
-	m.Trace(TraceEvent{Kind: "decision", Cost: 2})
-	if len(a.Events()) != 2 || len(b.Events()) != 2 {
-		t.Fatalf("fan-out lost events: %d, %d", len(a.Events()), len(b.Events()))
+// TestCollectorFollow exercises the collector's concurrency: a follower
+// attached mid-stream sees every event exactly once, in order.
+func TestCollectorFollow(t *testing.T) {
+	c := &Collector{}
+	const n = 500
+	var got []TraceEvent
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		at := 0
+		for {
+			evs, done, wait := c.Next(at)
+			got = append(got, evs...)
+			at += len(evs)
+			if done && len(evs) == 0 {
+				return
+			}
+			if wait != nil {
+				<-wait
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		c.Trace(TraceEvent{Kind: "candidate", Index: i})
+	}
+	c.Close()
+	wg.Wait()
+	if len(got) != n {
+		t.Fatalf("follower saw %d events, want %d", len(got), n)
+	}
+	for i, ev := range got {
+		if ev.Seq != int64(i+1) || ev.Index != i {
+			t.Fatalf("event %d = %+v", i, ev)
+		}
+	}
+}
+
+// TestCollectorSharesEvents pins the read-only views: Events and Next
+// return the collected slice without copying, capped at its length, so
+// neither a later Trace nor a reader's append writes into another
+// reader's view; and a fresh collector adopts another's events as its
+// own, continuing their sequence numbers.
+func TestCollectorSharesEvents(t *testing.T) {
+	var c Collector
+	for i := 0; i < 5; i++ { // leaves spare capacity behind the events
+		c.Trace(TraceEvent{Kind: "candidate", Index: i})
+	}
+	all := c.Events()
+	tail, _, _ := c.Next(2)
+	if cap(all) != len(all) || cap(tail) != len(tail) {
+		t.Fatalf("views have cap %d/%d for len %d/%d", cap(all), cap(tail), len(all), len(tail))
+	}
+	if &all[2] != &tail[0] {
+		t.Fatal("Next copied the collected events")
+	}
+	mine := append(all, TraceEvent{Kind: "reader"})
+	c.Trace(TraceEvent{Kind: "decision"})
+	if mine[5].Kind != "reader" {
+		t.Fatalf("a later Trace wrote into a reader's view: %+v", mine[5])
+	}
+	if got := c.Events(); len(got) != 6 || got[5].Kind != "decision" || got[5].Seq != 6 {
+		t.Fatalf("a reader's append reached the collector: %+v", got[5])
+	}
+
+	var hit Collector
+	hit.Adopt(all)
+	if got := hit.Events(); len(got) != 5 || &got[0] != &all[0] {
+		t.Fatal("Adopt copied the events")
+	}
+	hit.Trace(TraceEvent{Kind: "solve.done"})
+	if got := hit.Events(); got[5].Seq != 6 || c.Events()[5].Kind != "decision" {
+		t.Errorf("a Trace after Adopt lost the sequence or wrote into the adopted stream: %+v", got[5])
 	}
 }
 

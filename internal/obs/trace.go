@@ -29,7 +29,7 @@ import (
 //	decision     Strategy, Chain, Cost     — the winning design
 //	solve.done   Strategy, Cost, Evaluations
 //
-// Seq is assigned by the sink in arrival order (1-based).
+// Seq is assigned by the Collector in arrival order (1-based).
 type TraceEvent struct {
 	Seq         int64   `json:"seq"`
 	Kind        string  `json:"kind"`
@@ -45,89 +45,100 @@ type TraceEvent struct {
 	Note        string  `json:"note,omitempty"`
 }
 
-// Tracer is a sink for trace events. Implementations must be safe for
-// concurrent use (several Solve calls may share one sink) and must
-// assign Seq themselves.
-type Tracer interface {
-	Trace(ev TraceEvent)
-}
-
-// JSONLWriter encodes each event as one JSON line. Create with
-// NewJSONLWriter; call Flush before closing the underlying writer.
-type JSONLWriter struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
-	seq int64
-	err error
-}
-
-// NewJSONLWriter returns a tracer writing JSONL to w.
-func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	bw := bufio.NewWriter(w)
-	return &JSONLWriter{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-// Trace writes one event line. The first encoding error is retained
-// (see Err); later events are still attempted so a full trace after a
-// transient error stays mostly intact.
-func (t *JSONLWriter) Trace(ev TraceEvent) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.seq++
-	ev.Seq = t.seq
-	if err := t.enc.Encode(ev); err != nil && t.err == nil {
-		t.err = err
-	}
-}
-
-// Flush drains the internal buffer and returns the first error seen.
-func (t *JSONLWriter) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.bw.Flush(); err != nil && t.err == nil {
-		t.err = err
-	}
-	return t.err
-}
-
-// Err returns the first error encountered while writing.
-func (t *JSONLWriter) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
-// Collector retains events in memory; the test and plotting sink.
+// Collector is the trace sink: it retains every event of one stream in
+// memory and lets readers follow it until Close. The stream is a pure
+// function of (problem, options), so one collector serves every reader:
+// the SSE subscribers of a job, the trace file incmap writes after the
+// solve (WriteJSONL), and the cache hits and followers that share a
+// flight leader's events (Adopt). Safe for concurrent use.
 type Collector struct {
-	mu     sync.Mutex
-	events []TraceEvent
+	mu      sync.Mutex
+	events  []TraceEvent
+	done    bool
+	waiters []chan struct{}
 }
 
-// Trace appends one event.
+// Trace assigns the event its sequence number, retains it and wakes the
+// readers following the stream. Strategies call it only from their
+// deterministic serialization points, so arrival order is the canonical
+// trace order. A nil collector discards the event.
 func (c *Collector) Trace(ev TraceEvent) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	ev.Seq = int64(len(c.events)) + 1
 	c.events = append(c.events, ev)
+	c.wakeLocked()
 	c.mu.Unlock()
 }
 
-// Events returns a copy of the collected events in arrival order.
+// Adopt makes events, another collector's Events, this collector's
+// stream without copying them: a cache hit shares its leader's trace.
+// The collector must not have recorded anything yet.
+func (c *Collector) Adopt(events []TraceEvent) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.events) != 0 {
+		panic("obs: Adopt on a collector that has recorded events")
+	}
+	c.events = events
+	c.wakeLocked()
+}
+
+// Close marks the stream complete and wakes every reader.
+func (c *Collector) Close() {
+	c.mu.Lock()
+	c.done = true
+	c.wakeLocked()
+	c.mu.Unlock()
+}
+
+func (c *Collector) wakeLocked() {
+	for _, ch := range c.waiters {
+		close(ch)
+	}
+	c.waiters = c.waiters[:0]
+}
+
+// Events returns the events collected so far in arrival order. The
+// slice is shared, not copied: callers must not modify it. Its capacity
+// equals its length, so neither a later Trace nor a caller's append
+// writes into what another reader sees.
 func (c *Collector) Events() []TraceEvent {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]TraceEvent(nil), c.events...)
+	return c.events[:len(c.events):len(c.events)]
 }
 
-// MultiTracer fans each event out to several sinks.
-func MultiTracer(sinks ...Tracer) Tracer { return multiTracer(sinks) }
-
-type multiTracer []Tracer
-
-func (m multiTracer) Trace(ev TraceEvent) {
-	for _, t := range m {
-		t.Trace(ev)
+// Next returns the events after index from (shared like Events), whether
+// the stream is closed, and, when there is nothing new and the stream is
+// still open, a channel that closes on the next event or on Close.
+func (c *Collector) Next(from int) (evs []TraceEvent, done bool, wait <-chan struct{}) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.events); from < n {
+		return c.events[from:n:n], c.done, nil
 	}
+	if c.done {
+		return nil, true, nil
+	}
+	ch := make(chan struct{})
+	c.waiters = append(c.waiters, ch)
+	return nil, false, ch
+}
+
+// WriteJSONL renders events as JSON lines, one event per line: the trace
+// file format ReadTrace decodes.
+func WriteJSONL(w io.Writer, events []TraceEvent) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, ev := range events {
+		if err := enc.Encode(ev); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }
 
 // ReadTrace decodes a JSONL trace stream. It fails on the first

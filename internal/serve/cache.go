@@ -16,9 +16,10 @@ package serve
 // Session commits never use the table: a commit always solves.
 // core.Solve is deterministic, so a cached or coalesced response is
 // byte-identical to the solve the request would have run — including the
-// SSE trace stream, which hits and followers replay from the leader's
-// buffered events. Only the leader takes a queue position and builds the
-// problem; a hit or follower schedules nothing.
+// SSE trace stream: a hit's or follower's collector adopts the leader's
+// kept events, sharing them instead of copying. Only the leader takes a
+// queue position and builds the problem; a hit or follower schedules
+// nothing.
 //
 // A hit does not decode its body: the flight's leader decoded, validated
 // and solved the same bytes. A leader and an in-flight follower decode
@@ -45,10 +46,11 @@ import (
 const cacheHeader = "X-Incdes-Cache"
 
 // solutionEntry is one finished one-shot solve, as a landed flight hands
-// it to every member: the response document, the trace events that
-// replay its SSE stream, and the ID of the leader's cache.flight span,
-// which every member's cache.follow span links to. It is read-only once
-// built.
+// it to every member: the response document, the leader's collected
+// trace events (its collector's Events, not a copy), which every
+// member's SSE stream shares, and the ID of the leader's cache.flight
+// span, which every member's cache.follow span links to. It is read-only
+// once built.
 type solutionEntry struct {
 	doc    *SolutionDoc
 	events []obs.TraceEvent
@@ -114,7 +116,7 @@ func (s *Server) leaderWork(f *cache.Flight, j *job, solve func(context.Context)
 			// The solve must run under the flight's context (so it survives
 			// the leader leaving) but record into the leader's trace.
 			doc, err := solve(obs.CopyTrace(f.Context(), fctx))
-			ent := &solutionEntry{doc: doc, events: j.buf.snapshot(), flight: fspan.ID()}
+			ent := &solutionEntry{doc: doc, events: j.buf.Events(), flight: fspan.ID()}
 			kept, evicted := f.Complete(ent, err, err == nil && !doc.Interrupted)
 			if kept {
 				s.global.Counter(obs.CtrSolveCacheStores).Inc()
@@ -134,8 +136,8 @@ func (s *Server) leaderWork(f *cache.Flight, j *job, solve func(context.Context)
 
 // runFollower drives a request that joined a flight it does not lead,
 // landed (a hit) or not: no worker slot, no queue accounting — the job
-// only waits for the flight and then mirrors its outcome, replaying the
-// leader's trace into its own SSE buffer. It shares run()'s jobContext,
+// only waits for the flight and then mirrors its outcome, its collector
+// adopting the leader's trace events. It shares run()'s jobContext,
 // so DELETE, client disconnect, JobTimeout and shutdown behave
 // identically.
 func (s *Server) runFollower(ctx context.Context, j *job, requested time.Duration, f *cache.Flight) {
@@ -154,9 +156,7 @@ func (s *Server) runFollower(ctx context.Context, j *job, requested time.Duratio
 	}
 	fspan.SetAttr("leader_span", val.flight)
 	fspan.End()
-	for _, ev := range val.events {
-		j.buf.Trace(ev)
-	}
+	j.buf.Adopt(val.events)
 	j.finish(val.doc, nil)
 	s.finalize(j)
 }

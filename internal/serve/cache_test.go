@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -250,6 +251,92 @@ func TestSolveSingleFlightCoalesces(t *testing.T) {
 	// A later identical request is a plain hit off the stored entry.
 	if resp := do(t, "POST", ts.URL+query, body, nil); resp.Header.Get(cacheHeader) != "hit" {
 		t.Errorf("post-flight request header = %q, want hit", resp.Header.Get(cacheHeader))
+	}
+}
+
+// TestSolveFlightMembersShareLeaderTrace: every member of a flight — an
+// in-flight follower, a synchronous hit and a detached hit — streams the
+// leader's SSE trace frame for frame, and its collector holds the
+// leader's events themselves, not a copy. A blocker in the only worker
+// slot holds the leader back, so the follower joins before the flight
+// lands.
+func TestSolveFlightMembersShareLeaderTrace(t *testing.T) {
+	s, ts := newCachingServer(t, Config{Parallelism: 1, MaxConcurrent: 1, QueueDepth: 8, SolutionCacheSize: 8})
+	body := fixtureJSON(t)
+	var blocker, leader, follower, detachedHit JobStatusDoc
+	do(t, "POST", ts.URL+"/v1/solve?strategy=sa&sa-iters=50000000&detach=1", body, &blocker)
+	pollStatus(t, ts, blocker.ID, StatusRunning)
+	const query = "/v1/solve?strategy=mh"
+	if resp := do(t, "POST", ts.URL+query+"&detach=1", body, &leader); resp.Header.Get(cacheHeader) != "miss" {
+		t.Fatalf("leader %s = %q, want miss", cacheHeader, resp.Header.Get(cacheHeader))
+	}
+	if resp := do(t, "POST", ts.URL+query+"&detach=1", body, &follower); resp.Header.Get(cacheHeader) != "inflight" {
+		t.Fatalf("follower %s = %q, want inflight", cacheHeader, resp.Header.Get(cacheHeader))
+	}
+	do(t, "DELETE", ts.URL+"/v1/solve/"+blocker.ID, nil, nil)
+	pollStatus(t, ts, leader.ID, StatusDone)
+
+	var syncHit rawJobDoc
+	if resp := do(t, "POST", ts.URL+query, body, &syncHit); resp.Header.Get(cacheHeader) != "hit" || syncHit.Status != StatusDone {
+		t.Fatalf("synchronous hit %s = %q, status %q", cacheHeader, resp.Header.Get(cacheHeader), syncHit.Status)
+	}
+	if resp := do(t, "POST", ts.URL+query+"&detach=1", body, &detachedHit); resp.Header.Get(cacheHeader) != "hit" {
+		t.Fatalf("detached hit %s = %q, want hit", cacheHeader, resp.Header.Get(cacheHeader))
+	}
+
+	// stream reads a job's SSE stream to its done event and returns its
+	// trace and cost frames and the decoded done payload.
+	stream := func(id string) ([]sseEvent, map[string]any) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/solve/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames []sseEvent
+		var done map[string]any
+		for _, ev := range readSSE(t, string(raw)) {
+			if ev.kind == "done" {
+				if err := json.Unmarshal([]byte(ev.data), &done); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			frames = append(frames, ev)
+		}
+		if done == nil {
+			t.Fatalf("job %s streamed no done event", id)
+		}
+		return frames, done
+	}
+	want, wantDone := stream(leader.ID)
+	if len(want) == 0 {
+		t.Fatal("the leader streamed no trace")
+	}
+	for _, id := range []string{follower.ID, syncHit.ID, detachedHit.ID} {
+		got, done := stream(id)
+		if len(got) != len(want) {
+			t.Fatalf("job %s streamed %d frames, the leader %d", id, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("job %s frame %d = %+v, the leader's %+v", id, i, got[i], want[i])
+			}
+		}
+		if done["objective"] != wantDone["objective"] || done["evaluations"] != wantDone["evaluations"] {
+			t.Errorf("job %s done = %v, the leader's %v", id, done, wantDone)
+		}
+	}
+
+	lead := s.job(leader.ID).buf.Events()
+	for _, id := range []string{follower.ID, syncHit.ID, detachedHit.ID} {
+		if evs := s.job(id).buf.Events(); len(evs) != len(lead) || &evs[0] != &lead[0] {
+			t.Errorf("job %s holds a copy of the leader's %d events, not the events themselves", id, len(lead))
+		}
 	}
 }
 

@@ -32,9 +32,9 @@ type DispatchRequest struct {
 	// Registry is the job's registry: cluster.* unit counters recorded
 	// here fold into the server's per-strategy and global aggregates.
 	Registry *obs.Registry
-	// Tracer is the job's SSE event buffer; the dispatcher may emit
+	// Tracer is the job's SSE event collector; the dispatcher may emit
 	// deterministic cluster trace events into it.
-	Tracer obs.Tracer
+	Tracer *obs.Collector
 }
 
 // DispatchResult is a completed dispatched solve.

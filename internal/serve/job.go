@@ -156,70 +156,6 @@ func NewSolutionDoc(sol *core.Solution) (*SolutionDoc, error) {
 	}, nil
 }
 
-// eventBuffer is the SSE bridge: an obs.Tracer that retains every event
-// of one job so a subscriber attaching at any point replays the stream
-// from the beginning in the deterministic emission order, then follows
-// live until the job closes the buffer.
-type eventBuffer struct {
-	mu      sync.Mutex
-	seq     int64
-	events  []obs.TraceEvent
-	done    bool
-	waiters []chan struct{}
-}
-
-// Trace implements obs.Tracer: assign the sequence number, retain, wake
-// followers. Called only from the engine's deterministic serialization
-// points, so arrival order is the canonical trace order.
-func (b *eventBuffer) Trace(ev obs.TraceEvent) {
-	b.mu.Lock()
-	b.seq++
-	ev.Seq = b.seq
-	b.events = append(b.events, ev)
-	b.wakeLocked()
-	b.mu.Unlock()
-}
-
-// close marks the stream complete and wakes every follower.
-func (b *eventBuffer) close() {
-	b.mu.Lock()
-	b.done = true
-	b.wakeLocked()
-	b.mu.Unlock()
-}
-
-func (b *eventBuffer) wakeLocked() {
-	for _, ch := range b.waiters {
-		close(ch)
-	}
-	b.waiters = b.waiters[:0]
-}
-
-// snapshot returns a copy of everything buffered so far; the solution
-// cache stores it so hits and followers can replay the leader's stream.
-func (b *eventBuffer) snapshot() []obs.TraceEvent {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]obs.TraceEvent(nil), b.events...)
-}
-
-// next returns the events after index from (a copy), whether the stream
-// is complete, and — when there is nothing new and the stream is still
-// open — a channel that closes on the next event or on completion.
-func (b *eventBuffer) next(from int) (evs []obs.TraceEvent, done bool, wait <-chan struct{}) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if from < len(b.events) {
-		return append([]obs.TraceEvent(nil), b.events[from:]...), b.done, nil
-	}
-	if b.done {
-		return nil, true, nil
-	}
-	ch := make(chan struct{})
-	b.waiters = append(b.waiters, ch)
-	return nil, false, ch
-}
-
 // CommitInfo annotates a job that ran as a session commit: which
 // session and branch it advanced, and the version it created (-1 when
 // the solve was interrupted and no version was frozen).
@@ -236,7 +172,7 @@ type job struct {
 	id       string
 	strategy string // strategy tag for aggregation, known at submit time
 	reg      *obs.Registry
-	buf      *eventBuffer
+	buf      *obs.Collector    // the SSE stream: every trace event of the job
 	trace    *obs.RequestTrace // submitting request's span trace (may be nil)
 	// deleted is cancelled by DELETE, which may arrive before the job's
 	// goroutine has derived its context; jobContext watches it.
@@ -305,6 +241,6 @@ func (j *job) finish(doc *SolutionDoc, err error) {
 		j.doc = doc
 	}
 	j.mu.Unlock()
-	j.buf.close()
+	j.buf.Close()
 	close(j.done)
 }

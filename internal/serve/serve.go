@@ -15,26 +15,28 @@
 //	POST   /v1/sessions/{id}/rollback      move a branch head back to an ancestor
 //	GET    /v1/sessions/{id}/diff          placement + metric delta between two versions
 //
-//	GET    /metrics               Prometheus text exposition (catalog + process gauges)
-//	GET    /v1/stats              the cross-strategy aggregate as an obs.Snapshot (JSON)
-//	GET    /healthz, /readyz      liveness / readiness
-//	GET    /debug/pprof/...       net/http/pprof, when Config.EnablePprof
+//	GET    /metrics                 Prometheus text exposition (catalog + process gauges)
+//	GET    /v1/stats                the cross-strategy aggregate as an obs.Snapshot (JSON)
+//	GET    /v1/debug/requests       retained request span trees, newest first (status=, min-duration=, n=)
+//	GET    /v1/debug/requests/{id}  one request's span tree
+//	GET    /healthz, /readyz        liveness / readiness
+//	GET    /debug/pprof/...         net/http/pprof, when Config.EnablePprof
 //
-// Infrastructure endpoints are served both unversioned and under /v1
-// (/metrics and /v1/metrics, ...), except /debug/pprof, which is
-// unversioned only. Every error response uses one envelope,
+// /metrics, /healthz and /readyz are served both unversioned and under
+// /v1 (/metrics and /v1/metrics, ...); /debug/pprof is unversioned only.
+// Every error response uses one envelope,
 // {"error":{"code","message","retry_after_s"?}} — including requests no
 // route matches (404, not_found) and wrong-method requests (405,
 // bad_request, with the Allow header).
 //
-// Every job runs with its own obs.Registry and an SSE event buffer as
-// its tracer, reusing the engine's deterministic emission points: the
-// streamed event order is the canonical trace order, identical at any
-// parallelism. Completed jobs fold their registry into per-strategy
-// aggregates (plus an "all" aggregate) that /metrics renders. Session
-// commits run through the same bounded job manager as one-shot solves,
-// so queue limits, timeouts, SSE streaming and cancellation behave
-// identically for both.
+// Every job runs with its own obs.Registry and an obs.Collector as its
+// tracer, reusing the engine's deterministic emission points: SSE
+// subscribers follow the collector, so the streamed event order is the
+// canonical trace order, identical at any parallelism. Completed jobs
+// fold their registry into per-strategy aggregates (plus an "all"
+// aggregate) that /metrics renders. Session commits run through the
+// same bounded job manager as one-shot solves, so queue limits,
+// timeouts, SSE streaming and cancellation behave identically for both.
 //
 // The manager is bounded: at most MaxConcurrent solves run at once,
 // at most QueueDepth wait behind them (beyond that POST /v1/solve returns
@@ -518,7 +520,7 @@ func (s *Server) registerLocked(strategyTag string, rt *obs.RequestTrace) *job {
 		id:          "j" + strconv.FormatInt(s.nextID, 10),
 		strategy:    strategyTag,
 		reg:         obs.NewRegistry(),
-		buf:         &eventBuffer{},
+		buf:         &obs.Collector{},
 		trace:       rt,
 		deleted:     deleted,
 		markDeleted: markDeleted,
@@ -838,7 +840,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	next, curve := 0, 0
 	for {
-		evs, done, wait := j.buf.next(next)
+		evs, done, wait := j.buf.Next(next)
 		for _, ev := range evs {
 			fmt.Fprintf(w, "event: trace\nid: %d\ndata: ", ev.Seq)
 			enc.Encode(ev) // one line + '\n'

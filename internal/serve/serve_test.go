@@ -11,7 +11,6 @@ import (
 	"os"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -445,44 +444,6 @@ func TestPprofGatedByFlag(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("pprof with flag = %d, want 200", resp.StatusCode)
-	}
-}
-
-// TestEventBufferFollow exercises the SSE bridge's concurrency: a
-// follower attached mid-stream sees every event exactly once, in order.
-func TestEventBufferFollow(t *testing.T) {
-	b := &eventBuffer{}
-	const n = 500
-	var got []obs.TraceEvent
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		at := 0
-		for {
-			evs, done, wait := b.next(at)
-			got = append(got, evs...)
-			at += len(evs)
-			if done && len(evs) == 0 {
-				return
-			}
-			if wait != nil {
-				<-wait
-			}
-		}
-	}()
-	for i := 0; i < n; i++ {
-		b.Trace(obs.TraceEvent{Kind: "candidate", Index: i})
-	}
-	b.close()
-	wg.Wait()
-	if len(got) != n {
-		t.Fatalf("follower saw %d events, want %d", len(got), n)
-	}
-	for i, ev := range got {
-		if ev.Seq != int64(i+1) || ev.Index != i {
-			t.Fatalf("event %d = %+v", i, ev)
-		}
 	}
 }
 
