@@ -94,13 +94,14 @@ func expand(bins []Bin, demand int64) []int64 {
 		}
 		total += n * b.Size
 	}
-	// Top off with the smallest size until the demand is covered.
+	// Top off with the smallest size until the demand is covered. The
+	// items stay in decreasing size: appended by decreasing bin, the
+	// smallest last.
 	smallest := sorted[len(sorted)-1].Size
 	for total < demand {
 		items = append(items, smallest)
 		total += smallest
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i] > items[j] })
 	return items
 }
 

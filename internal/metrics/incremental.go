@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 
 	"incdes/internal/future"
 	"incdes/internal/model"
@@ -13,12 +14,13 @@ import (
 
 // Baseline caches every metric input that depends only on the frozen
 // base schedule: per-node slack intervals and per-window slack vectors,
-// the per-occurrence and per-window free bus capacity, and the
-// future-application item lists (in decreasing size, the order the
-// best-fit-decreasing packing takes them). An evaluation of a candidate
-// design that differs from the base by an open sched.Txn then only
-// recomputes the touched node timelines and patches the touched slot
-// occurrences — everything else is read from here.
+// the per-occurrence and per-window free bus capacity, the histogram of
+// the per-occurrence free bytes, and the future-application item lists
+// (in decreasing size, the order the best-fit-decreasing packing takes
+// them). An evaluation of a candidate design that differs from the base
+// by an open sched.Txn then only recomputes the touched node timelines
+// and patches the touched slot occurrences and their capacities in the
+// histogram — everything else is read from here.
 //
 // A Baseline is immutable after construction and safe to share across
 // evaluation workers; the mutable scratch lives in the per-worker
@@ -38,10 +40,11 @@ type Baseline struct {
 	gapLens  map[model.NodeID][]int64 // slack interval lengths per node
 	winSlack map[model.NodeID][]tm.Time
 
-	busFree []int64 // free bytes per slot occurrence, bus order then time order
-	busWin  []int64 // free bytes per Tmin window, summed over buses
-	busOff  []int   // busFree offset of each bus's occurrence block
-	busTmin tm.Time // effective window length of busWin (clipped like BusWindowFree)
+	busFree []int64   // free bytes per slot occurrence, bus order then time order
+	busCaps pack.Caps // busFree as a histogram (the C1m bins)
+	busWin  []int64   // free bytes per Tmin window, summed over buses
+	busOff  []int     // busFree offset of each bus's occurrence block
+	busTmin tm.Time   // effective window length of busWin (clipped like BusWindowFree)
 }
 
 // NewBaseline precomputes the metric inputs of the base state. The cost
@@ -66,6 +69,7 @@ func NewBaseline(base *sched.State, prof *future.Profile, w Weights) *Baseline {
 	}
 
 	b.busFree = slack.BusFreeBytes(base)
+	b.busCaps.Reset(slices.Clone(b.busFree))
 	b.busWin = slack.BusWindowFree(base, prof.Tmin)
 	b.busOff = make([]int, base.NumBuses())
 	off := 0
@@ -101,8 +105,8 @@ type Incremental struct {
 	// Scratch reused across evaluations.
 	bins    []int64
 	mBins   []int64
+	mCaps   pack.Caps
 	remA    []int64
-	remB    []int64
 	gapBuf  []tm.Interval
 	winBuf  []tm.Time
 	busWinS []int64
@@ -145,13 +149,20 @@ func (e *Incremental) EvaluateTxn(st *sched.State, txn *sched.Txn) (rep Report, 
 	// from its slot occurrence (C1m; each bus's block of the cached
 	// vector is round-major, so occurrence (round, slot) sits at the
 	// block's offset + round*slots + slot) and from the Tmin window
-	// holding the occurrence's end (C2m). Integer subtractions commute,
-	// so the hop order does not matter.
+	// holding the occurrence's end (C2m). The occurrence's capacity
+	// before the hop is read from the patched copy, because two hops can
+	// share an occurrence, and the histogram moves one bin from it to
+	// the capacity after. Integer subtractions commute and the histogram
+	// is a multiset, so the hop order does not matter.
 	e.mBins = append(e.mBins[:0], b.busFree...)
+	e.mCaps.Set(&b.busCaps)
 	e.busWinS = append(e.busWinS[:0], b.busWin...)
 	for _, d := range txn.BusDeltas() {
 		bus := st.BusStateAt(int(d.Bus)).Bus()
-		e.mBins[b.busOff[d.Bus]+d.Round*bus.NumSlots()+d.Slot] -= int64(d.Bytes)
+		o := b.busOff[d.Bus] + d.Round*bus.NumSlots() + d.Slot
+		old := e.mBins[o]
+		e.mBins[o] -= int64(d.Bytes)
+		e.mCaps.Shrink(old, e.mBins[o])
 		w := int((bus.SlotEnd(d.Round, d.Slot) - 1) / b.busTmin)
 		if w >= len(e.busWinS) {
 			w = len(e.busWinS) - 1
@@ -159,9 +170,9 @@ func (e *Incremental) EvaluateTxn(st *sched.State, txn *sched.Txn) (rep Report, 
 		e.busWinS[w] -= int64(d.Bytes)
 	}
 
-	// Criterion 1, messages.
-	frac, e.remB = pack.BestFitUnpacked(b.mItems, e.mBins, e.remB)
-	r.C1m = 100 * frac
+	// Criterion 1, messages: the patched histogram holds the same
+	// positive capacities BestFitUnpacked would build from e.mBins.
+	r.C1m = 100 * e.mCaps.BestFitUnpacked(b.mItems)
 
 	// Criterion 2, processes: the per-window slack vectors are integer
 	// quantities, cached for clean nodes; the min/PeriodicFill

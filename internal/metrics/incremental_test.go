@@ -27,46 +27,75 @@ func incMapping(rng *rand.Rand, app *model.Application) model.Mapping {
 // bit for bit — including the floating-point packing fractions,
 // PeriodicFill and the objective, which only match if the incremental
 // path replays the exact same operation sequence.
+//
+// At the default future profile both packings are 0 on every candidate,
+// so the "busy" cases raise the future application's processor and bus
+// demand until the packings leave items over, on one bus and on three
+// clusters; each of them must see C1P > 0 and C1m > 0 together.
 func TestEvaluateTxnMatchesEvaluate(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
+	busy := func(cfg gen.Config) gen.Config {
+		cfg.FutureUtil, cfg.FutureBusFrac = 0.9, 1.5
+		return cfg
+	}
+	for _, c := range []struct {
+		name              string
+		cfg               gen.Config
+		existing, current int
+		wantPacked        bool
+	}{
 		// A current application smaller than the node count, so candidate
 		// placements routinely leave timelines clean and the cached-vector
 		// path actually runs (bigger apps dirty every node and degenerate
 		// to the full-recompute classification).
-		tc, err := gen.MakeTestCase(gen.Default(), 900+seed*17, 80, 8)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		w := metrics.DefaultWeights(tc.Profile)
-		base := tc.Base
-		bl := metrics.NewBaseline(base, tc.Profile, w)
-		ev := bl.Evaluator()
+		{"default", gen.Default(), 80, 8, false},
+		{"busy", busy(gen.Default()), 80, 8, true},
+		{"busy-multicluster", busy(gen.Multicluster(3, 3, 0.25)), 40, 20, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			packed := 0
+			for seed := int64(0); seed < 4; seed++ {
+				tc, err := gen.MakeTestCase(c.cfg, 900+seed*17, c.existing, c.current)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				w := metrics.DefaultWeights(tc.Profile)
+				base := tc.Base
+				bl := metrics.NewBaseline(base, tc.Profile, w)
+				ev := bl.Evaluator()
 
-		rng := rand.New(rand.NewSource(seed))
-		matched, fulls := 0, 0
-		for iter := 0; iter < 40; iter++ {
-			txn := base.Begin()
-			if err := txn.Apply(tc.Current, incMapping(rng, tc.Current), sched.Hints{}); err != nil {
-				txn.Rollback()
-				continue
+				rng := rand.New(rand.NewSource(seed))
+				matched, fulls := 0, 0
+				for iter := 0; iter < 40; iter++ {
+					txn := base.Begin()
+					if err := txn.Apply(tc.Current, incMapping(rng, tc.Current), sched.Hints{}); err != nil {
+						txn.Rollback()
+						continue
+					}
+					got, full := ev.EvaluateTxn(base, txn)
+					want := metrics.Evaluate(base, tc.Profile, w)
+					txn.Rollback()
+					if got != want {
+						t.Fatalf("seed %d iter %d (full=%v): EvaluateTxn = %+v, Evaluate = %+v", seed, iter, full, got, want)
+					}
+					matched++
+					if full {
+						fulls++
+					}
+					if got.C1P > 0 && got.C1m > 0 {
+						packed++
+					}
+				}
+				if matched == 0 {
+					t.Fatalf("seed %d: no feasible candidate placements; differential never ran", seed)
+				}
+				if fulls == matched {
+					t.Errorf("seed %d: every evaluation fell back to a full recompute; the incremental path never ran", seed)
+				}
 			}
-			got, full := ev.EvaluateTxn(base, txn)
-			want := metrics.Evaluate(base, tc.Profile, w)
-			txn.Rollback()
-			if got != want {
-				t.Fatalf("seed %d iter %d (full=%v): EvaluateTxn = %+v, Evaluate = %+v", seed, iter, full, got, want)
+			if c.wantPacked && packed == 0 {
+				t.Errorf("no evaluation had C1P > 0 and C1m > 0; the packings were never compared on leftover items")
 			}
-			matched++
-			if full {
-				fulls++
-			}
-		}
-		if matched == 0 {
-			t.Fatalf("seed %d: no feasible candidate placements; differential never ran", seed)
-		}
-		if fulls == matched {
-			t.Errorf("seed %d: every evaluation fell back to a full recompute; the incremental path never ran", seed)
-		}
+		})
 	}
 }
 

@@ -4,11 +4,16 @@
 // slot capacities) of a design alternative are the containers. The paper
 // prescribes the best-fit policy, fed with the items in decreasing size.
 //
-// BestFitUnpacked is the packer the metrics run: an exact best-fit over a
-// sorted multiset of remaining capacities, O(B log B + I log B) for I
-// items and B bins. The tests hold it against a reference kept with them:
-// the plain per-item scan of every bin, which also records which bin each
-// item went to.
+// There is one packer: exact best-fit over Caps, a histogram of the
+// remaining capacities, placing a run of equal items at once. The
+// metrics' items come from the future profile's four sizes, so a packing
+// is four runs, and a run costs at most two binary searches and two
+// shifts of the histogram per distinct capacity it reaches, not per item.
+// BestFitUnpacked builds the histogram from B unsorted bins, an
+// O(B log B) sort, and packs; a caller that keeps a histogram across
+// packings patches it with Shrink instead. The tests hold the packer
+// against a reference kept with them: the plain per-item scan of every
+// bin, which also records which bin each item went to.
 //
 // Sizes are plain int64 so the same packer serves time units (process
 // slack) and bytes (bus slack).
@@ -18,48 +23,160 @@ import "slices"
 
 // BestFitUnpacked returns the unpacked fraction of packing items (in the
 // given order) into bins with the best-fit policy, without building an
-// assignment. scratch is reused for the remaining capacities and the
-// (possibly grown) slice is returned for the next call; bins is not
-// modified. This is the allocation-free form the metrics run once per
-// candidate design.
-//
-// The remaining capacities are kept as a sorted multiset: bins is copied
-// and sorted once, and each item binary-searches the smallest capacity
-// that fits it, which is removed and replaced by the leftover capacity
-// at its sorted position. The leftover is smaller, so that position is at
-// or before the removed one and the update is one copy shift.
-//
-// The value is bit-identical to the per-bin scan's, which puts each item
-// into the lowest-index bin among those with the smallest remaining
-// capacity that fits. Best-fit's whole state is the multiset of remaining
-// capacities: two bins with equal remaining capacity are interchangeable
-// for every later item, so the scan's tie-break may pick a different bin
-// but leaves the same multiset. Every item is therefore packed or left
-// unpacked exactly as the scan does, the totals accumulate over the same
-// items in the same order, and the fraction is the same expression.
+// assignment. bins is not modified. scratch is reused for a sorted copy
+// of bins and for the histogram Caps.BestFitUnpacked packs, and the
+// (possibly grown) slice is returned for the next call: this is the
+// allocation-free form for callers that pack once per candidate design.
 //
 // Item sizes must be positive (future.Profile.Validate guarantees it for
-// the metrics' items); a negative size would grow a capacity and break
-// the sorted order.
+// the metrics' items).
 func BestFitUnpacked(items, bins, scratch []int64) (float64, []int64) {
-	remaining := append(scratch[:0], bins...)
-	slices.Sort(remaining)
-	var packed, unpacked int64
-	for _, size := range items {
-		i, _ := slices.BinarySearch(remaining, size)
-		if i == len(remaining) {
-			unpacked += size
+	n := len(bins)
+	scratch = slices.Grow(scratch[:0], 3*n)[:3*n]
+	sorted := scratch[:n]
+	copy(sorted, bins)
+	// A histogram never holds more entries than there are bins, so
+	// neither slice outgrows its n-element share of scratch.
+	c := Caps{Size: scratch[n : n : 2*n], N: scratch[2*n : 2*n : 3*n]}
+	c.Reset(sorted)
+	return c.BestFitUnpacked(items), scratch
+}
+
+// Caps is a multiset of bin capacities kept as a histogram: Size holds
+// the distinct capacities in ascending order and N[i] > 0 the number of
+// bins of capacity Size[i]. A bin of capacity ≤ 0 fits no positive item
+// and is not held.
+//
+// Best-fit's whole state is this multiset. Two bins with equal remaining
+// capacity are interchangeable for every later item, so the per-bin scan
+// that puts each item into the lowest-index bin among the smallest that
+// fit may pick a different bin than the histogram does, but it leaves the
+// same multiset, packs or leaves unpacked the same items, and gives the
+// same fraction.
+type Caps struct {
+	Size []int64
+	N    []int64
+}
+
+// Reset sorts bins in place and makes c their histogram.
+func (c *Caps) Reset(bins []int64) {
+	slices.Sort(bins)
+	c.Size, c.N = c.Size[:0], c.N[:0]
+	for _, b := range bins {
+		if b <= 0 {
 			continue
 		}
-		left := remaining[i] - size
-		j, _ := slices.BinarySearch(remaining[:i], left)
-		copy(remaining[j+1:i+1], remaining[j:i])
-		remaining[j] = left
-		packed += size
+		if k := len(c.Size); k > 0 && c.Size[k-1] == b {
+			c.N[k-1]++
+			continue
+		}
+		c.Size = append(c.Size, b)
+		c.N = append(c.N, 1)
+	}
+}
+
+// Set makes c a copy of o.
+func (c *Caps) Set(o *Caps) {
+	c.Size = append(c.Size[:0], o.Size...)
+	c.N = append(c.N[:0], o.N...)
+}
+
+// Shrink turns one bin of capacity from into a bin of capacity to, which
+// must be smaller. It panics when c holds no bin of capacity from or to
+// is not smaller: either is a bug of the caller's bookkeeping.
+func (c *Caps) Shrink(from, to int64) {
+	i, ok := slices.BinarySearch(c.Size, from)
+	if !ok || to >= from {
+		panic("pack: Shrink of an absent capacity or to a capacity that is not smaller")
+	}
+	c.move(i, 1, to)
+}
+
+// BestFitUnpacked packs items (in the given order) into c with the
+// best-fit policy and returns the unpacked fraction of their total size.
+// c is left holding the remaining capacities. Item sizes must be
+// positive.
+//
+// A maximal run of k equal items of size s is placed at once. Let C be
+// the smallest capacity ≥ s, held by n bins, and per = ⌊C/s⌋. One-item
+// best-fit puts the first item into a bin of C. Its leftover, while still
+// ≥ s, is the smallest capacity that fits (every capacity below C is
+// smaller than s), so the same bin takes per items and drops to C mod s,
+// which fits no further item of the run. The next bin of C follows, and
+// so on: min(n, ⌊k/per⌋) bins drop to C mod s. If items remain and a bin
+// of C is left, that bin takes them all and drops to C − remaining·s. If
+// no bin of C is left, the remaining items go on to the next capacity.
+// The packed and unpacked totals are integer sums over the same items as
+// the one-item loop's, so the fraction is bit-identical.
+func (c *Caps) BestFitUnpacked(items []int64) float64 {
+	var packed, unpacked int64
+	for len(items) > 0 {
+		s, k := items[0], int64(1)
+		for k < int64(len(items)) && items[k] == s {
+			k++
+		}
+		items = items[k:]
+		i, _ := slices.BinarySearch(c.Size, s)
+		for k > 0 {
+			if i == len(c.Size) {
+				unpacked += k * s
+				break
+			}
+			capacity, n := c.Size[i], c.N[i]
+			per := capacity / s
+			full := min(n, k/per)
+			if full > 0 {
+				c.move(i, full, capacity%s)
+				packed += full * per * s
+				k -= full * per
+				// The move put at most one entry, smaller than s, at or
+				// below i; the first entry ≥ s is C's (if bins of C are
+				// left) or the next capacity.
+				if i < len(c.Size) && c.Size[i] < s {
+					i++
+				}
+			}
+			if k > 0 && full < n {
+				c.move(i, 1, capacity-k*s)
+				packed += k * s
+				k = 0
+			}
+		}
 	}
 	total := packed + unpacked
 	if total == 0 {
-		return 0, remaining
+		return 0
 	}
-	return float64(unpacked) / float64(total), remaining
+	return float64(unpacked) / float64(total)
+}
+
+// move turns n of the bins of capacity Size[i] (0 < n ≤ N[i]) into bins
+// of the smaller capacity to, dropping them when to ≤ 0. The target's
+// entry belongs at or below i, so dropping an emptied entry i and adding
+// a new target entry together shift each slice at most once.
+func (c *Caps) move(i int, n, to int64) {
+	c.N[i] -= n
+	emptied := c.N[i] == 0
+	if to > 0 {
+		j, found := slices.BinarySearch(c.Size[:i], to)
+		switch {
+		case found:
+			c.N[j] += n
+		case emptied:
+			// Entry i goes and the target comes at j: shift [j, i) up
+			// into entry i's place.
+			copy(c.Size[j+1:i+1], c.Size[j:i])
+			copy(c.N[j+1:i+1], c.N[j:i])
+			c.Size[j], c.N[j] = to, n
+			return
+		default:
+			c.Size = slices.Insert(c.Size, j, to)
+			c.N = slices.Insert(c.N, j, n)
+			return
+		}
+	}
+	if emptied {
+		c.Size = slices.Delete(c.Size, i, i+1)
+		c.N = slices.Delete(c.N, i, i+1)
+	}
 }

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"incdes/internal/future"
 )
 
 // decreasing returns a copy of items in decreasing size, the order the
@@ -19,7 +21,8 @@ func decreasing(items []int64) []int64 {
 
 // checkAgainstReference fails t unless BestFitUnpacked agrees bit for bit
 // with the BestFit reference, leaves bins untouched, and gives the same
-// value again when handed back its own scratch.
+// value again when handed back its own scratch; and unless a Caps of the
+// bins, packed, holds the capacities the reference leaves.
 func checkAgainstReference(t *testing.T, items, bins []int64) {
 	t.Helper()
 	want := BestFit(items, bins).UnpackedFraction()
@@ -35,6 +38,51 @@ func checkAgainstReference(t *testing.T, items, bins []int64) {
 	if math.Float64bits(again) != math.Float64bits(want) {
 		t.Fatalf("items %v bins %v: reusing scratch gives %v, want %v", items, bins, again, want)
 	}
+	var c Caps
+	c.Reset(slices.Clone(bins))
+	c.BestFitUnpacked(items)
+	checkCaps(t, &c, remainingAfter(items, bins))
+}
+
+// checkCaps fails t unless c is a well-formed histogram (Size ascending
+// and distinct, every N > 0) of exactly the positive capacities in bins.
+func checkCaps(t *testing.T, c *Caps, bins []int64) {
+	t.Helper()
+	if len(c.Size) != len(c.N) {
+		t.Fatalf("histogram has %d sizes and %d counts", len(c.Size), len(c.N))
+	}
+	for i := range c.Size {
+		if c.N[i] <= 0 || c.Size[i] <= 0 || i > 0 && c.Size[i-1] >= c.Size[i] {
+			t.Fatalf("malformed histogram: sizes %v counts %v", c.Size, c.N)
+		}
+	}
+	want := map[int64]int64{}
+	for _, b := range bins {
+		if b > 0 {
+			want[b]++
+		}
+	}
+	if len(want) != len(c.Size) {
+		t.Fatalf("histogram sizes %v counts %v, want the positive capacities of %v", c.Size, c.N, bins)
+	}
+	for i, s := range c.Size {
+		if want[s] != c.N[i] {
+			t.Fatalf("histogram sizes %v counts %v, want the positive capacities of %v", c.Size, c.N, bins)
+		}
+	}
+}
+
+// remainingAfter returns the capacities the BestFit reference leaves in
+// bins after packing items.
+func remainingAfter(items, bins []int64) []int64 {
+	res := BestFit(items, bins)
+	left := slices.Clone(bins)
+	for i, b := range res.Assignment {
+		if b >= 0 {
+			left[b] -= items[i]
+		}
+	}
+	return left
 }
 
 func TestBestFitChoosesTightestBin(t *testing.T) {
@@ -250,6 +298,35 @@ func TestBestFitUnpackedMatchesBestFit(t *testing.T) {
 			checkAgainstReference(t, tc.items, tc.bins)
 		})
 	}
+	// The metrics' shape: the items of the paper's largest future
+	// application (hundreds of items in four runs of equal size,
+	// decreasing) and hundreds of bins with few distinct capacities, as
+	// processor gap lengths and free slot bytes are. 100 bins leave items
+	// over, 720 take them all.
+	prof := future.PaperProfile(100, 270, 24)
+	wcets, msgs := prof.LargestAppWCETs(10000), prof.LargestAppMsgBytes(10000)
+	gapCaps := []int64{0, 15, 20, 45, 60, 100, 130, 150, 210, 400}
+	slotCaps := []int64{0, 1, 2, 3, 5, 8, 12, 14, 16, 32}
+	shaped := rand.New(rand.NewSource(7))
+	for _, tc := range []struct {
+		name  string
+		items []int64
+		caps  []int64
+		n     int
+	}{
+		{"profile WCETs into 100 bins", wcets, gapCaps, 100},
+		{"profile WCETs into 720 bins", wcets, gapCaps, 720},
+		{"profile message bytes into 100 bins", msgs, slotCaps, 100},
+		{"profile message bytes into 720 bins", msgs, slotCaps, 720},
+	} {
+		bins := make([]int64, tc.n)
+		for i := range bins {
+			bins[i] = tc.caps[shaped.Intn(len(tc.caps))]
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			checkAgainstReference(t, tc.items, bins)
+		})
+	}
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 500; trial++ {
 		items := make([]int64, rng.Intn(30))
@@ -265,16 +342,22 @@ func TestBestFitUnpackedMatchesBestFit(t *testing.T) {
 	}
 }
 
-// FuzzBestFitUnpacked holds the sorted-multiset packer against the
-// BestFit reference. Each byte of itemBytes is one item of size 1..256,
-// each byte of binBytes one bin of capacity 0..255.
+// FuzzBestFitUnpacked holds the histogram packer against the BestFit
+// reference. Each byte of itemBytes is one item of size 1..256, each
+// byte of binBytes one bin of capacity 0..255. Each pair of bytes of
+// shrinkBytes is one Shrink of a Caps built from the bins before it
+// packs: the first byte picks a present capacity, the second a smaller
+// target (0 drops the bin). The reference packs the equally patched bins;
+// the histogram must be well formed after every operation and after
+// packing, and hold what the reference leaves.
 func FuzzBestFitUnpacked(f *testing.F) {
-	f.Add([]byte{1, 4, 5}, []byte{6, 0, 5}, false)
-	f.Add([]byte{7, 7, 3, 3, 3, 0}, []byte{8, 8, 4, 4, 0}, true)
-	f.Add([]byte{255, 200}, []byte{10, 20}, false)
-	f.Add([]byte{}, []byte{1, 2, 3}, false)
-	f.Add([]byte{9}, []byte{}, true)
-	f.Fuzz(func(t *testing.T, itemBytes, binBytes []byte, sorted bool) {
+	f.Add([]byte{1, 4, 5}, []byte{6, 0, 5}, []byte{}, false)
+	f.Add([]byte{7, 7, 3, 3, 3, 0}, []byte{8, 8, 4, 4, 0}, []byte{1, 5}, true)
+	f.Add([]byte{255, 200}, []byte{10, 20}, []byte{0, 9}, false)
+	f.Add([]byte{}, []byte{1, 2, 3}, []byte{2, 1, 0, 0}, false)
+	f.Add([]byte{9}, []byte{}, []byte{3, 3}, true)
+	f.Add([]byte{3, 3, 3, 3, 1, 1, 1}, []byte{12, 12, 12, 7, 7, 2, 2}, []byte{0, 1, 4, 30, 1, 200}, true)
+	f.Fuzz(func(t *testing.T, itemBytes, binBytes, shrinkBytes []byte, sorted bool) {
 		items := make([]int64, len(itemBytes))
 		for i, b := range itemBytes {
 			items[i] = 1 + int64(b)
@@ -287,7 +370,48 @@ func FuzzBestFitUnpacked(f *testing.F) {
 			bins[i] = int64(b)
 		}
 		checkAgainstReference(t, items, bins)
+
+		var c Caps
+		c.Reset(slices.Clone(bins))
+		checkCaps(t, &c, bins)
+		for k := 0; k+1 < len(shrinkBytes) && len(c.Size) > 0; k += 2 {
+			from := c.Size[int(shrinkBytes[k])%len(c.Size)]
+			to := int64(shrinkBytes[k+1]) % from
+			c.Shrink(from, to)
+			bins[slices.Index(bins, from)] = to
+			checkCaps(t, &c, bins)
+		}
+		want := BestFit(items, bins).UnpackedFraction()
+		if got := c.BestFitUnpacked(items); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("items %v patched bins %v: Caps.BestFitUnpacked = %v, BestFit = %v", items, bins, got, want)
+		}
+		checkCaps(t, &c, remainingAfter(items, bins))
 	})
+}
+
+// TestCapsShrinkPanics: shrinking a capacity the histogram does not hold,
+// or to one that is not smaller, is a caller's bug and panics.
+func TestCapsShrinkPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		from, to int64
+	}{
+		{"absent", 4, 1},
+		{"dropped zero", 0, -1},
+		{"not smaller", 5, 5},
+		{"larger", 3, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var c Caps
+			c.Reset([]int64{0, 3, 5, 5})
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Shrink(%d, %d) did not panic", tc.from, tc.to)
+				}
+			}()
+			c.Shrink(tc.from, tc.to)
+		})
+	}
 }
 
 // TestBestFitUnpackedAllocs: with a scratch already grown to the bin
