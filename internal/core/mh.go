@@ -567,7 +567,7 @@ func msgTargetOffsets(st *sched.State, mc msgCandidate, period tm.Time, k int) [
 	for r := 0; r < bus.Rounds(); r++ {
 		for _, sl := range slots {
 			if free := bus.Free(r, sl); free >= mc.bytes {
-				cands = append(cands, occ{start: bus.Bus().SlotStart(r, sl), free: free})
+				cands = append(cands, occ{start: bus.SlotStart(r, sl), free: free})
 			}
 		}
 	}

@@ -20,7 +20,9 @@ import (
 // them). An evaluation of a candidate design that differs from the base
 // by an open sched.Txn then only recomputes the touched node timelines
 // and patches the touched slot occurrences and their capacities in the
-// histogram — everything else is read from here.
+// histogram — everything else is read from here. Both item lists are
+// also kept as pack.Runs, so an evaluation can try the all-fit
+// certificate before it packs.
 //
 // A Baseline is immutable after construction and safe to share across
 // evaluation workers; the mutable scratch lives in the per-worker
@@ -36,6 +38,8 @@ type Baseline struct {
 
 	items  []int64 // LargestAppWCETs, decreasing (C1P objects)
 	mItems []int64 // LargestAppMsgBytes, decreasing (C1m objects)
+	runs   pack.Runs
+	mRuns  pack.Runs
 
 	gapLens  map[model.NodeID][]int64 // slack interval lengths per node
 	winSlack map[model.NodeID][]tm.Time
@@ -59,6 +63,8 @@ func NewBaseline(base *sched.State, prof *future.Profile, w Weights) *Baseline {
 	}
 	b.items = prof.LargestAppWCETs(horizon)
 	b.mItems = prof.LargestAppMsgBytes(horizon)
+	b.runs = pack.NewRuns(b.items)
+	b.mRuns = pack.NewRuns(b.mItems)
 
 	perNode := slack.Processor(base)
 	b.gapLens = make(map[model.NodeID][]int64, len(b.nodeIDs))
@@ -140,9 +146,13 @@ func (e *Incremental) EvaluateTxn(st *sched.State, txn *sched.Txn) (rep Report, 
 			e.bins = append(e.bins, b.gapLens[n]...)
 		}
 	}
-	var frac float64
-	frac, e.remA = pack.BestFitUnpacked(b.items, e.bins, e.remA)
-	r.C1P = 100 * frac
+	// When the all-fit certificate holds, best-fit leaves nothing over
+	// and C1P is the +0 the packing would give; otherwise pack.
+	if !b.runs.Certify(e.bins) {
+		var frac float64
+		frac, e.remA = pack.BestFitUnpacked(b.items, e.bins, e.remA)
+		r.C1P = 100 * frac
+	}
 
 	// Messages, both criteria, in one pass over the message hops the
 	// transaction appended: a hop of d.Bytes removes that many free bytes
@@ -158,12 +168,12 @@ func (e *Incremental) EvaluateTxn(st *sched.State, txn *sched.Txn) (rep Report, 
 	e.mCaps.Set(&b.busCaps)
 	e.busWinS = append(e.busWinS[:0], b.busWin...)
 	for _, d := range txn.BusDeltas() {
-		bus := st.BusStateAt(int(d.Bus)).Bus()
-		o := b.busOff[d.Bus] + d.Round*bus.NumSlots() + d.Slot
+		bst := st.BusStateAt(int(d.Bus))
+		o := b.busOff[d.Bus] + d.Round*bst.Bus().NumSlots() + d.Slot
 		old := e.mBins[o]
 		e.mBins[o] -= int64(d.Bytes)
 		e.mCaps.Shrink(old, e.mBins[o])
-		w := int((bus.SlotEnd(d.Round, d.Slot) - 1) / b.busTmin)
+		w := int((bst.SlotEnd(d.Round, d.Slot) - 1) / b.busTmin)
 		if w >= len(e.busWinS) {
 			w = len(e.busWinS) - 1
 		}
@@ -171,8 +181,11 @@ func (e *Incremental) EvaluateTxn(st *sched.State, txn *sched.Txn) (rep Report, 
 	}
 
 	// Criterion 1, messages: the patched histogram holds the same
-	// positive capacities BestFitUnpacked would build from e.mBins.
-	r.C1m = 100 * e.mCaps.BestFitUnpacked(b.mItems)
+	// positive capacities BestFitUnpacked would build from e.mBins. As
+	// for C1P, a certificate that holds makes C1m +0 without packing.
+	if !b.mRuns.CertifyCaps(&e.mCaps) {
+		r.C1m = 100 * e.mCaps.BestFitUnpacked(b.mItems)
+	}
 
 	// Criterion 2, processes: the per-window slack vectors are integer
 	// quantities, cached for clean nodes; the min/PeriodicFill

@@ -4,10 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"incdes/internal/future"
 	"incdes/internal/gen"
 	"incdes/internal/metrics"
 	"incdes/internal/model"
+	"incdes/internal/pack"
 	"incdes/internal/sched"
+	"incdes/internal/slack"
 )
 
 func incMapping(rng *rand.Rand, app *model.Application) model.Mapping {
@@ -32,6 +35,11 @@ func incMapping(rng *rand.Rand, app *model.Application) model.Mapping {
 // so the "busy" cases raise the future application's processor and bus
 // demand until the packings leave items over, on one bus and on three
 // clusters; each of them must see C1P > 0 and C1m > 0 together.
+//
+// EvaluateTxn skips a packing when the all-fit certificate holds, so each
+// evaluation is also classified by running the certificate over the C1P
+// and C1m bins built from package slack: the default case must see it
+// hold, and each busy case see it fail, at least once per criterion.
 func TestEvaluateTxnMatchesEvaluate(t *testing.T) {
 	busy := func(cfg gen.Config) gen.Config {
 		cfg.FutureUtil, cfg.FutureBusFrac = 0.9, 1.5
@@ -53,6 +61,7 @@ func TestEvaluateTxnMatchesEvaluate(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			packed := 0
+			var held, failed [2]int // per criterion: C1P, C1m
 			for seed := int64(0); seed < 4; seed++ {
 				tc, err := gen.MakeTestCase(c.cfg, 900+seed*17, c.existing, c.current)
 				if err != nil {
@@ -73,6 +82,13 @@ func TestEvaluateTxnMatchesEvaluate(t *testing.T) {
 					}
 					got, full := ev.EvaluateTxn(base, txn)
 					want := metrics.Evaluate(base, tc.Profile, w)
+					for i, ok := range certified(base, tc.Profile) {
+						if ok {
+							held[i]++
+						} else {
+							failed[i]++
+						}
+					}
 					txn.Rollback()
 					if got != want {
 						t.Fatalf("seed %d iter %d (full=%v): EvaluateTxn = %+v, Evaluate = %+v", seed, iter, full, got, want)
@@ -95,7 +111,29 @@ func TestEvaluateTxnMatchesEvaluate(t *testing.T) {
 			if c.wantPacked && packed == 0 {
 				t.Errorf("no evaluation had C1P > 0 and C1m > 0; the packings were never compared on leftover items")
 			}
+			for i, term := range []string{"C1P", "C1m"} {
+				if c.wantPacked && failed[i] == 0 {
+					t.Errorf("the %s certificate held on all %d evaluations; the packing path never ran", term, held[i])
+				}
+				if !c.wantPacked && held[i] == 0 {
+					t.Errorf("the %s certificate failed on all %d evaluations; the certified path never ran", term, failed[i])
+				}
+			}
 		})
+	}
+}
+
+// certified reports whether the all-fit certificate holds over st's C1P
+// bins (the slack interval lengths) and over its C1m bins (the free bytes
+// of every slot occurrence), built as Evaluate builds them.
+func certified(st *sched.State, prof *future.Profile) [2]bool {
+	h := st.Horizon()
+	bins := slack.Lengths(slack.AllIntervals(slack.Processor(st)))
+	var caps pack.Caps
+	caps.Reset(slack.BusFreeBytes(st))
+	return [2]bool{
+		pack.NewRuns(prof.LargestAppWCETs(h)).Certify(bins),
+		pack.NewRuns(prof.LargestAppMsgBytes(h)).CertifyCaps(&caps),
 	}
 }
 

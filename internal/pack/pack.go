@@ -15,11 +15,42 @@
 // against a reference kept with them: the plain per-item scan of every
 // bin, which also records which bin each item went to.
 //
+// # The all-fit certificate
+//
+// Most packings a design search scores leave nothing over, and one pass
+// over the bins per run can prove that without packing. Write the items
+// as runs (s_r, k_r) in packing order: k_r items of size s_r. Let
+//
+//	need_r = k_r + Σ_{q<r} k_q·⌈s_q/s_r⌉
+//	U_r    = Σ ⌊b/s_r⌋ over the bins b ≥ s_r
+//
+// (a histogram entry counts as its N bins). If U_r ≥ need_r for every
+// run r, best-fit places every item. Placing an item of size x into a
+// bin lowers that bin's ⌊b/s_r⌋ by at most ⌈x/s_r⌉. So before the j-th
+// item of run r (j counted from 0) is placed, the items placed so far
+// have lowered U_r by at most Σ_{q<r} k_q·⌈s_q/s_r⌉ + j, and
+// U_r ≥ need_r − Σ_{q<r} k_q·⌈s_q/s_r⌉ − j = k_r − j ≥ 1: some bin still
+// holds at least s_r, and best-fit places an item whenever some bin fits
+// it. The unpacked total is then 0, so the packer's fraction is 0/total,
+// the bits of +0. The proof uses only which items come earlier, so the
+// order in which the runs are checked does not matter to it; the
+// predicates check the smallest size first, because its need counts
+// every item and a certificate that fails usually fails there.
+//
+// The certificate is sufficient, not necessary: items {3, 2} fit bins
+// {3, 3}, but U_2 = 2 < need_2 = 1 + ⌈3/2⌉ = 3. When it fails, the caller
+// packs. Nothing overflows: need saturates at math.MaxInt64, a run whose
+// need saturates never certifies, and U_r stops counting at need_r.
+//
 // Sizes are plain int64 so the same packer serves time units (process
 // slack) and bytes (bus slack).
 package pack
 
-import "slices"
+import (
+	"math"
+	"slices"
+	"sort"
+)
 
 // BestFitUnpacked returns the unpacked fraction of packing items (in the
 // given order) into bins with the best-fit policy, without building an
@@ -179,4 +210,105 @@ func (c *Caps) move(i int, n, to int64) {
 		c.Size = slices.Delete(c.Size, i, i+1)
 		c.N = slices.Delete(c.N, i, i+1)
 	}
+}
+
+// Runs is the run-length form of a decreasing item list, the input of
+// the all-fit certificate (see the package comment): in packing order,
+// each run is count items of one size, and need is its need_r,
+// saturating at math.MaxInt64.
+type Runs []run
+
+type run struct{ size, count, need int64 }
+
+// NewRuns returns the runs of items, which must be in decreasing order
+// with positive sizes, as the metrics' item lists are. Each run's end is
+// found by binary search, and the runs take one allocation.
+func NewRuns(items []int64) Runs {
+	n := 0
+	for i := 0; i < len(items); i = runEnd(items, i) {
+		n++
+	}
+	rs := make(Runs, 0, n)
+	for i := 0; i < len(items); {
+		j := runEnd(items, i)
+		r := run{size: items[i], count: int64(j - i)}
+		r.need = r.count
+		for _, q := range rs {
+			per := q.size / r.size
+			if q.size%r.size != 0 {
+				per++
+			}
+			r.need = satMulAdd(r.need, q.count, per)
+		}
+		rs = append(rs, r)
+		i = j
+	}
+	return rs
+}
+
+// runEnd returns the index after the run that starts at items[i]: the
+// first later item that is smaller.
+func runEnd(items []int64, i int) int {
+	s := items[i]
+	return i + sort.Search(len(items)-i, func(j int) bool { return items[i+j] < s })
+}
+
+// satMulAdd returns a + b·c for non-negative a, b and c, saturating at
+// math.MaxInt64.
+func satMulAdd(a, b, c int64) int64 {
+	if c != 0 && b > (math.MaxInt64-a)/c {
+		return math.MaxInt64
+	}
+	return a + b*c
+}
+
+// Certify reports whether the all-fit certificate holds over bins, one
+// per slice element: when it does, best-fit leaves none of the runs'
+// items unpacked, so BestFitUnpacked of the items over bins is +0. Each
+// run is one pass over the bins that stops once U_r reaches need_r.
+func (rs Runs) Certify(bins []int64) bool {
+	for i := len(rs) - 1; i >= 0; i-- {
+		s, left := rs[i].size, rs[i].need
+		if left == math.MaxInt64 {
+			return false
+		}
+		for _, b := range bins {
+			// left > 0 and b/s ≥ 0, so the difference cannot overflow.
+			if b >= s {
+				if left -= b / s; left <= 0 {
+					break
+				}
+			}
+		}
+		if left > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// CertifyCaps is Certify over the bins c holds: an entry counts as its N
+// bins. The entries are read from the largest capacity down to the
+// smallest that fits the run.
+func (rs Runs) CertifyCaps(c *Caps) bool {
+	for i := len(rs) - 1; i >= 0; i-- {
+		s, left := rs[i].size, rs[i].need
+		if left == math.MaxInt64 {
+			return false
+		}
+		for j := len(c.Size) - 1; j >= 0 && c.Size[j] >= s; j-- {
+			// n·per ≥ left exactly when n > ⌊(left−1)/per⌋; otherwise
+			// n·per < left, so the product cannot overflow.
+			per, n := c.Size[j]/s, c.N[j]
+			if n > (left-1)/per {
+				left = 0
+				break
+			}
+			left -= n * per
+		}
+		if left > 0 {
+			return false
+		}
+	}
+	return true
 }

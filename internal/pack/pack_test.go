@@ -72,6 +72,22 @@ func checkCaps(t *testing.T, c *Caps, bins []int64) {
 	}
 }
 
+// checkCertified fails t when the certificate of runs holds over bins
+// but the BestFit reference leaves an item of items over, or
+// BestFitUnpacked does not return the bits of +0.
+func checkCertified(t *testing.T, runs Runs, items, bins []int64) {
+	t.Helper()
+	if !runs.Certify(bins) {
+		return
+	}
+	if res := BestFit(items, bins); res.UnpackedTotal != 0 {
+		t.Fatalf("items %v bins %v: certified, but BestFit leaves %d unpacked", items, bins, res.UnpackedTotal)
+	}
+	if got, _ := BestFitUnpacked(items, bins, nil); math.Float64bits(got) != 0 {
+		t.Fatalf("items %v bins %v: certified, but BestFitUnpacked = %v", items, bins, got)
+	}
+}
+
 // remainingAfter returns the capacities the BestFit reference leaves in
 // bins after packing items.
 func remainingAfter(items, bins []int64) []int64 {
@@ -338,7 +354,9 @@ func TestBestFitUnpackedMatchesBestFit(t *testing.T) {
 			bins[i] = rng.Int63n(25)
 		}
 		checkAgainstReference(t, items, bins)
-		checkAgainstReference(t, decreasing(items), bins)
+		d := decreasing(items)
+		checkAgainstReference(t, d, bins)
+		checkCertified(t, NewRuns(d), d, bins)
 	}
 }
 
@@ -349,7 +367,10 @@ func TestBestFitUnpackedMatchesBestFit(t *testing.T) {
 // packs: the first byte picks a present capacity, the second a smaller
 // target (0 drops the bin). The reference packs the equally patched bins;
 // the histogram must be well formed after every operation and after
-// packing, and hold what the reference leaves.
+// packing, and hold what the reference leaves. Sorted items also check
+// the all-fit certificate: where it holds over the bins, or over the
+// patched histogram, the reference must leave nothing over, and its
+// slice and histogram forms must agree on the same bins.
 func FuzzBestFitUnpacked(f *testing.F) {
 	f.Add([]byte{1, 4, 5}, []byte{6, 0, 5}, []byte{}, false)
 	f.Add([]byte{7, 7, 3, 3, 3, 0}, []byte{8, 8, 4, 4, 0}, []byte{1, 5}, true)
@@ -374,12 +395,25 @@ func FuzzBestFitUnpacked(f *testing.F) {
 		var c Caps
 		c.Reset(slices.Clone(bins))
 		checkCaps(t, &c, bins)
+		var runs Runs
+		if sorted {
+			runs = NewRuns(items)
+			checkCertified(t, runs, items, bins)
+			if cs, cc := runs.Certify(bins), runs.CertifyCaps(&c); cs != cc {
+				t.Fatalf("items %v bins %v: Certify = %v, CertifyCaps = %v", items, bins, cs, cc)
+			}
+		}
 		for k := 0; k+1 < len(shrinkBytes) && len(c.Size) > 0; k += 2 {
 			from := c.Size[int(shrinkBytes[k])%len(c.Size)]
 			to := int64(shrinkBytes[k+1]) % from
 			c.Shrink(from, to)
 			bins[slices.Index(bins, from)] = to
 			checkCaps(t, &c, bins)
+		}
+		if sorted && runs.CertifyCaps(&c) {
+			if res := BestFit(items, bins); res.UnpackedTotal != 0 {
+				t.Fatalf("items %v patched bins %v: certified, but BestFit leaves %d unpacked", items, bins, res.UnpackedTotal)
+			}
 		}
 		want := BestFit(items, bins).UnpackedFraction()
 		if got := c.BestFitUnpacked(items); math.Float64bits(got) != math.Float64bits(want) {
@@ -433,5 +467,112 @@ func TestBestFitUnpackedAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("BestFitUnpacked with a warmed scratch: %v allocs per call, want 0", allocs)
+	}
+}
+
+func TestNewRuns(t *testing.T) {
+	const maxInt = math.MaxInt64
+	for _, tc := range []struct {
+		items []int64
+		want  Runs
+	}{
+		{nil, Runs{}},
+		{[]int64{7}, Runs{{7, 1, 1}}},
+		// need: 2; 3 + 2·⌈5/3⌉ = 7; 1 + 2·5 + 3·3 = 20.
+		{[]int64{5, 5, 3, 3, 3, 1}, Runs{{5, 2, 2}, {3, 3, 7}, {1, 1, 20}}},
+		// 1 + 1·MaxInt64 saturates.
+		{[]int64{maxInt, 1}, Runs{{maxInt, 1, 1}, {1, 1, maxInt}}},
+	} {
+		if got := NewRuns(tc.items); !slices.Equal(got, tc.want) {
+			t.Errorf("NewRuns(%v) = %v, want %v", tc.items, got, tc.want)
+		}
+	}
+}
+
+// TestCertify pins the certificate's edges in both forms: over a bin
+// slice and over the histogram of the same bins.
+func TestCertify(t *testing.T) {
+	const maxInt = math.MaxInt64
+	for _, tc := range []struct {
+		name        string
+		items, bins []int64
+		want        bool
+	}{
+		// U_1 = 2 + 1 = need_1 = 3.
+		{"exactly tight, one run", []int64{2, 2, 2}, []int64{4, 2}, true},
+		// U_1 = need_1 = 1; U_2 = 2 + 1 = need_2 = 1 + ⌈4/2⌉ = 3.
+		{"exactly tight, two runs", []int64{4, 2}, []int64{4, 2}, true},
+		{"one slot fewer, one run", []int64{2, 2, 2}, []int64{4, 1}, false},
+		{"one slot fewer, two runs", []int64{4, 2}, []int64{4, 1}, false},
+		// Everything fits, but U_2 = 2 < need_2 = 3: sufficient, not necessary.
+		{"{3, 2} into {3, 3}", []int64{3, 2}, []int64{3, 3}, false},
+		// need_2 = 1 + MaxInt64 saturates; the 1 does not fit.
+		{"MaxInt64 item, then one more", []int64{maxInt, 1}, []int64{maxInt}, false},
+		// The same saturated need, where both fit.
+		{"MaxInt64 item, saturated need", []int64{maxInt, 1}, []int64{maxInt, maxInt}, false},
+		{"two MaxInt64 items", []int64{maxInt, maxInt}, []int64{maxInt, maxInt - 1}, false},
+		{"no items", nil, []int64{1}, true},
+		{"no items, no bins", nil, nil, true},
+		{"items and no bins", []int64{1}, nil, false},
+		{"items and empty bins", []int64{1}, []int64{0, 0}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runs := NewRuns(tc.items)
+			var c Caps
+			c.Reset(slices.Clone(tc.bins))
+			if got := runs.Certify(tc.bins); got != tc.want {
+				t.Errorf("Certify = %v, want %v", got, tc.want)
+			}
+			if got := runs.CertifyCaps(&c); got != tc.want {
+				t.Errorf("CertifyCaps = %v, want %v", got, tc.want)
+			}
+		})
+	}
+	if res := BestFit([]int64{3, 2}, []int64{3, 3}); res.UnpackedTotal != 0 {
+		t.Errorf("{3, 2} into {3, 3} leaves %d unpacked; the case no longer shows a fit the certificate misses", res.UnpackedTotal)
+	}
+	// A histogram entry counts as its N bins, however many: U_r stops at
+	// need_r, so N·⌊Size/s⌋ is never formed when it would overflow.
+	for _, tc := range []struct {
+		name  string
+		items []int64
+		c     Caps
+		want  bool
+	}{
+		{"MaxInt64 bins of MaxInt64, saturated need", []int64{maxInt, 1}, Caps{Size: []int64{maxInt}, N: []int64{maxInt}}, false},
+		{"MaxInt64 bins of 4", []int64{2, 2, 2}, Caps{Size: []int64{4}, N: []int64{maxInt}}, true},
+	} {
+		if got := NewRuns(tc.items).CertifyCaps(&tc.c); got != tc.want {
+			t.Errorf("%s: CertifyCaps = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+var certSink bool
+var runsSink Runs
+
+// TestCertifyAllocs: both certificate predicates allocate nothing, on
+// bins where the certificate holds and on bins where it fails, and
+// NewRuns allocates once.
+func TestCertifyAllocs(t *testing.T) {
+	items := future.PaperProfile(100, 270, 24).LargestAppWCETs(10000)
+	runs := NewRuns(items)
+	if n := testing.AllocsPerRun(50, func() { runsSink = NewRuns(items) }); n != 1 {
+		t.Errorf("NewRuns of %d items: %v allocs per call, want 1", len(items), n)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{100, 720} {
+		bins := make([]int64, n)
+		for i := range bins {
+			bins[i] = rng.Int63n(400)
+		}
+		var c Caps
+		c.Reset(slices.Clone(bins))
+		allocs := testing.AllocsPerRun(50, func() {
+			certSink = runs.Certify(bins) != runs.CertifyCaps(&c)
+		})
+		if allocs != 0 {
+			t.Errorf("%d bins (certified: %v): %v allocs per call, want 0", n, runs.Certify(bins), allocs)
+		}
 	}
 }

@@ -160,7 +160,7 @@ func (s *State) findRoute(route []model.Hop, bytes int, earliest tm.Time, buf []
 			return buf, false
 		}
 		buf = append(buf, hopSlot{round, slot})
-		t = bst.Bus().SlotEnd(round, slot)
+		t = bst.SlotEnd(round, slot)
 	}
 	return buf, true
 }
@@ -201,14 +201,13 @@ func (s *State) planMsg(app model.AppID, g *model.Graph, m *model.Message, occ i
 		if err := bst.Reserve(slots[i].round, slots[i].slot, m.Bytes); err != nil {
 			return 0, err
 		}
-		b := bst.Bus()
-		arrive = b.SlotEnd(slots[i].round, slots[i].slot)
+		arrive = bst.SlotEnd(slots[i].round, slots[i].slot)
 		s.msgs = append(s.msgs, MsgEntry{
 			App: app, Graph: g.ID, Msg: m.ID, Occ: occ,
 			Round: slots[i].round, Slot: slots[i].slot, Bytes: m.Bytes,
 			Sender: hop.From, Receiver: hop.To,
 			Ready:  hopReady,
-			Start:  b.SlotStart(slots[i].round, slots[i].slot),
+			Start:  bst.SlotStart(slots[i].round, slots[i].slot),
 			Arrive: arrive,
 			Bus:    hop.Bus, Hop: i,
 		})

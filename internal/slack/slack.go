@@ -109,9 +109,7 @@ func BusFreeBytes(st *sched.State) []int64 {
 // BusWindowFree splits the horizon into tmin windows and returns the free
 // bus capacity (bytes) per window, summed over every bus. A slot
 // occurrence contributes to the window containing its end time (when its
-// frame would be delivered). Occurrences are walked in time order, so
-// each end is the previous one plus the slot's duration: the value
-// Bus.SlotEnd gives, without its per-call sum over the round.
+// frame would be delivered).
 func BusWindowFree(st *sched.State, tmin tm.Time) []int64 {
 	horizon := st.Horizon()
 	n := int(horizon / tmin)
@@ -122,12 +120,9 @@ func BusWindowFree(st *sched.State, tmin tm.Time) []int64 {
 	out := make([]int64, n)
 	for bi := 0; bi < st.NumBuses(); bi++ {
 		b := st.BusStateAt(bi)
-		bus := b.Bus()
-		var end tm.Time
 		for r := 0; r < b.Rounds(); r++ {
-			for sl := 0; sl < bus.NumSlots(); sl++ {
-				end += bus.SlotDur(sl)
-				w := int((end - 1) / tmin)
+			for sl := 0; sl < b.Bus().NumSlots(); sl++ {
+				w := int((b.SlotEnd(r, sl) - 1) / tmin)
 				if w >= n {
 					w = n - 1
 				}

@@ -23,6 +23,10 @@ type State struct {
 	bus     *model.Bus
 	horizon tm.Time
 	rounds  int
+	// start holds the offset of each slot in the round, NumSlots()+1
+	// prefix sums of SlotDur, the last being the round length. It is
+	// read-only and shared by clones.
+	start []tm.Time
 	// used holds the reserved bytes of every slot occurrence, round by
 	// round: occurrence (round, slot) is used[round*NumSlots()+slot].
 	used []int
@@ -34,7 +38,11 @@ type State struct {
 
 // NewState returns an empty reservation state over the horizon.
 func NewState(bus *model.Bus, horizon tm.Time) (*State, error) {
-	rl := bus.RoundLen()
+	start := make([]tm.Time, bus.NumSlots()+1)
+	for i := range bus.SlotOrder {
+		start[i+1] = start[i] + bus.SlotDur(i)
+	}
+	rl := start[len(start)-1]
 	if rl <= 0 {
 		return nil, fmt.Errorf("ttp: bus round length %v must be positive", rl)
 	}
@@ -42,7 +50,7 @@ func NewState(bus *model.Bus, horizon tm.Time) (*State, error) {
 		return nil, fmt.Errorf("ttp: horizon %v is not a multiple of the TDMA round %v", horizon, rl)
 	}
 	rounds := int(horizon / rl)
-	return &State{bus: bus, horizon: horizon, rounds: rounds, used: make([]int, rounds*bus.NumSlots())}, nil
+	return &State{bus: bus, horizon: horizon, rounds: rounds, start: start, used: make([]int, rounds*bus.NumSlots())}, nil
 }
 
 // Bus returns the underlying bus description.
@@ -53,6 +61,22 @@ func (s *State) Horizon() tm.Time { return s.horizon }
 
 // Rounds returns the number of TDMA rounds inside the horizon.
 func (s *State) Rounds() int { return s.rounds }
+
+// SlotStart returns the absolute start time of slot occurrence
+// (round, slot): Bus.SlotStart, read from the state's table of slot
+// offsets.
+func (s *State) SlotStart(round, slot int) tm.Time {
+	return tm.Time(round)*s.roundLen() + s.start[slot]
+}
+
+// SlotEnd returns the absolute end time of slot occurrence (round, slot),
+// when a message it carries is available at all receivers: Bus.SlotEnd,
+// read from the state's table of slot offsets.
+func (s *State) SlotEnd(round, slot int) tm.Time {
+	return tm.Time(round)*s.roundLen() + s.start[slot+1]
+}
+
+func (s *State) roundLen() tm.Time { return s.start[len(s.start)-1] }
 
 // Clone returns an independent copy of the reservation state: one
 // allocation and one copy. What-if evaluations do not clone: they reserve
@@ -111,31 +135,34 @@ func (s *State) Release(round, slot, bytes int) {
 // at or after earliest (the frame is assembled before the slot begins, so
 // the message must exist by then), lies within the horizon, begins at
 // round >= fromRound, and has at least bytes free. ok is false if no such
-// occurrence exists.
+// occurrence exists. Each round is one walk of the slot order that skips
+// the slots node does not own; only owned slots count as probes.
 func (s *State) FindSlot(node model.NodeID, earliest tm.Time, bytes, fromRound int) (round, slot int, ok bool) {
 	s.stats.FindSlotCalls.Inc()
-	slots := s.bus.SlotsOf(node)
-	if len(slots) == 0 {
-		return 0, 0, false
-	}
 	startRound := 0
 	if earliest > 0 {
-		startRound = int(earliest / s.bus.RoundLen()) // slot starts within this round could still be >= earliest
+		startRound = int(earliest / s.roundLen()) // slot starts within this round could still be >= earliest
 	}
 	if fromRound > startRound {
 		startRound = fromRound
 	}
 	probes := int64(0)
 	for r := startRound; r < s.rounds; r++ {
-		for _, sl := range slots {
+		for sl, owner := range s.bus.SlotOrder {
+			if owner != node {
+				continue
+			}
 			probes++
-			if s.bus.SlotStart(r, sl) < earliest {
+			if s.SlotStart(r, sl) < earliest {
 				continue
 			}
 			if s.Free(r, sl) >= bytes {
 				s.stats.SlotProbes.Add(probes)
 				return r, sl, true
 			}
+		}
+		if probes == 0 {
+			break // node owns no slot of this bus
 		}
 	}
 	s.stats.SlotProbes.Add(probes)
