@@ -24,8 +24,9 @@ import (
 //
 // An Engine is safe for concurrent use by the workers it spawns. Results
 // are deterministic by construction: evaluation is a pure function of
-// (problem, mapping, hints), so the worker count cannot change what a
-// strategy computes — only how fast.
+// (problem, mapping, hints), whatever design a worker held before, so
+// the worker count cannot change what a strategy computes — only how
+// fast.
 type Engine struct {
 	p           *Problem
 	parallelism int
@@ -37,8 +38,8 @@ type Engine struct {
 
 	// scratch holds worker-local evaluation contexts reused across
 	// evaluations, so a warm evaluation allocates nothing. Each context
-	// owns a private copy of the frozen base, made once, that candidates
-	// are applied to and rolled back from as transactions.
+	// owns a private copy of the frozen base, made once, with a
+	// transaction open on it that holds the design evaluated last.
 	scratch sync.Pool
 
 	// baseline is the shared read-only metric-input cache behind the
@@ -114,28 +115,52 @@ func (e *Engine) count(n int64) {
 	e.cEvals.Add(n)
 }
 
-// evalScratch is one worker-local evaluation context. st is the
-// worker's private schedule state, a copy of the frozen base made once at
-// context creation (candidates apply and roll back as transactions, so it
-// equals the base between evaluations), and inc is the worker's
-// incremental metrics evaluator.
-type evalScratch struct {
-	st  *sched.State
-	inc *metrics.Incremental
+// Design is one design alternative of the current application: a
+// mapping and its placement hints. A strategy never changes a Design
+// after building it (With returns a new one), which is what lets an
+// evaluation worker tell by identity that a candidate is a move over the
+// design it placed last.
+type Design struct {
+	Mapping model.Mapping
+	Hints   sched.Hints
 }
 
-// Evaluate schedules the current application with the given design
-// decisions on a worker-local copy of the frozen base and scores the
-// result. It reports ok=false when the design is infeasible (requirement
-// (a) rules it out). Safe for concurrent use.
+// With returns the design with mv applied (see sched.Move.Apply).
+func (d *Design) With(mv sched.Move) *Design {
+	m, h := mv.Apply(d.Mapping, d.Hints)
+	return &Design{Mapping: m, Hints: h}
+}
+
+// evalScratch is one worker-local evaluation context. st is the
+// worker's private schedule state, a copy of the frozen base made once at
+// context creation, and txn the transaction kept open on it with the
+// design evaluated last placed: incumbent with move over it. inc is the
+// worker's incremental metrics evaluator.
+type evalScratch struct {
+	st        *sched.State
+	txn       *sched.Txn
+	inc       *metrics.Incremental
+	incumbent *Design
+	move      sched.Move
+}
+
+// Evaluate schedules the current application as design d with move mv
+// applied over it (the zero Move evaluates d itself) on a worker-local
+// copy of the frozen base and scores the result. It reports ok=false
+// when the design is infeasible (requirement (a) rules it out). Safe for
+// concurrent use; d must not change while the engine is in use.
 //
-// The candidate is applied to the worker's base copy in a transaction,
-// scored from the touched regions only, and rolled back in O(delta) by
-// taking back the schedule-table entries it appended. Reports are
-// byte-identical to scheduling a clone of the base and scoring it with
-// metrics.Evaluate (pinned by a differential test). A warm evaluation
-// allocates nothing, with or without a stats registry (pinned by a test).
-func (e *Engine) Evaluate(mapping model.Mapping, hints sched.Hints) (rep metrics.Report, ok bool) {
+// Each worker keeps its transaction open with the design it evaluated
+// last placed, and re-places only from the first job the candidate
+// decides differently: over the same incumbent, the first job either
+// move reaches; over another design, the first job where the records
+// differ (sched.Txn.Replace). Nothing is rolled back between candidates.
+// The candidate is then scored from the touched regions only. Reports
+// are byte-identical to scheduling a clone of the base and scoring it
+// with metrics.Evaluate (pinned by a differential test). A warm
+// evaluation allocates nothing, with or without a stats registry (pinned
+// by a test).
+func (e *Engine) Evaluate(d *Design, mv sched.Move) (rep metrics.Report, ok bool) {
 	e.evals.Add(1)
 	e.cEvals.Inc()
 	e.cMisses.Inc()
@@ -151,15 +176,19 @@ func (e *Engine) Evaluate(mapping model.Mapping, hints sched.Hints) (rep metrics
 			scr.st.SetStats(sched.Stats{})
 			scr.st.SetBusStats(ttp.Stats{})
 		}
+		scr.txn = scr.st.Begin()
 	}
-	txn := scr.st.Begin()
-	if err := txn.Apply(e.p.Current, mapping, hints); err == nil {
-		rep, _ = scr.inc.EvaluateTxn(scr.st, txn)
+	from := 0
+	if scr.incumbent == d {
+		from = min(scr.txn.MoveJob(scr.move), scr.txn.MoveJob(mv))
+	}
+	if err := scr.txn.Replace(e.p.Current, from, d.Mapping, d.Hints, mv); err == nil {
+		rep, _ = scr.inc.EvaluateTxn(scr.st, scr.txn)
 		ok = true
 	} else {
 		e.cInfeasible.Inc()
 	}
-	txn.Rollback()
+	scr.incumbent, scr.move = d, mv
 	e.scratch.Put(scr)
 	return rep, ok
 }
@@ -169,9 +198,9 @@ func (e *Engine) Evaluate(mapping model.Mapping, hints sched.Hints) (rep metrics
 // move, so the fan-out path never has to retain candidate states. It
 // does not score the state: Evaluate's report for the alternative is
 // its score.
-func (e *Engine) Materialize(mapping model.Mapping, hints sched.Hints) (*sched.State, error) {
+func (e *Engine) Materialize(d *Design) (*sched.State, error) {
 	st := e.p.Base.Clone()
-	if err := st.ScheduleApp(e.p.Current, mapping, hints); err != nil {
+	if err := st.ScheduleApp(e.p.Current, d.Mapping, d.Hints); err != nil {
 		return nil, err
 	}
 	return st, nil

@@ -26,14 +26,26 @@ func ReferenceEvaluate(p *Problem, mapping model.Mapping, hints sched.Hints) (*s
 	return st, metrics.Evaluate(st, p.Profile, p.Weights), nil
 }
 
-// Neighbor draws one annealing move from (mapping, hints) and reports
-// whether it changes the design.
-func Neighbor(rng *rand.Rand, p *Problem, mapping model.Mapping, hints sched.Hints) (model.Mapping, sched.Hints, bool) {
+// NeighborMove draws one annealing move over cur and reports whether it
+// changes the design.
+func NeighborMove(rng *rand.Rand, p *Problem, cur *Design) (sched.Move, bool) {
 	var procs []*model.Process
 	var msgs []*model.Message
 	for _, g := range p.Current.Graphs {
 		procs = append(procs, g.Procs...)
 		msgs = append(msgs, g.Msgs...)
 	}
-	return neighbor(rng, p, model.NewIndex(p.Current), procs, msgs, mapping, hints)
+	return neighbor(rng, p, model.NewIndex(p.Current), procs, msgs, cur)
+}
+
+// Neighbor draws one annealing move from (mapping, hints) and returns
+// the design it leads to, reporting whether it changes the design; an
+// unchanged draw returns the design as given.
+func Neighbor(rng *rand.Rand, p *Problem, mapping model.Mapping, hints sched.Hints) (model.Mapping, sched.Hints, bool) {
+	mv, changed := NeighborMove(rng, p, &Design{Mapping: mapping, Hints: hints})
+	if !changed {
+		return mapping, hints, false
+	}
+	m, h := mv.Apply(mapping, hints)
+	return m, h, true
 }

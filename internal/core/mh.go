@@ -87,32 +87,29 @@ func (o MHOptions) normalized() MHOptions {
 	return o
 }
 
-// candidate is one design alternative of an MH iteration.
-type candidate struct {
-	mapping model.Mapping
-	hints   sched.Hints
-}
-
 // mhStrategy is the MH strategy: start from the initial mapping, then
 // repeatedly apply the single design transformation that improves the
 // objective most, examining only the transformations with the highest
 // potential — processes bordering the smallest slack fragments (moving
 // them merges slack) and messages in the most congested slot occurrences.
 //
-// Each iteration enumerates its candidate set up front, fans the
-// evaluations across the engine's workers, and then reduces the results
-// in enumeration order — which makes the outcome identical to the serial
-// first-improvement scan at every parallelism level.
+// Each iteration enumerates its candidate moves over the iteration's
+// design up front, fans the evaluations across the engine's workers, and
+// then reduces the results in enumeration order — which makes the
+// outcome identical to the serial first-improvement scan at every
+// parallelism level. The enumeration lists each process's moves
+// together, so a worker's consecutive candidates mostly differ from
+// the incumbent in one process and it re-places little besides.
 type mhStrategy struct{ opts MHOptions }
 
 func (mhStrategy) Name() string { return "MH" }
 
-// enumerate builds the iteration's candidate set from the current design.
-func (s mhStrategy) enumerate(eng *Engine, ix *model.Index, st *sched.State,
-	mapping model.Mapping, hints sched.Hints, o MHOptions) []candidate {
-
+// enumerate builds the iteration's candidate moves over the current
+// design cur, whose schedule is st.
+func (s mhStrategy) enumerate(eng *Engine, ix *model.Index, st *sched.State, cur *Design, o MHOptions) []sched.Move {
 	p := eng.Problem()
-	var cs []candidate
+	mapping, hints := cur.Mapping, cur.Hints
+	var moves []sched.Move
 
 	// Process moves: candidate x (node, slack position). Candidates
 	// come from two potential sources: processes bordering the
@@ -130,9 +127,7 @@ func (s mhStrategy) enumerate(eng *Engine, ix *model.Index, st *sched.State,
 				if node == mapping[cand] && hints.ProcStart[cand] == off {
 					continue // the current design, not a move
 				}
-				nm := mapping.Clone()
-				nm[cand] = node
-				cs = append(cs, candidate{mapping: nm, hints: hints.SetProcStart(cand, off)})
+				moves = append(moves, sched.Move{Kind: sched.MoveProc, Proc: cand, Node: node, Start: off})
 			}
 		}
 	}
@@ -145,11 +140,11 @@ func (s mhStrategy) enumerate(eng *Engine, ix *model.Index, st *sched.State,
 				if hints.MsgStart[mc.id] == off {
 					continue
 				}
-				cs = append(cs, candidate{mapping: mapping, hints: hints.SetMsgStart(mc.id, off)})
+				moves = append(moves, sched.Move{Kind: sched.MoveMsg, Msg: mc.id, Start: off})
 			}
 		}
 	}
-	return cs
+	return moves
 }
 
 func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
@@ -160,7 +155,7 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	hints := o.SeedHints.Clone()
+	cur := &Design{Mapping: mapping, Hints: o.SeedHints.Clone()}
 	eng.count(1)
 	report := metrics.Evaluate(st, p.Profile, p.Weights)
 	ix := model.NewIndex(p.Current)
@@ -185,15 +180,15 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 			interrupted, stop = true, "cancelled"
 			break
 		}
-		cands := s.enumerate(eng, ix, st, mapping, hints, o)
+		moves := s.enumerate(eng, ix, st, cur, o)
 
 		type outcome struct {
 			report metrics.Report
 			ok     bool
 		}
-		results := make([]outcome, len(cands))
-		eng.ForEach(ctx, len(cands), func(i int) {
-			results[i].report, results[i].ok = eng.Evaluate(cands[i].mapping, cands[i].hints)
+		results := make([]outcome, len(moves))
+		eng.ForEach(ctx, len(moves), func(i int) {
+			results[i].report, results[i].ok = eng.Evaluate(cur, moves[i])
 		})
 		if ctx.Err() != nil {
 			// A partial candidate scan must not steer the search: keep
@@ -230,8 +225,8 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 			stop = "local-optimum" // no examined transformation improves C
 			break
 		}
-		mapping, hints, report = cands[bestIdx].mapping, cands[bestIdx].hints, bestRep
-		st, err = eng.Materialize(mapping, hints)
+		cur, report = cur.With(moves[bestIdx]), bestRep
+		st, err = eng.Materialize(cur)
 		if err != nil {
 			return nil, fmt.Errorf("core: internal: winning alternative failed to re-schedule: %w", err)
 		}
@@ -242,8 +237,8 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 
 	return &Solution{
 		Strategy:    "MH",
-		Mapping:     mapping,
-		Hints:       hints,
+		Mapping:     cur.Mapping,
+		Hints:       cur.Hints,
 		State:       st,
 		Report:      report,
 		Interrupted: interrupted,

@@ -149,7 +149,7 @@ func TestNeighborReportsUnchangedDraws(t *testing.T) {
 					unchanged++
 					continue
 				}
-				if _, ok := eng.Evaluate(nm, nh); ok {
+				if _, ok := eng.Evaluate(&core.Design{Mapping: nm, Hints: nh}, sched.Move{}); ok {
 					m, h = nm, nh
 				}
 			}

@@ -96,9 +96,10 @@ type Solution struct {
 	Elapsed  time.Duration
 	// Evaluations counts the design alternatives examined; it is the
 	// strategy's cost measure alongside Elapsed. Each one is a
-	// re-schedule of the current application plus a metric evaluation,
-	// except an SA draw that reproduces its chain's current design: that
-	// design's score is known, so the draw is counted, not evaluated.
+	// re-placement of the current application (from the first job the
+	// alternative changes) plus a metric evaluation, except an SA draw
+	// that reproduces its chain's current design: that design's score is
+	// known, so the draw is counted, not evaluated.
 	Evaluations int
 	// Interrupted reports that the Solve context was cancelled and the
 	// solution is the best design found up to that point rather than the

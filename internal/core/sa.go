@@ -108,8 +108,7 @@ func (saStrategy) Name() string { return "SA" }
 type chainResult struct {
 	ran         bool
 	interrupted bool
-	mapping     model.Mapping
-	hints       sched.Hints
+	best        *Design
 	report      metrics.Report
 	state       *sched.State
 	err         error
@@ -141,9 +140,10 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 
 	eng.tracer.Trace(obs.TraceEvent{Kind: "init", Strategy: "SA", Cost: report0.Objective})
 
+	initial := &Design{Mapping: mapping0, Hints: sched.Hints{}}
 	chains := make([]chainResult, o.Restarts)
 	eng.ForEach(ctx, o.Restarts, func(c int) {
-		chains[c] = s.runChain(ctx, eng, c, o, ix, procs, msgs, mapping0, report0, st0)
+		chains[c] = s.runChain(ctx, eng, c, o, ix, procs, msgs, initial, report0, st0)
 	})
 
 	// Reduce by the chain rule (see Reduce). The chains' buffered trace
@@ -176,8 +176,8 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	eng.tracer.Trace(obs.TraceEvent{Kind: "decision", Strategy: "SA", Chain: best, Cost: win.report.Objective})
 	return &Solution{
 		Strategy:    "SA",
-		Mapping:     win.mapping,
-		Hints:       win.hints,
+		Mapping:     win.best.Mapping,
+		Hints:       win.best.Hints,
 		State:       win.state,
 		Report:      win.report,
 		Interrupted: sum.Interrupted || ctx.Err() != nil,
@@ -189,26 +189,26 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 // generation and acceptance, the temperature cools geometrically per
 // drawn neighbor, and infeasible neighbors consume an iteration. A draw
 // that leaves the design unchanged scores the current objective, so it
-// is counted and accepted with delta 0 without being evaluated.
+// is counted and accepted with delta 0 without being evaluated. Each
+// neighbor is a move over the chain's current design, which an accepted
+// move replaces.
 func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOptions,
 	ix *model.Index, procs []*model.Process, msgs []*model.Message,
-	mapping0 model.Mapping, report0 metrics.Report, st0 *sched.State) chainResult {
+	initial *Design, report0 metrics.Report, st0 *sched.State) chainResult {
 
 	p := eng.Problem()
 	rng := rand.New(rand.NewSource(chainSeed(o.Seed, o.ChainOffset+c)))
 
-	mapping := mapping0
-	hints := sched.Hints{}
+	cur := initial
 	res := chainResult{
-		ran:     true,
-		mapping: mapping0,
-		hints:   sched.Hints{},
-		report:  report0,
+		ran:    true,
+		best:   initial,
+		report: report0,
 	}
 	improved := false
 	tracing := eng.Tracing()
 
-	cur := report0.Objective
+	curObj := report0.Objective
 	temp := float64(saInitialTemp)
 	cooling := math.Pow(saFinalTemp/saInitialTemp, 1/float64(o.Iterations))
 	var accepts, rejects int64
@@ -218,19 +218,18 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 			res.interrupted = true
 			break
 		}
-		nm, nh, changed := neighbor(rng, p, ix, procs, msgs, mapping, hints)
+		mv, changed := neighbor(rng, p, ix, procs, msgs, cur)
 		temp *= cooling
 		if !changed {
 			eng.count(1) // the current design: delta 0, accepted
 			accepts++
-		} else if rep2, ok := eng.Evaluate(nm, nh); !ok {
+		} else if rep2, ok := eng.Evaluate(cur, mv); !ok {
 			continue // infeasible neighbor
-		} else if delta := rep2.Objective - cur; delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
+		} else if delta := rep2.Objective - curObj; delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
 			accepts++
-			mapping, hints, cur = nm, nh, rep2.Objective
+			cur, curObj = cur.With(mv), rep2.Objective
 			if rep2.Objective < res.report.Objective {
-				res.mapping = nm.Clone()
-				res.hints = nh.Clone()
+				res.best = cur
 				res.report = rep2
 				improved = true
 				if tracing {
@@ -253,7 +252,7 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 	if !improved {
 		res.state = st0
 	} else {
-		st, err := eng.Materialize(res.mapping, res.hints)
+		st, err := eng.Materialize(res.best)
 		if err != nil {
 			res.err = fmt.Errorf("core: internal: chain %d best failed to re-schedule: %w", c, err)
 			return res
@@ -268,15 +267,15 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 	return res
 }
 
-// neighbor produces a random design transformation: remap a process
-// (40%), move a process to a random slack position (40%), or move a
-// message to a random slot occurrence (20%, when there are messages).
-// changed reports whether the draw differs from (mapping, hints), an
-// absent hint counting as 0; an unchanged draw returns them as given.
+// neighbor draws a random design transformation over cur: remap a
+// process (40%), move a process to a random slack position (40%), or
+// move a message to a random slot occurrence (20%, when there are
+// messages). changed reports whether the move changes cur, an absent
+// hint counting as 0.
 func neighbor(rng *rand.Rand, p *Problem, ix *model.Index,
-	procs []*model.Process, msgs []*model.Message,
-	mapping model.Mapping, hints sched.Hints) (nm model.Mapping, nh sched.Hints, changed bool) {
+	procs []*model.Process, msgs []*model.Message, cur *Design) (mv sched.Move, changed bool) {
 
+	mapping, hints := cur.Mapping, cur.Hints
 	kind := rng.Float64()
 	if kind < 0.4 || (kind >= 0.8 && len(msgs) == 0) {
 		// Remap a random process to a random allowed node, clearing its
@@ -285,33 +284,31 @@ func neighbor(rng *rand.Rand, p *Problem, ix *model.Index,
 		nodes := proc.AllowedNodes()
 		node := nodes[rng.Intn(len(nodes))]
 		if node == mapping[proc.ID] && hints.ProcStart[proc.ID] == 0 {
-			return mapping, hints, false
+			return sched.Move{}, false
 		}
-		nm = mapping.Clone()
-		nm[proc.ID] = node
-		return nm, hints.SetProcStart(proc.ID, 0), true
+		return sched.Move{Kind: sched.MoveProc, Proc: proc.ID, Node: node}, true
 	}
 	if kind < 0.8 {
 		// Move a random process to a random start offset in its period.
 		proc := procs[rng.Intn(len(procs))]
 		g := ix.GraphOf[proc.ID]
-		wcet := proc.WCET[mapping[proc.ID]]
-		span := g.Period - wcet
+		node := mapping[proc.ID]
+		span := g.Period - proc.WCET[node]
 		if span <= 0 {
-			return mapping, hints, false
+			return sched.Move{}, false
 		}
 		off := tm.Time(rng.Int63n(int64(span)))
 		if off == hints.ProcStart[proc.ID] {
-			return mapping, hints, false
+			return sched.Move{}, false
 		}
-		return mapping, hints.SetProcStart(proc.ID, off), true
+		return sched.Move{Kind: sched.MoveProc, Proc: proc.ID, Node: node, Start: off}, true
 	}
 	// Move a random message to a random slot-start offset in its period.
 	m := msgs[rng.Intn(len(msgs))]
 	g := ix.MsgGraph[m.ID]
 	off := tm.Time(rng.Int63n(int64(g.Period)))
 	if off == hints.MsgStart[m.ID] {
-		return mapping, hints, false
+		return sched.Move{}, false
 	}
-	return mapping, hints.SetMsgStart(m.ID, off), true
+	return sched.Move{Kind: sched.MoveMsg, Msg: m.ID, Start: off}, true
 }

@@ -28,6 +28,7 @@ func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, erro
 	jobs := ord.jobs
 	sp := s.mark()
 	mapping := model.Mapping{}
+	var msgStart []tm.Time
 	for i := 0; i < len(jobs); {
 		// The job list keeps all occurrences of a process adjacent, after
 		// every job of its predecessors.
@@ -36,22 +37,27 @@ func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, erro
 			j++
 		}
 		run := jobs[i:j]
-		node, ok := s.bestNode(app, run, sp.procs, hints)
-		if !ok {
+		p := run[0].proc
+		dc := decision{procStart: hints.ProcStart[p.ID], msgStart: msgStart[:0]}
+		for _, in := range run[0].ins {
+			dc.msgStart = append(dc.msgStart, hints.MsgStart[in.msg.ID])
+		}
+		msgStart = dc.msgStart
+		if !s.bestNode(app, run, sp.procs, &dc) {
 			s.undo(sp)
 			return nil, fmt.Errorf("sched: process %d fits on no allowed node (all %d occurrences considered)",
-				run[0].proc.ID, len(run))
+				p.ID, len(run))
 		}
-		mapping[run[0].proc.ID] = node
+		mapping[p.ID] = dc.node
 		// Occurrences of one process use disjoint time windows on every
 		// node and bus (model.Validate keeps each deadline within its
 		// period), so placing one cannot change where another fits: a
 		// run whose trials all passed always places.
 		for k := range run {
-			if err := s.scheduleJob(app, &run[k], sp.procs, mapping, hints); err != nil {
+			if err := s.scheduleJob(app, &run[k], sp.procs, &dc); err != nil {
 				s.undo(sp)
 				return nil, fmt.Errorf("sched: internal: process %d occ %d failed on node %d after its trial fit: %w",
-					run[k].proc.ID, run[k].occ, node, err)
+					run[k].proc.ID, run[k].occ, dc.node, err)
 			}
 		}
 		i = j
@@ -60,36 +66,40 @@ func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, erro
 }
 
 // bestNode tries every allowed node against every occurrence of the
-// process in run and returns the node with the earliest first-occurrence
-// finish among those where every occurrence fits; AllowedNodes is
-// ascending, so ties go to the lowest node ID. Each trial runs the
-// placing half of scheduleJob and undoes it to a savepoint, so every
-// occurrence is tried against the state before the run and nothing is
-// counted as placed. callStart is where MapApp's jobs begin in procs.
-func (s *State) bestNode(app *model.Application, run []jobItem, callStart int, hints Hints) (model.NodeID, bool) {
+// process in run and sets dc's node (and WCET) to the node with the
+// earliest first-occurrence finish among those where every occurrence
+// fits, reporting whether there is one; AllowedNodes is ascending, so
+// ties go to the lowest node ID. dc carries the process's hints. Each
+// trial runs the placing half of scheduleJob and undoes it to a
+// savepoint, so every occurrence is tried against the state before the
+// run and nothing is counted as placed. callStart is where MapApp's jobs
+// begin in procs.
+func (s *State) bestNode(app *model.Application, run []jobItem, callStart int, dc *decision) bool {
 	p := run[0].proc
 	sp := s.mark()
-	var best model.NodeID
+	best := *dc
 	bestEnd := tm.Infinity
 	found := false
 	for _, node := range p.AllowedNodes() {
-		wcet := p.WCET[node]
+		trial := *dc
+		trial.node, trial.wcet = node, p.WCET[node]
 		var end tm.Time
 		fits := true
 		for k := range run {
-			start, err := s.placeJob(app, &run[k], callStart, node, wcet, hints)
+			start, err := s.placeJob(app, &run[k], callStart, &trial)
 			s.undo(sp)
 			if err != nil {
 				fits = false
 				break
 			}
 			if k == 0 {
-				end = start + wcet
+				end = start + trial.wcet
 			}
 		}
 		if fits && end < bestEnd {
-			best, bestEnd, found = node, end, true
+			best, bestEnd, found = trial, end, true
 		}
 	}
-	return best, found
+	*dc = best
+	return found
 }

@@ -21,13 +21,29 @@ import (
 // order, so while a call runs the job at position i sits at
 // procs[callStart+i], where callStart is the procs length the call began
 // at: that is how a job finds its predecessors' nodes and finish times.
+//
+// The occurrences of a process are adjacent and ascending, so the job of
+// occurrence k sits k positions after its process's first job, and every
+// job of a process decides like the first: same node, same start hint,
+// same in-messages.
 type jobOrder struct {
 	app  *model.Application
 	jobs []jobItem
+
+	// procJob and msgJob are the positions of the first job a process
+	// change and a message change reach: the process's first job, and
+	// the first job of the message's consumer. msgJob is built only for
+	// the orders a transaction holds (indexMsgs).
+	procJob map[model.ProcID]int
+	msgJob  map[model.MsgID]int
+	// nHints is the number of in-message hints the processes read, one
+	// per message: the length of a placement's msgStart record.
+	nHints int
 }
 
 // jobItem is one schedulable unit with its precomputed ordering keys
-// and in-messages.
+// and in-messages. hints is where its process's in-message hints start
+// in a placement's msgStart record, the same for every occurrence.
 type jobItem struct {
 	graph *model.Graph
 	proc  *model.Process
@@ -35,6 +51,7 @@ type jobItem struct {
 	prio  tm.Time
 	topo  int
 	ins   []inMsg
+	hints int
 }
 
 // inMsg is one message a job consumes, in the graph's declaration
@@ -86,6 +103,7 @@ func (s *State) orderJobs(app *model.Application) (*jobOrder, error) {
 		nIns += len(jobs[i].graph.InMsgs(jobs[i].proc.ID))
 	}
 	ins := make([]inMsg, 0, nIns)
+	ord := &jobOrder{app: app, jobs: jobs, procJob: first}
 	for i := range jobs {
 		jb := &jobs[i]
 		from := len(ins)
@@ -97,8 +115,27 @@ func (s *State) orderJobs(app *model.Application) (*jobOrder, error) {
 			ins = append(ins, inMsg{msg: m, pred: pred})
 		}
 		jb.ins = ins[from:]
+		if jb.occ == 0 {
+			jb.hints = ord.nHints
+			ord.nHints += len(jb.ins)
+		} else {
+			jb.hints = jobs[i-jb.occ].hints
+		}
 	}
-	return &jobOrder{app: app, jobs: jobs}, nil
+	return ord, nil
+}
+
+// indexMsgs builds o.msgJob: every message is an in-message of its
+// consumer's first job.
+func (o *jobOrder) indexMsgs() {
+	o.msgJob = make(map[model.MsgID]int, o.nHints)
+	for i := range o.jobs {
+		if jb := &o.jobs[i]; jb.occ == 0 {
+			for _, in := range jb.ins {
+				o.msgJob[in.msg.ID] = i
+			}
+		}
+	}
 }
 
 // sortJobs orders jobs for the list scheduler: higher partial-critical-

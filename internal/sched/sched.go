@@ -8,15 +8,18 @@
 // incremental design process: existing applications are scheduled first
 // and become immovable reservations; the current application is then
 // scheduled into the remaining slack. Mapping strategies evaluate design
-// alternatives in a transaction on a worker's copy of the base State
-// (Begin, Apply with a different mapping or different placement hints,
-// Rollback). The schedule tables are the undo log: a placement only
-// appends entries, so a savepoint is the two table lengths, and MapApp's
-// node trials and a failed ScheduleApp undo to one the way Rollback
-// does.
+// alternatives in a transaction kept open on a worker's copy of the base
+// State: Replace re-places the current application under each
+// alternative, from the first job it decides differently from the one
+// placed before. The schedule tables are the undo log: a placement only
+// appends entries, so a savepoint is the two table lengths, and Replace,
+// Rollback, MapApp's node trials and a failed ScheduleApp all undo to
+// one.
 package sched
 
 import (
+	"maps"
+
 	"incdes/internal/model"
 	"incdes/internal/tm"
 )
@@ -80,48 +83,81 @@ type Hints struct {
 
 // Clone returns an independent copy of the hints.
 func (h Hints) Clone() Hints {
-	c := Hints{}
-	if h.ProcStart != nil {
-		c.ProcStart = make(map[model.ProcID]tm.Time, len(h.ProcStart))
-		for k, v := range h.ProcStart {
-			c.ProcStart[k] = v
-		}
-	}
-	if h.MsgStart != nil {
-		c.MsgStart = make(map[model.MsgID]tm.Time, len(h.MsgStart))
-		for k, v := range h.MsgStart {
-			c.MsgStart[k] = v
-		}
-	}
-	return c
+	return Hints{ProcStart: maps.Clone(h.ProcStart), MsgStart: maps.Clone(h.MsgStart)}
 }
 
-// SetProcStart returns a copy of h with the process hint set (or removed
-// when start <= 0).
+// SetProcStart returns h with the process hint set (or removed when
+// start <= 0). h is left unchanged: the result has a ProcStart map of
+// its own and shares h's MsgStart map.
 func (h Hints) SetProcStart(p model.ProcID, start tm.Time) Hints {
-	c := h.Clone()
-	if c.ProcStart == nil {
-		c.ProcStart = map[model.ProcID]tm.Time{}
+	h.ProcStart = withHint(h.ProcStart, p, start)
+	return h
+}
+
+// SetMsgStart returns h with the message hint set (or removed when
+// start <= 0). h is left unchanged: the result has a MsgStart map of its
+// own and shares h's ProcStart map.
+func (h Hints) SetMsgStart(m model.MsgID, start tm.Time) Hints {
+	h.MsgStart = withHint(h.MsgStart, m, start)
+	return h
+}
+
+// withHint returns a copy of hints with k's hint set to start, or
+// removed when start <= 0.
+func withHint[K comparable](hints map[K]tm.Time, k K, start tm.Time) map[K]tm.Time {
+	c := maps.Clone(hints)
+	if c == nil {
+		c = map[K]tm.Time{}
 	}
 	if start <= 0 {
-		delete(c.ProcStart, p)
+		delete(c, k)
 	} else {
-		c.ProcStart[p] = start
+		c[k] = start
 	}
 	return c
 }
 
-// SetMsgStart returns a copy of h with the message hint set (or removed
-// when start <= 0).
-func (h Hints) SetMsgStart(m model.MsgID, start tm.Time) Hints {
-	c := h.Clone()
-	if c.MsgStart == nil {
-		c.MsgStart = map[model.MsgID]tm.Time{}
+// MoveKind tells which of the paper's two design transformations a Move
+// is. The zero Move has neither kind and changes nothing.
+type MoveKind uint8
+
+const (
+	// MoveProc maps process Proc to node Node with start hint Start.
+	MoveProc MoveKind = iota + 1
+	// MoveMsg gives message Msg the start hint Start.
+	MoveMsg
+)
+
+// Move is one design transformation over a design (a mapping and its
+// hints): a process moved to a node and a slack position, or a message
+// moved to a slot position. Start is an offset from the occurrence's
+// release, as in Hints; a Start of 0 or less clears the hint, as
+// SetProcStart and SetMsgStart do. A move is a small value, so a
+// strategy can enumerate its candidates without copying the design, and
+// a transaction re-places only the jobs a move reaches (Txn.Replace).
+type Move struct {
+	Kind  MoveKind
+	Proc  model.ProcID
+	Node  model.NodeID
+	Msg   model.MsgID
+	Start tm.Time
+}
+
+// Apply returns the design (mapping, hints) with the move applied,
+// leaving both arguments unchanged: a process move sets the process's
+// node (in a copy of the mapping, when the node changes) and start hint,
+// a message move sets the message's start hint, and the zero move
+// returns the design as given.
+func (mv Move) Apply(mapping model.Mapping, hints Hints) (model.Mapping, Hints) {
+	switch mv.Kind {
+	case MoveProc:
+		if n, ok := mapping[mv.Proc]; !ok || n != mv.Node {
+			mapping = mapping.Clone()
+			mapping[mv.Proc] = mv.Node
+		}
+		return mapping, hints.SetProcStart(mv.Proc, mv.Start)
+	case MoveMsg:
+		return mapping, hints.SetMsgStart(mv.Msg, mv.Start)
 	}
-	if start <= 0 {
-		delete(c.MsgStart, m)
-	} else {
-		c.MsgStart[m] = start
-	}
-	return c
+	return mapping, hints
 }

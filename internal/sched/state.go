@@ -19,14 +19,16 @@ import (
 // msgs, and the busy sets and bus ledgers hold nothing else. So a
 // savepoint is the two table lengths, and undoing to it takes back the
 // entries appended since (see txn.go). ScheduleApp and MapApp undo their
-// own partial placement on failure, and a transaction (Begin) undoes
-// whole candidate placements on Rollback, which is how strategies
-// evaluate alternatives without cloning the base for each one.
+// own partial placement on failure, and a transaction (Begin) undoes a
+// candidate's placement to the first job the next candidate changes
+// (Txn.Replace), which is how strategies evaluate alternatives without
+// cloning the base for each one.
 //
 // A State holds no scheduling scratch: a call finds a job's predecessors
 // by their positions in the application's job order (order.go), and the
 // order itself is built per ScheduleApp or MapApp call or kept by the
-// state's transaction (Txn.Apply), never stored on the state.
+// state's transaction (Txn.Apply, Txn.Replace), never stored on the
+// state.
 type State struct {
 	sys     *model.System
 	horizon tm.Time
@@ -169,20 +171,18 @@ func (s *State) findRoute(route []model.Hop, bytes int, earliest tm.Time, buf []
 // occurrence along the deterministic route from sender to receiver,
 // appending one MsgEntry per hop to the schedule and returning the
 // occurrence's final arrival time. release is the occurrence release
-// time k*T; ready is when the producer finishes. The whole route is
-// found before anything is reserved, so a failed chain reserves nothing.
+// time k*T; ready is when the producer finishes, always after release;
+// hint is the message's start hint (0: none). The whole route is found
+// before anything is reserved, so a failed chain reserves nothing.
 func (s *State) planMsg(app model.AppID, g *model.Graph, m *model.Message, occ int, sender, receiver model.NodeID,
-	ready, release tm.Time, hints Hints) (tm.Time, error) {
+	ready, release, hint tm.Time) (tm.Time, error) {
 
 	route := s.routes.Route(sender, receiver)
 	if len(route) == 0 {
 		return 0, fmt.Errorf("sched: no route for message %d occ %d (node %d to node %d)",
 			m.ID, occ, sender, receiver)
 	}
-	earliest := ready
-	if off, ok := hints.MsgStart[m.ID]; ok {
-		earliest = tm.Max(earliest, release+off)
-	}
+	earliest := tm.Max(ready, release+hint)
 	var found [4]hopSlot
 	slots, ok := s.findRoute(route, m.Bytes, earliest, found[:0])
 	if !ok && earliest > ready {
@@ -216,60 +216,48 @@ func (s *State) planMsg(app model.AppID, g *model.Graph, m *model.Message, occ i
 	return arrive, nil
 }
 
-// placeJob is the placing half of scheduleJob: it routes and reserves
-// the inter-node messages feeding job jb on node (messages are scheduled
-// when their consumer is placed, because only then are both endpoints
-// known) and returns the start time first-fit finds for the process on
-// node. callStart is the procs length the running call began at: a
-// predecessor at order position k is procs[callStart+k]. It writes only
-// the bus ledger and the message entries; MapApp's trials undo those to
-// a savepoint.
-func (s *State) placeJob(app *model.Application, jb *jobItem, callStart int,
-	node model.NodeID, wcet tm.Time, hints Hints) (tm.Time, error) {
-
-	g, p, occ := jb.graph, jb.proc, jb.occ
-	release := tm.Time(occ) * g.Period
-	deadline := jobDeadline(g, occ)
-
-	dataReady := release
-	for _, in := range jb.ins {
-		pred := s.procs[callStart+in.pred]
-		if pred.Node == node {
-			dataReady = tm.Max(dataReady, pred.End) // same node: shared memory, no bus
-			continue
-		}
-		arrive, err := s.planMsg(app.ID, g, in.msg, occ, pred.Node, node, pred.End, release, hints)
-		if err != nil {
-			return 0, err
-		}
-		dataReady = tm.Max(dataReady, arrive)
-	}
-
-	earliest := dataReady
-	if off, ok := hints.ProcStart[p.ID]; ok {
-		earliest = tm.Max(earliest, release+off)
-	}
-	start, ok := s.busy[node].FirstFit(earliest, wcet, deadline)
-	if !ok && earliest > dataReady {
-		// Hints are preferences: ignore one rather than fail the design.
-		start, ok = s.busy[node].FirstFit(dataReady, wcet, deadline)
-	}
-	if !ok {
-		return 0, fmt.Errorf("sched: process %d occ %d does not fit on node %d before deadline %v",
-			p.ID, occ, node, deadline)
-	}
-	return start, nil
+// decision is what a design decides for one process: its node and its
+// WCET there, its start hint, and the start hint of each of its
+// in-messages in jobItem.ins order (0: no hint). Besides the state before
+// a job and the job's predecessors, it is all that placing any job of the
+// process reads.
+type decision struct {
+	node      model.NodeID
+	wcet      tm.Time
+	procStart tm.Time
+	msgStart  []tm.Time
 }
 
-// scheduleJob places one job (and the inter-node messages feeding it)
-// onto its mapped node: placeJob finds the position, and the booking half
-// below inserts the process into the node's timeline and appends its
-// entry to the schedule tables.
-func (s *State) scheduleJob(app *model.Application, jb *jobItem, callStart int,
-	mapping model.Mapping, hints Hints) error {
+// design is a mapping and its hints with one move over them, read
+// without copying either: the design a transaction places.
+type design struct {
+	mapping model.Mapping
+	hints   Hints
+	mv      Move
+}
 
+// procOf returns the node and start hint d gives process p.
+func (d *design) procOf(p model.ProcID) (model.NodeID, bool, tm.Time) {
+	if d.mv.Kind == MoveProc && d.mv.Proc == p {
+		return d.mv.Node, true, d.mv.Start
+	}
+	node, ok := d.mapping[p]
+	return node, ok, d.hints.ProcStart[p]
+}
+
+// msgStart returns the start hint d gives message m.
+func (d *design) msgStart(m model.MsgID) tm.Time {
+	if d.mv.Kind == MoveMsg && d.mv.Msg == m {
+		return d.mv.Start
+	}
+	return d.hints.MsgStart[m]
+}
+
+// decide writes d's decision for the process of jb into dc, whose
+// msgStart must have room for jb's in-messages.
+func (d *design) decide(jb *jobItem, dc *decision) error {
 	p := jb.proc
-	node, ok := mapping[p.ID]
+	node, ok, start := d.procOf(p.ID)
 	if !ok {
 		return fmt.Errorf("sched: process %d has no mapping", p.ID)
 	}
@@ -277,21 +265,87 @@ func (s *State) scheduleJob(app *model.Application, jb *jobItem, callStart int,
 	if !ok {
 		return fmt.Errorf("sched: process %d cannot run on node %d", p.ID, node)
 	}
-	start, err := s.placeJob(app, jb, callStart, node, wcet, hints)
+	dc.node, dc.wcet, dc.procStart = node, wcet, start
+	for k, in := range jb.ins {
+		dc.msgStart[k] = d.msgStart(in.msg.ID)
+	}
+	return nil
+}
+
+// decides reports whether d decides the process of jb as dc records.
+func (d *design) decides(jb *jobItem, dc *decision) bool {
+	node, ok, start := d.procOf(jb.proc.ID)
+	if !ok || node != dc.node || start != dc.procStart {
+		return false
+	}
+	for k, in := range jb.ins {
+		if d.msgStart(in.msg.ID) != dc.msgStart[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// placeJob is the placing half of scheduleJob: it routes and reserves
+// the inter-node messages feeding job jb on dc's node (messages are
+// scheduled when their consumer is placed, because only then are both
+// endpoints known) and returns the start time first-fit finds for the
+// process there. callStart is the procs length the running call began
+// at: a predecessor at order position k is procs[callStart+k]. It writes
+// only the bus ledger and the message entries; MapApp's trials undo
+// those to a savepoint.
+func (s *State) placeJob(app *model.Application, jb *jobItem, callStart int, dc *decision) (tm.Time, error) {
+	g, p, occ := jb.graph, jb.proc, jb.occ
+	release := tm.Time(occ) * g.Period
+	deadline := jobDeadline(g, occ)
+
+	dataReady := release
+	for k, in := range jb.ins {
+		pred := s.procs[callStart+in.pred]
+		if pred.Node == dc.node {
+			dataReady = tm.Max(dataReady, pred.End) // same node: shared memory, no bus
+			continue
+		}
+		arrive, err := s.planMsg(app.ID, g, in.msg, occ, pred.Node, dc.node, pred.End, release, dc.msgStart[k])
+		if err != nil {
+			return 0, err
+		}
+		dataReady = tm.Max(dataReady, arrive)
+	}
+
+	earliest := tm.Max(dataReady, release+dc.procStart)
+	start, ok := s.busy[dc.node].FirstFit(earliest, dc.wcet, deadline)
+	if !ok && earliest > dataReady {
+		// Hints are preferences: ignore one rather than fail the design.
+		start, ok = s.busy[dc.node].FirstFit(dataReady, dc.wcet, deadline)
+	}
+	if !ok {
+		return 0, fmt.Errorf("sched: process %d occ %d does not fit on node %d before deadline %v",
+			p.ID, occ, dc.node, deadline)
+	}
+	return start, nil
+}
+
+// scheduleJob places one job (and the inter-node messages feeding it)
+// onto dc's node: placeJob finds the position, and the booking half
+// below inserts the process into the node's timeline and appends its
+// entry to the schedule tables.
+func (s *State) scheduleJob(app *model.Application, jb *jobItem, callStart int, dc *decision) error {
+	start, err := s.placeJob(app, jb, callStart, dc)
 	if err != nil {
 		return err
 	}
-	iv := tm.Iv(start, start+wcet)
-	if err := s.busy[node].Insert(iv); err != nil {
+	iv := tm.Iv(start, start+dc.wcet)
+	if err := s.busy[dc.node].Insert(iv); err != nil {
 		return fmt.Errorf("sched: internal: %w", err)
 	}
 	s.stats.JobsPlaced.Inc()
 	s.procs = append(s.procs, ProcEntry{
-		App: app.ID, Graph: jb.graph.ID, Proc: p.ID, Occ: jb.occ,
-		Node: node, Start: start, End: iv.End,
+		App: app.ID, Graph: jb.graph.ID, Proc: jb.proc.ID, Occ: jb.occ,
+		Node: dc.node, Start: start, End: iv.End,
 	})
 	if t := s.tx(); t != nil {
-		t.dirty[node] = struct{}{}
+		t.addEntry(dc.node)
 	}
 	return nil
 }
@@ -301,28 +355,97 @@ func (s *State) scheduleJob(app *model.Application, jb *jobItem, callStart int,
 // decreasing partial-critical-path priority (which respects precedence).
 // On failure it undoes its own partial placement, so a failed call
 // leaves the state exactly as it was. It builds the application's job
-// order on every call; Txn.Apply is the same placement with the order
-// kept on the transaction.
+// order on every call; Txn.Apply and Txn.Replace run the same placement
+// loop with the order kept on the transaction.
 func (s *State) ScheduleApp(app *model.Application, mapping model.Mapping, hints Hints) error {
 	s.stats.ScheduleCalls.Inc()
 	ord, err := s.orderJobs(app)
 	if err != nil {
 		return err
 	}
-	return s.place(ord, mapping, hints)
+	var pl placement
+	pl.start(ord, s.mark())
+	if err := s.place(&pl, 0, &design{mapping: mapping, hints: hints}); err != nil {
+		s.undo(pl.marks[0])
+		return err
+	}
+	return nil
 }
 
-// place schedules the jobs of ord in order with the given mapping. Each
-// job appends one process entry, so the call's jobs occupy procs from
-// the savepoint it takes on entry; on failure it undoes to that
-// savepoint.
-func (s *State) place(ord *jobOrder, mapping model.Mapping, hints Hints) error {
-	sp := s.mark()
-	for i := range ord.jobs {
-		if err := s.scheduleJob(ord.app, &ord.jobs[i], sp.procs, mapping, hints); err != nil {
-			s.undo(sp)
+// placement is one application's placement in the schedule tables, as
+// the one loop that places jobs records it: the savepoint before each
+// placed job and each process's decision. That record is what lets a
+// transaction re-place only the jobs a new design decides differently
+// (Txn.Replace): every job before the first of them reads the same state,
+// the same decision and the same predecessors, so it lands where it is.
+type placement struct {
+	ord *jobOrder
+	// marks[i] is the savepoint before job i, and marks[0] where the
+	// placement starts; the first len(marks)-1 jobs are placed.
+	marks []savepoint
+	// decs holds, at each process's first job, the process's decision
+	// (every job of a process decides like its first); hints backs their
+	// msgStart slices.
+	decs  []decision
+	hints []tm.Time
+}
+
+// start makes pl an empty placement of ord at savepoint sp, sizing the
+// decision record for ord unless it already is.
+func (pl *placement) start(ord *jobOrder, sp savepoint) {
+	if pl.ord != ord {
+		pl.ord = ord
+		pl.marks = make([]savepoint, 0, len(ord.jobs)+1)
+		pl.decs = make([]decision, len(ord.jobs))
+		pl.hints = make([]tm.Time, ord.nHints)
+		for i := range ord.jobs {
+			jb := &ord.jobs[i]
+			pl.decs[i].msgStart = pl.hints[jb.hints : jb.hints+len(jb.ins)]
+		}
+	}
+	pl.marks = append(pl.marks[:0], sp)
+}
+
+// diverge returns the position of the first placed job at or after from
+// that d decides differently from its record, or the number of placed
+// jobs when there is none. The caller vouches that d decides every job
+// before from as recorded. A job decides like its process's first job,
+// so only first jobs are compared.
+func (pl *placement) diverge(from int, d *design) int {
+	placed := len(pl.marks) - 1
+	for i := from; i < placed; i++ {
+		jb := &pl.ord.jobs[i]
+		if jb.occ == 0 && !d.decides(jb, &pl.decs[i]) {
+			return i
+		}
+	}
+	return placed
+}
+
+// place is the one placement loop: it places the jobs of pl from
+// position from on under design d, recording each job's savepoint and
+// each process's decision. The jobs before from must be placed, decided
+// by d as recorded. Each job appends one process entry, so the
+// placement's jobs occupy procs from marks[0] on. On failure it undoes
+// the failing job's partial placement and returns the error; the jobs
+// before it stay placed.
+func (s *State) place(pl *placement, from int, d *design) error {
+	jobs := pl.ord.jobs
+	pl.marks = pl.marks[:from+1]
+	callStart := pl.marks[0].procs
+	for i := from; i < len(jobs); i++ {
+		jb := &jobs[i]
+		dc := &pl.decs[i-jb.occ]
+		if jb.occ == 0 {
+			if err := d.decide(jb, dc); err != nil {
+				return err
+			}
+		}
+		if err := s.scheduleJob(pl.ord.app, jb, callStart, dc); err != nil {
+			s.undo(pl.marks[i])
 			return err
 		}
+		pl.marks = append(pl.marks, s.mark())
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package sched
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -13,10 +12,11 @@ import (
 
 // Txn is an in-place, undoable modification of a State: the
 // transactional evaluation primitive behind the engine's incremental
-// candidate path. A transaction opens with State.Begin, applies one or
-// more candidate placements with Apply (ScheduleApp inside the
-// transaction), and ends with either Commit (keep the placements) or
-// Rollback (restore the exact pre-Begin state in O(delta)).
+// candidate path. A transaction opens with State.Begin, places
+// applications with Apply and re-places the one placed last under
+// other designs with Replace, and ends with either Commit (keep the
+// placements) or Rollback (restore the exact pre-Begin state in
+// O(delta)).
 //
 // The state's schedule tables are the undo log. Every placement write
 // appends one entry, a process interval to procs or a message hop to
@@ -27,12 +27,22 @@ import (
 // to the savepoint Begin took; ScheduleApp and MapApp use the same
 // savepoints without a transaction.
 //
-// While a transaction is open the state must not be cloned, copied into,
-// or modified outside Apply. A state carries at most one transaction and
-// Begin reuses it, so the steady-state cost of a Begin/Apply/Rollback
-// cycle is allocation-free: the transaction also keeps the job order of
-// the application it applied last, so re-placing that application under
-// another mapping or other hints builds nothing.
+// The transaction holds the placement Apply or Replace made last: the
+// savepoint before each of its jobs and what the design decided for each
+// process. Replace compares a new design with that record and undoes
+// only to the savepoint of the first job it decides differently, then
+// places from there; every earlier job would land where it is, because
+// placing a job reads only the state before it, its decision and its
+// predecessors. The engine keeps one transaction open per worker and
+// re-places each candidate over the last one, so nothing is rolled back
+// between candidates.
+//
+// While a transaction is open the state must not be modified outside
+// it. A state carries at most one transaction and Begin reuses it, so
+// the steady-state cost of a cycle is allocation-free: the held
+// placement keeps the job order and the record of the application it
+// placed last, so re-placing that application under another mapping or
+// other hints builds nothing.
 //
 // The transaction also exposes the delta's footprint: which node
 // timelines gained intervals (DirtyNodes) and which TDMA slot
@@ -48,18 +58,20 @@ type Txn struct {
 	// begin is the savepoint Begin took; Rollback undoes to it.
 	begin savepoint
 
-	// dirty is the set of nodes of the process entries appended since
-	// Begin: the nodes whose busy timeline changed.
-	dirty map[model.NodeID]struct{}
+	// dirty counts, by position in nodes (the architecture's node IDs,
+	// ascending), the process entries appended since Begin, and nDirty
+	// the nodes whose count is not 0: the nodes whose busy timeline
+	// changed. Placing a job adds one and undoing its entry takes it
+	// back, so the footprint is exact at every savepoint.
+	nodes  []model.NodeID
+	dirty  []int32
+	nDirty int
 
-	// order is the job order of the application Apply placed last, kept
-	// across Commit, Rollback and Begin. An application is immutable once
-	// finalized, so the order is reused while Apply gets the same
-	// *model.Application: an engine worker builds it once per solve, not
-	// once per candidate. It lives here and not on the State because a
-	// transaction lives only in a worker's scratch state, while a
-	// session keeps each version's State for the version's life.
-	order *jobOrder
+	// held is the placement Apply or Replace made last. It lives here and
+	// not on the State because a transaction lives only in a worker's
+	// scratch state, while a session keeps each version's State for the
+	// version's life.
+	held placement
 }
 
 // savepoint is a position in the state's schedule tables.
@@ -70,26 +82,30 @@ func (s *State) mark() savepoint { return savepoint{len(s.procs), len(s.msgs)} }
 
 // undo takes the state back to savepoint sp: newest first, each process
 // interval appended since sp leaves its node's busy set and each message
-// hop's bytes are released; then both tables are truncated. When process
-// entries go under an open transaction, its dirty set is recomputed from
-// the entries that remain.
+// hop's bytes are released; then both tables are truncated. Under an
+// open transaction each process entry removed after Begin leaves the
+// dirty counts, and the held placement keeps only the jobs still placed.
 func (s *State) undo(sp savepoint) {
+	t := s.tx()
 	for i := len(s.procs) - 1; i >= sp.procs; i-- {
 		e := s.procs[i]
 		s.busy[e.Node].Remove(tm.Iv(e.Start, e.End))
+		if t != nil && i >= t.begin.procs {
+			t.dropEntry(e.Node)
+		}
 	}
 	for i := len(s.msgs) - 1; i >= sp.msgs; i-- {
 		m := s.msgs[i]
 		s.buses[m.Bus].Release(m.Round, m.Slot, m.Bytes)
 	}
-	removed := len(s.procs) > sp.procs
 	s.procs = s.procs[:sp.procs]
 	s.msgs = s.msgs[:sp.msgs]
-	if t := s.tx(); t != nil && removed {
-		clear(t.dirty)
-		for _, e := range s.procs[t.begin.procs:] {
-			t.dirty[e.Node] = struct{}{}
+	if s.txn != nil {
+		m := s.txn.held.marks
+		for len(m) > 0 && (m[len(m)-1].procs > sp.procs || m[len(m)-1].msgs > sp.msgs) {
+			m = m[:len(m)-1]
 		}
+		s.txn.held.marks = m
 	}
 }
 
@@ -101,11 +117,14 @@ func (s *State) Begin() *Txn {
 		panic("sched: Begin with a transaction already open")
 	}
 	if s.txn == nil {
-		s.txn = &Txn{st: s, dirty: make(map[model.NodeID]struct{})}
+		nodes := s.sys.Arch.NodeIDs()
+		s.txn = &Txn{st: s, nodes: nodes, dirty: make([]int32, len(nodes))}
 	}
 	t := s.txn
 	t.open = true
 	t.begin = s.mark()
+	// What was placed before Begin is not this transaction's to re-place.
+	t.held.marks = t.held.marks[:0]
 	return t
 }
 
@@ -118,25 +137,107 @@ func (s *State) tx() *Txn {
 	return nil
 }
 
-// Apply schedules app into the state under the transaction. It is
-// ScheduleApp with the job order kept on the transaction: it is built
-// only when app is not the application Apply placed last. On error the
-// state is as it was before the call, and the transaction stays open
-// with everything applied since Begin.
+// Apply schedules app into the state under the transaction, on top of
+// everything it holds: it is ScheduleApp with the job order kept on the
+// transaction, built only when app is not the application placed last.
+// The placement becomes the held one. On error the state is as it was
+// before the call, and the transaction stays open with everything
+// applied since Begin.
 func (t *Txn) Apply(app *model.Application, mapping model.Mapping, hints Hints) error {
 	if !t.open {
 		panic("sched: Apply on a closed transaction")
 	}
 	s := t.st
 	s.stats.ScheduleCalls.Inc()
-	if t.order == nil || t.order.app != app {
-		ord, err := s.orderJobs(app)
-		if err != nil {
+	if err := t.hold(app); err != nil {
+		return err
+	}
+	if err := s.place(&t.held, 0, &design{mapping: mapping, hints: hints}); err != nil {
+		s.undo(t.held.marks[0])
+		return err
+	}
+	return nil
+}
+
+// Replace re-places the held placement of app under the design
+// (mapping, hints) with mv applied over it: afterwards the state is what
+// undoing the held placement and applying that design would give. from
+// is a job position before which the caller vouches that the new design
+// decides every job as the held placement did (0 vouches for nothing;
+// see MoveJob). Replace compares the decisions from there, undoes to the
+// savepoint before the first job decided differently and places from
+// it. When the transaction holds no placement of app at the end of the
+// tables, Replace places app there from its first job, like Apply.
+//
+// On error the jobs before the one that failed stay placed and held, so
+// the next Replace re-places from at most that job; the transaction
+// stays open.
+func (t *Txn) Replace(app *model.Application, from int, mapping model.Mapping, hints Hints, mv Move) error {
+	if !t.open {
+		panic("sched: Replace on a closed transaction")
+	}
+	s := t.st
+	s.stats.ScheduleCalls.Inc()
+	pl := &t.held
+	if !t.holds(app) {
+		if err := t.hold(app); err != nil {
 			return err
 		}
-		t.order = ord
+		from = 0
 	}
-	return s.place(t.order, mapping, hints)
+	d := design{mapping: mapping, hints: hints, mv: mv}
+	from = pl.diverge(from, &d)
+	s.undo(pl.marks[from])
+	return s.place(pl, from, &d)
+}
+
+// MoveJob returns the order position of the first job of the held
+// application that mv reaches: the moved process's first job, or the
+// first job of the moved message's consumer. It returns the number of
+// jobs for the zero move or an ID the application lacks, and 0 when no
+// application is held. A design that differs from the held one by moves
+// decides alike every job before the least of their positions, which
+// is what a caller of Replace vouches for with from.
+func (t *Txn) MoveJob(mv Move) int {
+	ord := t.held.ord
+	if ord == nil {
+		return 0
+	}
+	var i int
+	ok := false
+	switch mv.Kind {
+	case MoveProc:
+		i, ok = ord.procJob[mv.Proc]
+	case MoveMsg:
+		i, ok = ord.msgJob[mv.Msg]
+	}
+	if !ok {
+		return len(ord.jobs)
+	}
+	return i
+}
+
+// holds reports whether the held placement is one of app that ends where
+// the tables end: the placement Replace re-places.
+func (t *Txn) holds(app *model.Application) bool {
+	m := t.held.marks
+	return t.held.ord != nil && t.held.ord.app == app && len(m) > 0 && m[len(m)-1] == t.st.mark()
+}
+
+// hold makes the held placement an empty placement of app at the end of
+// the tables, building app's job order unless app is the application
+// placed last.
+func (t *Txn) hold(app *model.Application) error {
+	ord := t.held.ord
+	if ord == nil || ord.app != app {
+		var err error
+		if ord, err = t.st.orderJobs(app); err != nil {
+			return err
+		}
+		ord.indexMsgs()
+	}
+	t.held.start(ord, t.st.mark())
+	return nil
 }
 
 // Commit keeps every applied placement and closes the transaction.
@@ -146,6 +247,7 @@ func (t *Txn) Commit() {
 	}
 	t.open = false
 	clear(t.dirty)
+	t.nDirty = 0
 }
 
 // Rollback restores the exact pre-Begin state and closes the
@@ -159,23 +261,54 @@ func (t *Txn) Rollback() {
 	t.open = false
 }
 
+// nodeAt returns n's position in t.nodes, -1 when n is not a node. Node
+// IDs are usually 0..N-1, where the position is the ID.
+func (t *Txn) nodeAt(n model.NodeID) int {
+	if i := int(n); i >= 0 && i < len(t.nodes) && t.nodes[i] == n {
+		return i
+	}
+	if i, ok := slices.BinarySearch(t.nodes, n); ok {
+		return i
+	}
+	return -1
+}
+
+// addEntry counts one more process entry on node n.
+func (t *Txn) addEntry(n model.NodeID) {
+	i := t.nodeAt(n)
+	if t.dirty[i] == 0 {
+		t.nDirty++
+	}
+	t.dirty[i]++
+}
+
+// dropEntry counts one process entry on node n less.
+func (t *Txn) dropEntry(n model.NodeID) {
+	i := t.nodeAt(n)
+	t.dirty[i]--
+	if t.dirty[i] == 0 {
+		t.nDirty--
+	}
+}
+
 // DirtyNode reports whether the transaction changed node n's timeline.
 func (t *Txn) DirtyNode(n model.NodeID) bool {
-	_, ok := t.dirty[n]
-	return ok
+	i := t.nodeAt(n)
+	return i >= 0 && t.dirty[i] > 0
 }
 
 // DirtyNodeCount returns how many node timelines the transaction
 // changed.
-func (t *Txn) DirtyNodeCount() int { return len(t.dirty) }
+func (t *Txn) DirtyNodeCount() int { return t.nDirty }
 
 // DirtyNodes returns the changed nodes in ascending order.
 func (t *Txn) DirtyNodes() []model.NodeID {
-	out := make([]model.NodeID, 0, len(t.dirty))
-	for n := range t.dirty {
-		out = append(out, n)
+	out := make([]model.NodeID, 0, t.nDirty)
+	for i, n := range t.nodes {
+		if t.dirty[i] > 0 {
+			out = append(out, n)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

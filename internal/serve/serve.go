@@ -56,7 +56,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -79,6 +78,26 @@ import (
 // of a solve or a new session, a commit's application, and a cluster
 // worker's registration (package cluster).
 const MaxBodyBytes = 64 << 20
+
+// bodyPresize caps the buffer readBody sizes from a request's
+// Content-Length before any byte arrives, so a request that claims a
+// large body but sends little reserves at most this much.
+const bodyPresize = 1 << 20
+
+// readBody reads a request body whole, up to MaxBodyBytes. The buffer
+// starts at the claimed Content-Length (at most bodyPresize) plus room
+// for the read that reports the end, so a body that keeps its claim
+// reads in one allocation; a body with no Content-Length, or a longer
+// one, grows the buffer as it arrives, up to MaxBodyBytes.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := int64(0)
+	if r.ContentLength > 0 {
+		size = min(r.ContentLength, bodyPresize)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	return buf.Bytes(), err
+}
 
 // Config tunes a Server. Zero values select the documented defaults.
 type Config struct {
@@ -700,7 +719,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "reading system: %v", err)
 		return
