@@ -85,7 +85,10 @@ func TestEvaluateZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := &Design{Mapping: mapping}
+			d, err := eng.NewDesign(mapping, sched.Hints{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			procs := p.Current.Graphs[0].Procs
 			c2, c3 := procs[1].ID, procs[2].ID
 			moves := [2]sched.Move{

@@ -24,12 +24,17 @@ import (
 //
 // An Engine is safe for concurrent use by the workers it spawns. Results
 // are deterministic by construction: evaluation is a pure function of
-// (problem, mapping, hints), whatever design a worker held before, so
+// (problem, design, move), whatever design a worker held before, so
 // the worker count cannot change what a strategy computes — only how
 // fast.
 type Engine struct {
 	p           *Problem
 	parallelism int
+
+	// jobs is the Solve's one job order of the current application,
+	// which every Design is a vector over: built on first use (AH needs
+	// none), read-only after, and shared by a portfolio's lanes.
+	jobs *jobOrder
 
 	// opts is the resolved Options of the owning Solve call, kept so
 	// composite strategies (the portfolio racer) can derive per-lane
@@ -75,6 +80,7 @@ func newEngine(p *Problem, opts Options) *Engine {
 		opts:        opts,
 		observer:    opts.Observer,
 		baseline:    opts.Baseline,
+		jobs:        &jobOrder{},
 	}
 	if e.baseline == nil {
 		e.baseline = metrics.NewBaseline(p.Base, p.Profile, p.Weights)
@@ -115,20 +121,32 @@ func (e *Engine) count(n int64) {
 	e.cEvals.Add(n)
 }
 
-// Design is one design alternative of the current application: a
-// mapping and its placement hints. A strategy never changes a Design
-// after building it (With returns a new one), which is what lets an
-// evaluation worker tell by identity that a candidate is a move over the
-// design it placed last.
-type Design struct {
-	Mapping model.Mapping
-	Hints   sched.Hints
+// Design is one design alternative of the current application: a node
+// and a start hint per process and a start hint per message, dense over
+// the Solve's one job order (see sched.Design). A strategy builds its
+// first with NewDesign and the next ones with With; a Design never
+// changes once built, which is what lets an evaluation worker tell by
+// identity that a candidate is a move over the design it placed last.
+type Design = sched.Design
+
+// jobOrder is the Solve's job order of the current application, built
+// once.
+type jobOrder struct {
+	once sync.Once
+	ord  *sched.Order
+	err  error
 }
 
-// With returns the design with mv applied (see sched.Move.Apply).
-func (d *Design) With(mv sched.Move) *Design {
-	m, h := mv.Apply(d.Mapping, d.Hints)
-	return &Design{Mapping: m, Hints: h}
+// NewDesign returns the design (mapping, hints) of the current
+// application over the Solve's job order, building the order on first
+// use. Hints outside the current application, or of 0 or less, decide
+// nothing and are not kept (sched.Order.Design).
+func (e *Engine) NewDesign(mapping model.Mapping, hints sched.Hints) (*Design, error) {
+	e.jobs.once.Do(func() { e.jobs.ord, e.jobs.err = e.p.Base.Order(e.p.Current) })
+	if e.jobs.err != nil {
+		return nil, e.jobs.err
+	}
+	return e.jobs.ord.Design(mapping, hints), nil
 }
 
 // evalScratch is one worker-local evaluation context. st is the
@@ -180,9 +198,9 @@ func (e *Engine) Evaluate(d *Design, mv sched.Move) (rep metrics.Report, ok bool
 	}
 	from := 0
 	if scr.incumbent == d {
-		from = min(scr.txn.MoveJob(scr.move), scr.txn.MoveJob(mv))
+		from = min(d.Order().MoveJob(scr.move), d.Order().MoveJob(mv))
 	}
-	if err := scr.txn.Replace(e.p.Current, from, d.Mapping, d.Hints, mv); err == nil {
+	if err := scr.txn.Replace(from, d, mv); err == nil {
 		rep, _ = scr.inc.EvaluateTxn(scr.st, scr.txn)
 		ok = true
 	} else {
@@ -194,13 +212,13 @@ func (e *Engine) Evaluate(d *Design, mv sched.Move) (rep metrics.Report, ok bool
 }
 
 // Materialize rebuilds the full schedule state of a design alternative
-// that Evaluate found feasible. Strategies call it once per accepted
-// move, so the fan-out path never has to retain candidate states. It
-// does not score the state: Evaluate's report for the alternative is
-// its score.
+// that Evaluate found feasible, placing it over the Solve's job order on
+// a fresh clone of the base. Strategies call it once per accepted move,
+// so the fan-out path never has to retain candidate states. It does not
+// score the state: Evaluate's report for the alternative is its score.
 func (e *Engine) Materialize(d *Design) (*sched.State, error) {
 	st := e.p.Base.Clone()
-	if err := st.ScheduleApp(e.p.Current, d.Mapping, d.Hints); err != nil {
+	if err := st.ScheduleDesign(d); err != nil {
 		return nil, err
 	}
 	return st, nil

@@ -38,14 +38,25 @@ func NeighborMove(rng *rand.Rand, p *Problem, cur *Design) (sched.Move, bool) {
 	return neighbor(rng, p, model.NewIndex(p.Current), procs, msgs, cur)
 }
 
+// NewDesign returns the design (mapping, hints) of p's current
+// application over a job order of its own.
+func NewDesign(p *Problem, mapping model.Mapping, hints sched.Hints) *Design {
+	ord, err := p.Base.Order(p.Current)
+	if err != nil {
+		panic(err)
+	}
+	return ord.Design(mapping, hints)
+}
+
 // Neighbor draws one annealing move from (mapping, hints) and returns
 // the design it leads to, reporting whether it changes the design; an
 // unchanged draw returns the design as given.
 func Neighbor(rng *rand.Rand, p *Problem, mapping model.Mapping, hints sched.Hints) (model.Mapping, sched.Hints, bool) {
-	mv, changed := NeighborMove(rng, p, &Design{Mapping: mapping, Hints: hints})
+	d := NewDesign(p, mapping, hints)
+	mv, changed := NeighborMove(rng, p, d)
 	if !changed {
 		return mapping, hints, false
 	}
-	m, h := mv.Apply(mapping, hints)
-	return m, h, true
+	d = d.With(mv)
+	return d.Mapping(), d.Hints(), true
 }

@@ -59,8 +59,16 @@ func TestEvaluateMatchesReference(t *testing.T) {
 				eng := core.NewEngine(p, core.Options{Parallelism: par})
 				got := make([]metrics.Report, n)
 				gotOK := make([]bool, n)
+				designs := make([]*core.Design, n)
+				for i := range designs {
+					d, err := eng.NewDesign(mappings[i], hints[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					designs[i] = d
+				}
 				eng.ForEach(context.Background(), n, func(i int) {
-					got[i], gotOK[i] = eng.Evaluate(&core.Design{Mapping: mappings[i], Hints: hints[i]}, sched.Move{})
+					got[i], gotOK[i] = eng.Evaluate(designs[i], sched.Move{})
 				})
 				for i := 0; i < n; i++ {
 					if gotOK[i] != wantOK[i] || !reflect.DeepEqual(got[i], want[i]) {
@@ -100,7 +108,7 @@ func TestEvaluateMovesMatchReference(t *testing.T) {
 		t.Run(pc.name, func(t *testing.T) {
 			p := pc.p
 			ah := runSolve(t, p, core.Options{Strategy: core.AH, Parallelism: 1})
-			start := &core.Design{Mapping: ah.Mapping, Hints: ah.Hints}
+			start := core.NewDesign(p, ah.Mapping, ah.Hints)
 			procs := p.Current.Graphs[0].Procs
 			draw := func(rng *rand.Rand, cur *core.Design) sched.Move {
 				if rng.Intn(8) == 0 {
@@ -120,7 +128,7 @@ func TestEvaluateMovesMatchReference(t *testing.T) {
 				check := func(cur *core.Design, mv sched.Move) (metrics.Report, bool) {
 					got, ok := eng.Evaluate(cur, mv)
 					d := cur.With(mv)
-					_, want, err := core.ReferenceEvaluate(p, d.Mapping, d.Hints)
+					_, want, err := core.ReferenceEvaluate(p, d.Mapping(), d.Hints())
 					mu.Lock()
 					defer mu.Unlock()
 					evals++

@@ -41,7 +41,9 @@ type MHOptions struct {
 	// kept as the starting design; individual moves then override them
 	// per process or message. Used when the caller wants MH to improve a
 	// particular layout (e.g. a deliberately spread-out one) instead of
-	// the ASAP-packed initial mapping.
+	// the ASAP-packed initial mapping. An entry for an ID outside the
+	// current application, or of 0 or less, never affects placement and
+	// is not kept in Solution.Hints.
 	SeedHints sched.Hints
 }
 
@@ -108,7 +110,6 @@ func (mhStrategy) Name() string { return "MH" }
 // design cur, whose schedule is st.
 func (s mhStrategy) enumerate(eng *Engine, ix *model.Index, st *sched.State, cur *Design, o MHOptions) []sched.Move {
 	p := eng.Problem()
-	mapping, hints := cur.Mapping, cur.Hints
 	var moves []sched.Move
 
 	// Process moves: candidate x (node, slack position). Candidates
@@ -121,10 +122,11 @@ func (s mhStrategy) enumerate(eng *Engine, ix *model.Index, st *sched.State, cur
 	for _, cand := range cands {
 		proc := ix.Proc[cand]
 		g := ix.GraphOf[cand]
-		for _, node := range targetNodes(st, proc, mapping[cand], mhTargetNodes) {
+		home, homeStart := cur.Node(cand), cur.ProcStart(cand)
+		for _, node := range targetNodes(st, cur.Order().AllowedNodes(cand), home, mhTargetNodes) {
 			offs := targetOffsets(st, node, proc.WCET[node], g.Period, p.Profile.Tmin, o.TargetsPerNode)
 			for _, off := range offs {
-				if node == mapping[cand] && hints.ProcStart[cand] == off {
+				if node == home && homeStart == off {
 					continue // the current design, not a move
 				}
 				moves = append(moves, sched.Move{Kind: sched.MoveProc, Proc: cand, Node: node, Start: off})
@@ -137,7 +139,7 @@ func (s mhStrategy) enumerate(eng *Engine, ix *model.Index, st *sched.State, cur
 		for _, mc := range msgCandidates(st, p.Current, o.MsgCandidates) {
 			g := ix.MsgGraph[mc.id]
 			for _, off := range msgTargetOffsets(st, mc, g.Period, mhMsgTargets) {
-				if hints.MsgStart[mc.id] == off {
+				if cur.MsgStart(mc.id) == off {
 					continue
 				}
 				moves = append(moves, sched.Move{Kind: sched.MoveMsg, Msg: mc.id, Start: off})
@@ -155,7 +157,10 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	cur := &Design{Mapping: mapping, Hints: o.SeedHints.Clone()}
+	cur, err := eng.NewDesign(mapping, o.SeedHints)
+	if err != nil {
+		return nil, err
+	}
 	eng.count(1)
 	report := metrics.Evaluate(st, p.Profile, p.Weights)
 	ix := model.NewIndex(p.Current)
@@ -237,8 +242,8 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 
 	return &Solution{
 		Strategy:    "MH",
-		Mapping:     cur.Mapping,
-		Hints:       cur.Hints,
+		Mapping:     cur.Mapping(),
+		Hints:       cur.Hints(),
 		State:       st,
 		Report:      report,
 		Interrupted: interrupted,
@@ -246,10 +251,9 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 }
 
 // targetNodes selects the processors worth trying for a candidate
-// process: its current node plus the k allowed nodes with the most total
-// slack.
-func targetNodes(st *sched.State, proc *model.Process, current model.NodeID, k int) []model.NodeID {
-	allowed := proc.AllowedNodes()
+// process: its current node plus the k nodes of allowed (its allowed
+// nodes, ascending) with the most total slack.
+func targetNodes(st *sched.State, allowed []model.NodeID, current model.NodeID, k int) []model.NodeID {
 	if len(allowed) <= k+1 {
 		return allowed
 	}

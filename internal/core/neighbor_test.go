@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -43,6 +44,26 @@ func sameDecisions(m1 model.Mapping, h1 sched.Hints, m2 model.Mapping, h2 sched.
 	return true
 }
 
+// cloneHints returns an independent copy of h.
+func cloneHints(h sched.Hints) sched.Hints {
+	return sched.Hints{ProcStart: maps.Clone(h.ProcStart), MsgStart: maps.Clone(h.MsgStart)}
+}
+
+// setMsgStart returns h with message m's hint set (or removed when
+// start <= 0), leaving h unchanged.
+func setMsgStart(h sched.Hints, m model.MsgID, start tm.Time) sched.Hints {
+	h.MsgStart = maps.Clone(h.MsgStart)
+	if h.MsgStart == nil {
+		h.MsgStart = map[model.MsgID]tm.Time{}
+	}
+	if start <= 0 {
+		delete(h.MsgStart, m)
+	} else {
+		h.MsgStart[m] = start
+	}
+	return h
+}
+
 // referenceNeighbor is the annealing move without the unchanged-draw
 // rule: it always applies the drawn transformation, consuming the RNG
 // exactly as the annealer's neighbor does.
@@ -71,7 +92,7 @@ func referenceNeighbor(rng *rand.Rand, p *core.Problem, mapping model.Mapping, h
 		return mapping, hints.SetProcStart(proc.ID, tm.Time(rng.Int63n(int64(span))))
 	}
 	m := msgs[rng.Intn(len(msgs))]
-	return mapping, hints.SetMsgStart(m.ID, tm.Time(rng.Int63n(int64(ix.MsgGraph[m.ID].Period))))
+	return mapping, setMsgStart(hints, m.ID, tm.Time(rng.Int63n(int64(ix.MsgGraph[m.ID].Period))))
 }
 
 // shortPeriodProblem is a hand-built problem whose short period makes
@@ -133,7 +154,7 @@ func TestNeighborReportsUnchangedDraws(t *testing.T) {
 			m, h := ah.Mapping, ah.Hints
 			unchanged := 0
 			for i := 0; i < pc.draws; i++ {
-				before, beforeHints := m.Clone(), h.Clone()
+				before, beforeHints := m.Clone(), cloneHints(h)
 				nm, nh, changed := core.Neighbor(rng, p, m, h)
 				if !reflect.DeepEqual(m, before) || !reflect.DeepEqual(h, beforeHints) {
 					t.Fatalf("draw %d modified the current design", i)
@@ -149,7 +170,11 @@ func TestNeighborReportsUnchangedDraws(t *testing.T) {
 					unchanged++
 					continue
 				}
-				if _, ok := eng.Evaluate(&core.Design{Mapping: nm, Hints: nh}, sched.Move{}); ok {
+				d, err := eng.NewDesign(nm, nh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := eng.Evaluate(d, sched.Move{}); ok {
 					m, h = nm, nh
 				}
 			}

@@ -120,6 +120,7 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 				laneOpts.Observer = &obs.Observer{Stats: eng.observer.Stats, Tracer: col}
 			}
 			laneEng := newEngine(eng.p, laneOpts)
+			laneEng.jobs = eng.jobs // one job order per Solve
 			var sol *Solution
 			var err error
 			runLane := func(ctx context.Context) { sol, err = lane.Run(ctx, laneEng) }

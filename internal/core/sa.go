@@ -140,7 +140,10 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 
 	eng.tracer.Trace(obs.TraceEvent{Kind: "init", Strategy: "SA", Cost: report0.Objective})
 
-	initial := &Design{Mapping: mapping0, Hints: sched.Hints{}}
+	initial, err := eng.NewDesign(mapping0, sched.Hints{})
+	if err != nil {
+		return nil, err
+	}
 	chains := make([]chainResult, o.Restarts)
 	eng.ForEach(ctx, o.Restarts, func(c int) {
 		chains[c] = s.runChain(ctx, eng, c, o, ix, procs, msgs, initial, report0, st0)
@@ -176,8 +179,8 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	eng.tracer.Trace(obs.TraceEvent{Kind: "decision", Strategy: "SA", Chain: best, Cost: win.report.Objective})
 	return &Solution{
 		Strategy:    "SA",
-		Mapping:     win.best.Mapping,
-		Hints:       win.best.Hints,
+		Mapping:     win.best.Mapping(),
+		Hints:       win.best.Hints(),
 		State:       win.state,
 		Report:      win.report,
 		Interrupted: sum.Interrupted || ctx.Err() != nil,
@@ -275,15 +278,14 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 func neighbor(rng *rand.Rand, p *Problem, ix *model.Index,
 	procs []*model.Process, msgs []*model.Message, cur *Design) (mv sched.Move, changed bool) {
 
-	mapping, hints := cur.Mapping, cur.Hints
 	kind := rng.Float64()
 	if kind < 0.4 || (kind >= 0.8 && len(msgs) == 0) {
 		// Remap a random process to a random allowed node, clearing its
 		// position hint so the scheduler packs it ASAP on the new node.
 		proc := procs[rng.Intn(len(procs))]
-		nodes := proc.AllowedNodes()
+		nodes := cur.Order().AllowedNodes(proc.ID)
 		node := nodes[rng.Intn(len(nodes))]
-		if node == mapping[proc.ID] && hints.ProcStart[proc.ID] == 0 {
+		if node == cur.Node(proc.ID) && cur.ProcStart(proc.ID) == 0 {
 			return sched.Move{}, false
 		}
 		return sched.Move{Kind: sched.MoveProc, Proc: proc.ID, Node: node}, true
@@ -292,13 +294,13 @@ func neighbor(rng *rand.Rand, p *Problem, ix *model.Index,
 		// Move a random process to a random start offset in its period.
 		proc := procs[rng.Intn(len(procs))]
 		g := ix.GraphOf[proc.ID]
-		node := mapping[proc.ID]
+		node := cur.Node(proc.ID)
 		span := g.Period - proc.WCET[node]
 		if span <= 0 {
 			return sched.Move{}, false
 		}
 		off := tm.Time(rng.Int63n(int64(span)))
-		if off == hints.ProcStart[proc.ID] {
+		if off == cur.ProcStart(proc.ID) {
 			return sched.Move{}, false
 		}
 		return sched.Move{Kind: sched.MoveProc, Proc: proc.ID, Node: node, Start: off}, true
@@ -307,7 +309,7 @@ func neighbor(rng *rand.Rand, p *Problem, ix *model.Index,
 	m := msgs[rng.Intn(len(msgs))]
 	g := ix.MsgGraph[m.ID]
 	off := tm.Time(rng.Int63n(int64(g.Period)))
-	if off == hints.MsgStart[m.ID] {
+	if off == cur.MsgStart(m.ID) {
 		return sched.Move{}, false
 	}
 	return sched.Move{Kind: sched.MoveMsg, Msg: m.ID, Start: off}, true

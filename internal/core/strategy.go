@@ -14,7 +14,7 @@ import (
 // Strategy is one mapping strategy, runnable through Solve. The built-in
 // strategies are AH, MH and SA (optionally configured via MHWith and
 // SAWith); custom strategies can be implemented on top of the Engine's
-// Evaluate/Materialize/ForEach primitives and inherit parallel
+// NewDesign/Evaluate/Materialize/ForEach primitives and inherit parallel
 // evaluation, cancellation and observability for free.
 type Strategy interface {
 	// Name is the short tag recorded in Solution.Strategy.

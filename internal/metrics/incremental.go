@@ -41,8 +41,10 @@ type Baseline struct {
 	runs   pack.Runs
 	mRuns  pack.Runs
 
-	gapLens  map[model.NodeID][]int64 // slack interval lengths per node
-	winSlack map[model.NodeID][]tm.Time
+	// By node position (nodeIDs order): each node's slack interval
+	// lengths and per-window slack vector.
+	gapLens  [][]int64
+	winSlack [][]tm.Time
 
 	busFree []int64   // free bytes per slot occurrence, bus order then time order
 	busCaps pack.Caps // busFree as a histogram (the C1m bins)
@@ -67,11 +69,11 @@ func NewBaseline(base *sched.State, prof *future.Profile, w Weights) *Baseline {
 	b.mRuns = pack.NewRuns(b.mItems)
 
 	perNode := slack.Processor(base)
-	b.gapLens = make(map[model.NodeID][]int64, len(b.nodeIDs))
-	b.winSlack = make(map[model.NodeID][]tm.Time, len(b.nodeIDs))
-	for _, n := range b.nodeIDs {
-		b.gapLens[n] = slack.Lengths(perNode[n])
-		b.winSlack[n] = slack.WindowSlack(perNode[n], prof.Tmin, horizon)
+	b.gapLens = make([][]int64, len(b.nodeIDs))
+	b.winSlack = make([][]tm.Time, len(b.nodeIDs))
+	for i, n := range b.nodeIDs {
+		b.gapLens[i] = slack.Lengths(perNode[n])
+		b.winSlack[i] = slack.WindowSlack(perNode[n], prof.Tmin, horizon)
 	}
 
 	b.busFree = slack.BusFreeBytes(base)
@@ -132,19 +134,34 @@ func (e *Incremental) EvaluateTxn(st *sched.State, txn *sched.Txn) (rep Report, 
 	var r Report
 	window := tm.Iv(0, b.horizon)
 
-	// Criterion 1, processes: bins are the slack interval lengths in
-	// ascending node order — cached for clean nodes, recomputed from the
-	// node's busy timeline for dirty ones.
+	// Processes, both criteria, in one pass over the nodes in ascending
+	// order: C1P's bins are the slack interval lengths and C2P's inputs
+	// the per-window slack vectors, both cached for clean nodes and
+	// derived from one AppendGaps of the node's busy timeline for dirty
+	// ones. The vectors are integer quantities; the min/PeriodicFill
+	// accumulation runs over every node in the same order as Evaluate,
+	// so the float sum is reproduced exactly.
 	e.bins = e.bins[:0]
-	for _, n := range b.nodeIDs {
+	for i, n := range b.nodeIDs {
+		ws := b.winSlack[i]
 		if txn.DirtyNode(n) {
 			e.gapBuf = st.Busy(n).AppendGaps(e.gapBuf[:0], window)
 			for _, iv := range e.gapBuf {
 				e.bins = append(e.bins, int64(iv.Len()))
 			}
+			e.winBuf = slack.WindowSlackInto(e.winBuf, e.gapBuf, b.prof.Tmin, b.horizon)
+			ws = e.winBuf
 		} else {
-			e.bins = append(e.bins, b.gapLens[n]...)
+			e.bins = append(e.bins, b.gapLens[i]...)
 		}
+		min := ws[0]
+		for _, v := range ws {
+			if v < min {
+				min = v
+			}
+			r.PeriodicFill += math.Sqrt(float64(v))
+		}
+		r.C2P += min
 	}
 	// When the all-fit certificate holds, best-fit leaves nothing over
 	// and C1P is the +0 the packing would give; otherwise pack.
@@ -185,27 +202,6 @@ func (e *Incremental) EvaluateTxn(st *sched.State, txn *sched.Txn) (rep Report, 
 	// for C1P, a certificate that holds makes C1m +0 without packing.
 	if !b.mRuns.CertifyCaps(&e.mCaps) {
 		r.C1m = 100 * e.mCaps.BestFitUnpacked(b.mItems)
-	}
-
-	// Criterion 2, processes: the per-window slack vectors are integer
-	// quantities, cached for clean nodes; the min/PeriodicFill
-	// accumulation runs over every node in the same order as Evaluate so
-	// the float sum is reproduced exactly.
-	for _, n := range b.nodeIDs {
-		ws := b.winSlack[n]
-		if txn.DirtyNode(n) {
-			e.gapBuf = st.Busy(n).AppendGaps(e.gapBuf[:0], window)
-			e.winBuf = slack.WindowSlackInto(e.winBuf, e.gapBuf, b.prof.Tmin, b.horizon)
-			ws = e.winBuf
-		}
-		min := ws[0]
-		for _, v := range ws {
-			if v < min {
-				min = v
-			}
-			r.PeriodicFill += math.Sqrt(float64(v))
-		}
-		r.C2P += min
 	}
 
 	// Criterion 2, messages: the patched window vector's minimum.

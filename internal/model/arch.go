@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"incdes/internal/tm"
@@ -208,6 +209,20 @@ func (a *Architecture) NodeIDs() []NodeID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
+}
+
+// NodePos returns the position of node n in ids, the ascending node IDs
+// of an architecture (NodeIDs), or -1 when n is not among them. Node IDs
+// are usually 0..N-1, where a node's position is its ID; that case costs
+// one comparison, any other a binary search.
+func NodePos(ids []NodeID, n NodeID) int {
+	if i := int(n); i >= 0 && i < len(ids) && ids[i] == n {
+		return i
+	}
+	if i, ok := slices.BinarySearch(ids, n); ok {
+		return i
+	}
+	return -1
 }
 
 // BusesOf returns the IDs of the buses node n is attached to (owns a slot

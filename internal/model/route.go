@@ -22,31 +22,36 @@ type Hop struct {
 // hops). Ties are broken by preferring the lowest bus ID at each step,
 // and within a bus the lowest-ID gateway node. Direct delivery (src and
 // dst share a bus) is always a single hop on the lowest shared bus.
+//
+// The routes are an N×N table by node position: the route from the node
+// at position i of ids (the node IDs, ascending) to the node at position
+// j is routes[i*N+j].
 type RouteTable struct {
 	arch   *Architecture
-	routes map[[2]NodeID][]Hop
+	ids    []NodeID
+	routes [][]Hop
 }
 
 // BuildRoutes precomputes deterministic shortest-hop routes between all
 // node pairs. It fails if some pair is unreachable (the bus graph is
 // disconnected), which Architecture.Validate surfaces as a model error.
 func BuildRoutes(a *Architecture) (*RouteTable, error) {
-	rt := &RouteTable{arch: a, routes: map[[2]NodeID][]Hop{}}
+	ids := a.NodeIDs()
+	rt := &RouteTable{arch: a, ids: ids, routes: make([][]Hop, len(ids)*len(ids))}
 
 	// busNext[b] = sorted node IDs attached to bus b; gateway candidates
 	// are the attached nodes that are also attached to other buses.
 	attached := make([][]NodeID, len(a.Buses))
 	for bi, b := range a.Buses {
-		for _, n := range a.NodeIDs() {
+		for _, n := range ids {
 			if b.Owns(n) {
 				attached[bi] = append(attached[bi], n)
 			}
 		}
 	}
 
-	ids := a.NodeIDs()
-	for _, src := range ids {
-		for _, dst := range ids {
+	for i, src := range ids {
+		for j, dst := range ids {
 			if src == dst {
 				continue
 			}
@@ -54,7 +59,7 @@ func BuildRoutes(a *Architecture) (*RouteTable, error) {
 			if err != nil {
 				return nil, err
 			}
-			rt.routes[[2]NodeID{src, dst}] = hops
+			rt.routes[i*len(ids)+j] = hops
 		}
 	}
 	return rt, nil
@@ -157,11 +162,13 @@ func (rt *RouteTable) build(src, dst NodeID, attached [][]NodeID) ([]Hop, error)
 }
 
 // Route returns the hop sequence from src to dst. src == dst returns
-// nil (same-node communication is shared memory, no bus traffic). The
-// returned slice is owned by the table; callers must not mutate it.
+// nil (same-node communication is shared memory, no bus traffic), and so
+// does a node the architecture lacks. The returned slice is owned by the
+// table; callers must not mutate it.
 func (rt *RouteTable) Route(src, dst NodeID) []Hop {
-	if src == dst {
+	i, j := NodePos(rt.ids, src), NodePos(rt.ids, dst)
+	if src == dst || i < 0 || j < 0 {
 		return nil
 	}
-	return rt.routes[[2]NodeID{src, dst}]
+	return rt.routes[i*len(rt.ids)+j]
 }

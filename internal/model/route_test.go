@@ -136,6 +136,88 @@ func TestRouteTieBreaks(t *testing.T) {
 	}
 }
 
+// TestRouteNonContiguousNodeIDs pins the route table's positions on an
+// architecture whose node IDs are neither 0..N-1 nor listed in order:
+// {40, 2, 5, 17, 23} over three chained buses. Route must equal a
+// reference keyed by the ID pair, built by the same search, for every
+// ordered pair, and be nil for a node the architecture lacks. NodePos
+// must find every ID.
+func TestRouteNonContiguousNodeIDs(t *testing.T) {
+	mkBus := func(id BusID, owners ...NodeID) *Bus {
+		b := &Bus{ID: id, ByteTime: 1, SlotOverhead: 2}
+		for _, n := range owners {
+			b.SlotOrder = append(b.SlotOrder, n)
+			b.SlotBytes = append(b.SlotBytes, 8)
+		}
+		return b
+	}
+	a := &Architecture{
+		Nodes: []*Node{{ID: 40}, {ID: 2}, {ID: 5}, {ID: 17}, {ID: 23}},
+		Buses: []*Bus{mkBus(0, 40, 2), mkBus(1, 2, 5, 17), mkBus(2, 17, 23)},
+	}
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := BuildRoutes(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attached := make([][]NodeID, len(a.Buses))
+	for bi, b := range a.Buses {
+		for _, n := range a.NodeIDs() {
+			if b.Owns(n) {
+				attached[bi] = append(attached[bi], n)
+			}
+		}
+	}
+	ref := map[[2]NodeID][]Hop{}
+	for _, src := range a.NodeIDs() {
+		for _, dst := range a.NodeIDs() {
+			if src != dst {
+				hops, err := rt.build(src, dst, attached)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref[[2]NodeID{src, dst}] = hops
+			}
+		}
+	}
+	multi := 0
+	for _, src := range a.NodeIDs() {
+		for _, dst := range a.NodeIDs() {
+			got, want := rt.Route(src, dst), ref[[2]NodeID{src, dst}]
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Route(%d,%d) = %v, want %v", src, dst, got, want)
+			}
+			if len(want) > 1 {
+				multi++
+			}
+		}
+	}
+	if multi == 0 {
+		t.Error("no multi-hop route: the table's positions are not exercised across buses")
+	}
+	if got := rt.Route(40, 23); len(got) != 3 || got[0].From != 40 || got[2].To != 23 {
+		t.Errorf("Route(40,23) = %v, want three hops from 40 to 23", got)
+	}
+	for _, pair := range [][2]NodeID{{0, 2}, {2, 0}, {3, 5}, {41, 40}} {
+		if got := rt.Route(pair[0], pair[1]); got != nil {
+			t.Errorf("Route(%d,%d) = %v for a node the architecture lacks, want nil", pair[0], pair[1], got)
+		}
+	}
+	ids := a.NodeIDs()
+	for i, n := range ids {
+		if got := NodePos(ids, n); got != i {
+			t.Errorf("NodePos(%v, %d) = %d, want %d", ids, n, got, i)
+		}
+	}
+	for _, n := range []NodeID{-1, 0, 1, 3, 4, 41} {
+		if got := NodePos(ids, n); got != -1 {
+			t.Errorf("NodePos(%v, %d) = %d, want -1", ids, n, got)
+		}
+	}
+}
+
 func TestDisconnectedBusGraphRejected(t *testing.T) {
 	a := &Architecture{
 		Nodes: []*Node{{ID: 0}, {ID: 1}},

@@ -14,7 +14,7 @@ func fingerprintFmt(s *State) []byte {
 	var b []byte
 	b = fmt.Appendf(b, "horizon=%d\n", s.horizon)
 	for _, n := range s.sys.Arch.NodeIDs() {
-		b = fmt.Appendf(b, "busy[%d]=%v\n", n, s.busy[n].Intervals())
+		b = fmt.Appendf(b, "busy[%d]=%v\n", n, s.Busy(n).Intervals())
 	}
 	for bi, bst := range s.buses {
 		for r := 0; r < bst.Rounds(); r++ {

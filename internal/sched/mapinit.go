@@ -27,23 +27,23 @@ func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, erro
 	}
 	jobs := ord.jobs
 	sp := s.mark()
-	mapping := model.Mapping{}
+	mapping := make(model.Mapping, len(ord.procs))
+	n := len(ord.nodes)
 	var msgStart []tm.Time
-	for i := 0; i < len(jobs); {
+	for pos, p := range ord.procs {
 		// The job list keeps all occurrences of a process adjacent, after
 		// every job of its predecessors.
-		j := i
-		for j < len(jobs) && jobs[j].proc.ID == jobs[i].proc.ID {
-			j++
+		end := len(jobs)
+		if pos+1 < len(ord.procs) {
+			end = ord.procJob[pos+1]
 		}
-		run := jobs[i:j]
-		p := run[0].proc
+		run := jobs[ord.procJob[pos]:end]
 		dc := decision{procStart: hints.ProcStart[p.ID], msgStart: msgStart[:0]}
 		for _, in := range run[0].ins {
 			dc.msgStart = append(dc.msgStart, hints.MsgStart[in.msg.ID])
 		}
 		msgStart = dc.msgStart
-		if !s.bestNode(app, run, sp.procs, &dc) {
+		if !s.bestNode(app, run, sp.procs, ord.wcet[pos*n:(pos+1)*n], &dc) {
 			s.undo(sp)
 			return nil, fmt.Errorf("sched: process %d fits on no allowed node (all %d occurrences considered)",
 				p.ID, len(run))
@@ -60,7 +60,6 @@ func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, erro
 					run[k].proc.ID, run[k].occ, dc.node, err)
 			}
 		}
-		i = j
 	}
 	return mapping, nil
 }
@@ -68,21 +67,24 @@ func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, erro
 // bestNode tries every allowed node against every occurrence of the
 // process in run and sets dc's node (and WCET) to the node with the
 // earliest first-occurrence finish among those where every occurrence
-// fits, reporting whether there is one; AllowedNodes is ascending, so
-// ties go to the lowest node ID. dc carries the process's hints. Each
-// trial runs the placing half of scheduleJob and undoes it to a
-// savepoint, so every occurrence is tried against the state before the
-// run and nothing is counted as placed. callStart is where MapApp's jobs
-// begin in procs.
-func (s *State) bestNode(app *model.Application, run []jobItem, callStart int, dc *decision) bool {
-	p := run[0].proc
+// fits, reporting whether there is one. wcet is the process's WCET row
+// in its order, by node position: the allowed nodes are tried in
+// ascending ID order, so ties go to the lowest node ID. dc carries the
+// process's hints. Each trial runs the placing half of scheduleJob and
+// undoes it to a savepoint, so every occurrence is tried against the
+// state before the run and nothing is counted as placed. callStart is
+// where MapApp's jobs begin in procs.
+func (s *State) bestNode(app *model.Application, run []jobItem, callStart int, wcet []tm.Time, dc *decision) bool {
 	sp := s.mark()
 	best := *dc
 	bestEnd := tm.Infinity
 	found := false
-	for _, node := range p.AllowedNodes() {
+	for ni, w := range wcet {
+		if w == noWCET {
+			continue
+		}
 		trial := *dc
-		trial.node, trial.wcet = node, p.WCET[node]
+		trial.node, trial.ni, trial.wcet = s.nodes[ni], ni, w
 		var end tm.Time
 		fits := true
 		for k := range run {

@@ -8,14 +8,22 @@ import (
 	"incdes/internal/tm"
 )
 
-// jobOrder is an application's job list: every occurrence of every
-// process over the hyperperiod, in the order the list scheduler places
-// them, with each job's in-messages resolved to the order position of
-// the job that produces them. It depends only on the application and
-// the horizon (the priorities use average WCETs and bus 0's delay
-// estimate), never on a mapping, hints or what the state holds, so a
-// transaction keeps the order of the application it last applied
-// (Txn.Apply) and every later candidate of that application reuses it.
+// Order is an application's job list: every occurrence of every process
+// over the hyperperiod, in the order the list scheduler places them,
+// with each job's in-messages resolved to the order position of the job
+// that produces them. It depends only on the application and the horizon
+// (the priorities use average WCETs and bus 0's delay estimate), never on
+// a mapping, hints or what the state holds, so one Order serves every
+// design of the application: a Solve builds it once (State.Order) and
+// shares it read-only with every worker.
+//
+// The order also numbers what a design decides, so that placing a job
+// indexes instead of hashing. A process's position is the rank of its
+// first job among the first jobs; a message's position is its rank among
+// the in-messages of those first jobs, in order, so the in-messages of
+// one process hold consecutive positions. Design is a vector over these
+// positions, and each process's WCETs are a row over the architecture's
+// node positions (its node IDs, ascending).
 //
 // Placing the order appends exactly one process entry per job, in
 // order, so while a call runs the job at position i sits at
@@ -26,24 +34,37 @@ import (
 // occurrence k sits k positions after its process's first job, and every
 // job of a process decides like the first: same node, same start hint,
 // same in-messages.
-type jobOrder struct {
-	app  *model.Application
-	jobs []jobItem
+type Order struct {
+	app   *model.Application
+	jobs  []jobItem
+	nodes []model.NodeID // the architecture's node IDs, ascending
 
-	// procJob and msgJob are the positions of the first job a process
-	// change and a message change reach: the process's first job, and
-	// the first job of the message's consumer. msgJob is built only for
-	// the orders a transaction holds (indexMsgs).
-	procJob map[model.ProcID]int
-	msgJob  map[model.MsgID]int
-	// nHints is the number of in-message hints the processes read, one
-	// per message: the length of a placement's msgStart record.
-	nHints int
+	// By process position: the process, its first job (the first job a
+	// process move reaches) and its WCET row, one entry per node
+	// position, noWCET where the process cannot run.
+	procs   []*model.Process
+	procJob []int
+	wcet    []tm.Time
+	// By message position: the message and the first job of its
+	// consumer (the first job a message move reaches).
+	msgs   []*model.Message
+	msgJob []int
+
+	// procPos finds a process's position by ID. msgPos, the same for
+	// messages, and allowed, each process's allowed nodes ascending, are
+	// built only by State.Order: the orders ScheduleApp and MapApp build
+	// per call never read them.
+	procPos map[model.ProcID]int
+	msgPos  map[model.MsgID]int
+	allowed [][]model.NodeID
 }
 
+// noWCET marks a node a process cannot run on in an Order's WCET rows.
+const noWCET tm.Time = -1
+
 // jobItem is one schedulable unit with its precomputed ordering keys
-// and in-messages. hints is where its process's in-message hints start
-// in a placement's msgStart record, the same for every occurrence.
+// and in-messages. pos is its process's position and hints the position
+// of its process's first in-message, the same for every occurrence.
 type jobItem struct {
 	graph *model.Graph
 	proc  *model.Process
@@ -51,6 +72,7 @@ type jobItem struct {
 	prio  tm.Time
 	topo  int
 	ins   []inMsg
+	pos   int
 	hints int
 }
 
@@ -62,11 +84,39 @@ type inMsg struct {
 	pred int
 }
 
+// Order builds app's job order over the state's horizon and
+// architecture with everything a strategy reads by ID: the message
+// positions and each process's allowed nodes. A Solve builds one and
+// shares it with every worker; designs of app are vectors over it.
+func (s *State) Order(app *model.Application) (*Order, error) {
+	o, err := s.orderJobs(app)
+	if err != nil {
+		return nil, err
+	}
+	o.msgPos = make(map[model.MsgID]int, len(o.msgs))
+	for j, m := range o.msgs {
+		o.msgPos[m.ID] = j
+	}
+	n := len(o.nodes)
+	all := make([]model.NodeID, 0, len(o.wcet))
+	o.allowed = make([][]model.NodeID, len(o.procs))
+	for i := range o.procs {
+		from := len(all)
+		for k, w := range o.wcet[i*n : (i+1)*n] {
+			if w != noWCET {
+				all = append(all, o.nodes[k])
+			}
+		}
+		o.allowed[i] = all[from:len(all):len(all)]
+	}
+	return o, nil
+}
+
 // orderJobs expands an application into its hyperperiod job set, ordered
-// by decreasing priority, and resolves every job's in-messages to order
-// positions. Priority strictly decreases along graph edges, so the order
-// is a valid scheduling order.
-func (s *State) orderJobs(app *model.Application) (*jobOrder, error) {
+// by decreasing priority, resolves every job's in-messages to order
+// positions and numbers the processes and messages. Priority strictly
+// decreases along graph edges, so the order is a valid scheduling order.
+func (s *State) orderJobs(app *model.Application) (*Order, error) {
 	var jobs []jobItem
 	for _, g := range app.Graphs {
 		if s.horizon%g.Period != 0 {
@@ -94,21 +144,33 @@ func (s *State) orderJobs(app *model.Application) (*jobOrder, error) {
 	}
 	sortJobs(jobs)
 
-	// The occurrences of a process are adjacent and ascending, so job
-	// (p, occ) sits at first[p] + occ.
-	first := make(map[model.ProcID]int, app.NumProcs())
+	// Number the processes by their first jobs. The occurrences of a
+	// process are adjacent and ascending, so job (p, occ) sits at
+	// procJob[pos(p)] + occ.
+	nProcs := app.NumProcs()
+	o := &Order{
+		app: app, jobs: jobs, nodes: s.nodes,
+		procs:   make([]*model.Process, 0, nProcs),
+		procJob: make([]int, 0, nProcs),
+		procPos: make(map[model.ProcID]int, nProcs),
+	}
 	nIns := 0
-	for i := len(jobs) - 1; i >= 0; i-- {
-		first[jobs[i].proc.ID] = i
-		nIns += len(jobs[i].graph.InMsgs(jobs[i].proc.ID))
+	for i := range jobs {
+		jb := &jobs[i]
+		if jb.occ == 0 {
+			o.procPos[jb.proc.ID] = len(o.procs)
+			o.procs = append(o.procs, jb.proc)
+			o.procJob = append(o.procJob, i)
+		}
+		jb.pos = len(o.procs) - 1
+		nIns += len(jb.graph.InMsgs(jb.proc.ID))
 	}
 	ins := make([]inMsg, 0, nIns)
-	ord := &jobOrder{app: app, jobs: jobs, procJob: first}
 	for i := range jobs {
 		jb := &jobs[i]
 		from := len(ins)
 		for _, m := range jb.graph.InMsgs(jb.proc.ID) {
-			pred := first[m.Src] + jb.occ
+			pred := o.procJob[o.procPos[m.Src]] + jb.occ
 			if pred >= i || jobs[pred].proc.ID != m.Src || jobs[pred].occ != jb.occ {
 				return nil, fmt.Errorf("sched: internal: predecessor %d of %d not ordered before it", m.Src, jb.proc.ID)
 			}
@@ -116,26 +178,59 @@ func (s *State) orderJobs(app *model.Application) (*jobOrder, error) {
 		}
 		jb.ins = ins[from:]
 		if jb.occ == 0 {
-			jb.hints = ord.nHints
-			ord.nHints += len(jb.ins)
+			jb.hints = len(o.msgs)
+			for _, in := range jb.ins {
+				o.msgs = append(o.msgs, in.msg)
+				o.msgJob = append(o.msgJob, i)
+			}
 		} else {
 			jb.hints = jobs[i-jb.occ].hints
 		}
 	}
-	return ord, nil
-}
 
-// indexMsgs builds o.msgJob: every message is an in-message of its
-// consumer's first job.
-func (o *jobOrder) indexMsgs() {
-	o.msgJob = make(map[model.MsgID]int, o.nHints)
-	for i := range o.jobs {
-		if jb := &o.jobs[i]; jb.occ == 0 {
-			for _, in := range jb.ins {
-				o.msgJob[in.msg.ID] = i
+	n := len(o.nodes)
+	o.wcet = make([]tm.Time, len(o.procs)*n)
+	for i, p := range o.procs {
+		row := o.wcet[i*n : (i+1)*n]
+		for k := range row {
+			row[k] = noWCET
+		}
+		for node, w := range p.WCET {
+			if k := model.NodePos(o.nodes, node); k >= 0 {
+				row[k] = w
 			}
 		}
 	}
+	return o, nil
+}
+
+// AllowedNodes returns the nodes process p may be mapped to, ascending
+// (do not modify); nil for a process outside the order's application.
+func (o *Order) AllowedNodes(p model.ProcID) []model.NodeID {
+	if i, ok := o.procPos[p]; ok {
+		return o.allowed[i]
+	}
+	return nil
+}
+
+// MoveJob returns the order position of the first job mv reaches: the
+// moved process's first job, or the first job of the moved message's
+// consumer. It returns the number of jobs for the zero move or an ID the
+// application lacks. A design that differs from another by moves decides
+// alike every job before the least of their positions, which is what a
+// caller of Txn.Replace vouches for with from.
+func (o *Order) MoveJob(mv Move) int {
+	switch mv.Kind {
+	case MoveProc:
+		if i, ok := o.procPos[mv.Proc]; ok {
+			return o.procJob[i]
+		}
+	case MoveMsg:
+		if j, ok := o.msgPos[mv.Msg]; ok {
+			return o.msgJob[j]
+		}
+	}
+	return len(o.jobs)
 }
 
 // sortJobs orders jobs for the list scheduler: higher partial-critical-

@@ -81,24 +81,11 @@ type Hints struct {
 	MsgStart  map[model.MsgID]tm.Time
 }
 
-// Clone returns an independent copy of the hints.
-func (h Hints) Clone() Hints {
-	return Hints{ProcStart: maps.Clone(h.ProcStart), MsgStart: maps.Clone(h.MsgStart)}
-}
-
 // SetProcStart returns h with the process hint set (or removed when
 // start <= 0). h is left unchanged: the result has a ProcStart map of
 // its own and shares h's MsgStart map.
 func (h Hints) SetProcStart(p model.ProcID, start tm.Time) Hints {
 	h.ProcStart = withHint(h.ProcStart, p, start)
-	return h
-}
-
-// SetMsgStart returns h with the message hint set (or removed when
-// start <= 0). h is left unchanged: the result has a MsgStart map of its
-// own and shares h's ProcStart map.
-func (h Hints) SetMsgStart(m model.MsgID, start tm.Time) Hints {
-	h.MsgStart = withHint(h.MsgStart, m, start)
 	return h
 }
 
@@ -128,36 +115,16 @@ const (
 	MoveMsg
 )
 
-// Move is one design transformation over a design (a mapping and its
-// hints): a process moved to a node and a slack position, or a message
-// moved to a slot position. Start is an offset from the occurrence's
+// Move is one design transformation over a Design: a process moved to a
+// node and a slack position, or a message moved to a slot position. Start is an offset from the occurrence's
 // release, as in Hints; a Start of 0 or less clears the hint, as
-// SetProcStart and SetMsgStart do. A move is a small value, so a
-// strategy can enumerate its candidates without copying the design, and
-// a transaction re-places only the jobs a move reaches (Txn.Replace).
+// SetProcStart does. A move is a small value, so a strategy can
+// enumerate its candidates without copying the design, and a
+// transaction re-places only the jobs a move reaches (Txn.Replace).
 type Move struct {
 	Kind  MoveKind
 	Proc  model.ProcID
 	Node  model.NodeID
 	Msg   model.MsgID
 	Start tm.Time
-}
-
-// Apply returns the design (mapping, hints) with the move applied,
-// leaving both arguments unchanged: a process move sets the process's
-// node (in a copy of the mapping, when the node changes) and start hint,
-// a message move sets the message's start hint, and the zero move
-// returns the design as given.
-func (mv Move) Apply(mapping model.Mapping, hints Hints) (model.Mapping, Hints) {
-	switch mv.Kind {
-	case MoveProc:
-		if n, ok := mapping[mv.Proc]; !ok || n != mv.Node {
-			mapping = mapping.Clone()
-			mapping[mv.Proc] = mv.Node
-		}
-		return mapping, hints.SetProcStart(mv.Proc, mv.Start)
-	case MoveMsg:
-		return mapping, hints.SetMsgStart(mv.Msg, mv.Start)
-	}
-	return mapping, hints
 }

@@ -26,14 +26,17 @@ import (
 //
 // A State holds no scheduling scratch: a call finds a job's predecessors
 // by their positions in the application's job order (order.go), and the
-// order itself is built per ScheduleApp or MapApp call or kept by the
-// state's transaction (Txn.Apply, Txn.Replace), never stored on the
-// state.
+// order itself is built per ScheduleApp or MapApp call, kept by the
+// state's transaction (Txn.Apply) or passed in with a design (a Solve's
+// one Order), never stored on the state.
 type State struct {
 	sys     *model.System
 	horizon tm.Time
-	busy    map[model.NodeID]*tm.Set
-	buses   []*ttp.State // one reservation ledger per bus, index == BusID
+	// nodes is the architecture's node IDs, ascending: busy is indexed by
+	// a node's position in it. Clones share it read-only.
+	nodes []model.NodeID
+	busy  []*tm.Set
+	buses []*ttp.State // one reservation ledger per bus, index == BusID
 
 	// routes is the architecture's precomputed deterministic route table,
 	// shared read-only by every clone of the state.
@@ -69,13 +72,15 @@ func NewState(sys *model.System) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	busy := make(map[model.NodeID]*tm.Set, len(sys.Arch.Nodes))
-	for _, n := range sys.Arch.Nodes {
-		busy[n.ID] = tm.NewSet()
+	nodes := sys.Arch.NodeIDs()
+	busy := make([]*tm.Set, len(nodes))
+	for i := range busy {
+		busy[i] = tm.NewSet()
 	}
 	return &State{
 		sys:     sys,
 		horizon: horizon,
+		nodes:   nodes,
 		busy:    busy,
 		buses:   buses,
 		routes:  routes,
@@ -87,7 +92,8 @@ func (s *State) Clone() *State {
 	c := &State{
 		sys:     s.sys,
 		horizon: s.horizon,
-		busy:    make(map[model.NodeID]*tm.Set, len(s.busy)),
+		nodes:   s.nodes,
+		busy:    make([]*tm.Set, len(s.busy)),
 		buses:   make([]*ttp.State, len(s.buses)),
 		routes:  s.routes,
 		procs:   append([]ProcEntry(nil), s.procs...),
@@ -97,8 +103,8 @@ func (s *State) Clone() *State {
 	for i, b := range s.buses {
 		c.buses[i] = b.Clone()
 	}
-	for n, set := range s.busy {
-		c.busy[n] = set.Clone()
+	for i, set := range s.busy {
+		c.busy[i] = set.Clone()
 	}
 	return c
 }
@@ -109,8 +115,14 @@ func (s *State) System() *model.System { return s.sys }
 // Horizon returns the hyperperiod the schedule covers.
 func (s *State) Horizon() tm.Time { return s.horizon }
 
-// Busy returns the busy interval set of a node (do not modify).
-func (s *State) Busy(n model.NodeID) *tm.Set { return s.busy[n] }
+// Busy returns the busy interval set of a node (do not modify); nil for
+// a node the architecture lacks.
+func (s *State) Busy(n model.NodeID) *tm.Set {
+	if i := model.NodePos(s.nodes, n); i >= 0 {
+		return s.busy[i]
+	}
+	return nil
+}
 
 // NumBuses returns the number of TDMA buses of the architecture.
 func (s *State) NumBuses() int { return len(s.buses) }
@@ -216,76 +228,6 @@ func (s *State) planMsg(app model.AppID, g *model.Graph, m *model.Message, occ i
 	return arrive, nil
 }
 
-// decision is what a design decides for one process: its node and its
-// WCET there, its start hint, and the start hint of each of its
-// in-messages in jobItem.ins order (0: no hint). Besides the state before
-// a job and the job's predecessors, it is all that placing any job of the
-// process reads.
-type decision struct {
-	node      model.NodeID
-	wcet      tm.Time
-	procStart tm.Time
-	msgStart  []tm.Time
-}
-
-// design is a mapping and its hints with one move over them, read
-// without copying either: the design a transaction places.
-type design struct {
-	mapping model.Mapping
-	hints   Hints
-	mv      Move
-}
-
-// procOf returns the node and start hint d gives process p.
-func (d *design) procOf(p model.ProcID) (model.NodeID, bool, tm.Time) {
-	if d.mv.Kind == MoveProc && d.mv.Proc == p {
-		return d.mv.Node, true, d.mv.Start
-	}
-	node, ok := d.mapping[p]
-	return node, ok, d.hints.ProcStart[p]
-}
-
-// msgStart returns the start hint d gives message m.
-func (d *design) msgStart(m model.MsgID) tm.Time {
-	if d.mv.Kind == MoveMsg && d.mv.Msg == m {
-		return d.mv.Start
-	}
-	return d.hints.MsgStart[m]
-}
-
-// decide writes d's decision for the process of jb into dc, whose
-// msgStart must have room for jb's in-messages.
-func (d *design) decide(jb *jobItem, dc *decision) error {
-	p := jb.proc
-	node, ok, start := d.procOf(p.ID)
-	if !ok {
-		return fmt.Errorf("sched: process %d has no mapping", p.ID)
-	}
-	wcet, ok := p.WCET[node]
-	if !ok {
-		return fmt.Errorf("sched: process %d cannot run on node %d", p.ID, node)
-	}
-	dc.node, dc.wcet, dc.procStart = node, wcet, start
-	for k, in := range jb.ins {
-		dc.msgStart[k] = d.msgStart(in.msg.ID)
-	}
-	return nil
-}
-
-// decides reports whether d decides the process of jb as dc records.
-func (d *design) decides(jb *jobItem, dc *decision) bool {
-	node, ok, start := d.procOf(jb.proc.ID)
-	if !ok || node != dc.node || start != dc.procStart {
-		return false
-	}
-	for k, in := range jb.ins {
-		if d.msgStart(in.msg.ID) != dc.msgStart[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // placeJob is the placing half of scheduleJob: it routes and reserves
 // the inter-node messages feeding job jb on dc's node (messages are
 // scheduled when their consumer is placed, because only then are both
@@ -314,10 +256,10 @@ func (s *State) placeJob(app *model.Application, jb *jobItem, callStart int, dc 
 	}
 
 	earliest := tm.Max(dataReady, release+dc.procStart)
-	start, ok := s.busy[dc.node].FirstFit(earliest, dc.wcet, deadline)
+	start, ok := s.busy[dc.ni].FirstFit(earliest, dc.wcet, deadline)
 	if !ok && earliest > dataReady {
 		// Hints are preferences: ignore one rather than fail the design.
-		start, ok = s.busy[dc.node].FirstFit(dataReady, dc.wcet, deadline)
+		start, ok = s.busy[dc.ni].FirstFit(dataReady, dc.wcet, deadline)
 	}
 	if !ok {
 		return 0, fmt.Errorf("sched: process %d occ %d does not fit on node %d before deadline %v",
@@ -336,7 +278,7 @@ func (s *State) scheduleJob(app *model.Application, jb *jobItem, callStart int, 
 		return err
 	}
 	iv := tm.Iv(start, start+dc.wcet)
-	if err := s.busy[dc.node].Insert(iv); err != nil {
+	if err := s.busy[dc.ni].Insert(iv); err != nil {
 		return fmt.Errorf("sched: internal: %w", err)
 	}
 	s.stats.JobsPlaced.Inc()
@@ -345,7 +287,7 @@ func (s *State) scheduleJob(app *model.Application, jb *jobItem, callStart int, 
 		Node: dc.node, Start: start, End: iv.End,
 	})
 	if t := s.tx(); t != nil {
-		t.addEntry(dc.node)
+		t.addEntry(dc.ni)
 	}
 	return nil
 }
@@ -355,17 +297,25 @@ func (s *State) scheduleJob(app *model.Application, jb *jobItem, callStart int, 
 // decreasing partial-critical-path priority (which respects precedence).
 // On failure it undoes its own partial placement, so a failed call
 // leaves the state exactly as it was. It builds the application's job
-// order on every call; Txn.Apply and Txn.Replace run the same placement
-// loop with the order kept on the transaction.
+// order and converts (mapping, hints) into a Design over it on every
+// call, then places that like ScheduleDesign.
 func (s *State) ScheduleApp(app *model.Application, mapping model.Mapping, hints Hints) error {
-	s.stats.ScheduleCalls.Inc()
 	ord, err := s.orderJobs(app)
 	if err != nil {
 		return err
 	}
+	return s.ScheduleDesign(ord.Design(mapping, hints))
+}
+
+// ScheduleDesign schedules d's application into the state as d decides,
+// over d's job order: ScheduleApp without building an order. On failure
+// the state is left exactly as it was.
+func (s *State) ScheduleDesign(d *Design) error {
+	s.stats.ScheduleCalls.Inc()
 	var pl placement
-	pl.start(ord, s.mark())
-	if err := s.place(&pl, 0, &design{mapping: mapping, hints: hints}); err != nil {
+	pl.start(d.ord, s.mark())
+	c := d.over(Move{})
+	if err := s.place(&pl, 0, &c); err != nil {
 		s.undo(pl.marks[0])
 		return err
 	}
@@ -379,27 +329,27 @@ func (s *State) ScheduleApp(app *model.Application, mapping model.Mapping, hints
 // (Txn.Replace): every job before the first of them reads the same state,
 // the same decision and the same predecessors, so it lands where it is.
 type placement struct {
-	ord *jobOrder
+	ord *Order
 	// marks[i] is the savepoint before job i, and marks[0] where the
 	// placement starts; the first len(marks)-1 jobs are placed.
 	marks []savepoint
-	// decs holds, at each process's first job, the process's decision
-	// (every job of a process decides like its first); hints backs their
-	// msgStart slices.
+	// decs holds each process's decision by process position (every job
+	// of a process decides like its first); hints backs their msgStart
+	// slices by message position.
 	decs  []decision
 	hints []tm.Time
 }
 
 // start makes pl an empty placement of ord at savepoint sp, sizing the
 // decision record for ord unless it already is.
-func (pl *placement) start(ord *jobOrder, sp savepoint) {
+func (pl *placement) start(ord *Order, sp savepoint) {
 	if pl.ord != ord {
 		pl.ord = ord
 		pl.marks = make([]savepoint, 0, len(ord.jobs)+1)
-		pl.decs = make([]decision, len(ord.jobs))
-		pl.hints = make([]tm.Time, ord.nHints)
-		for i := range ord.jobs {
-			jb := &ord.jobs[i]
+		pl.decs = make([]decision, len(ord.procs))
+		pl.hints = make([]tm.Time, len(ord.msgs))
+		for i, j := range ord.procJob {
+			jb := &ord.jobs[j]
 			pl.decs[i].msgStart = pl.hints[jb.hints : jb.hints+len(jb.ins)]
 		}
 	}
@@ -407,37 +357,44 @@ func (pl *placement) start(ord *jobOrder, sp savepoint) {
 }
 
 // diverge returns the position of the first placed job at or after from
-// that d decides differently from its record, or the number of placed
-// jobs when there is none. The caller vouches that d decides every job
+// that c decides differently from its record, or the number of placed
+// jobs when there is none. The caller vouches that c decides every job
 // before from as recorded. A job decides like its process's first job,
-// so only first jobs are compared.
-func (pl *placement) diverge(from int, d *design) int {
+// so only processes whose first job is at or after from are compared.
+func (pl *placement) diverge(from int, c *candidate) int {
 	placed := len(pl.marks) - 1
-	for i := from; i < placed; i++ {
-		jb := &pl.ord.jobs[i]
-		if jb.occ == 0 && !d.decides(jb, &pl.decs[i]) {
-			return i
+	if from >= placed {
+		return placed
+	}
+	o := pl.ord
+	i := o.jobs[from].pos
+	if o.jobs[from].occ > 0 {
+		i++
+	}
+	for ; i < len(o.procs) && o.procJob[i] < placed; i++ {
+		if j := o.procJob[i]; !c.decides(&o.jobs[j], &pl.decs[i]) {
+			return j
 		}
 	}
 	return placed
 }
 
 // place is the one placement loop: it places the jobs of pl from
-// position from on under design d, recording each job's savepoint and
-// each process's decision. The jobs before from must be placed, decided
-// by d as recorded. Each job appends one process entry, so the
+// position from on under candidate c, recording each job's savepoint
+// and each process's decision. The jobs before from must be placed,
+// decided by c as recorded. Each job appends one process entry, so the
 // placement's jobs occupy procs from marks[0] on. On failure it undoes
 // the failing job's partial placement and returns the error; the jobs
 // before it stay placed.
-func (s *State) place(pl *placement, from int, d *design) error {
+func (s *State) place(pl *placement, from int, c *candidate) error {
 	jobs := pl.ord.jobs
 	pl.marks = pl.marks[:from+1]
 	callStart := pl.marks[0].procs
 	for i := from; i < len(jobs); i++ {
 		jb := &jobs[i]
-		dc := &pl.decs[i-jb.occ]
+		dc := &pl.decs[jb.pos]
 		if jb.occ == 0 {
-			if err := d.decide(jb, dc); err != nil {
+			if err := c.decide(jb, dc); err != nil {
 				return err
 			}
 		}
@@ -473,7 +430,11 @@ func Restrict(src *State, sys *model.System, keep func(model.AppID) bool) (*Stat
 		if !keep(e.App) {
 			continue
 		}
-		if err := st.busy[e.Node].Insert(tm.Iv(e.Start, e.End)); err != nil {
+		i := model.NodePos(st.nodes, e.Node)
+		if i < 0 {
+			return nil, fmt.Errorf("sched: restrict: process %d is on unknown node %d", e.Proc, e.Node)
+		}
+		if err := st.busy[i].Insert(tm.Iv(e.Start, e.End)); err != nil {
 			return nil, fmt.Errorf("sched: restrict: %w", err)
 		}
 		st.procs = append(st.procs, e)

@@ -13,10 +13,10 @@ import (
 // Txn is an in-place, undoable modification of a State: the
 // transactional evaluation primitive behind the engine's incremental
 // candidate path. A transaction opens with State.Begin, places
-// applications with Apply and re-places the one placed last under
-// other designs with Replace, and ends with either Commit (keep the
-// placements) or Rollback (restore the exact pre-Begin state in
-// O(delta)).
+// applications with Apply (a mapping and hints) and re-places the one
+// placed last under other designs with Replace (a Design and a Move),
+// and ends with either Commit (keep the placements) or Rollback
+// (restore the exact pre-Begin state in O(delta)).
 //
 // The state's schedule tables are the undo log. Every placement write
 // appends one entry, a process interval to procs or a message hop to
@@ -41,8 +41,9 @@ import (
 // it. A state carries at most one transaction and Begin reuses it, so
 // the steady-state cost of a cycle is allocation-free: the held
 // placement keeps the job order and the record of the application it
-// placed last, so re-placing that application under another mapping or
-// other hints builds nothing.
+// placed last, and Apply converts its mapping and hints into a Design
+// the transaction reuses, so re-placing that application under another
+// mapping or other hints builds nothing.
 //
 // The transaction also exposes the delta's footprint: which node
 // timelines gained intervals (DirtyNodes) and which TDMA slot
@@ -58,12 +59,11 @@ type Txn struct {
 	// begin is the savepoint Begin took; Rollback undoes to it.
 	begin savepoint
 
-	// dirty counts, by position in nodes (the architecture's node IDs,
-	// ascending), the process entries appended since Begin, and nDirty
-	// the nodes whose count is not 0: the nodes whose busy timeline
-	// changed. Placing a job adds one and undoing its entry takes it
-	// back, so the footprint is exact at every savepoint.
-	nodes  []model.NodeID
+	// dirty counts, by node position (the state's nodes), the process
+	// entries appended since Begin, and nDirty the nodes whose count is
+	// not 0: the nodes whose busy timeline changed. Placing a job adds
+	// one and undoing its entry takes it back, so the footprint is exact
+	// at every savepoint.
 	dirty  []int32
 	nDirty int
 
@@ -72,6 +72,9 @@ type Txn struct {
 	// scratch state, while a session keeps each version's State for the
 	// version's life.
 	held placement
+	// applied is the Design Apply converts its mapping and hints into,
+	// reused by every Apply.
+	applied Design
 }
 
 // savepoint is a position in the state's schedule tables.
@@ -89,9 +92,10 @@ func (s *State) undo(sp savepoint) {
 	t := s.tx()
 	for i := len(s.procs) - 1; i >= sp.procs; i-- {
 		e := s.procs[i]
-		s.busy[e.Node].Remove(tm.Iv(e.Start, e.End))
+		ni := model.NodePos(s.nodes, e.Node)
+		s.busy[ni].Remove(tm.Iv(e.Start, e.End))
 		if t != nil && i >= t.begin.procs {
-			t.dropEntry(e.Node)
+			t.dropEntry(ni)
 		}
 	}
 	for i := len(s.msgs) - 1; i >= sp.msgs; i-- {
@@ -117,8 +121,7 @@ func (s *State) Begin() *Txn {
 		panic("sched: Begin with a transaction already open")
 	}
 	if s.txn == nil {
-		nodes := s.sys.Arch.NodeIDs()
-		s.txn = &Txn{st: s, nodes: nodes, dirty: make([]int32, len(nodes))}
+		s.txn = &Txn{st: s, dirty: make([]int32, len(s.nodes))}
 	}
 	t := s.txn
 	t.open = true
@@ -139,7 +142,8 @@ func (s *State) tx() *Txn {
 
 // Apply schedules app into the state under the transaction, on top of
 // everything it holds: it is ScheduleApp with the job order kept on the
-// transaction, built only when app is not the application placed last.
+// transaction, built only when app is not the application placed last,
+// and (mapping, hints) converted into a Design the transaction reuses.
 // The placement becomes the held one. On error the state is as it was
 // before the call, and the transaction stays open with everything
 // applied since Begin.
@@ -149,95 +153,58 @@ func (t *Txn) Apply(app *model.Application, mapping model.Mapping, hints Hints) 
 	}
 	s := t.st
 	s.stats.ScheduleCalls.Inc()
-	if err := t.hold(app); err != nil {
-		return err
+	ord := t.held.ord
+	if ord == nil || ord.app != app {
+		var err error
+		if ord, err = s.Order(app); err != nil {
+			return err
+		}
 	}
-	if err := s.place(&t.held, 0, &design{mapping: mapping, hints: hints}); err != nil {
+	t.applied.set(ord, mapping, hints)
+	t.held.start(ord, s.mark())
+	c := t.applied.over(Move{})
+	if err := s.place(&t.held, 0, &c); err != nil {
 		s.undo(t.held.marks[0])
 		return err
 	}
 	return nil
 }
 
-// Replace re-places the held placement of app under the design
-// (mapping, hints) with mv applied over it: afterwards the state is what
-// undoing the held placement and applying that design would give. from
-// is a job position before which the caller vouches that the new design
-// decides every job as the held placement did (0 vouches for nothing;
-// see MoveJob). Replace compares the decisions from there, undoes to the
-// savepoint before the first job decided differently and places from
-// it. When the transaction holds no placement of app at the end of the
-// tables, Replace places app there from its first job, like Apply.
+// Replace re-places the held placement under design d with mv applied
+// over it: afterwards the state is what undoing the held placement and
+// scheduling that design would give. from is a job position before which
+// the caller vouches that the new design decides every job as the held
+// placement did (0 vouches for nothing; see Order.MoveJob). Replace
+// compares the decisions from there, undoes to the savepoint before the
+// first job decided differently and places from it. When the transaction
+// holds no placement over d's order at the end of the tables, Replace
+// places d there from its first job, like Apply.
 //
 // On error the jobs before the one that failed stay placed and held, so
 // the next Replace re-places from at most that job; the transaction
 // stays open.
-func (t *Txn) Replace(app *model.Application, from int, mapping model.Mapping, hints Hints, mv Move) error {
+func (t *Txn) Replace(from int, d *Design, mv Move) error {
 	if !t.open {
 		panic("sched: Replace on a closed transaction")
 	}
 	s := t.st
 	s.stats.ScheduleCalls.Inc()
 	pl := &t.held
-	if !t.holds(app) {
-		if err := t.hold(app); err != nil {
-			return err
-		}
+	if !t.holds(d.ord) {
+		pl.start(d.ord, s.mark())
 		from = 0
 	}
-	d := design{mapping: mapping, hints: hints, mv: mv}
-	from = pl.diverge(from, &d)
+	c := d.over(mv)
+	from = pl.diverge(from, &c)
 	s.undo(pl.marks[from])
-	return s.place(pl, from, &d)
+	return s.place(pl, from, &c)
 }
 
-// MoveJob returns the order position of the first job of the held
-// application that mv reaches: the moved process's first job, or the
-// first job of the moved message's consumer. It returns the number of
-// jobs for the zero move or an ID the application lacks, and 0 when no
-// application is held. A design that differs from the held one by moves
-// decides alike every job before the least of their positions, which
-// is what a caller of Replace vouches for with from.
-func (t *Txn) MoveJob(mv Move) int {
-	ord := t.held.ord
-	if ord == nil {
-		return 0
-	}
-	var i int
-	ok := false
-	switch mv.Kind {
-	case MoveProc:
-		i, ok = ord.procJob[mv.Proc]
-	case MoveMsg:
-		i, ok = ord.msgJob[mv.Msg]
-	}
-	if !ok {
-		return len(ord.jobs)
-	}
-	return i
-}
-
-// holds reports whether the held placement is one of app that ends where
-// the tables end: the placement Replace re-places.
-func (t *Txn) holds(app *model.Application) bool {
+// holds reports whether the held placement is one over ord that ends
+// where the tables end: the placement Replace re-places.
+func (t *Txn) holds(ord *Order) bool {
 	m := t.held.marks
-	return t.held.ord != nil && t.held.ord.app == app && len(m) > 0 && m[len(m)-1] == t.st.mark()
-}
-
-// hold makes the held placement an empty placement of app at the end of
-// the tables, building app's job order unless app is the application
-// placed last.
-func (t *Txn) hold(app *model.Application) error {
-	ord := t.held.ord
-	if ord == nil || ord.app != app {
-		var err error
-		if ord, err = t.st.orderJobs(app); err != nil {
-			return err
-		}
-		ord.indexMsgs()
-	}
-	t.held.start(ord, t.st.mark())
-	return nil
+	return t.held.ord == ord && len(m) > 0 && m[len(m)-1] == t.st.mark()
 }
 
 // Commit keeps every applied placement and closes the transaction.
@@ -261,30 +228,16 @@ func (t *Txn) Rollback() {
 	t.open = false
 }
 
-// nodeAt returns n's position in t.nodes, -1 when n is not a node. Node
-// IDs are usually 0..N-1, where the position is the ID.
-func (t *Txn) nodeAt(n model.NodeID) int {
-	if i := int(n); i >= 0 && i < len(t.nodes) && t.nodes[i] == n {
-		return i
-	}
-	if i, ok := slices.BinarySearch(t.nodes, n); ok {
-		return i
-	}
-	return -1
-}
-
-// addEntry counts one more process entry on node n.
-func (t *Txn) addEntry(n model.NodeID) {
-	i := t.nodeAt(n)
+// addEntry counts one more process entry on the node at position i.
+func (t *Txn) addEntry(i int) {
 	if t.dirty[i] == 0 {
 		t.nDirty++
 	}
 	t.dirty[i]++
 }
 
-// dropEntry counts one process entry on node n less.
-func (t *Txn) dropEntry(n model.NodeID) {
-	i := t.nodeAt(n)
+// dropEntry counts one process entry on the node at position i less.
+func (t *Txn) dropEntry(i int) {
 	t.dirty[i]--
 	if t.dirty[i] == 0 {
 		t.nDirty--
@@ -293,7 +246,7 @@ func (t *Txn) dropEntry(n model.NodeID) {
 
 // DirtyNode reports whether the transaction changed node n's timeline.
 func (t *Txn) DirtyNode(n model.NodeID) bool {
-	i := t.nodeAt(n)
+	i := model.NodePos(t.st.nodes, n)
 	return i >= 0 && t.dirty[i] > 0
 }
 
@@ -304,7 +257,7 @@ func (t *Txn) DirtyNodeCount() int { return t.nDirty }
 // DirtyNodes returns the changed nodes in ascending order.
 func (t *Txn) DirtyNodes() []model.NodeID {
 	out := make([]model.NodeID, 0, t.nDirty)
-	for i, n := range t.nodes {
+	for i, n := range t.st.nodes {
 		if t.dirty[i] > 0 {
 			out = append(out, n)
 		}
@@ -333,9 +286,9 @@ func (t *Txn) BusDeltas() []MsgEntry { return t.st.msgs[t.begin.msgs:] }
 func (s *State) Fingerprint() []byte {
 	b := make([]byte, 0, 160*(len(s.procs)+len(s.msgs))+256)
 	b = appendInts(b, "horizon=%\n", int64(s.horizon))
-	for _, n := range s.sys.Arch.NodeIDs() {
+	for k, n := range s.nodes {
 		b = appendInts(b, "busy[%]=[", int64(n))
-		for i, iv := range s.busy[n].Intervals() {
+		for i, iv := range s.busy[k].Intervals() {
 			if i > 0 {
 				b = append(b, ' ')
 			}

@@ -76,11 +76,13 @@ func fuzzMove(rng *rand.Rand, app *model.Application) sched.Move {
 // reference renderer's bytes.
 //
 // A re-place changes the design the transaction placed last by two
-// random moves, one applied to the mapping and hints and one passed
-// over them, and re-places from a random job no later than the first
-// job either move reaches (from job 0 when nothing is held). When it
-// succeeds the state must equal a clone of the state before the held
-// placement with the new design applied by ScheduleApp; when it fails,
+// random moves, one applied to the dense design (Design.With) and one
+// passed over it, and re-places from a random job no later than the
+// first job either move reaches (from job 0 when nothing is held). The
+// design is a vector over the held placement's job order, or over one
+// built for the test when nothing was placed yet. When it succeeds the
+// state must equal a clone of the state before the held placement with
+// the new design, as maps, applied by ScheduleApp; when it fails,
 // ScheduleApp must fail too.
 //
 // Op codes, one byte each (the next byte is the op's argument):
@@ -106,6 +108,10 @@ func FuzzTxnUndo(f *testing.F) {
 	f.Add([]byte{4, 9, 1, 0, 4, 10, 4, 11, 1, 0, 4, 12, 2, 0, 2, 1, 0, 13, 4, 14, 4, 15})
 
 	app := tc.Current
+	appOrder, err := tc.Base.Order(app)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -156,9 +162,13 @@ func FuzzTxnUndo(f *testing.F) {
 				txn = st.Begin()
 			case 4:
 				rng := rand.New(rand.NewSource(int64(arg)))
+				ord := txn.HeldOrder()
+				if ord == nil {
+					ord = appOrder
+				}
 				want := st.Clone()
 				from := 0
-				start, held := txn.HeldStart(app)
+				start, held := txn.HeldStart(ord)
 				if held {
 					want.UndoTo(start)
 				} else {
@@ -166,15 +176,14 @@ func FuzzTxnUndo(f *testing.F) {
 				}
 				mv1, mv2 := fuzzMove(rng, app), fuzzMove(rng, app)
 				if held {
-					from = rng.Intn(min(txn.MoveJob(mv1), txn.MoveJob(mv2)) + 1)
+					from = rng.Intn(min(ord.MoveJob(mv1), ord.MoveJob(mv2)) + 1)
 					// The undo reaches no savepoint at or before the job.
 					for len(marks) > 0 && marks[len(marks)-1].sp.Procs() > start.Procs()+from {
 						marks = marks[:len(marks)-1]
 					}
 				}
-				m, h := mv1.Apply(heldMapping, heldHints)
-				err := txn.Replace(app, from, m, h, mv2)
-				heldMapping, heldHints = mv2.Apply(m, h)
+				err := txn.Replace(from, ord.Design(heldMapping, heldHints).With(mv1), mv2)
+				heldMapping, heldHints = mv2.Apply(mv1.Apply(heldMapping, heldHints))
 				wantErr := want.ScheduleApp(app, heldMapping, heldHints)
 				if (err == nil) != (wantErr == nil) {
 					t.Fatalf("op %d: re-place error %v, applying the design afresh: %v", i/2, err, wantErr)

@@ -50,9 +50,9 @@ func Lengths(ivs []tm.Interval) []int64 {
 
 // WindowSlack splits [0, horizon) into consecutive windows of length tmin
 // (only full windows count) and returns the total idle time per window
-// given a node's idle intervals. The paper's second criterion needs the
-// minimum of these: slack must be available *periodically*, not just in
-// total.
+// given a node's idle intervals, sorted and disjoint as tm.Set.Gaps
+// returns them. The paper's second criterion needs the minimum of these:
+// slack must be available *periodically*, not just in total.
 func WindowSlack(idle []tm.Interval, tmin, horizon tm.Time) []tm.Time {
 	return WindowSlackInto(nil, idle, tmin, horizon)
 }
@@ -61,6 +61,14 @@ func WindowSlack(idle []tm.Interval, tmin, horizon tm.Time) []tm.Time {
 // the allocation-reusing form for callers that recompute per-window
 // slack once per candidate evaluation. The computed values are identical
 // to WindowSlack's.
+//
+// idle must be sorted by start and disjoint, as tm.Set.Gaps returns it.
+// The windows and the intervals are then merged in one pass, O(windows +
+// len(idle)) with no division: the sweep steps from window to window and
+// adds each interval's overlap with every window it reaches, and the
+// first interval starting past the last full window ends it. A horizon
+// shorter than tmin is one window, clipped to the horizon; time past the
+// last full window counts nowhere.
 func WindowSlackInto(dst []tm.Time, idle []tm.Interval, tmin, horizon tm.Time) []tm.Time {
 	n := int(horizon / tmin)
 	if n == 0 {
@@ -72,13 +80,24 @@ func WindowSlackInto(dst []tm.Time, idle []tm.Interval, tmin, horizon tm.Time) [
 		dst = make([]tm.Time, n)
 	}
 	dst = dst[:n]
-	for w := 0; w < n; w++ {
-		win := tm.Iv(tm.Time(w)*tmin, tm.Time(w+1)*tmin)
-		var total tm.Time
-		for _, iv := range idle {
-			total += iv.Intersect(win).Len()
+	clear(dst)
+	end := tm.Time(n) * tmin
+	w, wEnd := 0, tmin // the sweep's window and where it ends
+	for _, iv := range idle {
+		if iv.Start >= end {
+			break
 		}
-		dst[w] = total
+		s, e := max(iv.Start, 0), min(iv.End, end)
+		for s < e {
+			if s >= wEnd {
+				w++
+				wEnd += tmin
+				continue
+			}
+			next := min(e, wEnd)
+			dst[w] += next - s
+			s = next
+		}
 	}
 	return dst
 }
