@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -20,7 +21,8 @@ import (
 // Strategies receive one engine per Solve call and perform every
 // candidate evaluation through it, which is what makes them parallel,
 // cancellable, and observable without owning any of that logic
-// themselves.
+// themselves. A built-in strategy run places its own designs on one
+// incumbent (initial), which becomes the solution's state.
 //
 // An Engine is safe for concurrent use by the workers it spawns. Results
 // are deterministic by construction: evaluation is a pure function of
@@ -32,8 +34,8 @@ type Engine struct {
 	parallelism int
 
 	// jobs is the Solve's one job order of the current application,
-	// which every Design is a vector over: built on first use (AH needs
-	// none), read-only after, and shared by a portfolio's lanes.
+	// which every Design is a vector over: built on first use, read-only
+	// after, and shared by a portfolio's lanes.
 	jobs *jobOrder
 
 	// opts is the resolved Options of the owning Solve call, kept so
@@ -211,17 +213,46 @@ func (e *Engine) Evaluate(d *Design, mv sched.Move) (rep metrics.Report, ok bool
 	return rep, ok
 }
 
-// Materialize rebuilds the full schedule state of a design alternative
-// that Evaluate found feasible, placing it over the Solve's job order on
-// a fresh clone of the base. Strategies call it once per accepted move,
-// so the fan-out path never has to retain candidate states. It does not
-// score the state: Evaluate's report for the alternative is its score.
-func (e *Engine) Materialize(d *Design) (*sched.State, error) {
-	st := e.p.Base.Clone()
-	if err := st.ScheduleDesign(d); err != nil {
-		return nil, err
+// incumbent is a strategy run's one placed design d, scored rep: a clone
+// of the base, instrumented like the base, with a transaction open that
+// holds d's placement and re-places each design the run accepts.
+type incumbent struct {
+	st  *sched.State
+	txn *sched.Txn
+	d   *Design
+	rep metrics.Report
+}
+
+// initial returns a run's incumbent at the initial mapping IM with
+// hints, over the Solve's job order, scored like every candidate. It
+// counts as one evaluation.
+func (e *Engine) initial(hints sched.Hints) (*incumbent, error) {
+	seed, err := e.NewDesign(nil, hints)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnschedulable, err)
 	}
-	return st, nil
+	in := &incumbent{st: e.p.Base.Clone()}
+	in.txn = in.st.Begin()
+	if in.d, err = in.txn.Map(seed); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnschedulable, err)
+	}
+	e.count(1)
+	in.rep, _ = e.baseline.Evaluator().EvaluateTxn(in.st, in.txn)
+	return in, nil
+}
+
+// solution commits the incumbent's transaction, so its state keeps no
+// placement record, and returns the incumbent as strategy's solution.
+func (in *incumbent) solution(strategy string, interrupted bool) *Solution {
+	in.txn.Commit()
+	return &Solution{
+		Strategy:    strategy,
+		Mapping:     in.d.Mapping(),
+		Hints:       in.d.Hints(),
+		State:       in.st,
+		Report:      in.rep,
+		Interrupted: interrupted,
+	}
 }
 
 // ForEach runs fn(0..n-1) across the engine's worker pool and returns

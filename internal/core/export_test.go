@@ -60,3 +60,14 @@ func Neighbor(rng *rand.Rand, p *Problem, mapping model.Mapping, hints sched.Hin
 	d = d.With(mv)
 	return d.Mapping(), d.Hints(), true
 }
+
+// initial runs the initial mapping IM on a clone of the base, as a
+// strategy run's incumbent starts, and returns its mapping and state.
+func (p *Problem) initial(hints sched.Hints) (model.Mapping, *sched.State, error) {
+	st := p.Base.Clone()
+	mapping, err := st.MapApp(p.Current, hints)
+	if err != nil {
+		return nil, nil, err
+	}
+	return mapping, st, nil
+}

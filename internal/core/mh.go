@@ -153,18 +153,12 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	p := eng.Problem()
 	o := s.opts.normalized()
 
-	mapping, st, err := p.initial(o.SeedHints)
+	in, err := eng.initial(o.SeedHints)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := eng.NewDesign(mapping, o.SeedHints)
-	if err != nil {
-		return nil, err
-	}
-	eng.count(1)
-	report := metrics.Evaluate(st, p.Profile, p.Weights)
 	ix := model.NewIndex(p.Current)
-	eng.tracer.Trace(obs.TraceEvent{Kind: "init", Strategy: "MH", Cost: report.Objective})
+	eng.tracer.Trace(obs.TraceEvent{Kind: "init", Strategy: "MH", Cost: in.rep.Objective})
 
 	// better reports whether a is a strict improvement over b: lower
 	// objective, or — when several bottleneck windows tie and the
@@ -185,7 +179,8 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 			interrupted, stop = true, "cancelled"
 			break
 		}
-		moves := s.enumerate(eng, ix, st, cur, o)
+		cur := in.d
+		moves := s.enumerate(eng, ix, in.st, cur, o)
 
 		type outcome struct {
 			report metrics.Report
@@ -218,7 +213,7 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 			if !r.ok {
 				continue // infeasible: requirement (a) rules it out
 			}
-			ref := report
+			ref := in.rep
 			if bestIdx >= 0 {
 				ref = bestRep
 			}
@@ -230,24 +225,16 @@ func (s mhStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 			stop = "local-optimum" // no examined transformation improves C
 			break
 		}
-		cur, report = cur.With(moves[bestIdx]), bestRep
-		st, err = eng.Materialize(cur)
-		if err != nil {
+		mv := moves[bestIdx]
+		if err := in.txn.Replace(cur.Order().MoveJob(mv), cur, mv); err != nil {
 			return nil, fmt.Errorf("core: internal: winning alternative failed to re-schedule: %w", err)
 		}
-		eng.tracer.Trace(obs.TraceEvent{Kind: "move", Iter: iter + 1, Index: bestIdx, Cost: report.Objective})
+		in.d, in.rep = cur.With(mv), bestRep
+		eng.tracer.Trace(obs.TraceEvent{Kind: "move", Iter: iter + 1, Index: bestIdx, Cost: in.rep.Objective})
 	}
 	eng.tracer.Trace(obs.TraceEvent{Kind: "stop", Strategy: "MH", Note: stop})
-	eng.tracer.Trace(obs.TraceEvent{Kind: "decision", Strategy: "MH", Cost: report.Objective})
-
-	return &Solution{
-		Strategy:    "MH",
-		Mapping:     cur.Mapping(),
-		Hints:       cur.Hints(),
-		State:       st,
-		Report:      report,
-		Interrupted: interrupted,
-	}, nil
+	eng.tracer.Trace(obs.TraceEvent{Kind: "decision", Strategy: "MH", Cost: in.rep.Objective})
+	return in.solution("MH", interrupted), nil
 }
 
 // targetNodes selects the processors worth trying for a candidate

@@ -110,17 +110,6 @@ type Solution struct {
 // Objective returns the solution's objective value C.
 func (s *Solution) Objective() float64 { return s.Report.Objective }
 
-// initial runs the Heterogeneous Critical Path initial mapping (IM) and
-// returns the resulting design decisions and state.
-func (p *Problem) initial(hints sched.Hints) (model.Mapping, *sched.State, error) {
-	st := p.Base.Clone()
-	mapping, err := st.MapApp(p.Current, hints)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrUnschedulable, err)
-	}
-	return mapping, st, nil
-}
-
 // ahStrategy is the AH baseline: construct the initial mapping and stop.
 // It optimizes the current application's finish times and ignores the
 // future.
@@ -132,20 +121,11 @@ func (ahStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p := eng.Problem()
-	mapping, st, err := p.initial(sched.Hints{})
+	in, err := eng.initial(sched.Hints{})
 	if err != nil {
 		return nil, err
 	}
-	eng.count(1)
-	rep := metrics.Evaluate(st, p.Profile, p.Weights)
-	eng.tracer.Trace(obs.TraceEvent{Kind: "init", Strategy: "AH", Cost: rep.Objective})
-	eng.tracer.Trace(obs.TraceEvent{Kind: "decision", Strategy: "AH", Cost: rep.Objective})
-	return &Solution{
-		Strategy: "AH",
-		Mapping:  mapping,
-		Hints:    sched.Hints{},
-		State:    st,
-		Report:   rep,
-	}, nil
+	eng.tracer.Trace(obs.TraceEvent{Kind: "init", Strategy: "AH", Cost: in.rep.Objective})
+	eng.tracer.Trace(obs.TraceEvent{Kind: "decision", Strategy: "AH", Cost: in.rep.Objective})
+	return in.solution("AH", false), nil
 }

@@ -110,8 +110,6 @@ type chainResult struct {
 	interrupted bool
 	best        *Design
 	report      metrics.Report
-	state       *sched.State
-	err         error
 	// events buffers the chain's trace events; Run flushes the buffers
 	// in chain-index order after the parallel fan-out has joined, so the
 	// trace is identical at every parallelism level.
@@ -122,12 +120,10 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	p := eng.Problem()
 	o := s.opts.normalized(p.Current.NumProcs())
 
-	mapping0, st0, err := p.initial(sched.Hints{})
+	in, err := eng.initial(sched.Hints{})
 	if err != nil {
 		return nil, err
 	}
-	eng.count(1)
-	report0 := metrics.Evaluate(st0, p.Profile, p.Weights)
 
 	// Collect the movable objects once; chains share them read-only.
 	ix := model.NewIndex(p.Current)
@@ -138,15 +134,11 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 		msgs = append(msgs, g.Msgs...)
 	}
 
-	eng.tracer.Trace(obs.TraceEvent{Kind: "init", Strategy: "SA", Cost: report0.Objective})
+	eng.tracer.Trace(obs.TraceEvent{Kind: "init", Strategy: "SA", Cost: in.rep.Objective})
 
-	initial, err := eng.NewDesign(mapping0, sched.Hints{})
-	if err != nil {
-		return nil, err
-	}
 	chains := make([]chainResult, o.Restarts)
 	eng.ForEach(ctx, o.Restarts, func(c int) {
-		chains[c] = s.runChain(ctx, eng, c, o, ix, procs, msgs, initial, report0, st0)
+		chains[c] = s.runChain(ctx, eng, c, o, ix, procs, msgs, in.d, in.rep)
 	})
 
 	// Reduce by the chain rule (see Reduce). The chains' buffered trace
@@ -161,30 +153,25 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 			outs[c].Err = ctx.Err()
 			continue
 		}
-		outs[c] = Outcome{Objective: chains[c].report.Objective, Interrupted: chains[c].interrupted, Err: chains[c].err}
+		outs[c] = Outcome{Objective: chains[c].report.Objective, Interrupted: chains[c].interrupted}
 	}
 	best, sum := reduceChains(outs)
-	if sum.Err != nil && !isCtxErr(sum.Err) {
-		return nil, sum.Err
-	}
 	if best < 0 {
 		// Cancelled before any chain started: the initial mapping is the
 		// best design seen.
-		return &Solution{
-			Strategy: "SA", Mapping: mapping0, Hints: sched.Hints{},
-			State: st0, Report: report0, Interrupted: true,
-		}, nil
+		return in.solution("SA", true), nil
 	}
 	win := chains[best]
 	eng.tracer.Trace(obs.TraceEvent{Kind: "decision", Strategy: "SA", Chain: best, Cost: win.report.Objective})
-	return &Solution{
-		Strategy:    "SA",
-		Mapping:     win.best.Mapping(),
-		Hints:       win.best.Hints(),
-		State:       win.state,
-		Report:      win.report,
-		Interrupted: sum.Interrupted || ctx.Err() != nil,
-	}, nil
+	if win.best != in.d {
+		// The one placement after the chains: from the winner's first job
+		// that the initial mapping decides differently.
+		if err := in.txn.Replace(0, win.best, sched.Move{}); err != nil {
+			return nil, fmt.Errorf("core: internal: chain %d best failed to re-schedule: %w", best, err)
+		}
+		in.d, in.rep = win.best, win.report
+	}
+	return in.solution("SA", sum.Interrupted || ctx.Err() != nil), nil
 }
 
 // runChain executes one annealing chain. The walk reproduces the
@@ -197,7 +184,7 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 // move replaces.
 func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOptions,
 	ix *model.Index, procs []*model.Process, msgs []*model.Message,
-	initial *Design, report0 metrics.Report, st0 *sched.State) chainResult {
+	initial *Design, report0 metrics.Report) chainResult {
 
 	p := eng.Problem()
 	rng := rand.New(rand.NewSource(chainSeed(o.Seed, o.ChainOffset+c)))
@@ -208,7 +195,6 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 		best:   initial,
 		report: report0,
 	}
-	improved := false
 	tracing := eng.Tracing()
 
 	curObj := report0.Objective
@@ -234,7 +220,6 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 			if rep2.Objective < res.report.Objective {
 				res.best = cur
 				res.report = rep2
-				improved = true
 				if tracing {
 					res.events = append(res.events, obs.TraceEvent{
 						Kind: "sa.best", Chain: c, Iter: i + 1, Cost: rep2.Objective,
@@ -252,16 +237,6 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 		}
 	}
 
-	if !improved {
-		res.state = st0
-	} else {
-		st, err := eng.Materialize(res.best)
-		if err != nil {
-			res.err = fmt.Errorf("core: internal: chain %d best failed to re-schedule: %w", c, err)
-			return res
-		}
-		res.state = st
-	}
 	if tracing {
 		res.events = append(res.events, obs.TraceEvent{
 			Kind: "sa.chain", Chain: c, Cost: res.report.Objective,

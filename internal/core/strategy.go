@@ -14,8 +14,9 @@ import (
 // Strategy is one mapping strategy, runnable through Solve. The built-in
 // strategies are AH, MH and SA (optionally configured via MHWith and
 // SAWith); custom strategies can be implemented on top of the Engine's
-// NewDesign/Evaluate/Materialize/ForEach primitives and inherit parallel
-// evaluation, cancellation and observability for free.
+// NewDesign/Evaluate/ForEach primitives, placing the design they choose
+// on a clone of the problem's base for Solution.State, and inherit
+// parallel evaluation, cancellation and observability for free.
 type Strategy interface {
 	// Name is the short tag recorded in Solution.Strategy.
 	Name() string

@@ -52,7 +52,7 @@ const (
 	GagSolveCacheEntries  = "cache.entries"        // gauge: solutions resident in the cache
 
 	// Static cyclic scheduler (internal/sched).
-	CtrSchedCalls = "sched.schedule_calls" // ScheduleApp invocations
+	CtrSchedCalls = "sched.schedule_calls" // ScheduleApp, Txn.Apply and Txn.Replace calls on instrumented states
 	CtrSchedJobs  = "sched.jobs_placed"    // process occurrences placed
 
 	// TTP bus (internal/ttp).
@@ -125,7 +125,7 @@ var catalog = []Instrument{
 	{CtrSolveCacheStores, KindCounter, "solutions stored in the cache"},
 	{CtrSolveCacheEvict, KindCounter, "solutions evicted by the LRU bound"},
 	{GagSolveCacheEntries, KindGauge, "solutions resident in the cache"},
-	{CtrSchedCalls, KindCounter, "ScheduleApp invocations"},
+	{CtrSchedCalls, KindCounter, "ScheduleApp, Txn.Apply and Txn.Replace calls on instrumented states (the engine's worker copies): one per evaluated candidate"},
 	{CtrSchedJobs, KindCounter, "process occurrences placed"},
 	{CtrTTPFindSlot, KindCounter, "FindSlot invocations"},
 	{CtrTTPProbes, KindCounter, "slot occurrences examined by FindSlot"},

@@ -79,6 +79,16 @@ func (d *Design) With(mv Move) *Design {
 	return c
 }
 
+// mapped returns d with the nodes of decs, by process position: the
+// design an initial mapping of d placed.
+func (d *Design) mapped(decs []decision) *Design {
+	c := &Design{ord: d.ord, v: slices.Clone(d.v)}
+	for i := range decs {
+		c.v[i] = tm.Time(decs[i].node)
+	}
+	return c
+}
+
 // Order returns the job order d is a vector over.
 func (d *Design) Order() *Order { return d.ord }
 
@@ -204,7 +214,7 @@ func (c *candidate) procOf(i int) (model.NodeID, tm.Time) {
 // msgStart must have room for jb's in-messages.
 func (c *candidate) decide(jb *jobItem, dc *decision) error {
 	o := c.d.ord
-	node, start := c.procOf(jb.pos)
+	node, _ := c.procOf(jb.pos)
 	if node == noNode {
 		return fmt.Errorf("sched: process %d has no mapping", jb.proc.ID)
 	}
@@ -212,12 +222,18 @@ func (c *candidate) decide(jb *jobItem, dc *decision) error {
 	if k < 0 || o.wcet[jb.pos*len(o.nodes)+k] == noWCET {
 		return fmt.Errorf("sched: process %d cannot run on node %d", jb.proc.ID, node)
 	}
-	dc.node, dc.ni, dc.wcet, dc.procStart = node, k, o.wcet[jb.pos*len(o.nodes)+k], start
+	dc.node, dc.ni, dc.wcet = node, k, o.wcet[jb.pos*len(o.nodes)+k]
+	c.hints(jb, dc)
+	return nil
+}
+
+// hints writes c's start hints for the process of jb into dc.
+func (c *candidate) hints(jb *jobItem, dc *decision) {
+	_, dc.procStart = c.procOf(jb.pos)
 	copy(dc.msgStart, c.d.msgStarts(jb.hints, len(jb.ins)))
 	if j := c.msg - jb.hints; j >= 0 && j < len(jb.ins) {
 		dc.msgStart[j] = c.start
 	}
-	return nil
 }
 
 // decides reports whether c decides the process of jb as dc records.

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -164,4 +165,47 @@ func TestMapAppDigests(t *testing.T) {
 	if len(mapAppDigests) != len(got) {
 		t.Errorf("%d pinned digests, %d computed", len(mapAppDigests), len(got))
 	}
+}
+
+// TestMapAppPlacesWhatScheduleAppPlaces pins that the initial mapping is
+// an ordinary placement of the mapping it returns: on TestMapAppDigests'
+// generated configurations, one bus and three clusters, with 20 and 80
+// current processes, with and without spreadHints, the state after a
+// successful MapApp has the fingerprint of ScheduleApp with the returned
+// mapping and the same hints.
+func TestMapAppPlacesWhatScheduleAppPlaces(t *testing.T) {
+	multi := quickConfig()
+	multi.Clusters = 3
+	multi.GatewaysPerLink = 1
+	multi.InterClusterFrac = 0.2
+	feasible, cases := 0, 0
+	for _, cfg := range []gen.Config{gen.Default(), multi} {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, current := range []int{20, 80} {
+				tc, err := gen.MakeTestCase(cfg, seed, 100, current)
+				if err != nil {
+					t.Fatalf("%d buses, seed %d, %d current: %v", cfg.Clusters, seed, current, err)
+				}
+				for _, hints := range []sched.Hints{{}, spreadHints(tc.Current)} {
+					cases++
+					got := tc.Base.Clone()
+					mapping, err := got.MapApp(tc.Current, hints)
+					if err != nil {
+						continue
+					}
+					feasible++
+					want := tc.Base.Clone()
+					if err := want.ScheduleApp(tc.Current, mapping, hints); err != nil {
+						t.Errorf("%d buses, seed %d, %d current: ScheduleApp of MapApp's mapping: %v", cfg.Clusters, seed, current, err)
+					} else if !bytes.Equal(got.Fingerprint(), want.Fingerprint()) {
+						t.Errorf("%d buses, seed %d, %d current: MapApp placed other than ScheduleApp with its mapping", cfg.Clusters, seed, current)
+					}
+				}
+			}
+		}
+	}
+	if feasible == 0 {
+		t.Fatalf("none of %d cases mapped; the test proves nothing", cases)
+	}
+	t.Logf("%d of %d cases mapped", feasible, cases)
 }

@@ -25,61 +25,34 @@ func (s *State) MapApp(app *model.Application, hints Hints) (model.Mapping, erro
 	if err != nil {
 		return nil, err
 	}
-	jobs := ord.jobs
-	sp := s.mark()
-	mapping := make(model.Mapping, len(ord.procs))
-	n := len(ord.nodes)
-	var msgStart []tm.Time
-	for pos, p := range ord.procs {
-		// The job list keeps all occurrences of a process adjacent, after
-		// every job of its predecessors.
-		end := len(jobs)
-		if pos+1 < len(ord.procs) {
-			end = ord.procJob[pos+1]
-		}
-		run := jobs[ord.procJob[pos]:end]
-		dc := decision{procStart: hints.ProcStart[p.ID], msgStart: msgStart[:0]}
-		for _, in := range run[0].ins {
-			dc.msgStart = append(dc.msgStart, hints.MsgStart[in.msg.ID])
-		}
-		msgStart = dc.msgStart
-		if !s.bestNode(app, run, sp.procs, ord.wcet[pos*n:(pos+1)*n], &dc) {
-			s.undo(sp)
-			return nil, fmt.Errorf("sched: process %d fits on no allowed node (all %d occurrences considered)",
-				p.ID, len(run))
-		}
-		mapping[p.ID] = dc.node
-		// Occurrences of one process use disjoint time windows on every
-		// node and bus (model.Validate keeps each deadline within its
-		// period), so placing one cannot change where another fits: a
-		// run whose trials all passed always places.
-		for k := range run {
-			if err := s.scheduleJob(app, &run[k], sp.procs, &dc); err != nil {
-				s.undo(sp)
-				return nil, fmt.Errorf("sched: internal: process %d occ %d failed on node %d after its trial fit: %w",
-					run[k].proc.ID, run[k].occ, dc.node, err)
-			}
-		}
+	seed := ord.Design(nil, hints)
+	var pl placement
+	if err := s.placeAll(&pl, seed, true); err != nil {
+		return nil, err
 	}
-	return mapping, nil
+	return seed.mapped(pl.decs).Mapping(), nil
 }
 
-// bestNode tries every allowed node against every occurrence of the
-// process in run and sets dc's node (and WCET) to the node with the
-// earliest first-occurrence finish among those where every occurrence
-// fits, reporting whether there is one. wcet is the process's WCET row
-// in its order, by node position: the allowed nodes are tried in
-// ascending ID order, so ties go to the lowest node ID. dc carries the
-// process's hints. Each trial runs the placing half of scheduleJob and
-// undoes it to a savepoint, so every occurrence is tried against the
-// state before the run and nothing is counted as placed. callStart is
-// where MapApp's jobs begin in procs.
-func (s *State) bestNode(app *model.Application, run []jobItem, callStart int, wcet []tm.Time, dc *decision) bool {
+// bestNode is the initial mapping's decision for the process whose first
+// job is job i of o: it tries every allowed node (ascending, so ties go
+// to the lowest ID) against every occurrence and sets dc's node and WCET
+// to the node with the earliest first-occurrence finish among those
+// where every occurrence fits, failing when there is none. dc carries
+// the process's hints. Each trial runs placeJob and undoes it, so every
+// occurrence is tried against the state before the process; callStart
+// is where the placement's jobs begin in procs. Occurrences of one
+// process use disjoint time windows on every node and bus (model.Validate
+// keeps each deadline within its period), so placing one cannot change
+// where another fits: a process whose trials passed always places.
+func (s *State) bestNode(o *Order, i, callStart int, dc *decision) error {
+	jb := &o.jobs[i]
+	run := o.jobs[i : i+s.Occurrences(jb.graph.Period)] // adjacent occurrences
+	n := len(o.nodes)
 	sp := s.mark()
 	best := *dc
 	bestEnd := tm.Infinity
 	found := false
-	for ni, w := range wcet {
+	for ni, w := range o.wcet[jb.pos*n : (jb.pos+1)*n] {
 		if w == noWCET {
 			continue
 		}
@@ -88,7 +61,7 @@ func (s *State) bestNode(app *model.Application, run []jobItem, callStart int, w
 		var end tm.Time
 		fits := true
 		for k := range run {
-			start, err := s.placeJob(app, &run[k], callStart, &trial)
+			start, err := s.placeJob(o.app, &run[k], callStart, &trial)
 			s.undo(sp)
 			if err != nil {
 				fits = false
@@ -102,6 +75,10 @@ func (s *State) bestNode(app *model.Application, run []jobItem, callStart int, w
 			best, bestEnd, found = trial, end, true
 		}
 	}
+	if !found {
+		return fmt.Errorf("sched: process %d fits on no allowed node (all %d occurrences considered)",
+			jb.proc.ID, len(run))
+	}
 	*dc = best
-	return found
+	return nil
 }

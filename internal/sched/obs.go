@@ -9,8 +9,10 @@ import (
 // reports into. The zero value (all nil) disables instrumentation; see
 // package obs for the "free when off" contract.
 type Stats struct {
-	// ScheduleCalls counts ScheduleApp invocations and transactional
-	// applies — one per design alternative the engine evaluates.
+	// ScheduleCalls counts ScheduleApp, Txn.Apply and Txn.Replace calls
+	// on an instrumented state. Of a Solve's states only the engine's
+	// worker copies are instrumented, so it counts one per evaluated
+	// candidate.
 	ScheduleCalls *obs.Counter
 	// JobsPlaced counts process occurrences inserted into node schedules.
 	JobsPlaced *obs.Counter

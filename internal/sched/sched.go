@@ -13,8 +13,9 @@
 // alternative, from the first job it decides differently from the one
 // placed before. The schedule tables are the undo log: a placement only
 // appends entries, so a savepoint is the two table lengths, and Replace,
-// Rollback, MapApp's node trials and a failed ScheduleApp all undo to
-// one.
+// Rollback, the initial mapping's node trials and a failed ScheduleApp
+// all undo to one. ScheduleApp, MapApp and the transaction's Apply, Map
+// and Replace place through one loop.
 package sched
 
 import (

@@ -234,7 +234,7 @@ func (s *State) planMsg(app model.AppID, g *model.Graph, m *model.Message, occ i
 // endpoints known) and returns the start time first-fit finds for the
 // process there. callStart is the procs length the running call began
 // at: a predecessor at order position k is procs[callStart+k]. It writes
-// only the bus ledger and the message entries; MapApp's trials undo
+// only the bus ledger and the message entries; bestNode's trials undo
 // those to a savepoint.
 func (s *State) placeJob(app *model.Application, jb *jobItem, callStart int, dc *decision) (tm.Time, error) {
 	g, p, occ := jb.graph, jb.proc, jb.occ
@@ -298,24 +298,23 @@ func (s *State) scheduleJob(app *model.Application, jb *jobItem, callStart int, 
 // On failure it undoes its own partial placement, so a failed call
 // leaves the state exactly as it was. It builds the application's job
 // order and converts (mapping, hints) into a Design over it on every
-// call, then places that like ScheduleDesign.
+// call.
 func (s *State) ScheduleApp(app *model.Application, mapping model.Mapping, hints Hints) error {
 	ord, err := s.orderJobs(app)
 	if err != nil {
 		return err
 	}
-	return s.ScheduleDesign(ord.Design(mapping, hints))
-}
-
-// ScheduleDesign schedules d's application into the state as d decides,
-// over d's job order: ScheduleApp without building an order. On failure
-// the state is left exactly as it was.
-func (s *State) ScheduleDesign(d *Design) error {
 	s.stats.ScheduleCalls.Inc()
 	var pl placement
+	return s.placeAll(&pl, ord.Design(mapping, hints), false)
+}
+
+// placeAll places d's application at the end of the tables into pl, as
+// place does from job 0. On failure it undoes the whole placement.
+func (s *State) placeAll(pl *placement, d *Design, mapInit bool) error {
 	pl.start(d.ord, s.mark())
 	c := d.over(Move{})
-	if err := s.place(&pl, 0, &c); err != nil {
+	if err := s.place(pl, 0, &c, mapInit); err != nil {
 		s.undo(pl.marks[0])
 		return err
 	}
@@ -381,12 +380,13 @@ func (pl *placement) diverge(from int, c *candidate) int {
 
 // place is the one placement loop: it places the jobs of pl from
 // position from on under candidate c, recording each job's savepoint
-// and each process's decision. The jobs before from must be placed,
-// decided by c as recorded. Each job appends one process entry, so the
-// placement's jobs occupy procs from marks[0] on. On failure it undoes
-// the failing job's partial placement and returns the error; the jobs
-// before it stay placed.
-func (s *State) place(pl *placement, from int, c *candidate) error {
+// and each process's decision, made at its first job: c's, or with
+// mapInit the initial mapping's (c's start hints on the node bestNode
+// picks). The jobs before from must be placed, decided as recorded.
+// Each job appends one process entry, so the placement's jobs occupy
+// procs from marks[0] on. On failure it undoes the failing job's partial
+// placement and returns the error; the jobs before it stay placed.
+func (s *State) place(pl *placement, from int, c *candidate, mapInit bool) error {
 	jobs := pl.ord.jobs
 	pl.marks = pl.marks[:from+1]
 	callStart := pl.marks[0].procs
@@ -394,12 +394,23 @@ func (s *State) place(pl *placement, from int, c *candidate) error {
 		jb := &jobs[i]
 		dc := &pl.decs[jb.pos]
 		if jb.occ == 0 {
-			if err := c.decide(jb, dc); err != nil {
+			var err error
+			if mapInit {
+				c.hints(jb, dc)
+				err = s.bestNode(pl.ord, i, callStart, dc)
+			} else {
+				err = c.decide(jb, dc)
+			}
+			if err != nil {
 				return err
 			}
 		}
 		if err := s.scheduleJob(pl.ord.app, jb, callStart, dc); err != nil {
 			s.undo(pl.marks[i])
+			if mapInit { // see bestNode: a process whose trials passed places
+				err = fmt.Errorf("sched: internal: process %d occ %d failed on node %d after its trial fit: %w",
+					jb.proc.ID, jb.occ, dc.node, err)
+			}
 			return err
 		}
 		pl.marks = append(pl.marks, s.mark())

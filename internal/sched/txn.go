@@ -13,10 +13,11 @@ import (
 // Txn is an in-place, undoable modification of a State: the
 // transactional evaluation primitive behind the engine's incremental
 // candidate path. A transaction opens with State.Begin, places
-// applications with Apply (a mapping and hints) and re-places the one
-// placed last under other designs with Replace (a Design and a Move),
-// and ends with either Commit (keep the placements) or Rollback
-// (restore the exact pre-Begin state in O(delta)).
+// applications with Apply (a mapping and hints) or Map (the initial
+// mapping of a Design's application), re-places the one placed last
+// under other designs with Replace (a Design and a Move), and ends with
+// either Commit (keep the placements and detach the transaction) or
+// Rollback (restore the exact pre-Begin state in O(delta)).
 //
 // The state's schedule tables are the undo log. Every placement write
 // appends one entry, a process interval to procs or a message hop to
@@ -27,15 +28,15 @@ import (
 // to the savepoint Begin took; ScheduleApp and MapApp use the same
 // savepoints without a transaction.
 //
-// The transaction holds the placement Apply or Replace made last: the
-// savepoint before each of its jobs and what the design decided for each
-// process. Replace compares a new design with that record and undoes
+// The transaction holds the placement Apply, Map or Replace made last:
+// the savepoint before each of its jobs and what the design decided for
+// each process. Replace compares a new design with that record and undoes
 // only to the savepoint of the first job it decides differently, then
 // places from there; every earlier job would land where it is, because
 // placing a job reads only the state before it, its decision and its
 // predecessors. The engine keeps one transaction open per worker and
 // re-places each candidate over the last one, so nothing is rolled back
-// between candidates.
+// between candidates; a strategy run's incumbent holds one more.
 //
 // While a transaction is open the state must not be modified outside
 // it. A state carries at most one transaction and Begin reuses it, so
@@ -67,10 +68,10 @@ type Txn struct {
 	dirty  []int32
 	nDirty int
 
-	// held is the placement Apply or Replace made last. It lives here and
-	// not on the State because a transaction lives only in a worker's
-	// scratch state, while a session keeps each version's State for the
-	// version's life.
+	// held is the placement Apply, Map or Replace made last. It lives
+	// here and not on the State, and Commit detaches the transaction,
+	// because a session keeps each version's State for the version's
+	// life.
 	held placement
 	// applied is the Design Apply converts its mapping and hints into,
 	// reused by every Apply.
@@ -161,13 +162,22 @@ func (t *Txn) Apply(app *model.Application, mapping model.Mapping, hints Hints) 
 		}
 	}
 	t.applied.set(ord, mapping, hints)
-	t.held.start(ord, s.mark())
-	c := t.applied.over(Move{})
-	if err := s.place(&t.held, 0, &c); err != nil {
-		s.undo(t.held.marks[0])
-		return err
+	return s.placeAll(&t.held, &t.applied, false)
+}
+
+// Map places the initial mapping IM under the transaction, on top of
+// everything it holds: MapApp over seed's job order with seed's start
+// hints, whatever nodes seed gives. It returns seed with the nodes IM
+// chose, whose placement becomes the held one for Replace. On error the
+// state is as it was before the call, and the transaction stays open.
+func (t *Txn) Map(seed *Design) (*Design, error) {
+	if !t.open {
+		panic("sched: Map on a closed transaction")
 	}
-	return nil
+	if err := t.st.placeAll(&t.held, seed, true); err != nil {
+		return nil, err
+	}
+	return seed.mapped(t.held.decs), nil
 }
 
 // Replace re-places the held placement under design d with mv applied
@@ -197,7 +207,7 @@ func (t *Txn) Replace(from int, d *Design, mv Move) error {
 	c := d.over(mv)
 	from = pl.diverge(from, &c)
 	s.undo(pl.marks[from])
-	return s.place(pl, from, &c)
+	return s.place(pl, from, &c, false)
 }
 
 // holds reports whether the held placement is one over ord that ends
@@ -207,14 +217,15 @@ func (t *Txn) holds(ord *Order) bool {
 	return t.held.ord == ord && len(m) > 0 && m[len(m)-1] == t.st.mark()
 }
 
-// Commit keeps every applied placement and closes the transaction.
+// Commit keeps every placement, closes the transaction and detaches it,
+// so the state keeps no placement record (a session keeps each
+// version's state for long); the next Begin opens a new transaction.
 func (t *Txn) Commit() {
 	if !t.open {
 		panic("sched: Commit on a closed transaction")
 	}
 	t.open = false
-	clear(t.dirty)
-	t.nDirty = 0
+	t.st.txn = nil
 }
 
 // Rollback restores the exact pre-Begin state and closes the

@@ -68,12 +68,18 @@ func fuzzMove(rng *rand.Rand, app *model.Application) sched.Move {
 
 // FuzzTxnUndo drives one transaction with a byte-coded sequence of
 // Apply calls (random mappings and hints of a generated case's current
-// application, feasible or not), re-places of the held placement,
-// savepoints, undo to a savepoint, and Rollback. Undo must restore the
-// state's fingerprint, the bus deltas and the dirty nodes exactly as
-// they were when the savepoint was taken; Rollback must restore the
-// pre-Begin fingerprint. Every fingerprint taken must also equal the fmt
-// reference renderer's bytes.
+// application, feasible or not), initial mappings held by Map,
+// re-places of the held placement, savepoints, undo to a savepoint,
+// Rollback and Commit. Undo must restore the state's fingerprint, the
+// bus deltas and the dirty nodes exactly as they were when the
+// savepoint was taken; Rollback must restore the fingerprint at Begin.
+// Every fingerprint taken must also equal the fmt reference renderer's
+// bytes.
+//
+// Map, with random hints, must place and map what MapApp does on a
+// clone of the state, and fail when it fails; the design it returns is
+// then the held one that a re-place moves. Commit must keep the state
+// and detach the transaction: the next Begin holds nothing.
 //
 // A re-place changes the design the transaction placed last by two
 // random moves, one applied to the dense design (Design.With) and one
@@ -92,6 +98,8 @@ func fuzzMove(rng *rand.Rand, app *model.Application) sched.Move {
 //	2 undo to a savepoint, argument picks which
 //	3 Rollback and Begin again
 //	4 re-place, argument seeds the moves and the job
+//	5 Map, argument seeds the hints
+//	6 Commit and Begin again
 func FuzzTxnUndo(f *testing.F) {
 	tc, err := gen.MakeTestCase(quickConfig(), 5, 40, 12)
 	if err != nil {
@@ -106,6 +114,8 @@ func FuzzTxnUndo(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 13, 0, 14, 1, 0, 0, 15, 2, 0, 0, 16, 2, 1})
 	f.Add([]byte{0, 1, 4, 0, 4, 1, 1, 0, 4, 2, 4, 3, 2, 0, 4, 4, 3, 0, 4, 5})
 	f.Add([]byte{4, 9, 1, 0, 4, 10, 4, 11, 1, 0, 4, 12, 2, 0, 2, 1, 0, 13, 4, 14, 4, 15})
+	f.Add([]byte{5, 1, 4, 16, 1, 0, 4, 17, 2, 0, 6, 0, 5, 18, 4, 19, 3, 0, 5, 20, 5, 21, 6, 0})
+	f.Add([]byte{1, 0, 5, 22, 1, 0, 0, 23, 4, 24, 2, 1, 4, 25, 2, 0, 6, 0, 4, 26, 3, 0})
 
 	app := tc.Current
 	appOrder, err := tc.Base.Order(app)
@@ -118,6 +128,7 @@ func FuzzTxnUndo(f *testing.F) {
 		}
 		st := tc.Base.Clone() // a failed input must not leave its transaction open for the next
 		txn := st.Begin()
+		begun := pre // the fingerprint at Begin
 		type mark struct {
 			sp   sched.Savepoint
 			view txnView
@@ -128,7 +139,7 @@ func FuzzTxnUndo(f *testing.F) {
 		var heldHints sched.Hints
 		for i := 0; i+1 < len(ops); i += 2 {
 			arg := ops[i+1]
-			switch ops[i] % 5 {
+			switch ops[i] % 7 {
 			case 0:
 				rng := rand.New(rand.NewSource(int64(arg)))
 				heldMapping, heldHints = randomMapping(rng, app), fuzzHints(rng, app)
@@ -155,7 +166,7 @@ func FuzzTxnUndo(f *testing.F) {
 				marks = marks[:k+1]
 			case 3:
 				txn.Rollback()
-				if !bytes.Equal(checkedFingerprint(t, st), pre) {
+				if !bytes.Equal(checkedFingerprint(t, st), begun) {
 					t.Fatalf("op %d: rollback did not restore the pre-Begin state", i/2)
 				}
 				marks = marks[:0]
@@ -191,10 +202,39 @@ func FuzzTxnUndo(f *testing.F) {
 				if err == nil && !bytes.Equal(checkedFingerprint(t, st), checkedFingerprint(t, want)) {
 					t.Fatalf("op %d: re-place from job %d differs from applying the design afresh", i/2, from)
 				}
+			case 5:
+				hints := fuzzHints(rand.New(rand.NewSource(int64(arg))), app)
+				want := st.Clone()
+				wantMapping, wantErr := want.MapApp(app, hints)
+				d, err := txn.Map(appOrder.Design(nil, hints))
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("op %d: Map error %v, MapApp: %v", i/2, err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				if !bytes.Equal(checkedFingerprint(t, st), checkedFingerprint(t, want)) {
+					t.Fatalf("op %d: Map placed other than MapApp", i/2)
+				}
+				if got := d.Mapping(); !reflect.DeepEqual(got, wantMapping) {
+					t.Fatalf("op %d: Map chose %v, MapApp %v", i/2, got, wantMapping)
+				}
+				heldMapping, heldHints = wantMapping, hints
+			case 6:
+				before := append([]byte(nil), checkedFingerprint(t, st)...)
+				txn.Commit()
+				if !bytes.Equal(checkedFingerprint(t, st), before) {
+					t.Fatalf("op %d: Commit changed the state", i/2)
+				}
+				next := st.Begin()
+				if next == txn || next.HeldOrder() != nil {
+					t.Fatalf("op %d: Begin after Commit reopened the committed transaction", i/2)
+				}
+				txn, begun, marks = next, before, marks[:0]
 			}
 		}
 		txn.Rollback()
-		if !bytes.Equal(checkedFingerprint(t, st), pre) {
+		if !bytes.Equal(checkedFingerprint(t, st), begun) {
 			t.Fatal("final rollback did not restore the pre-Begin state")
 		}
 	})
