@@ -21,8 +21,9 @@ func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (d *discardWriter) WriteHeader(status int)      { d.status = status }
 
 // allocsPerRequest serves the request that newReq builds n times and
-// returns the bytes allocated per request and the last status.
-func allocsPerRequest(h http.Handler, n int, newReq func() *http.Request) (uint64, int) {
+// returns the bytes and the heap objects allocated per request and the
+// last status.
+func allocsPerRequest(h http.Handler, n int, newReq func() *http.Request) (allocated, objects uint64, status int) {
 	reqs := make([]*http.Request, n)
 	for i := range reqs {
 		reqs[i] = newReq()
@@ -37,14 +38,14 @@ func allocsPerRequest(h http.Handler, n int, newReq func() *http.Request) (uint6
 		h.ServeHTTP(w, r)
 	}
 	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / uint64(n), w.status
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n), (after.Mallocs - before.Mallocs) / uint64(n), w.status
 }
 
-// TestSolveHitBodyAlloc bounds what a cache hit on the fixture system
-// (44,671 bytes) allocates. A hit decodes nothing, so reading the body
-// is most of it: a buffer grown by doubling from 512 bytes takes about
-// four times the body, one sized from Content-Length takes the body.
-func TestSolveHitBodyAlloc(t *testing.T) {
+// allocsPerHit posts the fixture system (44,671 bytes) once, the miss
+// that fills the solution table, then 50 times more, and returns the
+// bytes and the heap objects each of those cache hits allocates.
+func allocsPerHit(t *testing.T) (allocated, objects uint64) {
+	t.Helper()
 	s := New(Config{Parallelism: 1, MaxConcurrent: 2, SolutionCacheSize: 8})
 	defer s.Close()
 	h := s.Handler()
@@ -52,17 +53,39 @@ func TestSolveHitBodyAlloc(t *testing.T) {
 	post := func() *http.Request {
 		return httptest.NewRequest("POST", "/v1/solve?strategy=ah", bytes.NewReader(body))
 	}
-	if _, status := allocsPerRequest(h, 1, post); status != http.StatusOK {
+	if _, _, status := allocsPerRequest(h, 1, post); status != http.StatusOK {
 		t.Fatalf("first solve = %d", status)
 	}
-	perHit, status := allocsPerRequest(h, 50, post)
+	allocated, objects, status := allocsPerRequest(h, 50, post)
 	if status != http.StatusOK {
 		t.Fatalf("hit = %d", status)
 	}
+	return allocated, objects
+}
+
+// TestSolveHitBodyAlloc bounds what a cache hit allocates. A hit decodes
+// nothing, so reading the body is most of it: a buffer grown by doubling
+// from 512 bytes takes about four times the body, one sized from
+// Content-Length takes the body.
+func TestSolveHitBodyAlloc(t *testing.T) {
+	perHit, _ := allocsPerHit(t)
 	if perHit >= 160<<10 {
 		t.Errorf("a cache hit allocates %d bytes, want under %d", perHit, 160<<10)
 	}
 	t.Logf("%d bytes per hit", perHit)
+}
+
+// TestSolveHitAllocs bounds the heap objects a cache hit allocates. A hit
+// writes its flight's stored encoding of the solution and encodes only
+// the envelope around it (96 objects); encoding the solution again for
+// each hit makes 322, which the bound rejects.
+func TestSolveHitAllocs(t *testing.T) {
+	const maxObjects = 150
+	_, perHit := allocsPerHit(t)
+	if perHit > maxObjects {
+		t.Errorf("a cache hit allocates %d objects, want at most %d", perHit, maxObjects)
+	}
+	t.Logf("%d objects per hit", perHit)
 }
 
 // TestSolveBodyClaimAlloc pins the presize cap: a request that claims a
@@ -71,7 +94,7 @@ func TestSolveHitBodyAlloc(t *testing.T) {
 func TestSolveBodyClaimAlloc(t *testing.T) {
 	s := New(Config{Parallelism: 1, MaxConcurrent: 2, SolutionCacheSize: 8})
 	defer s.Close()
-	per, status := allocsPerRequest(s.Handler(), 5, func() *http.Request {
+	per, _, status := allocsPerRequest(s.Handler(), 5, func() *http.Request {
 		r := httptest.NewRequest("POST", "/v1/solve?strategy=ah", bytes.NewReader([]byte(`{"nodes":[`)))
 		r.ContentLength = MaxBodyBytes
 		return r

@@ -21,11 +21,13 @@ package serve
 // queue position and builds the problem; a hit or follower schedules
 // nothing.
 //
-// A hit does not decode its body: the flight's leader decoded, validated
-// and solved the same bytes. A leader and an in-flight follower decode
-// and validate after they join; bytes that fail answer 400, and a leader
-// posting them lands its flight with that error. Hits and followers are
-// counted only when they answer from the flight.
+// A hit decodes nothing and encodes nothing: the flight's leader
+// decoded, validated and solved the same bytes, and the flight encoded
+// the solution document once, when it landed, for every member to write
+// as it is. A leader and an in-flight follower decode and validate after
+// they join; bytes that fail answer 400, and a leader posting them lands
+// its flight with that error. Hits and followers are counted only when
+// they answer from the flight.
 //
 // Single-flight semantics: the leader's solve runs under the flight's
 // context (derived from the server, not the leader's connection), so a
@@ -35,6 +37,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -46,15 +49,17 @@ import (
 const cacheHeader = "X-Incdes-Cache"
 
 // solutionEntry is one finished one-shot solve, as a landed flight hands
-// it to every member: the response document, the leader's collected
-// trace events (its collector's Events, not a copy), which every
-// member's SSE stream shares, and the ID of the leader's cache.flight
-// span, which every member's cache.follow span links to. It is read-only
-// once built.
+// it to every member: the response document and its bytes, encoded once
+// when the flight lands, which every member's status document writes as
+// its solution (writeStatus); the leader's collected trace events (its
+// collector's Events, not a copy), which every member's SSE stream
+// shares; and the ID of the leader's cache.flight span, which every
+// member's cache.follow span links to. It is read-only once built.
 type solutionEntry struct {
-	doc    *SolutionDoc
-	events []obs.TraceEvent
-	flight string
+	doc     *SolutionDoc
+	docJSON []byte // json.Marshal(doc); nil when that fails, and each answer encodes doc
+	events  []obs.TraceEvent
+	flight  string
 }
 
 // cacheSpec is the canonical strategy identity of the request, hashed
@@ -103,9 +108,9 @@ func (s *Server) lookup(ctx context.Context, body []byte, params SolveParams) (*
 }
 
 // leaderWork wraps the flight leader's solve: it runs the solve under
-// the flight's context, lands the flight with the result (kept when
-// complete), and waits for it under the leader's own (request-bound)
-// context.
+// the flight's context, encodes its document, lands the flight with the
+// result (kept when complete), and waits for it under the leader's own
+// (request-bound) context.
 func (s *Server) leaderWork(f *cache.Flight, j *job, solve func(context.Context) (*SolutionDoc, error)) func(context.Context) (*SolutionDoc, error) {
 	return func(ctx context.Context) (*SolutionDoc, error) {
 		// The flight span brackets the coalesced solve in the leader's
@@ -117,6 +122,9 @@ func (s *Server) leaderWork(f *cache.Flight, j *job, solve func(context.Context)
 			// the leader leaving) but record into the leader's trace.
 			doc, err := solve(obs.CopyTrace(f.Context(), fctx))
 			ent := &solutionEntry{doc: doc, events: j.buf.Events(), flight: fspan.ID()}
+			if err == nil {
+				ent.docJSON, _ = json.Marshal(doc) // on failure each answer encodes, and fails, as an uncached one does
+			}
 			kept, evicted := f.Complete(ent, err, err == nil && !doc.Interrupted)
 			if kept {
 				s.global.Counter(obs.CtrSolveCacheStores).Inc()
@@ -130,6 +138,7 @@ func (s *Server) leaderWork(f *cache.Flight, j *job, solve func(context.Context)
 		if err != nil {
 			return nil, err
 		}
+		j.setDocJSON(val.docJSON)
 		return val.doc, nil
 	}
 }
@@ -157,6 +166,7 @@ func (s *Server) runFollower(ctx context.Context, j *job, requested time.Duratio
 	fspan.SetAttr("leader_span", val.flight)
 	fspan.End()
 	j.buf.Adopt(val.events)
+	j.setDocJSON(val.docJSON)
 	j.finish(val.doc, nil)
 	s.finalize(j)
 }

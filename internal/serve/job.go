@@ -182,10 +182,13 @@ type job struct {
 	mu     sync.Mutex
 	status string
 	doc    *SolutionDoc
-	commit *CommitInfo // set by session-commit work before finish
-	worker string      // workers that produced a dispatched solve ("" = local)
-	err    error
-	done   chan struct{}
+	// docJSON is doc's encoding, shared with the job's flight and set
+	// before finish; nil for an uncached job, whose answer encodes doc.
+	docJSON []byte
+	commit  *CommitInfo // set by session-commit work before finish
+	worker  string      // workers that produced a dispatched solve ("" = local)
+	err     error
+	done    chan struct{}
 }
 
 func (j *job) setWorker(w string) {
@@ -194,22 +197,16 @@ func (j *job) setWorker(w string) {
 	j.mu.Unlock()
 }
 
-func (j *job) workerTag() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.worker
-}
-
 func (j *job) setCommit(c *CommitInfo) {
 	j.mu.Lock()
 	j.commit = c
 	j.mu.Unlock()
 }
 
-func (j *job) commitInfo() *CommitInfo {
+func (j *job) setDocJSON(b []byte) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.commit
+	j.docJSON = b
+	j.mu.Unlock()
 }
 
 func (j *job) setStatus(s string) {

@@ -322,7 +322,9 @@ func (s *Server) Close() {
 }
 
 // JobStatusDoc is the JSON document of GET /v1/solve/{id} and the body of
-// a synchronous POST /v1/solve response.
+// a synchronous POST /v1/solve response. The server writes it through
+// writeStatus, which for a job of a cached flight writes the flight's
+// stored encoding of Solution rather than encoding it again.
 type JobStatusDoc struct {
 	ID       string        `json:"id"`
 	Status   string        `json:"status"`
@@ -342,19 +344,23 @@ type JobStatusDoc struct {
 	Spans     []obs.SpanSnapshot `json:"spans,omitempty"`
 }
 
-func (s *Server) statusDoc(j *job) *JobStatusDoc {
-	status, doc, err := j.snapshot()
-	out := &JobStatusDoc{ID: j.id, Status: status, Strategy: j.strategy, Commit: j.commitInfo(), Solution: doc, Worker: j.workerTag()}
-	if err != nil {
-		out.Error = err.Error()
+// statusDoc returns the job's status document and, for a job of a cached
+// flight, the flight's encoding of its solution (nil otherwise).
+func (s *Server) statusDoc(j *job) (*JobStatusDoc, []byte) {
+	j.mu.Lock()
+	out := &JobStatusDoc{ID: j.id, Status: j.status, Strategy: j.strategy, Commit: j.commit, Solution: j.doc, Worker: j.worker}
+	if j.err != nil {
+		out.Error = j.err.Error()
 	}
+	docJSON := j.docJSON
+	j.mu.Unlock()
 	out.RequestID = j.trace.ID()
-	if status == StatusDone || status == StatusInterrupted {
+	if out.Status == StatusDone || out.Status == StatusInterrupted {
 		snap := j.reg.Snapshot()
 		out.Stats = &snap
 		out.Spans = j.trace.Snapshot()
 	}
-	return out
+	return out, docJSON
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -362,6 +368,53 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.Encode(v)
+}
+
+// statusHead and statusTail are JobStatusDoc's fields before and after
+// Solution, in its order and with its tags.
+type statusHead struct {
+	ID       string      `json:"id"`
+	Status   string      `json:"status"`
+	Strategy string      `json:"strategy"`
+	Error    string      `json:"error,omitempty"`
+	Commit   *CommitInfo `json:"commit,omitempty"`
+}
+
+type statusTail struct {
+	Stats     *obs.Snapshot      `json:"stats,omitempty"`
+	Worker    string             `json:"worker,omitempty"`
+	RequestID string             `json:"request_id,omitempty"`
+	Spans     []obs.SpanSnapshot `json:"spans,omitempty"`
+}
+
+// writeStatus writes doc byte for byte as writeJSON would. docJSON, when
+// not nil, is doc.Solution as json.Marshal encodes it, made once for a
+// whole flight: then only the envelope is encoded, on either side of the
+// solution, and docJSON itself is written where the solution goes. The
+// pieces go straight to w; a field of type json.RawMessage would have the
+// encoder re-compact the solution, and one buffer for the whole body
+// would copy it.
+func writeStatus(w http.ResponseWriter, code int, doc *JobStatusDoc, docJSON []byte) {
+	if docJSON == nil || doc.Solution == nil {
+		writeJSON(w, code, doc)
+		return
+	}
+	head, herr := json.Marshal(statusHead{doc.ID, doc.Status, doc.Strategy, doc.Error, doc.Commit})
+	tail, terr := json.Marshal(statusTail{doc.Stats, doc.Worker, doc.RequestID, doc.Spans})
+	if herr != nil || terr != nil {
+		writeJSON(w, code, doc) // fails as the whole document's encoding does
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(append(head[:len(head)-1], `,"solution":`...))
+	w.Write(docJSON)
+	if len(tail) == len("{}") {
+		tail = tail[1:]
+	} else {
+		tail[0] = ','
+	}
+	w.Write(append(tail, '\n'))
 }
 
 // Stable machine-readable error codes of the unified error envelope.
@@ -801,15 +854,15 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, j *job, detach b
 		return
 	}
 	run(r.Context())
-	if wt := j.workerTag(); wt != "" {
-		w.Header().Set(workerHeader, wt)
+	doc, docJSON := s.statusDoc(j)
+	if doc.Worker != "" {
+		w.Header().Set(workerHeader, doc.Worker)
 	}
-	doc := s.statusDoc(j)
 	code := http.StatusOK
 	if doc.Status == StatusFailed {
 		code = http.StatusUnprocessableEntity
 	}
-	writeJSON(w, code, doc)
+	writeStatus(w, code, doc, docJSON)
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
@@ -818,7 +871,8 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, ErrCodeNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.statusDoc(j))
+	doc, docJSON := s.statusDoc(j)
+	writeStatus(w, http.StatusOK, doc, docJSON)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
