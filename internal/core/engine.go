@@ -64,7 +64,6 @@ type Engine struct {
 	// every parallelism level.
 	observer    *obs.Observer
 	tracer      *obs.Collector
-	statsOn     bool
 	cEvals      *obs.Counter
 	cMisses     *obs.Counter
 	cInfeasible *obs.Counter
@@ -90,18 +89,16 @@ func newEngine(p *Problem, opts Options) *Engine {
 	if e.parallelism <= 0 {
 		e.parallelism = runtime.GOMAXPROCS(0)
 	}
-	reg := opts.Observer.Registry()
 	if opts.Observer != nil {
 		e.tracer = opts.Observer.Tracer
 	}
-	if reg != nil {
-		e.statsOn = true
-		e.cEvals = reg.Counter(obs.CtrEvaluations)
-		e.cMisses = reg.Counter(obs.CtrCacheMisses)
-		e.cInfeasible = reg.Counter(obs.CtrInfeasible)
-		e.schedStats = sched.StatsFrom(reg)
-		e.ttpStats = ttp.StatsFrom(reg)
-	}
+	// A nil registry resolves every instrument to nil.
+	reg := opts.Observer.Registry()
+	e.cEvals = reg.Counter(obs.CtrEvaluations)
+	e.cMisses = reg.Counter(obs.CtrCacheMisses)
+	e.cInfeasible = reg.Counter(obs.CtrInfeasible)
+	e.schedStats = sched.StatsFrom(reg)
+	e.ttpStats = ttp.StatsFrom(reg)
 	return e
 }
 
@@ -187,15 +184,10 @@ func (e *Engine) Evaluate(d *Design, mv sched.Move) (rep metrics.Report, ok bool
 	scr, _ := e.scratch.Get().(*evalScratch)
 	if scr == nil {
 		scr = &evalScratch{st: e.p.Base.Clone(), inc: e.baseline.Evaluator()}
-		if e.statsOn {
-			scr.st.SetStats(e.schedStats)
-			scr.st.SetBusStats(e.ttpStats)
-		} else {
-			// The base may carry instruments; a worker copy must not
-			// report into them unless this Solve's observer asked for it.
-			scr.st.SetStats(sched.Stats{})
-			scr.st.SetBusStats(ttp.Stats{})
-		}
+		// The base may carry instruments; a worker copy reports into this
+		// Solve's registry only, and into nothing without one.
+		scr.st.SetStats(e.schedStats)
+		scr.st.SetBusStats(e.ttpStats)
 		scr.txn = scr.st.Begin()
 	}
 	from := 0

@@ -309,7 +309,7 @@ type workload struct {
 	sessionID string
 }
 
-// loadSystem builds the deterministic fixture system: 3 nodes, a frozen
+// loadSystem builds the deterministic fixture system: 4 nodes, a frozen
 // base application and one current application whose size varies with
 // variant (variant also perturbs the WCETs, so every variant is a
 // genuinely different problem with the same hyperperiod).

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -86,6 +87,34 @@ func TestSolveHitAllocs(t *testing.T) {
 		t.Errorf("a cache hit allocates %d objects, want at most %d", perHit, maxObjects)
 	}
 	t.Logf("%d objects per hit", perHit)
+}
+
+// TestJobStatusPollAllocs bounds the heap objects a poll of a finished
+// job allocates. A cache=off job holds its solution encoded once, as a
+// flight's job does, so GET /v1/solve/{id} encodes only the envelope
+// around it (72 objects); encoding the solution again for each poll
+// makes 298, which the bound rejects.
+func TestJobStatusPollAllocs(t *testing.T) {
+	const maxObjects = 150
+	s := New(Config{Parallelism: 1, MaxConcurrent: 2, SolutionCacheSize: 8})
+	defer s.Close()
+	h := s.Handler()
+	solved := httptest.NewRecorder()
+	h.ServeHTTP(solved, httptest.NewRequest("POST", "/v1/solve?strategy=ah&cache=off", bytes.NewReader(fixtureJSON(t))))
+	var doc JobStatusDoc
+	if err := json.Unmarshal(solved.Body.Bytes(), &doc); err != nil || solved.Code != http.StatusOK || doc.Status != StatusDone {
+		t.Fatalf("cache=off solve = %d %q (%v)", solved.Code, doc.Status, err)
+	}
+	_, perPoll, status := allocsPerRequest(h, 50, func() *http.Request {
+		return httptest.NewRequest("GET", "/v1/solve/"+doc.ID, nil)
+	})
+	if status != http.StatusOK {
+		t.Fatalf("poll = %d", status)
+	}
+	if perPoll > maxObjects {
+		t.Errorf("a poll of a finished cache=off job allocates %d objects, want at most %d", perPoll, maxObjects)
+	}
+	t.Logf("%d objects per poll", perPoll)
 }
 
 // TestSolveBodyClaimAlloc pins the presize cap: a request that claims a

@@ -22,12 +22,13 @@ package serve
 // nothing.
 //
 // A hit decodes nothing and encodes nothing: the flight's leader
-// decoded, validated and solved the same bytes, and the flight encoded
-// the solution document once, when it landed, for every member to write
-// as it is. A leader and an in-flight follower decode and validate after
-// they join; bytes that fail answer 400, and a leader posting them lands
-// its flight with that error. Hits and followers are counted only when
-// they answer from the flight.
+// decoded, validated and solved the same bytes, and its work encoded the
+// solution document once, as every job's work does; the flight keeps
+// those bytes for every member to write as they are. A leader and an
+// in-flight follower decode and validate after they join; bytes that
+// fail answer 400, and a leader posting them lands its flight with that
+// error. Hits and followers are counted only when they answer from the
+// flight.
 //
 // Single-flight semantics: the leader's solve runs under the flight's
 // context (derived from the server, not the leader's connection), so a
@@ -37,7 +38,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -49,17 +49,17 @@ import (
 const cacheHeader = "X-Incdes-Cache"
 
 // solutionEntry is one finished one-shot solve, as a landed flight hands
-// it to every member: the response document and its bytes, encoded once
-// when the flight lands, which every member's status document writes as
-// its solution (writeStatus); the leader's collected trace events (its
-// collector's Events, not a copy), which every member's SSE stream
-// shares; and the ID of the leader's cache.flight span, which every
-// member's cache.follow span links to. It is read-only once built.
+// it to every member: the leader's solved document, whose bytes every
+// member's status document writes as its solution (writeStatus); the
+// leader's collected trace events (its collector's Events, not a copy),
+// which every member's SSE stream shares; and the ID of the leader's
+// cache.flight span, which every member's cache.follow span links to.
+// The leader's annotations stay with the leader. It is read-only once
+// built.
 type solutionEntry struct {
-	doc     *SolutionDoc
-	docJSON []byte // json.Marshal(doc); nil when that fails, and each answer encodes doc
-	events  []obs.TraceEvent
-	flight  string
+	solved *solvedDoc
+	events []obs.TraceEvent
+	flight string
 }
 
 // cacheSpec is the canonical strategy identity of the request, hashed
@@ -108,24 +108,23 @@ func (s *Server) lookup(ctx context.Context, body []byte, params SolveParams) (*
 }
 
 // leaderWork wraps the flight leader's solve: it runs the solve under
-// the flight's context, encodes its document, lands the flight with the
-// result (kept when complete), and waits for it under the leader's own
-// (request-bound) context.
-func (s *Server) leaderWork(f *cache.Flight, j *job, solve func(context.Context) (*SolutionDoc, error)) func(context.Context) (*SolutionDoc, error) {
-	return func(ctx context.Context) (*SolutionDoc, error) {
+// the flight's context, lands the flight with the result (kept when
+// complete), and waits for it under the leader's own (request-bound)
+// context.
+func (s *Server) leaderWork(f *cache.Flight, j *job, solve func(context.Context) (result, error)) func(context.Context) (result, error) {
+	return func(ctx context.Context) (result, error) {
 		// The flight span brackets the coalesced solve in the leader's
 		// trace; the result carries its ID so member spans can reference
 		// the leader's flight (single-flight linkage).
 		fctx, fspan := obs.StartSpan(ctx, "cache.flight")
+		var res result // the leader's own; written before the flight lands
 		go func() {
 			// The solve must run under the flight's context (so it survives
 			// the leader leaving) but record into the leader's trace.
-			doc, err := solve(obs.CopyTrace(f.Context(), fctx))
-			ent := &solutionEntry{doc: doc, events: j.buf.Events(), flight: fspan.ID()}
-			if err == nil {
-				ent.docJSON, _ = json.Marshal(doc) // on failure each answer encodes, and fails, as an uncached one does
-			}
-			kept, evicted := f.Complete(ent, err, err == nil && !doc.Interrupted)
+			var err error
+			res, err = solve(obs.CopyTrace(f.Context(), fctx))
+			ent := &solutionEntry{solved: res.solved, events: j.buf.Events(), flight: fspan.ID()}
+			kept, evicted := f.Complete(ent, err, err == nil && !res.solved.interrupted)
 			if kept {
 				s.global.Counter(obs.CtrSolveCacheStores).Inc()
 			}
@@ -133,13 +132,12 @@ func (s *Server) leaderWork(f *cache.Flight, j *job, solve func(context.Context)
 				s.global.Counter(obs.CtrSolveCacheEvict).Inc()
 			}
 		}()
-		val, err := s.awaitFlight(ctx, f)
+		_, err := s.awaitFlight(ctx, f)
 		fspan.End()
 		if err != nil {
-			return nil, err
+			return result{}, err
 		}
-		j.setDocJSON(val.docJSON)
-		return val.doc, nil
+		return res, nil
 	}
 }
 
@@ -157,17 +155,14 @@ func (s *Server) runFollower(ctx context.Context, j *job, requested time.Duratio
 	// leader's flight span.
 	_, fspan := obs.StartSpan(ctx, "cache.follow")
 	val, err := s.awaitFlight(ctx, f)
-	if err != nil {
-		fspan.End()
-		j.finish(nil, err)
-		s.finalize(j)
-		return
+	var res result
+	if err == nil {
+		fspan.SetAttr("leader_span", val.flight)
+		j.buf.Adopt(val.events)
+		res.solved = val.solved
 	}
-	fspan.SetAttr("leader_span", val.flight)
 	fspan.End()
-	j.buf.Adopt(val.events)
-	j.setDocJSON(val.docJSON)
-	j.finish(val.doc, nil)
+	j.finish(res, err)
 	s.finalize(j)
 }
 

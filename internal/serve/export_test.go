@@ -1,11 +1,12 @@
 package serve
 
-// SolutionJSON returns the encoding of job id's solution that its status
-// documents write: its flight's, which every member shares, or nil for a
-// job whose answer encodes its document.
+// SolutionJSON returns the one encoding of job id's solution that its
+// status documents write (nil until the job has one). Every job of a
+// flight shares the flight's.
 func (s *Server) SolutionJSON(id string) []byte {
-	j := s.job(id)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.docJSON
+	_, res, _ := s.job(id).snapshot()
+	if res.solved == nil {
+		return nil
+	}
+	return res.solved.json
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -42,9 +43,11 @@ type SolveParams struct {
 	NoCache       bool          // cache=off: bypass the solution cache for this request
 }
 
-// maxSARestarts bounds sa-restarts. Every restart chain is a work unit
-// that holds its best schedule state until the reduce, so the bound caps
-// what one request can make the daemon allocate.
+// maxSARestarts bounds sa-restarts. A local restart chain returns only
+// its best design and report, so the bound caps two things: the CPU work
+// of one request, and the number of work units a cluster coordinator fans
+// out for it, each a whole remote solve that holds its schedule state
+// until it answers.
 const maxSARestarts = 64
 
 // Resolve maps the params onto the core.Strategy a local solve runs. A
@@ -167,7 +170,44 @@ type CommitInfo struct {
 	BaselineReused bool   `json:"baseline_reused,omitempty"`
 }
 
-// job is one solve request moving through the bounded manager.
+// solvedDoc is a solution document as every answer that carries it
+// writes it: encoded once with json.Marshal, plus the fields of it that
+// the job status and the SSE done event read. It is read-only once
+// built, so every job of a flight and the flight's kept result share one.
+type solvedDoc struct {
+	json        []byte
+	objective   float64
+	evaluations int
+	interrupted bool
+}
+
+// result is what a job's work returns and finish stores: the solved
+// document and the job's own annotations, which a flight's followers and
+// hits do not share.
+type result struct {
+	solved *solvedDoc
+	commit *CommitInfo // the version a session commit created
+	worker string      // workers that produced a dispatched solve ("" = local)
+}
+
+// newResult encodes a solution document once, taking it as its builder
+// returns it: the builder's error, or a document that does not encode,
+// fails the job. A local solve, a dispatched solve and a session commit
+// all build their result here, and then add their own annotations.
+func newResult(doc *SolutionDoc, err error) (result, error) {
+	if err != nil {
+		return result{}, err
+	}
+	data, err := json.Marshal(doc)
+	if err != nil {
+		return result{}, fmt.Errorf("encoding solution: %w", err)
+	}
+	return result{solved: &solvedDoc{json: data, objective: doc.Objective, evaluations: doc.Evaluations, interrupted: doc.Interrupted}}, nil
+}
+
+// job is one solve request moving through the bounded manager. A
+// finished job holds its result, whose solution exists only as the
+// bytes its answers write.
 type job struct {
 	id       string
 	strategy string // strategy tag for aggregation, known at submit time
@@ -181,32 +221,8 @@ type job struct {
 
 	mu     sync.Mutex
 	status string
-	doc    *SolutionDoc
-	// docJSON is doc's encoding, shared with the job's flight and set
-	// before finish; nil for an uncached job, whose answer encodes doc.
-	docJSON []byte
-	commit  *CommitInfo // set by session-commit work before finish
-	worker  string      // workers that produced a dispatched solve ("" = local)
-	err     error
-	done    chan struct{}
-}
-
-func (j *job) setWorker(w string) {
-	j.mu.Lock()
-	j.worker = w
-	j.mu.Unlock()
-}
-
-func (j *job) setCommit(c *CommitInfo) {
-	j.mu.Lock()
-	j.commit = c
-	j.mu.Unlock()
-}
-
-func (j *job) setDocJSON(b []byte) {
-	j.mu.Lock()
-	j.docJSON = b
-	j.mu.Unlock()
+	res    result // set by finish
+	err    error
 }
 
 func (j *job) setStatus(s string) {
@@ -215,29 +231,25 @@ func (j *job) setStatus(s string) {
 	j.mu.Unlock()
 }
 
-// snapshot returns the job's current (status, doc, err) consistently.
-func (j *job) snapshot() (string, *SolutionDoc, error) {
+// snapshot returns the job's current (status, result, err) consistently.
+func (j *job) snapshot() (string, result, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.status, j.doc, j.err
+	return j.status, j.res, j.err
 }
 
-// finish records the terminal state, closes the SSE stream and releases
-// waiters.
-func (j *job) finish(doc *SolutionDoc, err error) {
+// finish records the terminal state and closes the SSE stream.
+func (j *job) finish(res result, err error) {
 	j.mu.Lock()
+	j.res, j.err = res, err
 	switch {
 	case err != nil:
 		j.status = StatusFailed
-		j.err = err
-	case doc.Interrupted:
+	case res.solved.interrupted:
 		j.status = StatusInterrupted
-		j.doc = doc
 	default:
 		j.status = StatusDone
-		j.doc = doc
 	}
 	j.mu.Unlock()
 	j.buf.Close()
-	close(j.done)
 }

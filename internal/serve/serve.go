@@ -56,6 +56,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -322,9 +323,10 @@ func (s *Server) Close() {
 }
 
 // JobStatusDoc is the JSON document of GET /v1/solve/{id} and the body of
-// a synchronous POST /v1/solve response. The server writes it through
-// writeStatus, which for a job of a cached flight writes the flight's
-// stored encoding of Solution rather than encoding it again.
+// every POST /v1/solve and commit answer, as clients and a cluster
+// coordinator decode it. The server builds it without Solution and writes
+// it through writeStatus, which puts the job's one encoding of its
+// solution in that place.
 type JobStatusDoc struct {
 	ID       string        `json:"id"`
 	Status   string        `json:"status"`
@@ -344,21 +346,19 @@ type JobStatusDoc struct {
 	Spans     []obs.SpanSnapshot `json:"spans,omitempty"`
 }
 
-// statusDoc returns the job's status document and, for a job of a cached
-// flight, the flight's encoding of its solution (nil otherwise).
-func (s *Server) statusDoc(j *job) (*JobStatusDoc, []byte) {
-	j.mu.Lock()
-	out := &JobStatusDoc{ID: j.id, Status: j.status, Strategy: j.strategy, Commit: j.commit, Solution: j.doc, Worker: j.worker}
-	if j.err != nil {
-		out.Error = j.err.Error()
+// statusDoc returns the job's status document, without its solution, and
+// the solution's encoding (nil until the job has one).
+func (s *Server) statusDoc(j *job) (out *JobStatusDoc, docJSON []byte) {
+	status, res, err := j.snapshot()
+	out = &JobStatusDoc{ID: j.id, Status: status, Strategy: j.strategy, Commit: res.commit, Worker: res.worker, RequestID: j.trace.ID()}
+	if err != nil {
+		out.Error = err.Error()
 	}
-	docJSON := j.docJSON
-	j.mu.Unlock()
-	out.RequestID = j.trace.ID()
-	if out.Status == StatusDone || out.Status == StatusInterrupted {
+	if status == StatusDone || status == StatusInterrupted {
 		snap := j.reg.Snapshot()
 		out.Stats = &snap
 		out.Spans = j.trace.Snapshot()
+		docJSON = res.solved.json
 	}
 	return out, docJSON
 }
@@ -387,28 +387,26 @@ type statusTail struct {
 	Spans     []obs.SpanSnapshot `json:"spans,omitempty"`
 }
 
-// writeStatus writes doc byte for byte as writeJSON would. docJSON, when
-// not nil, is doc.Solution as json.Marshal encodes it, made once for a
-// whole flight: then only the envelope is encoded, on either side of the
-// solution, and docJSON itself is written where the solution goes. The
-// pieces go straight to w; a field of type json.RawMessage would have the
-// encoder re-compact the solution, and one buffer for the whole body
-// would copy it.
+// writeStatus writes doc, with docJSON as its solution, byte for byte as
+// writeJSON would write doc with Solution holding what docJSON encodes.
+// Only the envelope is encoded, on either side of the solution, and
+// docJSON, the job's one encoding, is written where the solution goes;
+// without docJSON the document has no solution. The pieces go straight to
+// w; a field of type json.RawMessage would have the encoder re-compact
+// the solution, and one buffer for the whole body would copy it.
 func writeStatus(w http.ResponseWriter, code int, doc *JobStatusDoc, docJSON []byte) {
-	if docJSON == nil || doc.Solution == nil {
-		writeJSON(w, code, doc)
-		return
-	}
 	head, herr := json.Marshal(statusHead{doc.ID, doc.Status, doc.Strategy, doc.Error, doc.Commit})
 	tail, terr := json.Marshal(statusTail{doc.Stats, doc.Worker, doc.RequestID, doc.Spans})
-	if herr != nil || terr != nil {
-		writeJSON(w, code, doc) // fails as the whole document's encoding does
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(append(head[:len(head)-1], `,"solution":`...))
-	w.Write(docJSON)
+	if herr != nil || terr != nil {
+		return // as writeJSON: the encoder writes nothing of what it cannot encode
+	}
+	w.Write(head[:len(head)-1])
+	if docJSON != nil {
+		io.WriteString(w, `,"solution":`)
+		w.Write(docJSON)
+	}
 	if len(tail) == len("{}") {
 		tail = tail[1:]
 	} else {
@@ -597,7 +595,6 @@ func (s *Server) registerLocked(strategyTag string, rt *obs.RequestTrace) *job {
 		deleted:     deleted,
 		markDeleted: markDeleted,
 		status:      StatusQueued,
-		done:        make(chan struct{}),
 	}
 	s.jobs[j.id] = j
 	return j
@@ -634,7 +631,7 @@ func (s *Server) jobContext(ctx context.Context, j *job, requested time.Duration
 // the outcome and folds the job's registry into the aggregates. It
 // returns the error that failed the job before its work started
 // (cancellation while queued), and nil once the work ran.
-func (s *Server) run(ctx context.Context, j *job, requested time.Duration, work func(context.Context) (*SolutionDoc, error)) error {
+func (s *Server) run(ctx context.Context, j *job, requested time.Duration, work func(context.Context) (result, error)) error {
 	ctx, release := s.jobContext(ctx, j, requested)
 	defer release()
 
@@ -650,7 +647,7 @@ func (s *Server) run(ctx context.Context, j *job, requested time.Duration, work 
 		j.reg.Histogram(obs.HstQueueWaitSeconds).ObserveSince(qstart)
 		s.queued.Add(-1)
 		err := fmt.Errorf("cancelled while queued: %w", ctx.Err())
-		j.finish(nil, err)
+		j.finish(result{}, err)
 		s.finalize(j)
 		return err
 	}
@@ -680,9 +677,9 @@ func (s *Server) run(ctx context.Context, j *job, requested time.Duration, work 
 // determinism plus the dispatcher's index-ordered reduce make the
 // returned document byte-identical either way, so caching and
 // single-flight wrap both paths without distinction.
-func (s *Server) solveWork(j *job, sys *model.System, body []byte, params SolveParams) func(context.Context) (*SolutionDoc, error) {
+func (s *Server) solveWork(j *job, sys *model.System, body []byte, params SolveParams) func(context.Context) (result, error) {
 	if d := s.cfg.Dispatcher; d != nil && d.CanDispatch(params) {
-		return func(ctx context.Context) (*SolutionDoc, error) {
+		return func(ctx context.Context) (result, error) {
 			t0 := time.Now()
 			res, err := d.Dispatch(ctx, &DispatchRequest{
 				Body:     body,
@@ -692,20 +689,21 @@ func (s *Server) solveWork(j *job, sys *model.System, body []byte, params SolveP
 			})
 			j.reg.Histogram(obs.HstSolveSeconds).ObserveSince(t0)
 			if err != nil {
-				return nil, err
+				return result{}, err
 			}
-			j.setWorker(res.Worker)
-			return res.Doc, nil
+			out, err := newResult(res.Doc, nil)
+			out.worker = res.Worker
+			return out, err
 		}
 	}
-	return func(ctx context.Context) (*SolutionDoc, error) {
+	return func(ctx context.Context) (result, error) {
 		strat, err := params.Resolve() // validated at submit; cannot fail here
 		if err != nil {
-			return nil, err
+			return result{}, err
 		}
 		p, err := BuildProblem(sys, params.App)
 		if err != nil {
-			return nil, fmt.Errorf("building problem: %w", err)
+			return result{}, fmt.Errorf("building problem: %w", err)
 		}
 		j.reg.Counter(obs.CtrEvaluations).Add(int64(len(sys.Apps) - 1))
 		t0 := time.Now()
@@ -716,9 +714,9 @@ func (s *Server) solveWork(j *job, sys *model.System, body []byte, params SolveP
 		})
 		j.reg.Histogram(obs.HstSolveSeconds).ObserveSince(t0)
 		if err != nil {
-			return nil, err
+			return result{}, err
 		}
-		return NewSolutionDoc(sol)
+		return newResult(NewSolutionDoc(sol))
 	}
 }
 
@@ -850,7 +848,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, j *job, detach b
 	if detach {
 		go run(obs.CopyTrace(s.baseCtx, r.Context()))
 		w.Header().Set("Location", "/v1/solve/"+j.id)
-		writeJSON(w, http.StatusAccepted, &JobStatusDoc{ID: j.id, Status: StatusQueued, Strategy: j.strategy})
+		writeStatus(w, http.StatusAccepted, &JobStatusDoc{ID: j.id, Status: StatusQueued, Strategy: j.strategy}, nil)
 		return
 	}
 	run(r.Context())
@@ -930,11 +928,11 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 		if done && len(evs) == 0 {
-			status, doc, jerr := j.snapshot()
+			status, res, jerr := j.snapshot()
 			final := map[string]any{"status": status}
-			if doc != nil {
-				final["objective"] = doc.Objective
-				final["evaluations"] = doc.Evaluations
+			if res.solved != nil {
+				final["objective"] = res.solved.objective
+				final["evaluations"] = res.solved.evaluations
 			}
 			if jerr != nil {
 				final["error"] = jerr.Error()

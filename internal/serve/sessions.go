@@ -182,7 +182,7 @@ func (s *Server) handleSessionCommit(w http.ResponseWriter, r *http.Request) {
 		writeRetryError(w, http.StatusTooManyRequests, ErrCodeQueueFull, time.Second, "%v", err)
 		return
 	}
-	work := func(ctx context.Context) (*SolutionDoc, error) {
+	work := func(ctx context.Context) (result, error) {
 		cctx, cspan := obs.StartSpan(ctx, "session.commit")
 		t0 := time.Now()
 		res, err := sess.Commit(cctx, app, session.CommitParams{
@@ -194,16 +194,17 @@ func (s *Server) handleSessionCommit(w http.ResponseWriter, r *http.Request) {
 		cspan.End()
 		j.reg.Histogram(obs.HstCommitSeconds).ObserveSince(t0)
 		if err != nil {
-			return nil, err
+			return result{}, err
 		}
-		j.setCommit(&CommitInfo{
+		out, err := newResult(NewSolutionDoc(res.Solution))
+		out.commit = &CommitInfo{
 			Session:        sess.ID(),
 			Branch:         res.Branch,
 			Version:        res.Version,
 			Parent:         res.Parent,
 			BaselineReused: res.BaselineReused,
-		})
-		return NewSolutionDoc(res.Solution)
+		}
+		return out, err
 	}
 	s.answer(w, r, j, params.Detach, func(ctx context.Context) { s.run(ctx, j, params.Timeout, work) })
 }

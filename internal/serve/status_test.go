@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -171,6 +173,43 @@ func FuzzStatusDoc(f *testing.F) {
 	})
 }
 
+// nanDispatcher answers every solve with a document that does not
+// encode: its objective is NaN.
+type nanDispatcher struct{}
+
+func (nanDispatcher) CanDispatch(SolveParams) bool { return true }
+
+func (nanDispatcher) Dispatch(context.Context, *DispatchRequest) (*DispatchResult, error) {
+	return &DispatchResult{Doc: &SolutionDoc{Objective: math.NaN()}, Worker: "w1"}, nil
+}
+
+// TestUnencodableDocuments: a solution document that does not encode
+// fails its job, and its flight is not kept, so the same request leads
+// a new one; an envelope that does not encode is answered as writeJSON
+// answers it, with the status code and headers and no body.
+func TestUnencodableDocuments(t *testing.T) {
+	_, ts := newCachingServer(t, Config{Parallelism: 1, SolutionCacheSize: 8, Dispatcher: nanDispatcher{}})
+	for i := 0; i < 2; i++ {
+		var doc JobStatusDoc
+		resp := do(t, "POST", ts.URL+"/v1/solve", fixtureJSON(t), &doc)
+		if resp.StatusCode != http.StatusUnprocessableEntity || resp.Header.Get(cacheHeader) != "miss" ||
+			doc.Status != StatusFailed || !strings.Contains(doc.Error, "encoding solution") {
+			t.Fatalf("solve %d = %d, %s %q, %q %q; want 422, miss, failed encoding the solution", i, resp.StatusCode,
+				cacheHeader, resp.Header.Get(cacheHeader), doc.Status, doc.Error)
+		}
+	}
+
+	doc := &JobStatusDoc{ID: "j1", Status: StatusDone, Stats: &obs.Snapshot{
+		Histograms: map[string]obs.HistogramSnapshot{obs.HstSolveSeconds: {Sum: math.NaN()}},
+	}}
+	want, got := httptest.NewRecorder(), httptest.NewRecorder()
+	writeJSON(want, http.StatusOK, doc)
+	writeStatus(got, http.StatusOK, doc, []byte(`{}`))
+	if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) || got.Body.Len() != 0 || want.Body.Len() != 0 {
+		t.Errorf("writeStatus = %d %v %q; writeJSON = %d %v %q", got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
+	}
+}
+
 // awaitMetric polls /metrics until the sample reaches want.
 func awaitMetric(t *testing.T, ts *httptest.Server, metric string, want float64) {
 	t.Helper()
@@ -183,12 +222,14 @@ func awaitMetric(t *testing.T, ts *httptest.Server, metric string, want float64)
 	}
 }
 
-// TestSolveSolutionBytesOnEveryPath: every response that carries the
-// fixture's solution carries json.Marshal of the solution document of a
-// direct core.Solve — a synchronous leader, a synchronous and a detached
-// in-flight follower, hits, GET /v1/solve/{id} on each of those jobs and
-// a cache=off solve — and every job of the flight writes the flight's one
-// encoding, not one of its own.
+// TestSolveSolutionBytesOnEveryPath: every response that carries a
+// solution carries json.Marshal of the solution document of a direct
+// core.Solve — a synchronous leader, a synchronous and a detached
+// in-flight follower, hits, a cache=off solve, a synchronous and a
+// detached session commit (against the one-shot solve of the composed
+// system), and GET /v1/solve/{id} on each of those jobs — and every
+// finished job holds exactly that one encoding: every job of the flight
+// shares the flight's, and every other job holds its own.
 func TestSolveSolutionBytesOnEveryPath(t *testing.T) {
 	s, ts := newCachingServer(t, Config{Parallelism: 1, MaxConcurrent: 1, QueueDepth: 8, SolutionCacheSize: 8})
 	body := fixtureJSON(t)
@@ -270,6 +311,37 @@ func TestSolveSolutionBytesOnEveryPath(t *testing.T) {
 		check("GET /v1/solve/"+id, got)
 	}
 
+	// A commit of the fixture's first application is the one-shot solve
+	// of the base composed with it, synchronous or detached.
+	sysJSON, apps, composed := sessionFixture(t)
+	compSys, err := model.ReadSystem(bytes.NewReader(composed(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCommit := directSolutionJSON(t, compSys, core.MH)
+	var commit rawJobDoc
+	if resp := do(t, "POST", ts.URL+"/v1/sessions/"+openSession(t, ts, sysJSON, "")+"/commits?strategy=mh", apps[0], &commit); resp.StatusCode != http.StatusOK {
+		t.Fatalf("commit = %d", resp.StatusCode)
+	}
+	var detachedCommit JobStatusDoc
+	if resp := do(t, "POST", ts.URL+"/v1/sessions/"+openSession(t, ts, sysJSON, "")+"/commits?strategy=mh&detach=1", apps[0], &detachedCommit); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("detached commit = %d, want 202", resp.StatusCode)
+	}
+	pollStatus(t, ts, detachedCommit.ID, StatusDone)
+	checkCommit := func(what string, got rawJobDoc) {
+		t.Helper()
+		if got.Status != StatusDone || !bytes.Equal(got.Solution, wantCommit) {
+			t.Errorf("%s: status %q, solution %.80s; want done and the composed one-shot solve's %.80s", what, got.Status, got.Solution, wantCommit)
+		}
+	}
+	checkCommit("the synchronous commit", commit)
+	commits := []string{commit.ID, detachedCommit.ID}
+	for _, id := range commits {
+		var got rawJobDoc
+		do(t, "GET", ts.URL+"/v1/solve/"+id, nil, &got)
+		checkCommit("GET /v1/solve/"+id, got)
+	}
+
 	shared := s.SolutionJSON(leader.doc.ID)
 	if !bytes.Equal(shared, want) {
 		t.Fatalf("the flight's encoding %.80s, want %.80s", shared, want)
@@ -279,7 +351,12 @@ func TestSolveSolutionBytesOnEveryPath(t *testing.T) {
 			t.Errorf("job %s writes an encoding of its own, not its flight's", id)
 		}
 	}
-	if got := s.SolutionJSON(uncached.ID); got != nil {
-		t.Errorf("the cache=off job keeps an encoding of %d bytes, want none", len(got))
+	if got := s.SolutionJSON(uncached.ID); !bytes.Equal(got, want) {
+		t.Errorf("the cache=off job's encoding %.80s, want the direct solve's %.80s", got, want)
+	}
+	for _, id := range commits {
+		if got := s.SolutionJSON(id); !bytes.Equal(got, wantCommit) {
+			t.Errorf("commit job %s's encoding %.80s, want the composed one-shot solve's %.80s", id, got, wantCommit)
+		}
 	}
 }
