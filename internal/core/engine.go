@@ -16,13 +16,18 @@ import (
 	"incdes/internal/ttp"
 )
 
-// Engine is the shared evaluation machinery behind Solve: a bounded worker
+// Engine is the evaluation machinery behind Solve: a bounded worker
 // pool over cloned scheduler states and the cancellation plumbing.
-// Strategies receive one engine per Solve call and perform every
-// candidate evaluation through it, which is what makes them parallel,
-// cancellable, and observable without owning any of that logic
-// themselves. A built-in strategy run places its own designs on one
-// incumbent (initial), which becomes the solution's state.
+// Strategies receive it in Run and perform every candidate evaluation
+// through it, which is what makes them parallel, cancellable, and
+// observable without owning any of that logic themselves. A built-in
+// strategy run places its own designs on one incumbent (initial), which
+// becomes the solution's state.
+//
+// Solve builds one engine per call. A strategy run owns only its
+// evaluation counter and its trace sink; everything else is shared by
+// every run of the Solve, so a portfolio lane is a run of the same
+// engine with a counter and a sink of its own (see PortfolioWith).
 //
 // An Engine is safe for concurrent use by the workers it spawns. Results
 // are deterministic by construction: evaluation is a pure function of
@@ -30,18 +35,26 @@ import (
 // the worker count cannot change what a strategy computes — only how
 // fast.
 type Engine struct {
+	*shared
+
+	evals atomic.Int64
+	// tracer is the run's trace sink, nil when tracing is off.
+	// Strategies trace only from deterministic serialization points,
+	// never concurrently from workers, so the event stream is identical
+	// at every parallelism level.
+	tracer *obs.Collector
+}
+
+// shared is what every run of one Solve shares.
+type shared struct {
 	p           *Problem
 	parallelism int
 
-	// jobs is the Solve's one job order of the current application,
-	// which every Design is a vector over: built on first use, read-only
-	// after, and shared by a portfolio's lanes.
-	jobs *jobOrder
-
-	// opts is the resolved Options of the owning Solve call, kept so
-	// composite strategies (the portfolio racer) can derive per-lane
-	// option sets that inherit the caller's tuning.
-	opts Options
+	// ord is the Solve's one job order of the current application, which
+	// every Design is a vector over (ordErr when the application has
+	// none); read-only.
+	ord    *sched.Order
+	ordErr error
 
 	// scratch holds worker-local evaluation contexts reused across
 	// evaluations, so a warm evaluation allocates nothing. Each context
@@ -53,17 +66,13 @@ type Engine struct {
 	// transactional evaluation.
 	baseline *metrics.Baseline
 
-	evals atomic.Int64
-
 	// Observability (see package obs). The instruments are resolved once
-	// here and called unconditionally on the hot path; with no observer
-	// attached every one of them, tracer included, is a nil no-op, so the
-	// layer costs one nil check per event — "free when off". Strategies
-	// trace only from deterministic serialization points, never
-	// concurrently from workers, so the event stream is identical at
-	// every parallelism level.
-	observer    *obs.Observer
-	tracer      *obs.Collector
+	// here and called unconditionally on the hot path; with no registry
+	// every one of them is a nil no-op, so the layer costs one nil check
+	// per event — "free when off". observed says an observer is
+	// attached, which puts the runs and their workers under pprof
+	// labels.
+	observed    bool
 	cEvals      *obs.Counter
 	cMisses     *obs.Counter
 	cInfeasible *obs.Counter
@@ -71,41 +80,53 @@ type Engine struct {
 	ttpStats    ttp.Stats
 }
 
-// newEngine assembles the engine for one Solve call. opts must already be
-// resolved (non-nil strategy; parallelism may still carry its documented
-// zero value, which is resolved here).
+// newEngine assembles the engine of one Solve call and returns its
+// strategy's run. Parallelism may still carry its documented zero value,
+// which is resolved here.
 func newEngine(p *Problem, opts Options) *Engine {
-	e := &Engine{
+	s := &shared{
 		p:           p,
 		parallelism: opts.Parallelism,
-		opts:        opts,
-		observer:    opts.Observer,
 		baseline:    opts.Baseline,
-		jobs:        &jobOrder{},
+		observed:    opts.Observer != nil,
 	}
-	if e.baseline == nil {
-		e.baseline = metrics.NewBaseline(p.Base, p.Profile, p.Weights)
+	s.ord, s.ordErr = p.Base.Order(p.Current)
+	if s.baseline == nil {
+		s.baseline = metrics.NewBaseline(p.Base, p.Profile, p.Weights)
 	}
-	if e.parallelism <= 0 {
-		e.parallelism = runtime.GOMAXPROCS(0)
-	}
-	if opts.Observer != nil {
-		e.tracer = opts.Observer.Tracer
+	if s.parallelism <= 0 {
+		s.parallelism = runtime.GOMAXPROCS(0)
 	}
 	// A nil registry resolves every instrument to nil.
 	reg := opts.Observer.Registry()
-	e.cEvals = reg.Counter(obs.CtrEvaluations)
-	e.cMisses = reg.Counter(obs.CtrCacheMisses)
-	e.cInfeasible = reg.Counter(obs.CtrInfeasible)
-	e.schedStats = sched.StatsFrom(reg)
-	e.ttpStats = ttp.StatsFrom(reg)
+	s.cEvals = reg.Counter(obs.CtrEvaluations)
+	s.cMisses = reg.Counter(obs.CtrCacheMisses)
+	s.cInfeasible = reg.Counter(obs.CtrInfeasible)
+	s.schedStats = sched.StatsFrom(reg)
+	s.ttpStats = ttp.StatsFrom(reg)
+	e := &Engine{shared: s}
+	if opts.Observer != nil {
+		e.tracer = opts.Observer.Tracer
+	}
 	return e
+}
+
+// labelled calls fn(ctx), under the pprof labels kv when an observer is
+// attached, so CPU profiles segment by request, strategy, lane and
+// worker; goroutines fn starts inherit the labels.
+func (s *shared) labelled(ctx context.Context, fn func(context.Context), kv ...string) {
+	if !s.observed {
+		fn(ctx)
+		return
+	}
+	pprof.Do(ctx, pprof.Labels(kv...), fn)
 }
 
 // Problem returns the problem instance being solved.
 func (e *Engine) Problem() *Problem { return e.p }
 
-// Evaluations returns the number of design alternatives examined so far.
+// Evaluations returns the number of design alternatives this run has
+// examined so far.
 func (e *Engine) Evaluations() int64 { return e.evals.Load() }
 
 // Tracing reports whether a trace sink is attached, so emitters can skip
@@ -128,24 +149,15 @@ func (e *Engine) count(n int64) {
 // identity that a candidate is a move over the design it placed last.
 type Design = sched.Design
 
-// jobOrder is the Solve's job order of the current application, built
-// once.
-type jobOrder struct {
-	once sync.Once
-	ord  *sched.Order
-	err  error
-}
-
 // NewDesign returns the design (mapping, hints) of the current
-// application over the Solve's job order, building the order on first
-// use. Hints outside the current application, or of 0 or less, decide
-// nothing and are not kept (sched.Order.Design).
+// application over the Solve's job order. Hints outside the current
+// application, or of 0 or less, decide nothing and are not kept
+// (sched.Order.Design).
 func (e *Engine) NewDesign(mapping model.Mapping, hints sched.Hints) (*Design, error) {
-	e.jobs.once.Do(func() { e.jobs.ord, e.jobs.err = e.p.Base.Order(e.p.Current) })
-	if e.jobs.err != nil {
-		return nil, e.jobs.err
+	if e.ordErr != nil {
+		return nil, e.ordErr
 	}
-	return e.jobs.ord.Design(mapping, hints), nil
+	return e.ord.Design(mapping, hints), nil
 }
 
 // evalScratch is one worker-local evaluation context. st is the
@@ -282,11 +294,7 @@ func (e *Engine) ForEach(ctx context.Context, n int, fn func(i int)) {
 					fn(i)
 				}
 			}
-			if e.observer != nil {
-				pprof.Do(ctx, pprof.Labels("incdes.worker", strconv.Itoa(w)), work)
-			} else {
-				work(ctx)
-			}
+			e.labelled(ctx, work, "incdes.worker", strconv.Itoa(w))
 		}(w)
 	}
 	wg.Wait()

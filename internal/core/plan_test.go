@@ -33,7 +33,7 @@ func TestPlan(t *testing.T) {
 		{"sa-negative-restarts", core.SAWith(core.SAOptions{Restarts: -2}), []core.Unit{{Name: "SA"}}},
 		{"sa-chain-offset", core.SAWith(core.SAOptions{Restarts: 2, ChainOffset: 5}),
 			[]core.Unit{{Name: "SA", Chain: 5}, {Name: "SA", Chain: 6}}},
-		{"portfolio-default-lanes", core.Portfolio,
+		{"portfolio-default-lanes", core.PortfolioWith(core.PortfolioOptions{}),
 			[]core.Unit{{Lane: 0, Name: "AH"}, {Lane: 1, Name: "MH"}, {Lane: 2, Name: "SA"}}},
 		{"portfolio-lanes-plus-chains", core.PortfolioWith(core.PortfolioOptions{Lanes: []core.Strategy{core.AH, core.MH, sa2}}),
 			[]core.Unit{{Lane: 0, Name: "AH"}, {Lane: 1, Name: "MH"}, {Lane: 2, Name: "SA"}, {Lane: 2, Name: "SA", Chain: 1}}},

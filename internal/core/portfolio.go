@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime/pprof"
 	"strconv"
 	"sync"
 
@@ -26,7 +25,10 @@ func (o PortfolioOptions) lanes() []Strategy {
 }
 
 // PortfolioWith returns a strategy that races opts.Lanes concurrently
-// under the Solve call's context and returns the winner.
+// under the Solve call's context and returns the winner. Each lane is a
+// run of the Solve's one engine, with an evaluation counter and a trace
+// sink of its own: the lanes share the job order, the evaluation workers'
+// contexts, the baseline and the instruments.
 //
 // Determinism rule: the winner is the error-free lane with the lowest
 // (objective, lane index) — so for a fixed problem and options the
@@ -51,28 +53,46 @@ func (o PortfolioOptions) lanes() []Strategy {
 // The winning lane's Solution is returned as-is: Strategy carries the
 // winner's own tag ("AH", "MH", "SA"), and Evaluations counts the
 // winner's lane only, so the result is byte-identical to a direct
-// Solve of the winning strategy. Aggregate cross-lane work remains
-// visible in the observer's counters (core.evaluations sums all lanes),
-// and with tracing on each lane's full event stream is replayed in lane
-// order followed by a portfolio.lane summary per lane (its evaluations,
-// cost and feasibility) and the final decision event, whose chain is the
-// winning lane.
+// Solve of the winning strategy. With tracing on, each lane's event
+// stream is replayed in lane order, followed by a portfolio.lane summary
+// (its evaluations, cost and feasibility), then the final decision
+// event, whose chain is the winning lane. When the zero-objective
+// shortcut applies, with z its lowest lane, the lanes above z are cut,
+// whether or not they finished before lane z did: how far a cut lane ran
+// depends on timing, so none of its events are replayed and its summary
+// carries only its strategy, its lane index in chain and the note "cut".
+// z does not depend on timing, so neither does the trace. The observer's
+// registry counters (core.evaluations, the scheduler's and the bus's)
+// still count every lane's real work, the cut lanes' included, like the
+// timings in a job's stats.
 func PortfolioWith(opts PortfolioOptions) Strategy { return portfolioStrategy{opts: opts} }
 
 type portfolioStrategy struct{ opts PortfolioOptions }
 
 func (portfolioStrategy) Name() string { return "portfolio" }
 
-// laneResult is one lane's outcome plus its buffered trace.
+// laneResult is one lane's outcome and its run of the engine, which
+// holds the lane's evaluation count and buffered trace.
 type laneResult struct {
-	sol    *Solution
-	err    error
-	evals  int64
-	events []obs.TraceEvent
+	sol *Solution
+	err error
+	run *Engine
 }
 
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// decided returns how many lanes decide the race: z+1 when lane z is the
+// first to score 0 and lanes 0..z all ran to natural completion, else
+// every lane. The lanes above z are cut.
+func decided(natural []bool, results []laneResult) int {
+	for z := 0; z < len(natural) && natural[z]; z++ {
+		if results[z].sol.Objective() == 0 {
+			return z + 1
+		}
+	}
+	return len(natural)
 }
 
 func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
@@ -107,57 +127,32 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 		wg.Add(1)
 		go func(i int, lane Strategy) {
 			defer wg.Done()
-			laneOpts := eng.opts
-			laneOpts.Strategy = lane
-			// Share the outer engine's baseline: the frozen base is one
-			// and the same for every lane, and Baseline is read-only.
-			laneOpts.Baseline = eng.baseline
-			var col *obs.Collector
-			if eng.observer != nil {
-				if eng.Tracing() {
-					col = &obs.Collector{}
-				}
-				laneOpts.Observer = &obs.Observer{Stats: eng.observer.Stats, Tracer: col}
+			r := laneResult{run: &Engine{shared: eng.shared}}
+			if eng.Tracing() {
+				r.run.tracer = &obs.Collector{}
 			}
-			laneEng := newEngine(eng.p, laneOpts)
-			laneEng.jobs = eng.jobs // one job order per Solve
-			var sol *Solution
-			var err error
-			runLane := func(ctx context.Context) { sol, err = lane.Run(ctx, laneEng) }
-			if eng.observer != nil {
-				pprof.Do(laneCtxs[i], pprof.Labels("incdes.lane", strconv.Itoa(i)), runLane)
-			} else {
-				runLane(laneCtxs[i])
-			}
+			eng.labelled(laneCtxs[i], func(ctx context.Context) { r.sol, r.err = lane.Run(ctx, r.run) },
+				"incdes.lane", strconv.Itoa(i))
 			laneSpans[i].End()
-			if sol != nil {
+			if r.sol != nil {
 				// Lanes bypass Solve, so fill the counter Solve would have.
-				sol.Evaluations = int(laneEng.Evaluations())
-			}
-			r := laneResult{sol: sol, err: err, evals: laneEng.Evaluations()}
-			if col != nil {
-				r.events = col.Events()
+				r.sol.Evaluations = int(r.run.Evaluations())
 			}
 
 			mu.Lock()
 			results[i] = r
 			switch {
-			case err != nil && !isCtxErr(err):
+			case r.err != nil && !isCtxErr(r.err):
 				// Deterministic lane failure: no run of this race can
 				// produce a solution, so stop burning the other lanes.
 				cancelRace()
-			case err == nil && sol != nil && !sol.Interrupted:
+			case r.err == nil && r.sol != nil && !r.sol.Interrupted:
 				natural[i] = true
-				// Zero-objective shortcut: if the leading naturally-completed
-				// prefix contains an objective-0 lane, no later lane can win
-				// the (objective, index) tie-break.
-				for z := 0; z < len(lanes) && natural[z]; z++ {
-					if results[z].sol.Objective() == 0 {
-						for j := z + 1; j < len(lanes); j++ {
-							cancels[j]()
-						}
-						break
-					}
+				// Zero-objective shortcut: no lane above a zero-objective
+				// lane that ends a naturally-completed prefix can win the
+				// (objective, index) tie-break.
+				for j := decided(natural, results); j < len(lanes); j++ {
+					cancels[j]()
 				}
 			}
 			mu.Unlock()
@@ -181,17 +176,19 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 	}
 
 	if eng.Tracing() {
+		cut := decided(natural, results)
 		for i, r := range results {
-			for _, ev := range r.events {
+			lane := obs.TraceEvent{Kind: "portfolio.lane", Strategy: names[i], Chain: i}
+			if i >= cut {
+				lane.Note = "cut"
+				eng.tracer.Trace(lane)
+				continue
+			}
+			for _, ev := range r.run.tracer.Events() {
 				eng.tracer.Trace(ev)
 			}
-			lane := obs.TraceEvent{
-				Kind:        "portfolio.lane",
-				Strategy:    names[i],
-				Chain:       i,
-				Evaluations: r.evals,
-				Feasible:    r.err == nil && r.sol != nil,
-			}
+			lane.Evaluations = r.run.Evaluations()
+			lane.Feasible = r.err == nil && r.sol != nil
 			if r.sol != nil {
 				lane.Cost = r.sol.Objective()
 			}
@@ -200,10 +197,10 @@ func (s portfolioStrategy) Run(ctx context.Context, eng *Engine) (*Solution, err
 	}
 
 	win := results[winner].sol
-	// The outer Solve reports the engine's counter; make it the winning
+	// The outer Solve reports its run's counter; make it the winning
 	// lane's so the returned Solution is byte-identical to a direct solve
 	// of the winner (aggregate work stays in the registry).
-	eng.evals.Store(results[winner].evals)
+	eng.evals.Store(results[winner].run.Evaluations())
 	eng.tracer.Trace(obs.TraceEvent{
 		Kind:     "decision",
 		Strategy: "portfolio",

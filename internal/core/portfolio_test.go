@@ -235,7 +235,7 @@ func TestPortfolioDefaultLanes(t *testing.T) {
 	p := hardProblem(t, 15, 20, 10)
 	col := &obs.Collector{}
 	sol, err := core.Solve(context.Background(), p, core.Options{
-		Strategy:    core.Portfolio,
+		Strategy:    core.PortfolioWith(core.PortfolioOptions{}),
 		Parallelism: 1,
 		Observer:    &obs.Observer{Tracer: col},
 	})

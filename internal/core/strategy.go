@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime/pprof"
 	"strconv"
 	"time"
 
@@ -37,9 +36,6 @@ var (
 	MH Strategy = MHWith(MHOptions{})
 	// SA is the annealing reference with DefaultSAOptions.
 	SA Strategy = SAWith(DefaultSAOptions())
-	// Portfolio races AH, MH and SA concurrently under one deadline and
-	// returns the deterministic winner (see PortfolioWith).
-	Portfolio Strategy = PortfolioWith(PortfolioOptions{})
 )
 
 // MHWith returns the mapping heuristic configured with opts. Zero-valued
@@ -113,15 +109,8 @@ func Solve(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	span.SetAttr("strategy", opts.Strategy.Name())
 	var sol *Solution
 	var err error
-	run := func(ctx context.Context) { sol, err = opts.Strategy.Run(ctx, eng) }
-	if opts.Observer != nil {
-		pprof.Do(runCtx, pprof.Labels(
-			"incdes.request", obs.RequestIDFrom(ctx),
-			"incdes.strategy", opts.Strategy.Name(),
-		), run)
-	} else {
-		run(runCtx)
-	}
+	eng.labelled(runCtx, func(ctx context.Context) { sol, err = opts.Strategy.Run(ctx, eng) },
+		"incdes.request", obs.RequestIDFrom(ctx), "incdes.strategy", opts.Strategy.Name())
 	if err != nil {
 		span.End()
 		return nil, err

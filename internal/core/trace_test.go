@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"incdes/internal/core"
@@ -43,6 +44,9 @@ func TestTraceDeterministicAcrossParallelism(t *testing.T) {
 	}{
 		{"MH", core.MH},
 		{"SA", core.SAWith(core.SAOptions{Seed: 5, Iterations: 400, Restarts: 4})},
+		// MH reaches objective 0 here, so the zero-objective shortcut
+		// cuts the SA lane at a point that depends on timing.
+		{"portfolio", core.PortfolioWith(core.PortfolioOptions{})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,7 +68,31 @@ func TestTraceDeterministicAcrossParallelism(t *testing.T) {
 				}
 				t.Fatalf("event counts differ: %d (par 1) vs %d (par 4)", len(e1), len(e4))
 			}
+			if tc.name == "portfolio" {
+				assertSALaneCut(t, e1)
+			}
 		})
+	}
+}
+
+// assertSALaneCut checks a default portfolio's trace in which MH scores
+// 0: the SA lane is cut, so its summary carries only its strategy, lane
+// and note, and the trace holds no event the lane emitted.
+func assertSALaneCut(t *testing.T, events []obs.TraceEvent) {
+	t.Helper()
+	lanes, _ := laneSummaries(t, events)
+	if len(lanes) != 3 {
+		t.Fatalf("trace has %d lane summaries, want 3", len(lanes))
+	}
+	sa := lanes[2]
+	sa.Seq = 0
+	if want := (obs.TraceEvent{Kind: "portfolio.lane", Strategy: "SA", Chain: 2, Note: "cut"}); sa != want {
+		t.Errorf("SA lane summary = %+v, want %+v", sa, want)
+	}
+	for _, ev := range events {
+		if strings.HasPrefix(ev.Kind, "sa.") || (ev.Strategy == "SA" && ev.Kind != "portfolio.lane") {
+			t.Errorf("trace holds the cut SA lane's event %+v", ev)
+		}
 	}
 }
 

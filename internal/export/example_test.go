@@ -3,7 +3,6 @@ package export_test
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"incdes/internal/export"
 	"incdes/internal/model"
@@ -12,7 +11,7 @@ import (
 )
 
 // ExampleBuild turns a finished schedule into dispatch tables and a MEDL
-// and prints them in the text form a design review would read.
+// and verifies them against the system.
 func ExampleBuild() {
 	b := model.NewBuilder()
 	n0 := b.Node("N0")
@@ -35,17 +34,19 @@ func ExampleBuild() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := design.WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
+	for _, nt := range design.Nodes {
+		for _, e := range nt.Entries {
+			fmt.Printf("N%d runs process %d from %v to %v\n", nt.Node, e.Proc, e.Start, e.End)
+		}
+	}
+	for _, e := range design.MEDL {
+		fmt.Printf("round %d slot %d carries message %d: %dB from %v to %v\n",
+			e.Round, e.Slot, e.Msg, e.Bytes, e.Start, e.End)
 	}
 	fmt.Printf("verification: %d problems\n", len(export.Check(design, sys, sys.Apps...)))
 	// Output:
-	// design over 100tu (TDMA round 20tu)
-	// node N0 dispatch table (1 activations):
-	//        0tu  run process 0     occ 0   (app 0) until 10tu
-	// node N1 dispatch table (1 activations):
-	//       30tu  run process 1     occ 0   (app 0) until 45tu
-	// MEDL (1 entries):
-	//   round    1 slot  0 offset  0B: msg 0     occ 0   4B
+	// N0 runs process 0 from 0tu to 10tu
+	// N1 runs process 1 from 30tu to 45tu
+	// round 1 slot 0 carries message 0: 4B from 20tu to 30tu
 	// verification: 0 problems
 }

@@ -3,9 +3,9 @@
 // (the process activation times a TTP node's kernel executes verbatim)
 // and the bus MEDL (message descriptor list, the slot table a TTP
 // controller is configured from), both laid out by Build. Designs
-// serialize to JSON, human-readable text, and a compact checksummed
-// binary image suitable for flashing tools. The image is write-only
-// here: designs are read back from JSON.
+// serialize to JSON and to a compact checksummed binary image suitable
+// for flashing tools. The image is write-only here: designs are read
+// back from JSON.
 //
 // Check verifies a design against the system it claims to implement,
 // independently of the scheduler, and is the repository's one schedule
@@ -178,24 +178,4 @@ func ReadDesign(r io.Reader) (*Design, error) {
 		return nil, fmt.Errorf("export: decode design: %w", err)
 	}
 	return &d, nil
-}
-
-// WriteText renders the design as aligned human-readable tables.
-func (d *Design) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "design over %v (TDMA round %v)\n", d.Horizon, d.RoundLen); err != nil {
-		return err
-	}
-	for _, nt := range d.Nodes {
-		fmt.Fprintf(w, "node N%d dispatch table (%d activations):\n", nt.Node, len(nt.Entries))
-		for _, e := range nt.Entries {
-			fmt.Fprintf(w, "  %8v  run process %-5d occ %-3d (app %d) until %v\n",
-				e.Start, e.Proc, e.Occ, e.App, e.End)
-		}
-	}
-	fmt.Fprintf(w, "MEDL (%d entries):\n", len(d.MEDL))
-	for _, e := range d.MEDL {
-		fmt.Fprintf(w, "  round %4d slot %2d offset %2dB: msg %-5d occ %-3d %dB\n",
-			e.Round, e.Slot, e.Offset, e.Msg, e.Occ, e.Bytes)
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package export
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"incdes/internal/gen"
@@ -78,23 +77,6 @@ func TestDesignJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, d) {
 		t.Error("JSON round trip changed the design")
-	}
-}
-
-func TestDesignText(t *testing.T) {
-	d, err := Build(exportState(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := d.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"dispatch table", "MEDL", "node N0"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text export missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -59,7 +59,7 @@ func TestLintRealRender(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, DefaultNamespace, r.Snapshot()); err != nil {
+	if err := writeSnapshot(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if problems := Lint(bytes.NewReader(buf.Bytes())); len(problems) != 0 {

@@ -259,11 +259,3 @@ func (c *Collection) Write(w io.Writer) error {
 	}
 	return nil
 }
-
-// Write renders a single unlabeled snapshot under namespace: the
-// convenience form for one-registry exports.
-func Write(w io.Writer, namespace string, s obs.Snapshot) error {
-	c := NewCollection(namespace)
-	c.Add(nil, s)
-	return c.Write(w)
-}

@@ -2,6 +2,7 @@ package promtext
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -30,6 +31,14 @@ func TestMetricName(t *testing.T) {
 	}
 }
 
+// writeSnapshot renders one unlabeled snapshot under the default
+// namespace.
+func writeSnapshot(w io.Writer, s obs.Snapshot) error {
+	c := NewCollection(DefaultNamespace)
+	c.Add(nil, s)
+	return c.Write(w)
+}
+
 func TestWriteSnapshot(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Counter(obs.CtrEvaluations).Add(42)
@@ -37,7 +46,7 @@ func TestWriteSnapshot(t *testing.T) {
 	r.Gauge(obs.GagSessLive).Set(4)
 
 	var buf bytes.Buffer
-	if err := Write(&buf, DefaultNamespace, r.Snapshot()); err != nil {
+	if err := writeSnapshot(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -56,7 +65,7 @@ func TestWriteSnapshot(t *testing.T) {
 	}
 	// Deterministic: a second render is byte-identical.
 	var again bytes.Buffer
-	if err := Write(&again, DefaultNamespace, r.Snapshot()); err != nil {
+	if err := writeSnapshot(&again, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if again.String() != out {
@@ -151,7 +160,7 @@ func TestFullCatalogRenders(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, DefaultNamespace, r.Snapshot()); err != nil {
+	if err := writeSnapshot(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	names := parseExposition(t, buf.String())

@@ -21,12 +21,14 @@ import (
 //	init         Strategy, Cost            — the initial (IM) design
 //	candidate    Iter, Index, Cost, Feasible — one examined MH alternative
 //	move         Iter, Index, Cost         — the applied MH transformation
-//	stop         Iter, Note                — MH termination reason
+//	stop         Strategy, Note            — MH termination reason
 //	sa.best      Chain, Iter, Cost         — a chain found a new best
 //	sa.window    Chain, Iter, Accepts, Rejects — cooling-window statistics
 //	sa.chain     Chain, Cost               — a chain's final best
-//	portfolio.lane Strategy, Chain, Cost, Evaluations, Feasible — a race lane's outcome
-//	decision     Strategy, Chain, Cost     — the winning design
+//	portfolio.lane Strategy, Chain, Cost, Evaluations, Feasible — a race lane's outcome;
+//	             Strategy, Chain, Note "cut" — a lane the zero-objective shortcut cut
+//	cluster.unit Strategy, Chain, Cost, Evaluations, Feasible — a dispatched unit's outcome
+//	decision     Strategy, Chain, Cost     — the winning design (a cluster's also Evaluations)
 //	solve.done   Strategy, Cost, Evaluations
 //
 // Seq is assigned by the Collector in arrival order (1-based).

@@ -7,6 +7,14 @@ import (
 	"incdes/internal/model"
 )
 
+// Job identifies one occurrence of a process within the hyperperiod. Its
+// field names are part of the reference's bytes: job lines render it
+// with %+v.
+type Job struct {
+	Proc model.ProcID
+	Occ  int
+}
+
 // fingerprintFmt is the fmt rendering State.Fingerprint replaced, kept
 // verbatim as the reference its bytes must equal: stored session
 // documents verify replay against SHA-256 digests of these bytes.

@@ -25,12 +25,6 @@ import (
 	"incdes/internal/tm"
 )
 
-// Job identifies one occurrence of a process within the hyperperiod.
-type Job struct {
-	Proc model.ProcID
-	Occ  int
-}
-
 // ProcEntry is one scheduled process occurrence.
 type ProcEntry struct {
 	App   model.AppID

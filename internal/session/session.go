@@ -301,12 +301,6 @@ func (s *Session) Doc() (*Doc, error) {
 	return s.doc.Clone()
 }
 
-// Profile returns the session's pinned future-application profile.
-func (s *Session) Profile() *future.Profile { return s.prof }
-
-// Weights returns the session's objective weights.
-func (s *Session) Weights() metrics.Weights { return s.weights }
-
 func (s *Session) count(name string) {
 	if s.reg != nil {
 		s.reg.Counter(name).Inc()

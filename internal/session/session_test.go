@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"incdes/internal/core"
+	"incdes/internal/metrics"
 	"incdes/internal/model"
 	"incdes/internal/sched"
 	"incdes/internal/session"
@@ -125,7 +126,7 @@ func composedSolve(t *testing.T, sess *session.Session, upTo int, app *model.App
 			t.Fatalf("replaying commit of %q: %v", vd.App.Name, err)
 		}
 	}
-	p, err := core.NewProblem(sys, st, app, sess.Profile(), sess.Weights())
+	p, err := core.NewProblem(sys, st, app, doc.Profile, metrics.DefaultWeights(doc.Profile))
 	if err != nil {
 		t.Fatal(err)
 	}
