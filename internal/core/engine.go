@@ -26,8 +26,11 @@ import (
 //
 // Solve builds one engine per call. A strategy run owns only its
 // evaluation counter and its trace sink; everything else is shared by
-// every run of the Solve, so a portfolio lane is a run of the same
-// engine with a counter and a sink of its own (see PortfolioWith).
+// every run of the Solve. A run that goes on concurrently with others,
+// a portfolio lane (see PortfolioWith) or an SA restart chain, is a run
+// of the same engine with a counter and a sink of its own (run): only
+// the goroutine running it writes to them, and its parent replays the
+// finished runs into its own in index order (replay).
 //
 // An Engine is safe for concurrent use by the workers it spawns. Results
 // are deterministic by construction: evaluation is a pure function of
@@ -120,6 +123,27 @@ func (s *shared) labelled(ctx context.Context, fn func(context.Context), kv ...s
 		return
 	}
 	pprof.Do(ctx, pprof.Labels(kv...), fn)
+}
+
+// run returns a new run of e's engine: an evaluation counter of its own
+// and, when e is tracing, a collector of its own.
+func (e *Engine) run() *Engine {
+	r := &Engine{shared: e.shared}
+	if e.Tracing() {
+		r.tracer = &obs.Collector{}
+	}
+	return r
+}
+
+// replay adds a finished run's evaluations and trace events to e's.
+// Callers replay their runs in index order once every run has finished,
+// so e's count and trace do not depend on how the runs interleaved. The
+// registry counted the run's work as it happened.
+func (e *Engine) replay(r *Engine) {
+	e.evals.Add(r.Evaluations())
+	for _, ev := range r.tracer.Events() {
+		e.tracer.Trace(ev)
+	}
 }
 
 // Problem returns the problem instance being solved.

@@ -55,7 +55,9 @@ type Outcome struct {
 // p.Units[i]) into the winning unit index, the combined outcome and the
 // deterministic error. Each lane folds its units by the chain rule, then
 // a portfolio folds its lanes by the lane rule; both depend only on unit
-// order, never on which executor ran a unit or when.
+// order, never on which executor ran a unit or when. The local racer
+// folds its lanes by the same lane rule, so a dispatched portfolio and a
+// local one agree.
 func Reduce(p UnitPlan, outs []Outcome) (int, Outcome, error) {
 	var names []string
 	var lanes []Outcome
@@ -129,12 +131,31 @@ func reduceChains(outs []Outcome) (int, Outcome) {
 	return best, sum
 }
 
-// reduceLanes is the portfolio's lane rule: lane errors are pure
-// functions of the problem, so the lowest-index non-context lane error
-// beats any solution and is wrapped with the lane index and name;
-// otherwise the lowest (objective, lane) wins.
+// decided returns how many lanes decide a portfolio race: z+1 when lane
+// z is the first to score 0 and lanes 0..z all completed naturally (no
+// error, not interrupted), else every lane. No lane above z can beat
+// lane z's (objective, lane), so those lanes are cut: whatever they
+// report, a solution, an error or nothing yet, leaves the result as it
+// is. z depends only on the lanes' outcomes, never on when they arrived.
+func decided(lanes []Outcome) int {
+	for z, o := range lanes {
+		if o.Err != nil || o.Interrupted {
+			break
+		}
+		if o.Objective == 0 {
+			return z + 1
+		}
+	}
+	return len(lanes)
+}
+
+// reduceLanes is the portfolio's lane rule over the lanes that decide
+// the race (decided): lane errors are pure functions of the problem, so
+// the lowest-index non-context lane error beats any solution and is
+// wrapped with the lane index and name; otherwise the lowest
+// (objective, lane) wins.
 func reduceLanes(names []string, outs []Outcome) (int, error) {
-	lane, err := pick(outs)
+	lane, err := pick(outs[:decided(outs)])
 	if err != nil && !isCtxErr(err) {
 		return -1, fmt.Errorf("core: portfolio lane %d (%s): %w", lane, names[lane], err)
 	}

@@ -135,6 +135,16 @@ func TestReduce(t *testing.T) {
 		{name: "portfolio-custom-lane-order-error", strat: core.PortfolioWith(core.PortfolioOptions{Lanes: []core.Strategy{sa2, core.MH, core.AH}}),
 			outs: []core.Outcome{ok(4, 11), ok(4, 11), ok(4, 5), failed("ah failed")}, winner: -1,
 			wantErr: "core: portfolio lane 2 (AH): ah failed"},
+		// A lane that completes naturally with objective 0 decides the
+		// race with the lanes below it: an error above it is cut.
+		{name: "portfolio-zero-lane-cuts-a-later-error", strat: port,
+			outs: []core.Outcome{ok(0, 1), failed("mh failed"), ok(1, 30), ok(2, 30)}, winner: 0,
+			want: ok(0, 1)},
+		// An interrupted zero is not a natural completion, so it cuts
+		// nothing and the lane error stands.
+		{name: "portfolio-interrupted-zero-does-not-cut", strat: port,
+			outs: []core.Outcome{{Objective: 0, Evaluations: 1, Interrupted: true}, failed("mh failed"), ok(1, 30), ok(2, 30)}, winner: -1,
+			wantErr: "core: portfolio lane 1 (MH): mh failed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -229,6 +229,48 @@ func TestPortfolioLaneErrorIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestPortfolioZeroLaneCutsALaterError pins that the local racer decides
+// by Reduce's lane rule: MH scores 0 on this problem, so a lane above it
+// that fails is cut, and every solve returns MH's solution whichever lane
+// finishes first.
+func TestPortfolioZeroLaneCutsALaterError(t *testing.T) {
+	p := testProblem(t, 11, 40, 20)
+	direct, err := core.Solve(context.Background(), p, core.Options{Strategy: core.MH, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Report.Objective != 0 {
+		t.Fatalf("MH objective = %v, want 0 for the lane above it to be cut", direct.Report.Objective)
+	}
+	want := identity(t, direct)
+	strat := core.PortfolioWith(core.PortfolioOptions{Lanes: []core.Strategy{core.MH, failingLane{}}})
+	for _, par := range []int{1, 4} {
+		for n := 0; n < 20; n++ {
+			col := &obs.Collector{}
+			sol, err := core.Solve(context.Background(), p, core.Options{
+				Strategy:    strat,
+				Parallelism: par,
+				Observer:    &obs.Observer{Tracer: col},
+			})
+			if err != nil {
+				t.Fatalf("parallelism %d, solve %d: %v", par, n, err)
+			}
+			if got := identity(t, sol); got != want {
+				t.Fatalf("parallelism %d, solve %d: got %+v, want MH's %+v", par, n, got, want)
+			}
+			lanes, winner := laneSummaries(t, col.Events())
+			if len(lanes) != 2 || winner != 0 {
+				t.Fatalf("parallelism %d, solve %d: %d lane summaries and winner %d, want 2 and 0", par, n, len(lanes), winner)
+			}
+			boom := lanes[1]
+			boom.Seq = 0
+			if cut := (obs.TraceEvent{Kind: "portfolio.lane", Strategy: "boom", Chain: 1, Note: "cut"}); boom != cut {
+				t.Fatalf("parallelism %d, solve %d: lane 1 summary = %+v, want %+v", par, n, boom, cut)
+			}
+		}
+	}
+}
+
 // TestPortfolioDefaultLanes pins that the zero-value portfolio races
 // AH, MH and SA, in that lane order.
 func TestPortfolioDefaultLanes(t *testing.T) {

@@ -104,16 +104,12 @@ type saStrategy struct{ opts SAOptions }
 
 func (saStrategy) Name() string { return "SA" }
 
-// chainResult is the outcome of one restart chain.
+// chainResult is the outcome of one restart chain; best is nil when the
+// chain never started.
 type chainResult struct {
-	ran         bool
 	interrupted bool
 	best        *Design
 	report      metrics.Report
-	// events buffers the chain's trace events; Run flushes the buffers
-	// in chain-index order after the parallel fan-out has joined, so the
-	// trace is identical at every parallelism level.
-	events []obs.TraceEvent
 }
 
 func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
@@ -136,24 +132,28 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 
 	eng.tracer.Trace(obs.TraceEvent{Kind: "init", Strategy: "SA", Cost: in.rep.Objective})
 
+	// Each chain is a run of the engine. The runs' counts and traces join
+	// this run's in chain order after the fan-out has joined, so both are
+	// identical at every parallelism level.
 	chains := make([]chainResult, o.Restarts)
+	runs := make([]*Engine, o.Restarts)
+	for c := range runs {
+		runs[c] = eng.run()
+	}
 	eng.ForEach(ctx, o.Restarts, func(c int) {
-		chains[c] = s.runChain(ctx, eng, c, o, ix, procs, msgs, in.d, in.rep)
+		chains[c] = s.runChain(ctx, runs[c], c, o, ix, procs, msgs, in.d, in.rep)
 	})
 
-	// Reduce by the chain rule (see Reduce). The chains' buffered trace
-	// events flush here, in chain order; a chain that never started
+	// Reduce by the chain rule (see Reduce); a chain that never started
 	// reports the context error and is skipped.
 	outs := make([]Outcome, len(chains))
-	for c := range chains {
-		for _, ev := range chains[c].events {
-			eng.tracer.Trace(ev)
-		}
-		if !chains[c].ran {
+	for c, ch := range chains {
+		eng.replay(runs[c])
+		if ch.best == nil {
 			outs[c].Err = ctx.Err()
 			continue
 		}
-		outs[c] = Outcome{Objective: chains[c].report.Objective, Interrupted: chains[c].interrupted}
+		outs[c] = Outcome{Objective: ch.report.Objective, Interrupted: ch.interrupted}
 	}
 	best, sum := reduceChains(outs)
 	if best < 0 {
@@ -174,28 +174,23 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	return in.solution("SA", sum.Interrupted || ctx.Err() != nil), nil
 }
 
-// runChain executes one annealing chain. The walk reproduces the
-// pre-redesign serial annealer exactly: one RNG drives both neighbor
-// generation and acceptance, the temperature cools geometrically per
-// drawn neighbor, and infeasible neighbors consume an iteration. A draw
-// that leaves the design unchanged scores the current objective, so it
-// is counted and accepted with delta 0 without being evaluated. Each
-// neighbor is a move over the chain's current design, which an accepted
-// move replaces.
-func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOptions,
+// runChain executes annealing chain c on run, the chain's own run of the
+// engine. The walk reproduces the pre-redesign serial annealer exactly:
+// one RNG drives both neighbor generation and acceptance, the
+// temperature cools geometrically per drawn neighbor, and infeasible
+// neighbors consume an iteration. A draw that leaves the design unchanged scores the current
+// objective, so it is counted and accepted with delta 0 without being
+// evaluated. Each neighbor is a move over the chain's current design,
+// which an accepted move replaces.
+func (s saStrategy) runChain(ctx context.Context, run *Engine, c int, o SAOptions,
 	ix *model.Index, procs []*model.Process, msgs []*model.Message,
 	initial *Design, report0 metrics.Report) chainResult {
 
-	p := eng.Problem()
+	p := run.Problem()
 	rng := rand.New(rand.NewSource(chainSeed(o.Seed, o.ChainOffset+c)))
 
 	cur := initial
-	res := chainResult{
-		ran:    true,
-		best:   initial,
-		report: report0,
-	}
-	tracing := eng.Tracing()
+	res := chainResult{best: initial, report: report0}
 
 	curObj := report0.Objective
 	temp := float64(saInitialTemp)
@@ -210,9 +205,9 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 		mv, changed := neighbor(rng, p, ix, procs, msgs, cur)
 		temp *= cooling
 		if !changed {
-			eng.count(1) // the current design: delta 0, accepted
+			run.count(1) // the current design: delta 0, accepted
 			accepts++
-		} else if rep2, ok := eng.Evaluate(cur, mv); !ok {
+		} else if rep2, ok := run.Evaluate(cur, mv); !ok {
 			continue // infeasible neighbor
 		} else if delta := rep2.Objective - curObj; delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
 			accepts++
@@ -220,28 +215,20 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 			if rep2.Objective < res.report.Objective {
 				res.best = cur
 				res.report = rep2
-				if tracing {
-					res.events = append(res.events, obs.TraceEvent{
-						Kind: "sa.best", Chain: c, Iter: i + 1, Cost: rep2.Objective,
-					})
-				}
+				run.tracer.Trace(obs.TraceEvent{Kind: "sa.best", Chain: c, Iter: i + 1, Cost: rep2.Objective})
 			}
 		} else {
 			rejects++
 		}
-		if tracing && (i+1)%1000 == 0 {
-			res.events = append(res.events, obs.TraceEvent{
+		if (i+1)%1000 == 0 {
+			run.tracer.Trace(obs.TraceEvent{
 				Kind: "sa.window", Chain: c, Iter: i + 1,
 				Accepts: accepts, Rejects: rejects,
 			})
 		}
 	}
 
-	if tracing {
-		res.events = append(res.events, obs.TraceEvent{
-			Kind: "sa.chain", Chain: c, Cost: res.report.Objective,
-		})
-	}
+	run.tracer.Trace(obs.TraceEvent{Kind: "sa.chain", Chain: c, Cost: res.report.Objective})
 	return res
 }
 

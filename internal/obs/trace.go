@@ -9,11 +9,12 @@ import (
 )
 
 // TraceEvent is one structured observation of a strategy run. The
-// engine emits events only from deterministic serialization points
-// (after each MH iteration's parallel reduce, after SA's chains have
-// been joined), so for a fixed problem and options the event stream is
-// identical at every parallelism level — the golden-trace test pins
-// this. Wall-clock quantities deliberately never appear in a trace.
+// engine emits events into a Solve's stream only from deterministic
+// serialization points (after each MH iteration's parallel reduce, after
+// SA's chains or a portfolio's lanes have been joined, replaying each
+// one's own collector in index order), so for a fixed problem and
+// options the event stream is identical at every parallelism level —
+// the golden-trace test pins this. Wall-clock quantities deliberately never appear in a trace.
 //
 // Event kinds and the fields they carry:
 //
@@ -52,7 +53,11 @@ type TraceEvent struct {
 // function of (problem, options), so one collector serves every reader:
 // the SSE subscribers of a job, the trace file incmap writes after the
 // solve (WriteJSONL), and the cache hits and followers that share a
-// flight leader's events (Adopt). Safe for concurrent use.
+// flight leader's events (Adopt). A strategy run that goes on beside
+// others, a portfolio lane or an SA restart chain, traces into a
+// collector of its own that only the goroutine running it writes, and
+// its parent replays the finished runs' Events in index order. Safe for
+// concurrent use.
 type Collector struct {
 	mu      sync.Mutex
 	events  []TraceEvent
@@ -62,8 +67,9 @@ type Collector struct {
 
 // Trace assigns the event its sequence number, retains it and wakes the
 // readers following the stream. Strategies call it only from their
-// deterministic serialization points, so arrival order is the canonical
-// trace order. A nil collector discards the event.
+// deterministic serialization points, or on a run's own collector from
+// the goroutine running it, so arrival order is the canonical trace
+// order. A nil collector discards the event.
 func (c *Collector) Trace(ev TraceEvent) {
 	if c == nil {
 		return
@@ -103,11 +109,14 @@ func (c *Collector) wakeLocked() {
 	c.waiters = c.waiters[:0]
 }
 
-// Events returns the events collected so far in arrival order. The
-// slice is shared, not copied: callers must not modify it. Its capacity
-// equals its length, so neither a later Trace nor a caller's append
-// writes into what another reader sees.
+// Events returns the events collected so far in arrival order, nil on a
+// nil collector. The slice is shared, not copied: callers must not
+// modify it. Its capacity equals its length, so neither a later Trace
+// nor a caller's append writes into what another reader sees.
 func (c *Collector) Events() []TraceEvent {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.events[:len(c.events):len(c.events)]

@@ -71,9 +71,11 @@ type MsgEntry struct {
 // a job unschedulable, the scheduler ignores that hint and places the job
 // at its earliest feasible position instead. A design alternative
 // therefore only fails when it is genuinely infeasible.
+//
+// A session version persists the hints of its commit in this form.
 type Hints struct {
-	ProcStart map[model.ProcID]tm.Time
-	MsgStart  map[model.MsgID]tm.Time
+	ProcStart map[model.ProcID]tm.Time `json:"proc_start,omitempty"`
+	MsgStart  map[model.MsgID]tm.Time  `json:"msg_start,omitempty"`
 }
 
 // SetProcStart returns h with the process hint set (or removed when

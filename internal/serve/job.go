@@ -188,6 +188,9 @@ type result struct {
 	solved *solvedDoc
 	commit *CommitInfo // the version a session commit created
 	worker string      // workers that produced a dispatched solve ("" = local)
+	// stats is the job's registry as finish took it, once: the
+	// aggregates fold it and every status document writes it.
+	stats *obs.Snapshot
 }
 
 // newResult encodes a solution document once, taking it as its builder
@@ -238,8 +241,11 @@ func (j *job) snapshot() (string, result, error) {
 	return j.status, j.res, j.err
 }
 
-// finish records the terminal state and closes the SSE stream.
+// finish records the terminal state with the job's stats and closes the
+// SSE stream.
 func (j *job) finish(res result, err error) {
+	snap := j.reg.Snapshot()
+	res.stats = &snap
 	j.mu.Lock()
 	j.res, j.err = res, err
 	switch {

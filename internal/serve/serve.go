@@ -355,8 +355,7 @@ func (s *Server) statusDoc(j *job) (out *JobStatusDoc, docJSON []byte) {
 		out.Error = err.Error()
 	}
 	if status == StatusDone || status == StatusInterrupted {
-		snap := j.reg.Snapshot()
-		out.Stats = &snap
+		out.Stats = res.stats
 		out.Spans = j.trace.Snapshot()
 		docJSON = res.solved.json
 	}
@@ -730,8 +729,7 @@ func (s *Server) parallelism(params SolveParams) int {
 // finalize folds a finished job into the aggregates and evicts the
 // oldest finished jobs beyond the retention bound.
 func (s *Server) finalize(j *job) {
-	status, _, _ := j.snapshot()
-	snap := j.reg.Snapshot()
+	status, res, _ := j.snapshot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	agg, ok := s.perStrat[j.strategy]
@@ -739,8 +737,8 @@ func (s *Server) finalize(j *job) {
 		agg = obs.NewRegistry()
 		s.perStrat[j.strategy] = agg
 	}
-	agg.Merge(snap)
-	s.global.Merge(snap)
+	agg.Merge(*res.stats)
+	s.global.Merge(*res.stats)
 	s.solves[[2]string{j.strategy, status}]++
 	s.finished = append(s.finished, j.id)
 	for len(s.finished) > s.cfg.RetainJobs {

@@ -11,7 +11,6 @@ import (
 	"incdes/internal/metrics"
 	"incdes/internal/model"
 	"incdes/internal/sched"
-	"incdes/internal/tm"
 )
 
 // DocSchemaVersion identifies the JSON layout of a persisted session
@@ -31,13 +30,6 @@ const MainBranch = "main"
 // branchNameRe limits branch names to path- and query-safe tokens.
 var branchNameRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 
-// HintsDoc is the JSON rendering of sched.Hints: the exact start offsets
-// a commit's solution pinned, keyed by process and message ID.
-type HintsDoc struct {
-	ProcStart map[model.ProcID]tm.Time `json:"proc_start,omitempty"`
-	MsgStart  map[model.MsgID]tm.Time  `json:"msg_start,omitempty"`
-}
-
 // VersionDoc is one version of a session: the root (ID 0, no commit
 // payload) or one committed application with everything needed to replay
 // its placement deterministically.
@@ -48,7 +40,7 @@ type VersionDoc struct {
 	// Commit payload; empty on the root version.
 	App         *model.Application `json:"app,omitempty"`
 	Mapping     model.Mapping      `json:"mapping,omitempty"`
-	Hints       *HintsDoc          `json:"hints,omitempty"`
+	Hints       *sched.Hints       `json:"hints,omitempty"` // nil when the solution pinned no start offset
 	Strategy    string             `json:"strategy,omitempty"`
 	Evaluations int                `json:"evaluations,omitempty"`
 
@@ -196,21 +188,4 @@ func (d *Doc) Clone() (*Doc, error) {
 		return nil, err
 	}
 	return DecodeDoc(&buf)
-}
-
-// Hints converts the persisted form back to scheduler hints.
-func (h *HintsDoc) Hints() sched.Hints {
-	if h == nil {
-		return sched.Hints{}
-	}
-	return sched.Hints{ProcStart: h.ProcStart, MsgStart: h.MsgStart}
-}
-
-// NewHintsDoc captures scheduler hints for persistence; empty hints
-// persist as nothing at all.
-func NewHintsDoc(h sched.Hints) *HintsDoc {
-	if len(h.ProcStart) == 0 && len(h.MsgStart) == 0 {
-		return nil
-	}
-	return &HintsDoc{ProcStart: h.ProcStart, MsgStart: h.MsgStart}
 }

@@ -363,7 +363,11 @@ func (s *Session) stateAtLocked(v int) (*sched.State, error) {
 		if vd.App == nil {
 			continue
 		}
-		if err := st.ScheduleApp(vd.App, vd.Mapping, vd.Hints.Hints()); err != nil {
+		var hints sched.Hints
+		if vd.Hints != nil {
+			hints = *vd.Hints
+		}
+		if err := st.ScheduleApp(vd.App, vd.Mapping, hints); err != nil {
 			return nil, fmt.Errorf("session: replay of version %d: commit %d (%q): %w", v, id, vd.App.Name, err)
 		}
 	}
@@ -533,11 +537,13 @@ func (s *Session) Commit(ctx context.Context, app *model.Application, p CommitPa
 		Parent:      head,
 		App:         app,
 		Mapping:     sol.Mapping,
-		Hints:       NewHintsDoc(sol.Hints),
 		Strategy:    sol.Strategy,
 		Evaluations: sol.Evaluations,
 		Report:      sol.Report,
 		Fingerprint: fingerprint(sol.State),
+	}
+	if hints := sol.Hints; len(hints.ProcStart) > 0 || len(hints.MsgStart) > 0 {
+		vd.Hints = &hints
 	}
 	// Persist first: a failed append leaves the document as it was.
 	if err := s.store.Append(s.doc.ID, &Entry{Version: vd, Branch: branch, Head: id}); err != nil {

@@ -122,7 +122,11 @@ func composedSolve(t *testing.T, sess *session.Session, upTo int, app *model.App
 		}
 	}
 	for _, vd := range replay {
-		if err := st.ScheduleApp(vd.App, vd.Mapping, vd.Hints.Hints()); err != nil {
+		var hints sched.Hints // a version that persisted none replays with none
+		if vd.Hints != nil {
+			hints = *vd.Hints
+		}
+		if err := st.ScheduleApp(vd.App, vd.Mapping, hints); err != nil {
 			t.Fatalf("replaying commit of %q: %v", vd.App.Name, err)
 		}
 	}
@@ -445,7 +449,7 @@ func TestDiffComparesEveryHop(t *testing.T) {
 	}
 	// Each version's fingerprint is what replay reproduces: the base
 	// mapped as opened, then the commit's mapping and hints verbatim.
-	version := func(id int, hints sched.Hints) *session.VersionDoc {
+	version := func(id int, hints *sched.Hints) *session.VersionDoc {
 		st, err := sched.NewState(&model.System{Arch: full.Arch, Apps: full.Apps})
 		if err != nil {
 			t.Fatal(err)
@@ -453,19 +457,23 @@ func TestDiffComparesEveryHop(t *testing.T) {
 		if _, err := st.MapApp(base.Apps[0], sched.Hints{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.ScheduleApp(app, mapping, hints); err != nil {
+		var h sched.Hints
+		if hints != nil {
+			h = *hints
+		}
+		if err := st.ScheduleApp(app, mapping, h); err != nil {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(st.Fingerprint())
 		return &session.VersionDoc{
 			ID: id, Parent: session.RootVersion, App: app, Mapping: mapping,
-			Hints: session.NewHintsDoc(hints), Strategy: "AH",
+			Hints: hints, Strategy: "AH",
 			Fingerprint: hex.EncodeToString(sum[:]),
 		}
 	}
 	doc.Versions = append(doc.Versions,
-		version(1, sched.Hints{}),
-		version(2, sched.Hints{MsgStart: map[model.MsgID]tm.Time{m: 30}}))
+		version(1, nil),
+		version(2, &sched.Hints{MsgStart: map[model.MsgID]tm.Time{m: 30}}))
 	doc.Branches = map[string]int{session.MainBranch: 1, "late": 2}
 	if err := store.Put(doc); err != nil {
 		t.Fatal(err)
