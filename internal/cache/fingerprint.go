@@ -1,37 +1,37 @@
-// Package cache memoizes one-shot solve requests: a SHA-256 fingerprint
-// of the bytes a request posted, and one table of flights keyed by it. A
-// key's flight is either in flight, so concurrent identical requests
-// coalesce onto one solve, or landed and kept, so a later identical
-// request joins the result; at most a fixed number are kept.
+// Package cache memoizes one-shot solve requests: one table of flights
+// keyed by the request itself, the bytes it posted, its current
+// application and its normalized strategy. A request's flight is either
+// in flight, so concurrent identical requests coalesce onto one solve,
+// or landed and kept, so a later identical request joins the result; at
+// most a fixed number are kept.
 //
-// The fingerprint is the load-bearing piece. Identical bytes decode to
-// the identical problem, and core.Solve is deterministic — for a fixed
+// The request identity is the load-bearing piece. Identical bytes decode
+// to the identical problem, and core.Solve is deterministic — for a fixed
 // (problem, strategy tuning) every parallelism level yields a
-// byte-identical result — so two requests with one fingerprint are
-// guaranteed to produce the same SolutionDoc, and a kept result can
-// answer a request, without decoding its body again, in place of a solve
-// without changing any response byte. A body that encodes the same
-// system differently (whitespace, key order) has another fingerprint: it
-// misses and solves again to the same document. Fields that cannot
-// change the result (parallelism, observers) are deliberately excluded
-// from the hash; everything that can is included. The objective is not
-// hashed: a one-shot solve's future profile and weights are functions of
-// its system (serve.BuildProblem derives them with gen.ProfileForSystem
-// and metrics.DefaultWeights), so the body covers them.
+// byte-identical result — so two identical requests are guaranteed to
+// produce the same SolutionDoc, and a kept result can answer a request,
+// without decoding its body again, in place of a solve without changing
+// any response byte. A body that encodes the same system differently
+// (whitespace, key order) is another request: it misses and solves again
+// to the same document. Fields that cannot change the result
+// (parallelism, observers) are deliberately not part of the identity;
+// everything that can is. The objective is not part of it: a one-shot
+// solve's future profile and weights are functions of its system
+// (serve.BuildProblem derives them with gen.ProfileForSystem and
+// metrics.DefaultWeights), so the body covers them.
+//
+// The table finds a request's flight by its fingerprint, a hash/maphash
+// of the identity under a seed each table draws, and shares the flight
+// only once the whole identity compares equal. The fingerprint never
+// leaves the process, so it needs no cryptographic strength: two
+// different requests that share one cost a solve, never a wrong answer.
 package cache
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"encoding/binary"
-	"encoding/hex"
+	"hash/maphash"
 )
-
-// FingerprintSchemaVersion is hashed into every fingerprint. Bump it
-// whenever the hashed fields below change, so caches populated by older
-// revisions can never serve a differently-keyed request. Version 5 keys
-// on the posted bytes instead of a canonical serialization of the
-// decoded model.
-const FingerprintSchemaVersion = 5
 
 // Spec is the canonical strategy identity of a request: the strategy
 // name plus every tuning knob the HTTP and CLI surfaces expose that can
@@ -42,13 +42,13 @@ type Spec struct {
 	Name string
 	// SA tuning, meaningful only for "sa" and "portfolio" (whose SA lane
 	// inherits it); normalized away for the other strategies so
-	// "mh&sa-iters=5" and "mh" hash identically.
+	// "mh&sa-iters=5" and "mh" are one request.
 	SAIters    int
 	SARestarts int
 	SASeed     int64
 	// SAChainOffset shifts the global SA chain index (cluster chain-range
 	// units). Two units with identical tuning but different offsets solve
-	// different chains, so the offset must participate in the hash.
+	// different chains, so the offset is part of the identity.
 	SAChainOffset int
 }
 
@@ -77,29 +77,26 @@ type Request struct {
 	Strategy Spec
 }
 
-// Fingerprint returns the hex SHA-256 of the schema version, the body,
-// the app name and the normalized strategy. Integers are written as 8
-// little-endian bytes and the body and strings after their length, so
-// no two distinct requests hash the same byte stream.
-func Fingerprint(r Request) string {
-	h := sha256.New()
-	var n [8]byte
-	num := func(v int64) {
-		binary.LittleEndian.PutUint64(n[:], uint64(v))
-		h.Write(n[:])
+// same reports whether two normalized requests are identical, so that
+// either one's result answers the other.
+func (r Request) same(o Request) bool {
+	return bytes.Equal(r.Body, o.Body) && r.App == o.App && r.Strategy == o.Strategy
+}
+
+// fingerprint hashes a normalized request under seed. The body's and the
+// app's lengths are hashed before them, so no two field splits of one
+// byte stream alias.
+func fingerprint(seed maphash.Seed, r Request) uint64 {
+	s := r.Strategy
+	var nums [6 * 8]byte
+	for i, v := range [...]int64{int64(len(r.Body)), int64(len(r.App)), int64(s.SAIters), int64(s.SARestarts), s.SASeed, int64(s.SAChainOffset)} {
+		binary.LittleEndian.PutUint64(nums[8*i:], uint64(v))
 	}
-	blob := func(b []byte) {
-		num(int64(len(b)))
-		h.Write(b)
-	}
-	spec := r.Strategy.normalized()
-	num(FingerprintSchemaVersion)
-	blob(r.Body)
-	blob([]byte(r.App))
-	blob([]byte(spec.Name))
-	num(int64(spec.SAIters))
-	num(int64(spec.SARestarts))
-	num(spec.SASeed)
-	num(int64(spec.SAChainOffset))
-	return hex.EncodeToString(h.Sum(nil))
+	var h maphash.Hash
+	h.SetSeed(seed)
+	h.Write(nums[:])
+	h.Write(r.Body)
+	h.WriteString(r.App)
+	h.WriteString(s.Name)
+	return h.Sum64()
 }

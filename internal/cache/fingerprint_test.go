@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"incdes/internal/model"
@@ -50,7 +51,7 @@ func buildSystem(t testing.TB, p sysParams) *model.System {
 // buildClusteredSystem is buildSystem with a fourth node and a second
 // TDMA bus. Callers vary which nodes own slots on which bus, so the
 // sensitivity test can probe that bus attachment, gateway placement and
-// bus topology all reach the fingerprint.
+// bus topology all reach the request identity.
 func buildClusteredSystem(t testing.TB, bus0, bus1 []model.NodeID) *model.System {
 	t.Helper()
 	p := defaultSysParams()
@@ -101,16 +102,29 @@ func baseRequest(t testing.TB) Request {
 	}
 }
 
-// TestFingerprintDeterministic pins that a fingerprint is a pure
-// function of the request: rebuilding the same inputs from scratch
-// hashes identically.
+// shares reports whether b joins the flight that a led and kept: whether
+// a's result answers b.
+func shares(t testing.TB, a, b Request) bool {
+	t.Helper()
+	tb := NewTable(1)
+	keep(t, tb, a, "a")
+	_, ok := lookup(tb, b)
+	return ok
+}
+
+// TestFingerprintDeterministic pins that a request's identity is a pure
+// function of the request: rebuilding the same inputs from scratch joins
+// the first build's kept flight. The flight keeps the posted bytes
+// themselves, not a copy.
 func TestFingerprintDeterministic(t *testing.T) {
-	a, b := Fingerprint(baseRequest(t)), Fingerprint(baseRequest(t))
-	if a != b {
-		t.Fatalf("identical requests hash differently: %s vs %s", a, b)
+	a := baseRequest(t)
+	if !shares(t, a, baseRequest(t)) {
+		t.Fatal("identical requests lead separate flights")
 	}
-	if len(a) != 64 {
-		t.Fatalf("fingerprint %q is not hex SHA-256", a)
+	f, _ := NewTable(1).Join(context.Background(), a)
+	defer f.Leave()
+	if &f.req.Body[0] != &a.Body[0] {
+		t.Fatal("the flight keeps a copy of the posted bytes")
 	}
 }
 
@@ -118,37 +132,38 @@ func TestFingerprintDeterministic(t *testing.T) {
 // observe is normalized away, and the default name resolves to mh.
 func TestSpecNormalization(t *testing.T) {
 	base := baseRequest(t)
-	fp := func(s Spec) string {
-		r := base
-		r.Strategy = s
-		return Fingerprint(r)
+	shared := func(a, b Spec) bool {
+		ra, rb := base, base
+		ra.Strategy, rb.Strategy = a, b
+		return shares(t, ra, rb)
 	}
-	if fp(Spec{}) != fp(Spec{Name: "mh"}) {
-		t.Error(`Spec{} and Spec{Name: "mh"} hash differently`)
+	if !shared(Spec{}, Spec{Name: "mh"}) {
+		t.Error(`Spec{} and Spec{Name: "mh"} lead separate flights`)
 	}
-	if fp(Spec{Name: "mh", SAIters: 500}) != fp(Spec{Name: "mh"}) {
+	if !shared(Spec{Name: "mh", SAIters: 500}, Spec{Name: "mh"}) {
 		t.Error("mh observes SA tuning")
 	}
-	if fp(Spec{Name: "ah", SASeed: 9}) != fp(Spec{Name: "ah"}) {
+	if !shared(Spec{Name: "ah", SASeed: 9}, Spec{Name: "ah"}) {
 		t.Error("ah observes SA tuning")
 	}
-	if fp(Spec{Name: "sa", SAIters: 100}) == fp(Spec{Name: "sa", SAIters: 200}) {
+	if shared(Spec{Name: "sa", SAIters: 100}, Spec{Name: "sa", SAIters: 200}) {
 		t.Error("sa ignores SAIters")
 	}
-	if fp(Spec{Name: "portfolio", SASeed: 1}) == fp(Spec{Name: "portfolio", SASeed: 2}) {
+	if shared(Spec{Name: "portfolio", SASeed: 1}, Spec{Name: "portfolio", SASeed: 2}) {
 		t.Error("portfolio ignores SASeed")
 	}
-	if fp(Spec{Name: "mh", SAChainOffset: 3}) != fp(Spec{Name: "mh"}) {
+	if !shared(Spec{Name: "mh", SAChainOffset: 3}, Spec{Name: "mh"}) {
 		t.Error("mh observes SAChainOffset")
 	}
-	if fp(Spec{Name: "sa", SAChainOffset: 1}) == fp(Spec{Name: "sa", SAChainOffset: 2}) {
+	if shared(Spec{Name: "sa", SAChainOffset: 1}, Spec{Name: "sa", SAChainOffset: 2}) {
 		t.Error("sa ignores SAChainOffset")
 	}
 }
 
 // TestFingerprintSensitivity mutates every result-relevant field one at
-// a time and requires every mutation to move the hash — and all hashes
-// to be pairwise distinct.
+// a time and requires every mutation to lead its own flight beside the
+// kept base and every mutation kept before it, and each kept request,
+// rebuilt, to join its own flight again.
 func TestFingerprintSensitivity(t *testing.T) {
 	mutations := map[string]func(t *testing.T) Request{
 		"app-name-param": func(t *testing.T) Request {
@@ -275,20 +290,31 @@ func TestFingerprintSensitivity(t *testing.T) {
 		},
 	}
 
-	seen := map[string]string{Fingerprint(baseRequest(t)): "base"}
+	tb := NewTable(len(mutations) + 1)
+	keep(t, tb, baseRequest(t), "base")
 	for name, mutate := range mutations {
-		fp := Fingerprint(mutate(t))
-		if prev, dup := seen[fp]; dup {
-			t.Errorf("mutation %q collides with %q", name, prev)
-			continue
+		f, leader := tb.Join(context.Background(), mutate(t))
+		if !leader {
+			prev, _ := f.Result()
+			t.Errorf("mutation %q joins the flight of %v", name, prev)
+		} else if kept, _ := f.Complete(name, nil, true); !kept {
+			t.Errorf("mutation %q was not kept", name)
 		}
-		seen[fp] = name
+		f.Leave()
+	}
+	if v, ok := lookup(tb, baseRequest(t)); !ok || v != "base" {
+		t.Errorf("the rebuilt base joins %v, %v; want its kept flight", v, ok)
+	}
+	for name, mutate := range mutations {
+		if v, ok := lookup(tb, mutate(t)); !ok || v != name {
+			t.Errorf("mutation %q, rebuilt, joins %v, %v; want its kept flight", name, v, ok)
+		}
 	}
 }
 
-// FuzzFingerprint fuzzes the fingerprint of posted bodies: for any
-// generated system, the body System.WriteJSON writes must hash stably
-// across rebuilds and be sensitive to a WCET bump.
+// FuzzFingerprint fuzzes the identity of posted bodies: for any
+// generated system, the body System.WriteJSON writes must join its kept
+// flight again when rebuilt, and a WCET bump must lead its own flight.
 func FuzzFingerprint(f *testing.F) {
 	f.Add(2, 3, 3, 4, 60, "app")
 	f.Add(1, 1, 1, 1, 30, "x")
@@ -324,14 +350,15 @@ func FuzzFingerprint(f *testing.F) {
 			}
 			return Request{Body: body(t, sys)}
 		}
-		a := Fingerprint(req(p))
-		if b := Fingerprint(req(p)); a != b {
-			t.Fatalf("rebuild changed fingerprint: %s vs %s", a, b)
+		tb := NewTable(2)
+		keep(t, tb, req(p), "p")
+		if v, ok := lookup(tb, req(p)); !ok || v != "p" {
+			t.Fatalf("a rebuild joins %v, %v; want its kept flight", v, ok)
 		}
 		bumped := p
 		bumped.wcet++
-		if b := Fingerprint(req(bumped)); a == b {
-			t.Fatal("WCET bump did not change fingerprint")
+		if v, ok := lookup(tb, req(bumped)); ok {
+			t.Fatalf("a WCET bump joins the flight of %v", v)
 		}
 	})
 }

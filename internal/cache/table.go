@@ -3,16 +3,18 @@ package cache
 import (
 	"container/list"
 	"context"
+	"hash/maphash"
 	"sync"
 )
 
-// Table is the one table of solve results, keyed by fingerprint: every
-// key maps to at most one Flight, which is either in flight (a leader is
-// running the work and its members wait) or landed and kept (the key's
-// stored result). The first Join of a key makes the caller the leader;
-// later Joins share its flight, and once a leader Completes with keep
-// they find it already landed. At most max flights are kept; keeping one
-// more evicts the least recently joined.
+// Table is the one table of solve results, keyed by request: every
+// request maps to at most one Flight, which is either in flight (a
+// leader is running the work and its members wait) or landed and kept
+// (the request's stored result). The first Join of a request makes the
+// caller the leader; later Joins of an identical request share its
+// flight, and once a leader Completes with keep they find it already
+// landed. At most max flights are kept; keeping one more evicts the
+// least recently joined.
 //
 // Membership is reference counted and an in-flight flight owns a
 // cancellable context: its work is cancelled only when the *last*
@@ -23,10 +25,13 @@ import (
 type Table struct {
 	// All Flight state is guarded by the owning table's mutex; flights
 	// are few and short-lived, so one lock is simpler and plenty.
-	mu      sync.Mutex
-	max     int
-	flights map[string]*Flight
-	kept    *list.List // kept flights; front = most recently joined
+	mu  sync.Mutex
+	max int
+	// hash is a normalized request's fingerprint. NewTable seeds it;
+	// in-package tests replace it to force collisions.
+	hash    func(Request) uint64
+	flights map[uint64]*Flight // by fingerprint; at most one per fingerprint
+	kept    *list.List         // kept flights; front = most recently joined
 }
 
 // NewTable returns a table that keeps at most max results. max must be
@@ -35,50 +40,70 @@ func NewTable(max int) *Table {
 	if max <= 0 {
 		max = 1
 	}
-	return &Table{max: max, flights: make(map[string]*Flight), kept: list.New()}
+	seed := maphash.MakeSeed()
+	return &Table{
+		max:     max,
+		hash:    func(r Request) uint64 { return fingerprint(seed, r) },
+		flights: make(map[uint64]*Flight),
+		kept:    list.New(),
+	}
 }
 
 // Flight is one unit of coalesced work: in flight until its leader
 // Completes it, then landed.
 type Flight struct {
 	t      *Table
-	key    string
+	key    uint64
+	req    Request // the normalized request it answers; never modified
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	refs   int
 	landed bool
-	kept   *list.Element // non-nil while the flight is its key's kept result
+	kept   *list.Element // non-nil while the flight is its request's kept result
 	done   chan struct{}
 	val    any
 	err    error
 }
 
-// Join returns the flight for key and whether the caller leads it. A
+// Join returns the flight for r and whether the caller leads it. A
 // kept result comes back landed (Done already closed) and becomes the
 // most recently joined; an in-flight one is shared; otherwise the caller
 // leads a new flight, whose context derives from base, and must
 // Complete it.
-func (t *Table) Join(base context.Context, key string) (*Flight, bool) {
+//
+// Only an identical request shares a flight: Join compares the whole
+// request with the flight's before it shares, not only their
+// fingerprints. A request whose fingerprint another request's flight
+// holds leads a flight the table never holds, so that flight is never
+// kept and never evicts or releases the other. The flight keeps r.Body
+// itself, not a copy, so the caller must not modify it.
+func (t *Table) Join(base context.Context, r Request) (*Flight, bool) {
+	r.Strategy = r.Strategy.normalized()
+	key := t.hash(r)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if f, ok := t.flights[key]; ok {
-		f.refs++
-		if f.kept != nil {
-			t.kept.MoveToFront(f.kept)
+	held, taken := t.flights[key]
+	if taken && held.req.same(r) {
+		held.refs++
+		if held.kept != nil {
+			t.kept.MoveToFront(held.kept)
 		}
-		return f, false
+		return held, false
 	}
 	ctx, cancel := context.WithCancel(base)
 	f := &Flight{
 		t:      t,
 		key:    key,
+		req:    r,
 		ctx:    ctx,
 		cancel: cancel,
 		refs:   1,
 		done:   make(chan struct{}),
 	}
-	t.flights[key] = f
+	if !taken {
+		t.flights[key] = f
+	}
 	return f, true
 }
 

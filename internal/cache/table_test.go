@@ -10,26 +10,30 @@ import (
 	"time"
 )
 
-// keep leads a fresh flight for key and completes it with keep,
-// reporting whether that evicted another result.
-func keep(t *testing.T, tb *Table, key string, val any) bool {
+// req is the request whose body is key: the tests' stand-in for a
+// posted system.
+func req(key string) Request { return Request{Body: []byte(key)} }
+
+// keep leads a fresh flight for r and completes it with keep, reporting
+// whether that evicted another result.
+func keep(t testing.TB, tb *Table, r Request, val any) bool {
 	t.Helper()
-	f, leader := tb.Join(context.Background(), key)
+	f, leader := tb.Join(context.Background(), r)
 	if !leader {
-		t.Fatalf("Join(%s) joined an existing flight", key)
+		t.Fatalf("Join(%.20q) joined an existing flight", r.Body)
 	}
 	kept, evicted := f.Complete(val, nil, true)
 	if !kept {
-		t.Fatalf("Complete(%s) did not keep the result", key)
+		t.Fatalf("Complete(%.20q) did not keep the result", r.Body)
 	}
 	f.Leave()
 	return evicted
 }
 
-// lookup joins key and returns its kept result, if any; a key without
+// lookup joins r and returns its kept result, if any; a request without
 // one is released again.
-func lookup(tb *Table, key string) (any, bool) {
-	f, leader := tb.Join(context.Background(), key)
+func lookup(tb *Table, r Request) (any, bool) {
+	f, leader := tb.Join(context.Background(), r)
 	defer f.Leave()
 	if leader {
 		f.Complete(nil, nil, false)
@@ -41,20 +45,20 @@ func lookup(tb *Table, key string) (any, bool) {
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	tb := NewTable(2)
-	if keep(t, tb, "a", 1) || keep(t, tb, "b", 2) {
+	if keep(t, tb, req("a"), 1) || keep(t, tb, req("b"), 2) {
 		t.Fatal("eviction reported while under capacity")
 	}
-	if v, ok := lookup(tb, "a"); !ok || v != 1 {
+	if v, ok := lookup(tb, req("a")); !ok || v != 1 {
 		t.Fatalf("lookup(a) = %v, %v", v, ok)
 	}
 	// "b" is now least recently joined; keeping "c" must evict it.
-	if !keep(t, tb, "c", 3) {
+	if !keep(t, tb, req("c"), 3) {
 		t.Fatal("keeping c did not report an eviction")
 	}
-	if _, ok := lookup(tb, "b"); ok {
+	if _, ok := lookup(tb, req("b")); ok {
 		t.Error("b survived eviction")
 	}
-	if _, ok := lookup(tb, "a"); !ok {
+	if _, ok := lookup(tb, req("a")); !ok {
 		t.Error("a was evicted despite being recently joined")
 	}
 	if tb.Len() != 2 {
@@ -69,7 +73,7 @@ func TestLRUPutReportsEvictions(t *testing.T) {
 	tb := NewTable(2)
 	evictions := 0
 	for _, k := range []string{"a", "b", "a", "c", "d", "d", "e"} {
-		f, leader := tb.Join(context.Background(), k)
+		f, leader := tb.Join(context.Background(), req(k))
 		if leader {
 			if _, evicted := f.Complete(k, nil, true); evicted {
 				evictions++
@@ -83,7 +87,7 @@ func TestLRUPutReportsEvictions(t *testing.T) {
 		t.Errorf("Complete reported %d evictions, want 3", evictions)
 	}
 	for k, want := range map[string]bool{"a": false, "b": false, "c": false, "d": true, "e": true} {
-		if _, ok := lookup(tb, k); ok != want {
+		if _, ok := lookup(tb, req(k)); ok != want {
 			t.Errorf("lookup(%s) present = %v, want %v", k, ok, want)
 		}
 	}
@@ -91,12 +95,12 @@ func TestLRUPutReportsEvictions(t *testing.T) {
 
 func TestLRUZeroCapacityClampsToOne(t *testing.T) {
 	tb := NewTable(0)
-	keep(t, tb, "a", 1)
-	if _, ok := lookup(tb, "a"); !ok {
+	keep(t, tb, req("a"), 1)
+	if _, ok := lookup(tb, req("a")); !ok {
 		t.Fatal("result lost in size-clamped table")
 	}
-	keep(t, tb, "b", 2)
-	if _, ok := lookup(tb, "a"); ok {
+	keep(t, tb, req("b"), 2)
+	if _, ok := lookup(tb, req("a")); ok {
 		t.Error("capacity-1 table kept two results")
 	}
 }
@@ -106,7 +110,7 @@ func TestSingleFlightCoalesces(t *testing.T) {
 	const n = 32
 	// The leader joins first and completes only after every follower has
 	// joined, so all n members genuinely overlap on one flight.
-	lead, leader := tb.Join(context.Background(), "k")
+	lead, leader := tb.Join(context.Background(), req("k"))
 	if !leader {
 		t.Fatal("first Join is not the leader")
 	}
@@ -117,7 +121,7 @@ func TestSingleFlightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f, leader := tb.Join(context.Background(), "k")
+			f, leader := tb.Join(context.Background(), req("k"))
 			if leader {
 				extraLeaders.Add(1)
 			}
@@ -142,13 +146,13 @@ func TestSingleFlightCoalesces(t *testing.T) {
 
 func TestSingleFlightKeyReleasedAfterComplete(t *testing.T) {
 	tb := NewTable(8)
-	f1, leader := tb.Join(context.Background(), "k")
+	f1, leader := tb.Join(context.Background(), req("k"))
 	if !leader {
 		t.Fatal("first Join is not the leader")
 	}
 	f1.Complete(1, nil, false)
 	f1.Leave()
-	f2, leader := tb.Join(context.Background(), "k")
+	f2, leader := tb.Join(context.Background(), req("k"))
 	if !leader || f2 == f1 {
 		t.Fatal("a flight completed without keep still coalesces new joins")
 	}
@@ -161,11 +165,11 @@ func TestSingleFlightKeyReleasedAfterComplete(t *testing.T) {
 // follower still waits on it.
 func TestSingleFlightLeaderLeaveKeepsFollowers(t *testing.T) {
 	tb := NewTable(8)
-	f, leader := tb.Join(context.Background(), "k")
+	f, leader := tb.Join(context.Background(), req("k"))
 	if !leader {
 		t.Fatal("not leader")
 	}
-	if _, leader2 := tb.Join(context.Background(), "k"); leader2 {
+	if _, leader2 := tb.Join(context.Background(), req("k")); leader2 {
 		t.Fatal("second join elected leader")
 	}
 	if remaining := f.Leave(); remaining != 1 {
@@ -189,7 +193,7 @@ func TestSingleFlightLeaderLeaveKeepsFollowers(t *testing.T) {
 
 func TestSingleFlightError(t *testing.T) {
 	tb := NewTable(8)
-	f, _ := tb.Join(context.Background(), "k")
+	f, _ := tb.Join(context.Background(), req("k"))
 	boom := errors.New("boom")
 	if kept, _ := f.Complete(nil, boom, true); kept {
 		t.Error("a failed flight was kept")
@@ -198,15 +202,15 @@ func TestSingleFlightError(t *testing.T) {
 	if _, err := f.Result(); !errors.Is(err, boom) {
 		t.Errorf("Result err = %v, want boom", err)
 	}
-	if _, leader := tb.Join(context.Background(), "k"); !leader {
+	if _, leader := tb.Join(context.Background(), req("k")); !leader {
 		t.Error("a failed flight still holds its key")
 	}
 }
 
 func TestSingleFlightDistinctKeysDoNotCoalesce(t *testing.T) {
 	tb := NewTable(8)
-	f1, l1 := tb.Join(context.Background(), "a")
-	f2, l2 := tb.Join(context.Background(), "b")
+	f1, l1 := tb.Join(context.Background(), req("a"))
+	f2, l2 := tb.Join(context.Background(), req("b"))
 	if !l1 || !l2 || f1 == f2 {
 		t.Fatal("distinct keys coalesced")
 	}
@@ -214,6 +218,86 @@ func TestSingleFlightDistinctKeysDoNotCoalesce(t *testing.T) {
 	f2.Complete(nil, nil, false)
 	f1.Leave()
 	f2.Leave()
+}
+
+// TestCollisionSharesNothing puts two different requests on one
+// fingerprint. The second leads a flight of its own whether the first is
+// in flight or kept; that flight is never kept, and neither keeping nor
+// abandoning it evicts or releases the first, which an identical request
+// still joins.
+func TestCollisionSharesNothing(t *testing.T) {
+	tb := NewTable(1)
+	tb.hash = func(Request) uint64 { return 0 }
+	a, b := req("a"), req("b")
+	fa, leader := tb.Join(context.Background(), a)
+	if !leader {
+		t.Fatal("first Join is not the leader")
+	}
+	fb, leader := tb.Join(context.Background(), b)
+	if !leader || fb == fa {
+		t.Fatal("a colliding request joined another request's in-flight flight")
+	}
+	if kept, evicted := fb.Complete("b", nil, true); kept || evicted {
+		t.Fatalf("completing the in-flight collision = kept %v, evicted %v; want neither", kept, evicted)
+	}
+	fb.Leave()
+	fb, leader = tb.Join(context.Background(), b)
+	if !leader || fb == fa {
+		t.Fatal("a colliding request joined another request's in-flight flight")
+	}
+	fb.Leave()
+	if fa.Context().Err() != nil {
+		t.Fatal("abandoning the collision cancelled the other request's flight")
+	}
+	if f, leader := tb.Join(context.Background(), req("a")); leader || f != fa {
+		t.Fatal("the collision released the other request's in-flight flight")
+	}
+	fa.Leave()
+	if kept, _ := fa.Complete("a", nil, true); !kept {
+		t.Fatal("the first request's flight was not kept")
+	}
+	fa.Leave()
+
+	fb, leader = tb.Join(context.Background(), b)
+	if !leader || fb == fa {
+		t.Fatal("a colliding request joined another request's kept flight")
+	}
+	if kept, evicted := fb.Complete("b", nil, true); kept || evicted {
+		t.Fatalf("completing the collision = kept %v, evicted %v; want neither", kept, evicted)
+	}
+	fb.Leave()
+	if v, ok := lookup(tb, req("a")); !ok || v != "a" || tb.Len() != 1 {
+		t.Fatalf("after the collision, lookup(a) = %v, %v with %d kept; want a, true with 1", v, ok, tb.Len())
+	}
+	if v, ok := lookup(tb, b); ok {
+		t.Fatalf("lookup(b) joined the flight of %v", v)
+	}
+}
+
+// TestCollisionConcurrentJoins races joins of two requests on one
+// fingerprint: whichever leads, every member answers from a flight of
+// its own request.
+func TestCollisionConcurrentJoins(t *testing.T) {
+	tb := NewTable(1)
+	tb.hash = func(Request) uint64 { return 0 }
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		key := string(rune('a' + i%2))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f, leader := tb.Join(context.Background(), req(key))
+			defer f.Leave()
+			if leader {
+				f.Complete(key, nil, true)
+			}
+			<-f.Done()
+			if v, err := f.Result(); err != nil || v != key {
+				t.Errorf("a request for %s answered from a flight of %v (%v)", key, v, err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // modelFlight is FuzzTable's plain model of one flight.
@@ -230,18 +314,30 @@ type modelFlight struct {
 // results are kept and Len agrees, the least recently joined result is
 // evicted first, a kept key joins landed with its value, and an unkept
 // or failed completion or the last member's Leave releases the key.
+// With the high bit of data[0] set every key has one fingerprint: a key
+// whose fingerprint another key's flight holds then leads a flight the
+// table does not hold, which is never shared, never kept and never
+// evicts.
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 1, 0x80, 2, 0, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 1, 0x80, 1, 1, 0x80, 0, 0, 2, 0})
 	f.Add([]byte{2, 0, 0, 0, 0, 2, 0, 2, 1, 1, 0xc0, 0, 0})
+	f.Add([]byte{0x81, 0, 0, 0, 1, 0, 0, 1, 0x81, 1, 0x80, 0, 1, 1, 0x82, 0, 0, 2, 0, 2, 0, 2, 0, 0, 2, 2, 1, 0, 0})
+	f.Add([]byte{0x80, 0, 1, 1, 0x80, 0, 0, 1, 0x81, 0, 1, 2, 0, 2, 0, 2, 0})
+	f.Add([]byte{0x82, 0, 0, 0, 1, 2, 1, 0, 0, 1, 0x80, 0, 1, 2, 0, 2, 0, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		max := 1 + int(data[0]%3)
+		max := 1 + int(data[0]&0x7f)%3
 		tb := NewTable(max)
-		current := map[string]*modelFlight{} // key -> its flight, in flight or kept
-		var order []string                   // kept keys, most recently joined first
+		slot := func(key string) string { return key } // the key's fingerprint
+		if data[0]&0x80 != 0 {
+			tb.hash = func(Request) uint64 { return 0 }
+			slot = func(string) string { return "" }
+		}
+		current := map[string]*modelFlight{} // fingerprint -> the flight the table holds, in flight or kept
+		var order []*modelFlight             // kept flights, most recently joined first
 		var flights, members []*modelFlight  // every flight; one entry per held membership
 		landed := func(m *modelFlight) bool {
 			select {
@@ -252,10 +348,10 @@ func FuzzTable(f *testing.F) {
 			}
 		}
 		release := func(m *modelFlight) {
-			if current[m.key] == m {
-				delete(current, m.key)
+			if current[slot(m.key)] == m {
+				delete(current, slot(m.key))
 			}
-			if i := slices.Index(order, m.key); i >= 0 && m.kept {
+			if i := slices.Index(order, m); i >= 0 {
 				order = slices.Delete(order, i, i+1)
 			}
 			m.kept = false
@@ -265,21 +361,24 @@ func FuzzTable(f *testing.F) {
 			switch op {
 			case 0: // Join
 				key := string(rune('a' + arg%3))
-				f, leader := tb.Join(context.Background(), key)
-				m := current[key]
-				if m == nil {
+				f, leader := tb.Join(context.Background(), req(key))
+				m := current[slot(key)]
+				if m == nil || m.key != key {
 					if !leader {
-						t.Fatalf("Join(%s) followed a released key", key)
+						t.Fatalf("Join(%s) followed a released key or another key's flight", key)
 					}
-					m = &modelFlight{f: f, key: key}
-					current[key] = m
+					n := &modelFlight{f: f, key: key}
+					if m == nil {
+						current[slot(key)] = n
+					}
+					m = n
 					flights = append(flights, m)
 				} else {
 					if leader || f != m.f {
 						t.Fatalf("Join(%s) led a new flight while one holds the key", key)
 					}
 					if m.kept {
-						order = slices.Insert(slices.DeleteFunc(order, func(k string) bool { return k == key }), 0, key)
+						order = slices.Insert(slices.DeleteFunc(order, func(o *modelFlight) bool { return o == m }), 0, m)
 						if v, err := f.Result(); !landed(m) || err != nil || v != m.val {
 							t.Fatalf("Join(%s) of a kept key = landed %v, %v, %v; want %d", key, landed(m), v, err, m.val)
 						}
@@ -304,14 +403,14 @@ func FuzzTable(f *testing.F) {
 				if !m.landed {
 					m.landed = true
 					m.val = i
-					if keepIt && err == nil && current[m.key] == m {
+					if keepIt && err == nil && current[slot(m.key)] == m {
 						wantKept = true
 						if len(order) >= max {
-							release(current[order[len(order)-1]])
+							release(order[len(order)-1])
 							wantEvicted = true
 						}
 						m.kept = true
-						order = slices.Insert(order, 0, m.key)
+						order = slices.Insert(order, 0, m)
 					} else {
 						release(m)
 					}

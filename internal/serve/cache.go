@@ -2,11 +2,12 @@ package serve
 
 // Whole-solution caching and single-flight dedup for POST /v1/solve.
 //
-// With Config.SolutionCacheSize > 0 every solve request is fingerprinted
-// (internal/cache: SHA-256 over the posted bytes, the current
-// application and strategy tuning) and joins that key's flight in the
-// server's cache.Table before its body is decoded. The response is
-// annotated with X-Incdes-Cache:
+// With Config.SolutionCacheSize > 0 every solve request joins its
+// flight in the server's cache.Table before its body is decoded: the
+// table keys a flight by the request itself (internal/cache: the posted
+// bytes, the current application and strategy tuning), found by a
+// maphash of them and compared whole. The response is annotated with
+// X-Incdes-Cache:
 //
 //	hit       the flight had landed: its kept result answers the request
 //	miss      this request leads the flight and runs the solve
@@ -62,8 +63,8 @@ type solutionEntry struct {
 	flight string
 }
 
-// cacheSpec is the canonical strategy identity of the request, hashed
-// into the request fingerprint.
+// cacheSpec is the canonical strategy identity of the request, part of
+// the request the solution table keys by.
 func (p SolveParams) cacheSpec() cache.Spec {
 	return cache.Spec{
 		Name:          p.Strategy,
@@ -74,22 +75,22 @@ func (p SolveParams) cacheSpec() cache.Spec {
 	}
 }
 
-// lookup fingerprints the request — the posted bytes, current
+// lookup joins the request's flight — keyed by the posted bytes, current
 // application and strategy identity, so nothing is decoded or scheduled
-// — and joins its key's flight, under the cache.lookup span and
-// histogram; fingerprinting dominates both. The outcome is "miss" when
-// the caller leads the flight, "hit" when the flight has landed with a
-// result, whose leader decoded, validated and solved these bytes, and
-// "inflight" otherwise. The caller counts a member once it answers from
-// the flight, and a miss once its leader is admitted.
+// — under the cache.lookup span and histogram; hashing the bytes, and
+// comparing them with a flight's on a match, dominates both. The outcome
+// is "miss" when the caller leads the flight, "hit" when the flight has
+// landed with a result, whose leader decoded, validated and solved these
+// bytes, and "inflight" otherwise. The caller counts a member once it
+// answers from the flight, and a miss once its leader is admitted.
 func (s *Server) lookup(ctx context.Context, body []byte, params SolveParams) (*cache.Flight, string) {
 	start := time.Now()
 	_, span := obs.StartSpan(ctx, "cache.lookup")
-	f, leader := s.solutions.Join(s.baseCtx, cache.Fingerprint(cache.Request{
+	f, leader := s.solutions.Join(s.baseCtx, cache.Request{
 		Body:     body,
 		App:      params.App,
 		Strategy: params.cacheSpec(),
-	}))
+	})
 	outcome := "miss"
 	if !leader {
 		outcome = "inflight"

@@ -91,8 +91,8 @@ func (p SolveParams) saOptions() core.SAOptions {
 // assembles the incremental mapping problem — the same preparation
 // cmd/incmap performs before Solve. The objective, the future profile
 // gen.ProfileForSystem derives under the default configuration and its
-// default weights, is a function of sys, so the solution cache's
-// fingerprint of the posted bytes covers it.
+// default weights, is a function of sys, so the posted bytes the
+// solution cache keys by cover it.
 func BuildProblem(sys *model.System, appName string) (*core.Problem, error) {
 	if len(sys.Apps) == 0 {
 		return nil, fmt.Errorf("system has no applications")
@@ -189,8 +189,10 @@ type result struct {
 	commit *CommitInfo // the version a session commit created
 	worker string      // workers that produced a dispatched solve ("" = local)
 	// stats is the job's registry as finish took it, once: the
-	// aggregates fold it and every status document writes it.
-	stats *obs.Snapshot
+	// aggregates fold it, and every status document writes statsJSON,
+	// its encoding, as the stats member.
+	stats     *obs.Snapshot
+	statsJSON []byte
 }
 
 // newResult encodes a solution document once, taking it as its builder
@@ -241,11 +243,14 @@ func (j *job) snapshot() (string, result, error) {
 	return j.status, j.res, j.err
 }
 
-// finish records the terminal state with the job's stats and closes the
-// SSE stream.
+// finish records the terminal state with the job's stats, snapshotted
+// and encoded once, and closes the SSE stream.
 func (j *job) finish(res result, err error) {
 	snap := j.reg.Snapshot()
 	res.stats = &snap
+	// Observe drops NaN, and every histogram observes a duration, so a
+	// snapshot encodes; one that did not would leave stats out.
+	res.statsJSON, _ = json.Marshal(snap)
 	j.mu.Lock()
 	j.res, j.err = res, err
 	switch {

@@ -324,9 +324,9 @@ func (s *Server) Close() {
 
 // JobStatusDoc is the JSON document of GET /v1/solve/{id} and the body of
 // every POST /v1/solve and commit answer, as clients and a cluster
-// coordinator decode it. The server builds it without Solution and writes
-// it through writeStatus, which puts the job's one encoding of its
-// solution in that place.
+// coordinator decode it. The server builds it without Solution and Stats
+// and writes it through writeStatus, which puts the job's one encoding of
+// each in its place.
 type JobStatusDoc struct {
 	ID       string        `json:"id"`
 	Status   string        `json:"status"`
@@ -346,20 +346,19 @@ type JobStatusDoc struct {
 	Spans     []obs.SpanSnapshot `json:"spans,omitempty"`
 }
 
-// statusDoc returns the job's status document, without its solution, and
-// the solution's encoding (nil until the job has one).
-func (s *Server) statusDoc(j *job) (out *JobStatusDoc, docJSON []byte) {
+// statusDoc returns the job's status document, without its solution and
+// stats, and their encodings (nil until the job has them).
+func (s *Server) statusDoc(j *job) (out *JobStatusDoc, docJSON, statsJSON []byte) {
 	status, res, err := j.snapshot()
 	out = &JobStatusDoc{ID: j.id, Status: status, Strategy: j.strategy, Commit: res.commit, Worker: res.worker, RequestID: j.trace.ID()}
 	if err != nil {
 		out.Error = err.Error()
 	}
 	if status == StatusDone || status == StatusInterrupted {
-		out.Stats = res.stats
 		out.Spans = j.trace.Snapshot()
-		docJSON = res.solved.json
+		docJSON, statsJSON = res.solved.json, res.statsJSON
 	}
-	return out, docJSON
+	return out, docJSON, statsJSON
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -369,8 +368,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// statusHead and statusTail are JobStatusDoc's fields before and after
-// Solution, in its order and with its tags.
+// statusHead and statusTail are JobStatusDoc's fields before Solution
+// and after Stats, in its order and with its tags.
 type statusHead struct {
 	ID       string      `json:"id"`
 	Status   string      `json:"status"`
@@ -380,22 +379,22 @@ type statusHead struct {
 }
 
 type statusTail struct {
-	Stats     *obs.Snapshot      `json:"stats,omitempty"`
 	Worker    string             `json:"worker,omitempty"`
 	RequestID string             `json:"request_id,omitempty"`
 	Spans     []obs.SpanSnapshot `json:"spans,omitempty"`
 }
 
-// writeStatus writes doc, with docJSON as its solution, byte for byte as
-// writeJSON would write doc with Solution holding what docJSON encodes.
-// Only the envelope is encoded, on either side of the solution, and
-// docJSON, the job's one encoding, is written where the solution goes;
-// without docJSON the document has no solution. The pieces go straight to
-// w; a field of type json.RawMessage would have the encoder re-compact
-// the solution, and one buffer for the whole body would copy it.
-func writeStatus(w http.ResponseWriter, code int, doc *JobStatusDoc, docJSON []byte) {
+// writeStatus writes doc, with docJSON as its solution and statsJSON as
+// its stats, byte for byte as writeJSON would write doc with Solution and
+// Stats holding what docJSON and statsJSON encode. Only the envelope is
+// encoded, on either side of the two, and the job's one encoding of each
+// is written where it goes; without it the document has no such member.
+// The pieces go straight to w; a field of type json.RawMessage would have
+// the encoder re-compact the solution, and one buffer for the whole body
+// would copy it.
+func writeStatus(w http.ResponseWriter, code int, doc *JobStatusDoc, docJSON, statsJSON []byte) {
 	head, herr := json.Marshal(statusHead{doc.ID, doc.Status, doc.Strategy, doc.Error, doc.Commit})
-	tail, terr := json.Marshal(statusTail{doc.Stats, doc.Worker, doc.RequestID, doc.Spans})
+	tail, terr := json.Marshal(statusTail{doc.Worker, doc.RequestID, doc.Spans})
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	if herr != nil || terr != nil {
@@ -405,6 +404,10 @@ func writeStatus(w http.ResponseWriter, code int, doc *JobStatusDoc, docJSON []b
 	if docJSON != nil {
 		io.WriteString(w, `,"solution":`)
 		w.Write(docJSON)
+	}
+	if statsJSON != nil {
+		io.WriteString(w, `,"stats":`)
+		w.Write(statsJSON)
 	}
 	if len(tail) == len("{}") {
 		tail = tail[1:]
@@ -846,11 +849,11 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, j *job, detach b
 	if detach {
 		go run(obs.CopyTrace(s.baseCtx, r.Context()))
 		w.Header().Set("Location", "/v1/solve/"+j.id)
-		writeStatus(w, http.StatusAccepted, &JobStatusDoc{ID: j.id, Status: StatusQueued, Strategy: j.strategy}, nil)
+		writeStatus(w, http.StatusAccepted, &JobStatusDoc{ID: j.id, Status: StatusQueued, Strategy: j.strategy}, nil, nil)
 		return
 	}
 	run(r.Context())
-	doc, docJSON := s.statusDoc(j)
+	doc, docJSON, statsJSON := s.statusDoc(j)
 	if doc.Worker != "" {
 		w.Header().Set(workerHeader, doc.Worker)
 	}
@@ -858,7 +861,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, j *job, detach b
 	if doc.Status == StatusFailed {
 		code = http.StatusUnprocessableEntity
 	}
-	writeStatus(w, code, doc, docJSON)
+	writeStatus(w, code, doc, docJSON, statsJSON)
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
@@ -867,8 +870,8 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, ErrCodeNotFound, "no such job")
 		return
 	}
-	doc, docJSON := s.statusDoc(j)
-	writeStatus(w, http.StatusOK, doc, docJSON)
+	doc, docJSON, statsJSON := s.statusDoc(j)
+	writeStatus(w, http.StatusOK, doc, docJSON, statsJSON)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {

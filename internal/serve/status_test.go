@@ -98,24 +98,29 @@ func statusShape(sol *SolutionDoc, status, id, errMsg, worker string, parts int)
 	return doc
 }
 
-// checkWriteStatus requires writeStatus, handed the solution's encoding,
-// to write what json.NewEncoder(w).Encode(doc) writes, byte for byte,
-// with writeJSON's status code and Content-Type.
+// checkWriteStatus requires writeStatus, handed the solution's and the
+// stats' encodings, to write what json.NewEncoder(w).Encode(doc) writes,
+// byte for byte, with writeJSON's status code and Content-Type.
 func checkWriteStatus(t *testing.T, doc *JobStatusDoc) {
 	t.Helper()
 	var want bytes.Buffer
 	if err := json.NewEncoder(&want).Encode(doc); err != nil {
 		t.Fatal(err)
 	}
-	var docJSON []byte
+	var docJSON, statsJSON []byte
+	var err error
 	if doc.Solution != nil {
-		var err error
 		if docJSON, err = json.Marshal(doc.Solution); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if doc.Stats != nil {
+		if statsJSON, err = json.Marshal(doc.Stats); err != nil {
+			t.Fatal(err)
+		}
+	}
 	got := httptest.NewRecorder()
-	writeStatus(got, http.StatusUnprocessableEntity, doc, docJSON)
+	writeStatus(got, http.StatusUnprocessableEntity, doc, docJSON, statsJSON)
 	if got.Code != http.StatusUnprocessableEntity || got.Header().Get("Content-Type") != "application/json" {
 		t.Fatalf("status %d, Content-Type %q; want 422, application/json", got.Code, got.Header().Get("Content-Type"))
 	}
@@ -132,7 +137,7 @@ var statusStrings = []string{"", "j7", "<b>&amp;</b>", "line\u2028para\u2029", "
 // TestWriteStatusMatchesEncoder pins writeStatus to the encoder over
 // every status, every combination of the optional parts and strings
 // that the encoder escapes, and its two envelope halves to JobStatusDoc's
-// fields on either side of Solution.
+// fields on either side of Solution and Stats.
 func TestWriteStatusMatchesEncoder(t *testing.T) {
 	tags := func(typ reflect.Type) (out []string) {
 		for i := range typ.NumField() {
@@ -140,9 +145,9 @@ func TestWriteStatusMatchesEncoder(t *testing.T) {
 		}
 		return out
 	}
-	halves := append(append(tags(reflect.TypeFor[statusHead]()), "solution,omitempty"), tags(reflect.TypeFor[statusTail]())...)
+	halves := append(append(tags(reflect.TypeFor[statusHead]()), "solution,omitempty", "stats,omitempty"), tags(reflect.TypeFor[statusTail]())...)
 	if want := tags(reflect.TypeFor[JobStatusDoc]()); !reflect.DeepEqual(halves, want) {
-		t.Fatalf("statusHead, solution and statusTail tag %q; JobStatusDoc tags %q", halves, want)
+		t.Fatalf("statusHead, solution, stats and statusTail tag %q; JobStatusDoc tags %q", halves, want)
 	}
 
 	sol := sampleSolution(t)
@@ -185,8 +190,8 @@ func (nanDispatcher) Dispatch(context.Context, *DispatchRequest) (*DispatchResul
 
 // TestUnencodableDocuments: a solution document that does not encode
 // fails its job, and its flight is not kept, so the same request leads
-// a new one; an envelope that does not encode is answered as writeJSON
-// answers it, with the status code and headers and no body.
+// a new one; a job's stats that do not encode are left out of its status
+// document, which still carries its solution.
 func TestUnencodableDocuments(t *testing.T) {
 	_, ts := newCachingServer(t, Config{Parallelism: 1, SolutionCacheSize: 8, Dispatcher: nanDispatcher{}})
 	for i := 0; i < 2; i++ {
@@ -199,14 +204,17 @@ func TestUnencodableDocuments(t *testing.T) {
 		}
 	}
 
-	doc := &JobStatusDoc{ID: "j1", Status: StatusDone, Stats: &obs.Snapshot{
-		Histograms: map[string]obs.HistogramSnapshot{obs.HstSolveSeconds: {Sum: math.NaN()}},
-	}}
-	want, got := httptest.NewRecorder(), httptest.NewRecorder()
-	writeJSON(want, http.StatusOK, doc)
-	writeStatus(got, http.StatusOK, doc, []byte(`{}`))
-	if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) || got.Body.Len() != 0 || want.Body.Len() != 0 {
-		t.Errorf("writeStatus = %d %v %q; writeJSON = %d %v %q", got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
+	s := New(Config{Parallelism: 1})
+	defer s.Close()
+	j := s.register("MH", nil)
+	j.reg.Histogram(obs.HstSolveSeconds).Observe(math.Inf(1))
+	j.finish(result{solved: &solvedDoc{json: []byte(`{}`)}}, nil)
+	doc, docJSON, statsJSON := s.statusDoc(j)
+	got := httptest.NewRecorder()
+	writeStatus(got, http.StatusOK, doc, docJSON, statsJSON)
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(got.Body.Bytes(), &members); err != nil || members["stats"] != nil || string(members["solution"]) != "{}" {
+		t.Errorf("a job whose stats do not encode answers %q (%v); want its solution and no stats", got.Body, err)
 	}
 }
 
