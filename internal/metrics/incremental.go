@@ -13,20 +13,19 @@ import (
 )
 
 // Baseline caches every metric input that depends only on the frozen
-// base schedule: per-node slack intervals and per-window slack vectors,
-// the per-occurrence and per-window free bus capacity, the histogram of
-// the per-occurrence free bytes, and the future-application item lists
-// (in decreasing size, the order the best-fit-decreasing packing takes
-// them). An evaluation of a candidate design that differs from the base
-// by an open sched.Txn then only recomputes the touched node timelines
-// and patches the touched slot occurrences and their capacities in the
-// histogram — everything else is read from here. Both item lists are
-// also kept as pack.Runs, so an evaluation can try the all-fit
-// certificate before it packs.
+// base schedule: per-node slack interval lengths and per-window slack
+// vectors, the per-occurrence and per-window free bus capacity, the
+// histogram of the per-occurrence free bytes, and the future-application
+// item lists (in decreasing size, the order the best-fit-decreasing
+// packing takes them), also kept as pack.Runs so an evaluation can try
+// the all-fit certificate before it packs. Building one costs one slack
+// analysis. What an evaluation derives further from a node's base
+// inputs (the √ of its windows and its terms of the certificate) the
+// evaluator derives on first use and keeps itself.
 //
 // A Baseline is immutable after construction and safe to share across
-// evaluation workers; the mutable scratch lives in the per-worker
-// Incremental evaluators it hands out.
+// evaluation workers and across a session's commits; everything mutable
+// lives in the per-worker Incremental evaluators it hands out.
 type Baseline struct {
 	prof    *future.Profile
 	w       Weights
@@ -94,123 +93,247 @@ func NewBaseline(base *sched.State, prof *future.Profile, w Weights) *Baseline {
 }
 
 // Evaluator returns a fresh evaluator over the baseline. Each evaluation
-// worker owns one: the evaluator's scratch buffers are reused across
-// calls and are not safe for concurrent use.
+// worker owns one: the evaluator keeps the parts of its last score and
+// its scratch across calls, and is not safe for concurrent use. Its
+// first evaluation derives every score it reads.
 func (b *Baseline) Evaluator() *Incremental {
-	return &Incremental{b: b}
+	n, k, w := len(b.nodeIDs), len(b.runs), b.windows()
+	e := &Incremental{
+		b:      b,
+		scores: make([]nodeScore, 2*n),
+		sqrt:   make([]float64, 2*n*w),
+		cnt:    make([]int64, 2*n*k),
+		used:   make([]int, n),
+		fill:   make([]float64, n+1),
+		groups: make([][]int64, n),
+		terms:  make([][]int64, n),
+		mBins:  slices.Clone(b.busFree),
+		busWin: slices.Clone(b.busWin),
+	}
+	for i := range n {
+		e.scores[i].gaps = b.gapLens[i]
+		e.used[i] = -1
+	}
+	e.mCaps.Set(&b.busCaps)
+	return e
 }
 
-// Incremental scores candidate designs against a Baseline, recomputing
-// only what an open transaction touched. The resulting Report is
-// byte-identical to Evaluate's on the same state: integer quantities
-// (window slack, free bytes) are either copied or recomputed exactly,
-// and the floating-point accumulations (packing fractions, PeriodicFill,
-// the objective) replay the identical operation sequence in the
-// identical order.
+// windows returns the number of Tmin windows, the same for every node.
+func (b *Baseline) windows() int {
+	if len(b.winSlack) == 0 {
+		return 0
+	}
+	return len(b.winSlack[0])
+}
+
+// Incremental scores candidate designs against a Baseline. It keeps the
+// parts of its last score and rescores only what the next state changes
+// (see EvaluateTxn). The resulting Report is byte-identical to
+// Evaluate's on the same state, whatever the evaluator scored before:
+// integer quantities (window slack, free bytes, certificate terms) are
+// kept or recomputed exactly, and the floating-point accumulations (packing
+// fractions, PeriodicFill, the objective) take the identical operation
+// sequence in the identical order. What it keeps is keyed by content, a
+// node's busy timeline and a hop's slot occurrence and bytes, never by
+// the identity of the state or the transaction.
 type Incremental struct {
 	b *Baseline
 
+	// Processes, by node position i of n. Score i is node i's score on
+	// the base timeline and score n+i its kept score, on the busy
+	// timeline the node had when it was last dirty and derived; each is
+	// derived on first use. Score j is scores[j], its √ values
+	// sqrt[j·w:(j+1)·w] for the w windows and its terms of the all-fit
+	// certificate cnt[j·k:(j+1)·k] for the k runs, counted when the
+	// certificate first reads them. used[i] is the score the last
+	// evaluation read (-1 before the first), fill[i] the PeriodicFill sum
+	// before node i, and groups[i] and terms[i] the used score's slack
+	// lengths and certificate terms.
+	scores []nodeScore
+	sqrt   []float64
+	cnt    []int64
+	used   []int
+	fill   []float64
+	groups [][]int64
+	terms  [][]int64
+
+	// Messages: the base's per-occurrence free bytes, their histogram
+	// (the C1m bins) and the per-window free bytes summed over buses,
+	// each with hops, the last evaluation's BusDeltas, taken out.
+	hops   []hop
+	mBins  []int64
+	mCaps  pack.Caps
+	busWin []int64
+
+	// Over the evaluator's life: the dirty nodes whose kept score was
+	// read without deriving it again, and the hops left applied. The
+	// tests read them.
+	reusedNodes, keptHops int
+
 	// Scratch reused across evaluations.
-	bins    []int64
-	mBins   []int64
-	mCaps   pack.Caps
-	remA    []int64
-	gapBuf  []tm.Interval
-	winBuf  []tm.Time
-	busWinS []int64
+	gapBuf []tm.Interval
+	winBuf []tm.Time
+	bins   []int64
+	remA   []int64
+	mPack  pack.Caps
+}
+
+// nodeScore is what one node timeline contributes to a Report besides
+// its √ values and certificate terms: its slack interval lengths (C1P's
+// bins) and its windows' minimum (C2P's term). A kept score also holds
+// a copy of the busy timeline it was derived from.
+type nodeScore struct {
+	timeline []tm.Interval
+	gaps     []int64
+	min      tm.Time
+	ok       bool // derived
+}
+
+// hop is a message hop as the bus views hold it: bytes taken from
+// occurrence (round, slot) of bus bus, which is element occ of the
+// per-occurrence free bytes and counts in Tmin window win.
+type hop struct {
+	bus         model.BusID
+	round, slot int
+	bytes       int64
+	occ, win    int
+}
+
+// is reports whether d takes what h takes from the same occurrence.
+func (h *hop) is(d *sched.MsgEntry) bool {
+	return h.bus == d.Bus && h.round == d.Round && h.slot == d.Slot && h.bytes == int64(d.Bytes)
 }
 
 // EvaluateTxn scores st, which must be the baseline's base schedule with
-// the open transaction txn applied on top. full reports a full
-// recompute: every node timeline was touched, so no cached slack vector
-// could be reused and each one was rederived from the state (still
-// through the evaluator's reusable scratch — the classification is
-// observability, not a different code path). The Report is
-// byte-identical to Evaluate's in every case.
+// the open transaction txn applied on top. The Report is byte-identical
+// to Evaluate's.
+//
+// The evaluator rescores only what differs from its previous
+// evaluation:
+//   - A clean node reads its base score. A dirty node whose busy
+//     timeline equals, element by element, the one its kept score was
+//     derived from reads that score; any other dirty node is derived
+//     again, from one AppendGaps of its timeline.
+//   - PeriodicFill restarts from its kept running sum before the first
+//     node whose score differs from the previous evaluation's and adds
+//     the √ values of every node from there, in node order: the same
+//     additions, in the same order, as Evaluate's.
+//   - C1P's all-fit certificate sums the nodes' terms
+//     (pack.Runs.CertifyGroups), each counted the first time the
+//     certificate reads it after its score was derived. Only when it
+//     fails are the nodes' slack lengths gathered and packed.
+//   - The bus views are kept with the hop list they reflect. Each kept
+//     hop that differs from txn.BusDeltas at the same position is given
+//     back (pack.Caps.Grow) and each differing new hop taken
+//     (pack.Caps.Shrink). The views are integer sums and a histogram is
+//     a multiset, so they end as patching the base with every hop
+//     would leave them. The C1m certificate reads the histogram, and
+//     where it fails a copy is packed.
+//
+// full reports that every node is dirty, so no node's base score was
+// read. It classifies the evaluation for observability; dirty nodes'
+// kept scores may still have been reused.
 func (e *Incremental) EvaluateTxn(st *sched.State, txn *sched.Txn) (rep Report, full bool) {
 	b := e.b
-	full = txn.DirtyNodeCount() >= len(b.nodeIDs)
+	n, k, w := len(b.nodeIDs), len(b.runs), b.windows()
+	full = txn.DirtyNodeCount() >= n
 
 	var r Report
-	window := tm.Iv(0, b.horizon)
-
-	// Processes, both criteria, in one pass over the nodes in ascending
-	// order: C1P's bins are the slack interval lengths and C2P's inputs
-	// the per-window slack vectors, both cached for clean nodes and
-	// derived from one AppendGaps of the node's busy timeline for dirty
-	// ones. The vectors are integer quantities; the min/PeriodicFill
-	// accumulation runs over every node in the same order as Evaluate,
-	// so the float sum is reproduced exactly.
-	e.bins = e.bins[:0]
-	for i, n := range b.nodeIDs {
-		ws := b.winSlack[i]
-		if txn.DirtyNode(n) {
-			e.gapBuf = st.Busy(n).AppendGaps(e.gapBuf[:0], window)
-			for _, iv := range e.gapBuf {
-				e.bins = append(e.bins, int64(iv.Len()))
+	first := n // the first node whose score differs from the last evaluation's
+	for i, id := range b.nodeIDs {
+		j, changed := i, false
+		if txn.DirtyNode(id) {
+			j = n + i
+			s, busy := &e.scores[j], st.Busy(id)
+			if s.ok && slices.Equal(busy.Intervals(), s.timeline) {
+				e.reusedNodes++
+			} else {
+				s.timeline = append(s.timeline[:0], busy.Intervals()...)
+				e.gapBuf = busy.AppendGaps(slices.Grow(e.gapBuf[:0], busy.Len()+1), tm.Iv(0, b.horizon))
+				s.gaps = slices.Grow(s.gaps[:0], len(e.gapBuf))
+				for _, iv := range e.gapBuf {
+					s.gaps = append(s.gaps, int64(iv.Len()))
+				}
+				e.winBuf = slack.WindowSlackInto(e.winBuf, e.gapBuf, b.prof.Tmin, b.horizon)
+				e.finish(j, e.winBuf)
+				changed = true
 			}
-			e.winBuf = slack.WindowSlackInto(e.winBuf, e.gapBuf, b.prof.Tmin, b.horizon)
-			ws = e.winBuf
-		} else {
-			e.bins = append(e.bins, b.gapLens[i]...)
+		} else if !e.scores[j].ok {
+			e.finish(j, b.winSlack[i])
+			changed = true
 		}
-		min := ws[0]
-		for _, v := range ws {
-			if v < min {
-				min = v
-			}
-			r.PeriodicFill += math.Sqrt(float64(v))
+		if changed || e.used[i] != j {
+			e.used[i], e.groups[i], e.terms[i] = j, e.scores[j].gaps, e.cnt[j*k:(j+1)*k]
+			first = min(first, i)
 		}
-		r.C2P += min
+		r.C2P += e.scores[j].min
 	}
+	pf := e.fill[first]
+	for i := first; i < n; i++ {
+		j := e.used[i]
+		for _, v := range e.sqrt[j*w : (j+1)*w] {
+			pf += v
+		}
+		e.fill[i+1] = pf
+	}
+	r.PeriodicFill = pf
 	// When the all-fit certificate holds, best-fit leaves nothing over
 	// and C1P is the +0 the packing would give; otherwise pack.
-	if !b.runs.Certify(e.bins) {
+	if !b.runs.CertifyGroups(e.groups, e.terms) {
+		e.bins = e.bins[:0]
+		for _, g := range e.groups {
+			e.bins = append(e.bins, g...)
+		}
 		var frac float64
 		frac, e.remA = pack.BestFitUnpacked(b.items, e.bins, e.remA)
 		r.C1P = 100 * frac
 	}
-
-	// Messages, both criteria, in one pass over the message hops the
-	// transaction appended: a hop of d.Bytes removes that many free bytes
-	// from its slot occurrence (C1m; each bus's block of the cached
-	// vector is round-major, so occurrence (round, slot) sits at the
-	// block's offset + round*slots + slot) and from the Tmin window
-	// holding the occurrence's end (C2m). The occurrence's capacity
-	// before the hop is read from the patched copy, because two hops can
-	// share an occurrence, and the histogram moves one bin from it to
-	// the capacity after. Integer subtractions commute and the histogram
-	// is a multiset, so the hop order does not matter.
-	e.mBins = append(e.mBins[:0], b.busFree...)
-	e.mCaps.Set(&b.busCaps)
-	e.busWinS = append(e.busWinS[:0], b.busWin...)
-	for _, d := range txn.BusDeltas() {
+	// Messages: give back the kept hops the transaction no longer has at
+	// their position, then take the transaction's hops that differ. Each
+	// bus's block of the per-occurrence bytes is round-major, so
+	// occurrence (round, slot) sits at the block's offset +
+	// round*slots + slot, and a hop counts in the Tmin window that holds
+	// its occurrence's end (C2m).
+	deltas := txn.BusDeltas()
+	e.hops = slices.Grow(e.hops, max(len(deltas)-len(e.hops), 0))
+	for j := range e.hops {
+		if j < len(deltas) && e.hops[j].is(&deltas[j]) {
+			e.keptHops++
+			continue
+		}
+		e.take(&e.hops[j], -e.hops[j].bytes)
+	}
+	for j := range deltas {
+		d := &deltas[j]
+		if j < len(e.hops) && e.hops[j].is(d) {
+			continue
+		}
 		bst := st.BusStateAt(int(d.Bus))
-		o := b.busOff[d.Bus] + d.Round*bst.Bus().NumSlots() + d.Slot
-		old := e.mBins[o]
-		e.mBins[o] -= int64(d.Bytes)
-		e.mCaps.Shrink(old, e.mBins[o])
-		w := int((bst.SlotEnd(d.Round, d.Slot) - 1) / b.busTmin)
-		if w >= len(e.busWinS) {
-			w = len(e.busWinS) - 1
+		h := hop{
+			bus: d.Bus, round: d.Round, slot: d.Slot, bytes: int64(d.Bytes),
+			occ: b.busOff[d.Bus] + d.Round*bst.Bus().NumSlots() + d.Slot,
+			win: min(int((bst.SlotEnd(d.Round, d.Slot)-1)/b.busTmin), len(e.busWin)-1),
 		}
-		e.busWinS[w] -= int64(d.Bytes)
+		e.take(&h, h.bytes)
+		if j < len(e.hops) {
+			e.hops[j] = h
+		} else {
+			e.hops = append(e.hops, h)
+		}
 	}
+	e.hops = e.hops[:len(deltas)]
 
-	// Criterion 1, messages: the patched histogram holds the same
-	// positive capacities BestFitUnpacked would build from e.mBins. As
-	// for C1P, a certificate that holds makes C1m +0 without packing.
+	// Criterion 1, messages: the histogram holds the same positive
+	// capacities BestFitUnpacked would build from e.mBins. As for C1P, a
+	// certificate that holds makes C1m +0 without packing; otherwise a
+	// copy is packed, because packing consumes the histogram.
 	if !b.mRuns.CertifyCaps(&e.mCaps) {
-		r.C1m = 100 * e.mCaps.BestFitUnpacked(b.mItems)
+		e.mPack.Set(&e.mCaps)
+		r.C1m = 100 * e.mPack.BestFitUnpacked(b.mItems)
 	}
 
-	// Criterion 2, messages: the patched window vector's minimum.
-	r.C2m = e.busWinS[0]
-	for _, v := range e.busWinS[1:] {
-		if v < r.C2m {
-			r.C2m = v
-		}
-	}
+	// Criterion 2, messages: the window vector's minimum.
+	r.C2m = slices.Min(e.busWin)
 
 	r.ShortfallP = tm.Max(0, b.prof.TNeed-r.C2P)
 	if b.prof.BNeedBytes > r.C2m {
@@ -219,4 +342,35 @@ func (e *Incremental) EvaluateTxn(st *sched.State, txn *sched.Txn) (rep Report, 
 	r.Objective = b.w.W1P*r.C1P + b.w.W1m*r.C1m +
 		b.w.W2P*float64(r.ShortfallP) + b.w.W2m*float64(r.ShortfallM)
 	return r, full
+}
+
+// finish derives the rest of score j from its window slack win: the
+// windows' minimum and their √ values. Its certificate terms are left
+// to be counted.
+func (e *Incremental) finish(j int, win []tm.Time) {
+	s, w, k := &e.scores[j], len(win), len(e.b.runs)
+	sqrt := e.sqrt[j*w : (j+1)*w]
+	s.min = win[0]
+	for x, v := range win {
+		s.min = min(s.min, v)
+		sqrt[x] = math.Sqrt(float64(v))
+	}
+	for x := j * k; x < (j+1)*k; x++ {
+		e.cnt[x] = -1
+	}
+	s.ok = true
+}
+
+// take moves bytes out of h's slot occurrence and its Tmin window, or
+// gives them back when bytes is negative, and moves the occurrence's bin
+// in the histogram.
+func (e *Incremental) take(h *hop, bytes int64) {
+	old := e.mBins[h.occ]
+	e.mBins[h.occ] = old - bytes
+	if bytes > 0 {
+		e.mCaps.Shrink(old, old-bytes)
+	} else {
+		e.mCaps.Grow(old, old-bytes)
+	}
+	e.busWin[h.win] -= bytes
 }

@@ -11,9 +11,11 @@
 // shifts of the histogram per distinct capacity it reaches, not per item.
 // BestFitUnpacked builds the histogram from B unsorted bins, an
 // O(B log B) sort, and packs; a caller that keeps a histogram across
-// packings patches it with Shrink instead. The tests hold the packer
-// against a reference kept with them: the plain per-item scan of every
-// bin, which also records which bin each item went to.
+// packings patches it instead, one bin at a time: Shrink when a bin
+// loses capacity and Grow, its inverse, when the bin gets it back. The
+// tests hold the packer against a reference kept with them: the plain
+// per-item scan of every bin, which also records which bin each item
+// went to.
 //
 // # The all-fit certificate
 //
@@ -39,8 +41,20 @@
 //
 // The certificate is sufficient, not necessary: items {3, 2} fit bins
 // {3, 3}, but U_2 = 2 < need_2 = 1 + ⌈3/2⌉ = 3. When it fails, the caller
-// packs. Nothing overflows: need saturates at math.MaxInt64, a run whose
-// need saturates never certifies, and U_r stops counting at need_r.
+// packs.
+//
+// It has two forms. CertifyCaps reads a histogram. CertifyGroups reads
+// the bins as disjoint groups, as the metrics keep each node's slack
+// intervals: U_r is the sum of the groups' terms, a group's term of run
+// r being U_r over the group, capped at need_r. The caller keeps the
+// terms with the groups, and CertifyGroups counts a term only when it
+// first reads it, so a group that has not changed is not counted again
+// and a term the pass never reaches is never counted. Both forms are
+// tested against Certify, the plain pass over a bin slice, which the
+// tests keep as the reference. Nothing overflows in any form: need
+// saturates at math.MaxInt64, a run whose need saturates never
+// certifies, CertifyCaps stops counting U_r at need_r, and CertifyGroups
+// caps each term at need_r and saturates its sums at math.MaxInt64.
 //
 // Sizes are plain int64 so the same packer serves time units (process
 // slack) and bytes (bus slack).
@@ -121,6 +135,49 @@ func (c *Caps) Shrink(from, to int64) {
 		panic("pack: Shrink of an absent capacity or to a capacity that is not smaller")
 	}
 	c.move(i, 1, to)
+}
+
+// Grow turns one bin of capacity from into a bin of capacity to, which
+// must be larger: the inverse of Shrink. A from ≤ 0 is a bin c does not
+// hold, since Shrink drops a bin that reaches 0, so Grow then only adds
+// a bin of capacity to (if to > 0). It panics when c holds no bin of a
+// positive capacity from or to is not larger: either is a bug of the
+// caller's bookkeeping.
+func (c *Caps) Grow(from, to int64) {
+	ok := to > from
+	lo, emptied := 0, false // the target's entry belongs at or above lo
+	if ok && from > 0 {
+		var i int
+		if i, ok = slices.BinarySearch(c.Size, from); ok {
+			c.N[i]--
+			lo, emptied = i+1, c.N[i] == 0
+		}
+	}
+	if !ok {
+		panic("pack: Grow of an absent capacity or to a capacity that is not larger")
+	}
+	if to <= 0 {
+		return
+	}
+	j, found := slices.BinarySearch(c.Size[lo:], to)
+	j += lo
+	switch {
+	case found:
+		c.N[j]++
+		if emptied {
+			c.Size = slices.Delete(c.Size, lo-1, lo)
+			c.N = slices.Delete(c.N, lo-1, lo)
+		}
+	case emptied:
+		// Entry lo-1 goes and the target comes just below j: shift
+		// [lo, j) down into entry lo-1's place.
+		copy(c.Size[lo-1:j-1], c.Size[lo:j])
+		copy(c.N[lo-1:j-1], c.N[lo:j])
+		c.Size[j-1], c.N[j-1] = to, 1
+	default:
+		c.Size = slices.Insert(c.Size, j, to)
+		c.N = slices.Insert(c.N, j, 1)
+	}
 }
 
 // BestFitUnpacked packs items (in the given order) into c with the
@@ -262,34 +319,11 @@ func satMulAdd(a, b, c int64) int64 {
 	return a + b*c
 }
 
-// Certify reports whether the all-fit certificate holds over bins, one
-// per slice element: when it does, best-fit leaves none of the runs'
-// items unpacked, so BestFitUnpacked of the items over bins is +0. Each
-// run is one pass over the bins that stops once U_r reaches need_r.
-func (rs Runs) Certify(bins []int64) bool {
-	for i := len(rs) - 1; i >= 0; i-- {
-		s, left := rs[i].size, rs[i].need
-		if left == math.MaxInt64 {
-			return false
-		}
-		for _, b := range bins {
-			// left > 0 and b/s ≥ 0, so the difference cannot overflow.
-			if b >= s {
-				if left -= b / s; left <= 0 {
-					break
-				}
-			}
-		}
-		if left > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// CertifyCaps is Certify over the bins c holds: an entry counts as its N
-// bins. The entries are read from the largest capacity down to the
-// smallest that fits the run.
+// CertifyCaps reports whether the all-fit certificate holds over the
+// bins c holds, an entry counting as its N bins: when it does, best-fit
+// leaves none of the runs' items unpacked, so Caps.BestFitUnpacked of
+// the items is +0. Each run reads the entries from the largest capacity
+// down to the smallest that fits it, and stops once U_r reaches need_r.
 func (rs Runs) CertifyCaps(c *Caps) bool {
 	for i := len(rs) - 1; i >= 0; i-- {
 		s, left := rs[i].size, rs[i].need
@@ -311,4 +345,51 @@ func (rs Runs) CertifyCaps(c *Caps) bool {
 		}
 	}
 	return true
+}
+
+// CertifyGroups reports whether the all-fit certificate holds over the
+// union of disjoint groups of bins, groups[g] holding group g's bins.
+// U_r over the union is the sum of the groups' terms, terms[g][r] being
+// group g's term of run r: -1 until counted, then U_r over the group,
+// capped at need_r, since a term that reaches need_r certifies its run
+// whatever the others hold. It counts a term only where it reads a -1,
+// and leaves the count there, so a caller that keeps a group's terms
+// until the group changes counts each term once. The runs are checked
+// smallest size first, the first that fails ends the pass, and a run's
+// sum stops once it reaches need_r. The sums saturate at math.MaxInt64.
+func (rs Runs) CertifyGroups(groups, terms [][]int64) bool {
+	for r := len(rs) - 1; r >= 0; r-- {
+		need := rs[r].need
+		if need == math.MaxInt64 {
+			return false
+		}
+		u := int64(0)
+		for g := 0; g < len(groups) && u < need; g++ {
+			c := terms[g][r]
+			if c < 0 {
+				c = rs.Term(r, groups[g])
+				terms[g][r] = c
+			}
+			u = satMulAdd(u, c, 1)
+		}
+		if u < need {
+			return false
+		}
+	}
+	return true
+}
+
+// Term returns run r's term over bins: U_r over them, capped at need_r,
+// the count CertifyGroups keeps for a group.
+func (rs Runs) Term(r int, bins []int64) int64 {
+	s, need, c := rs[r].size, rs[r].need, int64(0)
+	for _, b := range bins {
+		if b < s {
+			continue
+		}
+		if c = satMulAdd(c, b/s, 1); c >= need {
+			return need
+		}
+	}
+	return c
 }

@@ -72,11 +72,21 @@ func checkCaps(t *testing.T, c *Caps, bins []int64) {
 	}
 }
 
-// checkCertified fails t when the certificate of runs holds over bins
-// but the BestFit reference leaves an item of items over, or
-// BestFitUnpacked does not return the bits of +0.
+// checkCertified fails t when the grouped form of the certificate, over
+// bins split into groups of three, disagrees with Certify over the same
+// bins, on its first pass or on a second pass that reads the terms the
+// first one counted; or when the certificate of runs holds over bins but
+// the BestFit reference leaves an item of items over, or BestFitUnpacked
+// does not return the bits of +0.
 func checkCertified(t *testing.T, runs Runs, items, bins []int64) {
 	t.Helper()
+	groups, terms := groupTerms(runs, bins, 3)
+	cs := runs.Certify(bins)
+	for pass := 1; pass <= 2; pass++ {
+		if cg := runs.CertifyGroups(groups, terms); cg != cs {
+			t.Fatalf("items %v bins %v: CertifyGroups = %v on pass %d, Certify = %v", items, bins, cg, pass, cs)
+		}
+	}
 	if !runs.Certify(bins) {
 		return
 	}
@@ -86,6 +96,28 @@ func checkCertified(t *testing.T, runs Runs, items, bins []int64) {
 	if got, _ := BestFitUnpacked(items, bins, nil); math.Float64bits(got) != 0 {
 		t.Fatalf("items %v bins %v: certified, but BestFitUnpacked = %v", items, bins, got)
 	}
+}
+
+// groupTerms splits bins into consecutive groups of at most size bins,
+// plus one empty group, and returns the groups with their terms not yet
+// counted, the input of CertifyGroups.
+func groupTerms(runs Runs, bins []int64, size int) (groups, terms [][]int64) {
+	for lo := 0; ; lo += size {
+		groups = append(groups, bins[min(lo, len(bins)):min(lo+size, len(bins))])
+		terms = append(terms, notCounted(len(runs)))
+		if lo >= len(bins) {
+			return groups, terms
+		}
+	}
+}
+
+// notCounted returns k certificate terms, none counted yet.
+func notCounted(k int) []int64 {
+	u := make([]int64, k)
+	for r := range u {
+		u[r] = -1
+	}
+	return u
 }
 
 // remainingAfter returns the capacities the BestFit reference leaves in
@@ -363,14 +395,20 @@ func TestBestFitUnpackedMatchesBestFit(t *testing.T) {
 // FuzzBestFitUnpacked holds the histogram packer against the BestFit
 // reference. Each byte of itemBytes is one item of size 1..256, each
 // byte of binBytes one bin of capacity 0..255. Each pair of bytes of
-// shrinkBytes is one Shrink of a Caps built from the bins before it
-// packs: the first byte picks a present capacity, the second a smaller
-// target (0 drops the bin). The reference packs the equally patched bins;
-// the histogram must be well formed after every operation and after
-// packing, and hold what the reference leaves. Sorted items also check
-// the all-fit certificate: where it holds over the bins, or over the
-// patched histogram, the reference must leave nothing over, and its
-// slice and histogram forms must agree on the same bins.
+// patchBytes is one patch of a Caps built from the bins before it packs,
+// a shrink or a grow, interleaved as the bytes give them:
+//   - a first byte below 128 is a Shrink: it picks a present capacity,
+//     and the second byte a smaller target (0 drops the bin);
+//   - a first byte of 128 or more is a Grow: it picks a bin of the
+//     reference, a dropped one (capacity 0) included, and the second
+//     byte how much larger the target is (1..256).
+//
+// The reference patches its bins equally and packs them; the histogram
+// must be well formed after every operation and after packing, and hold
+// what the reference leaves. Sorted items also check the all-fit
+// certificate: where it holds over the bins, or over the patched
+// histogram, the reference must leave nothing over, and its slice,
+// histogram and totals forms must agree on the same bins.
 func FuzzBestFitUnpacked(f *testing.F) {
 	f.Add([]byte{1, 4, 5}, []byte{6, 0, 5}, []byte{}, false)
 	f.Add([]byte{7, 7, 3, 3, 3, 0}, []byte{8, 8, 4, 4, 0}, []byte{1, 5}, true)
@@ -378,7 +416,13 @@ func FuzzBestFitUnpacked(f *testing.F) {
 	f.Add([]byte{}, []byte{1, 2, 3}, []byte{2, 1, 0, 0}, false)
 	f.Add([]byte{9}, []byte{}, []byte{3, 3}, true)
 	f.Add([]byte{3, 3, 3, 3, 1, 1, 1}, []byte{12, 12, 12, 7, 7, 2, 2}, []byte{0, 1, 4, 30, 1, 200}, true)
-	f.Fuzz(func(t *testing.T, itemBytes, binBytes, shrinkBytes []byte, sorted bool) {
+	// Grows: into a present capacity, of a dropped bin, interleaved with
+	// shrinks, and back to where a shrink took the bin.
+	f.Add([]byte{4, 4, 2}, []byte{3, 5, 8}, []byte{128, 4, 129, 0}, true)
+	f.Add([]byte{7, 3}, []byte{0, 0, 6}, []byte{128, 9, 2, 0, 129, 2}, true)
+	f.Add([]byte{5, 5, 5, 1}, []byte{9, 9, 4, 1}, []byte{0, 3, 130, 2, 1, 0, 131, 7}, true)
+	f.Add([]byte{2, 2}, []byte{6, 6}, []byte{0, 1, 128, 4, 0, 1, 129, 4}, false)
+	f.Fuzz(func(t *testing.T, itemBytes, binBytes, patchBytes []byte, sorted bool) {
 		items := make([]int64, len(itemBytes))
 		for i, b := range itemBytes {
 			items[i] = 1 + int64(b)
@@ -403,16 +447,25 @@ func FuzzBestFitUnpacked(f *testing.F) {
 				t.Fatalf("items %v bins %v: Certify = %v, CertifyCaps = %v", items, bins, cs, cc)
 			}
 		}
-		for k := 0; k+1 < len(shrinkBytes) && len(c.Size) > 0; k += 2 {
-			from := c.Size[int(shrinkBytes[k])%len(c.Size)]
-			to := int64(shrinkBytes[k+1]) % from
-			c.Shrink(from, to)
-			bins[slices.Index(bins, from)] = to
+		for k := 0; k+1 < len(patchBytes); k += 2 {
+			switch {
+			case patchBytes[k] < 128 && len(c.Size) > 0:
+				from := c.Size[int(patchBytes[k])%len(c.Size)]
+				to := int64(patchBytes[k+1]) % from
+				c.Shrink(from, to)
+				bins[slices.Index(bins, from)] = to
+			case patchBytes[k] >= 128 && len(bins) > 0:
+				i := int(patchBytes[k]-128) % len(bins)
+				to := bins[i] + 1 + int64(patchBytes[k+1])
+				c.Grow(bins[i], to)
+				bins[i] = to
+			}
 			checkCaps(t, &c, bins)
 		}
-		if sorted && runs.CertifyCaps(&c) {
-			if res := BestFit(items, bins); res.UnpackedTotal != 0 {
-				t.Fatalf("items %v patched bins %v: certified, but BestFit leaves %d unpacked", items, bins, res.UnpackedTotal)
+		if sorted {
+			checkCertified(t, runs, items, bins)
+			if cs, cc := runs.Certify(bins), runs.CertifyCaps(&c); cs != cc {
+				t.Fatalf("items %v patched bins %v: Certify = %v, CertifyCaps = %v", items, bins, cs, cc)
 			}
 		}
 		want := BestFit(items, bins).UnpackedFraction()
@@ -424,26 +477,38 @@ func FuzzBestFitUnpacked(f *testing.F) {
 }
 
 // TestCapsShrinkPanics: shrinking a capacity the histogram does not hold,
-// or to one that is not smaller, is a caller's bug and panics.
+// or to one that is not smaller, is a caller's bug and panics; so is
+// growing a positive capacity the histogram does not hold, or to one
+// that is not larger. (Growing a dropped bin, from 0, is not: the fuzz
+// target's grow seeds do it.)
 func TestCapsShrinkPanics(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
+		grow     bool
 		from, to int64
 	}{
-		{"absent", 4, 1},
-		{"dropped zero", 0, -1},
-		{"not smaller", 5, 5},
-		{"larger", 3, 4},
+		{"absent", false, 4, 1},
+		{"dropped zero", false, 0, -1},
+		{"not smaller", false, 5, 5},
+		{"larger", false, 3, 4},
+		{"grow absent", true, 4, 6},
+		{"grow not larger", true, 5, 5},
+		{"grow smaller", true, 5, 3},
+		{"grow dropped zero, not larger", true, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var c Caps
 			c.Reset([]int64{0, 3, 5, 5})
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Shrink(%d, %d) did not panic", tc.from, tc.to)
+					t.Errorf("grow %v (%d, %d) did not panic", tc.grow, tc.from, tc.to)
 				}
 			}()
-			c.Shrink(tc.from, tc.to)
+			if tc.grow {
+				c.Grow(tc.from, tc.to)
+			} else {
+				c.Shrink(tc.from, tc.to)
+			}
 		})
 	}
 }
@@ -489,8 +554,9 @@ func TestNewRuns(t *testing.T) {
 	}
 }
 
-// TestCertify pins the certificate's edges in both forms: over a bin
-// slice and over the histogram of the same bins.
+// TestCertify pins the certificate's edges in its two forms and in the
+// reference: over a bin slice, over the histogram of the same bins and
+// over groups of them.
 func TestCertify(t *testing.T) {
 	const maxInt = math.MaxInt64
 	for _, tc := range []struct {
@@ -526,6 +592,11 @@ func TestCertify(t *testing.T) {
 			if got := runs.CertifyCaps(&c); got != tc.want {
 				t.Errorf("CertifyCaps = %v, want %v", got, tc.want)
 			}
+			for _, size := range []int{1, 2, len(tc.bins) + 1} {
+				if got := runs.CertifyGroups(groupTerms(runs, tc.bins, size)); got != tc.want {
+					t.Errorf("CertifyGroups over groups of %d bins = %v, want %v", size, got, tc.want)
+				}
+			}
 		})
 	}
 	if res := BestFit([]int64{3, 2}, []int64{3, 3}); res.UnpackedTotal != 0 {
@@ -546,14 +617,47 @@ func TestCertify(t *testing.T) {
 			t.Errorf("%s: CertifyCaps = %v, want %v", tc.name, got, tc.want)
 		}
 	}
+	// A term stops at need_r, so two MaxInt64 bins of a size-2 run
+	// count 3, not a sum past math.MaxInt64; a group whose term reaches
+	// need_r certifies the run without the later groups' terms.
+	runs := NewRuns([]int64{2, 2, 2})
+	terms := [][]int64{notCounted(1), notCounted(1)}
+	if !runs.CertifyGroups([][]int64{{maxInt, maxInt}, {5}}, terms) || terms[0][0] != 3 || terms[1][0] != -1 {
+		t.Errorf("terms after certifying {MaxInt64, MaxInt64}, {5} for three 2s = %v, want [[3] [-1]]", terms)
+	}
+	// A counted term is read, not counted again: a group of bins that
+	// fits every item certifies nothing when its term says 0.
+	if runs.CertifyGroups([][]int64{{6}}, [][]int64{{0}}) {
+		t.Error("CertifyGroups counted a group again whose term was given")
+	}
+	// The sums of the terms saturate: a total past math.MaxInt64 stays
+	// there instead of wrapping below need.
+	for _, tc := range []struct {
+		name  string
+		items []int64
+		terms [][]int64
+		want  bool
+	}{
+		{"totals past MaxInt64", []int64{2, 2, 2}, [][]int64{{maxInt}, {1}}, true},
+		{"saturated totals", []int64{2, 2, 2}, [][]int64{{maxInt}, {maxInt}, {maxInt}}, true},
+		{"saturated totals, saturated need", []int64{maxInt, 1}, [][]int64{{maxInt, maxInt}, {maxInt, maxInt}}, false},
+		{"one short", []int64{2, 2, 2}, [][]int64{{1}, {1}, {0}}, false},
+		{"no groups", []int64{1}, nil, false},
+		{"no items, no groups", nil, nil, true},
+	} {
+		groups := make([][]int64, len(tc.terms))
+		if got := NewRuns(tc.items).CertifyGroups(groups, tc.terms); got != tc.want {
+			t.Errorf("%s: CertifyGroups over terms %v = %v, want %v", tc.name, tc.terms, got, tc.want)
+		}
+	}
 }
 
 var certSink bool
 var runsSink Runs
 
-// TestCertifyAllocs: both certificate predicates allocate nothing, on
-// bins where the certificate holds and on bins where it fails, and
-// NewRuns allocates once.
+// TestCertifyAllocs: the certificate predicates allocate
+// nothing, on bins where the certificate holds and on bins where it
+// fails, and NewRuns allocates once.
 func TestCertifyAllocs(t *testing.T) {
 	items := future.PaperProfile(100, 270, 24).LargestAppWCETs(10000)
 	runs := NewRuns(items)
@@ -568,8 +672,14 @@ func TestCertifyAllocs(t *testing.T) {
 		}
 		var c Caps
 		c.Reset(slices.Clone(bins))
+		groups, terms := groupTerms(runs, bins, n/2)
 		allocs := testing.AllocsPerRun(50, func() {
-			certSink = runs.Certify(bins) != runs.CertifyCaps(&c)
+			for _, u := range terms {
+				for r := range u {
+					u[r] = -1
+				}
+			}
+			certSink = runs.Certify(bins) != runs.CertifyCaps(&c) || runs.Certify(bins) != runs.CertifyGroups(groups, terms)
 		})
 		if allocs != 0 {
 			t.Errorf("%d bins (certified: %v): %v allocs per call, want 0", n, runs.Certify(bins), allocs)

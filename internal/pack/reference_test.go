@@ -1,5 +1,7 @@
 package pack
 
+import "math"
+
 // Result reports how a packing attempt went.
 type Result struct {
 	PackedTotal   int64
@@ -46,4 +48,31 @@ func BestFit(items, bins []int64) Result {
 		res.PackedCount++
 	}
 	return res
+}
+
+// Certify reports whether the all-fit certificate holds over bins, one
+// per slice element: when it does, best-fit leaves none of the runs'
+// items unpacked, so BestFitUnpacked of the items over bins is +0. Each
+// run is one pass over the bins that stops once U_r reaches need_r. It is
+// the certificate as the package comment states it, the reference
+// CertifyCaps and CertifyGroups are held to.
+func (rs Runs) Certify(bins []int64) bool {
+	for i := len(rs) - 1; i >= 0; i-- {
+		s, left := rs[i].size, rs[i].need
+		if left == math.MaxInt64 {
+			return false
+		}
+		for _, b := range bins {
+			// left > 0 and b/s ≥ 0, so the difference cannot overflow.
+			if b >= s {
+				if left -= b / s; left <= 0 {
+					break
+				}
+			}
+		}
+		if left > 0 {
+			return false
+		}
+	}
+	return true
 }
